@@ -28,10 +28,10 @@ from bicorr.detect import (
     PPT_ORACLE,
     SEPARABLE,
     DependentProbes,
-    RankContradiction,
     binary_protocol,
-    classify_pure_by_rank,
+    exact_corr_oracle,
     ppt_is_separable,
+    pure_rank_verdict,
     werner_report,
 )
 from bicorr.linalg import NotHermitian, ZeroVector, det3
@@ -51,7 +51,6 @@ _CLI_ERRORS = (
     NonUnitBloch,
     XiOutOfRange,
     DependentProbes,
-    RankContradiction,
     NotHermitian,
     ZeroVector,
     OSError,
@@ -124,11 +123,15 @@ def _verdict_doc(verdict) -> dict:
 
 
 def build_analysis_report(spec: StateSpec) -> dict:
-    """Full analysis of a state: Bloch form, correlation matrix, verdicts."""
+    """Full analysis of a state: Bloch form, correlation matrix, verdicts.
+
+    The Bloch form and c are computed once; the protocol's exact oracle and
+    the rank verdict both read that c.
+    """
     rho = statesmod.density_of(spec)
     bf = bloch_decompose(rho)
-    cm = correlation_matrix(rho)
-    protocol_verdict, trace = binary_protocol(rho)
+    cm = correlation_matrix(bf)
+    protocol_verdict, trace = binary_protocol(rho, corr_oracle=exact_corr_oracle(cm))
     report = {
         "label": spec.label,
         "kind": spec.kind,
@@ -142,7 +145,7 @@ def build_analysis_report(spec: StateSpec) -> dict:
         },
         "verdicts": {
             "rank_dichotomy": (
-                _verdict_doc(classify_pure_by_rank(spec.amplitudes))
+                _verdict_doc(pure_rank_verdict(cm))
                 if spec.kind == "pure"
                 else None
             ),

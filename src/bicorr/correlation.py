@@ -19,6 +19,7 @@ from bicorr.qstate import (
     BALL_TOL,
     I2,
     IMAG_TOL,
+    BlochForm,
     BlochOutOfBall,
     InvalidState,
     _check_structure,
@@ -78,14 +79,17 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
     return float(value.real)
 
 
-def correlation_matrix(rho: np.ndarray) -> CorrMatrix:
-    """Correlation matrix of rho with cached singular values and numeric rank.
+def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
+    """Correlation matrix with cached singular values and numeric rank.
 
-    Rank uses the absolute threshold 1e-8: correlation entries are bounded by
-    2, and for exact pure states the rank is 0 or 3, so any mid-range
-    tolerance separates the two classes.
+    state is a density matrix or, when the caller already has it, its Bloch
+    form.  Rank uses the absolute threshold 1e-8.  A pure state of
+    concurrence k has singular values (k, k, k^2), so its rank is 0 or 3
+    except for weak entanglement, 1e-8 < k <= 1e-4, where it is 2; the
+    separability verdict is therefore taken on the largest singular value
+    (see ``detect.pure_rank_verdict``).
     """
-    bf = bloch_decompose(rho)
+    bf = state if isinstance(state, BlochForm) else bloch_decompose(state)
     c = bf.f - np.outer(bf.a, bf.b)
     sv = symmetric3_singular_values(c)
     return CorrMatrix(c=c, singular_values=sv, rank=int(np.sum(sv > RANK_TOL)))

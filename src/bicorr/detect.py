@@ -3,8 +3,9 @@
 Three decision routes live here:
 
 * the rank dichotomy: a pure state is separable exactly when its correlation
-  matrix vanishes and entangled exactly when that matrix has full rank 3, so
-  the rank alone classifies pure states;
+  matrix vanishes and entangled exactly when that matrix has full rank 3.  Its
+  singular values are (k, k, k^2) in the concurrence k, so the verdict is
+  taken on the largest one, k, at the scale the PPT oracle decides on;
 * the three-probe protocol: against a fixed y, three linearly independent
   probe directions x are tested for zero/non-zero covariance; a plane can hide
   at most two independent directions, so an entangled pure state must reveal
@@ -54,6 +55,9 @@ from bicorr.states import XiOutOfRange, werner
 ZERO_CORRELATION_TOL = 1e-10
 GRAM_TOL = 1e-9
 PURITY_TOL = 1e-9
+# A pure state of concurrence k has sigma_max(c) = k and a partial transpose
+# with smallest eigenvalue -k/2, so this is the PPT oracle's PSD_TOL cut.
+PURE_ENTANGLED_SV_TOL = 2.0 * PSD_TOL
 
 SEPARABLE = "Separable"
 ENTANGLED = "Entangled"
@@ -69,10 +73,6 @@ DEFAULT_XS = np.eye(3)
 
 # Maps an observable pair to (covariance value, is_zero decision).
 CorrOracle = Callable[[ObservablePair], tuple[float, bool]]
-
-
-class RankContradiction(RuntimeError):
-    """Correlation-matrix rank of a pure state was neither 0 nor 3."""
 
 
 class DependentProbes(ValueError):
@@ -122,33 +122,39 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     return ObservablePair(x=x, y=y)
 
 
-def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
-    """Separable/Entangled verdict for a pure state from rank(c).
+def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
+    """Separable/Entangled verdict from the correlation matrix of a pure state.
 
-    Rank 0 means separable, rank 3 entangled; anything else is impossible for
-    an exact pure state and raises RankContradiction (a tolerance failure or
-    an invalid input).
+    c vanishes (rank 0) for separable pure states and has rank 3 for entangled
+    ones; the verdict is Entangled iff sigma_max(c), the concurrence, exceeds
+    2e-9.  The detail gives sigma_max, that threshold, rank(c) and all three
+    singular values.
+    """
+    sigma_max = float(cm.singular_values[0])
+    label = ENTANGLED if sigma_max > PURE_ENTANGLED_SV_TOL else SEPARABLE
+    detail = (
+        f"sigma_max(c) = {sigma_max!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}; "
+        f"rank(c) = {cm.rank}, singular values {cm.singular_values.tolist()}"
+    )
+    return Verdict(label, RANK_DICHOTOMY, detail)
+
+
+def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
+    """Separable/Entangled verdict for a pure state from its correlation matrix.
+
+    See ``pure_rank_verdict``; every validated pure state gets a verdict.
     """
     psi = validate_pure_state(psi)
-    cm = correlation_matrix(density_from_pure(psi))
-    detail = f"rank(c) = {cm.rank}, singular values {cm.singular_values.tolist()}"
-    if cm.rank == 0:
-        return Verdict(SEPARABLE, RANK_DICHOTOMY, detail)
-    if cm.rank == 3:
-        return Verdict(ENTANGLED, RANK_DICHOTOMY, detail)
-    raise RankContradiction(
-        f"pure state produced rank {cm.rank}; expected 0 or 3 ({detail})"
-    )
+    return pure_rank_verdict(correlation_matrix(density_from_pure(psi)))
 
 
-def exact_corr_oracle(rho: np.ndarray) -> CorrOracle:
-    """Zero/non-zero oracle from the exact correlation matrix of rho.
+def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
+    """Zero/non-zero oracle from an exact correlation matrix.
 
-    The matrix is computed once and reused for every probe; |c| < 1e-10
-    counts as zero, far above 4x4 arithmetic noise and far below every
-    fixture's smallest non-zero covariance.
+    The matrix is reused for every probe; |c| < 1e-10 counts as zero, far
+    above 4x4 arithmetic noise and far below every fixture's smallest
+    non-zero covariance.
     """
-    cm = correlation_matrix(rho)
 
     def oracle(pair: ObservablePair) -> tuple[float, bool]:
         value = covariance_via_c(cm, pair)
@@ -186,15 +192,18 @@ def binary_protocol(
 
     corr_oracle may replace the exact decision rule (e.g. with a finite-shot
     one); it receives an ObservablePair and returns (covariance, is_zero).
+    The default is ``exact_corr_oracle`` on rho's correlation matrix; a caller
+    that already holds that matrix passes ``exact_corr_oracle(cm)``.
     """
     rho = _check_structure(rho)
     y, xs = _check_probes(y, xs)
-    oracle = corr_oracle if corr_oracle is not None else exact_corr_oracle(rho)
+    if corr_oracle is None:
+        corr_oracle = exact_corr_oracle(correlation_matrix(rho))
 
     probes = []
     found_nonzero = False
     for x in xs:
-        value, is_zero = oracle(ObservablePair(x=x, y=y))
+        value, is_zero = corr_oracle(ObservablePair(x=x, y=y))
         probes.append(Probe(x=x, covariance=value, is_zero=is_zero))
         if not is_zero:
             found_nonzero = True

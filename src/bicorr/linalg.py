@@ -1,23 +1,16 @@
 """Dense linear-algebra kernels for the small fixed sizes used in this package.
 
 Everything here operates on plain numpy arrays: real 3-vectors, real 3x3
-matrices, and complex 4x4 Hermitian matrices.  Eigenvalue and singular-value
-problems are solved with cyclic Jacobi sweeps, which are unconditionally
-stable at these sizes and keep the numerical path of the package independent
-of LAPACK.
+matrices, and complex 4x4 Hermitian matrices.  Eigenvalues and singular
+values come from LAPACK through numpy.linalg, after the input checks below.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-9
 RANK_TOL = 1e-8
-
-_OFF_DIAG_TARGET = 1e-14
-_MAX_SWEEPS = 64
 
 
 class NotHermitian(ValueError):
@@ -33,102 +26,34 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _jacobi_hermitian(mat: np.ndarray) -> tuple[list[float], list[list[complex]]]:
-    """Diagonalize a Hermitian matrix with cyclic Jacobi rotations.
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-14 or 64
-    sweeps have been made.  Returns (unsorted eigenvalues, accumulated unitary
-    as a row-major list of rows; column k is the eigenvector of value k).
-    Real symmetric input stays on real rotations because the rotation phase
-    degenerates to +-1.
-    """
-    n = mat.shape[0]
-    a = [[complex(mat[i, j]) for j in range(n)] for i in range(n)]
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    idx = range(n)
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(sum(abs(a[i][j]) ** 2 for i in idx for j in idx if i != j))
-        if off < _OFF_DIAG_TARGET:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                m = abs(apq)
-                if m <= 1e-18:
-                    continue
-                phase = apq / m
-                app = a[p][p].real
-                aqq = a[q][q].real
-                tau = (aqq - app) / (2.0 * m)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * phase.conjugate()
-                for i in idx:
-                    if i == p or i == q:
-                        continue
-                    aip = a[i][p]
-                    aiq = a[i][q]
-                    a[i][p] = aip * c - aiq * spc
-                    a[i][q] = aiq * c + aip * sp
-                    a[p][i] = a[i][p].conjugate()
-                    a[q][i] = a[i][q].conjugate()
-                a[p][p] = app - t * m
-                a[q][q] = aqq + t * m
-                a[p][q] = 0j
-                a[q][p] = 0j
-                for i in idx:
-                    vip = v[i][p]
-                    viq = v[i][q]
-                    v[i][p] = vip * c - viq * spc
-                    v[i][q] = viq * c + vip * sp
-    values = [a[i][i].real for i in idx]
-    return values, v
-
-
-def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and matching eigenvector columns of a Hermitian matrix.
-
-    Raises NotHermitian when any entry of m - m^dagger exceeds 1e-9.
+    Raises NotHermitian when any entry of m - m^dagger exceeds 1e-9; the
+    spectrum is that of the Hermitian part (m + m^dagger) / 2.
     """
     m = np.asarray(m, dtype=complex)
     _require_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {np.abs(m - m.conj().T).max():.3e}"
-        )
-    values, vectors = _jacobi_hermitian((m + m.conj().T) / 2.0)
-    order = np.argsort(values)
-    w = np.array(values, dtype=float)[order]
-    vmat = np.array(vectors, dtype=complex)[:, order]
-    return w, vmat
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending."""
-    return hermitian_eigensystem(m)[0]
+    m_dagger = m.conj().T
+    deviation = float(np.abs(m - m_dagger).max())
+    if deviation > HERMITIAN_TOL:
+        raise NotHermitian(f"matrix deviates from Hermitian by {deviation:.3e}")
+    return np.linalg.eigvalsh((m + m_dagger) / 2.0)
 
 
 def symmetric3_singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of a real 3x3 matrix, descending.
 
-    Computed as square roots of the eigenvalues of m^T m, which is diagonalized
-    with real Jacobi rotations.
+    Computed by LAPACK from m itself rather than from m^T m, so the error
+    stays near machine epsilon times the largest value at every scale of m.
     """
     m = np.asarray(m, dtype=float)
     _require_finite(m, "matrix")
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    gram = m.T @ m
-    values, _ = _jacobi_hermitian(gram.astype(complex))
-    sv = np.sqrt(np.clip(np.array(values, dtype=float), 0.0, None))
-    return np.sort(sv)[::-1]
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def numeric_rank(m: np.ndarray, abs_tol: float = RANK_TOL) -> int:

@@ -42,6 +42,14 @@ I4 = np.eye(4, dtype=complex)
 _A_OPS = np.stack([np.kron(s, I2) for s in PAULIS])
 _B_OPS = np.stack([np.kron(I2, s) for s in PAULIS])
 _F_OPS = np.stack([np.stack([np.kron(si, sj) for sj in PAULIS]) for si in PAULIS])
+# Tr(rho P) = sum_ij rho_ij P_ji, so rho.reshape(16) @ _TRACE_TABLE gives the
+# 15 traces against the stacked operators in the order a, b, f (row-major).
+_TRACE_TABLE = np.ascontiguousarray(
+    np.concatenate([_A_OPS, _B_OPS, _F_OPS.reshape(9, 4, 4)])
+    .transpose(0, 2, 1)
+    .reshape(15, 16)
+    .T
+)
 
 
 class InvalidState(ValueError):
@@ -150,13 +158,12 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
     input; imaginary residue above 1e-10 raises InvalidState.
     """
     rho = _check_structure(rho)
-    a = np.einsum("ij,kji->k", rho, _A_OPS)
-    b = np.einsum("ij,kji->k", rho, _B_OPS)
-    f = np.einsum("ij,abji->ab", rho, _F_OPS)
-    residue = max(np.abs(a.imag).max(), np.abs(b.imag).max(), np.abs(f.imag).max())
+    traces = rho.reshape(16) @ _TRACE_TABLE
+    residue = float(np.abs(traces.imag).max())
     if residue > IMAG_TOL:
         raise InvalidState(f"Pauli traces have imaginary residue {residue:.3e}")
-    return BlochForm(a=a.real, b=b.real, f=f.real)
+    real = traces.real
+    return BlochForm(a=real[:3], b=real[3:6], f=real[6:].reshape(3, 3))
 
 
 def bloch_assemble(bf: BlochForm) -> np.ndarray:

@@ -90,6 +90,23 @@ class TestRankClassifier:
             assert classify_pure_by_rank(psi).label == SEPARABLE
             assert schmidt_rank(psi) == 1
 
+    def test_weak_entanglement_agrees_with_ppt(self):
+        # cos t|00> + sin t|11> has concurrence sin 2t, which local unitaries
+        # keep; both deciders cut at concurrence 2e-9.
+        rng = np.random.default_rng(17)
+        u_a, u_b = (
+            np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2)
+        )
+        for t in np.geomspace(1e-12, np.pi / 4, 400):
+            psi = np.kron(u_a, u_b) @ np.array([np.cos(t), 0, 0, np.sin(t)])
+            verdict = classify_pure_by_rank(psi)
+            assert "sigma_max(c)" in verdict.detail
+            if abs(np.sin(2 * t) / 2e-9 - 1) <= 0.01:
+                continue
+            ppt_separable = ppt_is_separable(density_from_pure(psi))
+            assert (verdict.label == SEPARABLE) == ppt_separable, t
+
 
 class TestBinaryProtocol:
     def test_singlet_detected_at_third_probe(self):

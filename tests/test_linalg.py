@@ -1,16 +1,18 @@
 """Unit and property tests for the small fixed-size linear-algebra kernels.
 
-numpy.linalg serves as the independent oracle for the Jacobi routines.
+The eigen- and singular-value kernels are checked against spectra known in
+closed form and against spectral invariants of random input.
 """
 
 import numpy as np
 import pytest
 
+from bicorr import states
+from bicorr.detect import partial_transpose_b
 from bicorr.linalg import (
     NotHermitian,
     ZeroVector,
     det3,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     numeric_rank,
     orthogonal_complement_basis,
@@ -55,21 +57,30 @@ class TestHermitianEigenvalues:
         with pytest.raises(NotHermitian):
             hermitian_eigenvalues(m)
 
-    def test_matches_lapack_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            m = random_hermitian(rng)
+    def test_werner_partial_transpose_spectrum(self):
+        # PT of (1-xi)/4 I + xi |psi-><psi-| is (1-xi)/4 I + xi SINGLET_PT.
+        for xi in np.linspace(0.0, 1.0, 31):
             np.testing.assert_allclose(
-                hermitian_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-10
+                hermitian_eigenvalues(partial_transpose_b(states.werner(xi))),
+                [(1 - 3 * xi) / 4] + [(1 + xi) / 4] * 3,
+                atol=1e-12,
             )
 
-    def test_eigendecomposition_reconstructs_input(self):
+    @pytest.mark.parametrize("which", ["phi+", "phi-", "psi+", "psi-"])
+    def test_bell_projector_spectrum(self, which):
+        psi = states.bell_state(which)
+        np.testing.assert_allclose(
+            hermitian_eigenvalues(np.outer(psi, psi.conj())), [0, 0, 0, 1], atol=1e-12
+        )
+
+    def test_spectral_invariants(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
             m = random_hermitian(rng)
-            w, v = hermitian_eigensystem(m)
-            rebuilt = (v * w) @ v.conj().T
-            assert np.abs(rebuilt - m).max() < 1e-8
+            w = hermitian_eigenvalues(m)
+            assert (np.diff(w) >= 0).all()
+            assert abs(w.sum() - np.trace(m).real) < 1e-8
+            assert abs((w**2).sum() - np.trace(m @ m).real) < 1e-8
 
     def test_eigenvalue_sum_equals_trace(self):
         rng = np.random.default_rng(9)
@@ -93,6 +104,14 @@ class TestSingularValues:
         sv = symmetric3_singular_values(CHEN_C)
         np.testing.assert_allclose(sv, [2 / 3, 2 / 3, 4 / 9], atol=1e-12)
         assert abs(np.prod(sv) - 16 / 81) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7, 1e-9])
+    def test_exact_at_every_scale(self, scale):
+        q, _ = np.linalg.qr(np.random.default_rng(16).standard_normal((3, 3)))
+        m = scale * q @ np.diag([3.0, 2.0, 1.0]) @ q.T
+        np.testing.assert_allclose(
+            symmetric3_singular_values(m), scale * np.array([3.0, 2.0, 1.0]), rtol=1e-12
+        )
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(10)
