@@ -103,10 +103,6 @@ def _fmt_mat(mat, indent: str = "  ") -> str:
     return "\n".join(indent + _fmt_vec(row) for row in np.asarray(mat, dtype=float))
 
 
-def _state_doc(spec: StateSpec) -> dict:
-    return json.loads(statesmod.dumps_state(spec))
-
-
 def _trace_doc(trace) -> dict:
     return {
         "y": trace.y.tolist(),
@@ -135,7 +131,7 @@ def build_analysis_report(spec: StateSpec) -> dict:
     report = {
         "label": spec.label,
         "kind": spec.kind,
-        "state": _state_doc(spec),
+        "state": statesmod.state_doc(spec),
         "bloch": {"a": bf.a.tolist(), "b": bf.b.tolist(), "f": bf.f.tolist()},
         "correlation": {
             "c": cm.c.tolist(),

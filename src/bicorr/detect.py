@@ -195,7 +195,7 @@ def binary_protocol(
     The default is ``exact_corr_oracle`` on rho's correlation matrix; a caller
     that already holds that matrix passes ``exact_corr_oracle(cm)``.
     """
-    rho = _check_structure(rho)
+    purity_value = purity(rho)  # validates rho's structure
     y, xs = _check_probes(y, xs)
     if corr_oracle is None:
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))
@@ -211,7 +211,7 @@ def binary_protocol(
     used = len(probes) if found_nonzero else 3
     trace = ProtocolTrace(y=y, probes=tuple(probes), measurements_used=used)
 
-    is_pure = assume_pure or purity(rho) >= 1.0 - PURITY_TOL
+    is_pure = assume_pure or purity_value >= 1.0 - PURITY_TOL
     if found_nonzero:
         if is_pure:
             verdict = Verdict(

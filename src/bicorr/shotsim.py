@@ -25,6 +25,8 @@ import numpy as np
 from bicorr.correlation import ObservablePair
 from bicorr.detect import (
     BINARY_PROTOCOL,
+    DEFAULT_XS,
+    DEFAULT_Y,
     ProtocolTrace,
     Verdict,
     binary_protocol,
@@ -169,8 +171,8 @@ def shot_corr_oracle(rho: np.ndarray, cfg: ShotConfig):
 
 def statistical_binary_protocol(
     rho: np.ndarray,
-    y: np.ndarray | None = None,
-    xs: np.ndarray | None = None,
+    y: np.ndarray = DEFAULT_Y,
+    xs: np.ndarray = DEFAULT_XS,
     cfg: ShotConfig = ShotConfig(),
     assume_pure: bool = False,
 ) -> tuple[Verdict, ProtocolTrace]:
@@ -180,16 +182,8 @@ def statistical_binary_protocol(
     statistical one, so verdicts carry confidence, not certainty; the shot
     budget and threshold are recorded in the verdict detail.
     """
-    kwargs = {}
-    if y is not None:
-        kwargs["y"] = y
-    if xs is not None:
-        kwargs["xs"] = xs
     verdict, trace = binary_protocol(
-        rho,
-        corr_oracle=shot_corr_oracle(rho, cfg),
-        assume_pure=assume_pure,
-        **kwargs,
+        rho, y=y, xs=xs, corr_oracle=shot_corr_oracle(rho, cfg), assume_pure=assume_pure
     )
     detail = (
         f"{verdict.detail}; statistical decision at {cfg.shots} shots per probe, "

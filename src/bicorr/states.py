@@ -194,8 +194,8 @@ def loads_state(text: str) -> StateSpec:
     raise ParseError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 
-def dumps_state(spec: StateSpec) -> str:
-    """Serialize a state to the JSON document format (full float precision)."""
+def state_doc(spec: StateSpec) -> dict:
+    """The JSON state document of a state, as a dict of plain Python values."""
     doc: dict = {"kind": spec.kind}
     if spec.label is not None:
         doc["label"] = spec.label
@@ -205,7 +205,12 @@ def dumps_state(spec: StateSpec) -> str:
         doc["matrix"] = [
             [[float(z.real), float(z.imag)] for z in row] for row in spec.matrix
         ]
-    return json.dumps(doc, indent=2)
+    return doc
+
+
+def dumps_state(spec: StateSpec) -> str:
+    """Serialize a state to the JSON document format (full float precision)."""
+    return json.dumps(state_doc(spec), indent=2)
 
 
 def load_state_file(path) -> StateSpec:

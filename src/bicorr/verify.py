@@ -1,6 +1,12 @@
 """Self-verification suites: every module's documented invariants, runnable
 at a configurable trial count via ``bicorr verify``.
 
+``ALL_CHECKS`` is the single registry of the package's randomized properties:
+``bicorr verify`` runs it, and the test suite runs every entry once at seed 0
+(tests/test_acceptance.py), with the checks bound to an acceptance criterion at
+that criterion's 10,000 states.  At seed 0 those checks draw exactly the
+criterion's inputs.
+
 Each check returns (passed, detail).  Trial counts scale the randomized
 loops; the statistical suites keep their fixed, calibrated sizes.
 """
@@ -164,11 +170,14 @@ def check_partial_trace_consistency(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed + 808)  # criterion 7's directions at seed 0
     worst = 0.0
     for i in range(trials):
         rho = _random_density(seed + i)
-        pair = ObservablePair(x=_unit(rng) * rng.random(), y=_unit(rng) * rng.random())
+        x, y = rng.standard_normal(3), rng.standard_normal(3)
+        pair = ObservablePair(
+            x=x / np.linalg.norm(x) * rng.random(), y=y / np.linalg.norm(y) * rng.random()
+        )
         direct = covariance_direct(rho, pair)
         shortcut = covariance_via_c(correlation_matrix(rho), pair)
         worst = max(worst, abs(direct - shortcut))
@@ -268,7 +277,7 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed + 404)  # criterion 5's directions at seed 0
     worst = 0.0
     for i in range(trials):
         rho = (
@@ -357,7 +366,7 @@ def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
     mean = float(np.mean([r.covariance_estimate for r in records]))
     combined = math.sqrt(sum(r.standard_error**2 for r in records)) / 200
     deviation = abs(mean + 0.25)
-    return deviation <= 3 * combined, (
+    return deviation < 3 * combined, (
         f"200 seeds, mean {mean:.9f}, |dev| {deviation:.2e} vs 3 SE {3 * combined:.2e}"
     )
 

@@ -7,6 +7,7 @@ import pytest
 
 from bicorr.cli import main
 from bicorr.states import load_state_file, mixed_spec, random_mixed, save_state_file
+from bicorr.verify import ALL_CHECKS
 
 
 @pytest.fixture()
@@ -179,6 +180,8 @@ class TestVerify:
 
     def test_reduced_run_passes(self, capsys):
         assert main(["verify", "--trials", "150"]) == 0
-        out = capsys.readouterr().out
-        assert "[FAIL]" not in out
-        assert out.count("[PASS]") >= 20
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(ALL_CHECKS) + 1
+        for line, (name, _) in zip(lines, ALL_CHECKS):
+            assert line.startswith(f"[PASS] {name}: ")
+        assert lines[-1] == "verification: all suites passed"

@@ -1,5 +1,9 @@
-"""Tests for covariances and the correlation matrix, including the
-cross-validation of the trace-formula route against the matrix shortcut."""
+"""Tests for covariances and the correlation matrix.
+
+The cross-validation of the trace-formula route against the matrix shortcut,
+bilinearity and the pure-state identities are ``bicorr.verify`` registry
+checks, run by tests/test_acceptance.py.
+"""
 
 import numpy as np
 import pytest
@@ -12,9 +16,7 @@ from bicorr.correlation import (
     covariance_direct,
     covariance_via_c,
 )
-from bicorr.detect import schmidt_rank
-from bicorr.linalg import det3
-from bicorr.qstate import BlochOutOfBall, bloch_decompose, density_from_pure
+from bicorr.qstate import BlochOutOfBall, density_from_pure
 
 CHEN_C = (2.0 / 9.0) * np.array([[1, 0, -2], [0, -3, 0], [2, 0, 2]], dtype=float)
 Z = np.array([0.0, 0.0, 1.0])
@@ -111,48 +113,3 @@ class TestCovarianceViaC:
         x = np.array([2.0, 0.0, -1.0]) / np.sqrt(5.0)
         pair = ObservablePair(x=x, y=[1.0, 0, 0])
         assert abs(covariance_via_c(cm, pair)) < 1e-12
-
-
-class TestPathEquivalence:
-    """The trace formula and the correlation-matrix shortcut must agree."""
-
-    def test_random_states_and_pairs(self):
-        rng = np.random.default_rng(32)
-        for seed in range(1000):
-            rho = random_density(seed)
-            pair = random_pair(rng)
-            direct = covariance_direct(rho, pair)
-            shortcut = covariance_via_c(correlation_matrix(rho), pair)
-            assert abs(direct - shortcut) < 1e-10
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(33)
-        for seed in range(100):
-            cm = correlation_matrix(random_density(seed))
-            x1, x2, y = (rng.standard_normal(3) for _ in range(3))
-            x1 /= 4 * np.linalg.norm(x1)
-            x2 /= 4 * np.linalg.norm(x2)
-            y /= np.linalg.norm(y)
-            alpha, beta = rng.random(2)
-            combined = covariance_via_c(cm, ObservablePair(x=alpha * x1 + beta * x2, y=y))
-            parts = alpha * covariance_via_c(
-                cm, ObservablePair(x=x1, y=y)
-            ) + beta * covariance_via_c(cm, ObservablePair(x=x2, y=y))
-            assert abs(combined - parts) < 1e-12
-
-
-class TestPureStateDichotomy:
-    def test_haar_states_have_full_rank_and_match_schmidt_oracle(self):
-        for seed in range(1000):
-            psi = states.haar_random_pure(seed)
-            cm = correlation_matrix(density_from_pure(psi))
-            assert cm.rank in (0, 3)
-            assert (cm.rank == 0) == (schmidt_rank(psi) == 1)
-
-    def test_determinant_identity(self):
-        # det(c) = -(|b|^2 - 1)^2 for every pure state.
-        for seed in range(1000):
-            rho = density_from_pure(states.haar_random_pure(seed))
-            cm = correlation_matrix(rho)
-            b = bloch_decompose(rho).b
-            assert abs(det3(cm.c) + (np.linalg.norm(b) ** 2 - 1) ** 2) < 1e-9

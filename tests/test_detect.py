@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bicorr import states
-from bicorr.correlation import ObservablePair, correlation_matrix, covariance_direct
+from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import (
     DEFAULT_XS,
     DEFAULT_Y,
@@ -21,7 +21,6 @@ from bicorr.detect import (
     schmidt_rank,
     werner_report,
 )
-from bicorr.linalg import orthogonal_complement_basis
 from bicorr.qstate import density_from_pure
 from bicorr.states import XiOutOfRange
 
@@ -50,24 +49,6 @@ class TestFindZeroCorrelationPair:
         np.testing.assert_allclose(pair.x, [1.0, 0, 0])
         assert abs(covariance_direct(rho, pair)) < 1e-10
 
-    def test_random_mixed_states(self):
-        rng = np.random.default_rng(41)
-        for seed in range(500):
-            rho = (
-                states.random_separable_mixed(seed, 1 + seed % 4)
-                if seed % 2
-                else states.random_mixed(seed, 2 + seed % 4)
-            )
-            y = rng.standard_normal(3)
-            y /= np.linalg.norm(y)
-            pair = find_zero_correlation_pair(rho, y)
-            assert abs(covariance_direct(rho, pair)) < 1e-10
-
-    def test_werner_grid(self):
-        for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0):
-            pair = find_zero_correlation_pair(states.werner(xi), Z)
-            assert abs(covariance_direct(states.werner(xi), pair)) < 1e-10
-
 
 class TestRankClassifier:
     def test_basis_state_is_separable(self):
@@ -78,17 +59,6 @@ class TestRankClassifier:
 
     def test_chen_is_entangled(self):
         assert classify_pure_by_rank(states.chen_state()).label == ENTANGLED
-
-    def test_agreement_with_schmidt_oracle(self):
-        for seed in range(1000):
-            psi = states.haar_random_pure(seed)
-            assert (classify_pure_by_rank(psi).label == SEPARABLE) == (
-                schmidt_rank(psi) == 1
-            )
-        for seed in range(1000):
-            psi = states.random_product_pure(seed)
-            assert classify_pure_by_rank(psi).label == SEPARABLE
-            assert schmidt_rank(psi) == 1
 
     def test_weak_entanglement_agrees_with_ppt(self):
         # cos t|00> + sin t|11> has concurrence sin 2t, which local unitaries
@@ -138,35 +108,6 @@ class TestBinaryProtocol:
         xs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DependentProbes):
             binary_protocol(states.werner(0.5), y=Z, xs=xs)
-
-    def test_agrees_with_rank_classifier_on_random_pure_states(self):
-        from bicorr.linalg import det3
-
-        rng = np.random.default_rng(42)
-        for seed in range(500):
-            psi = states.haar_random_pure(seed)
-            y = rng.standard_normal(3)
-            y /= np.linalg.norm(y)
-            while True:
-                xs = rng.standard_normal((3, 3))
-                xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-                if det3(xs @ xs.T) > 1e-3:
-                    break
-            verdict, _ = binary_protocol(density_from_pure(psi), y=y, xs=xs)
-            assert verdict.label == classify_pure_by_rank(psi).label
-
-    def test_two_probes_orthogonal_to_image_stay_silent(self):
-        # Two independent directions inside the zero plane of an entangled
-        # state: both probes read zero, so two measurements cannot decide.
-        for seed in range(200):
-            psi = states.haar_random_pure(seed)
-            rho = density_from_pure(psi)
-            cm = correlation_matrix(rho)
-            y_image = cm.c @ Z
-            x1, x2 = orthogonal_complement_basis(y_image)
-            for x in (x1, x2):
-                value = covariance_direct(rho, ObservablePair(x=x, y=Z))
-                assert abs(value) < 1e-10
 
 
 class TestSchmidtRank:

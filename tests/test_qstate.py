@@ -144,31 +144,6 @@ class TestBlochAssemble:
         with pytest.raises(NotPositive):
             bloch_assemble(bf)
 
-    def test_round_trip(self):
-        for seed in range(300):
-            rho = random_density(seed)
-            rebuilt = bloch_assemble(bloch_decompose(rho))
-            assert np.abs(rebuilt - rho).max() < 1e-10
-
-
-class TestPureStateProperties:
-    """Structural identities of the Bloch form of pure states."""
-
-    def test_haar_states(self):
-        for seed in range(500):
-            bf = bloch_decompose(density_from_pure(states.haar_random_pure(seed)))
-            assert np.linalg.norm(bf.f @ bf.b - bf.a) < 1e-9
-            assert np.linalg.norm(bf.f.T @ bf.a - bf.b) < 1e-9
-            assert abs(np.linalg.norm(bf.a) - np.linalg.norm(bf.b)) < 1e-9
-            det_f = np.linalg.det(bf.f)
-            assert abs(det_f - (np.linalg.norm(bf.a) ** 2 - 1)) < 1e-9
-
-    def test_product_states_have_unit_local_vectors(self):
-        for seed in range(500):
-            bf = bloch_decompose(density_from_pure(states.random_product_pure(seed)))
-            assert abs(np.linalg.norm(bf.a) - 1) < 1e-9
-            assert abs(np.linalg.norm(bf.b) - 1) < 1e-9
-
 
 class TestPartialTrace:
     def test_singlet_marginals_are_maximally_mixed(self):
@@ -193,17 +168,6 @@ class TestPartialTrace:
         a = np.array([2, 0, 1]) / 3
         expected = 0.5 * (np.eye(2) + a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z)
         np.testing.assert_allclose(rho_a, expected, atol=1e-12)
-
-    def test_local_expectation_consistency(self):
-        rng = np.random.default_rng(22)
-        for seed in range(200):
-            rho = random_density(seed)
-            x = rng.standard_normal(3)
-            x /= max(np.linalg.norm(x), 1.0)
-            q = observable_from_bloch(x)
-            lhs = np.trace(partial_trace_B(rho) @ q)
-            rhs = np.trace(rho @ np.kron(q, np.eye(2)))
-            assert abs(lhs - rhs) < 1e-10
 
 
 class TestObservables:

@@ -100,36 +100,6 @@ class TestSampleJoint:
         assert abs(record.standard_error - oracle) / oracle < 0.05
         assert abs(record.covariance_estimate + 0.125) < 5 * oracle
 
-    def test_estimator_is_unbiased(self):
-        # 50 seeds at 1e4 shots; the exact mean of the corrected estimator
-        # is -1/4, so the seed-averaged estimate must sit within a few
-        # combined standard errors of it.
-        records = [
-            sample_joint(singlet_rho(), ZZ, ShotConfig(shots=10_000, seed=s))
-            for s in range(50)
-        ]
-        estimates = np.array([r.covariance_estimate for r in records])
-        combined = math.sqrt(float(np.sum([r.standard_error**2 for r in records]))) / 50
-        assert abs(estimates.mean() + 0.25) < 3 * combined
-
-    def test_standard_error_scales_with_shots(self):
-        pair = ObservablePair(x=Z, y=np.array([1.0, 0, 1.0]) / math.sqrt(2))
-        ses = {
-            n: sample_joint(singlet_rho(), pair, ShotConfig(shots=n, seed=11)).standard_error
-            for n in (1_000, 10_000, 100_000)
-        }
-        assert abs(ses[1_000] / ses[10_000] / math.sqrt(10) - 1) < 0.2
-        assert abs(ses[10_000] / ses[100_000] / math.sqrt(10) - 1) < 0.2
-
-    def test_false_positive_rate_under_threshold(self):
-        hits = 0
-        for seed in range(300):
-            record = sample_joint(
-                MAX_MIXED, ZZ, ShotConfig(shots=10_000, seed=seed, z_threshold=3.0)
-            )
-            hits += record.decision == DECISION_NONZERO
-        assert hits / 300 < 0.01
-
 
 class TestStatisticalProtocol:
     def test_singlet_is_detected(self):
