@@ -4,11 +4,11 @@ Each test covers one criterion, runs it at its frozen tolerance, enforces the
 runtime budget, and prints a single summary line on success.  Failures show up
 as ordinary pytest failures.
 
-The randomized properties live once, in ``bicorr.verify.ALL_CHECKS``;
-``test_registry_check`` runs every entry at seed 0.  The entries that carry
-criteria 3, 4 (two-probe half), 5 and 7 run at the criteria's 10,000 states,
-which at seed 0 are exactly the criteria's inputs; every other entry runs at
-1,000 trials.
+The randomized properties live once, in ``bicorr.verify.ALL_CHECKS``, and
+every entry runs here once at seed 0.  Criteria 3, 5 and 7 run their registry
+entries by name; ``test_registry_check`` runs the rest.  The entries that carry
+a criterion run at the criterion's 10,000 states, which at seed 0 are exactly
+the criterion's inputs; every other entry runs at 1,000 trials.
 """
 
 import math
@@ -39,13 +39,17 @@ from bicorr.verify import ALL_CHECKS
 Z = np.array([0.0, 0.0, 1.0])
 N_STATES = 10_000
 REGISTRY_TRIALS = 1000
-# Registry checks that carry an acceptance criterion, by check name.
+CHECKS = dict(ALL_CHECKS)
+# Registry checks that a criterion test below runs by name.
+CRITERION_CHECKS = {
+    "criterion 3": "correlation: pure-state rank dichotomy",
+    "criterion 5": "detect: zero-correlation pair universality",
+    "criterion 7": "correlation: covariance path equivalence",
+}
+# Registry checks that carry a criterion and run in test_registry_check.
 CRITERION_OF = {
-    "correlation: pure-state rank dichotomy": "criterion 3",
     "detect: classifier agrees with Schmidt oracle": "criterion 3",
     "detect: two probes are insufficient": "criterion 4",
-    "detect: zero-correlation pair universality": "criterion 5",
-    "correlation: covariance path equivalence": "criterion 7",
 }
 
 
@@ -65,6 +69,13 @@ class Budget:
 def _passed(name: str, elapsed: float, detail: str = "") -> None:
     suffix = f"  [{detail}]" if detail else ""
     print(f"\n[acceptance] {name}: PASS ({elapsed:.2f}s){suffix}")
+
+
+def _run_check(name: str, trials: int, label: str) -> None:
+    budget = Budget(30.0)
+    ok, detail = CHECKS[name](trials, 0)
+    assert ok, detail
+    _passed(label, budget.check(), detail)
 
 
 def _unit_grid(count: int, seed: int) -> list[np.ndarray]:
@@ -137,6 +148,13 @@ def test_criterion_2_chen_fixture():
     _passed("criterion 2 (Chen fixture)", budget.check(), f"worst |c| {worst:.1e}")
 
 
+def test_criterion_3_rank_dichotomy():
+    # The classifier half of criterion 3 is the registry check
+    # "detect: classifier agrees with Schmidt oracle".
+    name = CRITERION_CHECKS["criterion 3"]
+    _run_check(name, N_STATES, f"criterion 3 ({name})")
+
+
 def test_criterion_4_three_probe_protocol(haar_states, product_states):
     budget = Budget(30.0)
     for psi in haar_states + product_states:
@@ -144,6 +162,11 @@ def test_criterion_4_three_probe_protocol(haar_states, product_states):
         expected = SEPARABLE if schmidt_rank(psi) == 1 else ENTANGLED
         assert verdict.label == expected
     _passed("criterion 4 (three-probe protocol)", budget.check(), f"{2 * N_STATES} verdicts")
+
+
+def test_criterion_5_zero_pair_universality():
+    name = CRITERION_CHECKS["criterion 5"]
+    _run_check(name, N_STATES, f"criterion 5 ({name})")
 
 
 def test_criterion_6_werner_case_study():
@@ -193,6 +216,11 @@ def test_criterion_6_werner_case_study():
     )
 
 
+def test_criterion_7_covariance_path_equivalence():
+    name = CRITERION_CHECKS["criterion 7"]
+    _run_check(name, N_STATES, f"criterion 7 ({name})")
+
+
 def test_criterion_8_shot_simulator():
     budget = Budget(120.0)
     singlet = density_from_pure(states.bell_state("psi-"))
@@ -235,11 +263,13 @@ def test_criterion_8_shot_simulator():
     )
 
 
-@pytest.mark.parametrize("name, check", ALL_CHECKS, ids=[name for name, _ in ALL_CHECKS])
-def test_registry_check(name, check):
-    budget = Budget(30.0)
+REGISTRY_CASES = [
+    name for name, _ in ALL_CHECKS if name not in CRITERION_CHECKS.values()
+]
+
+
+@pytest.mark.parametrize("name", REGISTRY_CASES, ids=REGISTRY_CASES)
+def test_registry_check(name):
     trials = N_STATES if name in CRITERION_OF else REGISTRY_TRIALS
-    ok, detail = check(trials, 0)
-    assert ok, detail
     label = f"{CRITERION_OF[name]} ({name})" if name in CRITERION_OF else name
-    _passed(label, budget.check(), detail)
+    _run_check(name, trials, label)

@@ -1,8 +1,8 @@
-"""Tests for covariances and the correlation matrix.
+"""Tests for covariances and the correlation matrix, including the
+cross-validation of the trace-formula route against the matrix shortcut.
 
-The cross-validation of the trace-formula route against the matrix shortcut,
-bilinearity and the pure-state identities are ``bicorr.verify`` registry
-checks, run by tests/test_acceptance.py.
+Bilinearity and the pure-state determinant identity are ``bicorr.verify``
+registry checks, run by tests/test_acceptance.py.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from bicorr.correlation import (
     covariance_direct,
     covariance_via_c,
 )
+from bicorr.detect import schmidt_rank
 from bicorr.qstate import BlochOutOfBall, density_from_pure
 
 CHEN_C = (2.0 / 9.0) * np.array([[1, 0, -2], [0, -3, 0], [2, 0, 2]], dtype=float)
@@ -113,3 +114,25 @@ class TestCovarianceViaC:
         x = np.array([2.0, 0.0, -1.0]) / np.sqrt(5.0)
         pair = ObservablePair(x=x, y=[1.0, 0, 0])
         assert abs(covariance_via_c(cm, pair)) < 1e-12
+
+
+class TestPathEquivalence:
+    """The trace formula and the correlation-matrix shortcut must agree."""
+
+    def test_random_states_and_pairs(self):
+        rng = np.random.default_rng(32)
+        for seed in range(1000):
+            rho = random_density(seed)
+            pair = random_pair(rng)
+            direct = covariance_direct(rho, pair)
+            shortcut = covariance_via_c(correlation_matrix(rho), pair)
+            assert abs(direct - shortcut) < 1e-10
+
+
+class TestPureStateDichotomy:
+    def test_haar_states_have_full_rank_and_match_schmidt_oracle(self):
+        for seed in range(1000):
+            psi = states.haar_random_pure(seed)
+            cm = correlation_matrix(density_from_pure(psi))
+            assert cm.rank in (0, 3)
+            assert (cm.rank == 0) == (schmidt_rank(psi) == 1)

@@ -49,6 +49,24 @@ class TestFindZeroCorrelationPair:
         np.testing.assert_allclose(pair.x, [1.0, 0, 0])
         assert abs(covariance_direct(rho, pair)) < 1e-10
 
+    def test_random_mixed_states(self):
+        rng = np.random.default_rng(41)
+        for seed in range(500):
+            rho = (
+                states.random_separable_mixed(seed, 1 + seed % 4)
+                if seed % 2
+                else states.random_mixed(seed, 2 + seed % 4)
+            )
+            y = rng.standard_normal(3)
+            y /= np.linalg.norm(y)
+            pair = find_zero_correlation_pair(rho, y)
+            assert abs(covariance_direct(rho, pair)) < 1e-10
+
+    def test_werner_grid(self):
+        for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0):
+            pair = find_zero_correlation_pair(states.werner(xi), Z)
+            assert abs(covariance_direct(states.werner(xi), pair)) < 1e-10
+
 
 class TestRankClassifier:
     def test_basis_state_is_separable(self):
