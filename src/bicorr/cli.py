@@ -27,35 +27,23 @@ from bicorr.detect import (
     INDETERMINATE,
     PPT_ORACLE,
     SEPARABLE,
-    DependentProbes,
     binary_protocol,
     exact_corr_oracle,
     ppt_is_separable,
     pure_rank_verdict,
     werner_report,
 )
-from bicorr.linalg import NotHermitian, ZeroVector, det3
-from bicorr.qstate import BlochOutOfBall, InvalidState, bloch_decompose
-from bicorr.shotsim import NonUnitBloch, ShotConfig, statistical_binary_protocol
-from bicorr.states import ParseError, StateSpec, XiOutOfRange
+from bicorr.linalg import det3
+from bicorr.qstate import bloch_decompose
+from bicorr.shotsim import ShotConfig, statistical_binary_protocol
+from bicorr.states import ParseError, StateSpec
 from bicorr.verify import run_all
 
 USAGE_ERROR = 3
 
 _VERDICT_EXIT = {SEPARABLE: 0, ENTANGLED: 1, INDETERMINATE: 2}
 
-_CLI_ERRORS = (
-    ParseError,
-    InvalidState,
-    BlochOutOfBall,
-    NonUnitBloch,
-    XiOutOfRange,
-    DependentProbes,
-    NotHermitian,
-    ZeroVector,
-    OSError,
-    ValueError,
-)
+_CLI_ERRORS = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):

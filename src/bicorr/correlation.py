@@ -3,9 +3,10 @@
 For observables X = Q (x) I and Y = I (x) R with Bloch vectors x and y, the
 covariance c(X, Y) = <XY> - <X><Y> equals (1/4) x . (f - a b^T) . y, which
 motivates the correlation matrix c = f - a b^T.  `covariance_direct`
-deliberately evaluates the trace formula with 4x4 operator arithmetic instead
-of this shortcut, so the two routes stay independent and can cross-check each
-other.
+deliberately evaluates the trace formula instead of this shortcut: it
+contracts rho with Q and R directly (``qstate.outcome_table``) and never
+forms the Bloch parameters, so the two routes stay independent and can
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -17,17 +18,13 @@ import numpy as np
 from bicorr.linalg import RANK_TOL, symmetric3_singular_values
 from bicorr.qstate import (
     BALL_TOL,
-    I2,
     IMAG_TOL,
     BlochForm,
     BlochOutOfBall,
     InvalidState,
-    _check_structure,
     bloch_decompose,
-    joint_operator,
     observable_from_bloch,
-    partial_trace_A,
-    partial_trace_B,
+    outcome_table,
 )
 
 
@@ -60,20 +57,15 @@ class CorrMatrix:
 
 
 def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
-    """c(X, Y) from the trace formula, using only 4x4/2x2 matrix arithmetic.
+    """c(X, Y) from the trace formula, contracting rho with Q and R directly.
 
-    Tr(rho X Y) - Tr(rho_A Q) Tr(rho_B R); the imaginary residue of the traces
-    must stay below 1e-10 and is discarded.
+    With T[s, t] = Tr(rho (Q_s (x) R_t)) from ``outcome_table``,
+    <XY> = T11, <X> = T10 + T11 and <Y> = T01 + T11.  The imaginary residue
+    of the covariance must stay below 1e-10 and is discarded.
     """
-    rho = _check_structure(rho)
-    q = observable_from_bloch(pair.x)
-    r = observable_from_bloch(pair.y)
-    x_op = joint_operator(q, I2)
-    y_op = joint_operator(I2, r)
-    joint = complex(np.trace(rho @ x_op @ y_op))
-    mean_x = complex(np.trace(partial_trace_B(rho) @ q))
-    mean_y = complex(np.trace(partial_trace_A(rho) @ r))
-    value = joint - mean_x * mean_y
+    table = outcome_table(rho, observable_from_bloch(pair.x), observable_from_bloch(pair.y))
+    joint = table[1, 1]
+    value = complex(joint - (table[1, 0] + joint) * (table[0, 1] + joint))
     if abs(value.imag) > IMAG_TOL:
         raise InvalidState(f"covariance has imaginary residue {value.imag:.3e}")
     return float(value.real)

@@ -50,7 +50,7 @@ from bicorr.qstate import (
     purity,
     validate_pure_state,
 )
-from bicorr.states import XiOutOfRange, werner
+from bicorr.states import werner
 
 ZERO_CORRELATION_TOL = 1e-10
 GRAM_TOL = 1e-9
@@ -293,8 +293,6 @@ def werner_report(xi: float, pair: ObservablePair) -> WernerReport:
     (xi <= 1/3) or entangled: zero correlations coexist with both answers, so
     the protocol cannot decide mixed states.
     """
-    if not 0.0 <= float(xi) <= 1.0:
-        raise XiOutOfRange(f"xi = {xi!r} outside [0, 1]")
     rho = werner(xi)
     return WernerReport(
         xi=float(xi),

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.linalg import hermitian_eigenvalues
+from bicorr.linalg import HERMITIAN_TOL, hermitian_eigenvalues
 
 NORM_TOL = 1e-9
-HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 IMAG_TOL = 1e-10
@@ -89,7 +88,7 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
     if not np.isfinite(rho).all():
         raise InvalidState("density matrix has non-finite entries")
     herm_dev = float(np.abs(rho - rho.conj().T).max())
-    if herm_dev > HERM_TOL:
+    if herm_dev > HERMITIAN_TOL:
         raise InvalidState(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
     if trace_dev > TRACE_TOL:
@@ -217,13 +216,16 @@ def observable_from_bloch(x: np.ndarray) -> np.ndarray:
     return 0.5 * (I2 + np.einsum("k,kij->ij", x, PAULIS))
 
 
-def joint_operator(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Kronecker product q (x) r with A as the left factor."""
-    q = np.asarray(q, dtype=complex)
-    r = np.asarray(r, dtype=complex)
-    for name, op in (("q", q), ("r", r)):
-        if op.shape != (2, 2):
-            raise ValueError(f"operator {name} must be 2x2, got shape {op.shape}")
-        if np.abs(op - op.conj().T).max() > HERM_TOL:
-            raise ValueError(f"operator {name} is not Hermitian")
-    return np.kron(q, r)
+def outcome_table(rho: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Complex 2x2 table T[s, t] = Tr(rho (Q_s (x) R_t)) for local operators q, r.
+
+    Q_1 = q and Q_0 = I - q, likewise for R.  For projectors the table holds
+    the joint outcome probabilities; for any q and r, with X = q (x) I and
+    Y = I (x) r, T[1, 1] = <XY>, row 1 sums to <X> and column 1 to <Y>.  The
+    table is one contraction of rho[a, b, a', b'] = <a b|rho|a' b'> with the
+    2x2 operators; no 4x4 operator is formed.
+    """
+    rho = _check_structure(rho)
+    q_pair = np.array([I2 - q, q])
+    r_pair = np.array([I2 - r, r])
+    return np.einsum("ikjl,sji,tlk->st", rho.reshape(2, 2, 2, 2), q_pair, r_pair)

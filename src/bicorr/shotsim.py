@@ -18,7 +18,7 @@ records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,14 +31,7 @@ from bicorr.detect import (
     Verdict,
     binary_protocol,
 )
-from bicorr.qstate import (
-    I2,
-    IMAG_TOL,
-    InvalidState,
-    _check_structure,
-    joint_operator,
-    observable_from_bloch,
-)
+from bicorr.qstate import IMAG_TOL, InvalidState, observable_from_bloch, outcome_table
 
 UNIT_TOL = 1e-9
 
@@ -93,17 +86,13 @@ def _unit(vec: np.ndarray, name: str) -> np.ndarray:
 
 def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.ndarray:
     """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER."""
-    rho = _check_structure(rho)
     q = observable_from_bloch(_unit(pair.x, "x"))
     r = observable_from_bloch(_unit(pair.y, "y"))
-    projectors_a = {1: q, 0: I2 - q}
-    projectors_b = {1: r, 0: I2 - r}
-    probs = np.empty(4)
-    for cell, (s, t) in enumerate(CELL_ORDER):
-        value = complex(np.trace(rho @ joint_operator(projectors_a[s], projectors_b[t])))
-        if abs(value.imag) > IMAG_TOL:
-            raise InvalidState(f"cell probability has imaginary residue {value.imag:.3e}")
-        probs[cell] = value.real
+    cells = outcome_table(rho, q, r)[::-1, ::-1].ravel()  # T11, T10, T01, T00
+    residues = cells.imag[np.abs(cells.imag) > IMAG_TOL]
+    if residues.size:
+        raise InvalidState(f"cell probability has imaginary residue {residues[0]:.3e}")
+    probs = cells.real
     if probs.min() < -1e-10 or abs(probs.sum() - 1.0) > 1e-9:
         raise InvalidState(f"cell probabilities are not a distribution: {probs.tolist()}")
     probs = np.clip(probs, 0.0, None)
@@ -150,8 +139,8 @@ def shot_corr_oracle(rho: np.ndarray, cfg: ShotConfig):
     """Finite-shot zero/non-zero oracle for the probe protocol.
 
     Probe directions are normalized to unit length before sampling (the
-    binary decision is scale-invariant); probe i uses seed + i so the runs
-    draw from disjoint, reproducible streams.
+    binary decision is scale-invariant); probe i uses (seed + i) mod 2**64 so
+    the runs draw from disjoint, reproducible streams.
     """
     calls = 0
 
@@ -159,9 +148,7 @@ def shot_corr_oracle(rho: np.ndarray, cfg: ShotConfig):
         nonlocal calls
         x = pair.x / np.linalg.norm(pair.x)
         y = pair.y / np.linalg.norm(pair.y)
-        run_cfg = ShotConfig(
-            shots=cfg.shots, seed=cfg.seed + calls, z_threshold=cfg.z_threshold
-        )
+        run_cfg = replace(cfg, seed=(cfg.seed + calls) % 2**64)
         calls += 1
         record = sample_joint(rho, ObservablePair(x=x, y=y), run_cfg)
         return record.covariance_estimate, record.decision == DECISION_ZERO

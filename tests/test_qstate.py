@@ -17,8 +17,8 @@ from bicorr.qstate import (
     bloch_assemble,
     bloch_decompose,
     density_from_pure,
-    joint_operator,
     observable_from_bloch,
+    outcome_table,
     partial_trace_A,
     partial_trace_B,
     purity,
@@ -200,14 +200,17 @@ class TestObservables:
         with pytest.raises(BlochOutOfBall):
             observable_from_bloch([1.0, 1.0, 0.0])
 
-    def test_joint_operator_examples(self):
-        i2 = np.eye(2, dtype=complex)
-        np.testing.assert_allclose(joint_operator(i2, i2), np.eye(4))
-        np.testing.assert_allclose(
-            joint_operator(SIGMA_Z, i2), np.diag([1, 1, -1, -1]).astype(complex)
-        )
-        p = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(joint_operator(p, p), np.diag([1, 0, 0, 0]).astype(complex))
+    def test_outcome_table_matches_kronecker_traces(self):
+        rng = np.random.default_rng(25)
+        for seed in range(30):
+            rho = random_density(seed)
+            x, y = rng.standard_normal((2, 3))
+            q = observable_from_bloch(x * rng.random() / np.linalg.norm(x))
+            r = observable_from_bloch(y * rng.random() / np.linalg.norm(y))
+            table = outcome_table(rho, q, r)
+            for s, q_s in enumerate((np.eye(2) - q, q)):
+                for t, r_t in enumerate((np.eye(2) - r, r)):
+                    assert abs(table[s, t] - np.trace(rho @ np.kron(q_s, r_t))) < 1e-12
 
 
 def test_purity_separates_pure_from_mixed():

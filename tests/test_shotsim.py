@@ -14,7 +14,7 @@ import pytest
 
 from bicorr import states
 from bicorr.correlation import ObservablePair
-from bicorr.qstate import density_from_pure
+from bicorr.qstate import density_from_pure, observable_from_bloch
 from bicorr.shotsim import (
     CELL_ORDER,
     DECISION_NONZERO,
@@ -64,6 +64,23 @@ class TestOutcomeProbabilities:
     def test_maximally_mixed_is_uniform(self):
         probs = joint_outcome_probabilities(MAX_MIXED, ZZ)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
+
+    def test_matches_explicit_trace_oracle(self):
+        rng = np.random.default_rng(27)
+        rhos = (
+            [states.random_mixed(seed, 2 + seed % 4) for seed in range(10)]
+            + [states.random_separable_mixed(seed, 1 + seed % 5) for seed in range(10)]
+            + [density_from_pure(states.haar_random_pure(seed)) for seed in range(10)]
+        )
+        for rho in rhos:
+            x, y = rng.standard_normal((2, 3))
+            pair = ObservablePair(x=x / np.linalg.norm(x), y=y / np.linalg.norm(y))
+            q, r = observable_from_bloch(pair.x), observable_from_bloch(pair.y)
+            p_a, p_b = {1: q, 0: np.eye(2) - q}, {1: r, 0: np.eye(2) - r}
+            expected = [np.trace(rho @ np.kron(p_a[s], p_b[t])).real for s, t in CELL_ORDER]
+            np.testing.assert_allclose(
+                joint_outcome_probabilities(rho, pair), expected, rtol=0, atol=1e-12
+            )
 
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(NonUnitBloch):
@@ -142,5 +159,18 @@ class TestStatisticalProtocol:
                 ShotConfig(shots=10_000, seed=40 + i),
             ).covariance_estimate
             for i in range(3)
+        ]
+        assert [p.covariance for p in trace.probes] == direct
+
+    def test_probe_seeds_wrap_at_two_to_the_64(self):
+        rho = density_from_pure(states.random_product_pure(12))
+        top = 2**64 - 1
+        verdict, trace = statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=top))
+        assert verdict.label == "Separable"
+        direct = [
+            sample_joint(
+                rho, ObservablePair(x=np.eye(3)[i], y=Z), ShotConfig(shots=10_000, seed=seed)
+            ).covariance_estimate
+            for i, seed in enumerate((top, 0, 1))
         ]
         assert [p.covariance for p in trace.probes] == direct
