@@ -15,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.linalg import RANK_TOL, symmetric3_singular_values
+from bicorr.linalg import IMAG_TOL, RANK_TOL, symmetric3_singular_values
 from bicorr.qstate import (
-    BALL_TOL,
-    IMAG_TOL,
     BlochForm,
-    BlochOutOfBall,
     InvalidState,
     bloch_decompose,
-    observable_from_bloch,
+    check_bloch_vector,
     outcome_table,
 )
 
@@ -36,15 +33,8 @@ class ObservablePair:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, vec in (("x", self.x), ("y", self.y)):
-            arr = np.asarray(vec, dtype=float).reshape(-1)
-            if arr.shape != (3,):
-                raise ValueError(f"{name} needs 3 components, got {arr.shape[0]}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has non-finite components")
-            if np.linalg.norm(arr) > 1.0 + BALL_TOL:
-                raise BlochOutOfBall(f"{name} lies outside the unit ball")
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "x", check_bloch_vector(self.x, "x"))
+        object.__setattr__(self, "y", check_bloch_vector(self.y, "y"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +51,9 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
 
     With T[s, t] = Tr(rho (Q_s (x) R_t)) from ``outcome_table``,
     <XY> = T11, <X> = T10 + T11 and <Y> = T01 + T11.  The imaginary residue
-    of the covariance must stay below 1e-10 and is discarded.
+    of the covariance must stay below IMAG_TOL and is discarded.
     """
-    table = outcome_table(rho, observable_from_bloch(pair.x), observable_from_bloch(pair.y))
+    table = outcome_table(rho, pair.x, pair.y)
     joint = table[1, 1]
     value = complex(joint - (table[1, 0] + joint) * (table[0, 1] + joint))
     if abs(value.imag) > IMAG_TOL:
@@ -75,11 +65,11 @@ def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
     """Correlation matrix with cached singular values and numeric rank.
 
     state is a density matrix or, when the caller already has it, its Bloch
-    form.  Rank uses the absolute threshold 1e-8.  A pure state of
+    form.  Rank counts singular values above RANK_TOL.  A pure state of
     concurrence k has singular values (k, k, k^2), so its rank is 0 or 3
-    except for weak entanglement, 1e-8 < k <= 1e-4, where it is 2; the
-    separability verdict is therefore taken on the largest singular value
-    (see ``detect.pure_rank_verdict``).
+    except for weak entanglement, RANK_TOL < k <= sqrt(RANK_TOL), where it is
+    2; the separability verdict is therefore taken on the largest singular
+    value (see ``detect.pure_rank_verdict``).
     """
     bf = state if isinstance(state, BlochForm) else bloch_decompose(state)
     c = bf.f - np.outer(bf.a, bf.b)

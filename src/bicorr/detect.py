@@ -22,7 +22,6 @@ correlations entanglement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,28 +35,18 @@ from bicorr.correlation import (
     covariance_via_c,
 )
 from bicorr.linalg import (
+    GRAM_TOL,
+    PSD_TOL,
+    PURE_ENTANGLED_SV_TOL,
+    PURITY_TOL,
+    ZERO_CORRELATION_TOL,
     ZeroVector,
     det3,
     hermitian_eigenvalues,
     orthogonal_complement_basis,
 )
-from bicorr.qstate import (
-    BALL_TOL,
-    PSD_TOL,
-    BlochOutOfBall,
-    _check_structure,
-    density_from_pure,
-    purity,
-    validate_pure_state,
-)
+from bicorr.qstate import density_from_pure, partial_transpose_b, purity, validate_pure_state
 from bicorr.states import werner
-
-ZERO_CORRELATION_TOL = 1e-10
-GRAM_TOL = 1e-9
-PURITY_TOL = 1e-9
-# A pure state of concurrence k has sigma_max(c) = k and a partial transpose
-# with smallest eigenvalue -k/2, so this is the PPT oracle's PSD_TOL cut.
-PURE_ENTANGLED_SV_TOL = 2.0 * PSD_TOL
 
 SEPARABLE = "Separable"
 ENTANGLED = "Entangled"
@@ -105,14 +94,12 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
 
     x . (c y) = 0 is an orthogonality condition between two real 3-vectors,
     so a solution always exists: x is taken orthogonal to c y, or the first
-    standard basis vector when c y vanishes.
+    standard basis vector when c y vanishes.  A y outside the unit ball
+    raises BlochOutOfBall from ``ObservablePair``.
     """
     y = np.asarray(y, dtype=float)
-    norm_y = float(np.linalg.norm(y))
-    if norm_y == 0.0:
+    if float(np.linalg.norm(y)) == 0.0:
         raise ZeroVector("y must be non-zero")
-    if norm_y > 1.0 + BALL_TOL:
-        raise BlochOutOfBall("y must lie in the unit ball")
     cm = correlation_matrix(rho)
     y_image = cm.c @ y
     if np.linalg.norm(y_image) < ZERO_CORRELATION_TOL:
@@ -127,8 +114,8 @@ def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
 
     c vanishes (rank 0) for separable pure states and has rank 3 for entangled
     ones; the verdict is Entangled iff sigma_max(c), the concurrence, exceeds
-    2e-9.  The detail gives sigma_max, that threshold, rank(c) and all three
-    singular values.
+    PURE_ENTANGLED_SV_TOL.  The detail gives sigma_max, that threshold, rank(c)
+    and all three singular values.
     """
     sigma_max = float(cm.singular_values[0])
     label = ENTANGLED if sigma_max > PURE_ENTANGLED_SV_TOL else SEPARABLE
@@ -151,9 +138,9 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
     """Zero/non-zero oracle from an exact correlation matrix.
 
-    The matrix is reused for every probe; |c| < 1e-10 counts as zero, far
-    above 4x4 arithmetic noise and far below every fixture's smallest
-    non-zero covariance.
+    The matrix is reused for every probe; |c| < ZERO_CORRELATION_TOL counts
+    as zero, far above 4x4 arithmetic noise and far below every fixture's
+    smallest non-zero covariance.
     """
 
     def oracle(pair: ObservablePair) -> tuple[float, bool]:
@@ -172,7 +159,7 @@ def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
     gram = det3(xs @ xs.T)
     if gram <= GRAM_TOL:
-        raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above 1e-9")
+        raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
     return y, xs
 
 
@@ -238,30 +225,15 @@ def binary_protocol(
 def schmidt_rank(psi: np.ndarray) -> int:
     """Schmidt rank (1 or 2) of a normalized pure state.
 
-    Uses the 2x2 amplitude matrix m with m[i, j] the amplitude of |a_i b_j>;
-    its singular values come from the closed-form eigenvalues of m^dagger m,
-    counted against the threshold 1e-9.  Rank 1 means separable, 2 entangled.
-    This route is independent of the correlation-matrix machinery.
+    Uses the 2x2 amplitude matrix m with m[i, j] the amplitude of |a_i b_j>.
+    Its concurrence is 2|det m| (Wootters, PRL 80, 2245, 1998), taken straight
+    from the amplitudes, and the rank is 2 iff it exceeds PURE_ENTANGLED_SV_TOL,
+    the rank verdict's cut.  Rank 1 means separable, 2 entangled.  This route
+    is independent of the correlation-matrix machinery.
     """
-    psi = validate_pure_state(psi)
-    m = psi.reshape(2, 2)
-    # s_min = |det m| / s_max.  det m comes straight from the amplitudes
-    # (going through det(m^dagger m) would lose it to cancellation), while
-    # s_max >= 1/sqrt(2) is well conditioned via the Gram trace.
+    m = validate_pure_state(psi).reshape(2, 2)
     det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    gram = m.conj().T @ m
-    tr = float(gram[0, 0].real + gram[1, 1].real)
-    det_gram = float((gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]).real)
-    disc = math.sqrt(max(tr * tr - 4.0 * det_gram, 0.0))
-    s_max = math.sqrt(max((tr + disc) / 2.0, 0.0))
-    smallest = abs(det_m) / s_max
-    return 2 if smallest > 1e-9 else 1
-
-
-def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose of rho over subsystem B."""
-    rho = _check_structure(rho)
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return 2 if 2.0 * abs(det_m) > PURE_ENTANGLED_SV_TOL else 1
 
 
 def ppt_is_separable(rho: np.ndarray) -> bool:

@@ -3,14 +3,27 @@
 Everything here operates on plain numpy arrays: real 3-vectors, real 3x3
 matrices, and complex 4x4 Hermitian matrices.  Eigenvalues and singular
 values come from LAPACK through numpy.linalg, after the input checks below.
+
+The table below holds every tolerance of the package.  Each bounds a quantity
+of order 1 (unit trace, unit ball, |c_ij| <= 1), so the values are absolute.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-9
-RANK_TOL = 1e-8
+HERMITIAN_TOL = 1e-9  # largest |m - m^dagger| entry of a matrix taken as Hermitian
+NORM_TOL = 1e-9  # |q - 1| for q = norm^2, trace, probe length, probability sum; Bloch bounds
+PSD_TOL = 1e-9  # most negative eigenvalue counted as >= 0: state positivity, PPT verdict
+IMAG_TOL = 1e-10  # round-off of one 4x4 contraction: imaginary residue, negative probability
+BALL_TOL = 1e-12  # largest excess over 1 of an observable's Bloch-vector norm
+RANK_TOL = 1e-8  # singular value of c counted in its numeric rank (reported, decides nothing)
+ZERO_CORRELATION_TOL = 1e-10  # largest |covariance| the exact oracle calls zero; |c y| alike
+GRAM_TOL = 1e-9  # smallest accepted Gram determinant of the three probe directions
+PURITY_TOL = 1e-9  # largest 1 - Tr(rho^2) at which the protocol treats a state as pure
+# Concurrence above which a pure state is entangled (rank verdict, Schmidt oracle); its partial
+# transpose has smallest eigenvalue -concurrence/2, so this is also the PPT verdict's cut.
+PURE_ENTANGLED_SV_TOL = 2.0 * PSD_TOL
 
 
 class NotHermitian(ValueError):
@@ -29,8 +42,8 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Raises NotHermitian when any entry of m - m^dagger exceeds 1e-9; the
-    spectrum is that of the Hermitian part (m + m^dagger) / 2.
+    Raises NotHermitian when any entry of m - m^dagger exceeds HERMITIAN_TOL;
+    the spectrum is that of the Hermitian part (m + m^dagger) / 2.
     """
     m = np.asarray(m, dtype=complex)
     _require_finite(m, "matrix")

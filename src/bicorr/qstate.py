@@ -21,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.linalg import HERMITIAN_TOL, hermitian_eigenvalues
-
-NORM_TOL = 1e-9
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-9
-IMAG_TOL = 1e-10
-BALL_TOL = 1e-12
+from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, IMAG_TOL, NORM_TOL, PSD_TOL
+from bicorr.linalg import hermitian_eigenvalues
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,7 +86,7 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
     if herm_dev > HERMITIAN_TOL:
         raise InvalidState(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    if trace_dev > TRACE_TOL:
+    if trace_dev > NORM_TOL:
         raise InvalidState(f"density matrix trace differs from 1 by {trace_dev:.3e}")
     return rho
 
@@ -154,7 +149,7 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
 
     a_i = Tr(rho sigma_i (x) I), b_j = Tr(rho I (x) sigma_j),
     f_ij = Tr(rho sigma_i (x) sigma_j).  The traces are real for Hermitian
-    input; imaginary residue above 1e-10 raises InvalidState.
+    input; imaginary residue above IMAG_TOL raises InvalidState.
     """
     rho = _check_structure(rho)
     traces = rho.reshape(16) @ _TRACE_TABLE
@@ -198,6 +193,32 @@ def partial_trace_B(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ibjb->ij", rho.reshape(2, 2, 2, 2))
 
 
+def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
+    """Partial transpose of rho over subsystem B."""
+    rho = _check_structure(rho)
+    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
+    """x as a float 3-vector: finite, and outside the unit ball raises BlochOutOfBall.
+
+    name labels x in the error messages; the ball's slack is BALL_TOL.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (3,):
+        raise ValueError(f"{name} needs 3 components, got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite components")
+    norm = float(np.linalg.norm(x))
+    if norm > 1.0 + BALL_TOL:
+        raise BlochOutOfBall(f"{name} norm {norm!r} exceeds 1")
+    return x
+
+
+def _observable(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (I2 + np.einsum("k,kij->ij", x, PAULIS))
+
+
 def observable_from_bloch(x: np.ndarray) -> np.ndarray:
     """Single-qubit observable 1/2 (I + x.sigma) for a Bloch vector in the unit ball.
 
@@ -205,27 +226,21 @@ def observable_from_bloch(x: np.ndarray) -> np.ndarray:
     a projector.  Covariances are bilinear in the Bloch vectors, so restricting
     to the ball never changes a zero/non-zero correlation decision.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (3,):
-        raise ValueError(f"Bloch vector needs 3 components, got {x.shape[0]}")
-    if not np.isfinite(x).all():
-        raise ValueError("Bloch vector has non-finite components")
-    norm = float(np.linalg.norm(x))
-    if norm > 1.0 + BALL_TOL:
-        raise BlochOutOfBall(f"Bloch vector norm {norm!r} exceeds 1")
-    return 0.5 * (I2 + np.einsum("k,kij->ij", x, PAULIS))
+    return _observable(check_bloch_vector(x, "Bloch vector"))
 
 
-def outcome_table(rho: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Complex 2x2 table T[s, t] = Tr(rho (Q_s (x) R_t)) for local operators q, r.
+def outcome_table(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex 2x2 table T[s, t] = Tr(rho (Q_s (x) R_t)) for Bloch vectors x, y.
 
-    Q_1 = q and Q_0 = I - q, likewise for R.  For projectors the table holds
-    the joint outcome probabilities; for any q and r, with X = q (x) I and
-    Y = I (x) r, T[1, 1] = <XY>, row 1 sums to <X> and column 1 to <Y>.  The
-    table is one contraction of rho[a, b, a', b'] = <a b|rho|a' b'> with the
-    2x2 operators; no 4x4 operator is formed.
+    Q_1 = Q = 1/2 (I + x.sigma) and Q_0 = I - Q, likewise R from y; x and y
+    are not checked again (``ObservablePair`` has).  For projectors the table
+    holds the joint outcome probabilities; for any x and y, with X = Q (x) I
+    and Y = I (x) R, T[1, 1] = <XY>, row 1 sums to <X> and column 1 to <Y>.
+    It is one contraction of rho[a, b, a', b'] = <a b|rho|a' b'> with the 2x2
+    operators; no 4x4 operator is formed.
     """
     rho = _check_structure(rho)
+    q, r = _observable(x), _observable(y)
     q_pair = np.array([I2 - q, q])
     r_pair = np.array([I2 - r, r])
     return np.einsum("ikjl,sji,tlk->st", rho.reshape(2, 2, 2, 2), q_pair, r_pair)

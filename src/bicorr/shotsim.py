@@ -31,9 +31,8 @@ from bicorr.detect import (
     Verdict,
     binary_protocol,
 )
-from bicorr.qstate import IMAG_TOL, InvalidState, observable_from_bloch, outcome_table
-
-UNIT_TOL = 1e-9
+from bicorr.linalg import IMAG_TOL, NORM_TOL
+from bicorr.qstate import InvalidState, outcome_table
 
 DECISION_ZERO = "Zero"
 DECISION_NONZERO = "NonZero"
@@ -79,21 +78,20 @@ class ShotRecord:
 
 def _unit(vec: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
-    if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_TOL:
+    if abs(float(np.linalg.norm(vec)) - 1.0) > NORM_TOL:
         raise NonUnitBloch(f"{name} must be a unit vector, got norm {np.linalg.norm(vec)!r}")
     return vec
 
 
 def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.ndarray:
     """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER."""
-    q = observable_from_bloch(_unit(pair.x, "x"))
-    r = observable_from_bloch(_unit(pair.y, "y"))
-    cells = outcome_table(rho, q, r)[::-1, ::-1].ravel()  # T11, T10, T01, T00
+    table = outcome_table(rho, _unit(pair.x, "x"), _unit(pair.y, "y"))
+    cells = table[::-1, ::-1].ravel()  # T11, T10, T01, T00
     residues = cells.imag[np.abs(cells.imag) > IMAG_TOL]
     if residues.size:
         raise InvalidState(f"cell probability has imaginary residue {residues[0]:.3e}")
     probs = cells.real
-    if probs.min() < -1e-10 or abs(probs.sum() - 1.0) > 1e-9:
+    if probs.min() < -IMAG_TOL or abs(probs.sum() - 1.0) > NORM_TOL:
         raise InvalidState(f"cell probabilities are not a distribution: {probs.tolist()}")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()

@@ -131,6 +131,16 @@ def random_mixed(seed: int, k: int = 4) -> np.ndarray:
     return rho
 
 
+def random_density(seed: int) -> np.ndarray:
+    """Random state for property loops: seed % 3 picks mixed, separable mixed or pure."""
+    kind = seed % 3
+    if kind == 0:
+        return random_mixed(seed, 2 + seed % 4)
+    if kind == 1:
+        return random_separable_mixed(seed, 1 + seed % 5)
+    return density_from_pure(haar_random_pure(seed))
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpec:
     """Parsed state file: pure amplitudes or a mixed density matrix."""

@@ -56,15 +56,6 @@ Z = np.array([0.0, 0.0, 1.0])
 Check = Callable[[int, int], tuple[bool, str]]
 
 
-def _random_density(seed: int) -> np.ndarray:
-    kind = seed % 3
-    if kind == 0:
-        return states.random_mixed(seed, 2 + seed % 4)
-    if kind == 1:
-        return states.random_separable_mixed(seed, 1 + seed % 5)
-    return density_from_pure(states.haar_random_pure(seed))
-
-
 def _unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
@@ -124,7 +115,7 @@ def check_rank_monotonicity(trials: int, seed: int) -> tuple[bool, str]:
 def check_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for i in range(trials):
-        rho = _random_density(seed + i)
+        rho = states.random_density(seed + i)
         rebuilt = bloch_assemble(bloch_decompose(rho))
         worst = max(worst, float(np.abs(rebuilt - rho).max()))
     return worst < 1e-10, f"{trials} states, worst round-trip error {worst:.2e}"
@@ -161,7 +152,7 @@ def check_partial_trace_consistency(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(trials):
-        rho = _random_density(seed + i)
+        rho = states.random_density(seed + i)
         q = observable_from_bloch(_unit(rng) * rng.random())
         lhs = complex(np.trace(partial_trace_B(rho) @ q))
         rhs = complex(np.trace(rho @ np.kron(q, np.eye(2))))
@@ -173,7 +164,7 @@ def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str
     rng = np.random.default_rng(seed + 808)  # criterion 7's directions at seed 0
     worst = 0.0
     for i in range(trials):
-        rho = _random_density(seed + i)
+        rho = states.random_density(seed + i)
         x, y = rng.standard_normal(3), rng.standard_normal(3)
         pair = ObservablePair(
             x=x / np.linalg.norm(x) * rng.random(), y=y / np.linalg.norm(y) * rng.random()
@@ -188,7 +179,7 @@ def check_covariance_bilinearity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(min(trials, 2000)):
-        cm = correlation_matrix(_random_density(seed + i))
+        cm = correlation_matrix(states.random_density(seed + i))
         x1, x2 = _unit(rng) / 4, _unit(rng) / 4
         y = _unit(rng)
         alpha, beta = rng.random(2)

@@ -34,15 +34,6 @@ def random_pair(rng, unit=False):
     return ObservablePair(x=x, y=y)
 
 
-def random_density(seed):
-    kind = seed % 3
-    if kind == 0:
-        return states.random_mixed(seed, 2 + seed % 4)
-    if kind == 1:
-        return states.random_separable_mixed(seed, 1 + seed % 5)
-    return density_from_pure(states.haar_random_pure(seed))
-
-
 class TestObservablePair:
     def test_accepts_ball_vectors(self):
         pair = ObservablePair(x=[0.3, 0, 0], y=[0, 0, 1.0])
@@ -56,7 +47,7 @@ class TestObservablePair:
 class TestCovarianceDirect:
     def test_constant_observable_has_zero_covariance(self):
         for seed in range(10):
-            rho = random_density(seed)
+            rho = states.random_density(seed)
             pair = ObservablePair(x=np.zeros(3), y=Z)
             assert abs(covariance_direct(rho, pair)) < 1e-12
 
@@ -122,7 +113,7 @@ class TestPathEquivalence:
     def test_random_states_and_pairs(self):
         rng = np.random.default_rng(32)
         for seed in range(1000):
-            rho = random_density(seed)
+            rho = states.random_density(seed)
             pair = random_pair(rng)
             direct = covariance_direct(rho, pair)
             shortcut = covariance_via_c(correlation_matrix(rho), pair)

@@ -16,12 +16,11 @@ from bicorr.detect import (
     binary_protocol,
     classify_pure_by_rank,
     find_zero_correlation_pair,
-    partial_transpose_b,
     ppt_is_separable,
     schmidt_rank,
     werner_report,
 )
-from bicorr.qstate import density_from_pure
+from bicorr.qstate import density_from_pure, partial_transpose_b
 from bicorr.states import XiOutOfRange
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -80,7 +79,7 @@ class TestRankClassifier:
 
     def test_weak_entanglement_agrees_with_ppt(self):
         # cos t|00> + sin t|11> has concurrence sin 2t, which local unitaries
-        # keep; both deciders cut at concurrence 2e-9.
+        # keep; all three deciders cut at concurrence 2e-9.
         rng = np.random.default_rng(17)
         u_a, u_b = (
             np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
@@ -94,6 +93,7 @@ class TestRankClassifier:
                 continue
             ppt_separable = ppt_is_separable(density_from_pure(psi))
             assert (verdict.label == SEPARABLE) == ppt_separable, t
+            assert (verdict.label == SEPARABLE) == (schmidt_rank(psi) == 1), t
 
 
 class TestBinaryProtocol:

@@ -6,11 +6,13 @@ invariance, |det| as the product of singular values, rank monotonicity) are
 ``bicorr.verify`` registry checks, run by tests/test_acceptance.py.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bicorr import states
-from bicorr.detect import partial_transpose_b
+from bicorr import linalg, states
 from bicorr.linalg import (
     NotHermitian,
     ZeroVector,
@@ -20,6 +22,7 @@ from bicorr.linalg import (
     orthogonal_complement_basis,
     symmetric3_singular_values,
 )
+from bicorr.qstate import partial_transpose_b
 
 SINGLET_RHO = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -163,3 +166,17 @@ class TestOrthogonalComplement:
     def test_rejects_zero_vector(self):
         with pytest.raises(ZeroVector):
             orthogonal_complement_basis(np.zeros(3))
+
+
+def test_tolerances_are_assigned_only_in_linalg():
+    # linalg holds the tolerance table; every other module imports from it.
+    offenders = [
+        f"{path.name}:{node.lineno} {node.id}"
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and node.id.endswith("_TOL")
+    ]
+    assert offenders == []

@@ -30,16 +30,6 @@ SINGLET_RHO = 0.5 * np.array(
 )
 
 
-def random_density(seed):
-    """Cycle through the mixed-state generators for property loops."""
-    kind = seed % 3
-    if kind == 0:
-        return states.random_mixed(seed, 2 + seed % 4)
-    if kind == 1:
-        return states.random_separable_mixed(seed, 1 + seed % 5)
-    return density_from_pure(states.haar_random_pure(seed))
-
-
 class TestValidation:
     def test_accepts_normalized_state(self):
         psi = validate_pure_state([1, 0, 0, 0])
@@ -115,7 +105,7 @@ class TestBlochDecompose:
     def test_matches_explicit_trace_oracle(self):
         paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
         for seed in range(30):
-            rho = random_density(seed)
+            rho = states.random_density(seed)
             bf = bloch_decompose(rho)
             for i, si in enumerate(paulis):
                 assert abs(bf.a[i] - np.trace(rho @ np.kron(si, np.eye(2))).real) < 1e-12
@@ -203,11 +193,12 @@ class TestObservables:
     def test_outcome_table_matches_kronecker_traces(self):
         rng = np.random.default_rng(25)
         for seed in range(30):
-            rho = random_density(seed)
+            rho = states.random_density(seed)
             x, y = rng.standard_normal((2, 3))
-            q = observable_from_bloch(x * rng.random() / np.linalg.norm(x))
-            r = observable_from_bloch(y * rng.random() / np.linalg.norm(y))
-            table = outcome_table(rho, q, r)
+            x *= rng.random() / np.linalg.norm(x)
+            y *= rng.random() / np.linalg.norm(y)
+            q, r = observable_from_bloch(x), observable_from_bloch(y)
+            table = outcome_table(rho, x, y)
             for s, q_s in enumerate((np.eye(2) - q, q)):
                 for t, r_t in enumerate((np.eye(2) - r, r)):
                     assert abs(table[s, t] - np.trace(rho @ np.kron(q_s, r_t))) < 1e-12
