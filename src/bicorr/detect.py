@@ -40,12 +40,17 @@ from bicorr.linalg import (
     PURE_ENTANGLED_SV_TOL,
     PURITY_TOL,
     ZERO_CORRELATION_TOL,
-    ZeroVector,
     det3,
     hermitian_eigenvalues,
     orthogonal_complement_basis,
 )
-from bicorr.qstate import density_from_pure, partial_transpose_b, purity, validate_pure_state
+from bicorr.qstate import (
+    check_bloch_vector,
+    density_from_pure,
+    partial_transpose_b,
+    purity,
+    validate_pure_state,
+)
 from bicorr.states import werner
 
 SEPARABLE = "Separable"
@@ -66,6 +71,10 @@ CorrOracle = Callable[[ObservablePair], tuple[float, bool]]
 
 class DependentProbes(ValueError):
     """Probe directions are not linearly independent."""
+
+
+class ZeroVector(ValueError):
+    """The fixed direction y is the zero vector."""
 
 
 @dataclass(frozen=True)
@@ -94,10 +103,11 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
 
     x . (c y) = 0 is an orthogonality condition between two real 3-vectors,
     so a solution always exists: x is taken orthogonal to c y, or the first
-    standard basis vector when c y vanishes.  A y outside the unit ball
-    raises BlochOutOfBall from ``ObservablePair``.
+    standard basis vector when c y vanishes.  y is checked before rho: a
+    non-finite y raises ValueError, one outside the unit ball BlochOutOfBall,
+    and the zero vector ZeroVector.
     """
-    y = np.asarray(y, dtype=float)
+    y = check_bloch_vector(y, "y")
     if float(np.linalg.norm(y)) == 0.0:
         raise ZeroVector("y must be non-zero")
     cm = correlation_matrix(rho)
@@ -131,7 +141,6 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 
     See ``pure_rank_verdict``; every validated pure state gets a verdict.
     """
-    psi = validate_pure_state(psi)
     return pure_rank_verdict(correlation_matrix(density_from_pure(psi)))
 
 
@@ -150,17 +159,20 @@ def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
     return oracle
 
 
-def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[ObservablePair, ...]:
+    """The three probe pairs (x_i, y), each checked before any is measured."""
     y = np.asarray(y, dtype=float)
     if float(np.linalg.norm(y)) == 0.0:
         raise ZeroVector("y must be non-zero")
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("probe set has non-finite components")
     gram = det3(xs @ xs.T)
     if gram <= GRAM_TOL:
         raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
-    return y, xs
+    return tuple(ObservablePair(x=x, y=y) for x in xs)
 
 
 def binary_protocol(
@@ -172,10 +184,13 @@ def binary_protocol(
 ) -> tuple[Verdict, ProtocolTrace]:
     """Three-probe zero/non-zero correlation protocol against a fixed y.
 
-    Probes the xs in order and stops at the first non-zero covariance.  For
-    pure input (or with assume_pure) a non-zero probe means Entangled and
-    three zeros mean Separable.  Mixed input yields Indeterminate either way,
-    with the measured facts recorded in the verdict detail.
+    y and the whole probe set are checked before the first measurement: y
+    non-zero, xs of shape (3, 3), finite and linearly independent, and every
+    Bloch vector in the unit ball.  The xs are then probed in order, stopping
+    at the first non-zero covariance.  For pure input (or with assume_pure) a
+    non-zero probe means Entangled and three zeros mean Separable.  Mixed
+    input yields Indeterminate either way, with the measured facts recorded
+    in the verdict detail.
 
     corr_oracle may replace the exact decision rule (e.g. with a finite-shot
     one); it receives an ObservablePair and returns (covariance, is_zero).
@@ -183,20 +198,20 @@ def binary_protocol(
     that already holds that matrix passes ``exact_corr_oracle(cm)``.
     """
     purity_value = purity(rho)  # validates rho's structure
-    y, xs = _check_probes(y, xs)
+    pairs = _check_probes(y, xs)
     if corr_oracle is None:
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))
 
     probes = []
     found_nonzero = False
-    for x in xs:
-        value, is_zero = corr_oracle(ObservablePair(x=x, y=y))
-        probes.append(Probe(x=x, covariance=value, is_zero=is_zero))
+    for pair in pairs:
+        value, is_zero = corr_oracle(pair)
+        probes.append(Probe(x=pair.x, covariance=value, is_zero=is_zero))
         if not is_zero:
             found_nonzero = True
             break
     used = len(probes) if found_nonzero else 3
-    trace = ProtocolTrace(y=y, probes=tuple(probes), measurements_used=used)
+    trace = ProtocolTrace(y=pairs[0].y, probes=tuple(probes), measurements_used=used)
 
     is_pure = assume_pure or purity_value >= 1.0 - PURITY_TOL
     if found_nonzero:

@@ -20,7 +20,7 @@ from bicorr.detect import (
     schmidt_rank,
     werner_report,
 )
-from bicorr.qstate import density_from_pure, partial_transpose_b
+from bicorr.qstate import BlochOutOfBall, density_from_pure, partial_transpose_b
 from bicorr.states import XiOutOfRange
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -126,6 +126,25 @@ class TestBinaryProtocol:
         xs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DependentProbes):
             binary_protocol(states.werner(0.5), y=Z, xs=xs)
+
+    def test_rejects_out_of_ball_probe_after_the_deciding_one(self):
+        # The first probe already decides the singlet; the third is still checked.
+        rho = density_from_pure(states.bell_state("psi-"))
+        xs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 2.0]])
+        with pytest.raises(BlochOutOfBall):
+            binary_protocol(rho, y=np.array([1.0, 0, 0]), xs=xs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_named_where_it_enters(bad):
+    rho = density_from_pure(states.bell_state("psi-"))
+    xs = np.eye(3)
+    xs[2, 2] = bad
+    with pytest.raises(ValueError, match="probe"):
+        binary_protocol(rho, y=Z, xs=xs)
+    with pytest.raises(ValueError, match="^y "):
+        find_zero_correlation_pair(rho, np.array([0.0, bad, 1.0]))
 
 
 class TestSchmidtRank:

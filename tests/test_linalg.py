@@ -14,8 +14,6 @@ import pytest
 
 from bicorr import linalg, states
 from bicorr.linalg import (
-    NotHermitian,
-    ZeroVector,
     det3,
     hermitian_eigenvalues,
     numeric_rank,
@@ -55,12 +53,6 @@ class TestHermitianEigenvalues:
         np.testing.assert_allclose(
             hermitian_eigenvalues(SINGLET_PT), [-0.5, 0.5, 0.5, 0.5], atol=1e-10
         )
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = 1e-6
-        with pytest.raises(NotHermitian):
-            hermitian_eigenvalues(m)
 
     def test_werner_partial_transpose_spectrum(self):
         # PT of (1-xi)/4 I + xi |psi-><psi-| is (1-xi)/4 I + xi SINGLET_PT.
@@ -121,10 +113,6 @@ class TestNumericRank:
         m = np.outer([1.0, 2.0, -1.0], [0.5, 0.25, 1.0])
         assert numeric_rank(m) == 1
 
-    def test_rejects_non_positive_tolerance(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.eye(3), 0.0)
-
 
 class TestDet3:
     def test_identity(self):
@@ -163,10 +151,6 @@ class TestOrthogonalComplement:
             vhat = v / np.linalg.norm(v)
             assert max(abs(u1 @ vhat), abs(u2 @ vhat), abs(u1 @ u2)) < 1e-12
 
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            orthogonal_complement_basis(np.zeros(3))
-
 
 def test_tolerances_are_assigned_only_in_linalg():
     # linalg holds the tolerance table; every other module imports from it.
@@ -178,5 +162,17 @@ def test_tolerances_are_assigned_only_in_linalg():
         if isinstance(node, ast.Name)
         and isinstance(node.ctx, ast.Store)
         and node.id.endswith("_TOL")
+    ]
+    assert offenders == []
+
+
+def test_linalg_checks_nothing():
+    # Input is checked where it enters (qstate, correlation, detect); the
+    # kernels trust their callers, so linalg raises nothing and defines no error.
+    tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
+    offenders = [
+        f"linalg.py:{node.lineno} {type(node).__name__}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Raise, ast.ClassDef))
     ]
     assert offenders == []
