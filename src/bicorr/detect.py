@@ -45,6 +45,7 @@ from bicorr.linalg import (
     orthogonal_complement_basis,
 )
 from bicorr.qstate import (
+    check_bloch_components,
     check_bloch_vector,
     density_from_pure,
     partial_transpose_b,
@@ -161,14 +162,13 @@ def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
 
 def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[ObservablePair, ...]:
     """The three probe pairs (x_i, y), each checked before any is measured."""
-    y = np.asarray(y, dtype=float)
+    y = check_bloch_vector(y, "y")
     if float(np.linalg.norm(y)) == 0.0:
         raise ZeroVector("y must be non-zero")
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise ValueError("probe set has non-finite components")
+    check_bloch_components(xs, "probe set")
     gram = det3(xs @ xs.T)
     if gram <= GRAM_TOL:
         raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
@@ -184,13 +184,13 @@ def binary_protocol(
 ) -> tuple[Verdict, ProtocolTrace]:
     """Three-probe zero/non-zero correlation protocol against a fixed y.
 
-    y and the whole probe set are checked before the first measurement: y
-    non-zero, xs of shape (3, 3), finite and linearly independent, and every
-    Bloch vector in the unit ball.  The xs are then probed in order, stopping
-    at the first non-zero covariance.  For pure input (or with assume_pure) a
-    non-zero probe means Entangled and three zeros mean Separable.  Mixed
-    input yields Indeterminate either way, with the measured facts recorded
-    in the verdict detail.
+    y and the whole probe set are checked before the first measurement: y a
+    non-zero Bloch vector, xs of shape (3, 3), finite, with no component above
+    1, linearly independent, and every Bloch vector in the unit ball.  The xs
+    are then probed in order, stopping at the first non-zero covariance.  For
+    pure input (or with assume_pure) a non-zero probe means Entangled and
+    three zeros mean Separable.  Mixed input yields Indeterminate either way,
+    with the measured facts recorded in the verdict detail.
 
     corr_oracle may replace the exact decision rule (e.g. with a finite-shot
     one); it receives an ObservablePair and returns (covariance, is_zero).

@@ -17,6 +17,7 @@ states only re-check the cheap structural invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,21 @@ def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
+def check_bloch_components(v: np.ndarray, name: str) -> None:
+    """Raise if a component of the non-empty array v is not a Bloch-ball coordinate.
+
+    A non-finite component raises ValueError, one above 1 + BALL_TOL in
+    magnitude BlochOutOfBall.  One reduction does both, and checking the
+    components first keeps a norm or product of v from overflowing before it
+    is rejected.
+    """
+    largest = float(np.abs(v).max())  # nan if any component is nan
+    if not math.isfinite(largest):
+        raise ValueError(f"{name} has non-finite components")
+    if largest > 1.0 + BALL_TOL:
+        raise BlochOutOfBall(f"{name} component {largest!r} exceeds 1")
+
+
 def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
     """x as a float 3-vector: finite, and outside the unit ball raises BlochOutOfBall.
 
@@ -207,8 +223,7 @@ def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (3,):
         raise ValueError(f"{name} needs 3 components, got {x.shape[0]}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} has non-finite components")
+    check_bloch_components(x, name)
     norm = float(np.linalg.norm(x))
     if norm > 1.0 + BALL_TOL:
         raise BlochOutOfBall(f"{name} norm {norm!r} exceeds 1")

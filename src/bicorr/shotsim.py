@@ -2,17 +2,26 @@
 
 Unit Bloch vectors make Q and R projectors, and since X = Q (x) I and
 Y = I (x) R act on different factors they commute: a simultaneous measurement
-samples the four-cell product eigenbasis.  One shared outcome stream yields
-the three sample means <st>, <s>, <t> at once, from which the covariance is
-estimated with the standard n/(n-1) sample-covariance correction (this keeps
-the estimator exactly unbiased).  The standard error is the plug-in
-delta-method estimate, and the zero/non-zero call compares |covariance| with
-z_threshold standard errors.
+samples the four-cell product eigenbasis.  The four cell counts of n shots
+are one multinomial draw, so a run costs the same at any shot count.  The
+counts yield the three sample means <st>, <s>, <t>, from which the
+covariance is estimated with the standard n/(n-1) sample-covariance
+correction (this keeps the estimator exactly unbiased).
+
+Two standard errors serve two purposes.  The reported ``standard_error`` is
+the plug-in delta-method estimate, the spread of the covariance estimate.
+The zero/non-zero call is Pearson's chi-squared test of independence on the
+2x2 table: it divides |covariance| by the standard error under the null
+hypothesis of zero covariance, sqrt(m_x(1-m_x) m_y(1-m_y)/n) with the same
+n/(n-1) factor, which gives z = sqrt(n)|phi| (z^2 is Pearson's statistic).
+The null standard error depends only on the marginals, so it cannot
+collapse when a cell count comes out 0; a marginal of 0 or 1 makes the
+covariance exactly 0 and the call Zero.
 
 All randomness flows through ``np.random.default_rng(seed)`` (numpy's PCG64);
-outcomes are drawn by inverse CDF over the four cell probabilities in the
-fixed order (1,1), (1,0), (0,1), (0,0).  Identical inputs give bit-identical
-records.
+the counts are drawn by ``Generator.multinomial`` over the four cell
+probabilities in the fixed order (1,1), (1,0), (0,1), (0,0).  Identical
+inputs give bit-identical records.
 """
 
 from __future__ import annotations
@@ -55,8 +64,8 @@ class ShotConfig:
     z_threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.shots < 100:
-            raise ValueError("shots must be at least 100")
+        if not 100 <= self.shots < 2**63:
+            raise ValueError("shots must be at least 100 and below 2**63")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not self.z_threshold > 0:
@@ -65,13 +74,19 @@ class ShotConfig:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Sample means, covariance estimate with uncertainty, and the binary call."""
+    """Sample means, covariance estimate with uncertainty, and the binary call.
+
+    standard_error is the delta-method spread of covariance_estimate;
+    z_score is |covariance_estimate| over the null-hypothesis standard error,
+    and decision is NonZero exactly when z_score exceeds the z threshold.
+    """
 
     estimate_xy: float
     estimate_x: float
     estimate_y: float
     covariance_estimate: float
     standard_error: float
+    z_score: float
     decision: str
     shots_used: int
 
@@ -98,16 +113,17 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
 
 
 def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> ShotRecord:
-    """Draw cfg.shots joint outcomes and estimate the covariance of the pair.
+    """Draw the cell counts of cfg.shots joint outcomes and test the covariance.
 
-    The standard error linearizes cov = <st> - <s><t> around the sample means:
-    with h = st - m_y s - m_x t per shot, SE^2 = Var(h) / n.
+    The counts are one multinomial draw.  The reported standard error
+    linearizes cov = <st> - <s><t> around the sample means: with
+    h = st - m_y s - m_x t per shot, SE^2 = Var(h) / n.  The call instead
+    uses the null-hypothesis standard error, so z_score = sqrt(n)|phi| is
+    Pearson's test of independence and is 0 when a marginal is 0 or 1.
     """
     probs = joint_outcome_probabilities(rho, pair)
     rng = np.random.default_rng(cfg.seed)
-    edges = np.cumsum(probs)
-    cells = np.searchsorted(edges, rng.random(cfg.shots), side="right")
-    counts = np.bincount(np.minimum(cells, 3), minlength=4).astype(float)
+    counts = rng.multinomial(cfg.shots, probs).astype(float)
 
     n = float(cfg.shots)
     n11, n10, n01, _ = counts
@@ -121,14 +137,16 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
     h_var = float(counts @ (h - h_mean) ** 2) / (n - 1.0)
     standard_error = math.sqrt(h_var / n)
 
-    nonzero = abs(covariance) > cfg.z_threshold * standard_error
+    null_se = math.sqrt(m_x * (1.0 - m_x) * m_y * (1.0 - m_y) / n) * n / (n - 1.0)
+    z_score = abs(covariance) / null_se if null_se > 0.0 else 0.0
     return ShotRecord(
         estimate_xy=m_xy,
         estimate_x=m_x,
         estimate_y=m_y,
         covariance_estimate=covariance,
         standard_error=standard_error,
-        decision=DECISION_NONZERO if nonzero else DECISION_ZERO,
+        z_score=z_score,
+        decision=DECISION_NONZERO if z_score > cfg.z_threshold else DECISION_ZERO,
         shots_used=cfg.shots,
     )
 

@@ -147,6 +147,20 @@ def test_non_finite_input_is_named_where_it_enters(bad):
         find_zero_correlation_pair(rho, np.array([0.0, bad, 1.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("which", ["probe set", "y"])
+def test_huge_component_is_rejected_before_it_overflows(which):
+    # 1e200 squared overflows a float; the component check must come first.
+    rho = density_from_pure(states.bell_state("psi-"))
+    y, xs = Z.copy(), np.eye(3)
+    if which == "probe set":
+        xs[0, 0] = 1e200
+    else:
+        y[2] = 1e200
+    with pytest.raises(BlochOutOfBall, match=f"^{which} component 1e\\+200 exceeds 1"):
+        binary_protocol(rho, y=y, xs=xs)
+
+
 class TestSchmidtRank:
     def test_basis_state(self):
         assert schmidt_rank([1, 0, 0, 0]) == 1

@@ -41,7 +41,8 @@ class TestConfig:
         assert cfg.shots == 100_000 and cfg.z_threshold == 5.0
 
     @pytest.mark.parametrize(
-        "kwargs", [{"shots": 99}, {"z_threshold": 0.0}, {"seed": -1}, {"seed": 2**64}]
+        "kwargs",
+        [{"shots": 99}, {"z_threshold": 0.0}, {"seed": -1}, {"seed": 2**64}, {"shots": 2**63}],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -116,6 +117,48 @@ class TestSampleJoint:
         oracle = 0.21650635094610965 / math.sqrt(100_000)
         assert abs(record.standard_error - oracle) / oracle < 0.05
         assert abs(record.covariance_estimate + 0.125) < 5 * oracle
+
+    def test_z_score_is_pearsons_statistic_and_decides(self):
+        # Werner(0.05) on Z probes has phi = -0.05, so z = sqrt(n)|phi| is
+        # about 5 at 1e4 shots and the draws fall on both sides of the cut.
+        n = 10_000
+        decisions = set()
+        for seed in range(100):
+            record = sample_joint(states.werner(0.05), ZZ, ShotConfig(shots=n, seed=seed))
+            n11 = round(record.estimate_xy * n)
+            n10 = round(record.estimate_x * n) - n11
+            n01 = round(record.estimate_y * n) - n11
+            n00 = n - n11 - n10 - n01
+            rows, cols = (n11 + n10, n01 + n00), (n11 + n01, n10 + n00)
+            chi2 = n * (n11 * n00 - n10 * n01) ** 2 / math.prod(rows + cols)
+            assert record.z_score**2 == pytest.approx(chi2, rel=1e-9)
+            assert (record.decision == DECISION_NONZERO) == (record.z_score > 5.0)
+            decisions.add(record.decision)
+        assert decisions == {DECISION_ZERO, DECISION_NONZERO}
+
+    @pytest.mark.parametrize("amplitudes", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    def test_zero_marginal_reads_zero(self, amplitudes):
+        record = sample_joint(density_from_pure(amplitudes), ZZ, ShotConfig(shots=1_000))
+        assert record.covariance_estimate == 0.0
+        assert record.z_score == 0.0
+        assert record.decision == DECISION_ZERO
+
+    @pytest.mark.parametrize("p0, shots", [(1e-3, 100_000), (1e-2, 10_000)])
+    def test_skewed_product_state_reads_zero(self, p0, shots):
+        # Both marginals are p0, so the (1,1) cell has probability p0**2 and
+        # often comes out empty; that must not shrink the deciding SE.
+        a = np.array([math.sqrt(p0), math.sqrt(1 - p0)])
+        rho = density_from_pure(np.kron(a, a))
+        calls = [
+            sample_joint(rho, ZZ, ShotConfig(shots=shots, seed=seed)).decision
+            for seed in range(200)
+        ]
+        assert calls.count(DECISION_NONZERO) == 0
+
+    def test_a_billion_shots(self):
+        record = sample_joint(states.werner(0.4), ZZ, ShotConfig(shots=10**9, seed=9))
+        assert record.shots_used == 10**9
+        assert abs(record.covariance_estimate + 0.1) < 5 * record.standard_error
 
 
 class TestStatisticalProtocol:
