@@ -22,7 +22,6 @@ from bicorr.detect import (
     find_zero_correlation_pair,
     ppt_is_separable,
     schmidt_rank,
-    werner_report,
 )
 from bicorr.qstate import (
     BlochForm,
@@ -62,5 +61,4 @@ __all__ = [
     "schmidt_rank",
     "statistical_binary_protocol",
     "werner",
-    "werner_report",
 ]

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from bicorr import states as statesmod
-from bicorr.correlation import ObservablePair, correlation_matrix
+from bicorr.correlation import ObservablePair, correlation_matrix, covariance_direct
 from bicorr.detect import (
     DEFAULT_XS,
     DEFAULT_Y,
@@ -31,7 +31,6 @@ from bicorr.detect import (
     exact_corr_oracle,
     ppt_is_separable,
     pure_rank_verdict,
-    werner_report,
 )
 from bicorr.linalg import det3
 from bicorr.qstate import bloch_decompose
@@ -43,7 +42,7 @@ USAGE_ERROR = 3
 
 _VERDICT_EXIT = {SEPARABLE: 0, ENTANGLED: 1, INDETERMINATE: 2}
 
-_CLI_ERRORS = (OSError, ValueError)
+_CLI_ERRORS = (OSError, ValueError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,13 +217,13 @@ def cmd_sweep_werner(args) -> int:
     grid = np.linspace(args.xi_from, args.xi_to, args.steps)
     rows = []
     for xi in grid:
-        report = werner_report(float(xi), pair)
+        rho = statesmod.werner(float(xi))
         rows.append(
             {
                 "xi": float(xi),
-                "covariance": report.covariance,
+                "covariance": covariance_direct(rho, pair),
                 "reference": -float(xi) / 4 * xy,
-                "ppt_separable": report.ppt_separable,
+                "ppt_separable": ppt_is_separable(rho),
             }
         )
     if args.json:

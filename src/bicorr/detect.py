@@ -27,13 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from bicorr.correlation import (
-    CorrMatrix,
-    ObservablePair,
-    correlation_matrix,
-    covariance_direct,
-    covariance_via_c,
-)
+from bicorr.correlation import CorrMatrix, ObservablePair, correlation_matrix, covariance_via_c
 from bicorr.linalg import (
     GRAM_TOL,
     PSD_TOL,
@@ -52,7 +46,6 @@ from bicorr.qstate import (
     purity,
     validate_pure_state,
 )
-from bicorr.states import werner
 
 SEPARABLE = "Separable"
 ENTANGLED = "Entangled"
@@ -60,7 +53,6 @@ INDETERMINATE = "Indeterminate"
 
 RANK_DICHOTOMY = "RankDichotomy"
 BINARY_PROTOCOL = "BinaryProtocol"
-SCHMIDT_ORACLE = "SchmidtOracle"
 PPT_ORACLE = "PPTOracle"
 
 DEFAULT_Y = np.array([0.0, 0.0, 1.0])
@@ -96,7 +88,10 @@ class Probe:
 class ProtocolTrace:
     y: np.ndarray
     probes: tuple[Probe, ...]
-    measurements_used: int
+
+    @property
+    def measurements_used(self) -> int:
+        return len(self.probes)
 
 
 def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair:
@@ -203,38 +198,30 @@ def binary_protocol(
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))
 
     probes = []
-    found_nonzero = False
     for pair in pairs:
         value, is_zero = corr_oracle(pair)
         probes.append(Probe(x=pair.x, covariance=value, is_zero=is_zero))
         if not is_zero:
-            found_nonzero = True
             break
-    used = len(probes) if found_nonzero else 3
-    trace = ProtocolTrace(y=pairs[0].y, probes=tuple(probes), measurements_used=used)
+    trace = ProtocolTrace(y=pairs[0].y, probes=tuple(probes))
 
-    is_pure = assume_pure or purity_value >= 1.0 - PURITY_TOL
-    if found_nonzero:
-        if is_pure:
-            verdict = Verdict(
-                ENTANGLED, BINARY_PROTOCOL, f"non-zero correlation at probe {used}"
-            )
-        else:
-            verdict = Verdict(
-                INDETERMINATE, BINARY_PROTOCOL, "non-zero correlation on mixed input"
-            )
+    # Only the last probe can be non-zero: the loop stops there.
+    nonzero = not probes[-1].is_zero
+    if assume_pure or purity_value >= 1.0 - PURITY_TOL:
+        label = ENTANGLED if nonzero else SEPARABLE
+        detail = (
+            f"non-zero correlation at probe {len(probes)}"
+            if nonzero
+            else "all 3 probed correlations are zero"
+        )
     else:
-        if is_pure:
-            verdict = Verdict(
-                SEPARABLE, BINARY_PROTOCOL, "all 3 probed correlations are zero"
-            )
-        else:
-            verdict = Verdict(
-                INDETERMINATE,
-                BINARY_PROTOCOL,
-                "zero correlations on mixed input do not certify separability",
-            )
-    return verdict, trace
+        label = INDETERMINATE
+        detail = (
+            "non-zero correlation on mixed input"
+            if nonzero
+            else "zero correlations on mixed input do not certify separability"
+        )
+    return Verdict(label, BINARY_PROTOCOL, detail), trace
 
 
 def schmidt_rank(psi: np.ndarray) -> int:
@@ -260,30 +247,3 @@ def ppt_is_separable(rho: np.ndarray) -> bool:
     """
     eigenvalues = hermitian_eigenvalues(partial_transpose_b(rho))
     return bool(eigenvalues[0] >= -PSD_TOL)
-
-
-@dataclass(frozen=True, eq=False)
-class WernerReport:
-    """Covariance, PPT verdict, and correlation matrix of a Werner state."""
-
-    xi: float
-    covariance: float
-    ppt_separable: bool
-    c_matrix: CorrMatrix
-
-
-def werner_report(xi: float, pair: ObservablePair) -> WernerReport:
-    """Case study of the Werner family at mixing parameter xi.
-
-    The covariance for any pair is -(xi/4) x.y and the correlation matrix is
-    -xi times the identity, independent of whether the state is separable
-    (xi <= 1/3) or entangled: zero correlations coexist with both answers, so
-    the protocol cannot decide mixed states.
-    """
-    rho = werner(xi)
-    return WernerReport(
-        xi=float(xi),
-        covariance=covariance_direct(rho, pair),
-        ppt_separable=ppt_is_separable(rho),
-        c_matrix=correlation_matrix(rho),
-    )

@@ -30,19 +30,15 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 
-# Operator stacks for the expansion above: sigma_i (x) I, I (x) sigma_j,
-# and sigma_i (x) sigma_j.
-_A_OPS = np.stack([np.kron(s, I2) for s in PAULIS])
-_B_OPS = np.stack([np.kron(I2, s) for s in PAULIS])
-_F_OPS = np.stack([np.stack([np.kron(si, sj) for sj in PAULIS]) for si in PAULIS])
-# Tr(rho P) = sum_ij rho_ij P_ji, so rho.reshape(16) @ _TRACE_TABLE gives the
-# 15 traces against the stacked operators in the order a, b, f (row-major).
-_TRACE_TABLE = np.ascontiguousarray(
-    np.concatenate([_A_OPS, _B_OPS, _F_OPS.reshape(9, 4, 4)])
+# t_mn = Tr(rho sigma_m (x) sigma_n), sigma_0 = I, at index 4m + n, is the expansion
+# above as [[1, b], [a, f]].  Tr(rho P) = sum_ij rho_ij P_ji, so t is
+# rho.reshape(16) @ _PAULI_TABLE, and rho is _PAULI_TABLE.conj() @ t / 4.
+_SIGMAS = np.concatenate([I2[None], PAULIS])
+_PAULI_TABLE = np.ascontiguousarray(
+    np.stack([np.kron(sm, sn) for sm in _SIGMAS for sn in _SIGMAS])
     .transpose(0, 2, 1)
-    .reshape(15, 16)
+    .reshape(16, 16)
     .T
 )
 
@@ -64,12 +60,16 @@ class BlochOutOfBall(ValueError):
 
 
 def validate_pure_state(psi: np.ndarray) -> np.ndarray:
-    """Return psi as a complex 4-vector, checking finiteness and normalization."""
+    """Return psi as a complex 4-vector: finite, no amplitude above 1, unit norm."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (4,):
         raise InvalidState(f"pure state needs 4 amplitudes, got {psi.shape[0]}")
-    if not np.isfinite(psi).all():
+    # One reduction bounds every amplitude (nan if any is nan) before the norm can overflow.
+    largest = float(np.abs(psi).max())
+    if not math.isfinite(largest):
         raise InvalidState("pure state has non-finite amplitudes")
+    if largest > 1.0 + NORM_TOL:
+        raise NotNormalized(f"amplitude magnitude {largest!r} exceeds 1")
     norm_sq = float(np.sum(np.abs(psi) ** 2))
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise NotNormalized(f"amplitude norm^2 = {norm_sq!r}, expected 1")
@@ -77,12 +77,16 @@ def validate_pure_state(psi: np.ndarray) -> np.ndarray:
 
 
 def _check_structure(rho: np.ndarray) -> np.ndarray:
-    """Cheap checks shared by all operations: shape, finiteness, Hermiticity, trace."""
+    """Cheap checks shared by all operations: shape, |rho_ij| <= 1, Hermiticity, trace."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState(f"density matrix must be 4x4, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
+    # One reduction bounds every entry (nan if any is nan) before a sum can overflow.
+    largest = float(np.abs(rho).max())
+    if not math.isfinite(largest):
         raise InvalidState("density matrix has non-finite entries")
+    if largest > 1.0 + NORM_TOL:
+        raise InvalidState(f"density matrix entry magnitude {largest!r} exceeds 1")
     herm_dev = float(np.abs(rho - rho.conj().T).max())
     if herm_dev > HERMITIAN_TOL:
         raise InvalidState(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -153,12 +157,12 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
     input; imaginary residue above IMAG_TOL raises InvalidState.
     """
     rho = _check_structure(rho)
-    traces = rho.reshape(16) @ _TRACE_TABLE
-    residue = float(np.abs(traces.imag).max())
+    traces = rho.reshape(16) @ _PAULI_TABLE
+    residue = float(np.abs(traces.imag[1:]).max())  # t_00 is the checked trace
     if residue > IMAG_TOL:
         raise InvalidState(f"Pauli traces have imaginary residue {residue:.3e}")
-    real = traces.real
-    return BlochForm(a=real[:3], b=real[3:6], f=real[6:].reshape(3, 3))
+    t = traces.real.reshape(4, 4)
+    return BlochForm(a=t[1:, 0], b=t[0, 1:], f=t[1:, 1:])
 
 
 def bloch_assemble(bf: BlochForm) -> np.ndarray:
@@ -167,12 +171,9 @@ def bloch_assemble(bf: BlochForm) -> np.ndarray:
     The bounds on (a, b, f) do not imply positivity, so the assembled matrix
     is eigenvalue-checked; NotPositive is raised on failure.
     """
-    rho = 0.25 * (
-        I4
-        + np.einsum("k,kij->ij", bf.a, _A_OPS)
-        + np.einsum("k,kij->ij", bf.b, _B_OPS)
-        + np.einsum("ab,abij->ij", bf.f, _F_OPS)
-    )
+    t = np.ones((4, 4))  # t_00 = Tr rho = 1
+    t[1:, 0], t[0, 1:], t[1:, 1:] = bf.a, bf.b, bf.f
+    rho = 0.25 * (_PAULI_TABLE.conj() @ t.reshape(16)).reshape(4, 4)
     rho = (rho + rho.conj().T) / 2.0
     eigenvalues = hermitian_eigenvalues(rho)
     if eigenvalues[0] < -PSD_TOL:
@@ -180,12 +181,6 @@ def bloch_assemble(bf: BlochForm) -> np.ndarray:
             f"assembled matrix has eigenvalue {eigenvalues[0]:.3e}; not a state"
         )
     return rho
-
-
-def partial_trace_A(rho: np.ndarray) -> np.ndarray:
-    """Trace out subsystem A, returning the 2x2 reduced state of B."""
-    rho = _check_structure(rho)
-    return np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2))
 
 
 def partial_trace_B(rho: np.ndarray) -> np.ndarray:

@@ -68,8 +68,8 @@ class ShotConfig:
             raise ValueError("shots must be at least 100 and below 2**63")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not self.z_threshold > 0:
-            raise ValueError("z_threshold must be positive")
+        if not 0 < self.z_threshold < math.inf:
+            raise ValueError("z_threshold must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,9 @@ def shot_corr_oracle(rho: np.ndarray, cfg: ShotConfig):
     """Finite-shot zero/non-zero oracle for the probe protocol.
 
     Probe directions are normalized to unit length before sampling (the
-    binary decision is scale-invariant); probe i uses (seed + i) mod 2**64 so
-    the runs draw from disjoint, reproducible streams.
+    binary decision is scale-invariant).  Probe i uses seed (seed + i) mod 2**64:
+    the probes of one run draw different streams, but probe i at seed s
+    reuses probe 0's stream at seed s + i.
     """
     calls = 0
 

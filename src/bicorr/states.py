@@ -55,7 +55,10 @@ def werner(xi: float) -> np.ndarray:
     """Werner density matrix (1 - xi)/4 I + xi |psi-><psi-| for xi in [0, 1].
 
     Separable exactly for xi <= 1/3; reduces to the singlet projector at
-    xi = 1 and to the maximally mixed state at xi = 0.
+    xi = 1 and to the maximally mixed state at xi = 0.  The covariance of any
+    pair is -(xi/4) x.y and the correlation matrix is -xi times the identity,
+    whether the state is separable or entangled: zero correlations coexist
+    with both answers, so the protocol cannot decide mixed states.
     """
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:

@@ -28,8 +28,8 @@ from bicorr.detect import (
     ENTANGLED,
     SEPARABLE,
     binary_protocol,
+    ppt_is_separable,
     schmidt_rank,
-    werner_report,
 )
 from bicorr.linalg import det3, orthogonal_complement_basis
 from bicorr.qstate import bloch_decompose, density_from_pure
@@ -184,12 +184,12 @@ def test_criterion_6_werner_case_study():
     assert worst < 1e-12
 
     for xi in list(np.linspace(0.0, 1.0, 101)) + [1 / 3 - 1e-3, 1 / 3 + 1e-3]:
-        report = werner_report(float(xi), pairs[0])
+        rho = states.werner(float(xi))
         if xi <= 1 / 3 - 1e-3:
-            assert report.ppt_separable
+            assert ppt_is_separable(rho)
         elif xi >= 1 / 3 + 1e-3:
-            assert not report.ppt_separable
-        np.testing.assert_allclose(report.c_matrix.c, -float(xi) * np.eye(3), atol=1e-12)
+            assert not ppt_is_separable(rho)
+        np.testing.assert_allclose(correlation_matrix(rho).c, -float(xi) * np.eye(3), atol=1e-12)
 
     # Zero-correlation pair sets at a separable and an entangled xi match the
     # x.y = 0 characterization pair-for-pair.

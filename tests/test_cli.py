@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bicorr import states
 from bicorr.cli import main
 from bicorr.states import load_state_file, mixed_spec, random_mixed, save_state_file
 from bicorr.verify import ALL_CHECKS
@@ -148,6 +149,26 @@ class TestSweepWerner:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert abs(row["covariance"] + 0.25) < 1e-12
         assert row["ppt_separable"] is False
+
+
+@pytest.mark.parametrize(
+    "stubbed, argv",
+    [
+        ("werner", ["sweep-werner", "--from", "0", "--to", "1", "--steps", "3"]),
+        ("random_separable_mixed", ["gen", "--kind", "sep-mixed", "--out", "x.json"]),
+    ],
+    ids=["sweep-werner", "gen"],
+)
+def test_out_of_memory_is_an_input_error(stubbed, argv, monkeypatch, tmp_path, capsys):
+    # The stub stands in for an allocation larger than the machine: a real
+    # one can succeed where memory is overcommitted, and then exhaust it.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(states, stubbed, out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "bicorr: error: Unable to allocate 7.28 TiB\n"
 
 
 class TestGen:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bicorr import states
-from bicorr.correlation import ObservablePair, covariance_direct
+from bicorr.correlation import ObservablePair, correlation_matrix, covariance_direct
 from bicorr.detect import (
     DEFAULT_XS,
     DEFAULT_Y,
@@ -18,10 +18,8 @@ from bicorr.detect import (
     find_zero_correlation_pair,
     ppt_is_separable,
     schmidt_rank,
-    werner_report,
 )
 from bicorr.qstate import BlochOutOfBall, density_from_pure, partial_transpose_b
-from bicorr.states import XiOutOfRange
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -199,24 +197,24 @@ class TestPPT:
             assert ppt_is_separable(states.random_separable_mixed(seed, 1 + seed % 6))
 
 
-class TestWernerReport:
+class TestWernerCaseStudy:
     def test_maximally_mixed_endpoint(self):
-        report = werner_report(0.0, ObservablePair(x=Z, y=Z))
-        assert abs(report.covariance) < 1e-12
-        assert report.ppt_separable
+        rho = states.werner(0.0)
+        assert abs(covariance_direct(rho, ObservablePair(x=Z, y=Z))) < 1e-12
+        assert ppt_is_separable(rho)
 
     def test_singlet_endpoint(self):
-        report = werner_report(1.0, ObservablePair(x=Z, y=Z))
-        assert abs(report.covariance + 0.25) < 1e-12
-        assert not report.ppt_separable
+        rho = states.werner(1.0)
+        assert abs(covariance_direct(rho, ObservablePair(x=Z, y=Z)) + 0.25) < 1e-12
+        assert not ppt_is_separable(rho)
 
     def test_zero_correlation_coexists_with_both_verdicts(self):
-        x_perp = np.array([1.0, 0, 0])
-        separable = werner_report(0.2, ObservablePair(x=x_perp, y=Z))
-        entangled = werner_report(0.5, ObservablePair(x=x_perp, y=Z))
-        assert abs(separable.covariance) < 1e-12
-        assert abs(entangled.covariance) < 1e-12
-        assert separable.ppt_separable and not entangled.ppt_separable
+        pair = ObservablePair(x=np.array([1.0, 0, 0]), y=Z)
+        separable = states.werner(0.2)
+        entangled = states.werner(0.5)
+        assert abs(covariance_direct(separable, pair)) < 1e-12
+        assert abs(covariance_direct(entangled, pair)) < 1e-12
+        assert ppt_is_separable(separable) and not ppt_is_separable(entangled)
 
     def test_covariance_matches_closed_form(self):
         rng = np.random.default_rng(43)
@@ -226,14 +224,9 @@ class TestWernerReport:
             y = rng.standard_normal(3)
             x /= np.linalg.norm(x)
             y /= np.linalg.norm(y)
-            report = werner_report(xi, ObservablePair(x=x, y=y))
-            assert abs(report.covariance + xi / 4 * (x @ y)) < 1e-12
-            np.testing.assert_allclose(report.c_matrix.c, -xi * np.eye(3), atol=1e-12)
-
-    @pytest.mark.parametrize("xi", [-0.1, 1.1])
-    def test_rejects_xi_outside_range(self, xi):
-        with pytest.raises(XiOutOfRange):
-            werner_report(xi, ObservablePair(x=Z, y=Z))
+            rho = states.werner(xi)
+            assert abs(covariance_direct(rho, ObservablePair(x=x, y=y)) + xi / 4 * (x @ y)) < 1e-12
+            np.testing.assert_allclose(correlation_matrix(rho).c, -xi * np.eye(3), atol=1e-12)
 
 
 def test_default_probes_are_deterministic():

@@ -176,3 +176,22 @@ def test_linalg_checks_nothing():
         if isinstance(node, (ast.Raise, ast.ClassDef))
     ]
     assert offenders == []
+
+
+def test_core_modules_do_not_import_the_front_ends():
+    # The library core sits below the fixtures, the property registry and the
+    # command line: none of those may be imported from inside it.
+    core = ("linalg", "qstate", "correlation", "detect", "shotsim")
+    front_ends = {"bicorr.states", "bicorr.verify", "bicorr.cli"}
+    offenders = []
+    for name in core:
+        path = Path(linalg.__file__).with_name(f"{name}.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+            else:
+                continue
+            offenders += [f"{name}.py:{node.lineno} {m}" for m in sorted(modules & front_ends)]
+    assert offenders == []

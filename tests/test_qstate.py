@@ -19,7 +19,6 @@ from bicorr.qstate import (
     density_from_pure,
     observable_from_bloch,
     outcome_table,
-    partial_trace_A,
     partial_trace_B,
     purity,
     validate_pure_state,
@@ -53,6 +52,27 @@ class TestValidation:
         rho = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(InvalidState, match="positive"):
             as_density_matrix(rho)
+
+
+def _huge_off_diagonal():
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 1], rho[1, 0] = 1e308, -1e308
+    return rho
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "check, value, error",
+    [
+        (validate_pure_state, np.array([1e200, 0, 0, 0]), NotNormalized),
+        (as_density_matrix, _huge_off_diagonal(), InvalidState),
+        (as_density_matrix, np.diag([1e308, 1e308, 0, 0]).astype(complex), InvalidState),
+    ],
+    ids=["amplitude", "off-diagonal", "diagonal"],
+)
+def test_huge_entry_is_rejected_before_it_overflows(check, value, error):
+    with pytest.raises(error, match="exceeds 1"):
+        check(value)
 
 
 class TestDensityFromPure:
@@ -137,7 +157,6 @@ class TestBlochAssemble:
 
 class TestPartialTrace:
     def test_singlet_marginals_are_maximally_mixed(self):
-        np.testing.assert_allclose(partial_trace_A(SINGLET_RHO), np.eye(2) / 2, atol=1e-15)
         np.testing.assert_allclose(partial_trace_B(SINGLET_RHO), np.eye(2) / 2, atol=1e-15)
 
     def test_product_state_factors(self):
@@ -150,7 +169,6 @@ class TestPartialTrace:
             rho_a = np.outer(a, a.conj())
             rho_b = np.outer(b, b.conj())
             rho = np.kron(rho_a, rho_b)
-            np.testing.assert_allclose(partial_trace_A(rho), rho_b, atol=1e-12)
             np.testing.assert_allclose(partial_trace_B(rho), rho_a, atol=1e-12)
 
     def test_chen_reduced_state_of_a(self):

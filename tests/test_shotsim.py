@@ -42,7 +42,14 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"shots": 99}, {"z_threshold": 0.0}, {"seed": -1}, {"seed": 2**64}, {"shots": 2**63}],
+        [
+            {"shots": 99},
+            {"z_threshold": 0.0},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"shots": 2**63},
+            {"z_threshold": math.inf},
+        ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
