@@ -37,6 +37,13 @@ class ObservablePair:
         object.__setattr__(self, "y", check_bloch_vector(self.y, "y"))
 
 
+def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
+    """The pair of float 3-vectors that the caller has checked as Bloch vectors."""
+    pair = object.__new__(ObservablePair)
+    pair.__dict__.update(x=x, y=y)
+    return pair
+
+
 @dataclass(frozen=True, eq=False)
 class CorrMatrix:
     """Correlation matrix c = f - a b^T with its singular values and rank."""

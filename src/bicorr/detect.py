@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from bicorr.correlation import CorrMatrix, ObservablePair, correlation_matrix, covariance_via_c
+from bicorr.correlation import _checked_pair
 from bicorr.linalg import (
     GRAM_TOL,
     PSD_TOL,
@@ -39,6 +40,8 @@ from bicorr.linalg import (
     orthogonal_complement_basis,
 )
 from bicorr.qstate import (
+    CheckedState,
+    _check_norm,
     check_bloch_components,
     check_bloch_vector,
     density_from_pure,
@@ -94,6 +97,13 @@ class ProtocolTrace:
         return len(self.probes)
 
 
+def _check_y(y: np.ndarray) -> np.ndarray:
+    y = check_bloch_vector(y, "y")
+    if float(np.linalg.norm(y)) == 0.0:
+        raise ZeroVector("y must be non-zero")
+    return y
+
+
 def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair:
     """A pair (x, y) with zero covariance on rho, for any state and any y.
 
@@ -103,16 +113,14 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     non-finite y raises ValueError, one outside the unit ball BlochOutOfBall,
     and the zero vector ZeroVector.
     """
-    y = check_bloch_vector(y, "y")
-    if float(np.linalg.norm(y)) == 0.0:
-        raise ZeroVector("y must be non-zero")
+    y = _check_y(y)
     cm = correlation_matrix(rho)
     y_image = cm.c @ y
     if np.linalg.norm(y_image) < ZERO_CORRELATION_TOL:
         x = np.array([1.0, 0.0, 0.0])
     else:
         x = orthogonal_complement_basis(y_image)[0]
-    return ObservablePair(x=x, y=y)
+    return _checked_pair(x, y)
 
 
 def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
@@ -156,10 +164,8 @@ def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
 
 
 def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[ObservablePair, ...]:
-    """The three probe pairs (x_i, y), each checked before any is measured."""
-    y = check_bloch_vector(y, "y")
-    if float(np.linalg.norm(y)) == 0.0:
-        raise ZeroVector("y must be non-zero")
+    """The three probe pairs (x_i, y); y and each x are checked once, before any is measured."""
+    y = _check_y(y)
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
@@ -167,7 +173,7 @@ def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[ObservablePair, ...]:
     gram = det3(xs @ xs.T)
     if gram <= GRAM_TOL:
         raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
-    return tuple(ObservablePair(x=x, y=y) for x in xs)
+    return tuple(_checked_pair(_check_norm(x, "x"), y) for x in xs)
 
 
 def binary_protocol(
@@ -192,7 +198,8 @@ def binary_protocol(
     The default is ``exact_corr_oracle`` on rho's correlation matrix; a caller
     that already holds that matrix passes ``exact_corr_oracle(cm)``.
     """
-    purity_value = purity(rho)  # validates rho's structure
+    rho = CheckedState.of(rho)
+    purity_value = purity(rho)
     pairs = _check_probes(y, xs)
     if corr_oracle is None:
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))

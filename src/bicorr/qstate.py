@@ -11,8 +11,8 @@ with real local vectors a, b and a real 3x3 tensor f; `bloch_decompose` and
 `bloch_assemble` convert between the two representations.
 
 Validation happens at construction points (`validate_pure_state`,
-`as_density_matrix`, `bloch_assemble`); operations on already-constructed
-states only re-check the cheap structural invariants.
+`as_density_matrix`, `bloch_assemble`, `CheckedState`).  The state operations
+take a `CheckedState` as it is and structure-check only a raw array.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def validate_pure_state(psi: np.ndarray) -> np.ndarray:
         raise InvalidState(f"pure state needs 4 amplitudes, got {psi.shape[0]}")
     # One reduction bounds every amplitude (nan if any is nan) before the norm can overflow.
     largest = float(np.abs(psi).max())
-    if not math.isfinite(largest):
+    if not math.isfinite(largest) and not np.isfinite(psi).all():  # |psi_i| can overflow
         raise InvalidState("pure state has non-finite amplitudes")
     if largest > 1.0 + NORM_TOL:
         raise NotNormalized(f"amplitude magnitude {largest!r} exceeds 1")
@@ -83,7 +83,7 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
         raise InvalidState(f"density matrix must be 4x4, got shape {rho.shape}")
     # One reduction bounds every entry (nan if any is nan) before a sum can overflow.
     largest = float(np.abs(rho).max())
-    if not math.isfinite(largest):
+    if not math.isfinite(largest) and not np.isfinite(rho).all():  # |rho_ij| can overflow
         raise InvalidState("density matrix has non-finite entries")
     if largest > 1.0 + NORM_TOL:
         raise InvalidState(f"density matrix entry magnitude {largest!r} exceeds 1")
@@ -96,20 +96,37 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def as_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate all density-matrix invariants, including positivity.
+@dataclass(frozen=True, eq=False)
+class CheckedState:
+    """Read-only copy of a 4x4 matrix that passed ``_check_structure``."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        matrix = np.array(_check_structure(self.matrix))
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def of(cls, rho: np.ndarray | CheckedState) -> CheckedState:
+        """rho as a CheckedState; only a raw array runs ``_check_structure``."""
+        return rho if isinstance(rho, cls) else cls(rho)
+
+
+def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:
+    """Validate all density-matrix invariants, including positivity; return the CheckedState.
 
     This is the construction choke point for matrices coming from outside the
     package (files, user input).  Raises InvalidState naming the violated
     invariant.
     """
-    rho = _check_structure(rho)
-    eigenvalues = hermitian_eigenvalues(rho)
+    state = CheckedState.of(rho)
+    eigenvalues = hermitian_eigenvalues(state.matrix)
     if eigenvalues[0] < -PSD_TOL:
         raise InvalidState(
             f"density matrix is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})"
         )
-    return rho
+    return state
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
@@ -118,9 +135,9 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def purity(rho: np.ndarray) -> float:
+def purity(rho: np.ndarray | CheckedState) -> float:
     """Tr(rho^2); equals 1 exactly for pure states."""
-    rho = _check_structure(rho)
+    rho = CheckedState.of(rho).matrix
     return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
@@ -149,14 +166,14 @@ class BlochForm:
         object.__setattr__(self, "f", f)
 
 
-def bloch_decompose(rho: np.ndarray) -> BlochForm:
+def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:
     """Extract (a, b, f) from rho via Pauli traces.
 
     a_i = Tr(rho sigma_i (x) I), b_j = Tr(rho I (x) sigma_j),
     f_ij = Tr(rho sigma_i (x) sigma_j).  The traces are real for Hermitian
     input; imaginary residue above IMAG_TOL raises InvalidState.
     """
-    rho = _check_structure(rho)
+    rho = CheckedState.of(rho).matrix
     traces = rho.reshape(16) @ _PAULI_TABLE
     residue = float(np.abs(traces.imag[1:]).max())  # t_00 is the checked trace
     if residue > IMAG_TOL:
@@ -183,15 +200,15 @@ def bloch_assemble(bf: BlochForm) -> np.ndarray:
     return rho
 
 
-def partial_trace_B(rho: np.ndarray) -> np.ndarray:
+def partial_trace_B(rho: np.ndarray | CheckedState) -> np.ndarray:
     """Trace out subsystem B, returning the 2x2 reduced state of A."""
-    rho = _check_structure(rho)
+    rho = CheckedState.of(rho).matrix
     return np.einsum("ibjb->ij", rho.reshape(2, 2, 2, 2))
 
 
-def partial_transpose_b(rho: np.ndarray) -> np.ndarray:
+def partial_transpose_b(rho: np.ndarray | CheckedState) -> np.ndarray:
     """Partial transpose of rho over subsystem B."""
-    rho = _check_structure(rho)
+    rho = CheckedState.of(rho).matrix
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
@@ -219,6 +236,11 @@ def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
     if x.shape != (3,):
         raise ValueError(f"{name} needs 3 components, got {x.shape[0]}")
     check_bloch_components(x, name)
+    return _check_norm(x, name)
+
+
+def _check_norm(x: np.ndarray, name: str) -> np.ndarray:
+    """x, a float 3-vector with checked components; outside the unit ball raises BlochOutOfBall."""
     norm = float(np.linalg.norm(x))
     if norm > 1.0 + BALL_TOL:
         raise BlochOutOfBall(f"{name} norm {norm!r} exceeds 1")
@@ -239,7 +261,7 @@ def observable_from_bloch(x: np.ndarray) -> np.ndarray:
     return _observable(check_bloch_vector(x, "Bloch vector"))
 
 
-def outcome_table(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def outcome_table(rho: np.ndarray | CheckedState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Complex 2x2 table T[s, t] = Tr(rho (Q_s (x) R_t)) for Bloch vectors x, y.
 
     Q_1 = Q = 1/2 (I + x.sigma) and Q_0 = I - Q, likewise R from y; x and y
@@ -249,7 +271,7 @@ def outcome_table(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     It is one contraction of rho[a, b, a', b'] = <a b|rho|a' b'> with the 2x2
     operators; no 4x4 operator is formed.
     """
-    rho = _check_structure(rho)
+    rho = CheckedState.of(rho).matrix
     q, r = _observable(x), _observable(y)
     q_pair = np.array([I2 - q, q])
     r_pair = np.array([I2 - r, r])

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bicorr.correlation import ObservablePair
+from bicorr.correlation import ObservablePair, _checked_pair
 from bicorr.detect import (
     BINARY_PROTOCOL,
     DEFAULT_XS,
@@ -41,7 +41,7 @@ from bicorr.detect import (
     binary_protocol,
 )
 from bicorr.linalg import IMAG_TOL, NORM_TOL
-from bicorr.qstate import InvalidState, outcome_table
+from bicorr.qstate import CheckedState, InvalidState, outcome_table
 
 DECISION_ZERO = "Zero"
 DECISION_NONZERO = "NonZero"
@@ -64,9 +64,11 @@ class ShotConfig:
     z_threshold: float = 5.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shots, (int, np.integer)):
+            raise ValueError(f"shots must be an integer, got {self.shots!r}")
         if not 100 <= self.shots < 2**63:
             raise ValueError("shots must be at least 100 and below 2**63")
-        if not 0 <= self.seed < 2**64:
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0 < self.z_threshold < math.inf:
             raise ValueError("z_threshold must be finite and positive")
@@ -93,7 +95,7 @@ class ShotRecord:
 
 def _unit(vec: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
-    if abs(float(np.linalg.norm(vec)) - 1.0) > NORM_TOL:
+    if not abs(float(np.linalg.norm(vec)) - 1.0) <= NORM_TOL:  # nan for a scaled zero vector
         raise NonUnitBloch(f"{name} must be a unit vector, got norm {np.linalg.norm(vec)!r}")
     return vec
 
@@ -167,7 +169,7 @@ def shot_corr_oracle(rho: np.ndarray, cfg: ShotConfig):
         y = pair.y / np.linalg.norm(pair.y)
         run_cfg = replace(cfg, seed=(cfg.seed + calls) % 2**64)
         calls += 1
-        record = sample_joint(rho, ObservablePair(x=x, y=y), run_cfg)
+        record = sample_joint(rho, _checked_pair(x, y), run_cfg)
         return record.covariance_estimate, record.decision == DECISION_ZERO
 
     return oracle
@@ -186,6 +188,7 @@ def statistical_binary_protocol(
     statistical one, so verdicts carry confidence, not certainty; the shot
     budget and threshold are recorded in the verdict detail.
     """
+    rho = CheckedState.of(rho)
     verdict, trace = binary_protocol(
         rho, y=y, xs=xs, corr_oracle=shot_corr_oracle(rho, cfg), assume_pure=assume_pure
     )

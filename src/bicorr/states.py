@@ -14,9 +14,9 @@ import numpy as np
 from bicorr.qstate import (
     I2,
     PAULIS,
+    CheckedState,
     as_density_matrix,
     density_from_pure,
-    validate_pure_state,
 )
 
 _BELL_AMPLITUDES = {
@@ -146,27 +146,27 @@ def random_density(seed: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateSpec:
-    """Parsed state file: pure amplitudes or a mixed density matrix."""
+    """Parsed state file: its kind, pure amplitudes, and the checked density matrix of either."""
 
     kind: str
     label: str | None = None
     amplitudes: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    matrix: CheckedState | None = None
 
 
 def pure_spec(psi: np.ndarray, label: str | None = None) -> StateSpec:
-    return StateSpec(kind="pure", label=label, amplitudes=validate_pure_state(psi))
+    rho = CheckedState(density_from_pure(psi))  # validates psi
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    return StateSpec(kind="pure", label=label, amplitudes=psi, matrix=rho)
 
 
 def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
     return StateSpec(kind="mixed", label=label, matrix=as_density_matrix(rho))
 
 
-def density_of(spec: StateSpec) -> np.ndarray:
-    """Density matrix of a parsed state (outer product for pure input)."""
-    if spec.kind == "pure":
-        return density_from_pure(spec.amplitudes)
-    return np.array(spec.matrix, dtype=complex)
+def density_of(spec: StateSpec) -> CheckedState:
+    """Checked density matrix of a parsed state, built when its spec was."""
+    return spec.matrix
 
 
 def _split_pairs(raw, expected: int, what: str) -> np.ndarray:
@@ -216,7 +216,7 @@ def state_doc(spec: StateSpec) -> dict:
         doc["amplitudes"] = [[float(z.real), float(z.imag)] for z in spec.amplitudes]
     else:
         doc["matrix"] = [
-            [[float(z.real), float(z.imag)] for z in row] for row in spec.matrix
+            [[float(z.real), float(z.imag)] for z in row] for row in spec.matrix.matrix
         ]
     return doc
 

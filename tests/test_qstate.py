@@ -1,12 +1,18 @@
 """Tests for state validation, Pauli expansion, and local observables."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from bicorr import states
+from bicorr import cli, qstate, states
+from bicorr.correlation import ObservablePair, covariance_direct
+from bicorr.detect import binary_protocol, ppt_is_separable
 from bicorr.qstate import (
     BlochForm,
     BlochOutOfBall,
+    CheckedState,
     InvalidState,
     NotNormalized,
     NotPositive,
@@ -20,9 +26,11 @@ from bicorr.qstate import (
     observable_from_bloch,
     outcome_table,
     partial_trace_B,
+    partial_transpose_b,
     purity,
     validate_pure_state,
 )
+from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
 SINGLET_RHO = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -67,8 +75,10 @@ def _huge_off_diagonal():
         (validate_pure_state, np.array([1e200, 0, 0, 0]), NotNormalized),
         (as_density_matrix, _huge_off_diagonal(), InvalidState),
         (as_density_matrix, np.diag([1e308, 1e308, 0, 0]).astype(complex), InvalidState),
+        (validate_pure_state, np.array([1.7e308 + 1.7e308j, 0, 0, 0]), NotNormalized),
+        (as_density_matrix, np.diag([1.7e308 + 1.7e308j, 0, 0, 0]), InvalidState),
     ],
-    ids=["amplitude", "off-diagonal", "diagonal"],
+    ids=["amplitude", "off-diagonal", "diagonal", "complex amplitude", "complex entry"],
 )
 def test_huge_entry_is_rejected_before_it_overflows(check, value, error):
     with pytest.raises(error, match="exceeds 1"):
@@ -225,3 +235,94 @@ class TestObservables:
 def test_purity_separates_pure_from_mixed():
     assert abs(purity(SINGLET_RHO) - 1) < 1e-12
     assert abs(purity(np.eye(4, dtype=complex) / 4) - 0.25) < 1e-12
+
+
+Z = np.array([0.0, 0.0, 1.0])
+PRODUCT_RHO = density_from_pure(states.random_product_pure(3))
+
+
+@pytest.fixture()
+def check_counts(monkeypatch):
+    """Calls of each qstate check, counted wherever a bicorr module holds the check."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("bicorr")]
+    checks = ("_check_structure", "validate_pure_state", "check_bloch_vector", "check_bloch_components")
+    for name in checks:
+        original = getattr(qstate, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "spec", [states.mixed_spec(states.werner(0.4)), states.pure_spec(states.chen_state())],
+    ids=["mixed", "pure"],
+)
+def test_analysis_report_checks_each_input_once(spec, check_counts):
+    document = states.dumps_state(spec)
+    cli.build_analysis_report(states.loads_state(document))
+    if spec.kind == "mixed":
+        assert check_counts["_check_structure"] == 1
+    else:
+        assert check_counts["validate_pure_state"] == 1
+        assert check_counts["_check_structure"] <= 1
+    assert check_counts["check_bloch_vector"] <= 4
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        binary_protocol,
+        lambda rho: statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=3)),
+    ],
+    ids=["exact", "shots"],
+)
+def test_protocol_checks_rho_and_each_probe_vector_once(protocol, check_counts):
+    _, trace = protocol(PRODUCT_RHO)
+    assert trace.measurements_used == 3
+    assert check_counts["_check_structure"] == 1
+    assert check_counts["check_bloch_vector"] <= 4
+    assert check_counts["check_bloch_components"] == 2  # y, then the probe set once
+
+
+def _non_hermitian():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 0.01
+    return rho
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        purity,
+        bloch_decompose,
+        partial_trace_B,
+        partial_transpose_b,
+        lambda rho: outcome_table(rho, Z, Z),
+        ppt_is_separable,
+        lambda rho: covariance_direct(rho, ObservablePair(x=Z, y=Z)),
+        binary_protocol,
+        statistical_binary_protocol,
+    ],
+    ids=[
+        "purity", "bloch_decompose", "partial_trace_B", "partial_transpose_b", "outcome_table",
+        "ppt_is_separable", "covariance_direct", "binary_protocol", "statistical_binary_protocol",
+    ],
+)
+def test_state_operations_check_a_raw_array(operation):
+    with pytest.raises(InvalidState, match="Hermitian"):
+        operation(_non_hermitian())
+
+
+def test_checked_state_is_a_read_only_copy():
+    rho = SINGLET_RHO.copy()
+    state = CheckedState(rho)
+    rho[1, 1] = 0.0
+    assert state.matrix[1, 1] == 0.5 and not state.matrix.flags.writeable

@@ -49,6 +49,8 @@ class TestConfig:
             {"seed": 2**64},
             {"shots": 2**63},
             {"z_threshold": math.inf},
+            {"shots": 100.9},
+            {"seed": 1.5},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -142,13 +142,13 @@ class TestStateFiles:
         path = tmp_path / "mixed.json"
         save_state_file(path, spec)
         loaded = load_state_file(path)
-        np.testing.assert_array_equal(loaded.matrix, spec.matrix)
-        np.testing.assert_array_equal(density_of(loaded), density_of(spec))
+        np.testing.assert_array_equal(loaded.matrix.matrix, spec.matrix.matrix)
+        np.testing.assert_array_equal(density_of(loaded).matrix, density_of(spec).matrix)
 
     def test_density_of_pure_spec(self):
         spec = pure_spec(bell_state("psi-"))
         np.testing.assert_allclose(
-            density_of(spec), density_from_pure(bell_state("psi-")), atol=1e-15
+            density_of(spec).matrix, density_from_pure(bell_state("psi-")), atol=1e-15
         )
 
     def test_rejects_malformed_json(self):
