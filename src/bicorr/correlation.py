@@ -6,7 +6,7 @@ motivates the correlation matrix c = f - a b^T.  `covariance_direct`
 deliberately evaluates the trace formula instead of this shortcut: it
 contracts rho with Q and R directly (``qstate.outcome_table``) and never
 forms the Bloch parameters, so the two routes stay independent and can
-cross-check each other.
+cross-check each other.  Stacks of states and vectors give arrays of results.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.linalg import IMAG_TOL, RANK_TOL, symmetric3_singular_values
+from bicorr.linalg import IMAG_TOL, RANK_TOL, item_or_array, symmetric3_singular_values
 from bicorr.qstate import (
     BlochForm,
     InvalidState,
@@ -61,11 +61,12 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
     of the covariance must stay below IMAG_TOL and is discarded.
     """
     table = outcome_table(rho, pair.x, pair.y)
-    joint = table[1, 1]
-    value = complex(joint - (table[1, 0] + joint) * (table[0, 1] + joint))
-    if abs(value.imag) > IMAG_TOL:
-        raise InvalidState(f"covariance has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    joint = table[..., 1, 1]
+    value = joint - (table[..., 1, 0] + joint) * (table[..., 0, 1] + joint)
+    residue = float(np.abs(value.imag).max())
+    if residue > IMAG_TOL:
+        raise InvalidState(f"covariance has imaginary residue {residue:.3e}")
+    return item_or_array(value.real)
 
 
 def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
@@ -79,11 +80,11 @@ def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
     value (see ``detect.pure_rank_verdict``).
     """
     bf = state if isinstance(state, BlochForm) else bloch_decompose(state)
-    c = bf.f - np.outer(bf.a, bf.b)
+    c = bf.f - bf.a[..., :, None] * bf.b[..., None, :]
     sv = symmetric3_singular_values(c)
-    return CorrMatrix(c=c, singular_values=sv, rank=int(np.sum(sv > RANK_TOL)))
+    return CorrMatrix(c=c, singular_values=sv, rank=item_or_array(np.sum(sv > RANK_TOL, axis=-1)))
 
 
 def covariance_via_c(cm: CorrMatrix, pair: ObservablePair) -> float:
     """c(X, Y) = (1/4) x . c . y from a precomputed correlation matrix."""
-    return float(0.25 * pair.x @ cm.c @ pair.y)
+    return item_or_array((0.25 * pair.x[..., None, :] @ cm.c @ pair.y[..., :, None])[..., 0, 0])

@@ -37,6 +37,7 @@ from bicorr.linalg import (
     ZERO_CORRELATION_TOL,
     det3,
     hermitian_eigenvalues,
+    item_or_array,
     orthogonal_complement_basis,
 )
 from bicorr.qstate import (
@@ -123,6 +124,11 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     return _checked_pair(x, y)
 
 
+def rank_says_entangled(cm: CorrMatrix) -> bool:
+    """The rank verdict, per state of a stack: sigma_max(c) > PURE_ENTANGLED_SV_TOL."""
+    return item_or_array(cm.singular_values[..., 0] > PURE_ENTANGLED_SV_TOL)
+
+
 def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
     """Separable/Entangled verdict from the correlation matrix of a pure state.
 
@@ -132,7 +138,7 @@ def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
     and all three singular values.
     """
     sigma_max = float(cm.singular_values[0])
-    label = ENTANGLED if sigma_max > PURE_ENTANGLED_SV_TOL else SEPARABLE
+    label = ENTANGLED if rank_says_entangled(cm) else SEPARABLE
     detail = (
         f"sigma_max(c) = {sigma_max!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}; "
         f"rank(c) = {cm.rank}, singular values {cm.singular_values.tolist()}"
@@ -164,7 +170,7 @@ def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
 
 
 def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[ObservablePair, ...]:
-    """The three probe pairs (x_i, y); y and each x are checked once, before any is measured."""
+    """The three probe pairs (x_i, y); y and the x are checked once, before any is measured."""
     y = _check_y(y)
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (3, 3):
@@ -173,7 +179,7 @@ def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[ObservablePair, ...]:
     gram = det3(xs @ xs.T)
     if gram <= GRAM_TOL:
         raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
-    return tuple(_checked_pair(_check_norm(x, "x"), y) for x in xs)
+    return tuple(_checked_pair(x, y) for x in _check_norm(xs, "x"))
 
 
 def binary_protocol(
@@ -232,7 +238,7 @@ def binary_protocol(
 
 
 def schmidt_rank(psi: np.ndarray) -> int:
-    """Schmidt rank (1 or 2) of a normalized pure state.
+    """Schmidt rank (1 or 2) of a normalized pure state; an array of them for a stack.
 
     Uses the 2x2 amplitude matrix m with m[i, j] the amplitude of |a_i b_j>.
     Its concurrence is 2|det m| (Wootters, PRL 80, 2245, 1998), taken straight
@@ -240,17 +246,17 @@ def schmidt_rank(psi: np.ndarray) -> int:
     the rank verdict's cut.  Rank 1 means separable, 2 entangled.  This route
     is independent of the correlation-matrix machinery.
     """
-    m = validate_pure_state(psi).reshape(2, 2)
-    det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return 2 if 2.0 * abs(det_m) > PURE_ENTANGLED_SV_TOL else 1
+    m = validate_pure_state(psi).T  # m[i] is amplitude i of every state
+    det_m = (m[0] * m[3] - m[1] * m[2]).T
+    return item_or_array(np.where(2.0 * np.abs(det_m) > PURE_ENTANGLED_SV_TOL, 2, 1))
 
 
 def ppt_is_separable(rho: np.ndarray) -> bool:
-    """Separability via positivity of the partial transpose.
+    """Separability via positivity of the partial transpose; an array of verdicts for a stack.
 
     For two qubits this criterion is necessary and sufficient.  Subsystem B is
     transposed; both sides give the same spectrum, but fixing one keeps the
     output bit-reproducible.
     """
     eigenvalues = hermitian_eigenvalues(partial_transpose_b(rho))
-    return bool(eigenvalues[0] >= -PSD_TOL)
+    return item_or_array(eigenvalues[..., 0] >= -PSD_TOL)

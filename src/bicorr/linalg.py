@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels for the small fixed sizes used in this package.
 
-Everything here operates on plain numpy arrays: real 3-vectors, real 3x3
-matrices, and complex 4x4 Hermitian matrices.  Eigenvalues and singular
-values come from LAPACK through numpy.linalg.  The kernels check nothing:
-their callers pass matrices built from input that ``qstate``, ``correlation``
-or ``detect`` has already checked.
+Everything here operates on plain numpy arrays, one or a stack on leading axes:
+real 3-vectors, real 3x3 matrices, and complex 4x4 Hermitian matrices.
+Eigenvalues and singular values come from LAPACK through numpy.linalg.  The
+kernels check nothing: their callers pass matrices built from input that
+``qstate``, ``correlation`` or ``detect`` has already checked.
 
 The table below holds every tolerance of the package.  Each bounds a quantity
 of order 1 (unit trace, unit ball, |c_ij| <= 1), so the values are absolute.
@@ -28,18 +28,28 @@ PURITY_TOL = 1e-9  # largest 1 - Tr(rho^2) at which the protocol treats a state 
 PURE_ENTANGLED_SV_TOL = 2.0 * PSD_TOL
 
 
+def item_or_array(a: np.ndarray):
+    """A result of one input as its Python float, bool or int; a stack's results as an array."""
+    return a.item() if a.ndim == 0 else a
+
+
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bit for bit those of ``np.linalg.norm`` per vector."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, or of each in a stack, ascending.
 
     The spectrum is that of the Hermitian part (m + m^dagger) / 2, so the
     result does not depend on which triangle of m LAPACK reads.
     """
     m = np.asarray(m, dtype=complex)
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def symmetric3_singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a real 3x3 matrix, descending.
+    """Singular values of a real 3x3 matrix, or of each in a stack, descending.
 
     Computed by LAPACK from m itself rather than from m^T m, so the error
     stays near machine epsilon times the largest value at every scale of m.
@@ -48,32 +58,30 @@ def symmetric3_singular_values(m: np.ndarray) -> np.ndarray:
 
 
 def numeric_rank(m: np.ndarray, abs_tol: float = RANK_TOL) -> int:
-    """Number of singular values of m strictly above abs_tol."""
-    return int(np.sum(symmetric3_singular_values(m) > abs_tol))
+    """Number of singular values of m (per matrix of a stack) strictly above abs_tol."""
+    return item_or_array(np.sum(symmetric3_singular_values(m) > abs_tol, axis=-1))
 
 
 def det3(m: np.ndarray) -> float:
-    """Determinant of a real 3x3 matrix by cofactor expansion."""
-    m = np.asarray(m, dtype=float)
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    """Determinant of a real 3x3 matrix, or of each in a stack, by cofactor expansion."""
+    e = np.asarray(m, dtype=float).T  # e[j, i] is entry (i, j); one matrix indexes to scalars
+    return item_or_array((
+        e[0, 0] * (e[1, 1] * e[2, 2] - e[2, 1] * e[1, 2])
+        - e[1, 0] * (e[0, 1] * e[2, 2] - e[2, 1] * e[0, 2])
+        + e[2, 0] * (e[0, 1] * e[1, 2] - e[1, 1] * e[0, 2])
+    ).T)
 
 
 def orthogonal_complement_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal vectors spanning the plane orthogonal to a non-zero 3-vector v.
+    """Two orthonormal vectors spanning the plane orthogonal to a non-zero 3-vector v (or stacks).
 
     The first basis vector is built by crossing v with the standard basis
     vector along v's smallest component (lowest index on ties), which keeps
     the construction deterministic and far from degeneracy.
     """
     v = np.asarray(v, dtype=float)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    u1 = np.cross(v, axis)
-    u1 /= np.linalg.norm(u1)
-    u2 = np.cross(v / np.linalg.norm(v), u1)
-    u2 /= np.linalg.norm(u2)
+    u1 = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
+    u1 /= norms(u1)[..., None]
+    u2 = np.cross(v / norms(v)[..., None], u1)
+    u2 /= norms(u2)[..., None]
     return u1, u2

@@ -12,7 +12,8 @@ with real local vectors a, b and a real 3x3 tensor f; `bloch_decompose` and
 
 Validation happens at construction points (`validate_pure_state`,
 `as_density_matrix`, `bloch_assemble`, `CheckedState`).  The state operations
-take a `CheckedState` as it is and structure-check only a raw array.
+take a `CheckedState` as it is and structure-check only a raw array.  All of
+them take stacks, shape (..., 4, 4) or (..., 4); a failed state check names the index.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, IMAG_TOL, NORM_TOL, PSD_TOL
-from bicorr.linalg import hermitian_eigenvalues
+from bicorr.linalg import hermitian_eigenvalues, norms
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -59,46 +60,57 @@ class BlochOutOfBall(ValueError):
     """Observable Bloch vector lies outside the closed unit ball."""
 
 
+def _at(bad: np.ndarray, core: int = 0) -> str:
+    """' at stack index i' for the first True of bad; its last ``core`` axes lie within a state."""
+    index = np.argwhere(bad)[0][: bad.ndim - core]
+    return f" at stack index {', '.join(map(str, index))}" if index.size else ""
+
+
 def validate_pure_state(psi: np.ndarray) -> np.ndarray:
-    """Return psi as a complex 4-vector: finite, no amplitude above 1, unit norm."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise InvalidState(f"pure state needs 4 amplitudes, got {psi.shape[0]}")
+    """Return psi as complex 4-vectors: finite, no amplitude above 1, unit norm."""
+    psi = np.atleast_1d(np.asarray(psi, dtype=complex))
+    if psi.shape[-1] != 4:
+        raise InvalidState(f"pure state needs 4 amplitudes, got {psi.shape[-1]}")
     # One reduction bounds every amplitude (nan if any is nan) before the norm can overflow.
     largest = float(np.abs(psi).max())
     if not math.isfinite(largest) and not np.isfinite(psi).all():  # |psi_i| can overflow
-        raise InvalidState("pure state has non-finite amplitudes")
+        raise InvalidState(f"pure state{_at(~np.isfinite(psi), 1)} has non-finite amplitudes")
     if largest > 1.0 + NORM_TOL:
-        raise NotNormalized(f"amplitude magnitude {largest!r} exceeds 1")
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise NotNormalized(f"amplitude norm^2 = {norm_sq!r}, expected 1")
+        at = _at(np.abs(psi) > 1.0 + NORM_TOL, 1)
+        raise NotNormalized(f"amplitude{at} magnitude {largest!r} exceeds 1")
+    norm_sq = (np.abs(psi) ** 2).sum(axis=-1)
+    bad = np.abs(norm_sq - 1.0) > NORM_TOL
+    if bad.any():
+        raise NotNormalized(f"amplitude norm^2{_at(bad)} = {float(norm_sq[bad][0])!r}, expected 1")
     return psi
 
 
 def _check_structure(rho: np.ndarray) -> np.ndarray:
     """Cheap checks shared by all operations: shape, |rho_ij| <= 1, Hermiticity, trace."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise InvalidState(f"density matrix must be 4x4, got shape {rho.shape}")
     # One reduction bounds every entry (nan if any is nan) before a sum can overflow.
     largest = float(np.abs(rho).max())
     if not math.isfinite(largest) and not np.isfinite(rho).all():  # |rho_ij| can overflow
-        raise InvalidState("density matrix has non-finite entries")
+        raise InvalidState(f"density matrix{_at(~np.isfinite(rho), 2)} has non-finite entries")
     if largest > 1.0 + NORM_TOL:
-        raise InvalidState(f"density matrix entry magnitude {largest!r} exceeds 1")
-    herm_dev = float(np.abs(rho - rho.conj().T).max())
+        at = _at(np.abs(rho) > 1.0 + NORM_TOL, 2)
+        raise InvalidState(f"density matrix{at} entry magnitude {largest!r} exceeds 1")
+    herm_dev = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max())
     if herm_dev > HERMITIAN_TOL:
-        raise InvalidState(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    if trace_dev > NORM_TOL:
-        raise InvalidState(f"density matrix trace differs from 1 by {trace_dev:.3e}")
+        at = _at(np.abs(rho - rho.conj().swapaxes(-1, -2)) > HERMITIAN_TOL, 2)
+        raise InvalidState(f"density matrix{at} is not Hermitian (deviation {herm_dev:.3e})")
+    trace_dev = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
+    if trace_dev.max() > NORM_TOL:
+        at = _at(trace_dev > NORM_TOL)
+        raise InvalidState(f"density matrix{at} trace differs from 1 by {trace_dev.max():.3e}")
     return rho
 
 
 @dataclass(frozen=True, eq=False)
 class CheckedState:
-    """Read-only copy of a 4x4 matrix that passed ``_check_structure``."""
+    """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``."""
 
     matrix: np.ndarray
 
@@ -121,18 +133,19 @@ def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:
     invariant.
     """
     state = CheckedState.of(rho)
-    eigenvalues = hermitian_eigenvalues(state.matrix)
-    if eigenvalues[0] < -PSD_TOL:
+    smallest = hermitian_eigenvalues(state.matrix)[..., 0]
+    if smallest.min() < -PSD_TOL:
         raise InvalidState(
-            f"density matrix is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})"
+            f"density matrix{_at(smallest < -PSD_TOL)} is not positive semidefinite "
+            f"(min eigenvalue {smallest.min():.3e})"
         )
     return state
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 density matrix |psi><psi| of a normalized pure state."""
+    """Rank-1 density matrix |psi><psi| of a normalized pure state (or of each in a stack)."""
     psi = validate_pure_state(psi)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def purity(rho: np.ndarray | CheckedState) -> float:
@@ -143,27 +156,11 @@ def purity(rho: np.ndarray | CheckedState) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BlochForm:
-    """Pauli-expansion parameters (a, b, f) of a two-qubit density matrix."""
+    """Pauli-expansion parameters (a, b, f) of a two-qubit state or stack; checks nothing."""
 
     a: np.ndarray
     b: np.ndarray
     f: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        f = np.asarray(self.f, dtype=float)
-        if a.shape != (3,) or b.shape != (3,) or f.shape != (3, 3):
-            raise InvalidState("Bloch form needs two 3-vectors and a 3x3 tensor")
-        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(f).all()):
-            raise InvalidState("Bloch form has non-finite entries")
-        if np.linalg.norm(a) > 1.0 + NORM_TOL or np.linalg.norm(b) > 1.0 + NORM_TOL:
-            raise InvalidState("local Bloch vectors must lie in the unit ball")
-        if np.abs(f).max() > 1.0 + NORM_TOL:
-            raise InvalidState("correlation-tensor entries must lie in [-1, 1]")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "f", f)
 
 
 def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:
@@ -174,42 +171,51 @@ def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:
     input; imaginary residue above IMAG_TOL raises InvalidState.
     """
     rho = CheckedState.of(rho).matrix
-    traces = rho.reshape(16) @ _PAULI_TABLE
-    residue = float(np.abs(traces.imag[1:]).max())  # t_00 is the checked trace
+    traces = rho.reshape(rho.shape[:-2] + (16,)) @ _PAULI_TABLE
+    residue = float(np.abs(traces.imag[..., 1:]).max())  # t_00 is the checked trace
     if residue > IMAG_TOL:
         raise InvalidState(f"Pauli traces have imaginary residue {residue:.3e}")
-    t = traces.real.reshape(4, 4)
-    return BlochForm(a=t[1:, 0], b=t[0, 1:], f=t[1:, 1:])
+    t = traces.real.reshape(rho.shape)
+    return BlochForm(a=t[..., 1:, 0], b=t[..., 0, 1:], f=t[..., 1:, 1:])
 
 
 def bloch_assemble(bf: BlochForm) -> np.ndarray:
     """Rebuild the density matrix from its Bloch form; inverse of bloch_decompose.
 
-    The bounds on (a, b, f) do not imply positivity, so the assembled matrix
+    The form is checked first: finite, |a|, |b| <= 1 and |f_ij| <= 1, up to
+    NORM_TOL.  These bounds do not imply positivity, so the assembled matrix
     is eigenvalue-checked; NotPositive is raised on failure.
     """
-    t = np.ones((4, 4))  # t_00 = Tr rho = 1
-    t[1:, 0], t[0, 1:], t[1:, 1:] = bf.a, bf.b, bf.f
-    rho = 0.25 * (_PAULI_TABLE.conj() @ t.reshape(16)).reshape(4, 4)
-    rho = (rho + rho.conj().T) / 2.0
-    eigenvalues = hermitian_eigenvalues(rho)
-    if eigenvalues[0] < -PSD_TOL:
-        raise NotPositive(
-            f"assembled matrix has eigenvalue {eigenvalues[0]:.3e}; not a state"
-        )
+    a, b, f = (np.asarray(v, dtype=float) for v in (bf.a, bf.b, bf.f))
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,) or f.shape[-2:] != (3, 3):
+        raise InvalidState("Bloch form needs two 3-vectors and a 3x3 tensor")
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(f).all()):
+        raise InvalidState("Bloch form has non-finite entries")
+    if max(norms(a).max(), norms(b).max()) > 1.0 + NORM_TOL:
+        raise InvalidState("local Bloch vectors must lie in the unit ball")
+    if np.abs(f).max() > 1.0 + NORM_TOL:
+        raise InvalidState("correlation-tensor entries must lie in [-1, 1]")
+    t = np.ones(f.shape[:-2] + (4, 4))
+    t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:] = a, b, f  # t_00 = Tr rho = 1
+    rho = 0.25 * (_PAULI_TABLE.conj() @ t.reshape(t.shape[:-2] + (16, 1))).reshape(t.shape)
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    smallest = hermitian_eigenvalues(rho)[..., 0]
+    if smallest.min() < -PSD_TOL:
+        at = _at(smallest < -PSD_TOL)
+        raise NotPositive(f"assembled matrix{at} has eigenvalue {smallest.min():.3e}; not a state")
     return rho
 
 
 def partial_trace_B(rho: np.ndarray | CheckedState) -> np.ndarray:
     """Trace out subsystem B, returning the 2x2 reduced state of A."""
     rho = CheckedState.of(rho).matrix
-    return np.einsum("ibjb->ij", rho.reshape(2, 2, 2, 2))
+    return np.einsum("...ibjb->...ij", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
 
 
 def partial_transpose_b(rho: np.ndarray | CheckedState) -> np.ndarray:
     """Partial transpose of rho over subsystem B."""
     rho = CheckedState.of(rho).matrix
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(rho.shape)
 
 
 def check_bloch_components(v: np.ndarray, name: str) -> None:
@@ -228,27 +234,27 @@ def check_bloch_components(v: np.ndarray, name: str) -> None:
 
 
 def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
-    """x as a float 3-vector: finite, and outside the unit ball raises BlochOutOfBall.
+    """x as float 3-vectors, one or a stack: finite; out of the unit ball is BlochOutOfBall.
 
     name labels x in the error messages; the ball's slack is BALL_TOL.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (3,):
-        raise ValueError(f"{name} needs 3 components, got {x.shape[0]}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != 3:
+        raise ValueError(f"{name} needs 3 components, got {x.shape[-1]}")
     check_bloch_components(x, name)
     return _check_norm(x, name)
 
 
 def _check_norm(x: np.ndarray, name: str) -> np.ndarray:
-    """x, a float 3-vector with checked components; outside the unit ball raises BlochOutOfBall."""
-    norm = float(np.linalg.norm(x))
-    if norm > 1.0 + BALL_TOL:
-        raise BlochOutOfBall(f"{name} norm {norm!r} exceeds 1")
+    """x, float 3-vectors with checked components; outside the unit ball raises BlochOutOfBall."""
+    if math.sqrt((x[..., None, :] @ x[..., :, None]).max()) > 1.0 + BALL_TOL:
+        norm = norms(x)  # the first vector out of the ball is reported
+        raise BlochOutOfBall(f"{name} norm {float(norm[norm > 1.0 + BALL_TOL][0])!r} exceeds 1")
     return x
 
 
 def _observable(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (I2 + np.einsum("k,kij->ij", x, PAULIS))
+    return 0.5 * (I2 + np.einsum("...k,kij->...ij", x, PAULIS))
 
 
 def observable_from_bloch(x: np.ndarray) -> np.ndarray:
@@ -262,7 +268,7 @@ def observable_from_bloch(x: np.ndarray) -> np.ndarray:
 
 
 def outcome_table(rho: np.ndarray | CheckedState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Complex 2x2 table T[s, t] = Tr(rho (Q_s (x) R_t)) for Bloch vectors x, y.
+    """Complex 2x2 table T[s, t] = Tr(rho (Q_s (x) R_t)) for Bloch vectors x, y; stacks broadcast.
 
     Q_1 = Q = 1/2 (I + x.sigma) and Q_0 = I - Q, likewise R from y; x and y
     are not checked again (``ObservablePair`` has).  For projectors the table
@@ -275,4 +281,5 @@ def outcome_table(rho: np.ndarray | CheckedState, x: np.ndarray, y: np.ndarray) 
     q, r = _observable(x), _observable(y)
     q_pair = np.array([I2 - q, q])
     r_pair = np.array([I2 - r, r])
-    return np.einsum("ikjl,sji,tlk->st", rho.reshape(2, 2, 2, 2), q_pair, r_pair)
+    rho = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return np.einsum("...ikjl,s...ji,t...lk->...st", rho, q_pair, r_pair)

@@ -87,15 +87,18 @@ def haar_random_pure(seed: int) -> np.ndarray:
 def random_product_pure(seed: int) -> np.ndarray:
     """Product of two independent Haar-random single-qubit pure states."""
     rng = np.random.default_rng(seed)
-    return np.kron(_random_unit_complex(rng, 2), _random_unit_complex(rng, 2))
+    u, v = _random_unit_complex(rng, 2), _random_unit_complex(rng, 2)
+    return (u[:, None] * v).reshape(4)
 
 
-def _random_qubit_mixed(rng: np.random.Generator) -> np.ndarray:
-    """Single-qubit state with Bloch vector uniform in the unit ball."""
-    direction = rng.standard_normal(3)
-    direction /= np.linalg.norm(direction)
-    bloch = direction * rng.random() ** (1.0 / 3.0)
-    return 0.5 * (I2 + np.einsum("k,kij->ij", bloch, PAULIS))
+def _random_qubits_mixed(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n single-qubit states, each with a Bloch vector uniform in the unit ball."""
+    blochs = []
+    for _ in range(n):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        blochs.append(direction * rng.random() ** (1.0 / 3.0))
+    return 0.5 * (I2 + np.einsum("nk,kij->nij", np.array(blochs), PAULIS))
 
 
 def _simplex_weights(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -115,10 +118,9 @@ def random_separable_mixed(seed: int, k: int = 4) -> np.ndarray:
         raise ValueError("k must be at least 1")
     rng = np.random.default_rng(seed)
     weights = _simplex_weights(rng, k)
-    rho = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        rho += w * np.kron(_random_qubit_mixed(rng), _random_qubit_mixed(rng))
-    return rho
+    qubits = _random_qubits_mixed(rng, 2 * k)  # A and B factor of each term, in turn
+    a, b = qubits[0::2, :, None, :, None], qubits[1::2, None, :, None, :]
+    return (weights[:, None, None] * (a * b).reshape(k, 4, 4)).sum(axis=0)
 
 
 def random_mixed(seed: int, k: int = 4) -> np.ndarray:
@@ -127,11 +129,8 @@ def random_mixed(seed: int, k: int = 4) -> np.ndarray:
         raise ValueError("k must be at least 1")
     rng = np.random.default_rng(seed)
     weights = _simplex_weights(rng, k)
-    rho = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        psi = _random_unit_complex(rng, 4)
-        rho += w * np.outer(psi, psi.conj())
-    return rho
+    psi = np.array([_random_unit_complex(rng, 4) for _ in range(k)])
+    return (weights[:, None, None] * (psi[:, :, None] * psi[:, None, :].conj())).sum(axis=0)
 
 
 def random_density(seed: int) -> np.ndarray:

@@ -8,7 +8,8 @@ that criterion's 10,000 states.  At seed 0 those checks draw exactly the
 criterion's inputs.
 
 Each check returns (passed, detail).  Trial counts scale the randomized
-loops; the statistical suites keep their fixed, calibrated sizes.
+loops, which run on per-seed states stacked in blocks of ``BLOCK``; the
+statistical suites keep their fixed, calibrated sizes.
 """
 
 from __future__ import annotations
@@ -29,19 +30,21 @@ from bicorr.detect import (
     ENTANGLED,
     SEPARABLE,
     binary_protocol,
-    classify_pure_by_rank,
     find_zero_correlation_pair,
     ppt_is_separable,
+    rank_says_entangled,
     schmidt_rank,
 )
 from bicorr.linalg import (
     det3,
     hermitian_eigenvalues,
+    norms,
     numeric_rank,
     orthogonal_complement_basis,
     symmetric3_singular_values,
 )
 from bicorr.qstate import (
+    CheckedState,
     as_density_matrix,
     bloch_assemble,
     bloch_decompose,
@@ -52,6 +55,7 @@ from bicorr.qstate import (
 from bicorr.shotsim import DECISION_NONZERO, ShotConfig, sample_joint
 
 Z = np.array([0.0, 0.0, 1.0])
+BLOCK = 8192  # states per stack, so memory stays bounded at any trial count
 
 Check = Callable[[int, int], tuple[bool, str]]
 
@@ -61,223 +65,240 @@ def _unit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _blocks(seed: int, n: int):
+    """The seeds seed, ..., seed + n - 1 as consecutive ranges of at most BLOCK."""
+    return (range(seed + i, seed + min(n, i + BLOCK)) for i in range(0, n, BLOCK))
+
+
+def _stack(draw: Callable[[int], np.ndarray], seeds: range) -> np.ndarray:
+    return np.stack([draw(s) for s in seeds])
+
+
+def _pure(draw: Callable[[int], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
+    psi = _stack(draw, seeds)
+    return psi, CheckedState(density_from_pure(psi))
+
+
+def _rank_labels(rho: CheckedState) -> np.ndarray:
+    return np.where(rank_says_entangled(correlation_matrix(rho)), ENTANGLED, SEPARABLE)
+
+
 def check_spectral_invariants(trials: int, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     n = min(trials, 1000)
-    worst = 0.0
-    for _ in range(n):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = (g + g.conj().T) / 2
-        w = hermitian_eigenvalues(m)
-        if not (np.diff(w) >= 0).all():
-            return False, f"eigenvalues not ascending: {w.tolist()}"
-        worst = max(
-            worst,
-            abs(w.sum() - np.trace(m).real),
-            abs((w**2).sum() - np.trace(m @ m).real),
-        )
+    re, im = np.random.default_rng(seed).standard_normal((n, 2, 4, 4)).swapaxes(0, 1)
+    g = re + 1j * im  # the real, then the imaginary part of each matrix in turn
+    m = (g + g.conj().swapaxes(-1, -2)) / 2
+    w = hermitian_eigenvalues(m)
+    ascending = (np.diff(w) >= 0).all(axis=-1)
+    if not ascending.all():
+        return False, f"eigenvalues not ascending: {w[np.argmin(ascending)].tolist()}"
+    worst = max(
+        np.abs(w.sum(-1) - np.trace(m, axis1=-2, axis2=-1).real).max(),
+        np.abs((w**2).sum(-1) - np.trace(m @ m, axis1=-2, axis2=-1).real).max(),
+    )
     return worst < 1e-8, f"{n} matrices, worst Tr m / Tr m^2 residual {worst:.2e}"
 
 
 def check_singular_value_transpose(trials: int, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     n = min(trials, 1000)
-    worst = 0.0
-    for _ in range(n):
-        m = rng.standard_normal((3, 3))
-        diff = symmetric3_singular_values(m) - symmetric3_singular_values(m.T)
-        worst = max(worst, float(np.abs(diff).max()))
+    m = np.random.default_rng(seed).standard_normal((n, 3, 3))
+    diff = symmetric3_singular_values(m) - symmetric3_singular_values(m.swapaxes(-1, -2))
+    worst = float(np.abs(diff).max())
     return worst < 1e-10, f"{n} matrices, worst asymmetry {worst:.2e}"
 
 
 def check_determinant_singular_product(trials: int, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     n = min(trials, 1000)
-    worst = 0.0
-    for _ in range(n):
-        m = rng.standard_normal((3, 3))
-        prod = float(np.prod(symmetric3_singular_values(m)))
-        worst = max(worst, abs(abs(det3(m)) - prod) / max(1.0, prod))
+    m = np.random.default_rng(seed).standard_normal((n, 3, 3))
+    prod = np.prod(symmetric3_singular_values(m), axis=-1)
+    worst = float((np.abs(np.abs(det3(m)) - prod) / np.maximum(1.0, prod)).max())
     return worst < 1e-9, f"{n} matrices, worst relative mismatch {worst:.2e}"
 
 
 def check_rank_monotonicity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     n = min(trials, 1000)
-    for _ in range(n):
-        m = rng.standard_normal((3, 3)) * rng.choice([1e-10, 1e-6, 1e-2, 1.0])
-        ranks = [numeric_rank(m, tol) for tol in (1e-12, 1e-8, 1e-4, 1e-1, 10.0)]
-        if ranks != sorted(ranks, reverse=True):
-            return False, f"rank not monotone in tolerance: {ranks}"
+    scales = [1e-10, 1e-6, 1e-2, 1.0]
+    m = np.array([rng.standard_normal((3, 3)) * rng.choice(scales) for _ in range(n)])
+    ranks = np.array([numeric_rank(m, tol) for tol in (1e-12, 1e-8, 1e-4, 1e-1, 10.0)])
+    rising = (np.diff(ranks, axis=0) > 0).any(axis=0)
+    if rising.any():
+        return False, f"rank not monotone in tolerance: {ranks[:, np.argmax(rising)].tolist()}"
     return True, f"{n} matrices, rank monotone over 5 tolerances"
 
 
 def check_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
-    for i in range(trials):
-        rho = states.random_density(seed + i)
+    for seeds in _blocks(seed, trials):
+        rho = CheckedState(_stack(states.random_density, seeds))
         rebuilt = bloch_assemble(bloch_decompose(rho))
-        worst = max(worst, float(np.abs(rebuilt - rho).max()))
+        worst = max(worst, float(np.abs(rebuilt - rho.matrix).max()))
     return worst < 1e-10, f"{trials} states, worst round-trip error {worst:.2e}"
 
 
 def check_pure_state_properties(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
-    for i in range(trials):
-        bf = bloch_decompose(density_from_pure(states.haar_random_pure(seed + i)))
-        na, nb = np.linalg.norm(bf.a), np.linalg.norm(bf.b)
+    for seeds in _blocks(seed, trials):
+        bf = bloch_decompose(_pure(states.haar_random_pure, seeds)[1])
+        na, nb = norms(bf.a), norms(bf.b)
         residuals = (
-            float(np.linalg.norm(bf.f @ bf.b - bf.a)),
-            float(np.linalg.norm(bf.f.T @ bf.a - bf.b)),
-            abs(na - nb),
-            abs(float(np.linalg.det(bf.f)) - (na**2 - 1)),
+            norms((bf.f @ bf.b[..., None])[..., 0] - bf.a),
+            norms((bf.f.swapaxes(-1, -2) @ bf.a[..., None])[..., 0] - bf.b),
+            np.abs(na - nb),
+            np.abs(np.linalg.det(bf.f) - (na**2 - 1)),
         )
-        worst = max(worst, *residuals)
+        worst = max(worst, *(float(r.max()) for r in residuals))
     return worst < 1e-9, f"{trials} pure states, worst structural residual {worst:.2e}"
 
 
 def check_product_local_vectors(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
-    for i in range(trials):
-        bf = bloch_decompose(density_from_pure(states.random_product_pure(seed + i)))
-        worst = max(
-            worst,
-            abs(float(np.linalg.norm(bf.a)) - 1),
-            abs(float(np.linalg.norm(bf.b)) - 1),
-        )
+    for seeds in _blocks(seed, trials):
+        bf = bloch_decompose(_pure(states.random_product_pure, seeds)[1])
+        worst = max(worst, float(np.abs(norms(np.stack([bf.a, bf.b])) - 1).max()))
     return worst < 1e-9, f"{trials} product states, worst |a|,|b| deviation {worst:.2e}"
 
 
 def check_partial_trace_consistency(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for i in range(trials):
-        rho = states.random_density(seed + i)
-        q = observable_from_bloch(_unit(rng) * rng.random())
-        lhs = complex(np.trace(partial_trace_B(rho) @ q))
-        rhs = complex(np.trace(rho @ np.kron(q, np.eye(2))))
-        worst = max(worst, abs(lhs - rhs))
+    for seeds in _blocks(seed, trials):
+        rho = CheckedState(_stack(states.random_density, seeds))
+        q = observable_from_bloch(np.array([_unit(rng) * rng.random() for _ in seeds]))
+        lhs = np.trace(partial_trace_B(rho) @ q, axis1=-2, axis2=-1)
+        rhs = np.trace(rho.matrix @ np.kron(q, np.eye(2)), axis1=-2, axis2=-1)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst < 1e-10, f"{trials} states, worst marginal mismatch {worst:.2e}"
+
+
+def _ball_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    x, y = rng.standard_normal(3), rng.standard_normal(3)
+    return x / np.linalg.norm(x) * rng.random(), y / np.linalg.norm(y) * rng.random()
 
 
 def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 808)  # criterion 7's directions at seed 0
     worst = 0.0
-    for i in range(trials):
-        rho = states.random_density(seed + i)
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        pair = ObservablePair(
-            x=x / np.linalg.norm(x) * rng.random(), y=y / np.linalg.norm(y) * rng.random()
-        )
+    for seeds in _blocks(seed, trials):
+        rho = CheckedState(_stack(states.random_density, seeds))
+        pair = ObservablePair(*np.array([_ball_pair(rng) for _ in seeds]).swapaxes(0, 1))
         direct = covariance_direct(rho, pair)
         shortcut = covariance_via_c(correlation_matrix(rho), pair)
-        worst = max(worst, abs(direct - shortcut))
+        worst = max(worst, float(np.abs(direct - shortcut).max()))
     return worst < 1e-10, f"{trials} draws, worst path disagreement {worst:.2e}"
 
 
 def check_covariance_bilinearity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(min(trials, 2000)):
-        cm = correlation_matrix(states.random_density(seed + i))
-        x1, x2 = _unit(rng) / 4, _unit(rng) / 4
-        y = _unit(rng)
-        alpha, beta = rng.random(2)
-        combined = covariance_via_c(cm, ObservablePair(x=alpha * x1 + beta * x2, y=y))
-        parts = alpha * covariance_via_c(cm, ObservablePair(x=x1, y=y)) + (
-            beta * covariance_via_c(cm, ObservablePair(x=x2, y=y))
-        )
-        worst = max(worst, abs(combined - parts))
+    n = min(trials, 2000)
+    cm = correlation_matrix(CheckedState(_stack(states.random_density, range(seed, seed + n))))
+    draws = [(_unit(rng) / 4, _unit(rng) / 4, _unit(rng), *rng.random(2)) for _ in range(n)]
+    x1, x2, y, alpha, beta = (np.array(column) for column in zip(*draws))
+    x = alpha[:, None] * x1 + beta[:, None] * x2
+    combined = covariance_via_c(cm, ObservablePair(x=x, y=y))
+    parts = alpha * covariance_via_c(cm, ObservablePair(x=x1, y=y)) + (
+        beta * covariance_via_c(cm, ObservablePair(x=x2, y=y))
+    )
+    worst = float(np.abs(combined - parts).max())
     return worst < 1e-12, f"worst bilinearity residual {worst:.2e}"
 
 
 def check_pure_rank_dichotomy(trials: int, seed: int) -> tuple[bool, str]:
-    for i in range(trials):
-        psi = states.haar_random_pure(seed + i)
-        cm = correlation_matrix(density_from_pure(psi))
-        if cm.rank not in (0, 3):
-            return False, f"seed {seed + i}: rank {cm.rank}"
-        if (cm.rank == 0) != (schmidt_rank(psi) == 1):
-            return False, f"seed {seed + i}: rank/Schmidt disagreement"
-    for i in range(trials):
-        psi = states.random_product_pure(seed + i)
-        if correlation_matrix(density_from_pure(psi)).rank != 0:
-            return False, f"product seed {seed + i}: non-zero rank"
-        if schmidt_rank(psi) != 1:
-            return False, f"product seed {seed + i}: Schmidt rank 2"
+    for seeds in _blocks(seed, trials):
+        psi, rho = _pure(states.haar_random_pure, seeds)
+        rank, schmidt = correlation_matrix(rho).rank, schmidt_rank(psi)
+        bad = ~np.isin(rank, (0, 3)) | ((rank == 0) != (schmidt == 1))
+        if bad.any():
+            i = np.argmax(bad)
+            if rank[i] not in (0, 3):
+                return False, f"seed {seeds[i]}: rank {rank[i]}"
+            return False, f"seed {seeds[i]}: rank/Schmidt disagreement"
+    for seeds in _blocks(seed, trials):
+        psi, rho = _pure(states.random_product_pure, seeds)
+        rank, schmidt = correlation_matrix(rho).rank, schmidt_rank(psi)
+        if (rank != 0).any() or (schmidt != 1).any():
+            i = np.argmax((rank != 0) | (schmidt != 1))
+            problem = "non-zero rank" if rank[i] != 0 else "Schmidt rank 2"
+            return False, f"product seed {seeds[i]}: {problem}"
     return True, f"{trials} random + {trials} product states, rank always 0 or 3"
 
 
 def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
-    for i in range(trials):
-        rho = density_from_pure(states.haar_random_pure(seed + i))
+    for seeds in _blocks(seed, trials):
+        rho = _pure(states.haar_random_pure, seeds)[1]
         cm = correlation_matrix(rho)
-        nb = float(np.linalg.norm(bloch_decompose(rho).b))
-        worst = max(worst, abs(det3(cm.c) + (nb**2 - 1) ** 2))
+        nb = norms(bloch_decompose(rho).b)
+        worst = max(worst, float(np.abs(det3(cm.c) + (nb**2 - 1) ** 2).max()))
     return worst < 1e-9, f"{trials} pure states, worst determinant residual {worst:.2e}"
 
 
 def check_classifier_oracle_agreement(trials: int, seed: int) -> tuple[bool, str]:
-    for i in range(trials):
-        psi = states.haar_random_pure(seed + i)
-        rank_label = classify_pure_by_rank(psi).label
-        schmidt_label = SEPARABLE if schmidt_rank(psi) == 1 else ENTANGLED
-        if rank_label != schmidt_label:
-            return False, f"seed {seed + i}: {rank_label} vs {schmidt_label}"
-    for i in range(trials):
-        psi = states.random_product_pure(seed + i)
-        if classify_pure_by_rank(psi).label != SEPARABLE or schmidt_rank(psi) != 1:
-            return False, f"product seed {seed + i} misclassified"
+    for seeds in _blocks(seed, trials):
+        psi, rho = _pure(states.haar_random_pure, seeds)
+        by_rank = _rank_labels(rho)
+        by_schmidt = np.where(schmidt_rank(psi) == 1, SEPARABLE, ENTANGLED)
+        if (by_rank != by_schmidt).any():
+            i = np.argmax(by_rank != by_schmidt)
+            return False, f"seed {seeds[i]}: {by_rank[i]} vs {by_schmidt[i]}"
+    for seeds in _blocks(seed, trials):
+        psi, rho = _pure(states.random_product_pure, seeds)
+        bad = (_rank_labels(rho) != SEPARABLE) | (schmidt_rank(psi) != 1)
+        if bad.any():
+            return False, f"product seed {seeds[np.argmax(bad)]} misclassified"
     return True, f"{2 * trials} states, zero disagreements"
 
 
 def check_protocol_soundness(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    for i in range(trials):
-        psi = states.haar_random_pure(seed + i)
-        y = _unit(rng)
-        while True:
-            xs = rng.standard_normal((3, 3))
-            xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-            if det3(xs @ xs.T) > 1e-3:
-                break
-        verdict, _ = binary_protocol(density_from_pure(psi), y=y, xs=xs)
-        if verdict.label != classify_pure_by_rank(psi).label:
-            return False, f"seed {seed + i}: protocol/classifier disagreement"
+    for seeds in _blocks(seed, trials):
+        rho = _pure(states.haar_random_pure, seeds)[1]
+        labels = _rank_labels(rho)
+        for i, s in enumerate(seeds):
+            y = _unit(rng)
+            while True:
+                xs = rng.standard_normal((3, 3))
+                xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+                if det3(xs @ xs.T) > 1e-3:
+                    break
+            verdict, _ = binary_protocol(rho.matrix[i], y=y, xs=xs)
+            if verdict.label != labels[i]:
+                return False, f"seed {s}: protocol/classifier disagreement"
     return True, f"{trials} pure states, protocol matches the rank classifier"
 
 
 def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
     n = min(trials, 1000)
-    count = 0
-    i = 0
-    while count < n:
-        psi = states.haar_random_pure(seed + i)
-        i += 1
-        rho = density_from_pure(psi)
+    count, seeds = 0, range(seed, seed)
+    while count < n:  # the first n entangled states from seed on
+        seeds = range(seeds.stop, seeds.stop + n - count)
+        rho = _pure(states.haar_random_pure, seeds)[1]
         cm = correlation_matrix(rho)
-        if cm.rank != 3:
-            continue
-        count += 1
-        x1, x2 = orthogonal_complement_basis(cm.c @ Z)
-        for x in (x1, x2):
-            if abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) >= 1e-10:
-                return False, f"seed {seed + i - 1}: silent probe pair leaked signal"
+        full = np.flatnonzero(cm.rank == 3)
+        count += len(full)
+        rho = CheckedState(rho.matrix[full])
+        leak = np.any([
+            np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) >= 1e-10
+            for x in orthogonal_complement_basis(cm.c[full] @ Z)
+        ], axis=0)
+        if leak.any():
+            return False, f"seed {seeds[full[np.argmax(leak)]]}: silent probe pair leaked signal"
     return True, f"{n} entangled states admit two independent all-zero probes"
 
 
 def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 404)  # criterion 5's directions at seed 0
     worst = 0.0
-    for i in range(trials):
-        rho = (
-            states.random_separable_mixed(seed + i, 1 + i % 4)
-            if i % 2
-            else states.random_mixed(seed + i, 2 + i % 4)
-        )
-        pair = find_zero_correlation_pair(rho, _unit(rng))
-        worst = max(worst, abs(covariance_direct(rho, pair)))
+    for seeds in _blocks(seed, trials):
+        rho = np.stack([
+            states.random_separable_mixed(s, 1 + (s - seed) % 4)
+            if (s - seed) % 2
+            else states.random_mixed(s, 2 + (s - seed) % 4)
+            for s in seeds
+        ])
+        pairs = [find_zero_correlation_pair(r, _unit(rng)) for r in rho]
+        pair = ObservablePair(x=np.array([p.x for p in pairs]), y=np.array([p.y for p in pairs]))
+        worst = max(worst, float(np.abs(covariance_direct(CheckedState(rho), pair)).max()))
     for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0):
         rho = states.werner(xi)
         pair = find_zero_correlation_pair(rho, Z)
@@ -285,41 +306,36 @@ def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
     return worst < 1e-10, f"{trials} mixed states + Werner grid, worst |c| {worst:.2e}"
 
 
-def _werner_zero_pattern(xi: float, pairs: list[ObservablePair]) -> list[bool]:
-    rho = states.werner(xi)
-    return [abs(covariance_direct(rho, p)) < 1e-12 for p in pairs]
-
-
-def _zero_set_grid(seed: int) -> list[ObservablePair]:
+def _zero_set_grid(seed: int) -> ObservablePair:
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(50):
-        pairs.append(ObservablePair(x=_unit(rng), y=_unit(rng)))
-    for _ in range(50):
-        y = _unit(rng)
-        pairs.append(ObservablePair(x=orthogonal_complement_basis(y)[0], y=y))
-    return pairs
+    random_x, random_y = np.array([(_unit(rng), _unit(rng)) for _ in range(50)]).swapaxes(0, 1)
+    y = np.array([_unit(rng) for _ in range(50)])
+    x = np.concatenate([random_x, orthogonal_complement_basis(y)[0]])
+    return ObservablePair(x=x, y=np.concatenate([random_y, y]))
 
 
 def check_werner_zero_set_identity(trials: int, seed: int) -> tuple[bool, str]:
     pairs = _zero_set_grid(seed)
-    orthogonal = [abs(p.x @ p.y) < 1e-9 for p in pairs]
+    orthogonal = np.abs(np.einsum("...i,...i->...", pairs.x, pairs.y)) < 1e-9
     for xi in (0.1, 0.3, 0.4, 0.9):
-        if _werner_zero_pattern(xi, pairs) != orthogonal:
+        zero = np.abs(covariance_direct(states.werner(xi), pairs)) < 1e-12
+        if not np.array_equal(zero, orthogonal):
             return False, f"xi={xi}: zero set differs from the x.y = 0 set"
     return True, "zero sets match x.y = 0 at xi = 0.1, 0.3, 0.4, 0.9 (100 pairs)"
 
 
 def check_generator_validity(trials: int, seed: int) -> tuple[bool, str]:
     n = max(trials // 10, 10)
-    for i in range(n):
-        as_density_matrix(density_from_pure(states.haar_random_pure(seed + i)))
-        as_density_matrix(density_from_pure(states.random_product_pure(seed + i)))
-        sep = states.random_separable_mixed(seed + i, 1 + i % 5)
-        as_density_matrix(sep)
-        if not ppt_is_separable(sep):
-            return False, f"separable mixture {seed + i} failed its PPT check"
-        as_density_matrix(states.random_mixed(seed + i, 1 + i % 5))
+    for seeds in _blocks(seed, n):
+        as_density_matrix(density_from_pure(_stack(states.haar_random_pure, seeds)))
+        as_density_matrix(density_from_pure(_stack(states.random_product_pure, seeds)))
+        sep = as_density_matrix(
+            np.stack([states.random_separable_mixed(s, 1 + (s - seed) % 5) for s in seeds])
+        )
+        separable = ppt_is_separable(sep)
+        if not separable.all():
+            return False, f"separable mixture {seeds[np.argmin(separable)]} failed its PPT check"
+        as_density_matrix(np.stack([states.random_mixed(s, 1 + (s - seed) % 5) for s in seeds]))
     return True, f"{n} draws per generator all pass state validation"
 
 
@@ -348,7 +364,7 @@ def check_generator_determinism(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
-    rho = density_from_pure(states.bell_state("psi-"))
+    rho = CheckedState(density_from_pure(states.bell_state("psi-")))
     pair = ObservablePair(x=Z, y=Z)
     records = [
         sample_joint(rho, pair, ShotConfig(shots=10_000, seed=seed + i))
@@ -364,7 +380,7 @@ def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
 
 def check_shot_se_scaling(trials: int, seed: int) -> tuple[bool, str]:
     pair = ObservablePair(x=Z, y=np.array([1.0, 0.0, 1.0]) / math.sqrt(2))
-    rho = density_from_pure(states.bell_state("psi-"))
+    rho = CheckedState(density_from_pure(states.bell_state("psi-")))
     ses = {
         n: sample_joint(rho, pair, ShotConfig(shots=n, seed=seed)).standard_error
         for n in (1_000, 10_000, 100_000)
@@ -378,14 +394,15 @@ def check_shot_se_scaling(trials: int, seed: int) -> tuple[bool, str]:
 def check_shot_determinism(trials: int, seed: int) -> tuple[bool, str]:
     cfg = ShotConfig(shots=5_000, seed=seed)
     pair = ObservablePair(x=Z, y=Z)
-    first = sample_joint(states.werner(0.6), pair, cfg)
-    second = sample_joint(states.werner(0.6), pair, cfg)
+    rho = CheckedState(states.werner(0.6))
+    first = sample_joint(rho, pair, cfg)
+    second = sample_joint(rho, pair, cfg)
     return first == second, "identical configs give bit-identical records"
 
 
 def check_shot_false_positive_rate(trials: int, seed: int) -> tuple[bool, str]:
     pair = ObservablePair(x=Z, y=Z)
-    mixed = np.eye(4, dtype=complex) / 4
+    mixed = CheckedState(np.eye(4, dtype=complex) / 4)
     hits = 0
     for i in range(1000):
         record = sample_joint(
@@ -425,6 +442,8 @@ ALL_CHECKS: list[tuple[str, Check]] = [
 
 def run_all(trials: int = 2000, seed: int = 0, out=print) -> bool:
     """Run every suite; emits one pass/fail line per check via ``out``."""
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trial count must be an integer, got {trials!r}")
     if trials < 100:
         raise ValueError("trial budget below 100 is rejected")
     all_ok = True

@@ -8,7 +8,7 @@ import pytest
 from bicorr import states
 from bicorr.cli import main
 from bicorr.states import load_state_file, mixed_spec, random_mixed, save_state_file
-from bicorr.verify import ALL_CHECKS
+from bicorr.verify import ALL_CHECKS, run_all
 
 
 @pytest.fixture()
@@ -198,6 +198,12 @@ class TestGen:
 class TestVerify:
     def test_small_trial_budget_is_rejected(self):
         assert main(["verify", "--trials", "50"]) == 3
+
+    def test_fractional_trial_count_is_rejected_before_any_check(self):
+        lines = []
+        with pytest.raises(ValueError, match="trial count must be an integer, got 150.5"):
+            run_all(trials=150.5, out=lines.append)
+        assert lines == []
 
     def test_reduced_run_passes(self, capsys):
         assert main(["verify", "--trials", "150"]) == 0

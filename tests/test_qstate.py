@@ -164,6 +164,27 @@ class TestBlochAssemble:
         with pytest.raises(NotPositive):
             bloch_assemble(bf)
 
+    def test_form_outside_the_ball_is_rejected_where_it_is_assembled(self):
+        # Hermitian, unit trace and no entry above 1, but a = (0, 0, 3): not a state.
+        # bloch_decompose reads it as it is; bloch_assemble is where a form is checked.
+        bf = bloch_decompose(np.diag([1.0, 1.0, -0.5, -0.5]))
+        np.testing.assert_allclose(bf.a, [0.0, 0.0, 3.0], atol=1e-15)
+        with pytest.raises(InvalidState, match="unit ball"):
+            bloch_assemble(bf)
+
+    @pytest.mark.parametrize(
+        "a, f, message",
+        [
+            ([np.nan, 0.0, 0.0], np.zeros((3, 3)), "non-finite"),
+            ([0.0, 0.0, 0.0], 1.5 * np.eye(3), r"\[-1, 1\]"),
+            ([0.0, 0.0], np.zeros((3, 3)), "3-vectors"),
+        ],
+        ids=["non-finite", "tensor entry above 1", "wrong shape"],
+    )
+    def test_malformed_form_is_rejected(self, a, f, message):
+        with pytest.raises(InvalidState, match=message):
+            bloch_assemble(BlochForm(a=np.array(a), b=np.zeros(3), f=f))
+
 
 class TestPartialTrace:
     def test_singlet_marginals_are_maximally_mixed(self):
