@@ -33,7 +33,7 @@ from bicorr.detect import (
     pure_rank_verdict,
 )
 from bicorr.linalg import det3
-from bicorr.qstate import bloch_decompose
+from bicorr.qstate import CheckedState, bloch_decompose
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 from bicorr.states import ParseError, StateSpec
 from bicorr.verify import run_all
@@ -111,7 +111,7 @@ def build_analysis_report(spec: StateSpec) -> dict:
     The Bloch form and c are computed once; the protocol's exact oracle and
     the rank verdict both read that c.
     """
-    rho = statesmod.density_of(spec)
+    rho = spec.matrix
     bf = bloch_decompose(rho)
     cm = correlation_matrix(bf)
     protocol_verdict, trace = binary_protocol(rho, corr_oracle=exact_corr_oracle(cm))
@@ -177,7 +177,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_detect(args) -> int:
     spec = statesmod.load_state_file(args.file)
-    rho = statesmod.density_of(spec)
+    rho = spec.matrix
     y = _parse_vector(args.y, "--y") if args.y else DEFAULT_Y
     xs = _parse_probe_set(args.xs) if args.xs else DEFAULT_XS
     if args.shots is not None:
@@ -214,18 +214,14 @@ def cmd_sweep_werner(args) -> int:
         raise ParseError("--steps must be at least 1")
     pair = _parse_pair(args.pair) if args.pair else ObservablePair(x=DEFAULT_Y, y=DEFAULT_Y)
     xy = float(pair.x @ pair.y)
-    grid = np.linspace(args.xi_from, args.xi_to, args.steps)
-    rows = []
-    for xi in grid:
-        rho = statesmod.werner(float(xi))
-        rows.append(
-            {
-                "xi": float(xi),
-                "covariance": covariance_direct(rho, pair),
-                "reference": -float(xi) / 4 * xy,
-                "ppt_separable": ppt_is_separable(rho),
-            }
+    grid = np.linspace(args.xi_from, args.xi_to, args.steps).tolist()
+    rho = CheckedState(np.stack([statesmod.werner(xi) for xi in grid]))
+    rows = [
+        {"xi": xi, "covariance": covariance, "reference": -xi / 4 * xy, "ppt_separable": separable}
+        for xi, covariance, separable in zip(
+            grid, covariance_direct(rho, pair).tolist(), ppt_is_separable(rho).tolist()
         )
+    ]
     if args.json:
         print(json.dumps({"pair": {"x": pair.x.tolist(), "y": pair.y.tolist()}, "rows": rows}))
     else:

@@ -38,10 +38,12 @@ from bicorr.linalg import (
     det3,
     hermitian_eigenvalues,
     item_or_array,
+    norms,
     orthogonal_complement_basis,
 )
 from bicorr.qstate import (
     CheckedState,
+    _at,
     _check_norm,
     check_bloch_components,
     check_bloch_vector,
@@ -100,28 +102,28 @@ class ProtocolTrace:
 
 def _check_y(y: np.ndarray) -> np.ndarray:
     y = check_bloch_vector(y, "y")
-    if float(np.linalg.norm(y)) == 0.0:
-        raise ZeroVector("y must be non-zero")
+    zero = norms(y) == 0.0
+    if zero.any():
+        raise ZeroVector(f"y{_at(zero)} must be non-zero")
     return y
 
 
 def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair:
-    """A pair (x, y) with zero covariance on rho, for any state and any y.
+    """A pair (x, y) with zero covariance on rho, for any state and any y; stacks broadcast.
 
     x . (c y) = 0 is an orthogonality condition between two real 3-vectors,
     so a solution always exists: x is taken orthogonal to c y, or the first
-    standard basis vector when c y vanishes.  y is checked before rho: a
-    non-finite y raises ValueError, one outside the unit ball BlochOutOfBall,
-    and the zero vector ZeroVector.
+    standard basis vector where |c y| < ZERO_CORRELATION_TOL.  y is checked
+    before rho: a non-finite y raises ValueError, one outside the unit ball
+    BlochOutOfBall, and a zero vector ZeroVector.
     """
     y = _check_y(y)
-    cm = correlation_matrix(rho)
-    y_image = cm.c @ y
-    if np.linalg.norm(y_image) < ZERO_CORRELATION_TOL:
-        x = np.array([1.0, 0.0, 0.0])
-    else:
-        x = orthogonal_complement_basis(y_image)[0]
-    return _checked_pair(x, y)
+    c_y = (correlation_matrix(rho).c @ y[..., None])[..., 0]
+    vanishes = (norms(c_y) < ZERO_CORRELATION_TOL)[..., None]
+    e1 = np.array([1.0, 0.0, 0.0])
+    # A vanishing row is swapped for e1 before the basis is built, so no row divides by 0.
+    x = orthogonal_complement_basis(np.where(vanishes, e1, c_y))[0]
+    return _checked_pair(np.where(vanishes, e1, x), y)
 
 
 def rank_says_entangled(cm: CorrMatrix) -> bool:
@@ -191,7 +193,8 @@ def binary_protocol(
 ) -> tuple[Verdict, ProtocolTrace]:
     """Three-probe zero/non-zero correlation protocol against a fixed y.
 
-    y and the whole probe set are checked before the first measurement: y a
+    It takes one state and one y; a stack of either raises ValueError.  y
+    and the whole probe set are checked before the first measurement: y a
     non-zero Bloch vector, xs of shape (3, 3), finite, with no component above
     1, linearly independent, and every Bloch vector in the unit ball.  The xs
     are then probed in order, stopping at the first non-zero covariance.  For
@@ -205,8 +208,13 @@ def binary_protocol(
     that already holds that matrix passes ``exact_corr_oracle(cm)``.
     """
     rho = CheckedState.of(rho)
-    purity_value = purity(rho)
     pairs = _check_probes(y, xs)
+    if rho.matrix.shape != (4, 4) or pairs[0].y.shape != (3,):
+        raise ValueError(
+            "the protocol takes one state and one y, got shapes "
+            f"{rho.matrix.shape} and {pairs[0].y.shape}"
+        )
+    purity_value = purity(rho)
     if corr_oracle is None:
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))
 

@@ -163,11 +163,6 @@ def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
     return StateSpec(kind="mixed", label=label, matrix=as_density_matrix(rho))
 
 
-def density_of(spec: StateSpec) -> CheckedState:
-    """Checked density matrix of a parsed state, built when its spec was."""
-    return spec.matrix
-
-
 def _split_pairs(raw, expected: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)

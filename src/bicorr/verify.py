@@ -15,7 +15,7 @@ statistical suites keep their fixed, calibrated sizes.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -70,8 +70,8 @@ def _blocks(seed: int, n: int):
     return (range(seed + i, seed + min(n, i + BLOCK)) for i in range(0, n, BLOCK))
 
 
-def _stack(draw: Callable[[int], np.ndarray], seeds: range) -> np.ndarray:
-    return np.stack([draw(s) for s in seeds])
+def _stack(draw: Callable[..., np.ndarray], params: Iterable) -> np.ndarray:
+    return np.stack([draw(p) for p in params])
 
 
 def _pure(draw: Callable[[int], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
@@ -290,19 +290,17 @@ def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 404)  # criterion 5's directions at seed 0
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = np.stack([
+        rho = CheckedState(np.stack([
             states.random_separable_mixed(s, 1 + (s - seed) % 4)
             if (s - seed) % 2
             else states.random_mixed(s, 2 + (s - seed) % 4)
             for s in seeds
-        ])
-        pairs = [find_zero_correlation_pair(r, _unit(rng)) for r in rho]
-        pair = ObservablePair(x=np.array([p.x for p in pairs]), y=np.array([p.y for p in pairs]))
-        worst = max(worst, float(np.abs(covariance_direct(CheckedState(rho), pair)).max()))
-    for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0):
-        rho = states.werner(xi)
-        pair = find_zero_correlation_pair(rho, Z)
-        worst = max(worst, abs(covariance_direct(rho, pair)))
+        ]))
+        pair = find_zero_correlation_pair(rho, np.array([_unit(rng) for _ in seeds]))
+        worst = max(worst, float(np.abs(covariance_direct(rho, pair)).max()))
+    rho = CheckedState(_stack(states.werner, (0.0, 0.2, 1 / 3, 0.5, 1.0)))
+    pair = find_zero_correlation_pair(rho, Z)
+    worst = max(worst, float(np.abs(covariance_direct(rho, pair)).max()))
     return worst < 1e-10, f"{trials} mixed states + Werner grid, worst |c| {worst:.2e}"
 
 
@@ -340,15 +338,10 @@ def check_generator_validity(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def check_werner_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
-    worst = 0.0
-    for xi in np.linspace(0.0, 1.0, 21):
-        bf = bloch_decompose(states.werner(float(xi)))
-        worst = max(
-            worst,
-            float(np.abs(bf.a).max()),
-            float(np.abs(bf.b).max()),
-            float(np.abs(bf.f + xi * np.eye(3)).max()),
-        )
+    xi = np.linspace(0.0, 1.0, 21)
+    bf = bloch_decompose(_stack(states.werner, xi))
+    f_dev = bf.f + xi[:, None, None] * np.eye(3)
+    worst = float(max(np.abs(bf.a).max(), np.abs(bf.b).max(), np.abs(f_dev).max()))
     return worst < 1e-12, f"21 xi values, worst Bloch deviation {worst:.2e}"
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from bicorr import states
 from bicorr.cli import main
+from bicorr.correlation import ObservablePair, covariance_direct
+from bicorr.detect import ppt_is_separable
 from bicorr.states import load_state_file, mixed_spec, random_mixed, save_state_file
 from bicorr.verify import ALL_CHECKS, run_all
 
@@ -143,6 +145,17 @@ class TestSweepWerner:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(abs(row["covariance"]) < 1e-12 for row in doc["rows"])
+
+    def test_rows_equal_the_per_state_results(self, capsys):
+        argv = ["--from", "0", "--to", "1", "--steps", "41", "--pair", "0.6,0,0.8|0,0.28,0.96"]
+        assert main(["sweep-werner", *argv, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        pair = ObservablePair(x=[0.6, 0, 0.8], y=[0, 0.28, 0.96])
+        assert len(rows) == 41
+        for row in rows:
+            rho = states.werner(row["xi"])
+            assert row["covariance"] == covariance_direct(rho, pair)
+            assert row["ppt_separable"] is ppt_is_separable(rho)
 
     def test_endpoint_matches_singlet(self, capsys):
         main(["sweep-werner", "--from", "1", "--to", "1", "--steps", "1", "--json"])

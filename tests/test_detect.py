@@ -20,8 +20,10 @@ from bicorr.detect import (
     schmidt_rank,
 )
 from bicorr.qstate import BlochOutOfBall, density_from_pure, partial_transpose_b
+from bicorr.shotsim import statistical_binary_protocol
 
 Z = np.array([0.0, 0.0, 1.0])
+ONE_STATE = "the protocol takes one state and one y, got shapes"
 
 
 class TestFindZeroCorrelationPair:
@@ -131,6 +133,18 @@ class TestBinaryProtocol:
         xs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 2.0]])
         with pytest.raises(BlochOutOfBall):
             binary_protocol(rho, y=np.array([1.0, 0, 0]), xs=xs)
+
+    @pytest.mark.parametrize("protocol", [binary_protocol, statistical_binary_protocol])
+    def test_rejects_a_stack_of_y(self, protocol):
+        rho = density_from_pure(states.bell_state("psi-"))
+        with pytest.raises(ValueError, match=rf"^{ONE_STATE} \(4, 4\) and \(2, 3\)$"):
+            protocol(rho, y=np.stack([Z, Z]))
+
+    @pytest.mark.parametrize("protocol", [binary_protocol, statistical_binary_protocol])
+    def test_rejects_a_stack_of_states(self, protocol):
+        rho = np.stack([states.werner(0.2), states.werner(0.8)])
+        with pytest.raises(ValueError, match=rf"^{ONE_STATE} \(2, 4, 4\) and \(3,\)$"):
+            protocol(rho)
 
 
 @pytest.mark.filterwarnings("error")

@@ -16,7 +16,13 @@ from bicorr.correlation import (
     covariance_direct,
     covariance_via_c,
 )
-from bicorr.detect import ppt_is_separable, rank_says_entangled, schmidt_rank
+from bicorr.detect import (
+    ZeroVector,
+    find_zero_correlation_pair,
+    ppt_is_separable,
+    rank_says_entangled,
+    schmidt_rank,
+)
 from bicorr.linalg import det3, hermitian_eigenvalues, numeric_rank, orthogonal_complement_basis
 from bicorr.qstate import (
     CheckedState,
@@ -86,6 +92,9 @@ KERNELS = {
         lambda rho, psi, x, y: np.stack(orthogonal_complement_basis(x), axis=-2), False
     ),
     "observable_from_bloch": (lambda rho, psi, x, y: observable_from_bloch(x), False),
+    "find_zero_correlation_pair": (
+        lambda rho, psi, x, y: find_zero_correlation_pair(rho, y).x, True
+    ),
 }
 
 
@@ -125,6 +134,28 @@ def test_a_state_broadcasts_against_a_stack_of_probes():
 )
 def test_one_state_keeps_its_scalar_type(call, kind):
     assert type(call()) is kind
+
+
+def test_zero_pair_of_a_stack_takes_e1_exactly_where_c_y_vanishes():
+    # werner(0) and a product state have c = 0; the singlet has c = -I.
+    rho = np.stack([
+        states.werner(0.0),
+        density_from_pure(states.random_product_pure(5)),
+        density_from_pure(states.bell_state("psi-")),
+    ])
+    z = np.array([0.0, 0.0, 1.0])
+    pair = find_zero_correlation_pair(rho, z)
+    vanishes = np.linalg.norm(correlation_matrix(rho).c @ z, axis=-1) < 1e-10
+    assert vanishes.tolist() == [True, True, False]
+    assert (pair.x == [1.0, 0.0, 0.0]).all(axis=-1).tolist() == vanishes.tolist()
+    assert np.abs(covariance_direct(rho, pair)).max() < 1e-10
+
+
+def test_zero_row_in_a_stack_of_y_is_rejected():
+    y = Y.copy()
+    y[17] = 0.0
+    with pytest.raises(ZeroVector, match=r"^y at stack index 17 must be non-zero"):
+        find_zero_correlation_pair(RHO, y)
 
 
 def test_non_hermitian_state_in_a_stack_is_named_by_index():
