@@ -123,7 +123,6 @@ def build_analysis_report(spec: StateSpec) -> dict:
         "correlation": {
             "c": cm.c.tolist(),
             "singular_values": cm.singular_values.tolist(),
-            "rank": cm.rank,
             "det": det3(cm.c),
         },
         "verdicts": {
@@ -154,7 +153,7 @@ def _print_analysis(report: dict) -> None:
     print(_fmt_mat(report["correlation"]["c"]))
     corr = report["correlation"]
     print(f"singular values: {_fmt_vec(corr['singular_values'])}")
-    print(f"rank: {corr['rank']}   det(c): {_fmt(corr['det'])}")
+    print(f"det(c): {_fmt(corr['det'])}")
     print("verdicts:")
     rank_verdict = report["verdicts"]["rank_dichotomy"]
     if rank_verdict is not None:

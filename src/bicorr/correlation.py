@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.linalg import IMAG_TOL, RANK_TOL, item_or_array, symmetric3_singular_values
+from bicorr.linalg import IMAG_TOL, item_or_array, symmetric3_singular_values
 from bicorr.qstate import (
     BlochForm,
     InvalidState,
@@ -46,11 +46,10 @@ def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
 
 @dataclass(frozen=True, eq=False)
 class CorrMatrix:
-    """Correlation matrix c = f - a b^T with its singular values and rank."""
+    """Correlation matrix c = f - a b^T with its singular values."""
 
     c: np.ndarray
     singular_values: np.ndarray
-    rank: int
 
 
 def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
@@ -70,19 +69,15 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
 
 
 def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
-    """Correlation matrix with cached singular values and numeric rank.
+    """Correlation matrix with cached singular values, descending.
 
     state is a density matrix or, when the caller already has it, its Bloch
-    form.  Rank counts singular values above RANK_TOL.  A pure state of
-    concurrence k has singular values (k, k, k^2), so its rank is 0 or 3
-    except for weak entanglement, RANK_TOL < k <= sqrt(RANK_TOL), where it is
-    2; the separability verdict is therefore taken on the largest singular
-    value (see ``detect.pure_rank_verdict``).
+    form.  A pure state of concurrence k has singular values (k, k, k^2); the
+    separability verdict is taken on the largest (``detect.pure_rank_verdict``).
     """
     bf = state if isinstance(state, BlochForm) else bloch_decompose(state)
     c = bf.f - bf.a[..., :, None] * bf.b[..., None, :]
-    sv = symmetric3_singular_values(c)
-    return CorrMatrix(c=c, singular_values=sv, rank=item_or_array(np.sum(sv > RANK_TOL, axis=-1)))
+    return CorrMatrix(c=c, singular_values=symmetric3_singular_values(c))
 
 
 def covariance_via_c(cm: CorrMatrix, pair: ObservablePair) -> float:

@@ -113,13 +113,13 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
 
     x . (c y) = 0 is an orthogonality condition between two real 3-vectors,
     so a solution always exists: x is taken orthogonal to c y, or the first
-    standard basis vector where |c y| < ZERO_CORRELATION_TOL.  y is checked
+    standard basis vector where |c y| < ZERO_CORRELATION_TOL |y|.  y is checked
     before rho: a non-finite y raises ValueError, one outside the unit ball
     BlochOutOfBall, and a zero vector ZeroVector.
     """
     y = _check_y(y)
     c_y = (correlation_matrix(rho).c @ y[..., None])[..., 0]
-    vanishes = (norms(c_y) < ZERO_CORRELATION_TOL)[..., None]
+    vanishes = (norms(c_y) < ZERO_CORRELATION_TOL * norms(y))[..., None]
     e1 = np.array([1.0, 0.0, 0.0])
     # A vanishing row is swapped for e1 before the basis is built, so no row divides by 0.
     x = orthogonal_complement_basis(np.where(vanishes, e1, c_y))[0]
@@ -134,16 +134,16 @@ def rank_says_entangled(cm: CorrMatrix) -> bool:
 def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
     """Separable/Entangled verdict from the correlation matrix of a pure state.
 
-    c vanishes (rank 0) for separable pure states and has rank 3 for entangled
-    ones; the verdict is Entangled iff sigma_max(c), the concurrence, exceeds
-    PURE_ENTANGLED_SV_TOL.  The detail gives sigma_max, that threshold, rank(c)
-    and all three singular values.
+    c vanishes for separable pure states and has full rank for entangled ones;
+    the verdict is Entangled iff sigma_max(c), the concurrence, exceeds
+    PURE_ENTANGLED_SV_TOL.  The detail gives sigma_max, that threshold and all
+    three singular values.
     """
     sigma_max = float(cm.singular_values[0])
     label = ENTANGLED if rank_says_entangled(cm) else SEPARABLE
     detail = (
         f"sigma_max(c) = {sigma_max!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}; "
-        f"rank(c) = {cm.rank}, singular values {cm.singular_values.tolist()}"
+        f"singular values {cm.singular_values.tolist()}"
     )
     return Verdict(label, RANK_DICHOTOMY, detail)
 
@@ -159,14 +159,16 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
     """Zero/non-zero oracle from an exact correlation matrix.
 
-    The matrix is reused for every probe; |c| < ZERO_CORRELATION_TOL counts
-    as zero, far above 4x4 arithmetic noise and far below every fixture's
-    smallest non-zero covariance.
+    The matrix is reused for every probe.  The covariance is bilinear in the
+    probe vectors, so the call is made per unit length: |c| at most
+    ZERO_CORRELATION_TOL |x| |y| counts as zero, far above 4x4 arithmetic
+    noise and far below every fixture's smallest non-zero covariance.
     """
 
     def oracle(pair: ObservablePair) -> tuple[float, bool]:
         value = covariance_via_c(cm, pair)
-        return value, abs(value) < ZERO_CORRELATION_TOL
+        bound = ZERO_CORRELATION_TOL * norms(pair.x) * norms(pair.y)
+        return value, item_or_array(np.abs(value) <= bound)
 
     return oracle
 

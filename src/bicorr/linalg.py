@@ -19,8 +19,7 @@ NORM_TOL = 1e-9  # |q - 1| for q = norm^2, trace, probe length, probability sum;
 PSD_TOL = 1e-9  # most negative eigenvalue counted as >= 0: state positivity, PPT verdict
 IMAG_TOL = 1e-10  # round-off of one 4x4 contraction: imaginary residue, negative probability
 BALL_TOL = 1e-12  # largest excess over 1 of an observable's Bloch-vector norm
-RANK_TOL = 1e-8  # singular value of c counted in its numeric rank (reported, decides nothing)
-ZERO_CORRELATION_TOL = 1e-10  # largest |covariance| the exact oracle calls zero; |c y| alike
+ZERO_CORRELATION_TOL = 1e-10  # largest |cov|/(|x||y|) the exact oracle calls zero; |c y|/|y| alike
 GRAM_TOL = 1e-9  # smallest accepted Gram determinant of the three probe directions
 PURITY_TOL = 1e-9  # largest 1 - Tr(rho^2) at which the protocol treats a state as pure
 # Concurrence above which a pure state is entangled (rank verdict, Schmidt oracle); its partial
@@ -57,7 +56,7 @@ def symmetric3_singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
 
 
-def numeric_rank(m: np.ndarray, abs_tol: float = RANK_TOL) -> int:
+def numeric_rank(m: np.ndarray, abs_tol: float) -> int:
     """Number of singular values of m (per matrix of a stack) strictly above abs_tol."""
     return item_or_array(np.sum(symmetric3_singular_values(m) > abs_tol, axis=-1))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, IMAG_TOL, NORM_TOL, PSD_TOL
-from bicorr.linalg import hermitian_eigenvalues, norms
+from bicorr.linalg import hermitian_eigenvalues, item_or_array, norms
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -149,9 +149,9 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
 
 
 def purity(rho: np.ndarray | CheckedState) -> float:
-    """Tr(rho^2); equals 1 exactly for pure states."""
+    """Tr(rho^2), per state of a stack; equals 1 exactly for pure states."""
     rho = CheckedState.of(rho).matrix
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+    return item_or_array(np.einsum("...ij,...ji->...", rho, rho).real)
 
 
 @dataclass(frozen=True, eq=False)

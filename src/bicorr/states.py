@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.qstate import (
-    I2,
-    PAULIS,
-    CheckedState,
-    as_density_matrix,
-    density_from_pure,
-)
+from bicorr.qstate import CheckedState, _observable, as_density_matrix, density_from_pure
 
 _BELL_AMPLITUDES = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
@@ -98,7 +92,7 @@ def _random_qubits_mixed(rng: np.random.Generator, n: int) -> np.ndarray:
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         blochs.append(direction * rng.random() ** (1.0 / 3.0))
-    return 0.5 * (I2 + np.einsum("nk,kij->nij", np.array(blochs), PAULIS))
+    return _observable(np.array(blochs))
 
 
 def _simplex_weights(rng: np.random.Generator, k: int) -> np.ndarray:

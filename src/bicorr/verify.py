@@ -204,23 +204,18 @@ def check_covariance_bilinearity(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def check_pure_rank_dichotomy(trials: int, seed: int) -> tuple[bool, str]:
-    for seeds in _blocks(seed, trials):
-        psi, rho = _pure(states.haar_random_pure, seeds)
-        rank, schmidt = correlation_matrix(rho).rank, schmidt_rank(psi)
-        bad = ~np.isin(rank, (0, 3)) | ((rank == 0) != (schmidt == 1))
-        if bad.any():
-            i = np.argmax(bad)
-            if rank[i] not in (0, 3):
-                return False, f"seed {seeds[i]}: rank {rank[i]}"
-            return False, f"seed {seeds[i]}: rank/Schmidt disagreement"
-    for seeds in _blocks(seed, trials):
-        psi, rho = _pure(states.random_product_pure, seeds)
-        rank, schmidt = correlation_matrix(rho).rank, schmidt_rank(psi)
-        if (rank != 0).any() or (schmidt != 1).any():
-            i = np.argmax((rank != 0) | (schmidt != 1))
-            problem = "non-zero rank" if rank[i] != 0 else "Schmidt rank 2"
-            return False, f"product seed {seeds[i]}: {problem}"
-    return True, f"{trials} random + {trials} product states, rank always 0 or 3"
+    worst = 0.0
+    for draw in (states.haar_random_pure, states.random_product_pure):
+        for seeds in _blocks(seed, trials):
+            psi, rho = _pure(draw, seeds)
+            k = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])  # concurrence
+            expected = np.stack([k, k, k**2], axis=-1)
+            error = np.abs(correlation_matrix(rho).singular_values - expected)
+            worst = max(worst, float(error.max()))
+    return worst < 1e-12, (
+        f"{trials} random + {trials} product states, "
+        f"worst |sigma(c) - (k, k, k^2)| {worst:.2e}"
+    )
 
 
 def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
@@ -274,7 +269,7 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
         seeds = range(seeds.stop, seeds.stop + n - count)
         rho = _pure(states.haar_random_pure, seeds)[1]
         cm = correlation_matrix(rho)
-        full = np.flatnonzero(cm.rank == 3)
+        full = np.flatnonzero(rank_says_entangled(cm))
         count += len(full)
         rho = CheckedState(rho.matrix[full])
         leak = np.any([

@@ -32,7 +32,8 @@ class TestAnalyze:
         assert main(["analyze", singlet_file, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(report["correlation"]["c"], -np.eye(3), atol=1e-12)
-        assert report["correlation"]["rank"] == 3
+        singular_values = report["correlation"]["singular_values"]
+        np.testing.assert_allclose(singular_values, np.ones(3), atol=1e-12)
         assert report["verdicts"]["rank_dichotomy"]["label"] == "Entangled"
         assert report["verdicts"]["ppt"]["separable"] is False
 
@@ -49,7 +50,8 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["correlation"]["rank"] == 0
+        singular_values = report["correlation"]["singular_values"]
+        np.testing.assert_allclose(singular_values, np.zeros(3), atol=1e-12)
         assert report["verdicts"]["rank_dichotomy"]["label"] == "Separable"
 
     def test_human_output_mentions_verdicts(self, singlet_file, capsys):
@@ -57,6 +59,21 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "rank dichotomy: Entangled" in out
         assert "ppt oracle:     Entangled" in out
+
+    def test_weak_entanglement_reports_no_contradicting_rank(self, tmp_path, capsys):
+        # cos t|00> + sin t|11> at t = 3e-9: c has singular values (6e-9, 6e-9, 3.6e-17),
+        # so a rank at a fixed cut would contradict the Entangled verdict.
+        t = 3e-9
+        path = tmp_path / "weak.json"
+        save_state_file(path, states.pure_spec(np.array([np.cos(t), 0, 0, np.sin(t)])))
+        assert main(["analyze", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "rank" not in report["correlation"]
+        assert report["verdicts"]["rank_dichotomy"]["label"] == "Entangled"
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "rank:" not in out
+        assert "det(c):" in out
 
     def test_missing_file_is_an_error(self, capsys):
         assert main(["analyze", "/nonexistent/state.json"]) == 3

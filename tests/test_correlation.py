@@ -16,7 +16,6 @@ from bicorr.correlation import (
     covariance_direct,
     covariance_via_c,
 )
-from bicorr.detect import schmidt_rank
 from bicorr.qstate import BlochOutOfBall, density_from_pure
 
 CHEN_C = (2.0 / 9.0) * np.array([[1, 0, -2], [0, -3, 0], [2, 0, 2]], dtype=float)
@@ -67,19 +66,19 @@ class TestCorrelationMatrix:
     def test_singlet(self):
         cm = correlation_matrix(density_from_pure(states.bell_state("psi-")))
         np.testing.assert_allclose(cm.c, -np.eye(3), atol=1e-12)
-        assert cm.rank == 3
         np.testing.assert_allclose(cm.singular_values, np.ones(3), atol=1e-12)
 
     def test_chen(self):
         cm = correlation_matrix(density_from_pure(states.chen_state()))
         np.testing.assert_allclose(cm.c, CHEN_C, atol=1e-12)
-        assert cm.rank == 3
+        # Concurrence 2/3: singular values (k, k, k^2).
+        np.testing.assert_allclose(cm.singular_values, [2 / 3, 2 / 3, 4 / 9], atol=1e-12)
 
     def test_product_states_have_zero_matrix(self):
         for seed in range(100):
             cm = correlation_matrix(density_from_pure(states.random_product_pure(seed)))
             assert np.abs(cm.c).max() < 1e-10
-            assert cm.rank == 0
+            assert cm.singular_values.max() < 1e-10
 
     def test_werner_family(self):
         for xi in (0.0, 0.25, 0.5, 1.0):
@@ -93,7 +92,7 @@ class TestCovarianceViaC:
         assert abs(covariance_via_c(cm, ObservablePair(x=Z, y=Z)) + 0.25) < 1e-12
 
     def test_zero_matrix(self):
-        cm = CorrMatrix(c=np.zeros((3, 3)), singular_values=np.zeros(3), rank=0)
+        cm = CorrMatrix(c=np.zeros((3, 3)), singular_values=np.zeros(3))
         rng = np.random.default_rng(31)
         for _ in range(20):
             assert covariance_via_c(cm, random_pair(rng)) == 0.0
@@ -118,12 +117,3 @@ class TestPathEquivalence:
             direct = covariance_direct(rho, pair)
             shortcut = covariance_via_c(correlation_matrix(rho), pair)
             assert abs(direct - shortcut) < 1e-10
-
-
-class TestPureStateDichotomy:
-    def test_haar_states_have_full_rank_and_match_schmidt_oracle(self):
-        for seed in range(1000):
-            psi = states.haar_random_pure(seed)
-            cm = correlation_matrix(density_from_pure(psi))
-            assert cm.rank in (0, 3)
-            assert (cm.rank == 0) == (schmidt_rank(psi) == 1)

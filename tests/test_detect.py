@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from bicorr import states
-from bicorr.correlation import ObservablePair, correlation_matrix, covariance_direct
+from bicorr.correlation import (
+    ObservablePair,
+    correlation_matrix,
+    covariance_direct,
+    covariance_via_c,
+)
 from bicorr.detect import (
     DEFAULT_XS,
     DEFAULT_Y,
@@ -19,10 +24,12 @@ from bicorr.detect import (
     ppt_is_separable,
     schmidt_rank,
 )
+from bicorr.linalg import ZERO_CORRELATION_TOL
 from bicorr.qstate import BlochOutOfBall, density_from_pure, partial_transpose_b
 from bicorr.shotsim import statistical_binary_protocol
 
 Z = np.array([0.0, 0.0, 1.0])
+SHORT_Y = np.array([1e-11, 0.0, 0.0])  # the singlet's c(e1, y) = -2.5e-12 is not zero for it
 ONE_STATE = "the protocol takes one state and one y, got shapes"
 
 
@@ -65,6 +72,12 @@ class TestFindZeroCorrelationPair:
         for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0):
             pair = find_zero_correlation_pair(states.werner(xi), Z)
             assert abs(covariance_direct(states.werner(xi), pair)) < 1e-10
+
+    def test_short_y_pair_is_zero_per_unit_length(self):
+        rho = density_from_pure(states.bell_state("psi-"))
+        pair = find_zero_correlation_pair(rho, SHORT_Y)
+        value = covariance_via_c(correlation_matrix(rho), pair)
+        assert abs(value) < ZERO_CORRELATION_TOL * np.linalg.norm(pair.x) * np.linalg.norm(SHORT_Y)
 
 
 class TestRankClassifier:
@@ -117,6 +130,19 @@ class TestBinaryProtocol:
         assert verdict.label == INDETERMINATE
         assert verdict.detail == "non-zero correlation on mixed input"
         assert trace.probes[-1].is_zero is False
+
+    def test_short_y_singlet_is_entangled_at_the_first_probe(self):
+        rho = density_from_pure(states.bell_state("psi-"))
+        verdict, trace = binary_protocol(rho, y=SHORT_Y)
+        assert verdict.label == ENTANGLED
+        assert trace.measurements_used == 1
+        assert abs(trace.probes[0].covariance + 2.5e-12) < 1e-24
+
+    def test_short_y_product_state_stays_separable(self):
+        rho = density_from_pure(states.random_product_pure(3))
+        verdict, trace = binary_protocol(rho, y=SHORT_Y)
+        assert verdict.label == SEPARABLE
+        assert all(p.is_zero for p in trace.probes)
 
     def test_assume_pure_applies_pure_semantics_to_mixed_input(self):
         verdict, _ = binary_protocol(states.werner(0.2), assume_pure=True)

@@ -7,6 +7,7 @@ invariance, |det| as the product of singular values, rank monotonicity) are
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +105,14 @@ class TestSingularValues:
 
 class TestNumericRank:
     def test_zero_matrix(self):
-        assert numeric_rank(np.zeros((3, 3))) == 0
+        assert numeric_rank(np.zeros((3, 3)), 1e-8) == 0
 
     def test_minus_identity(self):
-        assert numeric_rank(-np.eye(3)) == 3
+        assert numeric_rank(-np.eye(3), 1e-8) == 3
 
     def test_outer_product_is_rank_one(self):
         m = np.outer([1.0, 2.0, -1.0], [0.5, 0.25, 1.0])
-        assert numeric_rank(m) == 1
+        assert numeric_rank(m, 1e-8) == 1
 
 
 class TestDet3:
@@ -164,6 +165,19 @@ def test_tolerances_are_assigned_only_in_linalg():
         and node.id.endswith("_TOL")
     ]
     assert offenders == []
+
+
+def test_readme_tolerance_table_lists_exactly_the_linalg_tolerances():
+    # A tolerance added to or deleted from the table in linalg takes its README row with it.
+    readme = Path(linalg.__file__).parents[2] / "README.md"
+    rows = re.findall(r"^\| `(\w+_TOL)` \|", readme.read_text(encoding="utf-8"), re.MULTILINE)
+    assigned = [
+        node.id
+        for node in ast.walk(ast.parse(Path(linalg.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id.endswith("_TOL")
+    ]
+    assert sorted(rows) == sorted(assigned)
 
 
 def test_linalg_checks_nothing():

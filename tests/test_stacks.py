@@ -36,6 +36,7 @@ from bicorr.qstate import (
     outcome_table,
     partial_trace_B,
     partial_transpose_b,
+    purity,
     validate_pure_state,
 )
 
@@ -68,14 +69,14 @@ KERNELS = {
     "partial_transpose_b": (lambda rho, psi, x, y: partial_transpose_b(rho), True),
     "schmidt_rank": (lambda rho, psi, x, y: schmidt_rank(psi), True),
     "ppt_is_separable": (lambda rho, psi, x, y: ppt_is_separable(rho), True),
-    "rank": (lambda rho, psi, x, y: correlation_matrix(rho).rank, True),
-    "numeric_rank": (lambda rho, psi, x, y: numeric_rank(correlation_matrix(rho).c), True),
+    "numeric_rank": (lambda rho, psi, x, y: numeric_rank(correlation_matrix(rho).c, 1e-8), True),
     "rank_says_entangled": (
         lambda rho, psi, x, y: rank_says_entangled(correlation_matrix(density_from_pure(psi))),
         True,
     ),
     "det3": (lambda rho, psi, x, y: det3(correlation_matrix(rho).c), True),
     "hermitian_eigenvalues": (lambda rho, psi, x, y: hermitian_eigenvalues(rho), False),
+    "purity": (lambda rho, psi, x, y: purity(rho), False),
     "bloch_decompose": (lambda rho, psi, x, y: _bloch(rho), False),
     "bloch_assemble": (lambda rho, psi, x, y: bloch_assemble(bloch_decompose(rho)), False),
     "partial_trace_B": (lambda rho, psi, x, y: partial_trace_B(rho), False),
@@ -122,14 +123,14 @@ def test_a_state_broadcasts_against_a_stack_of_probes():
         (lambda: schmidt_rank(PSI[0]), int),
         (lambda: covariance_direct(RHO[0], _pair(X[0], Y[0])), float),
         (lambda: covariance_via_c(correlation_matrix(RHO[0]), _pair(X[0], Y[0])), float),
-        (lambda: correlation_matrix(RHO[0]).rank, int),
         (lambda: rank_says_entangled(correlation_matrix(RHO[0])), bool),
-        (lambda: numeric_rank(correlation_matrix(RHO[0]).c), int),
+        (lambda: numeric_rank(correlation_matrix(RHO[0]).c, 1e-8), int),
         (lambda: det3(correlation_matrix(RHO[0]).c), float),
+        (lambda: purity(RHO[0]), float),
     ],
     ids=[
-        "ppt_is_separable", "schmidt_rank", "covariance_direct", "covariance_via_c", "rank",
-        "rank_says_entangled", "numeric_rank", "det3",
+        "ppt_is_separable", "schmidt_rank", "covariance_direct", "covariance_via_c",
+        "rank_says_entangled", "numeric_rank", "det3", "purity",
     ],
 )
 def test_one_state_keeps_its_scalar_type(call, kind):
