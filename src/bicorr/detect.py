@@ -6,8 +6,8 @@ Three decision routes live here:
   matrix vanishes and entangled exactly when that matrix has full rank 3.  Its
   singular values are (k, k, k^2) in the concurrence k, so the verdict is
   taken on the largest one, k, at the scale the PPT oracle decides on;
-* the three-probe protocol: against a fixed y, three linearly independent
-  probe directions x are tested for zero/non-zero covariance; a plane can hide
+* the three-probe protocol: against a fixed y, one oracle call per run tests
+  three independent directions x for zero/non-zero covariance; a plane can hide
   at most two independent directions, so an entangled pure state must reveal
   itself within three probes, while a separable pure state shows three zeros;
 * independent oracles: the Schmidt rank of the amplitude matrix (pure states)
@@ -23,7 +23,7 @@ correlations entanglement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,8 +64,8 @@ PPT_ORACLE = "PPTOracle"
 DEFAULT_Y = np.array([0.0, 0.0, 1.0])
 DEFAULT_XS = np.eye(3)
 
-# Maps an observable pair to (covariance value, is_zero decision).
-CorrOracle = Callable[[ObservablePair], tuple[float, bool]]
+# Maps the checked probe set (xs, y) to an iterable of (covariance, is_zero), one per x.
+CorrOracle = Callable[[np.ndarray, np.ndarray], Iterable[tuple[float, bool]]]
 
 
 class DependentProbes(ValueError):
@@ -102,7 +102,7 @@ class ProtocolTrace:
 
 def _check_y(y: np.ndarray) -> np.ndarray:
     y = check_bloch_vector(y, "y")
-    zero = norms(y) == 0.0
+    zero = ~y.any(axis=-1)
     if zero.any():
         raise ZeroVector(f"y{_at(zero)} must be non-zero")
     return y
@@ -157,33 +157,37 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 
 
 def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
-    """Zero/non-zero oracle from an exact correlation matrix.
+    """Zero/non-zero oracle from a correlation matrix: one ``covariance_via_c`` on the probe stack.
 
-    The matrix is reused for every probe.  The covariance is bilinear in the
-    probe vectors, so the call is made per unit length: |c| at most
-    ZERO_CORRELATION_TOL |x| |y| counts as zero, far above 4x4 arithmetic
-    noise and far below every fixture's smallest non-zero covariance.
+    c is bilinear in x and y, so the call is per unit length: |c| at most ZERO_CORRELATION_TOL
+    |x| |y| is zero, far above 4x4 round-off and far below every fixture's smallest non-zero
+    covariance.  Where that bound is not a normal float, a second call decides on x/|x| and y/|y|.
     """
 
-    def oracle(pair: ObservablePair) -> tuple[float, bool]:
-        value = covariance_via_c(cm, pair)
-        bound = ZERO_CORRELATION_TOL * norms(pair.x) * norms(pair.y)
-        return value, item_or_array(np.abs(value) <= bound)
+    def oracle(xs: np.ndarray, y: np.ndarray) -> Iterable[tuple[float, bool]]:
+        values = covariance_via_c(cm, _checked_pair(xs, y))
+        bound = ZERO_CORRELATION_TOL * norms(xs) * norms(y)
+        zero = np.abs(values) <= bound
+        if bound.min() < np.finfo(float).tiny:  # c may have underflowed: call on the directions
+            units = _checked_pair(xs / norms(xs)[:, None], y / norms(y))
+            zero = np.abs(covariance_via_c(cm, units)) <= ZERO_CORRELATION_TOL
+        return zip(values.tolist(), zero.tolist())
 
     return oracle
 
 
-def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[ObservablePair, ...]:
-    """The three probe pairs (x_i, y); y and the x are checked once, before any is measured."""
+def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (y, xs), before any is measured; independence is judged on unit directions."""
     y = _check_y(y)
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
     check_bloch_components(xs, "probe set")
-    gram = det3(xs @ xs.T)
+    units = xs / np.maximum(norms(xs), np.finfo(float).tiny)[:, None]  # zero or subnormal: Gram ~0
+    gram = det3(units @ units.T)
     if gram <= GRAM_TOL:
         raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
-    return tuple(_checked_pair(x, y) for x in _check_norm(xs, "x"))
+    return y, _check_norm(xs, "x")
 
 
 def binary_protocol(
@@ -204,29 +208,27 @@ def binary_protocol(
     three zeros mean Separable.  Mixed input yields Indeterminate either way,
     with the measured facts recorded in the verdict detail.
 
-    corr_oracle may replace the exact decision rule (e.g. with a finite-shot
-    one); it receives an ObservablePair and returns (covariance, is_zero).
-    The default is ``exact_corr_oracle`` on rho's correlation matrix; a caller
-    that already holds that matrix passes ``exact_corr_oracle(cm)``.
+    corr_oracle(xs, y) may replace the exact rule (e.g. with a finite-shot one): called once
+    per run with the checked arrays, it yields (covariance, is_zero) per x, read up to the first
+    non-zero call; running short raises ValueError.  It defaults to ``exact_corr_oracle`` on
+    rho's correlation matrix, which a caller holding cm passes as ``exact_corr_oracle(cm)``.
     """
     rho = CheckedState.of(rho)
-    pairs = _check_probes(y, xs)
-    if rho.matrix.shape != (4, 4) or pairs[0].y.shape != (3,):
+    y, xs = _check_probes(y, xs)
+    if rho.matrix.shape != (4, 4) or y.shape != (3,):
         raise ValueError(
-            "the protocol takes one state and one y, got shapes "
-            f"{rho.matrix.shape} and {pairs[0].y.shape}"
+            f"the protocol takes one state and one y, got shapes {rho.matrix.shape} and {y.shape}"
         )
     purity_value = purity(rho)
     if corr_oracle is None:
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))
 
     probes = []
-    for pair in pairs:
-        value, is_zero = corr_oracle(pair)
-        probes.append(Probe(x=pair.x, covariance=value, is_zero=is_zero))
+    for x, (value, is_zero) in zip(xs, corr_oracle(xs, y), strict=True):
+        probes.append(Probe(x=x, covariance=value, is_zero=is_zero))
         if not is_zero:
             break
-    trace = ProtocolTrace(y=pairs[0].y, probes=tuple(probes))
+    trace = ProtocolTrace(y=y, probes=tuple(probes))
 
     # Only the last probe can be non-zero: the loop stops there.
     nonzero = not probes[-1].is_zero

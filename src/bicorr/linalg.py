@@ -33,8 +33,13 @@ def item_or_array(a: np.ndarray):
 
 
 def norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, bit for bit those of ``np.linalg.norm`` per vector."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    """Norms over the last axis: np.linalg.norm's bits, power-of-two scaled if v.v underflows."""
+    n = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    if (n > 2.0**-480).all():
+        return n
+    _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
+    u = np.ldexp(v, -e)
+    return np.ldexp(np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0]), e[..., 0])
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

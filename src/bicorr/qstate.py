@@ -113,6 +113,7 @@ class CheckedState:
     """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``."""
 
     matrix: np.ndarray
+    __iter__ = None  # rows are taken by index: one 4x4 state must not iterate as an empty stack
 
     def __post_init__(self) -> None:
         matrix = np.array(_check_structure(self.matrix))
@@ -123,6 +124,13 @@ class CheckedState:
     def of(cls, rho: np.ndarray | CheckedState) -> CheckedState:
         """rho as a CheckedState; only a raw array runs ``_check_structure``."""
         return rho if isinstance(rho, cls) else cls(rho)
+
+    def __getitem__(self, index) -> CheckedState:
+        """The states at index of a checked stack, not checked again; indexing a matrix raises."""
+        state = object.__new__(CheckedState)
+        object.__setattr__(state, "matrix", self.matrix[np.index_exp[index] + np.s_[:, :]])
+        state.matrix.flags.writeable = False
+        return state
 
 
 def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:

@@ -40,7 +40,7 @@ from bicorr.detect import (
     Verdict,
     binary_protocol,
 )
-from bicorr.linalg import IMAG_TOL, NORM_TOL
+from bicorr.linalg import IMAG_TOL, NORM_TOL, norms
 from bicorr.qstate import CheckedState, InvalidState, outcome_table
 
 DECISION_ZERO = "Zero"
@@ -153,28 +153,6 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
     )
 
 
-def shot_corr_oracle(rho: np.ndarray, cfg: ShotConfig):
-    """Finite-shot zero/non-zero oracle for the probe protocol.
-
-    Probe directions are normalized to unit length before sampling (the
-    binary decision is scale-invariant).  Probe i uses seed (seed + i) mod 2**64:
-    the probes of one run draw different streams, but probe i at seed s
-    reuses probe 0's stream at seed s + i.
-    """
-    calls = 0
-
-    def oracle(pair: ObservablePair) -> tuple[float, bool]:
-        nonlocal calls
-        x = pair.x / np.linalg.norm(pair.x)
-        y = pair.y / np.linalg.norm(pair.y)
-        run_cfg = replace(cfg, seed=(cfg.seed + calls) % 2**64)
-        calls += 1
-        record = sample_joint(rho, _checked_pair(x, y), run_cfg)
-        return record.covariance_estimate, record.decision == DECISION_ZERO
-
-    return oracle
-
-
 def statistical_binary_protocol(
     rho: np.ndarray,
     y: np.ndarray = DEFAULT_Y,
@@ -184,14 +162,20 @@ def statistical_binary_protocol(
 ) -> tuple[Verdict, ProtocolTrace]:
     """Three-probe protocol with finite-shot decisions instead of exact zeros.
 
-    Semantics follow ``binary_protocol``, but every zero/non-zero call is a
-    statistical one, so verdicts carry confidence, not certainty; the shot
-    budget and threshold are recorded in the verdict detail.
+    Semantics follow ``binary_protocol``, but every zero/non-zero call is a statistical one, so
+    verdicts carry confidence, not certainty; the shot budget and threshold are recorded in the
+    verdict detail.  Probe i is sampled when read, on unit copies, at seed (seed + i) mod 2**64.
     """
     rho = CheckedState.of(rho)
-    verdict, trace = binary_protocol(
-        rho, y=y, xs=xs, corr_oracle=shot_corr_oracle(rho, cfg), assume_pure=assume_pure
-    )
+
+    def shot_oracle(xs: np.ndarray, y: np.ndarray):
+        units, y = xs / norms(xs)[:, None], y / norms(y)
+        for i, x in enumerate(units):
+            pair = _checked_pair(x, y)
+            record = sample_joint(rho, pair, replace(cfg, seed=(cfg.seed + i) % 2**64))
+            yield record.covariance_estimate, record.decision == DECISION_ZERO
+
+    verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)
     detail = (
         f"{verdict.detail}; statistical decision at {cfg.shots} shots per probe, "
         f"z threshold {cfg.z_threshold:g} (confidence, not certainty)"

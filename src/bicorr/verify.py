@@ -256,7 +256,7 @@ def check_protocol_soundness(trials: int, seed: int) -> tuple[bool, str]:
                 xs /= np.linalg.norm(xs, axis=1, keepdims=True)
                 if det3(xs @ xs.T) > 1e-3:
                     break
-            verdict, _ = binary_protocol(rho.matrix[i], y=y, xs=xs)
+            verdict, _ = binary_protocol(rho[i], y=y, xs=xs)
             if verdict.label != labels[i]:
                 return False, f"seed {s}: protocol/classifier disagreement"
     return True, f"{trials} pure states, protocol matches the rank classifier"
@@ -271,7 +271,7 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
         cm = correlation_matrix(rho)
         full = np.flatnonzero(rank_says_entangled(cm))
         count += len(full)
-        rho = CheckedState(rho.matrix[full])
+        rho = rho[full]
         leak = np.any([
             np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) >= 1e-10
             for x in orthogonal_complement_basis(cm.c[full] @ Z)

@@ -11,6 +11,9 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from bicorr import shotsim
 from bicorr.verify import ALL_CHECKS
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -66,3 +69,18 @@ def test_every_traced_and_counted_function_exists():
 
 def test_registry_names_are_pinned_in_order():
     assert [name for name, _ in ALL_CHECKS] == REGISTRY_NAMES
+
+
+def test_a_statistical_run_is_one_protocol_run(monkeypatch):
+    # perfbench's probes_per_run metrics divide by the traced binary_protocol calls.
+    calls, original = [], shotsim.binary_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shotsim, "binary_protocol", counted)
+    cfg = shotsim.ShotConfig(shots=1000, seed=1)
+    _, trace = shotsim.statistical_binary_protocol(np.eye(4) / 4, cfg=cfg, assume_pure=True)
+    assert len(calls) == 1
+    assert trace.measurements_used == 3

@@ -128,6 +128,10 @@ class TestDetect:
         code = main(["detect", singlet_file, "--xs", "1,0,0;0,1,0;1,1,0"])
         assert code == 3
 
+    def test_short_probe_set_is_independent(self, singlet_file):
+        # Independence is judged on the directions, not on the Gram determinant 1e-12 of 0.01 I.
+        assert main(["detect", singlet_file, "--xs", "0.01,0,0;0,0.01,0;0,0,0.01"]) == 1
+
     def test_repeat_runs_are_identical(self, singlet_file, capsys):
         args = ["detect", singlet_file, "--shots", "5000", "--seed", "9", "--json"]
         assert main(args) == 1

@@ -20,6 +20,7 @@ from bicorr.detect import (
     SEPARABLE,
     binary_protocol,
     classify_pure_by_rank,
+    exact_corr_oracle,
     find_zero_correlation_pair,
     ppt_is_separable,
     schmidt_rank,
@@ -78,6 +79,15 @@ class TestFindZeroCorrelationPair:
         pair = find_zero_correlation_pair(rho, SHORT_Y)
         value = covariance_via_c(correlation_matrix(rho), pair)
         assert abs(value) < ZERO_CORRELATION_TOL * np.linalg.norm(pair.x) * np.linalg.norm(SHORT_Y)
+
+    @pytest.mark.parametrize("y", [(1e-158, 3.3e-159, 0.0), (2e-158, 1e-159, 0.0)])
+    def test_tiny_y_gives_a_unit_x(self, y):
+        # |c y|^2 underflows here; x must still be a unit vector the public pair accepts.
+        rho = density_from_pure(states.bell_state("psi-"))
+        pair = find_zero_correlation_pair(rho, np.array(y))
+        ObservablePair(pair.x, pair.y)
+        assert abs(np.linalg.norm(pair.x) - 1) < 1e-15
+        assert abs(covariance_via_c(correlation_matrix(rho), pair)) < ZERO_CORRELATION_TOL * max(y)
 
 
 class TestRankClassifier:
@@ -144,6 +154,67 @@ class TestBinaryProtocol:
         assert verdict.label == SEPARABLE
         assert all(p.is_zero for p in trace.probes)
 
+    @pytest.mark.parametrize("protocol", [binary_protocol, statistical_binary_protocol])
+    @pytest.mark.parametrize("length", [1e-160, 1e-165, 1e-170])
+    def test_tiny_y_is_a_direction(self, protocol, length):
+        # |y|^2 underflows; the exact call is per unit length, the shot call on unit copies.
+        y = np.array([length, 0.0, 0.0])
+        verdict, trace = protocol(density_from_pure(states.bell_state("psi-")), y=y)
+        assert (verdict.label, trace.measurements_used) == (ENTANGLED, 1)
+        verdict, trace = protocol(density_from_pure(states.random_product_pure(3)), y=y)
+        assert (verdict.label, trace.measurements_used) == (SEPARABLE, 3)
+
+    @pytest.mark.parametrize("scale", [0.01, 1e-170])
+    def test_short_probes_are_independent(self, scale):
+        # Independence is judged on the directions: the Gram determinant of 0.01 I is 1e-12.
+        rho = density_from_pure(states.bell_state("psi-"))
+        verdict, trace = binary_protocol(rho, xs=scale * DEFAULT_XS)
+        assert (verdict.label, trace.measurements_used) == (ENTANGLED, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_zero_probe_is_dependent(self):
+        xs = np.eye(3)
+        xs[1] = 0.0
+        with pytest.raises(DependentProbes, match=r"Gram determinant 0\.000e\+00"):
+            binary_protocol(states.werner(0.5), xs=xs)
+
+    def test_the_oracle_is_called_once_and_read_to_the_first_non_zero(self):
+        calls, reads = [], []
+
+        def oracle(xs, y):
+            calls.append((xs, y))
+            for value in (0.0, 0.5, 1.0):
+                reads.append(value)
+                yield value, value == 0.0
+
+        rho = density_from_pure(states.bell_state("psi-"))
+        verdict, trace = binary_protocol(rho, y=0.5 * Z, corr_oracle=oracle)
+        assert len(calls) == 1 and calls[0][0].shape == (3, 3)
+        assert np.array_equal(calls[0][1], 0.5 * Z)
+        assert reads == [0.0, 0.5]
+        assert [(p.covariance, p.is_zero) for p in trace.probes] == [(0.0, True), (0.5, False)]
+        assert (verdict.label, trace.measurements_used) == (ENTANGLED, 2)
+
+    @pytest.mark.parametrize("protocol", [binary_protocol, statistical_binary_protocol])
+    @pytest.mark.parametrize(
+        "y, scale", [((5e-324, 0.0, 0.0), 1.0), ((1e-165, 0.0, 0.0), 1e-165)], ids=["y", "xy"]
+    )
+    def test_probes_too_short_for_the_bound(self, protocol, y, scale):
+        # ZERO_CORRELATION_TOL |x| |y| and c itself underflow to 0; the call is on the directions.
+        y, xs = np.array(y), scale * DEFAULT_XS
+        verdict, trace = protocol(density_from_pure(states.bell_state("psi-")), y=y, xs=xs)
+        assert (verdict.label, trace.measurements_used) == (ENTANGLED, 1)
+        verdict, trace = protocol(density_from_pure(states.random_product_pure(3)), y=y, xs=xs)
+        assert (verdict.label, trace.measurements_used) == (SEPARABLE, 3)
+
+    @pytest.mark.parametrize("items", [0, 2])
+    def test_an_oracle_that_runs_short_raises(self, items):
+        def oracle(xs, y):
+            return [(0.0, True)] * items
+
+        with pytest.raises(ValueError, match="zip"):
+            binary_protocol(states.werner(0.2), corr_oracle=oracle)
+
     def test_assume_pure_applies_pure_semantics_to_mixed_input(self):
         verdict, _ = binary_protocol(states.werner(0.2), assume_pure=True)
         assert verdict.label == ENTANGLED
@@ -171,6 +242,39 @@ class TestBinaryProtocol:
         rho = np.stack([states.werner(0.2), states.werner(0.8)])
         with pytest.raises(ValueError, match=rf"^{ONE_STATE} \(2, 4, 4\) and \(3,\)$"):
             protocol(rho)
+
+
+def _per_probe(cm, xs, y):
+    """Each probe's covariance and zero call, one ``ObservablePair`` at a time."""
+    calls = []
+    for x in xs:
+        value = covariance_via_c(cm, ObservablePair(x, y))
+        bound = ZERO_CORRELATION_TOL * np.linalg.norm(x) * np.linalg.norm(y)
+        calls.append((value, bool(abs(value) <= bound)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "draw, n", [(states.random_density, 2000), (states.random_product_pure, 200)],
+    ids=["random_density", "product"],
+)
+def test_exact_oracle_equals_the_per_probe_rule(draw, n):
+    # One oracle call on the probe stack gives each probe's covariance and zero call bit for bit.
+    rng = np.random.default_rng(37)
+    y = rng.standard_normal(3)
+    y *= 1e-11 / np.linalg.norm(y)
+    for seed in range(n):
+        rho = draw(seed)
+        rho = density_from_pure(rho) if rho.shape == (4,) else rho
+        cm = correlation_matrix(rho)
+        xs = rng.standard_normal((3, 3))
+        xs *= (rng.random(3) / np.linalg.norm(xs, axis=1))[:, None]
+        expected = _per_probe(cm, xs, y)
+        calls = list(exact_corr_oracle(cm)(xs, y))
+        assert calls == expected, seed
+        assert all(type(v) is float and type(z) is bool for v, z in calls)
+        _, trace = binary_protocol(rho, y=y, xs=xs)
+        assert [(p.covariance, p.is_zero) for p in trace.probes] == expected[: len(trace.probes)]
 
 
 @pytest.mark.filterwarnings("error")

@@ -17,6 +17,7 @@ from bicorr import linalg, states
 from bicorr.linalg import (
     det3,
     hermitian_eigenvalues,
+    norms,
     numeric_rank,
     orthogonal_complement_basis,
     symmetric3_singular_values,
@@ -151,6 +152,29 @@ class TestOrthogonalComplement:
             u1, u2 = orthogonal_complement_basis(v)
             vhat = v / np.linalg.norm(v)
             assert max(abs(u1 @ vhat), abs(u2 @ vhat), abs(u1 @ u2)) < 1e-12
+
+
+class TestNorms:
+    def test_equal_numpy_bit_for_bit_where_no_square_underflows(self):
+        rng = np.random.default_rng(29)
+        v = rng.uniform(0.01, 1.0, (2000, 3)) * 10.0 ** rng.uniform(-140, 0, (2000, 1))
+        v *= rng.choice([-1.0, 1.0], v.shape)
+        assert norms(v).tolist() == [np.linalg.norm(row) for row in v]
+        assert type(norms(v[0])) is np.float64
+
+    @pytest.mark.parametrize(
+        "v, length",
+        [
+            ((1e-165, 0.0, 0.0), 1e-165),
+            ((3e-160, -4e-160, 0.0), 5e-160),
+            ((0.0, 5e-324, 0.0), 5e-324),
+        ],
+    )
+    def test_tiny_vectors_keep_their_length(self, v, length):
+        assert norms(np.array(v)) == pytest.approx(length, rel=1e-15, abs=0.0)
+
+    def test_zero_vector_has_length_zero(self):
+        assert norms(np.zeros((2, 3))).tolist() == [0.0, 0.0]
 
 
 def test_tolerances_are_assigned_only_in_linalg():

@@ -31,6 +31,7 @@ from bicorr.qstate import (
     validate_pure_state,
 )
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
+from bicorr.verify import check_protocol_soundness
 
 SINGLET_RHO = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -347,3 +348,30 @@ def test_checked_state_is_a_read_only_copy():
     state = CheckedState(rho)
     rho[1, 1] = 0.0
     assert state.matrix[1, 1] == 0.5 and not state.matrix.flags.writeable
+
+
+def test_a_checked_stack_indexes_to_checked_states(check_counts):
+    stack = CheckedState(np.stack([states.werner(0.2), SINGLET_RHO, PRODUCT_RHO]))
+    row, rows = stack[1], stack[[0, 2]]
+    verdict, _ = binary_protocol(row)
+    assert check_counts["_check_structure"] == 1  # the stack's own check, once
+    assert verdict.label == "Entangled"
+    assert np.array_equal(row.matrix, SINGLET_RHO) and rows.matrix.shape == (2, 4, 4)
+    assert not row.matrix.flags.writeable and not rows.matrix.flags.writeable
+    assert stack[1:, None].matrix.shape == (2, 1, 4, 4)
+    with pytest.raises(TypeError):
+        list(row)
+
+
+@pytest.mark.parametrize("index", [(1, 0), (slice(None), 0), (Ellipsis, 0, 0)])
+def test_an_index_into_a_matrix_raises(index):
+    stack = CheckedState(np.stack([states.werner(0.2), SINGLET_RHO]))
+    with pytest.raises(IndexError):
+        stack[index]
+    with pytest.raises(IndexError):
+        stack[0][0]
+
+
+def test_protocol_soundness_checks_each_block_once(check_counts):
+    passed, _ = check_protocol_soundness(100, 0)
+    assert passed and check_counts["_check_structure"] == 1

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bicorr import states
+from bicorr import shotsim, states
 from bicorr.correlation import ObservablePair
 from bicorr.qstate import density_from_pure, observable_from_bloch
 from bicorr.shotsim import (
@@ -213,6 +213,29 @@ class TestStatisticalProtocol:
             for i in range(3)
         ]
         assert [p.covariance for p in trace.probes] == direct
+
+    @pytest.mark.parametrize(
+        "y, used", [(0.5 * Z, 3), (np.array([0.3, 0.4, 0.0]), 1)], ids=["three", "one"]
+    )
+    def test_samples_each_probe_it_reads_once(self, monkeypatch, y, used):
+        # Probe i is sampled at seed + i on the unit copies of x and y, only when it is read.
+        calls = []
+
+        def counted(rho, pair, cfg):
+            calls.append(cfg.seed)
+            return sample_joint(rho, pair, cfg)
+
+        monkeypatch.setattr(shotsim, "sample_joint", counted)
+        xs = np.array([[0.3, -0.4, 0.0], [-0.2, -0.15, 0.0], [0.2, 0.1, 0.6]])
+        cfg = ShotConfig(shots=10_000, seed=70)
+        verdict, trace = statistical_binary_protocol(singlet_rho(), y=y, xs=xs, cfg=cfg)
+        assert (verdict.label, trace.measurements_used) == ("Entangled", used)
+        assert calls == [70 + i for i in range(used)]
+        unit_y = y / np.linalg.norm(y)
+        for i, probe in enumerate(trace.probes):
+            pair = ObservablePair(x=xs[i] / np.linalg.norm(xs[i]), y=unit_y)
+            record = sample_joint(singlet_rho(), pair, ShotConfig(shots=10_000, seed=70 + i))
+            assert probe.covariance == record.covariance_estimate
 
     def test_probe_seeds_wrap_at_two_to_the_64(self):
         rho = density_from_pure(states.random_product_pure(12))
