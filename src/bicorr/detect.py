@@ -36,6 +36,7 @@ from bicorr.linalg import (
     PURITY_TOL,
     ZERO_CORRELATION_TOL,
     det3,
+    directions,
     hermitian_eigenvalues,
     item_or_array,
     norms,
@@ -64,7 +65,7 @@ PPT_ORACLE = "PPTOracle"
 DEFAULT_Y = np.array([0.0, 0.0, 1.0])
 DEFAULT_XS = np.eye(3)
 
-# Maps the checked probe set (xs, y) to an iterable of (covariance, is_zero), one per x.
+# Maps the checked probe directions (xs, y) to an iterable of (covariance, is_zero), one per x.
 CorrOracle = Callable[[np.ndarray, np.ndarray], Iterable[tuple[float, bool]]]
 
 
@@ -86,7 +87,7 @@ class Verdict:
 @dataclass(frozen=True, eq=False)
 class Probe:
     x: np.ndarray
-    covariance: float
+    covariance: float  # of the unit directions of x and y, the number the zero call is made on
     is_zero: bool
 
 
@@ -112,18 +113,16 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     """A pair (x, y) with zero covariance on rho, for any state and any y; stacks broadcast.
 
     x . (c y) = 0 is an orthogonality condition between two real 3-vectors,
-    so a solution always exists: x is taken orthogonal to c y, or the first
-    standard basis vector where |c y| < ZERO_CORRELATION_TOL |y|.  y is checked
-    before rho: a non-finite y raises ValueError, one outside the unit ball
-    BlochOutOfBall, and a zero vector ZeroVector.
+    so a solution always exists: x is taken orthogonal to c y^, for y^ the direction of y, or
+    the first standard basis vector where |c y^| < ZERO_CORRELATION_TOL.  y is checked before
+    rho: a non-finite y raises ValueError, one outside the unit ball BlochOutOfBall, and a zero
+    vector ZeroVector.
     """
     y = _check_y(y)
-    c_y = (correlation_matrix(rho).c @ y[..., None])[..., 0]
-    vanishes = (norms(c_y) < ZERO_CORRELATION_TOL * norms(y))[..., None]
-    e1 = np.array([1.0, 0.0, 0.0])
-    # A vanishing row is swapped for e1 before the basis is built, so no row divides by 0.
-    x = orthogonal_complement_basis(np.where(vanishes, e1, c_y))[0]
-    return _checked_pair(np.where(vanishes, e1, x), y)
+    c_y = (correlation_matrix(rho).c @ directions(y)[..., None])[..., 0]
+    vanishes = (norms(c_y) < ZERO_CORRELATION_TOL)[..., None]
+    x = orthogonal_complement_basis(c_y)[0]  # a zero row has direction 0, so no warning
+    return _checked_pair(np.where(vanishes, np.array([1.0, 0.0, 0.0]), x), y)
 
 
 def rank_says_entangled(cm: CorrMatrix) -> bool:
@@ -159,35 +158,29 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
     """Zero/non-zero oracle from a correlation matrix: one ``covariance_via_c`` on the probe stack.
 
-    c is bilinear in x and y, so the call is per unit length: |c| at most ZERO_CORRELATION_TOL
-    |x| |y| is zero, far above 4x4 round-off and far below every fixture's smallest non-zero
-    covariance.  Where that bound is not a normal float, a second call decides on x/|x| and y/|y|.
+    The protocol passes unit directions, so |c| at most ZERO_CORRELATION_TOL is zero: far above
+    4x4 round-off and far below every fixture's smallest non-zero covariance.
     """
 
     def oracle(xs: np.ndarray, y: np.ndarray) -> Iterable[tuple[float, bool]]:
         values = covariance_via_c(cm, _checked_pair(xs, y))
-        bound = ZERO_CORRELATION_TOL * norms(xs) * norms(y)
-        zero = np.abs(values) <= bound
-        if bound.min() < np.finfo(float).tiny:  # c may have underflowed: call on the directions
-            units = _checked_pair(xs / norms(xs)[:, None], y / norms(y))
-            zero = np.abs(covariance_via_c(cm, units)) <= ZERO_CORRELATION_TOL
-        return zip(values.tolist(), zero.tolist())
+        return zip(values.tolist(), (np.abs(values) <= ZERO_CORRELATION_TOL).tolist())
 
     return oracle
 
 
-def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The checked (y, xs), before any is measured; independence is judged on unit directions."""
+def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The checked (y, xs) and their unit directions, before any is measured."""
     y = _check_y(y)
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
     check_bloch_components(xs, "probe set")
-    units = xs / np.maximum(norms(xs), np.finfo(float).tiny)[:, None]  # zero or subnormal: Gram ~0
+    units = directions(xs)  # a zero x has direction 0, so a Gram determinant of 0
     gram = det3(units @ units.T)
     if gram <= GRAM_TOL:
         raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
-    return y, _check_norm(xs, "x")
+    return y, _check_norm(xs, "x"), directions(y), units
 
 
 def binary_protocol(
@@ -208,13 +201,13 @@ def binary_protocol(
     three zeros mean Separable.  Mixed input yields Indeterminate either way,
     with the measured facts recorded in the verdict detail.
 
-    corr_oracle(xs, y) may replace the exact rule (e.g. with a finite-shot one): called once
-    per run with the checked arrays, it yields (covariance, is_zero) per x, read up to the first
-    non-zero call; running short raises ValueError.  It defaults to ``exact_corr_oracle`` on
-    rho's correlation matrix, which a caller holding cm passes as ``exact_corr_oracle(cm)``.
+    corr_oracle(xs, y) may replace the exact rule (e.g. with a finite-shot one): called once per
+    run on the checked probes' unit directions, it yields (covariance, is_zero) per x, read up to
+    the first non-zero call; running short raises ValueError.  It defaults to ``exact_corr_oracle``
+    on rho's correlation matrix, which a caller holding cm passes as ``exact_corr_oracle(cm)``.
     """
     rho = CheckedState.of(rho)
-    y, xs = _check_probes(y, xs)
+    y, xs, y_unit, x_units = _check_probes(y, xs)
     if rho.matrix.shape != (4, 4) or y.shape != (3,):
         raise ValueError(
             f"the protocol takes one state and one y, got shapes {rho.matrix.shape} and {y.shape}"
@@ -224,7 +217,7 @@ def binary_protocol(
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))
 
     probes = []
-    for x, (value, is_zero) in zip(xs, corr_oracle(xs, y), strict=True):
+    for x, (value, is_zero) in zip(xs, corr_oracle(x_units, y_unit), strict=True):
         probes.append(Probe(x=x, covariance=value, is_zero=is_zero))
         if not is_zero:
             break

@@ -19,7 +19,7 @@ NORM_TOL = 1e-9  # |q - 1| for q = norm^2, trace, probe length, probability sum;
 PSD_TOL = 1e-9  # most negative eigenvalue counted as >= 0: state positivity, PPT verdict
 IMAG_TOL = 1e-10  # round-off of one 4x4 contraction: imaginary residue, negative probability
 BALL_TOL = 1e-12  # largest excess over 1 of an observable's Bloch-vector norm
-ZERO_CORRELATION_TOL = 1e-10  # largest |cov|/(|x||y|) the exact oracle calls zero; |c y|/|y| alike
+ZERO_CORRELATION_TOL = 1e-10  # largest |c(x^, y^)| the exact oracle calls zero, and |c y^| alike
 GRAM_TOL = 1e-9  # smallest accepted Gram determinant of the three probe directions
 PURITY_TOL = 1e-9  # largest 1 - Tr(rho^2) at which the protocol treats a state as pure
 # Concurrence above which a pure state is entangled (rank verdict, Schmidt oracle); its partial
@@ -33,13 +33,19 @@ def item_or_array(a: np.ndarray):
 
 
 def norms(v: np.ndarray) -> np.ndarray:
-    """Norms over the last axis: np.linalg.norm's bits, power-of-two scaled if v.v underflows."""
-    n = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-    if (n > 2.0**-480).all():
-        return n
+    """Norms over the last axis, np.linalg.norm's bits wherever v.v is a normal float."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def directions(v: np.ndarray) -> np.ndarray:
+    """Unit vectors along v over the last axis, 0 for a zero vector, at any length.
+
+    Each vector is first scaled by the power of two of its largest component, which is exact,
+    so the bits are v / norms(v) wherever v.v is a normal float.
+    """
     _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
     u = np.ldexp(v, -e)
-    return np.ldexp(np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0]), e[..., 0])
+    return u / np.maximum(norms(u), 0.5)[..., None]
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -84,8 +90,5 @@ def orthogonal_complement_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the construction deterministic and far from degeneracy.
     """
     v = np.asarray(v, dtype=float)
-    u1 = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)])
-    u1 /= norms(u1)[..., None]
-    u2 = np.cross(v / norms(v)[..., None], u1)
-    u2 /= norms(u2)[..., None]
-    return u1, u2
+    u1 = directions(np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)]))
+    return u1, directions(np.cross(directions(v), u1))

@@ -40,7 +40,7 @@ from bicorr.detect import (
     Verdict,
     binary_protocol,
 )
-from bicorr.linalg import IMAG_TOL, NORM_TOL, norms
+from bicorr.linalg import IMAG_TOL, NORM_TOL
 from bicorr.qstate import CheckedState, InvalidState, outcome_table
 
 DECISION_ZERO = "Zero"
@@ -95,8 +95,9 @@ class ShotRecord:
 
 def _unit(vec: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
-    if not abs(float(np.linalg.norm(vec)) - 1.0) <= NORM_TOL:  # nan for a scaled zero vector
-        raise NonUnitBloch(f"{name} must be a unit vector, got norm {np.linalg.norm(vec)!r}")
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise NonUnitBloch(f"{name} must be a unit vector, got norm {norm!r}")
     return vec
 
 
@@ -164,13 +165,12 @@ def statistical_binary_protocol(
 
     Semantics follow ``binary_protocol``, but every zero/non-zero call is a statistical one, so
     verdicts carry confidence, not certainty; the shot budget and threshold are recorded in the
-    verdict detail.  Probe i is sampled when read, on unit copies, at seed (seed + i) mod 2**64.
+    verdict detail.  Probe i is sampled when read, on its direction, at seed (seed + i) mod 2**64.
     """
     rho = CheckedState.of(rho)
 
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
-        units, y = xs / norms(xs)[:, None], y / norms(y)
-        for i, x in enumerate(units):
+        for i, x in enumerate(xs):
             pair = _checked_pair(x, y)
             record = sample_joint(rho, pair, replace(cfg, seed=(cfg.seed + i) % 2**64))
             yield record.covariance_estimate, record.decision == DECISION_ZERO

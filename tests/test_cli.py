@@ -132,6 +132,9 @@ class TestDetect:
         # Independence is judged on the directions, not on the Gram determinant 1e-12 of 0.01 I.
         assert main(["detect", singlet_file, "--xs", "0.01,0,0;0,0.01,0;0,0,0.01"]) == 1
 
+    def test_subnormal_y_is_a_direction_for_shots(self, singlet_file):
+        assert main(["detect", singlet_file, "--y", "5e-324,5e-324,0", "--shots", "1000"]) == 1
+
     def test_repeat_runs_are_identical(self, singlet_file, capsys):
         args = ["detect", singlet_file, "--shots", "5000", "--seed", "9", "--json"]
         assert main(args) == 1

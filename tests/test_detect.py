@@ -25,9 +25,9 @@ from bicorr.detect import (
     ppt_is_separable,
     schmidt_rank,
 )
-from bicorr.linalg import ZERO_CORRELATION_TOL
+from bicorr.linalg import ZERO_CORRELATION_TOL, directions
 from bicorr.qstate import BlochOutOfBall, density_from_pure, partial_transpose_b
-from bicorr.shotsim import statistical_binary_protocol
+from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
 Z = np.array([0.0, 0.0, 1.0])
 SHORT_Y = np.array([1e-11, 0.0, 0.0])  # the singlet's c(e1, y) = -2.5e-12 is not zero for it
@@ -89,6 +89,24 @@ class TestFindZeroCorrelationPair:
         assert abs(np.linalg.norm(pair.x) - 1) < 1e-15
         assert abs(covariance_via_c(correlation_matrix(rho), pair)) < ZERO_CORRELATION_TOL * max(y)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "psi, y, y_hat",
+        [
+            (states.bell_state("psi-"), (5e-324, 5e-324, 0.0), (2**-0.5, 2**-0.5, 0.0)),
+            (states.random_product_pure(3), (1e-320, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ],
+        ids=["singlet", "product"],
+    )
+    def test_subnormal_y_gives_a_unit_x(self, psi, y, y_hat):
+        # The singlet's x had length 1.414 here; the product state's was nan, as 1e-10 |y| is 0.
+        rho = density_from_pure(psi)
+        pair = find_zero_correlation_pair(rho, np.array(y))
+        ObservablePair(pair.x, pair.y)
+        assert np.isfinite(pair.x).all() and abs(np.linalg.norm(pair.x) - 1) < 1e-15
+        value = covariance_via_c(correlation_matrix(rho), ObservablePair(pair.x, np.array(y_hat)))
+        assert abs(value) <= ZERO_CORRELATION_TOL
+
 
 class TestRankClassifier:
     def test_basis_state_is_separable(self):
@@ -146,7 +164,7 @@ class TestBinaryProtocol:
         verdict, trace = binary_protocol(rho, y=SHORT_Y)
         assert verdict.label == ENTANGLED
         assert trace.measurements_used == 1
-        assert abs(trace.probes[0].covariance + 2.5e-12) < 1e-24
+        assert abs(trace.probes[0].covariance + 0.25) < 1e-12  # c(e1, y/|y|)
 
     def test_short_y_product_state_stays_separable(self):
         rho = density_from_pure(states.random_product_pure(3))
@@ -190,7 +208,7 @@ class TestBinaryProtocol:
         rho = density_from_pure(states.bell_state("psi-"))
         verdict, trace = binary_protocol(rho, y=0.5 * Z, corr_oracle=oracle)
         assert len(calls) == 1 and calls[0][0].shape == (3, 3)
-        assert np.array_equal(calls[0][1], 0.5 * Z)
+        assert np.array_equal(calls[0][1], Z)  # the oracle receives the direction of y
         assert reads == [0.0, 0.5]
         assert [(p.covariance, p.is_zero) for p in trace.probes] == [(0.0, True), (0.5, False)]
         assert (verdict.label, trace.measurements_used) == (ENTANGLED, 2)
@@ -206,6 +224,28 @@ class TestBinaryProtocol:
         assert (verdict.label, trace.measurements_used) == (ENTANGLED, 1)
         verdict, trace = protocol(density_from_pure(states.random_product_pure(3)), y=y, xs=xs)
         assert (verdict.label, trace.measurements_used) == (SEPARABLE, 3)
+
+    @pytest.mark.parametrize("y", [(5e-324, 5e-324, 0.0), (3e-320, 2e-320, 1e-320)])
+    def test_subnormal_y_gives_the_exact_label_in_the_shot_protocol(self, y):
+        # y is a direction in both routes; the shot route raised NonUnitBloch on y / |y|.
+        cfg, y = ShotConfig(shots=10_000, seed=1), np.array(y)
+        singlet, product = states.bell_state("psi-"), states.random_product_pure(3)
+        for psi, label in ((singlet, ENTANGLED), (product, SEPARABLE)):
+            rho = density_from_pure(psi)
+            assert binary_protocol(rho, y=y)[0].label == label
+            assert statistical_binary_protocol(rho, y=y, cfg=cfg)[0].label == label
+
+    def test_both_routes_report_the_covariance_of_the_directions(self):
+        # The exact route reported c(0.5 e3, 0.5 Z) = -0.0625; the shot route samples directions.
+        rho, n = density_from_pure(states.bell_state("psi-")), 100_000
+        y, xs = 0.5 * Z, 0.5 * DEFAULT_XS
+        _, exact = binary_protocol(rho, y=y, xs=xs)
+        _, shots = statistical_binary_protocol(rho, y=y, xs=xs, cfg=ShotConfig(shots=n))
+        assert exact.measurements_used == shots.measurements_used == 3
+        assert abs(exact.probes[2].covariance + 0.25) < 1e-12
+        # The singlet's Z, Z cells give -m (1 - m) n / (n - 1), m ~ Binomial(n, 1/2) / n.
+        standard_error = np.sqrt(2) / (4 * n)
+        assert abs(shots.probes[2].covariance - exact.probes[2].covariance) <= 5 * standard_error
 
     @pytest.mark.parametrize("items", [0, 2])
     def test_an_oracle_that_runs_short_raises(self, items):
@@ -245,12 +285,11 @@ class TestBinaryProtocol:
 
 
 def _per_probe(cm, xs, y):
-    """Each probe's covariance and zero call, one ``ObservablePair`` at a time."""
+    """Each probe's covariance and zero call on its direction, one ``ObservablePair`` at a time."""
     calls = []
     for x in xs:
-        value = covariance_via_c(cm, ObservablePair(x, y))
-        bound = ZERO_CORRELATION_TOL * np.linalg.norm(x) * np.linalg.norm(y)
-        calls.append((value, bool(abs(value) <= bound)))
+        value = covariance_via_c(cm, ObservablePair(x / np.linalg.norm(x), y / np.linalg.norm(y)))
+        calls.append((value, bool(abs(value) <= ZERO_CORRELATION_TOL)))
     return calls
 
 
@@ -270,7 +309,7 @@ def test_exact_oracle_equals_the_per_probe_rule(draw, n):
         xs = rng.standard_normal((3, 3))
         xs *= (rng.random(3) / np.linalg.norm(xs, axis=1))[:, None]
         expected = _per_probe(cm, xs, y)
-        calls = list(exact_corr_oracle(cm)(xs, y))
+        calls = list(exact_corr_oracle(cm)(directions(xs), directions(y)))
         assert calls == expected, seed
         assert all(type(v) is float and type(z) is bool for v, z in calls)
         _, trace = binary_protocol(rho, y=y, xs=xs)

@@ -16,6 +16,7 @@ import pytest
 from bicorr import linalg, states
 from bicorr.linalg import (
     det3,
+    directions,
     hermitian_eigenvalues,
     norms,
     numeric_rank,
@@ -162,6 +163,17 @@ class TestNorms:
         assert norms(v).tolist() == [np.linalg.norm(row) for row in v]
         assert type(norms(v[0])) is np.float64
 
+    def test_zero_vector_has_length_zero(self):
+        assert norms(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+
+
+class TestDirections:
+    def test_equal_numpy_bit_for_bit_where_no_square_underflows(self):
+        rng = np.random.default_rng(31)
+        v = rng.uniform(0.01, 1.0, (2000, 3)) * 10.0 ** rng.uniform(-140, 0, (2000, 1))
+        v *= rng.choice([-1.0, 1.0], v.shape)
+        assert directions(v).tolist() == [(row / np.linalg.norm(row)).tolist() for row in v]
+
     @pytest.mark.parametrize(
         "v, length",
         [
@@ -170,11 +182,14 @@ class TestNorms:
             ((0.0, 5e-324, 0.0), 5e-324),
         ],
     )
-    def test_tiny_vectors_keep_their_length(self, v, length):
-        assert norms(np.array(v)) == pytest.approx(length, rel=1e-15, abs=0.0)
+    def test_tiny_vectors_get_a_unit_direction(self, v, length):
+        u = directions(np.array(v))
+        assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert u == pytest.approx(np.array(v) / length, rel=1e-15, abs=0.0)
 
-    def test_zero_vector_has_length_zero(self):
-        assert norms(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+    @pytest.mark.filterwarnings("error")
+    def test_zero_vector_has_direction_zero(self):
+        assert directions(np.zeros((2, 3))).tolist() == [[0.0] * 3] * 2
 
 
 def test_tolerances_are_assigned_only_in_linalg():

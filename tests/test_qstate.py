@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bicorr import cli, qstate, states
+from bicorr import cli, correlation, linalg, qstate, states
 from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import binary_protocol, ppt_is_separable
 from bicorr.qstate import (
@@ -263,16 +263,13 @@ Z = np.array([0.0, 0.0, 1.0])
 PRODUCT_RHO = density_from_pure(states.random_product_pure(3))
 
 
-@pytest.fixture()
-def check_counts(monkeypatch):
-    """Calls of each qstate check, counted wherever a bicorr module holds the check."""
+def _count_calls(monkeypatch, *functions):
+    """Calls of each function by name, counted wherever a bicorr module holds the function."""
     counts = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("bicorr")]
-    checks = ("_check_structure", "validate_pure_state", "check_bloch_vector", "check_bloch_components")
-    for name in checks:
-        original = getattr(qstate, name)
+    for original in functions:
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=original.__name__, _original=original):
             counts[_name] += 1
             return _original(*args)
 
@@ -281,6 +278,13 @@ def check_counts(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+@pytest.fixture()
+def check_counts(monkeypatch):
+    """Calls of each qstate check, counted wherever a bicorr module holds the check."""
+    checks = ("_check_structure", "validate_pure_state", "check_bloch_vector", "check_bloch_components")
+    return _count_calls(monkeypatch, *(getattr(qstate, name) for name in checks))
 
 
 @pytest.mark.parametrize(
@@ -312,6 +316,22 @@ def test_protocol_checks_rho_and_each_probe_vector_once(protocol, check_counts):
     assert check_counts["_check_structure"] == 1
     assert check_counts["check_bloch_vector"] <= 4
     assert check_counts["check_bloch_components"] == 2  # y, then the probe set once
+
+
+@pytest.mark.parametrize(
+    "protocol, covariance_calls",
+    [
+        (binary_protocol, 1),
+        (lambda rho: statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=3)), 0),
+    ],
+    ids=["exact", "shots"],
+)
+def test_protocol_takes_each_direction_once(protocol, covariance_calls, monkeypatch):
+    counts = _count_calls(monkeypatch, linalg.norms, correlation.covariance_via_c)
+    _, trace = protocol(PRODUCT_RHO)
+    assert trace.measurements_used == 3
+    assert counts["norms"] <= 2  # the probe set's directions, then y's
+    assert counts["covariance_via_c"] == covariance_calls
 
 
 def _non_hermitian():

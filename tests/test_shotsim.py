@@ -96,6 +96,10 @@ class TestOutcomeProbabilities:
         with pytest.raises(NonUnitBloch):
             joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=[0.5, 0, 0], y=Z))
 
+    def test_non_unit_norm_is_reported_as_a_float(self):
+        with pytest.raises(NonUnitBloch, match=r"got norm 0\.5$"):
+            sample_joint(singlet_rho(), ObservablePair(x=0.5 * Z, y=Z), ShotConfig())
+
 
 class TestSampleJoint:
     def test_deterministic_given_seed(self):
