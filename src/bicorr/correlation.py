@@ -19,6 +19,7 @@ from bicorr.linalg import IMAG_TOL, item_or_array, symmetric3_singular_values
 from bicorr.qstate import (
     BlochForm,
     InvalidState,
+    _require,
     bloch_decompose,
     check_bloch_vector,
     outcome_table,
@@ -62,9 +63,8 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
     table = outcome_table(rho, pair.x, pair.y)
     joint = table[..., 1, 1]
     value = joint - (table[..., 1, 0] + joint) * (table[..., 0, 1] + joint)
-    residue = float(np.abs(value.imag).max())
-    if residue > IMAG_TOL:
-        raise InvalidState(f"covariance has imaginary residue {residue:.3e}")
+    message = "covariance{at} has imaginary residue {worst:.3e}"
+    _require(np.abs(value.imag), IMAG_TOL, InvalidState, message)
     return item_or_array(value.real)
 
 

@@ -44,8 +44,8 @@ from bicorr.linalg import (
 )
 from bicorr.qstate import (
     CheckedState,
-    _at,
     _check_norm,
+    _require,
     check_bloch_components,
     check_bloch_vector,
     density_from_pure,
@@ -103,9 +103,7 @@ class ProtocolTrace:
 
 def _check_y(y: np.ndarray) -> np.ndarray:
     y = check_bloch_vector(y, "y")
-    zero = ~y.any(axis=-1)
-    if zero.any():
-        raise ZeroVector(f"y{_at(zero)} must be non-zero")
+    _require((~y.any(axis=-1)).astype(float), 0.0, ZeroVector, "y{at} must be non-zero")
     return y
 
 

@@ -13,7 +13,9 @@ with real local vectors a, b and a real 3x3 tensor f; `bloch_decompose` and
 Validation happens at construction points (`validate_pure_state`,
 `as_density_matrix`, `bloch_assemble`, `CheckedState`).  The state operations
 take a `CheckedState` as it is and structure-check only a raw array.  All of
-them take stacks, shape (..., 4, 4) or (..., 4); a failed state check names the index.
+them take stacks, shape (..., 4, 4) or (..., 4), empty ones included.  Every
+array threshold check of the package goes through `_require`, so a failed check on a
+stack names the index of the first offending state.
 """
 
 from __future__ import annotations
@@ -60,28 +62,32 @@ class BlochOutOfBall(ValueError):
     """Observable Bloch vector lies outside the closed unit ball."""
 
 
-def _at(bad: np.ndarray, core: int = 0) -> str:
-    """' at stack index i' for the first True of bad; its last ``core`` axes lie within a state."""
-    index = np.argwhere(bad)[0][: bad.ndim - core]
-    return f" at stack index {', '.join(map(str, index))}" if index.size else ""
+def _require(deviation: np.ndarray, tol: float, error: type, message: str, core: int = 0) -> None:
+    """Raise error(message) unless every entry of deviation is at most tol.
+
+    One reduction decides, so nan fails and an empty stack passes.  message is formatted with
+    ``worst``, the largest deviation as a float, and ``at``: " at stack index i, j" for the first
+    failing entry, "" for one state.  The last ``core`` axes of deviation lie within a state.  A
+    bool deviation must be cast to float: a bool maximum ignores the initial -inf.
+    """
+    worst = deviation.max(initial=-math.inf)
+    if not worst <= tol:
+        index = np.argwhere(~(deviation <= tol))[0][: deviation.ndim - core]
+        at = f" at stack index {', '.join(map(str, index))}" if index.size else ""
+        raise error(message.format(at=at, worst=float(worst)))
 
 
 def validate_pure_state(psi: np.ndarray) -> np.ndarray:
-    """Return psi as complex 4-vectors: finite, no amplitude above 1, unit norm."""
+    """Return psi as complex 4-vectors: no amplitude above 1 (so finite), unit norm."""
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
     if psi.shape[-1] != 4:
         raise InvalidState(f"pure state needs 4 amplitudes, got {psi.shape[-1]}")
-    # One reduction bounds every amplitude (nan if any is nan) before the norm can overflow.
-    largest = float(np.abs(psi).max())
-    if not math.isfinite(largest) and not np.isfinite(psi).all():  # |psi_i| can overflow
-        raise InvalidState(f"pure state{_at(~np.isfinite(psi), 1)} has non-finite amplitudes")
-    if largest > 1.0 + NORM_TOL:
-        at = _at(np.abs(psi) > 1.0 + NORM_TOL, 1)
-        raise NotNormalized(f"amplitude{at} magnitude {largest!r} exceeds 1")
-    norm_sq = (np.abs(psi) ** 2).sum(axis=-1)
-    bad = np.abs(norm_sq - 1.0) > NORM_TOL
-    if bad.any():
-        raise NotNormalized(f"amplitude norm^2{_at(bad)} = {float(norm_sq[bad][0])!r}, expected 1")
+    # Bounding every amplitude first keeps the norm from overflowing.
+    magnitude = np.abs(psi)
+    message = "amplitude{at} magnitude {worst!r} exceeds 1"
+    _require(magnitude, 1.0 + NORM_TOL, NotNormalized, message, 1)
+    message = "amplitude norm^2{at} differs from 1 by {worst:.3e}"
+    _require(np.abs((magnitude**2).sum(axis=-1) - 1.0), NORM_TOL, NotNormalized, message)
     return psi
 
 
@@ -90,21 +96,13 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise InvalidState(f"density matrix must be 4x4, got shape {rho.shape}")
-    # One reduction bounds every entry (nan if any is nan) before a sum can overflow.
-    largest = float(np.abs(rho).max())
-    if not math.isfinite(largest) and not np.isfinite(rho).all():  # |rho_ij| can overflow
-        raise InvalidState(f"density matrix{_at(~np.isfinite(rho), 2)} has non-finite entries")
-    if largest > 1.0 + NORM_TOL:
-        at = _at(np.abs(rho) > 1.0 + NORM_TOL, 2)
-        raise InvalidState(f"density matrix{at} entry magnitude {largest!r} exceeds 1")
-    herm_dev = float(np.abs(rho - rho.conj().swapaxes(-1, -2)).max())
-    if herm_dev > HERMITIAN_TOL:
-        at = _at(np.abs(rho - rho.conj().swapaxes(-1, -2)) > HERMITIAN_TOL, 2)
-        raise InvalidState(f"density matrix{at} is not Hermitian (deviation {herm_dev:.3e})")
-    trace_dev = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
-    if trace_dev.max() > NORM_TOL:
-        at = _at(trace_dev > NORM_TOL)
-        raise InvalidState(f"density matrix{at} trace differs from 1 by {trace_dev.max():.3e}")
+    # Bounding every entry first keeps the differences and the trace from overflowing.
+    message = "density matrix{at} entry magnitude {worst!r} exceeds 1"
+    _require(np.abs(rho), 1.0 + NORM_TOL, InvalidState, message, 2)
+    message = "density matrix{at} is not Hermitian (deviation {worst:.3e})"
+    _require(np.abs(rho - rho.conj().swapaxes(-1, -2)), HERMITIAN_TOL, InvalidState, message, 2)
+    message = "density matrix{at} trace differs from 1 by {worst:.3e}"
+    _require(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0), NORM_TOL, InvalidState, message)
     return rho
 
 
@@ -141,12 +139,8 @@ def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:
     invariant.
     """
     state = CheckedState.of(rho)
-    smallest = hermitian_eigenvalues(state.matrix)[..., 0]
-    if smallest.min() < -PSD_TOL:
-        raise InvalidState(
-            f"density matrix{_at(smallest < -PSD_TOL)} is not positive semidefinite "
-            f"(min eigenvalue {smallest.min():.3e})"
-        )
+    message = "density matrix{at} is not positive semidefinite (min eigenvalue -{worst:.3e})"
+    _require(-hermitian_eigenvalues(state.matrix)[..., 0], PSD_TOL, InvalidState, message)
     return state
 
 
@@ -180,9 +174,8 @@ def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:
     """
     rho = CheckedState.of(rho).matrix
     traces = rho.reshape(rho.shape[:-2] + (16,)) @ _PAULI_TABLE
-    residue = float(np.abs(traces.imag[..., 1:]).max())  # t_00 is the checked trace
-    if residue > IMAG_TOL:
-        raise InvalidState(f"Pauli traces have imaginary residue {residue:.3e}")
+    message = "Pauli traces{at} have imaginary residue {worst:.3e}"
+    _require(np.abs(traces.imag[..., 1:]), IMAG_TOL, InvalidState, message, 1)  # t_00 is checked
     t = traces.real.reshape(rho.shape)
     return BlochForm(a=t[..., 1:, 0], b=t[..., 0, 1:], f=t[..., 1:, 1:])
 
@@ -190,27 +183,24 @@ def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:
 def bloch_assemble(bf: BlochForm) -> np.ndarray:
     """Rebuild the density matrix from its Bloch form; inverse of bloch_decompose.
 
-    The form is checked first: finite, |a|, |b| <= 1 and |f_ij| <= 1, up to
-    NORM_TOL.  These bounds do not imply positivity, so the assembled matrix
-    is eigenvalue-checked; NotPositive is raised on failure.
+    The form is checked first: no entry above 1 in magnitude (so finite), then
+    |a|, |b| <= 1, up to NORM_TOL.  These bounds do not imply positivity, so
+    the assembled matrix is eigenvalue-checked; NotPositive is raised on failure.
     """
     a, b, f = (np.asarray(v, dtype=float) for v in (bf.a, bf.b, bf.f))
     if a.shape[-1:] != (3,) or b.shape[-1:] != (3,) or f.shape[-2:] != (3, 3):
         raise InvalidState("Bloch form needs two 3-vectors and a 3x3 tensor")
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(f).all()):
-        raise InvalidState("Bloch form has non-finite entries")
-    if max(norms(a).max(), norms(b).max()) > 1.0 + NORM_TOL:
-        raise InvalidState("local Bloch vectors must lie in the unit ball")
-    if np.abs(f).max() > 1.0 + NORM_TOL:
-        raise InvalidState("correlation-tensor entries must lie in [-1, 1]")
     t = np.ones(f.shape[:-2] + (4, 4))
     t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:] = a, b, f  # t_00 = Tr rho = 1
+    # Bounding every entry first keeps the lengths of a and b from overflowing.
+    message = "Bloch form{at} entry magnitude {worst!r} exceeds 1"
+    _require(np.abs(t), 1.0 + NORM_TOL, InvalidState, message, 2)
+    message = "local Bloch vector{at} of length {worst!r} is outside the unit ball"
+    _require(np.maximum(norms(a), norms(b)), 1.0 + NORM_TOL, InvalidState, message)
     rho = 0.25 * (_PAULI_TABLE.conj() @ t.reshape(t.shape[:-2] + (16, 1))).reshape(t.shape)
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-    smallest = hermitian_eigenvalues(rho)[..., 0]
-    if smallest.min() < -PSD_TOL:
-        at = _at(smallest < -PSD_TOL)
-        raise NotPositive(f"assembled matrix{at} has eigenvalue {smallest.min():.3e}; not a state")
+    message = "assembled matrix{at} has eigenvalue -{worst:.3e}; not a state"
+    _require(-hermitian_eigenvalues(rho)[..., 0], PSD_TOL, NotPositive, message)
     return rho
 
 
@@ -227,22 +217,17 @@ def partial_transpose_b(rho: np.ndarray | CheckedState) -> np.ndarray:
 
 
 def check_bloch_components(v: np.ndarray, name: str) -> None:
-    """Raise if a component of the non-empty array v is not a Bloch-ball coordinate.
+    """Raise BlochOutOfBall if a component of v, over its last axis, is not a ball coordinate.
 
-    A non-finite component raises ValueError, one above 1 + BALL_TOL in
-    magnitude BlochOutOfBall.  One reduction does both, and checking the
-    components first keeps a norm or product of v from overflowing before it
-    is rejected.
+    A component above 1 + BALL_TOL in magnitude or non-finite fails.  Checking the components
+    first keeps a norm or product of v from overflowing before it is rejected.
     """
-    largest = float(np.abs(v).max())  # nan if any component is nan
-    if not math.isfinite(largest):
-        raise ValueError(f"{name} has non-finite components")
-    if largest > 1.0 + BALL_TOL:
-        raise BlochOutOfBall(f"{name} component {largest!r} exceeds 1")
+    message = name + "{at} component {worst!r} exceeds 1"
+    _require(np.abs(v), 1.0 + BALL_TOL, BlochOutOfBall, message, 1)
 
 
 def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
-    """x as float 3-vectors, one or a stack: finite; out of the unit ball is BlochOutOfBall.
+    """x as float 3-vectors, one or a stack; non-finite or out of the ball is BlochOutOfBall.
 
     name labels x in the error messages; the ball's slack is BALL_TOL.
     """
@@ -255,9 +240,8 @@ def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
 
 def _check_norm(x: np.ndarray, name: str) -> np.ndarray:
     """x, float 3-vectors with checked components; outside the unit ball raises BlochOutOfBall."""
-    if math.sqrt((x[..., None, :] @ x[..., :, None]).max()) > 1.0 + BALL_TOL:
-        norm = norms(x)  # the first vector out of the ball is reported
-        raise BlochOutOfBall(f"{name} norm {float(norm[norm > 1.0 + BALL_TOL][0])!r} exceeds 1")
+    length = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    _require(length, 1.0 + BALL_TOL, BlochOutOfBall, name + "{at} norm {worst!r} exceeds 1")
     return x
 
 

@@ -41,7 +41,7 @@ from bicorr.detect import (
     binary_protocol,
 )
 from bicorr.linalg import IMAG_TOL, NORM_TOL
-from bicorr.qstate import CheckedState, InvalidState, outcome_table
+from bicorr.qstate import CheckedState, InvalidState, _require, outcome_table
 
 DECISION_ZERO = "Zero"
 DECISION_NONZERO = "NonZero"
@@ -105,12 +105,13 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
     """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER."""
     table = outcome_table(rho, _unit(pair.x, "x"), _unit(pair.y, "y"))
     cells = table[::-1, ::-1].ravel()  # T11, T10, T01, T00
-    residues = cells.imag[np.abs(cells.imag) > IMAG_TOL]
-    if residues.size:
-        raise InvalidState(f"cell probability has imaginary residue {residues[0]:.3e}")
+    message = "cell probability has imaginary residue {worst:.3e}"
+    _require(np.abs(cells.imag), IMAG_TOL, InvalidState, message, 1)
     probs = cells.real
-    if probs.min() < -IMAG_TOL or abs(probs.sum() - 1.0) > NORM_TOL:
-        raise InvalidState(f"cell probabilities are not a distribution: {probs.tolist()}")
+    message = "cell probabilities are not a distribution: one is -{worst:.3e}"
+    _require(-probs, IMAG_TOL, InvalidState, message, 1)
+    message = "cell probabilities are not a distribution: their sum is off 1 by {worst:.3e}"
+    _require(np.abs(probs.sum() - 1.0), NORM_TOL, InvalidState, message)
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 

@@ -160,8 +160,8 @@ def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
 def _split_pairs(raw, expected: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} entries must be [re, im] number pairs") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer can overflow a float
+        raise ParseError(f"{what} entries must be [re, im] pairs of floats") from exc
     if arr.shape != (expected, 2):
         raise ParseError(f"{what} must be {expected} [re, im] pairs, got shape {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]
@@ -171,7 +171,7 @@ def loads_state(text: str) -> StateSpec:
     """Parse the JSON state document; validates the state it describes."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting can exhaust the stack
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("state document must be a JSON object")

@@ -355,7 +355,7 @@ def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
     rho = CheckedState(density_from_pure(states.bell_state("psi-")))
     pair = ObservablePair(x=Z, y=Z)
     records = [
-        sample_joint(rho, pair, ShotConfig(shots=10_000, seed=seed + i))
+        sample_joint(rho, pair, ShotConfig(shots=10_000, seed=(seed + i) % 2**64))
         for i in range(200)
     ]
     mean = float(np.mean([r.covariance_estimate for r in records]))
@@ -394,7 +394,7 @@ def check_shot_false_positive_rate(trials: int, seed: int) -> tuple[bool, str]:
     hits = 0
     for i in range(1000):
         record = sample_joint(
-            mixed, pair, ShotConfig(shots=10_000, seed=seed + i, z_threshold=3.0)
+            mixed, pair, ShotConfig(shots=10_000, seed=(seed + i) % 2**64, z_threshold=3.0)
         )
         hits += record.decision == DECISION_NONZERO
     return hits < 10, f"{hits}/1000 false non-zero calls at z = 3"
@@ -429,11 +429,16 @@ ALL_CHECKS: list[tuple[str, Check]] = [
 
 
 def run_all(trials: int = 2000, seed: int = 0, out=print) -> bool:
-    """Run every suite; emits one pass/fail line per check via ``out``."""
+    """Run every suite; emits one pass/fail line per check via ``out``.
+
+    trials must be an integer of at least 100 and seed one in [0, 2**64); both are checked
+    before the first check runs.
+    """
     if not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trial count must be an integer, got {trials!r}")
     if trials < 100:
         raise ValueError("trial budget below 100 is rejected")
+    ShotConfig(seed=seed)  # the shot checks' seeds, (seed + i) mod 2**64, need seed in [0, 2**64)
     all_ok = True
     for name, check in ALL_CHECKS:
         ok, detail = check(trials, seed)

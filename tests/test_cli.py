@@ -135,6 +135,20 @@ class TestDetect:
     def test_subnormal_y_is_a_direction_for_shots(self, singlet_file):
         assert main(["detect", singlet_file, "--y", "5e-324,5e-324,0", "--shots", "1000"]) == 1
 
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            f"[[{10**400}, 0], [0, 0], [0, 0], [0, 0]]",  # overflows a float
+            "[" * 200_000 + "]" * 200_000,  # deeper than the parser's recursion limit
+        ],
+        ids=["401-digit integer", "200000 brackets deep"],
+    )
+    def test_malformed_state_file_is_an_input_error(self, amplitudes, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"kind": "pure", "amplitudes": {amplitudes}}}')
+        assert main(["detect", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("bicorr: error: ")
+
     def test_repeat_runs_are_identical(self, singlet_file, capsys):
         args = ["detect", singlet_file, "--shots", "5000", "--seed", "9", "--json"]
         assert main(args) == 1
@@ -241,6 +255,20 @@ class TestVerify:
         with pytest.raises(ValueError, match="trial count must be an integer, got 150.5"):
             run_all(trials=150.5, out=lines.append)
         assert lines == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_outside_the_64_bit_range_is_rejected_before_any_check(self, seed):
+        lines = []
+        with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer$"):
+            run_all(trials=100, seed=seed, out=lines.append)
+        assert lines == []
+
+    def test_largest_seeds_wrap_the_shot_seeds(self, capsys):
+        # The shot checks draw at (seed + i) mod 2**64, so no check is cut off near the top.
+        assert main(["verify", "--trials", "100", "--seed", str(2**64 - 5)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(ALL_CHECKS) + 1
+        assert all(line.startswith("[PASS] ") for line in lines[:-1])
 
     def test_reduced_run_passes(self, capsys):
         assert main(["verify", "--trials", "150"]) == 0

@@ -338,7 +338,8 @@ def test_huge_component_is_rejected_before_it_overflows(which):
         xs[0, 0] = 1e200
     else:
         y[2] = 1e200
-    with pytest.raises(BlochOutOfBall, match=f"^{which} component 1e\\+200 exceeds 1"):
+    at = {"probe set": " at stack index 0", "y": ""}[which]  # the probe set is a stack of 3
+    with pytest.raises(BlochOutOfBall, match=f"^{which}{at} component 1e\\+200 exceeds 1"):
         binary_protocol(rho, y=y, xs=xs)
 
 

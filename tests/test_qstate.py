@@ -19,6 +19,7 @@ from bicorr.qstate import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _require,
     as_density_matrix,
     bloch_assemble,
     bloch_decompose,
@@ -78,12 +79,36 @@ def _huge_off_diagonal():
         (as_density_matrix, np.diag([1e308, 1e308, 0, 0]).astype(complex), InvalidState),
         (validate_pure_state, np.array([1.7e308 + 1.7e308j, 0, 0, 0]), NotNormalized),
         (as_density_matrix, np.diag([1.7e308 + 1.7e308j, 0, 0, 0]), InvalidState),
+        (bloch_assemble, BlochForm(a=(1e200, 0, 0), b=(0, 0, 0), f=np.eye(3)), InvalidState),
     ],
-    ids=["amplitude", "off-diagonal", "diagonal", "complex amplitude", "complex entry"],
+    ids=[
+        "amplitude", "off-diagonal", "diagonal", "complex amplitude", "complex entry",
+        "Bloch vector",
+    ],
 )
 def test_huge_entry_is_rejected_before_it_overflows(check, value, error):
     with pytest.raises(error, match="exceeds 1"):
         check(value)
+
+
+class TestRequire:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_deviation_fails(self, bad):
+        with pytest.raises(ValueError, match=f"^worst {bad!r} at stack index 1$"):
+            _require(np.array([0.0, bad, 0.5]), 1.0, ValueError, "worst {worst!r}{at}")
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0, 4, 4)])
+    def test_empty_stack_passes(self, shape):
+        assert _require(np.zeros(shape), 0.0, ValueError, "{at}", core=len(shape) - 1) is None
+
+    def test_nested_stack_names_both_indices_and_the_worst_deviation(self):
+        deviation = np.zeros((3, 5, 4))
+        deviation[2, 3, 1], deviation[2, 4, 0] = 2.0, 7.0
+        with pytest.raises(NotPositive, match=r"^rho at stack index 2, 3: worst 7\.0$"):
+            _require(deviation, 1.0, NotPositive, "rho{at}: worst {worst!r}", core=1)
+
+    def test_tolerance_is_inclusive(self):
+        assert _require(np.array([0.0, 1.0]), 1.0, ValueError, "{at}") is None
 
 
 class TestDensityFromPure:
@@ -170,17 +195,18 @@ class TestBlochAssemble:
         # bloch_decompose reads it as it is; bloch_assemble is where a form is checked.
         bf = bloch_decompose(np.diag([1.0, 1.0, -0.5, -0.5]))
         np.testing.assert_allclose(bf.a, [0.0, 0.0, 3.0], atol=1e-15)
-        with pytest.raises(InvalidState, match="unit ball"):
+        with pytest.raises(InvalidState, match=r"^Bloch form entry magnitude 3\.0 exceeds 1"):
             bloch_assemble(bf)
 
     @pytest.mark.parametrize(
         "a, f, message",
         [
-            ([np.nan, 0.0, 0.0], np.zeros((3, 3)), "non-finite"),
-            ([0.0, 0.0, 0.0], 1.5 * np.eye(3), r"\[-1, 1\]"),
+            ([np.nan, 0.0, 0.0], np.zeros((3, 3)), r"entry magnitude nan exceeds 1"),
+            ([0.0, 0.0, 0.0], 1.5 * np.eye(3), r"entry magnitude 1\.5 exceeds 1"),
             ([0.0, 0.0], np.zeros((3, 3)), "3-vectors"),
+            ([0.8, 0.8, 0.0], np.zeros((3, 3)), r"length 1\.131\d* is outside the unit ball"),
         ],
-        ids=["non-finite", "tensor entry above 1", "wrong shape"],
+        ids=["non-finite", "tensor entry above 1", "wrong shape", "local vector outside the ball"],
     )
     def test_malformed_form_is_rejected(self, a, f, message):
         with pytest.raises(InvalidState, match=message):

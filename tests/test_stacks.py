@@ -3,7 +3,8 @@
 Every shape-generic kernel is run once on a stack of 300 random states and
 once per state.  Elementwise operations and integer or boolean verdicts must
 agree exactly; results that sum products (LAPACK, matmul, einsum) within
-1e-15.  A single state keeps its scalar return type.
+1e-15.  A single state keeps its scalar return type, and an empty stack gives
+an empty result.
 """
 
 import numpy as np
@@ -111,6 +112,13 @@ def test_stack_equals_each_state(name):
         np.testing.assert_allclose(stacked, each, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("name", KERNELS)
+def test_empty_stack_gives_empty_results(name):
+    kernel, _ = KERNELS[name]
+    empty = np.asarray(kernel(RHO[:0], PSI[:0], X[:0], Y[:0]))
+    assert empty.shape == (0,) + np.shape(kernel(RHO[0], PSI[0], X[0], Y[0]))
+
+
 def test_a_state_broadcasts_against_a_stack_of_probes():
     table = outcome_table(RHO[0], X, Y)
     assert np.array_equal(table, [outcome_table(RHO[0], x, y) for x, y in zip(X, Y)])
@@ -176,7 +184,7 @@ def test_nested_stack_names_both_indices():
 def test_unnormalized_pure_state_in_a_stack_is_named_by_index():
     psi = PSI.copy()
     psi[42] *= 0.5
-    with pytest.raises(NotNormalized, match=r"amplitude norm\^2 at stack index 42 = "):
+    with pytest.raises(NotNormalized, match=r"^amplitude norm\^2 at stack index 42 differs from"):
         validate_pure_state(psi)
 
 
