@@ -186,11 +186,18 @@ def bloch_assemble(bf: BlochForm) -> np.ndarray:
     The form is checked first: no entry above 1 in magnitude (so finite), then
     |a|, |b| <= 1, up to NORM_TOL.  These bounds do not imply positivity, so
     the assembled matrix is eigenvalue-checked; NotPositive is raised on failure.
+    Stacks of a, b and f broadcast against each other.
     """
     a, b, f = (np.asarray(v, dtype=float) for v in (bf.a, bf.b, bf.f))
     if a.shape[-1:] != (3,) or b.shape[-1:] != (3,) or f.shape[-2:] != (3, 3):
         raise InvalidState("Bloch form needs two 3-vectors and a 3x3 tensor")
-    t = np.ones(f.shape[:-2] + (4, 4))
+    try:
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1], f.shape[:-2])
+    except ValueError:
+        raise InvalidState(
+            f"Bloch form stacks {a.shape}, {b.shape} and {f.shape} do not broadcast"
+        ) from None
+    t = np.ones(shape + (4, 4))
     t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:] = a, b, f  # t_00 = Tr rho = 1
     # Bounding every entry first keeps the lengths of a and b from overflowing.
     message = "Bloch form{at} entry magnitude {worst!r} exceeds 1"

@@ -22,6 +22,12 @@ All randomness flows through ``np.random.default_rng(seed)`` (numpy's PCG64);
 the counts are drawn by ``Generator.multinomial`` over the four cell
 probabilities in the fixed order (1,1), (1,0), (0,1), (0,0).  Identical
 inputs give bit-identical records.
+
+``joint_outcome_probabilities`` and ``sample_joint`` take stacks of states
+and probes, which broadcast.  The probabilities of a whole stack are one
+contraction; row i of the stack, in C order, then draws its counts from
+``default_rng((seed + i) mod 2**64)``.  So a one-state call is row 0 at
+``seed``, and each row of a stack equals a one-state call at its own seed.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ class ShotRecord:
     standard_error is the delta-method spread of covariance_estimate;
     z_score is |covariance_estimate| over the null-hypothesis standard error,
     and decision is NonZero exactly when z_score exceeds the z threshold.
+    For a stack, every field but shots_used is an array shaped like the stack.
     """
 
     estimate_xy: float
@@ -94,40 +101,32 @@ class ShotRecord:
 
 
 def _unit(vec: np.ndarray, name: str) -> np.ndarray:
+    """vec as float 3-vectors, each of unit length; NonUnitBloch names the first that is not."""
     vec = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise NonUnitBloch(f"{name} must be a unit vector, got norm {norm!r}")
+    deviation = np.abs(np.hypot.reduce(vec, axis=-1) - 1.0)
+    message = name + "{at} must be a unit vector, its norm is off 1 by {worst!r}"
+    _require(deviation, NORM_TOL, NonUnitBloch, message)
     return vec
 
 
 def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.ndarray:
-    """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER."""
+    """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER, on the last axis; stacks broadcast."""
     table = outcome_table(rho, _unit(pair.x, "x"), _unit(pair.y, "y"))
-    cells = table[::-1, ::-1].ravel()  # T11, T10, T01, T00
-    message = "cell probability has imaginary residue {worst:.3e}"
+    cells = table[..., ::-1, ::-1].reshape(table.shape[:-2] + (4,))  # T11, T10, T01, T00
+    message = "cell probability{at} has imaginary residue {worst:.3e}"
     _require(np.abs(cells.imag), IMAG_TOL, InvalidState, message, 1)
     probs = cells.real
-    message = "cell probabilities are not a distribution: one is -{worst:.3e}"
+    message = "cell probabilities{at} are not a distribution: one is -{worst:.3e}"
     _require(-probs, IMAG_TOL, InvalidState, message, 1)
-    message = "cell probabilities are not a distribution: their sum is off 1 by {worst:.3e}"
-    _require(np.abs(probs.sum() - 1.0), NORM_TOL, InvalidState, message)
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    message = "cell probabilities{at} are not a distribution: their sum is off 1 by {worst:.3e}"
+    _require(np.abs(probs.sum(axis=-1) - 1.0), NORM_TOL, InvalidState, message)
+    probs = np.maximum(probs, 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> ShotRecord:
-    """Draw the cell counts of cfg.shots joint outcomes and test the covariance.
-
-    The counts are one multinomial draw.  The reported standard error
-    linearizes cov = <st> - <s><t> around the sample means: with
-    h = st - m_y s - m_x t per shot, SE^2 = Var(h) / n.  The call instead
-    uses the null-hypothesis standard error, so z_score = sqrt(n)|phi| is
-    Pearson's test of independence and is 0 when a marginal is 0 or 1.
-    """
-    probs = joint_outcome_probabilities(rho, pair)
-    rng = np.random.default_rng(cfg.seed)
-    counts = rng.multinomial(cfg.shots, probs).astype(float)
+def _draw(probs: np.ndarray, cfg: ShotConfig, seed: int) -> tuple:
+    """The ShotRecord fields up to decision for one row of cell probabilities, drawn at seed."""
+    counts = np.random.default_rng(seed).multinomial(cfg.shots, probs).astype(float)
 
     n = float(cfg.shots)
     n11, n10, n01, _ = counts
@@ -143,16 +142,30 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
 
     null_se = math.sqrt(m_x * (1.0 - m_x) * m_y * (1.0 - m_y) / n) * n / (n - 1.0)
     z_score = abs(covariance) / null_se if null_se > 0.0 else 0.0
-    return ShotRecord(
-        estimate_xy=m_xy,
-        estimate_x=m_x,
-        estimate_y=m_y,
-        covariance_estimate=covariance,
-        standard_error=standard_error,
-        z_score=z_score,
-        decision=DECISION_NONZERO if z_score > cfg.z_threshold else DECISION_ZERO,
-        shots_used=cfg.shots,
-    )
+    decision = DECISION_NONZERO if z_score > cfg.z_threshold else DECISION_ZERO
+    return m_xy, m_x, m_y, covariance, standard_error, z_score, decision
+
+
+def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> ShotRecord:
+    """Draw the cell counts of cfg.shots joint outcomes and test the covariance.
+
+    The counts are one multinomial draw.  The reported standard error
+    linearizes cov = <st> - <s><t> around the sample means: with
+    h = st - m_y s - m_x t per shot, SE^2 = Var(h) / n.  The call instead
+    uses the null-hypothesis standard error, so z_score = sqrt(n)|phi| is
+    Pearson's test of independence and is 0 when a marginal is 0 or 1.
+
+    States and probes broadcast as in ``joint_outcome_probabilities``; row i of the stack, in C
+    order, draws at seed (cfg.seed + i) mod 2**64.  One state gives a record of floats, a stack a
+    record of arrays shaped like it (decision a str array), with shots_used the shots per row.
+    """
+    probs = joint_outcome_probabilities(rho, pair)
+    if probs.ndim == 1:  # one state: row 0, at cfg.seed
+        return ShotRecord(*_draw(probs, cfg, cfg.seed), shots_used=cfg.shots)
+    rows = [_draw(p, cfg, (int(cfg.seed) + i) % 2**64) for i, p in enumerate(probs.reshape(-1, 4))]
+    *values, decisions = zip(*rows) if rows else [()] * 7  # an empty stack has no rows to zip
+    columns = [np.array(v, dtype=float) for v in values] + [np.array(decisions, dtype=str)]
+    return ShotRecord(*(c.reshape(probs.shape[:-1]) for c in columns), shots_used=cfg.shots)
 
 
 def statistical_binary_protocol(

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from bicorr import shotsim
+from bicorr.correlation import ObservablePair
 from bicorr.verify import ALL_CHECKS
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -84,3 +85,11 @@ def test_a_statistical_run_is_one_protocol_run(monkeypatch):
     _, trace = shotsim.statistical_binary_protocol(np.eye(4) / 4, cfg=cfg, assume_pure=True)
     assert len(calls) == 1
     assert trace.measurements_used == 3
+
+
+def test_a_stacked_sample_reports_its_shots_as_an_int():
+    # perfbench's span tracer adds shots_used to a Counter and prints the total.
+    pair = ObservablePair(x=np.eye(3), y=np.array([0.0, 0.0, 1.0]))
+    record = shotsim.sample_joint(np.eye(4) / 4, pair, shotsim.ShotConfig(shots=1000))
+    assert record.covariance_estimate.shape == (3,)
+    assert type(record.shots_used) is int and record.shots_used == 1000

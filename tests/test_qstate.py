@@ -212,6 +212,21 @@ class TestBlochAssemble:
         with pytest.raises(InvalidState, match=message):
             bloch_assemble(BlochForm(a=np.array(a), b=np.zeros(3), f=f))
 
+    def test_form_parts_broadcast_against_each_other(self):
+        # a is stacked deeper than b and f: one state per row of a.
+        z = np.array([0.0, 0.0, 1.0])
+        a = np.array([np.zeros(3), z, -z, z / 2, -z / 3])
+        rho = bloch_assemble(BlochForm(a=a, b=np.zeros(3), f=np.zeros((3, 3))))
+        each = [bloch_assemble(BlochForm(a=row, b=np.zeros(3), f=np.zeros((3, 3)))) for row in a]
+        assert rho.shape == (5, 4, 4)
+        np.testing.assert_allclose(rho, each, rtol=0, atol=1e-15)
+
+    def test_form_stacks_that_do_not_broadcast_are_rejected(self):
+        bf = BlochForm(a=np.zeros((5, 3)), b=np.zeros(3), f=np.zeros((4, 3, 3)))
+        message = r"^Bloch form stacks \(5, 3\), \(3,\) and \(4, 3, 3\) do not broadcast$"
+        with pytest.raises(InvalidState, match=message):
+            bloch_assemble(bf)
+
 
 class TestPartialTrace:
     def test_singlet_marginals_are_maximally_mixed(self):

@@ -7,14 +7,16 @@ gives Var(h) = 0.046875 (sd 0.2165/sqrt(n)); the singlet with y tilted to
 (1,0,1)/sqrt(2) gives Var(h) = 1/32 (sd 0.1768/sqrt(n)).
 """
 
+import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bicorr import shotsim, states
 from bicorr.correlation import ObservablePair
-from bicorr.qstate import density_from_pure, observable_from_bloch
+from bicorr.qstate import InvalidState, density_from_pure, observable_from_bloch
 from bicorr.shotsim import (
     CELL_ORDER,
     DECISION_NONZERO,
@@ -97,8 +99,31 @@ class TestOutcomeProbabilities:
             joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=[0.5, 0, 0], y=Z))
 
     def test_non_unit_norm_is_reported_as_a_float(self):
-        with pytest.raises(NonUnitBloch, match=r"got norm 0\.5$"):
+        message = r"^x must be a unit vector, its norm is off 1 by 0\.5$"
+        with pytest.raises(NonUnitBloch, match=message):
             sample_joint(singlet_rho(), ObservablePair(x=0.5 * Z, y=Z), ShotConfig())
+
+    def test_a_stack_of_unit_probes_is_accepted(self):
+        probs = joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=np.eye(3), y=Z))
+        assert probs.shape == (3, 4)
+        np.testing.assert_allclose(probs, 0.25, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, index",
+        [(np.array([Z, 0.5 * Z, Z]), 1), (np.eye(3)[:2] / math.sqrt(2), 0)],
+        ids=["short row", "rows of length 1/sqrt(2)"],
+    )
+    def test_first_non_unit_row_is_named(self, x, index):
+        message = rf"^x at stack index {index} must be a unit vector, its norm is off 1 by"
+        with pytest.raises(NonUnitBloch, match=message):
+            joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=x, y=Z))
+
+    def test_a_state_that_is_not_a_distribution_is_named_by_index(self):
+        # Hermitian with unit trace, so structurally a state, but cell (0, 1) is -0.2.
+        rho = np.stack([MAX_MIXED, np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex)])
+        message = r"^cell probabilities at stack index 1 are not a distribution: one is -2\.0"
+        with pytest.raises(InvalidState, match=message):
+            joint_outcome_probabilities(rho, ZZ)
 
 
 class TestSampleJoint:
@@ -172,6 +197,73 @@ class TestSampleJoint:
         record = sample_joint(states.werner(0.4), ZZ, ShotConfig(shots=10**9, seed=9))
         assert record.shots_used == 10**9
         assert abs(record.covariance_estimate + 0.1) < 5 * record.standard_error
+
+
+def _pairs(n, seed):
+    x, y = np.random.default_rng(seed).standard_normal((2, n, 3))
+    return ObservablePair(
+        x=x / np.linalg.norm(x, axis=-1, keepdims=True),
+        y=y / np.linalg.norm(y, axis=-1, keepdims=True),
+    )
+
+
+class TestStackedSampler:
+    def test_stack_equals_one_call_per_row_at_consecutive_seeds(self):
+        rho = np.stack([states.random_density(s) for s in range(500)])
+        pair = _pairs(500, 31)
+        top = 2**64 - 250  # rows 250 on draw at seeds 0, 1, ...
+        stacked = sample_joint(rho, pair, ShotConfig(shots=10_000, seed=top))
+        for i in range(500):
+            row_pair = ObservablePair(x=pair.x[i], y=pair.y[i])
+            cfg = ShotConfig(shots=10_000, seed=(top + i) % 2**64)
+            record = sample_joint(rho[i], row_pair, cfg)
+            for field in fields(record)[:-1]:
+                assert getattr(stacked, field.name)[i] == getattr(record, field.name), field
+        assert stacked.shots_used == 10_000
+        assert set(stacked.decision) == {DECISION_ZERO, DECISION_NONZERO}
+
+    def test_nested_stack_draws_in_c_order(self):
+        rho = np.stack([states.random_density(s) for s in range(6)]).reshape(2, 3, 4, 4)
+        stacked = sample_joint(rho, ZZ, ShotConfig(shots=1_000, seed=50))
+        assert stacked.covariance_estimate.shape == stacked.decision.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            record = sample_joint(rho[i, j], ZZ, ShotConfig(shots=1_000, seed=50 + 3 * i + j))
+            assert stacked.covariance_estimate[i, j] == record.covariance_estimate
+            assert stacked.z_score[i, j] == record.z_score
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(2**63 - 1)])
+    def test_numpy_integer_seed_draws_as_its_int(self, seed):
+        pair = ObservablePair(x=np.broadcast_to(Z, (2, 3)), y=Z)
+        stacked = sample_joint(states.werner(0.3), pair, ShotConfig(shots=1_000, seed=seed))
+        as_int = sample_joint(states.werner(0.3), pair, ShotConfig(shots=1_000, seed=int(seed)))
+        assert stacked.covariance_estimate.tolist() == as_int.covariance_estimate.tolist()
+
+    def test_empty_stack_gives_empty_arrays(self):
+        pair = ObservablePair(x=np.empty((0, 3)), y=Z)
+        record = sample_joint(MAX_MIXED, pair, ShotConfig(shots=1_000))
+        for field in fields(record)[:-1]:
+            assert getattr(record, field.name).shape == (0,)
+        assert record.decision.dtype.kind == "U"
+        assert type(record.shots_used) is int and record.shots_used == 1_000
+
+    def test_one_state_record_is_pinned(self):
+        # One digest over every field's type and bits at seeds 0-299, taken before
+        # sample_joint took stacks; a one-state call must give the same records.
+        digest = hashlib.sha256()
+        for seed in range(300):
+            pair = _pairs(1, seed)
+            pair = ObservablePair(x=pair.x[0], y=pair.y[0])
+            rho = states.random_density(seed)
+            for shots in (100, 10_000, 1_000_000):
+                record = sample_joint(rho, pair, ShotConfig(shots=shots, seed=seed))
+                for value in vars(record).values():
+                    digest.update(type(value).__name__.encode())
+                    digest.update(
+                        value.encode() if isinstance(value, str) else np.float64(value).tobytes()
+                    )
+        assert digest.hexdigest() == (
+            "ae74bdb1c740fc3f74919dffe38a89d3597bee94ed8986319eb22fd400ca1c38"
+        )
 
 
 class TestStatisticalProtocol:

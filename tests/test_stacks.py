@@ -24,7 +24,13 @@ from bicorr.detect import (
     rank_says_entangled,
     schmidt_rank,
 )
-from bicorr.linalg import det3, hermitian_eigenvalues, numeric_rank, orthogonal_complement_basis
+from bicorr.linalg import (
+    det3,
+    directions,
+    hermitian_eigenvalues,
+    numeric_rank,
+    orthogonal_complement_basis,
+)
 from bicorr.qstate import (
     CheckedState,
     InvalidState,
@@ -40,6 +46,7 @@ from bicorr.qstate import (
     purity,
     validate_pure_state,
 )
+from bicorr.shotsim import joint_outcome_probabilities
 
 N = 300
 RHO = np.stack([states.random_density(s) for s in range(N)])
@@ -96,6 +103,9 @@ KERNELS = {
     "observable_from_bloch": (lambda rho, psi, x, y: observable_from_bloch(x), False),
     "find_zero_correlation_pair": (
         lambda rho, psi, x, y: find_zero_correlation_pair(rho, y).x, True
+    ),
+    "joint_outcome_probabilities": (
+        lambda rho, psi, x, y: joint_outcome_probabilities(rho, _pair(directions(x), y)), False
     ),
 }
 
