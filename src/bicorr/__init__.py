@@ -3,8 +3,8 @@
 The package computes covariances of local observables from density matrices,
 extracts the 3x3 correlation matrix of a state, classifies pure states as
 separable or entangled through the rank of that matrix, runs the three-probe
-zero/non-zero correlation protocol, and simulates the same decisions from
-finite projective-measurement statistics.
+zero/non-zero correlation protocol (one run, or a stack of runs), and
+simulates the same decisions from finite projective-measurement statistics.
 """
 
 from bicorr.correlation import (
@@ -19,6 +19,7 @@ from bicorr.detect import (
     ProtocolTrace,
     binary_protocol,
     classify_pure_by_rank,
+    exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
     schmidt_rank,
@@ -53,6 +54,7 @@ __all__ = [
     "covariance_direct",
     "covariance_via_c",
     "density_from_pure",
+    "exact_protocol",
     "find_zero_correlation_pair",
     "haar_random_pure",
     "observable_from_bloch",

@@ -214,7 +214,7 @@ def cmd_sweep_werner(args) -> int:
     pair = _parse_pair(args.pair) if args.pair else ObservablePair(x=DEFAULT_Y, y=DEFAULT_Y)
     xy = float(pair.x @ pair.y)
     grid = np.linspace(args.xi_from, args.xi_to, args.steps).tolist()
-    rho = CheckedState(np.stack([statesmod.werner(xi) for xi in grid]))
+    rho = CheckedState(statesmod.werner(grid))
     rows = [
         {"xi": xi, "covariance": covariance, "reference": -xi / 4 * xy, "ppt_separable": separable}
         for xi, covariance, separable in zip(

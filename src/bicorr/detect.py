@@ -9,7 +9,9 @@ Three decision routes live here:
 * the three-probe protocol: against a fixed y, one oracle call per run tests
   three independent directions x for zero/non-zero covariance; a plane can hide
   at most two independent directions, so an entangled pure state must reveal
-  itself within three probes, while a separable pure state shows three zeros;
+  itself within three probes, while a separable pure state shows three zeros.
+  ``binary_protocol`` makes one run; ``exact_protocol`` makes a stack of runs
+  with exact zero calls, with the same checks, bits and label rule;
 * independent oracles: the Schmidt rank of the amplitude matrix (pure states)
   and positivity of the partial transpose (any state), which never touch the
   correlation-matrix code path.
@@ -167,18 +169,32 @@ def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
     return oracle
 
 
+_GRAM_MESSAGE = "probe Gram determinant{at} {worst:.3e} is not above " + f"{GRAM_TOL:g}"
+
+
 def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The checked (y, xs) and their unit directions, before any is measured."""
+    """The checked (y, xs) and their unit directions, before any is measured; stacks broadcast.
+
+    A failure on a stack names the stack index of the first offending y or probe set.
+    """
     y = _check_y(y)
     xs = np.asarray(xs, dtype=float)
-    if xs.shape != (3, 3):
+    if xs.shape[-2:] != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
     check_bloch_components(xs, "probe set")
     units = directions(xs)  # a zero x has direction 0, so a Gram determinant of 0
-    gram = det3(units @ units.T)
-    if gram <= GRAM_TOL:
-        raise DependentProbes(f"probe Gram determinant {gram:.3e} is not above {GRAM_TOL:g}")
+    gram = det3(units) ** 2  # det(U U^T) = det(U)^2
+    # An independent set maps to -inf, so the worst entry is a dependent set's determinant.
+    _require(np.where(gram > GRAM_TOL, -np.inf, gram), -np.inf, DependentProbes, _GRAM_MESSAGE)
     return y, _check_norm(xs, "x"), directions(y), units
+
+
+_LABELS = np.array([INDETERMINATE, SEPARABLE, ENTANGLED])
+
+
+def _protocol_label(nonzero, pure):
+    """The verdict of a run, per run of a stack: on pure input Entangled iff a probe is non-zero."""
+    return _LABELS[pure * (1 + nonzero)]
 
 
 def binary_protocol(
@@ -190,7 +206,8 @@ def binary_protocol(
 ) -> tuple[Verdict, ProtocolTrace]:
     """Three-probe zero/non-zero correlation protocol against a fixed y.
 
-    It takes one state and one y; a stack of either raises ValueError.  y
+    It takes one state, one y and one probe set; a stack of any raises ValueError
+    (``exact_protocol`` runs a stack with the exact rule).  y
     and the whole probe set are checked before the first measurement: y a
     non-zero Bloch vector, xs of shape (3, 3), finite, with no component above
     1, linearly independent, and every Bloch vector in the unit ball.  The xs
@@ -210,7 +227,9 @@ def binary_protocol(
         raise ValueError(
             f"the protocol takes one state and one y, got shapes {rho.matrix.shape} and {y.shape}"
         )
-    purity_value = purity(rho)
+    if xs.shape != (3, 3):
+        raise ValueError(f"the protocol takes one probe set, got shape {xs.shape}")
+    pure = assume_pure | (purity(rho) >= 1.0 - PURITY_TOL)
     if corr_oracle is None:
         corr_oracle = exact_corr_oracle(correlation_matrix(rho))
 
@@ -223,21 +242,47 @@ def binary_protocol(
 
     # Only the last probe can be non-zero: the loop stops there.
     nonzero = not probes[-1].is_zero
-    if assume_pure or purity_value >= 1.0 - PURITY_TOL:
-        label = ENTANGLED if nonzero else SEPARABLE
+    if pure:
         detail = (
             f"non-zero correlation at probe {len(probes)}"
             if nonzero
             else "all 3 probed correlations are zero"
         )
     else:
-        label = INDETERMINATE
         detail = (
             "non-zero correlation on mixed input"
             if nonzero
             else "zero correlations on mixed input do not certify separability"
         )
+    label = str(_protocol_label(nonzero, pure))
     return Verdict(label, BINARY_PROTOCOL, detail), trace
+
+
+def exact_protocol(
+    rho: np.ndarray,
+    y: np.ndarray = DEFAULT_Y,
+    xs: np.ndarray = DEFAULT_XS,
+    assume_pure: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three-probe protocol with exact zero calls on a stack of runs: (labels, used, c).
+
+    rho (..., 4, 4), y (..., 3) and xs (..., 3, 3) broadcast, one run per entry of the stack.
+    They are checked as in ``binary_protocol``, a failure naming the stack index, and every probe
+    of every run is measured in one ``covariance_via_c`` call.  Returned, shaped like the stack:
+    the verdict labels, the measurements used (the first non-zero probe, else 3), and on the last
+    axis the three c(x^, y^).  A run's results are the bits of its one-state ``binary_protocol``:
+    the label, ``measurements_used``, and the covariances of the probes it reads.
+    """
+    rho = CheckedState.of(rho)
+    _, _, y_unit, x_units = _check_probes(y, xs)
+    pure = assume_pure | (purity(rho) >= 1.0 - PURITY_TOL)
+    cm = correlation_matrix(rho)
+    per_probe = CorrMatrix(cm.c[..., None, :, :], cm.singular_values[..., None, :])  # c per x
+    values = covariance_via_c(per_probe, _checked_pair(x_units, y_unit[..., None, :]))
+    nonzero = np.abs(values) > ZERO_CORRELATION_TOL
+    found = nonzero.any(axis=-1)
+    used = np.where(found, nonzero.argmax(axis=-1) + 1, 3)
+    return _protocol_label(found, pure), used, values
 
 
 def schmidt_rank(psi: np.ndarray) -> int:

@@ -33,7 +33,7 @@ contraction; row i of the stack, in C order, then draws its counts from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -87,7 +87,8 @@ class ShotRecord:
     standard_error is the delta-method spread of covariance_estimate;
     z_score is |covariance_estimate| over the null-hypothesis standard error,
     and decision is NonZero exactly when z_score exceeds the z threshold.
-    For a stack, every field but shots_used is an array shaped like the stack.
+    For a stack, every field but shots_used is an array shaped like the stack.  Two records are
+    equal when every field holds the same values, so the comparison is one bool for a stack too.
     """
 
     estimate_xy: float
@@ -98,6 +99,14 @@ class ShotRecord:
     z_score: float
     decision: str
     shots_used: int
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShotRecord):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, field.name), getattr(other, field.name))
+            for field in fields(self)
+        )
 
 
 def _unit(vec: np.ndarray, name: str) -> np.ndarray:
@@ -186,7 +195,7 @@ def statistical_binary_protocol(
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
         for i, x in enumerate(xs):
             pair = _checked_pair(x, y)
-            record = sample_joint(rho, pair, replace(cfg, seed=(cfg.seed + i) % 2**64))
+            record = sample_joint(rho, pair, replace(cfg, seed=(int(cfg.seed) + i) % 2**64))
             yield record.covariance_estimate, record.decision == DECISION_ZERO
 
     verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)

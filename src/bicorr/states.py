@@ -1,7 +1,9 @@
 """Fixture states, seeded random-state generators, and the state-file format.
 
-All generators are pure functions of their integer seed (numpy PCG64 via
-``np.random.default_rng``), so every draw is bit-reproducible.
+Every random generator takes one seed or a sequence of seeds, which gives a stack of states.
+Each seed draws from its own ``np.random.default_rng(seed)`` (numpy PCG64) in a fixed order, and
+the rest is computed on the whole stack with the bits of the one-seed computation, so a seed's
+state is the same alone or in any stack, and every draw is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.qstate import CheckedState, _observable, as_density_matrix, density_from_pure
+from bicorr.linalg import norms
+from bicorr.qstate import (
+    CheckedState,
+    _observable,
+    _require,
+    as_density_matrix,
+    density_from_pure,
+)
 
 _BELL_AMPLITUDES = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
@@ -45,8 +54,8 @@ def chen_state() -> np.ndarray:
     return np.array([1, 1, 0, 1], dtype=complex) / np.sqrt(3.0)
 
 
-def werner(xi: float) -> np.ndarray:
-    """Werner density matrix (1 - xi)/4 I + xi |psi-><psi-| for xi in [0, 1].
+def werner(xi) -> np.ndarray:
+    """Werner density matrix (1 - xi)/4 I + xi |psi-><psi-| for xi in [0, 1]; a stack for a stack.
 
     Separable exactly for xi <= 1/3; reduces to the singlet projector at
     xi = 1 and to the maximally mixed state at xi = 0.  The covariance of any
@@ -54,87 +63,135 @@ def werner(xi: float) -> np.ndarray:
     whether the state is separable or entangled: zero correlations coexist
     with both answers, so the protocol cannot decide mixed states.
     """
-    xi = float(xi)
-    if not 0.0 <= xi <= 1.0:
-        raise XiOutOfRange(f"xi = {xi!r} outside [0, 1]")
-    return 0.25 * np.array(
-        [
-            [1 - xi, 0, 0, 0],
-            [0, 1 + xi, -2 * xi, 0],
-            [0, -2 * xi, 1 + xi, 0],
-            [0, 0, 0, 1 - xi],
-        ],
-        dtype=complex,
-    )
+    xi = np.asarray(xi, dtype=float)
+    message = "xi{at} lies {worst!r} outside [0, 1]"
+    _require(np.maximum(-xi, xi - 1.0), 0.0, XiOutOfRange, message)
+    rho = np.zeros(xi.shape + (4, 4), dtype=complex)
+    rho[..., [0, 3], [0, 3]] = (1 - xi)[..., None]
+    rho[..., [1, 2], [1, 2]] = (1 + xi)[..., None]
+    rho[..., [1, 2], [2, 1]] = (-2 * xi)[..., None]
+    return 0.25 * rho
 
 
-def _random_unit_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _shaped(seeds: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The stack drawn for seeds.flat, shaped like seeds: one seed gives one state."""
+    return stack.reshape(seeds.shape + stack.shape[1:])
 
 
-def haar_random_pure(seed: int) -> np.ndarray:
-    """Haar-random two-qubit pure state: normalized complex Gaussian amplitudes."""
-    return _random_unit_complex(np.random.default_rng(seed), 4)
+def _normal_rows(seeds: np.ndarray, shape: tuple) -> np.ndarray:
+    """Per seed, an array of `shape` standard normals from that seed's own generator."""
+    rows = np.empty((seeds.size,) + shape)
+    for row, s in zip(rows, seeds.flat):
+        np.random.default_rng(s).standard_normal(out=row)
+    return rows
 
 
-def random_product_pure(seed: int) -> np.ndarray:
+def _unit_complex(g: np.ndarray) -> np.ndarray:
+    """g[..., 0, :] + i g[..., 1, :] over its norm.
+
+    The norm is np.linalg.norm's sum of the two real dot products, taken by np.vecdot on the
+    strided real and imaginary views, which gives its bits on every row (the pinned seed map in
+    tests/test_states.py was taken with np.linalg.norm).
+    """
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+
+
+def haar_random_pure(seed) -> np.ndarray:
+    """Haar-random two-qubit pure state: normalized complex Gaussian amplitudes.
+
+    seed is one seed, or a sequence of N seeds (a list, a range, an integer array) for an
+    (N, 4) stack.
+    """
+    seeds = np.array(seed, dtype=object)  # each seed as given, a Python int of any size
+    return _shaped(seeds, _unit_complex(_normal_rows(seeds, (2, 4))))
+
+
+def random_product_pure(seed) -> np.ndarray:
     """Product of two independent Haar-random single-qubit pure states."""
-    rng = np.random.default_rng(seed)
-    u, v = _random_unit_complex(rng, 2), _random_unit_complex(rng, 2)
-    return (u[:, None] * v).reshape(4)
+    seeds = np.array(seed, dtype=object)
+    g = _normal_rows(seeds, (2, 2, 2))  # u's real and imaginary parts, then v's
+    u, v = _unit_complex(g[:, 0]), _unit_complex(g[:, 1])
+    return _shaped(seeds, (u[:, :, None] * v[:, None, :]).reshape(-1, 4))
 
 
-def _random_qubits_mixed(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n single-qubit states, each with a Bloch vector uniform in the unit ball."""
-    blochs = []
-    for _ in range(n):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        blochs.append(direction * rng.random() ** (1.0 / 3.0))
-    return _observable(np.array(blochs))
+def _per_k(seed, k, mixture) -> np.ndarray:
+    """mixture(seeds, k) on the seeds of each k, gathered into one stack; k is one or per seed."""
+    seeds = np.array(seed, dtype=object)
+    ks = np.broadcast_to(np.asarray(k), seeds.shape).reshape(-1)
+    if (ks < 1).any():
+        raise ValueError("k must be at least 1")
+    flat = seeds.reshape(-1)
+    rho = np.empty((flat.size, 4, 4), dtype=complex)
+    for value in set(ks.tolist()):  # np.unique would page in about 0.5 MB on its first call
+        rows = ks == value
+        rho[rows] = mixture(flat[rows], int(value))
+    return _shaped(seeds, rho)
 
 
-def _simplex_weights(rng: np.random.Generator, k: int) -> np.ndarray:
-    w = rng.exponential(1.0, size=k)
-    return w / w.sum()
+def _mixture(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per row, the sum of the k terms (n, k, 4, 4) with the weights (n, k) normalized to 1."""
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    return (weights[..., None, None] * terms).sum(axis=1)
 
 
-def random_separable_mixed(seed: int, k: int = 4) -> np.ndarray:
+def _separable_mixed(seeds: np.ndarray, k: int) -> np.ndarray:
+    n = len(seeds)
+    # Per seed: k exponential weights, then 2k qubits, each a normal direction and a radius.
+    weights, directions, radii = np.empty((n, k)), np.empty((n, 2 * k, 3)), np.empty((n, 2 * k))
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        weights[i] = rng.exponential(1.0, size=k)
+        for j in range(2 * k):
+            rng.standard_normal(out=directions[i, j])
+            radii[i, j] = rng.random() ** (1.0 / 3.0)  # Python's pow: numpy's can differ in bits
+    blochs = directions / norms(directions)[..., None] * radii[..., None]
+    qubits = _observable(blochs)  # the A and B factor of each term, in turn
+    a, b = qubits[:, 0::2, :, None, :, None], qubits[:, 1::2, None, :, None, :]
+    return _mixture(weights, (a * b).reshape(n, k, 4, 4))
+
+
+def random_separable_mixed(seed, k=4) -> np.ndarray:
     """Convex mixture of k products of random single-qubit states.
 
     Separable by construction.  The single-qubit factors are drawn with Bloch
     vectors uniform in the unit ball, so they cover the full (generally mixed)
     qubit state space; weights come from normalized exponential draws, i.e.
-    uniform on the simplex.
+    uniform on the simplex.  k is one count or one per seed.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rng = np.random.default_rng(seed)
-    weights = _simplex_weights(rng, k)
-    qubits = _random_qubits_mixed(rng, 2 * k)  # A and B factor of each term, in turn
-    a, b = qubits[0::2, :, None, :, None], qubits[1::2, None, :, None, :]
-    return (weights[:, None, None] * (a * b).reshape(k, 4, 4)).sum(axis=0)
+    return _per_k(seed, k, _separable_mixed)
 
 
-def random_mixed(seed: int, k: int = 4) -> np.ndarray:
-    """Convex mixture of k Haar-random pure states (generally entangled)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rng = np.random.default_rng(seed)
-    weights = _simplex_weights(rng, k)
-    psi = np.array([_random_unit_complex(rng, 4) for _ in range(k)])
-    return (weights[:, None, None] * (psi[:, :, None] * psi[:, None, :].conj())).sum(axis=0)
+def _mixed(seeds: np.ndarray, k: int) -> np.ndarray:
+    n = len(seeds)
+    draws = np.empty((n, 9 * k))  # per seed: k exponential weights, then k states' normals
+    for row, s in zip(draws, seeds):
+        rng = np.random.default_rng(s)
+        row[:k] = rng.exponential(1.0, size=k)
+        rng.standard_normal(out=row[k:])
+    psi = _unit_complex(draws[:, k:].reshape(n, k, 2, 4))
+    return _mixture(draws[:, :k], psi[..., :, None] * psi[..., None, :].conj())
 
 
-def random_density(seed: int) -> np.ndarray:
+def random_mixed(seed, k=4) -> np.ndarray:
+    """Convex mixture of k Haar-random pure states (generally entangled); k is one or per seed."""
+    return _per_k(seed, k, _mixed)
+
+
+def random_density(seed) -> np.ndarray:
     """Random state for property loops: seed % 3 picks mixed, separable mixed or pure."""
-    kind = seed % 3
-    if kind == 0:
-        return random_mixed(seed, 2 + seed % 4)
-    if kind == 1:
-        return random_separable_mixed(seed, 1 + seed % 5)
-    return density_from_pure(haar_random_pure(seed))
+    seeds = np.array(seed, dtype=object)
+    flat = seeds.reshape(-1)
+    kind = (flat % 3).astype(int)
+    rho = np.empty((flat.size, 4, 4), dtype=complex)
+    for which, draw in enumerate((
+        lambda s: random_mixed(s, 2 + s % 4),
+        lambda s: random_separable_mixed(s, 1 + s % 5),
+        lambda s: density_from_pure(haar_random_pure(s)),
+    )):
+        rows = kind == which
+        rho[rows] = draw(flat[rows])
+    return _shaped(seeds, rho)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,14 +8,16 @@ that criterion's 10,000 states.  At seed 0 those checks draw exactly the
 criterion's inputs.
 
 Each check returns (passed, detail).  Trial counts scale the randomized
-loops, which run on per-seed states stacked in blocks of ``BLOCK``; the
-statistical suites keep their fixed, calibrated sizes.
+checks: each draws its states by seed, one generator call per block of
+``BLOCK`` seeds, and calls each kernel once per block, the three-probe
+protocol included (``exact_protocol``).  The statistical suites keep their
+fixed, calibrated sizes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from bicorr.correlation import (
 from bicorr.detect import (
     ENTANGLED,
     SEPARABLE,
-    binary_protocol,
+    exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
     rank_says_entangled,
@@ -70,12 +72,14 @@ def _blocks(seed: int, n: int):
     return (range(seed + i, seed + min(n, i + BLOCK)) for i in range(0, n, BLOCK))
 
 
-def _stack(draw: Callable[..., np.ndarray], params: Iterable) -> np.ndarray:
-    return np.stack([draw(p) for p in params])
+def _units(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of ``_unit`` in one call: the same stream, and the bits of np.linalg.norm."""
+    v = rng.standard_normal((n, 3))
+    return v / norms(v)[:, None]
 
 
-def _pure(draw: Callable[[int], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
-    psi = _stack(draw, seeds)
+def _pure(draw: Callable[[range], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
+    psi = draw(seeds)
     return psi, CheckedState(density_from_pure(psi))
 
 
@@ -130,7 +134,7 @@ def check_rank_monotonicity(trials: int, seed: int) -> tuple[bool, str]:
 def check_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = CheckedState(_stack(states.random_density, seeds))
+        rho = CheckedState(states.random_density(seeds))
         rebuilt = bloch_assemble(bloch_decompose(rho))
         worst = max(worst, float(np.abs(rebuilt - rho.matrix).max()))
     return worst < 1e-10, f"{trials} states, worst round-trip error {worst:.2e}"
@@ -163,7 +167,7 @@ def check_partial_trace_consistency(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = CheckedState(_stack(states.random_density, seeds))
+        rho = CheckedState(states.random_density(seeds))
         q = observable_from_bloch(np.array([_unit(rng) * rng.random() for _ in seeds]))
         lhs = np.trace(partial_trace_B(rho) @ q, axis1=-2, axis2=-1)
         rhs = np.trace(rho.matrix @ np.kron(q, np.eye(2)), axis1=-2, axis2=-1)
@@ -180,7 +184,7 @@ def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str
     rng = np.random.default_rng(seed + 808)  # criterion 7's directions at seed 0
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = CheckedState(_stack(states.random_density, seeds))
+        rho = CheckedState(states.random_density(seeds))
         pair = ObservablePair(*np.array([_ball_pair(rng) for _ in seeds]).swapaxes(0, 1))
         direct = covariance_direct(rho, pair)
         shortcut = covariance_via_c(correlation_matrix(rho), pair)
@@ -191,7 +195,7 @@ def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str
 def check_covariance_bilinearity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     n = min(trials, 2000)
-    cm = correlation_matrix(CheckedState(_stack(states.random_density, range(seed, seed + n))))
+    cm = correlation_matrix(CheckedState(states.random_density(range(seed, seed + n))))
     draws = [(_unit(rng) / 4, _unit(rng) / 4, _unit(rng), *rng.random(2)) for _ in range(n)]
     x1, x2, y, alpha, beta = (np.array(column) for column in zip(*draws))
     x = alpha[:, None] * x1 + beta[:, None] * x2
@@ -244,21 +248,25 @@ def check_classifier_oracle_agreement(trials: int, seed: int) -> tuple[bool, str
     return True, f"{2 * trials} states, zero disagreements"
 
 
+def _probe_run(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A random y, then random unit probes redrawn until well independent."""
+    y = _unit(rng)
+    while True:
+        xs = rng.standard_normal((3, 3))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        if det3(xs @ xs.T) > 1e-3:
+            return y, xs
+
+
 def check_protocol_soundness(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)[1]
         labels = _rank_labels(rho)
-        for i, s in enumerate(seeds):
-            y = _unit(rng)
-            while True:
-                xs = rng.standard_normal((3, 3))
-                xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-                if det3(xs @ xs.T) > 1e-3:
-                    break
-            verdict, _ = binary_protocol(rho[i], y=y, xs=xs)
-            if verdict.label != labels[i]:
-                return False, f"seed {s}: protocol/classifier disagreement"
+        y, xs = (np.array(draws) for draws in zip(*(_probe_run(rng) for _ in seeds)))
+        disagree = exact_protocol(rho, y=y, xs=xs)[0] != labels
+        if disagree.any():
+            return False, f"seed {seeds[np.argmax(disagree)]}: protocol/classifier disagreement"
     return True, f"{trials} pure states, protocol matches the rank classifier"
 
 
@@ -285,15 +293,15 @@ def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 404)  # criterion 5's directions at seed 0
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = CheckedState(np.stack([
-            states.random_separable_mixed(s, 1 + (s - seed) % 4)
-            if (s - seed) % 2
-            else states.random_mixed(s, 2 + (s - seed) % 4)
-            for s in seeds
-        ]))
-        pair = find_zero_correlation_pair(rho, np.array([_unit(rng) for _ in seeds]))
+        offset = np.arange(seeds.start - seed, seeds.stop - seed)
+        odd, stack = offset % 2 == 1, np.array(seeds, dtype=object)
+        rho = np.empty((len(seeds), 4, 4), dtype=complex)
+        rho[odd] = states.random_separable_mixed(stack[odd], 1 + offset[odd] % 4)
+        rho[~odd] = states.random_mixed(stack[~odd], 2 + offset[~odd] % 4)
+        rho = CheckedState(rho)
+        pair = find_zero_correlation_pair(rho, _units(rng, len(seeds)))
         worst = max(worst, float(np.abs(covariance_direct(rho, pair)).max()))
-    rho = CheckedState(_stack(states.werner, (0.0, 0.2, 1 / 3, 0.5, 1.0)))
+    rho = CheckedState(states.werner([0.0, 0.2, 1 / 3, 0.5, 1.0]))
     pair = find_zero_correlation_pair(rho, Z)
     worst = max(worst, float(np.abs(covariance_direct(rho, pair)).max()))
     return worst < 1e-10, f"{trials} mixed states + Werner grid, worst |c| {worst:.2e}"
@@ -301,8 +309,8 @@ def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
 
 def _zero_set_grid(seed: int) -> ObservablePair:
     rng = np.random.default_rng(seed)
-    random_x, random_y = np.array([(_unit(rng), _unit(rng)) for _ in range(50)]).swapaxes(0, 1)
-    y = np.array([_unit(rng) for _ in range(50)])
+    random_x, random_y = _units(rng, 100).reshape(50, 2, 3).swapaxes(0, 1)
+    y = _units(rng, 50)
     x = np.concatenate([random_x, orthogonal_complement_basis(y)[0]])
     return ObservablePair(x=x, y=np.concatenate([random_y, y]))
 
@@ -320,21 +328,20 @@ def check_werner_zero_set_identity(trials: int, seed: int) -> tuple[bool, str]:
 def check_generator_validity(trials: int, seed: int) -> tuple[bool, str]:
     n = max(trials // 10, 10)
     for seeds in _blocks(seed, n):
-        as_density_matrix(density_from_pure(_stack(states.haar_random_pure, seeds)))
-        as_density_matrix(density_from_pure(_stack(states.random_product_pure, seeds)))
-        sep = as_density_matrix(
-            np.stack([states.random_separable_mixed(s, 1 + (s - seed) % 5) for s in seeds])
-        )
+        k = 1 + np.arange(seeds.start - seed, seeds.stop - seed) % 5
+        as_density_matrix(density_from_pure(states.haar_random_pure(seeds)))
+        as_density_matrix(density_from_pure(states.random_product_pure(seeds)))
+        sep = as_density_matrix(states.random_separable_mixed(seeds, k))
         separable = ppt_is_separable(sep)
         if not separable.all():
             return False, f"separable mixture {seeds[np.argmin(separable)]} failed its PPT check"
-        as_density_matrix(np.stack([states.random_mixed(s, 1 + (s - seed) % 5) for s in seeds]))
+        as_density_matrix(states.random_mixed(seeds, k))
     return True, f"{n} draws per generator all pass state validation"
 
 
 def check_werner_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     xi = np.linspace(0.0, 1.0, 21)
-    bf = bloch_decompose(_stack(states.werner, xi))
+    bf = bloch_decompose(states.werner(xi))
     f_dev = bf.f + xi[:, None, None] * np.eye(3)
     worst = float(max(np.abs(bf.a).max(), np.abs(bf.b).max(), np.abs(f_dev).max()))
     return worst < 1e-12, f"21 xi values, worst Bloch deviation {worst:.2e}"

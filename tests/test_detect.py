@@ -18,14 +18,21 @@ from bicorr.detect import (
     ENTANGLED,
     INDETERMINATE,
     SEPARABLE,
+    ZeroVector,
     binary_protocol,
     classify_pure_by_rank,
     exact_corr_oracle,
+    exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
     schmidt_rank,
 )
-from bicorr.linalg import ZERO_CORRELATION_TOL, directions
+from bicorr.linalg import (
+    ZERO_CORRELATION_TOL,
+    det3,
+    directions,
+    orthogonal_complement_basis,
+)
 from bicorr.qstate import BlochOutOfBall, density_from_pure, partial_transpose_b
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
@@ -278,6 +285,13 @@ class TestBinaryProtocol:
             protocol(rho, y=np.stack([Z, Z]))
 
     @pytest.mark.parametrize("protocol", [binary_protocol, statistical_binary_protocol])
+    def test_rejects_a_stack_of_probe_sets(self, protocol):
+        rho = density_from_pure(states.bell_state("psi-"))
+        message = r"^the protocol takes one probe set, got shape \(2, 3, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            protocol(rho, xs=np.stack([DEFAULT_XS, DEFAULT_XS]))
+
+    @pytest.mark.parametrize("protocol", [binary_protocol, statistical_binary_protocol])
     def test_rejects_a_stack_of_states(self, protocol):
         rho = np.stack([states.werner(0.2), states.werner(0.8)])
         with pytest.raises(ValueError, match=rf"^{ONE_STATE} \(2, 4, 4\) and \(3,\)$"):
@@ -314,6 +328,72 @@ def test_exact_oracle_equals_the_per_probe_rule(draw, n):
         assert all(type(v) is float and type(z) is bool for v, z in calls)
         _, trace = binary_protocol(rho, y=y, xs=xs)
         assert [(p.covariance, p.is_zero) for p in trace.probes] == expected[: len(trace.probes)]
+
+
+def _protocol_runs(n: int, seed: int):
+    """n Haar, n product and n mixed states, each with a random y and random probes.
+
+    For the Haar states, every third run takes its first probe, and every third its first two,
+    in the plane orthogonal to C y^, so those runs read zeros before their non-zero probe.
+    """
+    rng = np.random.default_rng(seed)
+    seeds = range(seed, seed + n)
+    rho = np.concatenate([
+        density_from_pure(states.haar_random_pure(seeds)),
+        density_from_pure(states.random_product_pure(seeds)),
+        states.random_mixed(seeds, 1 + np.arange(n) % 4),
+    ])
+    y = directions(rng.standard_normal((3 * n, 3))) * rng.random((3 * n, 1))
+    xs = directions(rng.standard_normal((3 * n, 3, 3))) * rng.random((3 * n, 3, 1))
+    c_y = (correlation_matrix(rho[:n]).c @ directions(y[:n])[..., None])[..., 0]
+    plane = orthogonal_complement_basis(c_y)
+    for zeros in (1, 2):
+        rows = np.arange(zeros, n, 3)
+        for i in range(zeros):
+            xs[rows, i] = 0.5 * plane[i][rows]
+    units = directions(xs)
+    keep = det3(units @ units.swapaxes(-1, -2)) > 1e-6  # drop the rare dependent draw
+    return rho[keep], y[keep], xs[keep]
+
+
+def test_exact_protocol_equals_the_one_state_protocol_run_by_run():
+    rho, y, xs = _protocol_runs(2000, 41)
+    labels, used, covariances = exact_protocol(rho, y=y, xs=xs)
+    assert labels.shape == used.shape == (len(rho),) and covariances.shape == (len(rho), 3)
+    for i in range(len(rho)):
+        verdict, trace = binary_protocol(rho[i], y=y[i], xs=xs[i])
+        assert (labels[i], used[i]) == (verdict.label, trace.measurements_used), i
+        read = np.array([p.covariance for p in trace.probes])
+        assert read.tobytes() == covariances[i, : len(read)].tobytes(), i
+    assert set(labels) == {ENTANGLED, SEPARABLE, INDETERMINATE}
+    assert set(used) == {1, 2, 3}
+
+
+def test_exact_protocol_broadcasts_one_state_against_a_stack_of_y():
+    rho = density_from_pure(states.bell_state("psi-"))
+    y = np.stack([Z, SHORT_Y, np.array([0.0, 0.3, 0.0])])
+    labels, used, covariances = exact_protocol(rho, y=y)
+    assert labels.tolist() == [ENTANGLED] * 3 and used.tolist() == [3, 1, 2]
+    assert exact_protocol(rho)[2].tolist() == covariances[0].tolist()
+
+
+@pytest.mark.parametrize("row", [0, 17])
+def test_exact_protocol_names_the_run_that_fails_its_check(row):
+    rho, y, xs = _protocol_runs(10, 5)
+    y[row] = 0.0
+    with pytest.raises(ZeroVector, match=rf"^y at stack index {row} must be non-zero"):
+        exact_protocol(rho, y=y, xs=xs)
+    y[row], xs[row, 2] = 0.3, -0.5 * xs[row, 0]
+    with pytest.raises(DependentProbes, match=rf"^probe Gram determinant at stack index {row} "):
+        exact_protocol(rho, y=y, xs=xs)
+
+
+def test_exact_protocol_of_an_empty_stack_is_empty():
+    rho, y, xs = _protocol_runs(10, 5)
+    labels, used, covariances = exact_protocol(rho[:0], y=y[:0], xs=xs[:0])
+    assert labels.shape == used.shape == (0,) and covariances.shape == (0, 3)
+    labels, used, covariances = exact_protocol(rho[:0])
+    assert labels.shape == used.shape == (0,) and covariances.shape == (0, 3)
 
 
 @pytest.mark.filterwarnings("error")

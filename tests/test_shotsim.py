@@ -238,6 +238,13 @@ class TestStackedSampler:
         as_int = sample_joint(states.werner(0.3), pair, ShotConfig(shots=1_000, seed=int(seed)))
         assert stacked.covariance_estimate.tolist() == as_int.covariance_estimate.tolist()
 
+    def test_stacked_records_compare_as_one_bool(self):
+        pair = ObservablePair(x=np.eye(3), y=Z)
+        first, second = (sample_joint(MAX_MIXED, pair, ShotConfig(shots=1_000)) for _ in range(2))
+        other = sample_joint(MAX_MIXED, pair, ShotConfig(shots=1_000, seed=1))
+        assert (first == second) is True and (first != second) is False
+        assert (first == other) is False and (first != other) is True
+
     def test_empty_stack_gives_empty_arrays(self):
         pair = ObservablePair(x=np.empty((0, 3)), y=Z)
         record = sample_joint(MAX_MIXED, pair, ShotConfig(shots=1_000))
@@ -332,6 +339,20 @@ class TestStatisticalProtocol:
             pair = ObservablePair(x=xs[i] / np.linalg.norm(xs[i]), y=unit_y)
             record = sample_joint(singlet_rho(), pair, ShotConfig(shots=10_000, seed=70 + i))
             assert probe.covariance == record.covariance_estimate
+
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(2**63 - 1)])
+    def test_numpy_integer_seed_gives_its_ints_trace(self, seed):
+        # seed + i overflowed a numpy integer: 2**64 has no uint64 or int64 value.
+        for rho in (MAX_MIXED, singlet_rho()):
+            runs = [
+                statistical_binary_protocol(rho, cfg=ShotConfig(shots=1_000, seed=s))
+                for s in (seed, int(seed))
+            ]
+            (verdict, trace), (int_verdict, int_trace) = runs
+            assert verdict == int_verdict
+            assert [(p.covariance, p.is_zero) for p in trace.probes] == [
+                (p.covariance, p.is_zero) for p in int_trace.probes
+            ]
 
     def test_probe_seeds_wrap_at_two_to_the_64(self):
         rho = density_from_pure(states.random_product_pure(12))

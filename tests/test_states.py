@@ -87,6 +87,22 @@ class TestWerner:
             werner(xi)
 
 
+# Each generator as draw(seed, k) for one seed or a sequence: seeds at both ends of the
+# 64-bit range, a count per seed where the generator takes one.
+STACK_SEEDS = list(range(300)) + list(range(2**64 - 100, 2**64 + 20))
+STACK_KS = [1 + seed % 6 for seed in STACK_SEEDS]
+STACKABLE = {
+    "haar_random_pure": lambda seed, k: haar_random_pure(seed),
+    "random_product_pure": lambda seed, k: random_product_pure(seed),
+    "random_separable_mixed": lambda seed, k: random_separable_mixed(seed, k),
+    "random_separable_mixed(k=4)": lambda seed, k: random_separable_mixed(seed),
+    "random_mixed": lambda seed, k: random_mixed(seed, k),
+    "random_mixed(k=4)": lambda seed, k: random_mixed(seed),
+    "random_density": lambda seed, k: states.random_density(seed),
+    "werner": lambda seed, k: werner(np.asarray(seed, dtype=float) % 101 / 100),
+}
+
+
 class TestGenerators:
     def test_haar_states_are_normalized(self):
         for seed in range(200):
@@ -141,6 +157,36 @@ class TestGenerators:
     def test_component_count_must_be_positive(self):
         with pytest.raises(ValueError):
             random_separable_mixed(0, 0)
+
+
+@pytest.mark.parametrize("name", STACKABLE)
+class TestSeedStacks:
+    def test_a_seed_stack_equals_one_call_per_seed(self, name):
+        draw = STACKABLE[name]
+        stack = draw(STACK_SEEDS, STACK_KS)
+        each = np.stack([draw(seed, k) for seed, k in zip(STACK_SEEDS, STACK_KS)])
+        assert stack.shape == each.shape and stack.tobytes() == each.tobytes()
+
+    def test_an_empty_seed_list_gives_an_empty_stack(self, name):
+        shape = STACKABLE[name](0, 1).shape
+        assert STACKABLE[name]([], []).shape == (0,) + shape
+
+
+class TestSeedStackInputs:
+    def test_every_seed_type_draws_the_same_stack(self):
+        top = 2**64 - 3
+        expected = haar_random_pure([top, top + 1, top + 2])
+        for seeds in (range(top, top + 3), np.arange(top, top + 3, dtype=np.uint64)):
+            assert haar_random_pure(seeds).tobytes() == expected.tobytes()
+        assert random_mixed(np.arange(5), np.arange(1, 6)).tobytes() == (
+            random_mixed(range(5), [1, 2, 3, 4, 5]).tobytes()
+        )
+
+    def test_a_stack_with_a_bad_count_or_xi_is_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            random_mixed([1, 2, 3], [2, 0, 2])
+        with pytest.raises(XiOutOfRange, match="^xi at stack index 1 lies 0.5 outside"):
+            werner([0.2, 1.5, 0.3])
 
 
 class TestStateFiles:
