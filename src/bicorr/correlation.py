@@ -12,6 +12,7 @@ cross-check each other.  Stacks of states and vectors give arrays of results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +48,14 @@ def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
 
 @dataclass(frozen=True, eq=False)
 class CorrMatrix:
-    """Correlation matrix c = f - a b^T with its singular values."""
+    """Correlation matrix c = f - a b^T; its singular values are computed when first read."""
 
     c: np.ndarray
-    singular_values: np.ndarray
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The singular values of c, descending."""
+        return symmetric3_singular_values(self.c)
 
 
 def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
@@ -69,7 +74,7 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
 
 
 def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
-    """Correlation matrix with cached singular values, descending.
+    """Correlation matrix, with its singular values (descending) computed when first read.
 
     state is a density matrix or, when the caller already has it, its Bloch
     form.  A pure state of concurrence k has singular values (k, k, k^2); the
@@ -77,7 +82,7 @@ def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
     """
     bf = state if isinstance(state, BlochForm) else bloch_decompose(state)
     c = bf.f - bf.a[..., :, None] * bf.b[..., None, :]
-    return CorrMatrix(c=c, singular_values=symmetric3_singular_values(c))
+    return CorrMatrix(c=c)
 
 
 def covariance_via_c(cm: CorrMatrix, pair: ObservablePair) -> float:

@@ -277,7 +277,7 @@ def exact_protocol(
     _, _, y_unit, x_units = _check_probes(y, xs)
     pure = assume_pure | (purity(rho) >= 1.0 - PURITY_TOL)
     cm = correlation_matrix(rho)
-    per_probe = CorrMatrix(cm.c[..., None, :, :], cm.singular_values[..., None, :])  # c per x
+    per_probe = CorrMatrix(cm.c[..., None, :, :])  # c per x
     values = covariance_via_c(per_probe, _checked_pair(x_units, y_unit[..., None, :]))
     nonzero = np.abs(values) > ZERO_CORRELATION_TOL
     found = nonzero.any(axis=-1)

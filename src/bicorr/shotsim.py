@@ -25,9 +25,14 @@ inputs give bit-identical records.
 
 ``joint_outcome_probabilities`` and ``sample_joint`` take stacks of states
 and probes, which broadcast.  The probabilities of a whole stack are one
-contraction; row i of the stack, in C order, then draws its counts from
-``default_rng((seed + i) mod 2**64)``.  So a one-state call is row 0 at
-``seed``, and each row of a stack equals a one-state call at its own seed.
+contraction; row i of the stack, in C order, then draws its counts from the
+stream of ``default_rng((seed + i) mod 2**64)``, and the statistics are
+computed on the whole count array.  The stack's generators are seeded by one
+vectorised kernel (``streams.generators``), which gives each seed its
+``default_rng(seed)`` stream bit for bit; the pinned one-state records in
+tests/test_shotsim.py would fail if numpy ever changed its seeding.  So a
+one-state call is row 0 at ``seed``, and each row of a stack equals a
+one-state call at its own seed.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from bicorr.detect import (
 )
 from bicorr.linalg import IMAG_TOL, NORM_TOL
 from bicorr.qstate import CheckedState, InvalidState, _require, outcome_table
+from bicorr.streams import generators
 
 DECISION_ZERO = "Zero"
 DECISION_NONZERO = "NonZero"
@@ -155,6 +161,36 @@ def _draw(probs: np.ndarray, cfg: ShotConfig, seed: int) -> tuple:
     return m_xy, m_x, m_y, covariance, standard_error, z_score, decision
 
 
+def _draw_stack(probs: np.ndarray, cfg: ShotConfig) -> tuple:
+    """``_draw`` on each row i of probs (n, 4) at seed (cfg.seed + i) mod 2**64, as arrays.
+
+    Each row draws its counts from its own seed's stream; the statistics are ``_draw``'s, in its
+    order of operations, on the whole (n, 4) count array.  ``np.vecdot`` gives the bits of the
+    4-term ``counts @ h``.
+    """
+    counts = np.empty(probs.shape)
+    seeds = np.uint64(cfg.seed) + np.arange(len(probs), dtype=np.uint64)  # wraps at 2**64
+    for row, p, rng in zip(counts, probs, generators(seeds)):
+        row[:] = rng.multinomial(cfg.shots, p)
+
+    n = float(cfg.shots)
+    n11, n10, n01, _ = counts.T
+    m_xy = n11 / n
+    m_x = (n11 + n10) / n
+    m_y = (n11 + n01) / n
+    covariance = (m_xy - m_x * m_y) * n / (n - 1.0)
+
+    h = np.stack([1.0 - m_y - m_x, -m_y, -m_x, np.zeros_like(m_x)], axis=-1)
+    h_mean = np.vecdot(counts, h) / n
+    h_var = np.vecdot(counts, (h - h_mean[:, None]) ** 2) / (n - 1.0)
+    standard_error = np.sqrt(h_var / n)
+
+    null_se = np.sqrt(m_x * (1.0 - m_x) * m_y * (1.0 - m_y) / n) * n / (n - 1.0)
+    z_score = np.divide(np.abs(covariance), null_se, out=np.zeros_like(n11), where=null_se > 0.0)
+    decision = np.where(z_score > cfg.z_threshold, DECISION_NONZERO, DECISION_ZERO)
+    return m_xy, m_x, m_y, covariance, standard_error, z_score, decision
+
+
 def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> ShotRecord:
     """Draw the cell counts of cfg.shots joint outcomes and test the covariance.
 
@@ -171,9 +207,7 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
     probs = joint_outcome_probabilities(rho, pair)
     if probs.ndim == 1:  # one state: row 0, at cfg.seed
         return ShotRecord(*_draw(probs, cfg, cfg.seed), shots_used=cfg.shots)
-    rows = [_draw(p, cfg, (int(cfg.seed) + i) % 2**64) for i, p in enumerate(probs.reshape(-1, 4))]
-    *values, decisions = zip(*rows) if rows else [()] * 7  # an empty stack has no rows to zip
-    columns = [np.array(v, dtype=float) for v in values] + [np.array(decisions, dtype=str)]
+    columns = _draw_stack(probs.reshape(-1, 4), cfg)
     return ShotRecord(*(c.reshape(probs.shape[:-1]) for c in columns), shots_used=cfg.shots)
 
 

@@ -1,9 +1,12 @@
 """Fixture states, seeded random-state generators, and the state-file format.
 
 Every random generator takes one seed or a sequence of seeds, which gives a stack of states.
-Each seed draws from its own ``np.random.default_rng(seed)`` (numpy PCG64) in a fixed order, and
-the rest is computed on the whole stack with the bits of the one-seed computation, so a seed's
-state is the same alone or in any stack, and every draw is bit-reproducible.
+Each seed draws from its own ``np.random.default_rng(seed)`` stream (numpy PCG64) in a fixed
+order, and the rest is computed on the whole stack with the bits of the one-seed computation, so
+a seed's state is the same alone or in any stack, and every draw is bit-reproducible.  A stack's
+generators are seeded by one vectorised kernel (``streams.generators``), which gives each seed
+its ``default_rng(seed)`` stream bit for bit; the pinned seed map in tests/test_states.py would
+fail if numpy ever changed its seeding.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from bicorr.qstate import (
     as_density_matrix,
     density_from_pure,
 )
+from bicorr.streams import generators
 
 _BELL_AMPLITUDES = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
@@ -81,8 +85,8 @@ def _shaped(seeds: np.ndarray, stack: np.ndarray) -> np.ndarray:
 def _normal_rows(seeds: np.ndarray, shape: tuple) -> np.ndarray:
     """Per seed, an array of `shape` standard normals from that seed's own generator."""
     rows = np.empty((seeds.size,) + shape)
-    for row, s in zip(rows, seeds.flat):
-        np.random.default_rng(s).standard_normal(out=row)
+    for row, rng in zip(rows, generators(seeds.reshape(-1))):
+        rng.standard_normal(out=row)
     return rows
 
 
@@ -139,8 +143,7 @@ def _separable_mixed(seeds: np.ndarray, k: int) -> np.ndarray:
     n = len(seeds)
     # Per seed: k exponential weights, then 2k qubits, each a normal direction and a radius.
     weights, directions, radii = np.empty((n, k)), np.empty((n, 2 * k, 3)), np.empty((n, 2 * k))
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    for i, rng in enumerate(generators(seeds)):
         weights[i] = rng.exponential(1.0, size=k)
         for j in range(2 * k):
             rng.standard_normal(out=directions[i, j])
@@ -165,8 +168,7 @@ def random_separable_mixed(seed, k=4) -> np.ndarray:
 def _mixed(seeds: np.ndarray, k: int) -> np.ndarray:
     n = len(seeds)
     draws = np.empty((n, 9 * k))  # per seed: k exponential weights, then k states' normals
-    for row, s in zip(draws, seeds):
-        rng = np.random.default_rng(s)
+    for row, rng in zip(draws, generators(seeds)):
         row[:k] = rng.exponential(1.0, size=k)
         rng.standard_normal(out=row[k:])
     psi = _unit_complex(draws[:, k:].reshape(n, k, 2, 4))

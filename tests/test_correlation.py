@@ -8,7 +8,7 @@ registry checks, run by tests/test_acceptance.py.
 import numpy as np
 import pytest
 
-from bicorr import states
+from bicorr import correlation, states
 from bicorr.correlation import (
     CorrMatrix,
     ObservablePair,
@@ -16,6 +16,7 @@ from bicorr.correlation import (
     covariance_direct,
     covariance_via_c,
 )
+from bicorr.detect import exact_protocol
 from bicorr.qstate import BlochOutOfBall, density_from_pure
 
 CHEN_C = (2.0 / 9.0) * np.array([[1, 0, -2], [0, -3, 0], [2, 0, 2]], dtype=float)
@@ -80,6 +81,20 @@ class TestCorrelationMatrix:
             assert np.abs(cm.c).max() < 1e-10
             assert cm.singular_values.max() < 1e-10
 
+    def test_singular_values_are_computed_once_and_only_when_read(self, monkeypatch):
+        calls, solver = [], correlation.symmetric3_singular_values
+
+        def counted(c):
+            calls.append(c.shape)
+            return solver(c)
+
+        monkeypatch.setattr(correlation, "symmetric3_singular_values", counted)
+        cm = correlation_matrix(states.random_density(range(20)))
+        exact_protocol(states.random_density(range(20)))
+        assert calls == []
+        assert cm.singular_values is cm.singular_values
+        assert calls == [(20, 3, 3)]
+
     def test_werner_family(self):
         for xi in (0.0, 0.25, 0.5, 1.0):
             cm = correlation_matrix(states.werner(xi))
@@ -92,7 +107,7 @@ class TestCovarianceViaC:
         assert abs(covariance_via_c(cm, ObservablePair(x=Z, y=Z)) + 0.25) < 1e-12
 
     def test_zero_matrix(self):
-        cm = CorrMatrix(c=np.zeros((3, 3)), singular_values=np.zeros(3))
+        cm = CorrMatrix(c=np.zeros((3, 3)))
         rng = np.random.default_rng(31)
         for _ in range(20):
             assert covariance_via_c(cm, random_pair(rng)) == 0.0

@@ -234,7 +234,7 @@ def test_linalg_checks_nothing():
 def test_core_modules_do_not_import_the_front_ends():
     # The library core sits below the fixtures, the property registry and the
     # command line: none of those may be imported from inside it.
-    core = ("linalg", "qstate", "correlation", "detect", "shotsim")
+    core = ("linalg", "qstate", "correlation", "detect", "shotsim", "streams")
     front_ends = {"bicorr.states", "bicorr.verify", "bicorr.cli"}
     offenders = []
     for name in core:

@@ -207,6 +207,17 @@ def _pairs(n, seed):
     )
 
 
+def assert_row_is_record(stacked, i, record):
+    """Row i of a stacked record has the one-state record's values, bit for bit, and types."""
+    for field in fields(record)[:-1]:
+        row, one = getattr(stacked, field.name)[i], getattr(record, field.name)
+        if field.name == "decision":
+            assert isinstance(one, str) and str(row) == one
+        else:
+            assert isinstance(row, np.float64) and isinstance(one, float), field.name
+            assert row.tobytes() == np.float64(one).tobytes(), (i, field.name)
+
+
 class TestStackedSampler:
     def test_stack_equals_one_call_per_row_at_consecutive_seeds(self):
         rho = np.stack([states.random_density(s) for s in range(500)])
@@ -221,6 +232,31 @@ class TestStackedSampler:
                 assert getattr(stacked, field.name)[i] == getattr(record, field.name), field
         assert stacked.shots_used == 10_000
         assert set(stacked.decision) == {DECISION_ZERO, DECISION_NONZERO}
+
+    def test_rows_equal_one_state_calls_bit_for_bit_across_the_wrap(self):
+        n = 5_000
+        rho = states.random_density(range(n))
+        pair = _pairs(n, 33)
+        top = 2**64 - 1_000
+        stacked = sample_joint(rho, pair, ShotConfig(shots=5_000, seed=top))
+        kinds = [getattr(stacked, field.name).dtype.str for field in fields(stacked)[:-1]]
+        assert kinds[:-1] == ["<f8"] * 6 and kinds[-1].startswith("<U")
+        for i in range(n):
+            cfg = ShotConfig(shots=5_000, seed=(top + i) % 2**64)
+            row_pair = ObservablePair(x=pair.x[i], y=pair.y[i])
+            assert_row_is_record(stacked, i, sample_joint(rho[i], row_pair, cfg))
+
+    def test_rows_with_a_marginal_of_zero_or_one_read_zero(self):
+        basis = [density_from_pure(amplitudes) for amplitudes in np.eye(4)]
+        rho = np.stack((basis + [MAX_MIXED, singlet_rho()]) * 4)
+        stacked = sample_joint(rho, ZZ, ShotConfig(shots=1_000, seed=11))
+        for i in range(len(rho)):
+            assert_row_is_record(stacked, i, sample_joint(rho[i], ZZ, ShotConfig(1_000, 11 + i)))
+        basis_rows = np.arange(len(rho)) % 6 < 4
+        assert (stacked.covariance_estimate[basis_rows] == 0.0).all()
+        assert (stacked.z_score[basis_rows] == 0.0).all()
+        assert (stacked.decision[basis_rows] == DECISION_ZERO).all()
+        assert (stacked.decision[~basis_rows] == [DECISION_ZERO, DECISION_NONZERO] * 4).all()
 
     def test_nested_stack_draws_in_c_order(self):
         rho = np.stack([states.random_density(s) for s in range(6)]).reshape(2, 3, 4, 4)
