@@ -175,8 +175,11 @@ _GRAM_MESSAGE = "probe Gram determinant{at} {worst:.3e} is not above " + f"{GRAM
 def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """The checked (y, xs) and their unit directions, before any is measured; stacks broadcast.
 
-    A failure on a stack names the stack index of the first offending y or probe set.
+    A failure on a stack names the stack index of the first offending y or probe set.  The
+    default set (``DEFAULT_Y``, ``DEFAULT_XS`` themselves) was checked once, at import.
     """
+    if y is DEFAULT_Y and xs is DEFAULT_XS:
+        return _DEFAULT_PROBES
     y = _check_y(y)
     xs = np.asarray(xs, dtype=float)
     if xs.shape[-2:] != (3, 3):
@@ -188,6 +191,11 @@ def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     _require(np.where(gram > GRAM_TOL, -np.inf, gram), -np.inf, DependentProbes, _GRAM_MESSAGE)
     return y, _check_norm(xs, "x"), directions(y), units
 
+
+# The bits of a fresh check, read-only with the defaults, so no caller or oracle can change them.
+_DEFAULT_PROBES = _check_probes(DEFAULT_Y.copy(), DEFAULT_XS.copy())
+for _array in (DEFAULT_Y, DEFAULT_XS, *_DEFAULT_PROBES):
+    _array.flags.writeable = False
 
 _LABELS = np.array([INDETERMINATE, SEPARABLE, ENTANGLED])
 
@@ -220,6 +228,7 @@ def binary_protocol(
     run on the checked probes' unit directions, it yields (covariance, is_zero) per x, read up to
     the first non-zero call; running short raises ValueError.  It defaults to ``exact_corr_oracle``
     on rho's correlation matrix, which a caller holding cm passes as ``exact_corr_oracle(cm)``.
+    On the default probes, the directions it receives and the trace's arrays are read-only.
     """
     rho = CheckedState.of(rho)
     y, xs, y_unit, x_units = _check_probes(y, xs)

@@ -216,14 +216,15 @@ def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
     return StateSpec(kind="mixed", label=label, matrix=as_density_matrix(rho))
 
 
-def _split_pairs(raw, expected: int, what: str) -> np.ndarray:
+def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
+    """raw, an array of `shape` of [re, im] pairs of floats, as complex; else ParseError(layout)."""
     try:
-        arr = np.asarray(raw, dtype=float)
+        arr = np.asarray(raw, dtype=float)  # a ragged list raises ValueError
     except (TypeError, ValueError, OverflowError) as exc:  # an integer can overflow a float
-        raise ParseError(f"{what} entries must be [re, im] pairs of floats") from exc
-    if arr.shape != (expected, 2):
-        raise ParseError(f"{what} must be {expected} [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
+        raise ParseError(layout) from exc
+    if arr.shape != shape + (2,):
+        raise ParseError(f"{layout}, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def loads_state(text: str) -> StateSpec:
@@ -241,15 +242,12 @@ def loads_state(text: str) -> StateSpec:
     if kind == "pure":
         if "amplitudes" not in doc:
             raise ParseError("pure state document needs an 'amplitudes' field")
-        psi = _split_pairs(doc["amplitudes"], 4, "amplitudes")
+        psi = _split_pairs(doc["amplitudes"], (4,), "amplitudes must be 4 [re, im] pairs of floats")
         return pure_spec(psi, label)
     if kind == "mixed":
         if "matrix" not in doc:
             raise ParseError("mixed state document needs a 'matrix' field")
-        rows = doc["matrix"]
-        if not isinstance(rows, list) or len(rows) != 4:
-            raise ParseError("matrix must have 4 rows")
-        rho = np.stack([_split_pairs(row, 4, "matrix row") for row in rows])
+        rho = _split_pairs(doc["matrix"], (4, 4), "matrix must be 4 x 4 [re, im] pairs of floats")
         return mixed_spec(rho, label)
     raise ParseError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line surface via ``cli.main``."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from bicorr import states
-from bicorr.cli import main
+from bicorr.cli import build_analysis_report, main
 from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import ppt_is_separable
 from bicorr.states import load_state_file, mixed_spec, random_mixed, save_state_file
@@ -91,6 +92,24 @@ class TestAnalyze:
             second["correlation"]["c"], first["correlation"]["c"], atol=1e-12
         )
         np.testing.assert_allclose(second["bloch"]["a"], first["bloch"]["a"], atol=1e-12)
+
+    def test_json_report_is_pinned(self):
+        # sha256 of the analyze --json reports of the Bell, Chen and Werner fixtures and of 100
+        # Haar and 100 mixed seeded documents, each parsed from its file text; taken with numpy
+        # 2.4's bundled OpenBLAS, which a different BLAS or LAPACK build can move in the last bit.
+        bells = ("phi+", "phi-", "psi+", "psi-")
+        specs = [states.pure_spec(states.bell_state(which), which) for which in bells]
+        specs.append(states.pure_spec(states.chen_state(), "chen"))
+        specs += [mixed_spec(states.werner(xi), "werner") for xi in (0.0, 1 / 3, 0.5, 1.0)]
+        specs += [states.pure_spec(psi) for psi in states.haar_random_pure(range(100))]
+        specs += [mixed_spec(rho) for rho in random_mixed(range(100))]
+        digest = hashlib.sha256()
+        for spec in specs:
+            report = build_analysis_report(states.loads_state(states.dumps_state(spec)))
+            digest.update(json.dumps(report).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "267908a0c666d500c93a622266dccbe851212742743ffa844150b7463ade0554"
+        )
 
 
 class TestDetect:

@@ -19,6 +19,8 @@ from bicorr.detect import (
     INDETERMINATE,
     SEPARABLE,
     ZeroVector,
+    _DEFAULT_PROBES,
+    _check_probes,
     binary_protocol,
     classify_pure_by_rank,
     exact_corr_oracle,
@@ -496,3 +498,69 @@ class TestWernerCaseStudy:
 def test_default_probes_are_deterministic():
     np.testing.assert_allclose(DEFAULT_Y, [0, 0, 1])
     np.testing.assert_allclose(DEFAULT_XS, np.eye(3))
+
+
+BELLS = ("phi+", "phi-", "psi+", "psi-")
+FIXTURE_RHOS = [density_from_pure(states.bell_state(which)) for which in BELLS]
+FIXTURE_RHOS += [density_from_pure(states.chen_state())]
+FIXTURE_RHOS += [density_from_pure(states.random_product_pure(3))]
+FIXTURE_RHOS += [states.werner(xi) for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0)]
+SHOTS = ShotConfig(shots=10_000, seed=3)
+
+
+def _run_bits(verdict, trace) -> tuple:
+    """A protocol run as comparable values, each array as its bytes."""
+    probes = [(p.x.tobytes(), np.float64(p.covariance).tobytes(), p.is_zero) for p in trace.probes]
+    return verdict, trace.y.tobytes(), probes
+
+
+def test_default_probes_are_the_bits_of_a_fresh_check():
+    fresh = _check_probes(DEFAULT_Y.copy(), DEFAULT_XS.copy())
+    assert _check_probes(DEFAULT_Y, DEFAULT_XS) is _DEFAULT_PROBES
+    assert [a.tobytes() for a in _DEFAULT_PROBES] == [a.tobytes() for a in fresh]
+    assert [a.shape for a in _DEFAULT_PROBES] == [a.shape for a in fresh]
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [binary_protocol, lambda rho, *probes: statistical_binary_protocol(rho, *probes, cfg=SHOTS)],
+    ids=["exact", "shots"],
+)
+def test_default_probes_give_the_runs_of_equal_copies(protocol):
+    for rho in FIXTURE_RHOS:
+        copies = protocol(rho, DEFAULT_Y.copy(), DEFAULT_XS.copy())
+        assert _run_bits(*protocol(rho)) == _run_bits(*copies)
+
+
+def test_exact_protocol_on_default_probes_gives_the_runs_of_equal_copies():
+    rho = np.stack(FIXTURE_RHOS)
+    runs = exact_protocol(rho)
+    copies = exact_protocol(rho, DEFAULT_Y.copy(), DEFAULT_XS.copy())
+    assert [a.tobytes() for a in runs] == [a.tobytes() for a in copies]
+
+
+@pytest.mark.parametrize("target", ["y", "x"])
+def test_a_default_trace_is_read_only(target):
+    rho = density_from_pure(states.chen_state())
+    before = _run_bits(*binary_protocol(rho))
+    _, trace = binary_protocol(rho)
+    with pytest.raises(ValueError, match="read-only"):
+        if target == "y":
+            trace.y[2] = 0.0
+        else:
+            trace.probes[0].x[0] = 0.0
+    assert _run_bits(*binary_protocol(rho)) == before
+
+
+@pytest.mark.parametrize("target", ["xs", "y"])
+def test_an_oracle_that_writes_into_its_inputs_raises(target):
+    rho = density_from_pure(states.chen_state())
+    before = _run_bits(*binary_protocol(rho))
+
+    def oracle(xs, y):
+        (xs[0] if target == "xs" else y)[0] = 0.5
+        return [(0.0, True)] * 3
+
+    with pytest.raises(ValueError, match="read-only"):
+        binary_protocol(rho, corr_oracle=oracle)
+    assert _run_bits(*binary_protocol(rho)) == before

@@ -8,7 +8,7 @@ import pytest
 
 from bicorr import cli, correlation, linalg, qstate, states
 from bicorr.correlation import ObservablePair, covariance_direct
-from bicorr.detect import binary_protocol, ppt_is_separable
+from bicorr.detect import DEFAULT_XS, DEFAULT_Y, binary_protocol, ppt_is_separable
 from bicorr.qstate import (
     BlochForm,
     BlochOutOfBall,
@@ -343,34 +343,39 @@ def test_analysis_report_checks_each_input_once(spec, check_counts):
     assert check_counts["check_bloch_vector"] <= 4
 
 
-@pytest.mark.parametrize(
-    "protocol",
-    [
-        binary_protocol,
-        lambda rho: statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=3)),
-    ],
-    ids=["exact", "shots"],
-)
+def _shot_protocol(rho, *probes):
+    return statistical_binary_protocol(rho, *probes, cfg=ShotConfig(shots=10_000, seed=3))
+
+
+# Equal copies of the default probe set, which take the checks that the defaults took at import.
+DEFAULT_COPIES = (DEFAULT_Y.copy(), DEFAULT_XS.copy())
+
+
+@pytest.mark.parametrize("protocol", [binary_protocol, _shot_protocol], ids=["exact", "shots"])
 def test_protocol_checks_rho_and_each_probe_vector_once(protocol, check_counts):
     _, trace = protocol(PRODUCT_RHO)
     assert trace.measurements_used == 3
     assert check_counts["_check_structure"] == 1
     assert check_counts["check_bloch_vector"] <= 4
+    assert check_counts["check_bloch_components"] == 0  # the default set was checked at import
+    check_counts.clear()
+    protocol(PRODUCT_RHO, *DEFAULT_COPIES)
     assert check_counts["check_bloch_components"] == 2  # y, then the probe set once
 
 
 @pytest.mark.parametrize(
     "protocol, covariance_calls",
-    [
-        (binary_protocol, 1),
-        (lambda rho: statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=3)), 0),
-    ],
+    [(binary_protocol, 1), (_shot_protocol, 0)],
     ids=["exact", "shots"],
 )
 def test_protocol_takes_each_direction_once(protocol, covariance_calls, monkeypatch):
     counts = _count_calls(monkeypatch, linalg.norms, correlation.covariance_via_c)
     _, trace = protocol(PRODUCT_RHO)
     assert trace.measurements_used == 3
+    assert counts["norms"] == 0  # the default set's directions were taken at import
+    assert counts["covariance_via_c"] == covariance_calls
+    counts.clear()
+    protocol(PRODUCT_RHO, *DEFAULT_COPIES)
     assert counts["norms"] <= 2  # the probe set's directions, then y's
     assert counts["covariance_via_c"] == covariance_calls
 

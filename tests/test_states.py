@@ -1,6 +1,8 @@
 """Tests for fixture states, seeded generators, and the state-file format."""
 
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +191,9 @@ class TestSeedStackInputs:
             werner([0.2, 1.5, 0.3])
 
 
+MATRIX_LAYOUT = "matrix must be 4 x 4 [re, im] pairs of floats"
+
+
 class TestStateFiles:
     def test_pure_round_trip(self, tmp_path):
         spec = pure_spec(chen_state(), label="chen")
@@ -227,6 +232,33 @@ class TestStateFiles:
     def test_rejects_missing_matrix(self):
         with pytest.raises(ParseError, match="matrix"):
             loads_state('{"kind": "mixed"}')
+
+    @pytest.mark.parametrize(
+        "last_row, cause",
+        [
+            ([[0.25, 0], [0, 0], [0, 0], [0]], ValueError),
+            ([[0.25, 0], [0, 0], [0, 0]], ValueError),  # ragged against the other rows
+            ([[0.25, 0], [0, 0], [0, 0], ["a", 0]], ValueError),
+            ([[0.25, 0], [0, 0], [0, 0], [10**400, 0]], OverflowError),
+        ],
+        ids=["ragged-row", "row-of-3-pairs", "non-numeric", "integer-overflows-a-float"],
+    )
+    def test_rejects_a_malformed_matrix_row(self, last_row, cause):
+        row = [[0.25, 0], [0, 0], [0, 0], [0, 0]]
+        text = json.dumps({"kind": "mixed", "matrix": [row, row, row, last_row]})
+        with pytest.raises(ParseError, match=f"^{re.escape(MATRIX_LAYOUT)}$") as info:
+            loads_state(text)
+        assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize(
+        "matrix, shape",
+        [([[[0.25, 0]] * 3] * 4, "(4, 3, 2)"), ([[[0.25, 0]] * 4] * 3, "(3, 4, 2)"), (0.25, "()")],
+        ids=["rows-of-3-pairs", "3-rows", "a-number"],
+    )
+    def test_rejects_a_matrix_of_the_wrong_shape(self, matrix, shape):
+        message = f"{MATRIX_LAYOUT}, got shape {shape}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            loads_state(json.dumps({"kind": "mixed", "matrix": matrix}))
 
     def test_invalid_state_is_reported_by_validation(self):
         doc = dumps_state(StateSpec(kind="pure", amplitudes=np.array([1, 0, 0, 0])))
