@@ -32,13 +32,15 @@ vectorised kernel (``streams.generators``), which gives each seed its
 ``default_rng(seed)`` stream bit for bit; the pinned one-state records in
 tests/test_shotsim.py would fail if numpy ever changed its seeding.  So a
 one-state call is row 0 at ``seed``, and each row of a stack equals a
-one-state call at its own seed.
+one-state call at its own seed.  The statistical protocol takes its three
+probes' cell probabilities in one call and draws probe i, at (seed + i) mod
+2**64, only when it reads it: the bits of ``sample_joint`` on that probe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -222,15 +224,16 @@ def statistical_binary_protocol(
 
     Semantics follow ``binary_protocol``, but every zero/non-zero call is a statistical one, so
     verdicts carry confidence, not certainty; the shot budget and threshold are recorded in the
-    verdict detail.  Probe i is sampled when read, on its direction, at seed (seed + i) mod 2**64.
+    verdict detail.  Every probe's cells are computed, and checked, before the first draw; probe i
+    is drawn only when read, on its direction, at seed (seed + i) mod 2**64.
     """
     rho = CheckedState.of(rho)
 
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
-        for i, x in enumerate(xs):
-            pair = _checked_pair(x, y)
-            record = sample_joint(rho, pair, replace(cfg, seed=(int(cfg.seed) + i) % 2**64))
-            yield record.covariance_estimate, record.decision == DECISION_ZERO
+        probs = joint_outcome_probabilities(rho, _checked_pair(xs, y))  # every probe's cells
+        for i, row in enumerate(probs):
+            *_, covariance, _, _, decision = _draw(row, cfg, (int(cfg.seed) + i) % 2**64)
+            yield covariance, decision == DECISION_ZERO
 
     verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)
     detail = (

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -224,6 +225,11 @@ def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
         raise ParseError(layout) from exc
     if arr.shape != shape + (2,):
         raise ParseError(f"{layout}, got shape {arr.shape}")
+    values = raw
+    for _ in shape:  # down to the numbers: the float cast also took "1", true and null
+        values = chain.from_iterable(values)
+    if not {int, float}.issuperset(map(type, values)):
+        raise ParseError(layout)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -93,3 +93,19 @@ def test_a_stacked_sample_reports_its_shots_as_an_int():
     record = shotsim.sample_joint(np.eye(4) / 4, pair, shotsim.ShotConfig(shots=1000))
     assert record.covariance_estimate.shape == (3,)
     assert type(record.shots_used) is int and record.shots_used == 1000
+
+
+def test_a_statistical_run_makes_one_probability_call(monkeypatch):
+    # perfbench's traced calls_per_op for joint_outcome_probabilities counts one per run.
+    calls, original = [], shotsim.joint_outcome_probabilities
+
+    def counted(rho, pair):
+        calls.append(pair.x.shape)
+        return original(rho, pair)
+
+    monkeypatch.setattr(shotsim, "joint_outcome_probabilities", counted)
+    cfg = shotsim.ShotConfig(shots=1000, seed=1)
+    for xs, used in ((np.eye(3), 3), (np.eye(3)[::-1], 1)):  # zz-correlated: probe z reads NonZero
+        _, trace = shotsim.statistical_binary_protocol(np.diag([0.5, 0, 0, 0.5]), xs=xs, cfg=cfg)
+        assert trace.measurements_used == used
+    assert calls == [(3, 3), (3, 3)]

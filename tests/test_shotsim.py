@@ -357,14 +357,14 @@ class TestStatisticalProtocol:
         "y, used", [(0.5 * Z, 3), (np.array([0.3, 0.4, 0.0]), 1)], ids=["three", "one"]
     )
     def test_samples_each_probe_it_reads_once(self, monkeypatch, y, used):
-        # Probe i is sampled at seed + i on the unit copies of x and y, only when it is read.
-        calls = []
+        # Probe i is drawn at seed + i on the unit copies of x and y, only when it is read.
+        calls, draw = [], shotsim._draw
 
-        def counted(rho, pair, cfg):
-            calls.append(cfg.seed)
-            return sample_joint(rho, pair, cfg)
+        def counted(probs, cfg, seed):
+            calls.append(seed)
+            return draw(probs, cfg, seed)
 
-        monkeypatch.setattr(shotsim, "sample_joint", counted)
+        monkeypatch.setattr(shotsim, "_draw", counted)
         xs = np.array([[0.3, -0.4, 0.0], [-0.2, -0.15, 0.0], [0.2, 0.1, 0.6]])
         cfg = ShotConfig(shots=10_000, seed=70)
         verdict, trace = statistical_binary_protocol(singlet_rho(), y=y, xs=xs, cfg=cfg)
@@ -402,3 +402,48 @@ class TestStatisticalProtocol:
             for i, seed in enumerate((top, 0, 1))
         ]
         assert [p.covariance for p in trace.probes] == direct
+
+    def test_traces_are_pinned(self):
+        # One digest over each run's label, measurements used, and each probe's covariance type
+        # and bits and is_zero, at seeds 0-299 on mixed, Haar and product states with random y
+        # and probe sets.  Every fourth base seed sits just below 2**64, where probe seeds wrap.
+        # Taken while each probe read was its own sample_joint call.
+        digest = hashlib.sha256()
+        for seed in range(300):
+            rng = np.random.default_rng([seed, 21])
+            rhos = [
+                states.random_density(seed),
+                density_from_pure(states.haar_random_pure(seed)),
+                density_from_pure(states.random_product_pure(seed)),
+            ]
+            base = 2**64 - 1 - seed % 3 if seed % 4 == 0 else seed
+            for rho in rhos:
+                vectors = rng.standard_normal((4, 3))
+                vectors *= rng.uniform(0.3, 1.0, (4, 1)) / np.linalg.norm(vectors, axis=1)[:, None]
+                for shots in (100, 10_000, 1_000_000):
+                    cfg = ShotConfig(shots=shots, seed=base)
+                    verdict, trace = statistical_binary_protocol(
+                        rho, y=vectors[0], xs=vectors[1:], cfg=cfg
+                    )
+                    digest.update(f"{verdict.label}|{trace.measurements_used}".encode())
+                    for probe in trace.probes:
+                        digest.update(type(probe.covariance).__name__.encode())
+                        digest.update(np.float64(probe.covariance).tobytes())
+                        digest.update(repr(probe.is_zero).encode())
+        assert digest.hexdigest() == (
+            "b69446aa597d99e0bdff1cfceda4fd46b513faf15e0862fd800fe09ff702aa6c"
+        )
+
+    def test_every_probes_cells_are_checked_before_the_first_draw(self, monkeypatch):
+        # Hermitian with unit trace, but not PSD: probe 3's cells hold a negative probability.
+        # Probe 1 is non-zero, so the run would stop before reading probe 3.
+        draws, draw = [], shotsim._draw
+        monkeypatch.setattr(shotsim, "_draw", lambda *args: draws.append(args) or draw(*args))
+        corner = np.zeros((4, 4))
+        corner[0, 0] = 1.0
+        rho = 1.2 * singlet_rho() - 0.2 * corner
+        y = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+        cfg = ShotConfig(shots=10_000, seed=3)
+        with pytest.raises(InvalidState, match="at stack index 2 are not a distribution"):
+            statistical_binary_protocol(rho, y=y, xs=np.eye(3), cfg=cfg)
+        assert draws == []

@@ -260,6 +260,22 @@ class TestStateFiles:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             loads_state(json.dumps({"kind": "mixed", "matrix": matrix}))
 
+    @pytest.mark.parametrize(
+        "value", ["1", True, False, None], ids=["string", "true", "false", "null"]
+    )
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_rejects_an_entry_that_is_not_a_number(self, kind, value):
+        # float() takes "1" and true as 1.0, false as 0.0 and null as nan.
+        if kind == "pure":
+            doc = {"kind": kind, "amplitudes": [[value, 0], [0, 0], [0, 0], [0, 0]]}
+            layout = "amplitudes must be 4 [re, im] pairs of floats"
+        else:
+            doc = {"kind": kind, "matrix": (np.eye(4)[..., None] * [0.25, 0]).tolist()}
+            doc["matrix"][0][0][1] = value
+            layout = MATRIX_LAYOUT
+        with pytest.raises(ParseError, match=f"^{re.escape(layout)}$"):
+            loads_state(json.dumps(doc))
+
     def test_invalid_state_is_reported_by_validation(self):
         doc = dumps_state(StateSpec(kind="pure", amplitudes=np.array([1, 0, 0, 0])))
         bad = doc.replace("1.0", "0.9", 1)
