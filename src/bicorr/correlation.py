@@ -12,7 +12,6 @@ cross-check each other.  Stacks of states and vectors give arrays of results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +45,29 @@ def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
     return pair
 
 
+class _computed_once:
+    """An attribute computed on first read and kept in the instance's dict.
+
+    functools.cached_property without the lock that it takes on first read before Python 3.12.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class CorrMatrix:
     """Correlation matrix c = f - a b^T; its singular values are computed when first read."""
 
     c: np.ndarray
 
-    @cached_property
+    @_computed_once
     def singular_values(self) -> np.ndarray:
         """The singular values of c, descending."""
         return symmetric3_singular_values(self.c)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -217,19 +216,41 @@ def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
     return StateSpec(kind="mixed", label=label, matrix=as_density_matrix(rho))
 
 
+def _numbers(raw, pairs_shape: tuple) -> list | None:
+    """The numbers of raw in order if it nests lists of `pairs_shape` of int/float pairs, else None.
+
+    Only lists pass: a str or dict entry fails a length or yields str entries, and a number where
+    a list belongs raises TypeError in len.
+    """
+    pairs = [raw]
+    try:
+        for size in pairs_shape:
+            for entry in pairs:
+                if len(entry) != size:
+                    return None
+            pairs = [pair for entry in pairs for pair in entry]
+        numbers = []
+        for pair in pairs:
+            if len(pair) != 2:
+                return None
+            numbers += pair
+    except TypeError:
+        return None
+    return numbers if {int, float}.issuperset(map(type, numbers)) else None
+
+
 def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
     """raw, an array of `shape` of [re, im] pairs of floats, as complex; else ParseError(layout)."""
-    try:
-        arr = np.asarray(raw, dtype=float)  # a ragged list raises ValueError
+    values = _numbers(raw, shape)
+    try:  # a malformed raw takes the nested cast, which names the cause or the shape
+        arr = np.asarray(raw if values is None else values, dtype=float)  # ragged: ValueError
     except (TypeError, ValueError, OverflowError) as exc:  # an integer can overflow a float
         raise ParseError(layout) from exc
-    if arr.shape != shape + (2,):
-        raise ParseError(f"{layout}, got shape {arr.shape}")
-    values = raw
-    for _ in shape:  # down to the numbers: the float cast also took "1", true and null
-        values = chain.from_iterable(values)
-    if not {int, float}.issuperset(map(type, values)):
-        raise ParseError(layout)
+    if values is None:
+        if arr.shape != shape + (2,):
+            raise ParseError(f"{layout}, got shape {arr.shape}")
+        raise ParseError(layout)  # the float cast also took "1", true and null
+    arr = arr.reshape(shape + (2,))
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -4,19 +4,20 @@ at a configurable trial count via ``bicorr verify``.
 ``ALL_CHECKS`` is the single registry of the package's randomized properties:
 ``bicorr verify`` runs it, and the test suite runs every entry once at seed 0
 (tests/test_acceptance.py), with the checks bound to an acceptance criterion at
-that criterion's 10,000 states.  At seed 0 those checks draw exactly the
-criterion's inputs.
+that criterion's 10,000 states; those checks are the criteria's definition.
 
 Each check returns (passed, detail).  Trial counts scale the randomized
-checks: each draws its states by seed, one generator call per block of
-``BLOCK`` seeds, and calls each kernel once per block, the three-probe
-protocol included (``exact_protocol``).  The statistical suites keep their
+checks: per block of ``BLOCK`` seeds, each makes one generator call and one
+draw of its random directions, and calls each kernel once, ``exact_protocol``
+included.  In a one-block ``run_all``, checks that draw the same states from
+the same seeds share one read-only stack.  The statistical suites keep their
 fixed, calibrated sizes.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from typing import Callable
 
 import numpy as np
@@ -60,11 +61,7 @@ Z = np.array([0.0, 0.0, 1.0])
 BLOCK = 8192  # states per stack, so memory stays bounded at any trial count
 
 Check = Callable[[int, int], tuple[bool, str]]
-
-
-def _unit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
+_memo: ContextVar[dict | None] = ContextVar("memo", default=None)  # a one-block run_all's stacks
 
 
 def _blocks(seed: int, n: int):
@@ -73,14 +70,36 @@ def _blocks(seed: int, n: int):
 
 
 def _units(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of ``_unit`` in one call: the same stream, and the bits of np.linalg.norm."""
+    """n random unit 3-vectors, normalized with the bits of np.linalg.norm."""
     v = rng.standard_normal((n, 3))
     return v / norms(v)[:, None]
 
 
+def _balls(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n vectors in the unit ball: n unit directions, then n uniform radii."""
+    return _units(rng, n) * rng.random(n)[:, None]
+
+
+def _per_run(draw):
+    """draw, except that in a one-block run_all a repeated call returns the first call's stack."""
+    def shared(*args):
+        if (memo := _memo.get()) is None:
+            return draw(*args)
+        key = (draw, *args)
+        return memo[key] if key in memo else memo.setdefault(key, draw(*args))
+    return shared
+
+
+@_per_run
 def _pure(draw: Callable[[range], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
     psi = draw(seeds)
+    psi.flags.writeable = False
     return psi, CheckedState(density_from_pure(psi))
+
+
+@_per_run
+def _density(seeds: range) -> CheckedState:
+    return CheckedState(states.random_density(seeds))
 
 
 def _rank_labels(rho: CheckedState) -> np.ndarray:
@@ -122,8 +141,7 @@ def check_determinant_singular_product(trials: int, seed: int) -> tuple[bool, st
 def check_rank_monotonicity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     n = min(trials, 1000)
-    scales = [1e-10, 1e-6, 1e-2, 1.0]
-    m = np.array([rng.standard_normal((3, 3)) * rng.choice(scales) for _ in range(n)])
+    m = rng.standard_normal((n, 3, 3)) * rng.choice([1e-10, 1e-6, 1e-2, 1.0], n)[:, None, None]
     ranks = np.array([numeric_rank(m, tol) for tol in (1e-12, 1e-8, 1e-4, 1e-1, 10.0)])
     rising = (np.diff(ranks, axis=0) > 0).any(axis=0)
     if rising.any():
@@ -134,9 +152,8 @@ def check_rank_monotonicity(trials: int, seed: int) -> tuple[bool, str]:
 def check_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = CheckedState(states.random_density(seeds))
-        rebuilt = bloch_assemble(bloch_decompose(rho))
-        worst = max(worst, float(np.abs(rebuilt - rho.matrix).max()))
+        rho = _density(seeds)
+        worst = max(worst, float(np.abs(bloch_assemble(bloch_decompose(rho)) - rho.matrix).max()))
     return worst < 1e-10, f"{trials} states, worst round-trip error {worst:.2e}"
 
 
@@ -167,25 +184,20 @@ def check_partial_trace_consistency(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = CheckedState(states.random_density(seeds))
-        q = observable_from_bloch(np.array([_unit(rng) * rng.random() for _ in seeds]))
+        rho = _density(seeds)
+        q = observable_from_bloch(_balls(rng, len(seeds)))
         lhs = np.trace(partial_trace_B(rho) @ q, axis1=-2, axis2=-1)
         rhs = np.trace(rho.matrix @ np.kron(q, np.eye(2)), axis1=-2, axis2=-1)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst < 1e-10, f"{trials} states, worst marginal mismatch {worst:.2e}"
 
 
-def _ball_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    x, y = rng.standard_normal(3), rng.standard_normal(3)
-    return x / np.linalg.norm(x) * rng.random(), y / np.linalg.norm(y) * rng.random()
-
-
 def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 808)  # criterion 7's directions at seed 0
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = CheckedState(states.random_density(seeds))
-        pair = ObservablePair(*np.array([_ball_pair(rng) for _ in seeds]).swapaxes(0, 1))
+        rho = _density(seeds)
+        pair = ObservablePair(x=_balls(rng, len(seeds)), y=_balls(rng, len(seeds)))
         direct = covariance_direct(rho, pair)
         shortcut = covariance_via_c(correlation_matrix(rho), pair)
         worst = max(worst, float(np.abs(direct - shortcut).max()))
@@ -195,15 +207,14 @@ def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str
 def check_covariance_bilinearity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     n = min(trials, 2000)
-    cm = correlation_matrix(CheckedState(states.random_density(range(seed, seed + n))))
-    draws = [(_unit(rng) / 4, _unit(rng) / 4, _unit(rng), *rng.random(2)) for _ in range(n)]
-    x1, x2, y, alpha, beta = (np.array(column) for column in zip(*draws))
-    x = alpha[:, None] * x1 + beta[:, None] * x2
-    combined = covariance_via_c(cm, ObservablePair(x=x, y=y))
-    parts = alpha * covariance_via_c(cm, ObservablePair(x=x1, y=y)) + (
-        beta * covariance_via_c(cm, ObservablePair(x=x2, y=y))
+    cm = correlation_matrix(_density(range(seed, seed + n)))
+    x1, x2, y = _units(rng, 3 * n).reshape(3, n, 3)
+    alpha, beta = rng.random((2, n)) / 4  # so that |alpha x1 + beta x2| <= 1/2
+    combined, c1, c2 = (
+        covariance_via_c(cm, ObservablePair(x=x, y=y))
+        for x in (alpha[:, None] * x1 + beta[:, None] * x2, x1, x2)
     )
-    worst = float(np.abs(combined - parts).max())
+    worst = float(np.abs(combined - (alpha * c1 + beta * c2)).max())
     return worst < 1e-12, f"worst bilinearity residual {worst:.2e}"
 
 
@@ -216,19 +227,16 @@ def check_pure_rank_dichotomy(trials: int, seed: int) -> tuple[bool, str]:
             expected = np.stack([k, k, k**2], axis=-1)
             error = np.abs(correlation_matrix(rho).singular_values - expected)
             worst = max(worst, float(error.max()))
-    return worst < 1e-12, (
-        f"{trials} random + {trials} product states, "
-        f"worst |sigma(c) - (k, k, k^2)| {worst:.2e}"
-    )
+    detail = f"{trials} random + {trials} product states, worst |sigma(c) - (k, k, k^2)|"
+    return worst < 1e-12, f"{detail} {worst:.2e}"
 
 
 def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)[1]
-        cm = correlation_matrix(rho)
         nb = norms(bloch_decompose(rho).b)
-        worst = max(worst, float(np.abs(det3(cm.c) + (nb**2 - 1) ** 2).max()))
+        worst = max(worst, float(np.abs(det3(correlation_matrix(rho).c) + (nb**2 - 1) ** 2).max()))
     return worst < 1e-9, f"{trials} pure states, worst determinant residual {worst:.2e}"
 
 
@@ -248,23 +256,21 @@ def check_classifier_oracle_agreement(trials: int, seed: int) -> tuple[bool, str
     return True, f"{2 * trials} states, zero disagreements"
 
 
-def _probe_run(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """A random y, then random unit probes redrawn until well independent."""
-    y = _unit(rng)
-    while True:
-        xs = rng.standard_normal((3, 3))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        if det3(xs @ xs.T) > 1e-3:
-            return y, xs
+def _probe_sets(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random y, then n sets of three unit probes; a set is redrawn until well independent."""
+    y, xs, redraw = _units(rng, n), np.empty((n, 3, 3)), np.ones(n, dtype=bool)
+    while redraw.any():
+        xs[redraw] = _units(rng, 3 * np.count_nonzero(redraw)).reshape(-1, 3, 3)
+        redraw = det3(xs @ xs.swapaxes(-1, -2)) <= 1e-3
+    return y, xs
 
 
 def check_protocol_soundness(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)[1]
-        labels = _rank_labels(rho)
-        y, xs = (np.array(draws) for draws in zip(*(_probe_run(rng) for _ in seeds)))
-        disagree = exact_protocol(rho, y=y, xs=xs)[0] != labels
+        y, xs = _probe_sets(rng, len(seeds))
+        disagree = exact_protocol(rho, y=y, xs=xs)[0] != _rank_labels(rho)
         if disagree.any():
             return False, f"seed {seeds[np.argmax(disagree)]}: protocol/classifier disagreement"
     return True, f"{trials} pure states, protocol matches the rank classifier"
@@ -278,8 +284,7 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
         rho = _pure(states.haar_random_pure, seeds)[1]
         cm = correlation_matrix(rho)
         full = np.flatnonzero(rank_says_entangled(cm))
-        count += len(full)
-        rho = rho[full]
+        count, rho = count + len(full), rho[full]
         leak = np.any([
             np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) >= 1e-10
             for x in orthogonal_complement_basis(cm.c[full] @ Z)
@@ -307,16 +312,12 @@ def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
     return worst < 1e-10, f"{trials} mixed states + Werner grid, worst |c| {worst:.2e}"
 
 
-def _zero_set_grid(seed: int) -> ObservablePair:
+def check_werner_zero_set_identity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     random_x, random_y = _units(rng, 100).reshape(50, 2, 3).swapaxes(0, 1)
-    y = _units(rng, 50)
+    y = _units(rng, 50)  # 50 random pairs, then 50 orthogonal ones
     x = np.concatenate([random_x, orthogonal_complement_basis(y)[0]])
-    return ObservablePair(x=x, y=np.concatenate([random_y, y]))
-
-
-def check_werner_zero_set_identity(trials: int, seed: int) -> tuple[bool, str]:
-    pairs = _zero_set_grid(seed)
+    pairs = ObservablePair(x=x, y=np.concatenate([random_y, y]))
     orthogonal = np.abs(np.einsum("...i,...i->...", pairs.x, pairs.y)) < 1e-9
     for xi in (0.1, 0.3, 0.4, 0.9):
         zero = np.abs(covariance_direct(states.werner(xi), pairs)) < 1e-12
@@ -331,8 +332,7 @@ def check_generator_validity(trials: int, seed: int) -> tuple[bool, str]:
         k = 1 + np.arange(seeds.start - seed, seeds.stop - seed) % 5
         as_density_matrix(density_from_pure(states.haar_random_pure(seeds)))
         as_density_matrix(density_from_pure(states.random_product_pure(seeds)))
-        sep = as_density_matrix(states.random_separable_mixed(seeds, k))
-        separable = ppt_is_separable(sep)
+        separable = ppt_is_separable(as_density_matrix(states.random_separable_mixed(seeds, k)))
         if not separable.all():
             return False, f"separable mixture {seeds[np.argmin(separable)]} failed its PPT check"
         as_density_matrix(states.random_mixed(seeds, k))
@@ -365,9 +365,8 @@ def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
     mean = float(np.mean(record.covariance_estimate))
     combined = math.sqrt(sum(se**2 for se in record.standard_error.tolist())) / 200
     deviation = abs(mean + 0.25)
-    return deviation < 3 * combined, (
-        f"200 seeds, mean {mean:.9f}, |dev| {deviation:.2e} vs 3 SE {3 * combined:.2e}"
-    )
+    detail = f"mean {mean:.9f}, |dev| {deviation:.2e} vs 3 SE {3 * combined:.2e}"
+    return deviation < 3 * combined, f"200 seeds, {detail}"
 
 
 def check_shot_se_scaling(trials: int, seed: int) -> tuple[bool, str]:
@@ -377,18 +376,15 @@ def check_shot_se_scaling(trials: int, seed: int) -> tuple[bool, str]:
         n: sample_joint(rho, pair, ShotConfig(shots=n, seed=seed)).standard_error
         for n in (1_000, 10_000, 100_000)
     }
-    r1 = ses[1_000] / ses[10_000] / math.sqrt(10)
-    r2 = ses[10_000] / ses[100_000] / math.sqrt(10)
-    ok = abs(r1 - 1) < 0.2 and abs(r2 - 1) < 0.2
-    return ok, f"SE ratios vs sqrt(10): {r1:.3f}, {r2:.3f}"
+    r1, r2 = (ses[n] / ses[10 * n] / math.sqrt(10) for n in (1_000, 10_000))
+    return abs(r1 - 1) < 0.2 and abs(r2 - 1) < 0.2, f"SE ratios vs sqrt(10): {r1:.3f}, {r2:.3f}"
 
 
 def check_shot_determinism(trials: int, seed: int) -> tuple[bool, str]:
     cfg = ShotConfig(shots=5_000, seed=seed)
     pair = ObservablePair(x=Z, y=Z)
     rho = CheckedState(states.werner(0.6))
-    first = sample_joint(rho, pair, cfg)
-    second = sample_joint(rho, pair, cfg)
+    first, second = (sample_joint(rho, pair, cfg) for _ in range(2))
     return first == second, "identical configs give bit-identical records"
 
 
@@ -439,9 +435,13 @@ def run_all(trials: int = 2000, seed: int = 0, out=print) -> bool:
     if trials < 100:
         raise ValueError("trial budget below 100 is rejected")
     ShotConfig(seed=seed)  # the shot checks' seeds, (seed + i) mod 2**64, need seed in [0, 2**64)
+    token = _memo.set({} if trials <= BLOCK else None)  # past one block, no stack is kept
     all_ok = True
-    for name, check in ALL_CHECKS:
-        ok, detail = check(trials, seed)
-        all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    try:
+        for name, check in ALL_CHECKS:
+            ok, detail = check(trials, seed)
+            all_ok &= ok
+            out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    finally:
+        _memo.reset(token)
     return all_ok

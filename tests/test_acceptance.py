@@ -7,11 +7,11 @@ as ordinary pytest failures.
 The randomized properties live once, in ``bicorr.verify.ALL_CHECKS``, and
 every entry runs here once at seed 0.  Criteria 3, 5 and 7 run their registry
 entries by name; ``test_registry_check`` runs the rest.  The entries that carry
-a criterion run at the criterion's 10,000 states, which at seed 0 are exactly
-the criterion's inputs; every other entry runs at 1,000 trials.  Two criterion
-entries run in ``test_registry_check`` at a fixed size: criterion 6's Werner
-zero sets (100 pairs at four xi) and criterion 8's false-positive control
-(1,000 seeds).
+a criterion run at the criterion's 10,000 states and seed 0, and their draws
+define the criterion's inputs; every other entry runs at 1,000 trials.  Two
+criterion entries run in ``test_registry_check`` at a fixed size: criterion 6's
+Werner zero sets (100 pairs at four xi) and criterion 8's false-positive
+control (1,000 seeds).
 """
 
 import hashlib
@@ -257,12 +257,12 @@ def test_registry_check(name):
 
 
 def test_verify_output_is_pinned():
-    # sha256 of the lines that run_all(200, 0) prints, taken before the generators and the
-    # protocol took stacks, with numpy 2.4's bundled OpenBLAS: each check keeps its inputs, its
-    # verdict and the worst case it prints.  Another BLAS or LAPACK build can move the last digit
-    # of a printed residual.
+    # sha256 of the lines that run_all(200, 0) prints, taken once partial-trace consistency,
+    # covariance path equivalence and bilinearity drew their directions in blocks, with numpy
+    # 2.4's bundled OpenBLAS: each check keeps its inputs, its verdict and the worst case it
+    # prints.  Another BLAS or LAPACK build can move the last digit of a printed residual.
     lines = []
     assert verify.run_all(trials=200, seed=0, out=lines.append)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "437361cc04b5aa3d088607ade1ffe46da6b2f35787b4a80d1e2419a5d5895c72"
+        "b7b5fa88cf67cdd4f4c0033f145e69c4a99edda703cfaa31f2487d9fc6a87587"
     )
