@@ -13,6 +13,7 @@ command exits 3 on usage or input errors, keeping 0..2 unambiguous.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -184,7 +185,7 @@ def cmd_detect(args) -> int:
         verdict, trace = statistical_binary_protocol(
             rho, y=y, xs=xs, cfg=cfg, assume_pure=args.assume_pure
         )
-        shots_doc = {"shots": args.shots, "seed": args.seed, "z_threshold": args.z}
+        shots_doc = dataclasses.asdict(cfg)
     else:
         verdict, trace = binary_protocol(rho, y=y, xs=xs, assume_pure=args.assume_pure)
         shots_doc = None
@@ -235,37 +236,37 @@ def cmd_sweep_werner(args) -> int:
     return 0
 
 
-_GEN_BELL = {
-    "bell-psim": "psi-",
-    "bell-psip": "psi+",
-    "bell-phim": "phi-",
-    "bell-phip": "phi+",
+def _bell(which: str):
+    return lambda args: statesmod.pure_spec(statesmod.bell_state(which), label=args.kind)
+
+
+# Each gen kind's builder; each looks its generator up on statesmod when it runs.
+_GEN_KINDS = {
+    "bell-phim": _bell("phi-"),
+    "bell-phip": _bell("phi+"),
+    "bell-psim": _bell("psi-"),
+    "bell-psip": _bell("psi+"),
+    "chen": lambda args: statesmod.pure_spec(statesmod.chen_state(), label="chen"),
+    "werner": lambda args: statesmod.mixed_spec(
+        statesmod.werner(args.xi), label=f"werner(xi={args.xi:g})"
+    ),
+    "haar": lambda args: statesmod.pure_spec(
+        statesmod.haar_random_pure(args.seed), label=f"haar(seed={args.seed})"
+    ),
+    "product": lambda args: statesmod.pure_spec(
+        statesmod.random_product_pure(args.seed), label=f"product(seed={args.seed})"
+    ),
+    "sep-mixed": lambda args: statesmod.mixed_spec(
+        statesmod.random_separable_mixed(args.seed, args.k),
+        label=f"sep-mixed(seed={args.seed},k={args.k})",
+    ),
 }
 
 
 def cmd_gen(args, parser: _Parser) -> int:
-    kind = args.kind
-    if kind in _GEN_BELL:
-        spec = statesmod.pure_spec(statesmod.bell_state(_GEN_BELL[kind]), label=kind)
-    elif kind == "chen":
-        spec = statesmod.pure_spec(statesmod.chen_state(), label="chen")
-    elif kind == "werner":
-        if args.xi is None:
-            parser.error("gen --kind werner requires --xi")
-        spec = statesmod.mixed_spec(statesmod.werner(args.xi), label=f"werner(xi={args.xi:g})")
-    elif kind == "haar":
-        spec = statesmod.pure_spec(
-            statesmod.haar_random_pure(args.seed), label=f"haar(seed={args.seed})"
-        )
-    elif kind == "product":
-        spec = statesmod.pure_spec(
-            statesmod.random_product_pure(args.seed), label=f"product(seed={args.seed})"
-        )
-    else:  # sep-mixed
-        spec = statesmod.mixed_spec(
-            statesmod.random_separable_mixed(args.seed, args.k),
-            label=f"sep-mixed(seed={args.seed},k={args.k})",
-        )
+    if args.kind == "werner" and args.xi is None:
+        parser.error("gen --kind werner requires --xi")
+    spec = _GEN_KINDS[args.kind](args)
     statesmod.save_state_file(args.out, spec)
     print(f"wrote {spec.kind} state {spec.label!r} to {args.out}")
     return 0
@@ -284,14 +285,17 @@ def make_parser() -> _Parser:
     p_analyze = sub.add_parser("analyze", help="Bloch form, correlation matrix, verdicts")
     p_analyze.add_argument("file", help="state file (JSON)")
     p_analyze.add_argument("--json", action="store_true", help="machine-readable output")
+    p_analyze.set_defaults(run=cmd_analyze)
 
     p_detect = sub.add_parser("detect", help="three-probe entanglement detection")
     p_detect.add_argument("file", help="state file (JSON)")
     mode = p_detect.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exact correlations (default)")
     mode.add_argument("--shots", type=int, help="finite-shot decisions with this budget")
-    p_detect.add_argument("--seed", type=int, default=0, help="RNG seed for --shots")
-    p_detect.add_argument("--z", type=float, default=5.0, help="non-zero decision threshold")
+    p_detect.add_argument("--seed", type=int, default=ShotConfig.seed, help="RNG seed for --shots")
+    p_detect.add_argument(
+        "--z", type=float, default=ShotConfig.z_threshold, help="non-zero decision threshold"
+    )
     p_detect.add_argument("--y", help="fixed probe direction, 'y1,y2,y3'")
     p_detect.add_argument("--xs", help="three probe vectors, 'v;v;v'")
     p_detect.add_argument(
@@ -300,6 +304,7 @@ def make_parser() -> _Parser:
         help="apply pure-state semantics to mixed input",
     )
     p_detect.add_argument("--json", action="store_true")
+    p_detect.set_defaults(run=cmd_detect)
 
     p_sweep = sub.add_parser("sweep-werner", help="Werner-family covariance/PPT table")
     p_sweep.add_argument("--from", dest="xi_from", type=float, required=True)
@@ -307,21 +312,20 @@ def make_parser() -> _Parser:
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--pair", help="observable pair 'x1,x2,x3|y1,y2,y3'")
     p_sweep.add_argument("--json", action="store_true")
+    p_sweep.set_defaults(run=cmd_sweep_werner)
 
     p_gen = sub.add_parser("gen", help="write a state file")
-    p_gen.add_argument(
-        "--kind",
-        required=True,
-        choices=sorted(_GEN_BELL) + ["chen", "werner", "haar", "product", "sep-mixed"],
-    )
+    p_gen.add_argument("--kind", required=True, choices=_GEN_KINDS)
     p_gen.add_argument("--xi", type=float, help="Werner mixing parameter")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--k", type=int, default=4, help="mixture components for sep-mixed")
     p_gen.add_argument("--out", required=True)
+    p_gen.set_defaults(run=lambda args: cmd_gen(args, parser))
 
     p_verify = sub.add_parser("verify", help="run the library property suites")
     p_verify.add_argument("--trials", type=int, default=2000)
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -330,15 +334,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "detect":
-            return cmd_detect(args)
-        if args.command == "sweep-werner":
-            return cmd_sweep_werner(args)
-        if args.command == "gen":
-            return cmd_gen(args, parser)
-        return cmd_verify(args)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except _CLI_ERRORS as exc:

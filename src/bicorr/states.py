@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bicorr.linalg import norms
+from bicorr.linalg import directions
 from bicorr.qstate import (
     CheckedState,
     _observable,
@@ -142,13 +142,13 @@ def _mixture(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def _separable_mixed(seeds: np.ndarray, k: int) -> np.ndarray:
     n = len(seeds)
     # Per seed: k exponential weights, then 2k qubits, each a normal direction and a radius.
-    weights, directions, radii = np.empty((n, k)), np.empty((n, 2 * k, 3)), np.empty((n, 2 * k))
+    weights, normals, radii = np.empty((n, k)), np.empty((n, 2 * k, 3)), np.empty((n, 2 * k))
     for i, rng in enumerate(generators(seeds)):
         weights[i] = rng.exponential(1.0, size=k)
         for j in range(2 * k):
-            rng.standard_normal(out=directions[i, j])
+            rng.standard_normal(out=normals[i, j])
             radii[i, j] = rng.random() ** (1.0 / 3.0)  # Python's pow: numpy's can differ in bits
-    blochs = directions / norms(directions)[..., None] * radii[..., None]
+    blochs = directions(normals) * radii[..., None]
     qubits = _observable(blochs)  # the A and B factor of each term, in turn
     a, b = qubits[:, 0::2, :, None, :, None], qubits[:, 1::2, None, :, None, :]
     return _mixture(weights, (a * b).reshape(n, k, 4, 4))

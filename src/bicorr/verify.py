@@ -40,6 +40,7 @@ from bicorr.detect import (
 )
 from bicorr.linalg import (
     det3,
+    directions,
     hermitian_eigenvalues,
     norms,
     numeric_rank,
@@ -71,8 +72,12 @@ def _blocks(seed: int, n: int):
 
 def _units(rng: np.random.Generator, n: int) -> np.ndarray:
     """n random unit 3-vectors, normalized with the bits of np.linalg.norm."""
-    v = rng.standard_normal((n, 3))
-    return v / norms(v)[:, None]
+    return directions(rng.standard_normal((n, 3)))
+
+
+def _worst(*residuals) -> float:
+    """The largest entry of the residuals, nan if any is nan (Python's max would drop a nan)."""
+    return float(np.max([np.max(r) for r in residuals]))
 
 
 def _balls(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -115,9 +120,9 @@ def check_spectral_invariants(trials: int, seed: int) -> tuple[bool, str]:
     ascending = (np.diff(w) >= 0).all(axis=-1)
     if not ascending.all():
         return False, f"eigenvalues not ascending: {w[np.argmin(ascending)].tolist()}"
-    worst = max(
-        np.abs(w.sum(-1) - np.trace(m, axis1=-2, axis2=-1).real).max(),
-        np.abs((w**2).sum(-1) - np.trace(m @ m, axis1=-2, axis2=-1).real).max(),
+    worst = _worst(
+        np.abs(w.sum(-1) - np.trace(m, axis1=-2, axis2=-1).real),
+        np.abs((w**2).sum(-1) - np.trace(m @ m, axis1=-2, axis2=-1).real),
     )
     return worst < 1e-8, f"{n} matrices, worst Tr m / Tr m^2 residual {worst:.2e}"
 
@@ -153,7 +158,7 @@ def check_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
         rho = _density(seeds)
-        worst = max(worst, float(np.abs(bloch_assemble(bloch_decompose(rho)) - rho.matrix).max()))
+        worst = _worst(worst, np.abs(bloch_assemble(bloch_decompose(rho)) - rho.matrix))
     return worst < 1e-10, f"{trials} states, worst round-trip error {worst:.2e}"
 
 
@@ -168,7 +173,7 @@ def check_pure_state_properties(trials: int, seed: int) -> tuple[bool, str]:
             np.abs(na - nb),
             np.abs(np.linalg.det(bf.f) - (na**2 - 1)),
         )
-        worst = max(worst, *(float(r.max()) for r in residuals))
+        worst = _worst(worst, *residuals)
     return worst < 1e-9, f"{trials} pure states, worst structural residual {worst:.2e}"
 
 
@@ -176,7 +181,7 @@ def check_product_local_vectors(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
         bf = bloch_decompose(_pure(states.random_product_pure, seeds)[1])
-        worst = max(worst, float(np.abs(norms(np.stack([bf.a, bf.b])) - 1).max()))
+        worst = _worst(worst, np.abs(norms(np.stack([bf.a, bf.b])) - 1))
     return worst < 1e-9, f"{trials} product states, worst |a|,|b| deviation {worst:.2e}"
 
 
@@ -188,7 +193,7 @@ def check_partial_trace_consistency(trials: int, seed: int) -> tuple[bool, str]:
         q = observable_from_bloch(_balls(rng, len(seeds)))
         lhs = np.trace(partial_trace_B(rho) @ q, axis1=-2, axis2=-1)
         rhs = np.trace(rho.matrix @ np.kron(q, np.eye(2)), axis1=-2, axis2=-1)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        worst = _worst(worst, np.abs(lhs - rhs))
     return worst < 1e-10, f"{trials} states, worst marginal mismatch {worst:.2e}"
 
 
@@ -200,7 +205,7 @@ def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str
         pair = ObservablePair(x=_balls(rng, len(seeds)), y=_balls(rng, len(seeds)))
         direct = covariance_direct(rho, pair)
         shortcut = covariance_via_c(correlation_matrix(rho), pair)
-        worst = max(worst, float(np.abs(direct - shortcut).max()))
+        worst = _worst(worst, np.abs(direct - shortcut))
     return worst < 1e-10, f"{trials} draws, worst path disagreement {worst:.2e}"
 
 
@@ -226,7 +231,7 @@ def check_pure_rank_dichotomy(trials: int, seed: int) -> tuple[bool, str]:
             k = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])  # concurrence
             expected = np.stack([k, k, k**2], axis=-1)
             error = np.abs(correlation_matrix(rho).singular_values - expected)
-            worst = max(worst, float(error.max()))
+            worst = _worst(worst, error)
     detail = f"{trials} random + {trials} product states, worst |sigma(c) - (k, k, k^2)|"
     return worst < 1e-12, f"{detail} {worst:.2e}"
 
@@ -236,7 +241,7 @@ def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)[1]
         nb = norms(bloch_decompose(rho).b)
-        worst = max(worst, float(np.abs(det3(correlation_matrix(rho).c) + (nb**2 - 1) ** 2).max()))
+        worst = _worst(worst, np.abs(det3(correlation_matrix(rho).c) + (nb**2 - 1) ** 2))
     return worst < 1e-9, f"{trials} pure states, worst determinant residual {worst:.2e}"
 
 
@@ -286,7 +291,7 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
         full = np.flatnonzero(rank_says_entangled(cm))
         count, rho = count + len(full), rho[full]
         leak = np.any([
-            np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) >= 1e-10
+            ~(np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) < 1e-10)
             for x in orthogonal_complement_basis(cm.c[full] @ Z)
         ], axis=0)
         if leak.any():
@@ -305,10 +310,10 @@ def check_zero_pair_universality(trials: int, seed: int) -> tuple[bool, str]:
         rho[~odd] = states.random_mixed(stack[~odd], 2 + offset[~odd] % 4)
         rho = CheckedState(rho)
         pair = find_zero_correlation_pair(rho, _units(rng, len(seeds)))
-        worst = max(worst, float(np.abs(covariance_direct(rho, pair)).max()))
+        worst = _worst(worst, np.abs(covariance_direct(rho, pair)))
     rho = CheckedState(states.werner([0.0, 0.2, 1 / 3, 0.5, 1.0]))
     pair = find_zero_correlation_pair(rho, Z)
-    worst = max(worst, float(np.abs(covariance_direct(rho, pair)).max()))
+    worst = _worst(worst, np.abs(covariance_direct(rho, pair)))
     return worst < 1e-10, f"{trials} mixed states + Werner grid, worst |c| {worst:.2e}"
 
 
@@ -343,7 +348,7 @@ def check_werner_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     xi = np.linspace(0.0, 1.0, 21)
     bf = bloch_decompose(states.werner(xi))
     f_dev = bf.f + xi[:, None, None] * np.eye(3)
-    worst = float(max(np.abs(bf.a).max(), np.abs(bf.b).max(), np.abs(f_dev).max()))
+    worst = _worst(np.abs(bf.a), np.abs(bf.b), np.abs(f_dev))
     return worst < 1e-12, f"21 xi values, worst Bloch deviation {worst:.2e}"
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface via ``cli.main``."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -10,6 +11,7 @@ from bicorr import states
 from bicorr.cli import build_analysis_report, main
 from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import ppt_is_separable
+from bicorr.shotsim import ShotConfig
 from bicorr.states import load_state_file, mixed_spec, random_mixed, save_state_file
 from bicorr.verify import ALL_CHECKS, run_all
 
@@ -137,6 +139,11 @@ class TestDetect:
         assert doc["shots"] == {"shots": 10000, "seed": 1, "z_threshold": 4.0}
         assert doc["verdict"]["label"] == "Entangled"
 
+    def test_shot_defaults_are_the_shot_configs(self, singlet_file, capsys):
+        assert main(["detect", singlet_file, "--shots", "1000", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["shots"] == dataclasses.asdict(ShotConfig(shots=1000))
+
     def test_custom_probes(self, singlet_file):
         code = main(
             ["detect", singlet_file, "--y", "0,0,1", "--xs", "1,0,0;0,1,0;0,0,1"]
@@ -150,6 +157,19 @@ class TestDetect:
     def test_short_probe_set_is_independent(self, singlet_file):
         # Independence is judged on the directions, not on the Gram determinant 1e-12 of 0.01 I.
         assert main(["detect", singlet_file, "--xs", "0.01,0,0;0,0.01,0;0,0,0.01"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--y", "1,2", "--y needs 3 comma-separated numbers, got '1,2'"),
+            ("--y", "0,a,1", "--y has a non-numeric component in '0,a,1'"),
+            ("--xs", "1,0,0;0,1,0", "--xs needs 3 semicolon-separated vectors, got '1,0,0;0,1,0'"),
+        ],
+        ids=["two-numbers", "non-numeric", "two-vectors"],
+    )
+    def test_a_malformed_vector_is_an_input_error(self, singlet_file, flag, value, message, capsys):
+        assert main(["detect", singlet_file, flag, value]) == 3
+        assert capsys.readouterr() == ("", f"bicorr: error: {message}\n")
 
     def test_subnormal_y_is_a_direction_for_shots(self, singlet_file):
         assert main(["detect", singlet_file, "--y", "5e-324,5e-324,0", "--shots", "1000"]) == 1
@@ -213,6 +233,29 @@ class TestSweepWerner:
             rho = states.werner(row["xi"])
             assert row["covariance"] == covariance_direct(rho, pair)
             assert row["ppt_separable"] is ppt_is_separable(rho)
+
+    def test_text_table(self, capsys):
+        argv = ["--from", "0", "--to", "1", "--steps", "3", "--pair", "1,0,0|0.6,0,0.8"]
+        assert main(["sweep-werner", *argv]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "pair: x=[ 1,  0,  0]  y=[ 0.6,  0,  0.8]",
+            "        xi          covariance           -xi/4 x.y  ppt",
+            "  0.000000      0.000000000000     -0.000000000000  separable",
+            "  0.500000     -0.075000000000     -0.075000000000  entangled",
+            "  1.000000     -0.150000000000     -0.150000000000  entangled",
+        ]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--steps", "0"], "--steps must be at least 1"),
+            (["--steps", "3", "--pair", "1,0,0"], "--pair needs 'x1,x2,x3|y1,y2,y3', got '1,0,0'"),
+        ],
+        ids=["no-steps", "pair-without-bar"],
+    )
+    def test_bad_grid_or_pair_is_an_input_error(self, extra, message, capsys):
+        assert main(["sweep-werner", "--from", "0", "--to", "1", *extra]) == 3
+        assert capsys.readouterr() == ("", f"bicorr: error: {message}\n")
 
     def test_endpoint_matches_singlet(self, capsys):
         main(["sweep-werner", "--from", "1", "--to", "1", "--steps", "1", "--json"])

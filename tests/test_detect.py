@@ -198,6 +198,12 @@ class TestBinaryProtocol:
         verdict, trace = binary_protocol(rho, xs=scale * DEFAULT_XS)
         assert (verdict.label, trace.measurements_used) == (ENTANGLED, 3)
 
+    @pytest.mark.parametrize("protocol", [binary_protocol, statistical_binary_protocol])
+    def test_two_probes_are_not_a_probe_set(self, protocol):
+        message = r"^need exactly 3 probe vectors, got shape \(2, 3\)$"
+        with pytest.raises(DependentProbes, match=message):
+            protocol(states.werner(0.5), xs=np.eye(3)[:2])
+
     @pytest.mark.filterwarnings("error")
     def test_a_zero_probe_is_dependent(self):
         xs = np.eye(3)

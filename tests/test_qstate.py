@@ -23,6 +23,7 @@ from bicorr.qstate import (
     as_density_matrix,
     bloch_assemble,
     bloch_decompose,
+    check_bloch_vector,
     density_from_pure,
     observable_from_bloch,
     outcome_table,
@@ -62,6 +63,18 @@ class TestValidation:
         rho = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(InvalidState, match="positive"):
             as_density_matrix(rho)
+
+    def test_rejects_three_amplitudes(self):
+        with pytest.raises(InvalidState, match=r"^pure state needs 4 amplitudes, got 3$"):
+            validate_pure_state([1, 0, 0])
+
+    def test_rejects_a_3x3_matrix(self):
+        with pytest.raises(InvalidState, match=r"^density matrix must be 4x4, got shape \(3, 3\)$"):
+            CheckedState(np.eye(3) / 3)
+
+    def test_rejects_a_bloch_vector_of_two_components(self):
+        with pytest.raises(ValueError, match=r"^x needs 3 components, got 2$"):
+            check_bloch_vector([0.6, 0.8], "x")
 
 
 def _huge_off_diagonal():

@@ -133,6 +133,11 @@ class TestSampleJoint:
         second = sample_joint(states.werner(0.4), ZZ, cfg)
         assert first == second
 
+    def test_a_record_is_not_equal_to_another_type(self):
+        record = sample_joint(states.werner(0.4), ZZ, ShotConfig(shots=1_000))
+        assert record.__eq__("a record") is NotImplemented
+        assert record != "a record"
+
     def test_singlet_estimate_and_decision(self):
         record = sample_joint(singlet_rho(), ZZ, ShotConfig(shots=100_000, seed=5))
         assert record.decision == DECISION_NONZERO

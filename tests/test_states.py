@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +162,15 @@ class TestGenerators:
             random_separable_mixed(0, 0)
 
 
+def test_the_declared_numpy_floor_is_at_least_2_0():
+    # The generators normalize with np.vecdot, which numpy added in 2.0.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    (floor,) = [dep for dep in project["dependencies"] if re.match(r"numpy\b", dep)]
+    version = re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)*", floor)
+    assert version and tuple(map(int, version.groups())) >= (2, 0)
+
+
 @pytest.mark.parametrize("name", STACKABLE)
 class TestSeedStacks:
     def test_a_seed_stack_equals_one_call_per_seed(self, name):
@@ -232,6 +242,19 @@ class TestStateFiles:
     def test_rejects_missing_matrix(self):
         with pytest.raises(ParseError, match="matrix"):
             loads_state('{"kind": "mixed"}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"kind": "pure"}]', "state document must be a JSON object"),
+            ('{"kind": "mixed", "label": 7, "matrix": []}', "label must be a string"),
+            ('{"kind": "pure", "label": "x"}', "pure state document needs an 'amplitudes' field"),
+        ],
+        ids=["array", "numeric-label", "pure-without-amplitudes"],
+    )
+    def test_rejects_a_malformed_document(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            loads_state(text)
 
     @pytest.mark.parametrize(
         "last_row, cause",

@@ -1,12 +1,14 @@
-"""The draws of the verify registry: block probe sets, and the stacks one run_all shares."""
+"""The draws of the verify registry: block probe sets, the stacks one run_all shares, and
+the checks' verdicts on a nan residual."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from bicorr import states, verify
+from bicorr import correlation, states, verify
 from bicorr.linalg import det3, norms
+from bicorr.qstate import BlochForm
 from bicorr.verify import ALL_CHECKS, BLOCK, run_all
 
 
@@ -105,3 +107,49 @@ def test_probe_sets_are_unit_independent_and_deterministic(seed):
     assert not (xs[redrawn] == first[redrawn]).all(axis=(1, 2)).any()
     y_again, xs_again = verify._probe_sets(np.random.default_rng(seed), n)
     assert y_again.tobytes() == y.tobytes() and xs_again.tobytes() == xs.tobytes()
+
+
+def _nan_result(kernel):
+    """kernel, with every entry of its result replaced by nan."""
+    def patched(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        if isinstance(out, BlochForm):
+            return BlochForm(*(np.full_like(v, np.nan) for v in (out.a, out.b, out.f)))
+        return np.full_like(out, np.nan)
+    return patched
+
+
+@pytest.mark.parametrize(
+    "check, module, kernel",
+    [
+        (verify.check_bloch_round_trip, verify, "bloch_assemble"),
+        (verify.check_pure_state_properties, verify, "bloch_decompose"),
+        (verify.check_product_local_vectors, verify, "bloch_decompose"),
+        (verify.check_partial_trace_consistency, verify, "partial_trace_B"),
+        (verify.check_covariance_path_equivalence, verify, "covariance_direct"),
+        (verify.check_pure_rank_dichotomy, correlation, "symmetric3_singular_values"),
+        (verify.check_pure_determinant_identity, verify, "bloch_decompose"),
+        (verify.check_zero_pair_universality, verify, "covariance_direct"),
+        (verify.check_werner_bloch_round_trip, verify, "bloch_decompose"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+def test_a_nan_residual_fails_its_check(check, module, kernel, monkeypatch):
+    monkeypatch.setattr(module, kernel, _nan_result(getattr(module, kernel)))
+    ok, detail = check(200, 0)
+    assert ok is False and detail.endswith(" nan")
+
+
+def test_a_nan_covariance_is_a_leak_of_the_silent_probes(monkeypatch):
+    monkeypatch.setattr(verify, "covariance_direct", _nan_result(verify.covariance_direct))
+    ok, detail = verify.check_two_probe_insufficiency(200, 0)
+    assert ok is False and detail.endswith(": silent probe pair leaked signal")
+
+
+def test_a_nan_tr_m2_residual_fails_the_spectral_check(monkeypatch):
+    # Tr m stays finite and Tr m^2 reads nan: the second of the two residuals is the nan one.
+    traces = iter([np.trace, lambda *args, **kwargs: np.nan])
+    monkeypatch.setattr(np, "trace", lambda *args, **kwargs: next(traces)(*args, **kwargs))
+    ok, detail = verify.check_spectral_invariants(200, 0)
+    assert (ok, detail) == (False, "200 matrices, worst Tr m / Tr m^2 residual nan")
