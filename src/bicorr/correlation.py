@@ -39,9 +39,9 @@ class ObservablePair:
         object.__setattr__(self, "y", check_bloch_vector(self.y, "y"))
 
 
-def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
-    """The pair of float 3-vectors that the caller has checked as Bloch vectors."""
-    pair = object.__new__(ObservablePair)
+def _checked_pair(x: np.ndarray, y: np.ndarray, kind: type = ObservablePair) -> ObservablePair:
+    """The pair, of type kind, of float 3-vectors that the caller has checked as Bloch vectors."""
+    pair = object.__new__(kind)
     pair.__dict__.update(x=x, y=y)
     return pair
 

@@ -67,8 +67,12 @@ def symmetric3_singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
 
 
-def numeric_rank(m: np.ndarray, abs_tol: float) -> int:
-    """Number of singular values of m (per matrix of a stack) strictly above abs_tol."""
+def numeric_rank(m: np.ndarray, abs_tol: float | np.ndarray) -> int:
+    """Number of singular values of m (per matrix of a stack) strictly above abs_tol.
+
+    An array abs_tol broadcasts against m's stack: tolerances of shape (t, 1, ..., 1) give the
+    (t, ...) ranks of every matrix at each tolerance from one decomposition.
+    """
     return item_or_array(np.sum(symmetric3_singular_values(m) > abs_tol, axis=-1))
 
 

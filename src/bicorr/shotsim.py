@@ -27,14 +27,16 @@ inputs give bit-identical records.
 and probes, which broadcast.  The probabilities of a whole stack are one
 contraction; row i of the stack, in C order, then draws its counts from the
 stream of ``default_rng((seed + i) mod 2**64)``, and the statistics are
-computed on the whole count array.  The stack's generators are seeded by one
-vectorised kernel (``streams.generators``), which gives each seed its
-``default_rng(seed)`` stream bit for bit; the pinned one-state records in
-tests/test_shotsim.py would fail if numpy ever changed its seeding.  So a
+computed on the whole count array.  The stack's seeds are seeded at once
+(``streams.seed_words``), and each row draws from a fresh generator on its
+seed's ``default_rng(seed)`` stream, bit for bit; the pinned one-state records
+in tests/test_shotsim.py would fail if numpy ever changed its seeding.  So a
 one-state call is row 0 at ``seed``, and each row of a stack equals a
 one-state call at its own seed.  The statistical protocol takes its three
 probes' cell probabilities in one call and draws probe i, at (seed + i) mod
-2**64, only when it reads it: the bits of ``sample_joint`` on that probe.
+2**64, only when it reads it: the bits of ``sample_joint`` on that probe.  It
+passes the unit directions that its probe check has made, which are not
+checked again; any other pair is checked for unit length (``NonUnitBloch``).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from bicorr.detect import (
 )
 from bicorr.linalg import IMAG_TOL, NORM_TOL
 from bicorr.qstate import CheckedState, InvalidState, _require, outcome_table
-from bicorr.streams import generators
+from bicorr.streams import generators, seed_words
 
 DECISION_ZERO = "Zero"
 DECISION_NONZERO = "NonZero"
@@ -117,18 +119,24 @@ class ShotRecord:
         )
 
 
-def _unit(vec: np.ndarray, name: str) -> np.ndarray:
-    """vec as float 3-vectors, each of unit length; NonUnitBloch names the first that is not."""
-    vec = np.asarray(vec, dtype=float)
-    deviation = np.abs(np.hypot.reduce(vec, axis=-1) - 1.0)
-    message = name + "{at} must be a unit vector, its norm is off 1 by {worst!r}"
-    _require(deviation, NORM_TOL, NonUnitBloch, message)
-    return vec
+class _UnitPair(ObservablePair):
+    """Probe directions that ``_check_probes`` has made unit, so ``_unit`` lets them through."""
+
+
+def _unit(pair: ObservablePair) -> ObservablePair:
+    """pair, each x and y of unit length; NonUnitBloch names the first that is not."""
+    if not isinstance(pair, _UnitPair):
+        for name in ("x", "y"):
+            deviation = np.abs(np.hypot.reduce(getattr(pair, name), axis=-1) - 1.0)
+            message = name + "{at} must be a unit vector, its norm is off 1 by {worst!r}"
+            _require(deviation, NORM_TOL, NonUnitBloch, message)
+    return pair
 
 
 def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.ndarray:
     """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER, on the last axis; stacks broadcast."""
-    table = outcome_table(rho, _unit(pair.x, "x"), _unit(pair.y, "y"))
+    pair = _unit(pair)
+    table = outcome_table(rho, pair.x, pair.y)
     cells = table[..., ::-1, ::-1].reshape(table.shape[:-2] + (4,))  # T11, T10, T01, T00
     message = "cell probability{at} has imaginary residue {worst:.3e}"
     _require(np.abs(cells.imag), IMAG_TOL, InvalidState, message, 1)
@@ -172,7 +180,7 @@ def _draw_stack(probs: np.ndarray, cfg: ShotConfig) -> tuple:
     """
     counts = np.empty(probs.shape)
     seeds = np.uint64(cfg.seed) + np.arange(len(probs), dtype=np.uint64)  # wraps at 2**64
-    for row, p, rng in zip(counts, probs, generators(seeds)):
+    for row, p, rng in zip(counts, probs, generators(seed_words(seeds))):
         row[:] = rng.multinomial(cfg.shots, p)
 
     n = float(cfg.shots)
@@ -230,7 +238,7 @@ def statistical_binary_protocol(
     rho = CheckedState.of(rho)
 
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
-        probs = joint_outcome_probabilities(rho, _checked_pair(xs, y))  # every probe's cells
+        probs = joint_outcome_probabilities(rho, _checked_pair(xs, y, _UnitPair))  # every probe
         for i, row in enumerate(probs):
             *_, covariance, _, _, decision = _draw(row, cfg, (int(cfg.seed) + i) % 2**64)
             yield covariance, decision == DECISION_ZERO

@@ -3,10 +3,11 @@
 Every random generator takes one seed or a sequence of seeds, which gives a stack of states.
 Each seed draws from its own ``np.random.default_rng(seed)`` stream (numpy PCG64) in a fixed
 order, and the rest is computed on the whole stack with the bits of the one-seed computation, so
-a seed's state is the same alone or in any stack, and every draw is bit-reproducible.  A stack's
-generators are seeded by one vectorised kernel (``streams.generators``), which gives each seed
-its ``default_rng(seed)`` stream bit for bit; the pinned seed map in tests/test_states.py would
-fail if numpy ever changed its seeding.
+a seed's state is the same alone or in any stack, and every draw is bit-reproducible.  Each call
+seeds its flat stack of seeds once (``streams.seed_words``) and hands every kind and k group its
+rows of the words, from which each seed gets a fresh generator on its ``default_rng(seed)``
+stream, bit for bit; the pinned seed map in tests/test_states.py would fail if numpy ever changed
+its seeding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from bicorr.qstate import (
     as_density_matrix,
     density_from_pure,
 )
-from bicorr.streams import generators
+from bicorr.streams import generators, seed_words
 
 _BELL_AMPLITUDES = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
@@ -82,10 +83,17 @@ def _shaped(seeds: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return stack.reshape(seeds.shape + stack.shape[1:])
 
 
-def _normal_rows(seeds: np.ndarray, shape: tuple) -> np.ndarray:
-    """Per seed, an array of `shape` standard normals from that seed's own generator."""
-    rows = np.empty((seeds.size,) + shape)
-    for row, rng in zip(rows, generators(seeds.reshape(-1))):
+def _seeded(seed) -> tuple[np.ndarray, np.ndarray]:
+    """seed as an object array of each seed as given (a Python int of any size), and the
+    ``seed_words`` of its flat stack, so that a generator call seeds once."""
+    seeds = np.array(seed, dtype=object)
+    return seeds, seed_words(seeds.reshape(-1))
+
+
+def _normal_rows(words: np.ndarray, shape: tuple) -> np.ndarray:
+    """Per row of words, an array of `shape` standard normals from that seed's own generator."""
+    rows = np.empty((len(words),) + shape)
+    for row, rng in zip(rows, generators(words)):
         rng.standard_normal(out=row)
     return rows
 
@@ -101,36 +109,44 @@ def _unit_complex(g: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
 
+def _haar(words: np.ndarray) -> np.ndarray:
+    return _unit_complex(_normal_rows(words, (2, 4)))
+
+
 def haar_random_pure(seed) -> np.ndarray:
     """Haar-random two-qubit pure state: normalized complex Gaussian amplitudes.
 
     seed is one seed, or a sequence of N seeds (a list, a range, an integer array) for an
     (N, 4) stack.
     """
-    seeds = np.array(seed, dtype=object)  # each seed as given, a Python int of any size
-    return _shaped(seeds, _unit_complex(_normal_rows(seeds, (2, 4))))
+    seeds, words = _seeded(seed)
+    return _shaped(seeds, _haar(words))
 
 
 def random_product_pure(seed) -> np.ndarray:
     """Product of two independent Haar-random single-qubit pure states."""
-    seeds = np.array(seed, dtype=object)
-    g = _normal_rows(seeds, (2, 2, 2))  # u's real and imaginary parts, then v's
+    seeds, words = _seeded(seed)
+    g = _normal_rows(words, (2, 2, 2))  # u's real and imaginary parts, then v's
     u, v = _unit_complex(g[:, 0]), _unit_complex(g[:, 1])
     return _shaped(seeds, (u[:, :, None] * v[:, None, :]).reshape(-1, 4))
 
 
-def _per_k(seed, k, mixture) -> np.ndarray:
-    """mixture(seeds, k) on the seeds of each k, gathered into one stack; k is one or per seed."""
-    seeds = np.array(seed, dtype=object)
+def _per_k(words: np.ndarray, ks: np.ndarray, mixture) -> np.ndarray:
+    """mixture(words, k) on the rows of each k, gathered into one (n, 4, 4) stack."""
+    rho = np.empty((len(words), 4, 4), dtype=complex)
+    for value in set(ks.tolist()):  # np.unique would page in about 0.5 MB on its first call
+        rows = ks == value
+        rho[rows] = mixture(words[rows], int(value))
+    return rho
+
+
+def _mixture_of_k(seed, k, mixture) -> np.ndarray:
+    """_per_k on the seeds, k one count or one per seed."""
+    seeds, words = _seeded(seed)
     ks = np.broadcast_to(np.asarray(k), seeds.shape).reshape(-1)
     if (ks < 1).any():
         raise ValueError("k must be at least 1")
-    flat = seeds.reshape(-1)
-    rho = np.empty((flat.size, 4, 4), dtype=complex)
-    for value in set(ks.tolist()):  # np.unique would page in about 0.5 MB on its first call
-        rows = ks == value
-        rho[rows] = mixture(flat[rows], int(value))
-    return _shaped(seeds, rho)
+    return _shaped(seeds, _per_k(words, ks, mixture))
 
 
 def _mixture(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -139,11 +155,11 @@ def _mixture(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return (weights[..., None, None] * terms).sum(axis=1)
 
 
-def _separable_mixed(seeds: np.ndarray, k: int) -> np.ndarray:
-    n = len(seeds)
+def _separable_mixed(words: np.ndarray, k: int) -> np.ndarray:
+    n = len(words)
     # Per seed: k exponential weights, then 2k qubits, each a normal direction and a radius.
     weights, normals, radii = np.empty((n, k)), np.empty((n, 2 * k, 3)), np.empty((n, 2 * k))
-    for i, rng in enumerate(generators(seeds)):
+    for i, rng in enumerate(generators(words)):
         weights[i] = rng.exponential(1.0, size=k)
         for j in range(2 * k):
             rng.standard_normal(out=normals[i, j])
@@ -162,13 +178,13 @@ def random_separable_mixed(seed, k=4) -> np.ndarray:
     qubit state space; weights come from normalized exponential draws, i.e.
     uniform on the simplex.  k is one count or one per seed.
     """
-    return _per_k(seed, k, _separable_mixed)
+    return _mixture_of_k(seed, k, _separable_mixed)
 
 
-def _mixed(seeds: np.ndarray, k: int) -> np.ndarray:
-    n = len(seeds)
+def _mixed(words: np.ndarray, k: int) -> np.ndarray:
+    n = len(words)
     draws = np.empty((n, 9 * k))  # per seed: k exponential weights, then k states' normals
-    for row, rng in zip(draws, generators(seeds)):
+    for row, rng in zip(draws, generators(words)):
         row[:k] = rng.exponential(1.0, size=k)
         rng.standard_normal(out=row[k:])
     psi = _unit_complex(draws[:, k:].reshape(n, k, 2, 4))
@@ -177,22 +193,22 @@ def _mixed(seeds: np.ndarray, k: int) -> np.ndarray:
 
 def random_mixed(seed, k=4) -> np.ndarray:
     """Convex mixture of k Haar-random pure states (generally entangled); k is one or per seed."""
-    return _per_k(seed, k, _mixed)
+    return _mixture_of_k(seed, k, _mixed)
 
 
 def random_density(seed) -> np.ndarray:
     """Random state for property loops: seed % 3 picks mixed, separable mixed or pure."""
-    seeds = np.array(seed, dtype=object)
+    seeds, words = _seeded(seed)
     flat = seeds.reshape(-1)
     kind = (flat % 3).astype(int)
     rho = np.empty((flat.size, 4, 4), dtype=complex)
     for which, draw in enumerate((
-        lambda s: random_mixed(s, 2 + s % 4),
-        lambda s: random_separable_mixed(s, 1 + s % 5),
-        lambda s: density_from_pure(haar_random_pure(s)),
+        lambda w, s: _per_k(w, 2 + s % 4, _mixed),
+        lambda w, s: _per_k(w, 1 + s % 5, _separable_mixed),
+        lambda w, s: density_from_pure(_haar(w)),
     )):
         rows = kind == which
-        rho[rows] = draw(flat[rows])
+        rho[rows] = draw(words[rows], flat[rows])
     return _shaped(seeds, rho)
 
 

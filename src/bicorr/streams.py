@@ -1,28 +1,31 @@
 """Generators for a stack of seeds, each on its own ``np.random.default_rng(seed)`` stream.
 
-``np.random.default_rng(seed)`` hashes the seed's 32-bit words into a pool of four words
-(numpy's ``SeedSequence``), expands the pool into four 64-bit words, and starts PCG64
-(O'Neill, 2014) from them: two words seed its 128-bit state, two its increment.  Every step is
-fixed integer arithmetic, so ``pcg64_states`` runs it on a whole stack of seeds at once, and
-``generators`` sets one ``Generator`` to each seed's state in turn.  The streams are the seeds'
-own ``default_rng`` streams, bit for bit; the seed maps pinned in the tests would show it if
-numpy ever changed its seeding.
+``np.random.default_rng(seed)`` is ``Generator(PCG64(SeedSequence(seed)))``.  ``SeedSequence``
+hashes the seed's 32-bit words into a pool of four words, and PCG64 asks it for the pool expanded
+into four 64-bit words, two for its 128-bit state and two for its increment.  Every step of the
+hash is fixed integer arithmetic, so ``seed_words`` runs it on a whole stack of seeds at once.
+``generators`` then starts a fresh PCG64 from each seed's words through numpy's seed-sequence
+interface (``ISeedSequence``), which numpy's bit generators accept in place of a
+``SeedSequence``.  The streams are the seeds' own ``default_rng`` streams, bit for bit; the seed
+maps pinned in the tests would show it if numpy ever changed its seeding, and a bit generator
+that asked for other words would raise.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-# Below this many seeds one default_rng per seed is faster than the stacked seeding, whose fixed
-# cost is about 50 us.  Seeding and one draw each, on a 2-core x86-64 VM with numpy 2.4: 12 seeds
-# took 62 us per seed and 70 us stacked, 16 seeds 82 and 76 us.
-CROSSOVER = 16
-CHUNK = 1024  # seeds made into Python ints at a time, which bounds the memory they take
+# Below this many seeds numpy's own SeedSequence per seed is faster than the stacked kernel,
+# whose fixed cost is about 35 us.  Words, a fresh Generator and 8 normals per seed, best of 7,
+# on a 2-core x86-64 VM with numpy 2.4: 10 seeds took 59 us one by one and 62 us stacked, 11
+# seeds 66 and 63 us.
+CROSSOVER = 11
 
-MASK32, MASK128 = 2**32 - 1, 2**128 - 1
+MASK32 = 2**32 - 1
 INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _chain(const: int, mult: int, count: int) -> np.ndarray:
@@ -64,40 +67,59 @@ def _generate_state(words: np.ndarray) -> np.ndarray:
     return out.T.astype("<u4", order="C").view("<u8")
 
 
-def pcg64_states(seeds: list):
-    """The PCG64 (state, inc) of ``np.random.default_rng(s)`` for each non-negative integer s.
+def seed_words(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed s, as the rows of (n, 4).
 
-    The states are yielded in turn, made into Python ints CHUNK seeds at a time.
+    From CROSSOVER seeds on, all of them non-negative integers of any size, ``_generate_state``
+    computes the words of the whole stack, one call per count of 32-bit words a seed has.
+    Otherwise each seed gets numpy's own SeedSequence, which raises for a seed it rejects as
+    ``default_rng(seed)`` would: TypeError for a float, ValueError for a negative integer.
     """
-    width = max(1, -(-int(max(seeds, default=0)).bit_length() // 32))
+    seeds = np.asarray(seeds, dtype=object).tolist()  # an integer array's values as Python ints
+    seeded = np.empty((len(seeds), 4), np.uint64)
+    integers = all(issubclass(t, (int, np.integer)) for t in set(map(type, seeds)))
+    if len(seeds) < CROSSOVER or not integers or min(seeds) < 0:
+        for row, seed in zip(seeded, seeds):
+            row[:] = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        return seeded
+    width = max(1, -(-int(max(seeds)).bit_length() // 32))
     values = np.array(seeds, dtype=np.uint64 if width <= 2 else object)
     words = np.stack([(values >> 32 * j & MASK32).astype(np.uint32) for j in range(width)], -1)
     nonzero = words != 0  # a seed has words up to its last non-zero one, and at least one
     counts = np.where(nonzero.any(axis=-1), width - nonzero[:, ::-1].argmax(axis=-1), 1)
-    seeded = np.empty((len(seeds), 4), np.uint64)
     for count in set(counts.tolist()):
         rows = counts == count
         seeded[rows] = _generate_state(words[rows, :count])
-    for start in range(0, len(seeded), CHUNK):
-        for s_high, s_low, i_high, i_low in seeded[start : start + CHUNK].tolist():
-            inc = ((i_high << 64 | i_low) << 1 | 1) & MASK128  # pcg64_set_seed, on Python ints
-            yield (((s_high << 64 | s_low) + inc) * PCG64_MULT + inc) & MASK128, inc
+    return seeded
 
 
-def generators(seeds):
-    """Per seed, in order, a ``Generator`` at the start of ``np.random.default_rng(seed)``'s stream.
+@cache
+def _words_type() -> type:
+    """``_Words``, defined on first use so that importing bicorr does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    From CROSSOVER seeds on, all of them non-negative integers of any size, one Generator is
-    set to each seed's state in turn, so draw from it before taking the next.  Otherwise each
-    seed gets its own ``default_rng``, which raises for a seed it rejects as it would alone.
+    class _Words(ISeedSequence):
+        """A seed sequence that hands a bit generator the four uint64 words it was made with."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            dtype = np.dtype(dtype)
+            if n_words != 4 or dtype != np.uint64:
+                raise ValueError(f"seeded for 4 uint64 words, asked for {n_words} {dtype}")
+            return self.words
+
+    return _Words
+
+
+def generators(words: np.ndarray):
+    """A fresh ``Generator`` per row of words, in order.
+
+    words are ``seed_words(seeds)``; row i's generator is at the start of the stream of
+    ``default_rng(seeds[i])``, and no two share any state.
     """
-    seeds = np.asarray(seeds, dtype=object).tolist()  # an integer array's values as Python ints
-    integers = all(issubclass(t, (int, np.integer)) for t in set(map(type, seeds)))
-    if len(seeds) < CROSSOVER or not integers or min(seeds) < 0:
-        yield from map(np.random.default_rng, seeds)
-        return
-    rng, inner = np.random.default_rng(0), {}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    for inner["state"], inner["inc"] in pcg64_states(seeds):  # the state dict, filled in place
-        rng.bit_generator.state = state
-        yield rng
+    words = np.ascontiguousarray(words, dtype=np.uint64)  # PCG64 reads each row's native bytes
+    words_type, generator, pcg64 = _words_type(), np.random.Generator, np.random.PCG64
+    for row in words:
+        yield generator(pcg64(words_type(row)))

@@ -116,6 +116,19 @@ class TestNumericRank:
         m = np.outer([1.0, 2.0, -1.0], [0.5, 0.25, 1.0])
         assert numeric_rank(m, 1e-8) == 1
 
+    def test_a_tolerance_array_broadcasts_over_one_decomposition(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((50, 3, 3)) * rng.choice([1e-10, 1e-2, 1.0], 50)[:, None, None]
+        tols = np.array([1e-12, 1e-8, 1e-4, 1e-1, 10.0])
+        each = np.array([numeric_rank(m, tol) for tol in tols])
+        calls, solver = [], linalg.symmetric3_singular_values
+        monkeypatch.setattr(
+            linalg, "symmetric3_singular_values", lambda m: calls.append(m) or solver(m)
+        )
+        ranks = numeric_rank(m, tols[:, None, None])
+        assert len(calls) == 1 and ranks.shape == (5, 50)
+        np.testing.assert_array_equal(ranks, each)
+
 
 class TestDet3:
     def test_identity(self):

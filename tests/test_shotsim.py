@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bicorr import shotsim, states
-from bicorr.correlation import ObservablePair
+from bicorr.correlation import ObservablePair, _checked_pair
 from bicorr.qstate import InvalidState, density_from_pure, observable_from_bloch
 from bicorr.shotsim import (
     CELL_ORDER,
@@ -102,6 +102,22 @@ class TestOutcomeProbabilities:
         message = r"^x must be a unit vector, its norm is off 1 by 0\.5$"
         with pytest.raises(NonUnitBloch, match=message):
             sample_joint(singlet_rho(), ObservablePair(x=0.5 * Z, y=Z), ShotConfig())
+
+    def test_only_the_protocols_own_directions_skip_the_unit_check(self, monkeypatch):
+        long_x = np.array([0.0, 0.0, 2.0])  # not a unit vector, so a check would raise
+        pair = _checked_pair(long_x, Z, shotsim._UnitPair)
+        assert shotsim._unit(pair) is pair
+        with pytest.raises(NonUnitBloch):
+            shotsim._unit(_checked_pair(long_x, Z))
+        seen, original = [], shotsim.joint_outcome_probabilities
+
+        def spy(rho, pair):
+            seen.append(pair)
+            return original(rho, pair)
+
+        monkeypatch.setattr(shotsim, "joint_outcome_probabilities", spy)
+        shotsim.statistical_binary_protocol(singlet_rho(), cfg=ShotConfig(shots=1000))
+        assert [type(p) for p in seen] == [shotsim._UnitPair]
 
     def test_a_stack_of_unit_probes_is_accepted(self):
         probs = joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=np.eye(3), y=Z))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bicorr import states
+from bicorr import states, streams
 from bicorr.detect import classify_pure_by_rank, ppt_is_separable
 from bicorr.qstate import (
     InvalidState,
@@ -160,6 +160,23 @@ class TestGenerators:
     def test_component_count_must_be_positive(self):
         with pytest.raises(ValueError):
             random_separable_mixed(0, 0)
+
+
+def test_a_random_density_stack_is_seeded_by_one_kernel_call(monkeypatch):
+    # Every kind and every k group takes its rows of the one seeding; none seeds on its own.
+    calls, kernel = [], streams._generate_state
+
+    def counted(words):
+        calls.append(len(words))
+        return kernel(words)
+
+    monkeypatch.setattr(streams, "_generate_state", counted)
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, lambda *args: pytest.fail("seeded one by one"))
+    rho = states.random_density(range(200))
+    assert calls == [200]
+    monkeypatch.undo()
+    assert rho.tobytes() == np.stack([states.random_density(s) for s in range(200)]).tobytes()
 
 
 def test_the_declared_numpy_floor_is_at_least_2_0():

@@ -1,9 +1,16 @@
 """Tests for the stacked seeding of generators: every seed keeps its default_rng stream."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bicorr.streams import CROSSOVER, generators, pcg64_states
+import bicorr
+from bicorr import streams
+from bicorr.streams import CROSSOVER, generators, seed_words
 
 SEEDS = (
     list(range(30_000))
@@ -18,46 +25,57 @@ def fresh_state(seed) -> dict:
 
 
 def test_states_equal_default_rng_on_seeds_of_one_to_seven_words():
-    states = list(pcg64_states(SEEDS))
-    assert len(states) == len(SEEDS)
-    for seed, (state, inc) in zip(SEEDS, states):
-        assert fresh_state(seed)["state"] == {"state": state, "inc": inc}, seed
+    words = seed_words(SEEDS)
+    assert words.shape == (len(SEEDS), 4) and words.dtype == np.uint64
+    rngs = generators(words)
+    for seed, row, rng in zip(SEEDS, words, rngs, strict=True):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes(), seed
+        assert rng.bit_generator.state == fresh_state(seed), seed
 
 
 @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
 def test_numpy_integer_seeds_give_their_ints_states(dtype):
     top = np.iinfo(dtype).max
     seeds = np.array([0, 1, 2**32 - 1, 2**32, top - 1, top] * 4, dtype=dtype)
-    for seed, rng in zip(seeds, generators(seeds)):
+    for seed, rng in zip(seeds, generators(seed_words(seeds))):
         assert rng.bit_generator.state == fresh_state(int(seed))
     as_list = list(seeds)  # numpy scalars, not Python ints
-    for seed, rng in zip(as_list, generators(as_list)):
+    for seed, rng in zip(as_list, generators(seed_words(as_list))):
         assert rng.bit_generator.state == fresh_state(int(seed))
 
 
 @pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1])
 def test_stacks_either_side_of_the_crossover_start_each_seed_fresh(n):
     seeds = [2**64 - 3 + i for i in range(n)]
-    rngs = list(generators(seeds))
+    rngs = list(generators(seed_words(seeds)))
     assert len(rngs) == n
-    # Above the crossover one Generator is reused, so compare as each seed is yielded.
-    for seed, rng in zip(seeds, generators(seeds)):
+    for seed, rng in zip(seeds, rngs):
         assert rng.bit_generator.state == fresh_state(seed)
-    assert (len({id(rng) for rng in rngs}) == 1) == (n >= CROSSOVER)
+    assert len({id(rng) for rng in rngs}) == n  # every Generator is its own object
+
+
+def test_held_generators_each_draw_their_seeds_stream():
+    # All 40 are taken before the first draw, so none may share state with another.
+    seeds = list(range(500, 540))
+    rngs = list(generators(seed_words(seeds)))
+    for seed, rng in zip(seeds, rngs):
+        fresh = np.random.default_rng(seed)
+        assert np.array_equal(rng.standard_normal(5), fresh.standard_normal(5)), seed
 
 
 def test_empty_stack():
-    assert list(pcg64_states([])) == []
-    assert list(generators([])) == []
-    assert list(generators(np.empty(0, dtype=np.uint64))) == []
+    for seeds in ([], np.empty(0, dtype=np.uint64)):
+        words = seed_words(seeds)
+        assert words.shape == (0, 4) and words.dtype == np.uint64
+        assert list(generators(words)) == []
 
 
 def test_draws_equal_those_of_fresh_generators():
-    # Each draw kind verify and the fixtures use, after the previous seed's draws, so state
-    # the reused Generator carries (a buffered uint32, the binomial's cache) must not leak.
+    # Each draw kind verify and the fixtures use, after the previous seed's draws.
     seeds = list(range(100, 300)) + [2**64 + 7, 2**200 + 3]
     probs = np.array([0.1, 0.2, 0.3, 0.4])
-    for seed, rng in zip(seeds, generators(seeds)):
+    for seed, rng in zip(seeds, generators(seed_words(seeds))):
         fresh = np.random.default_rng(seed)
         for draw in (
             lambda g: g.standard_normal(out=np.empty((2, 4))),
@@ -76,10 +94,29 @@ def test_draws_equal_those_of_fresh_generators():
 )
 def test_a_non_integer_seed_in_a_large_stack_raises_type_error(seeds):
     with pytest.raises(TypeError):
-        list(generators(seeds))
+        seed_words(seeds)
 
 
-@pytest.mark.parametrize("n", [1, CROSSOVER + 24])
+@pytest.mark.parametrize("n", [1, 40])  # one seed, and a stack past the crossover
 def test_a_negative_seed_raises_value_error(n):
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        list(generators(list(range(n)) + [-1]))
+        seed_words(list(range(n)) + [-1])
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+def test_the_words_serve_only_a_request_for_four_uint64(n_words, dtype):
+    # A bit generator that seeded itself from other words would silently change every stream.
+    words = streams._words_type()(seed_words([7])[0])
+    assert words.generate_state(4, np.uint64).tobytes() == words.words.tobytes()
+    with pytest.raises(ValueError, match="^seeded for 4 uint64 words"):
+        words.generate_state(n_words, dtype)
+
+
+def test_importing_bicorr_does_not_import_numpy_random():
+    # numpy.random is imported on the first draw; an import at start-up costs every command.
+    code = "import sys, bicorr, bicorr.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bicorr.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout == "False\n"

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bicorr import correlation, states, verify
+from bicorr import correlation, linalg, states, verify
 from bicorr.linalg import det3, norms
 from bicorr.qstate import BlochForm
 from bicorr.verify import ALL_CHECKS, BLOCK, run_all
@@ -82,6 +82,47 @@ def test_only_a_one_block_run_shares_its_stacks(monkeypatch):
     assert spy(BLOCK, 0) == (True, "spy") and shared[-1] is False  # outside run_all
 
 
+def _counted_svds(monkeypatch) -> list:
+    """The stack shapes of every symmetric3_singular_values call, wherever it is imported."""
+    calls, solver = [], linalg.symmetric3_singular_values
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return solver(m)
+
+    for module in (linalg, correlation, verify):
+        monkeypatch.setattr(module, "symmetric3_singular_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_pass_decomposes_each_stack_once_and_successive_runs_the_same(seed, monkeypatch):
+    # Transpose check 2, determinant check 1, rank monotone 1 (five tolerances), and one each for
+    # the Haar and product stacks that five checks read.  A run keeps nothing for the next.
+    calls = _counted_svds(monkeypatch)
+    first = _lines(200, seed)
+    first_calls, calls[:] = calls[:], []
+    assert _lines(200, seed) == first
+    assert calls == first_calls and len(calls) == 6
+    assert calls.count((200, 3, 3)) == 6
+
+
+def test_only_a_one_block_run_shares_the_stacks_correlation_matrices(monkeypatch):
+    shared = []
+
+    def spy(trials, seed):
+        seeds = range(seed, seed + 3)
+        pure = [verify._pure(states.haar_random_pure, seeds)[1] for _ in range(2)]
+        shared.append(pure[0].cm is pure[1].cm)
+        shared.append(verify._density(seeds).cm is verify._density(seeds).cm)
+        return True, "spy"
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", [("spy", spy)])
+    run_all(BLOCK + 1, 0, lambda line: None)
+    run_all(BLOCK, 0, lambda line: None)
+    assert shared == [False, False, True, True]
+
+
 def test_the_shared_stacks_are_dropped_when_run_all_raises():
     def out(line):
         raise RuntimeError(line)
@@ -153,3 +194,17 @@ def test_a_nan_tr_m2_residual_fails_the_spectral_check(monkeypatch):
     monkeypatch.setattr(np, "trace", lambda *args, **kwargs: next(traces)(*args, **kwargs))
     ok, detail = verify.check_spectral_invariants(200, 0)
     assert (ok, detail) == (False, "200 matrices, worst Tr m / Tr m^2 residual nan")
+
+
+def test_the_werner_zero_set_check_names_the_xi_that_differs(monkeypatch):
+    # One covariance_direct call covers the four xi; a difference in row 2 is xi = 0.4's.
+    original = verify.covariance_direct
+
+    def shifted(rho, pair):
+        c = original(rho, pair)
+        c[2] += 1.0
+        return c
+
+    monkeypatch.setattr(verify, "covariance_direct", shifted)
+    ok, detail = verify.check_werner_zero_set_identity(200, 0)
+    assert (ok, detail) == (False, "xi=0.4: zero set differs from the x.y = 0 set")
