@@ -37,8 +37,8 @@ from bicorr.linalg import (
     PURE_ENTANGLED_SV_TOL,
     PURITY_TOL,
     ZERO_CORRELATION_TOL,
+    _directions,
     det3,
-    directions,
     hermitian_eigenvalues,
     item_or_array,
     norms,
@@ -47,9 +47,9 @@ from bicorr.linalg import (
 from bicorr.qstate import (
     CheckedState,
     _check_norm,
+    _checked_bloch,
     _require,
     check_bloch_components,
-    check_bloch_vector,
     density_from_pure,
     partial_transpose_b,
     purity,
@@ -103,10 +103,12 @@ class ProtocolTrace:
         return len(self.probes)
 
 
-def _check_y(y: np.ndarray) -> np.ndarray:
-    y = check_bloch_vector(y, "y")
-    _require((~y.any(axis=-1)).astype(float), 0.0, ZeroVector, "y{at} must be non-zero")
-    return y
+def _check_y(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y checked as a non-zero Bloch vector, and its lengths."""
+    y, length = _checked_bloch(y, "y")
+    if not length.all():  # a non-zero y can be too short for its length to be above 0
+        _require((~y.any(axis=-1)).astype(float), 0.0, ZeroVector, "y{at} must be non-zero")
+    return y, length
 
 
 def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair:
@@ -118,8 +120,8 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     rho: a non-finite y raises ValueError, one outside the unit ball BlochOutOfBall, and a zero
     vector ZeroVector.
     """
-    y = _check_y(y)
-    c_y = (correlation_matrix(rho).c @ directions(y)[..., None])[..., 0]
+    y, length = _check_y(y)
+    c_y = (correlation_matrix(rho).c @ _directions(y, length)[..., None])[..., 0]
     vanishes = (norms(c_y) < ZERO_CORRELATION_TOL)[..., None]
     x = orthogonal_complement_basis(c_y)[0]  # a zero row has direction 0, so no warning
     return _checked_pair(np.where(vanishes, np.array([1.0, 0.0, 0.0]), x), y)
@@ -175,21 +177,24 @@ _GRAM_MESSAGE = "probe Gram determinant{at} {worst:.3e} is not above " + f"{GRAM
 def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """The checked (y, xs) and their unit directions, before any is measured; stacks broadcast.
 
-    A failure on a stack names the stack index of the first offending y or probe set.  The
+    A failure on a stack names the stack index of the first offending y or probe set.  Each
+    vector's length is taken once and serves both its ball check and its direction.  The
     default set (``DEFAULT_Y``, ``DEFAULT_XS`` themselves) was checked once, at import.
     """
     if y is DEFAULT_Y and xs is DEFAULT_XS:
         return _DEFAULT_PROBES
-    y = _check_y(y)
+    y, y_length = _check_y(y)
     xs = np.asarray(xs, dtype=float)
     if xs.shape[-2:] != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
     check_bloch_components(xs, "probe set")
-    units = directions(xs)  # a zero x has direction 0, so a Gram determinant of 0
+    lengths = norms(xs)
+    units = _directions(xs, lengths)  # a zero x has direction 0, so a Gram determinant of 0
     gram = det3(units) ** 2  # det(U U^T) = det(U)^2
     # An independent set maps to -inf, so the worst entry is a dependent set's determinant.
     _require(np.where(gram > GRAM_TOL, -np.inf, gram), -np.inf, DependentProbes, _GRAM_MESSAGE)
-    return y, _check_norm(xs, "x"), directions(y), units
+    _check_norm(lengths, "x")
+    return y, xs, _directions(y, y_length), units
 
 
 # The bits of a fresh check, read-only with the defaults, so no caller or oracle can change them.

@@ -38,11 +38,23 @@ def norms(v: np.ndarray) -> np.ndarray:
 
 
 def directions(v: np.ndarray) -> np.ndarray:
-    """Unit vectors along v over the last axis, 0 for a zero vector, at any length.
+    """Unit vectors along v over the last axis, 0 for a zero vector, at any length."""
+    return _directions(v)
 
-    Each vector is first scaled by the power of two of its largest component, which is exact,
-    so the bits are v / norms(v) wherever v.v is a normal float.
+
+def _directions(v: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """``directions(v)``, given its lengths norms(v) if the caller has taken them.
+
+    Where every component of v is 0, non-finite or of magnitude in [2**-255, 2**254), v is divided
+    by its lengths, with the bits of the exact power-of-two rescale that other input takes: no
+    square, sum or root of finite v is then subnormal or infinite in either route, and a power of
+    two passes exactly through all other rounding; frexp gives inf and nan exponent 0, so the
+    rescale divides a non-finite v unscaled too.  Elsewhere the routes can differ, even where
+    v.v is normal: the rescale halves (1, 1.5e-323, 0) and rounds 1.5e-323 to 2e-323.
     """
+    if np.abs(np.frexp(v)[1]).max(initial=0) <= 254:
+        lengths = norms(v) if lengths is None else lengths
+        return v / np.maximum(lengths, 2.0**-255)[..., None]  # a zero vector's direction is 0
     _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
     u = np.ldexp(v, -e)
     return u / np.maximum(norms(u), 0.5)[..., None]

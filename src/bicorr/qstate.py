@@ -238,18 +238,23 @@ def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
 
     name labels x in the error messages; the ball's slack is BALL_TOL.
     """
+    return _checked_bloch(x, name)[0]
+
+
+def _checked_bloch(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """x checked as by ``check_bloch_vector``, and its lengths norms(x), taken once."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != 3:
         raise ValueError(f"{name} needs 3 components, got {x.shape[-1]}")
     check_bloch_components(x, name)
-    return _check_norm(x, name)
+    length = norms(x)
+    _check_norm(length, name)
+    return x, length
 
 
-def _check_norm(x: np.ndarray, name: str) -> np.ndarray:
-    """x, float 3-vectors with checked components; outside the unit ball raises BlochOutOfBall."""
-    length = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+def _check_norm(length: np.ndarray, name: str) -> None:
+    """Raise BlochOutOfBall if a length of 3-vectors with checked components exceeds 1."""
     _require(length, 1.0 + BALL_TOL, BlochOutOfBall, name + "{at} norm {worst!r} exceeds 1")
-    return x
 
 
 def _observable(x: np.ndarray) -> np.ndarray:

@@ -35,8 +35,10 @@ one-state call is row 0 at ``seed``, and each row of a stack equals a
 one-state call at its own seed.  The statistical protocol takes its three
 probes' cell probabilities in one call and draws probe i, at (seed + i) mod
 2**64, only when it reads it: the bits of ``sample_joint`` on that probe.  It
-passes the unit directions that its probe check has made, which are not
-checked again; any other pair is checked for unit length (``NonUnitBloch``).
+reads only the covariance and the call, so only ``sample_joint`` computes the
+standard error.  It passes the unit directions that its probe check has made,
+which are not checked again; any other pair is checked for unit length
+(``NonUnitBloch``).
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class ShotConfig:
     z_threshold: float = 5.0
 
     def __post_init__(self) -> None:
+        if {type(self.shots), type(self.seed), type(self.z_threshold)} & {bool, np.bool_}:
+            raise ValueError(f"shots, seed and z_threshold take numbers, not bools: {self}")
         if not isinstance(self.shots, (int, np.integer)):
             raise ValueError(f"shots must be an integer, got {self.shots!r}")
         if not 100 <= self.shots < 2**63:
@@ -150,33 +154,34 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
 
 
 def _draw(probs: np.ndarray, cfg: ShotConfig, seed: int) -> tuple:
-    """The ShotRecord fields up to decision for one row of cell probabilities, drawn at seed."""
+    """The counts of one row of cell probabilities, drawn at seed, and the ShotRecord fields up
+    to decision but standard_error, which only ``sample_joint`` reads."""
     counts = np.random.default_rng(seed).multinomial(cfg.shots, probs).astype(float)
-
     n = float(cfg.shots)
     n11, n10, n01, _ = counts
     m_xy = n11 / n
     m_x = (n11 + n10) / n
     m_y = (n11 + n01) / n
     covariance = (m_xy - m_x * m_y) * n / (n - 1.0)
-
-    h = np.array([1.0 - m_y - m_x, -m_y, -m_x, 0.0])
-    h_mean = float(counts @ h) / n
-    h_var = float(counts @ (h - h_mean) ** 2) / (n - 1.0)
-    standard_error = math.sqrt(h_var / n)
-
     null_se = math.sqrt(m_x * (1.0 - m_x) * m_y * (1.0 - m_y) / n) * n / (n - 1.0)
     z_score = abs(covariance) / null_se if null_se > 0.0 else 0.0
     decision = DECISION_NONZERO if z_score > cfg.z_threshold else DECISION_ZERO
-    return m_xy, m_x, m_y, covariance, standard_error, z_score, decision
+    return counts, m_xy, m_x, m_y, covariance, z_score, decision
+
+
+def _standard_error(counts: np.ndarray, m_x, m_y, n: float):
+    """The delta-method spread of each row's covariance (``sample_joint``), counts (..., 4)."""
+    h = np.stack([1.0 - m_y - m_x, -m_y, -m_x, np.zeros_like(m_x)], axis=-1)
+    h_mean = np.vecdot(counts, h) / n  # the bits of the 4-term counts @ h
+    return np.sqrt(np.vecdot(counts, (h - h_mean[..., None]) ** 2) / (n - 1.0) / n)
 
 
 def _draw_stack(probs: np.ndarray, cfg: ShotConfig) -> tuple:
-    """``_draw`` on each row i of probs (n, 4) at seed (cfg.seed + i) mod 2**64, as arrays.
+    """The ShotRecord fields up to decision for each row i of probs (n, 4), as arrays.
 
-    Each row draws its counts from its own seed's stream; the statistics are ``_draw``'s, in its
-    order of operations, on the whole (n, 4) count array.  ``np.vecdot`` gives the bits of the
-    4-term ``counts @ h``.
+    Row i draws its counts from the stream of seed (cfg.seed + i) mod 2**64.  The statistics are
+    those of ``_draw`` and ``sample_joint``, in their order of operations, on the whole (n, 4)
+    count array.
     """
     counts = np.empty(probs.shape)
     seeds = np.uint64(cfg.seed) + np.arange(len(probs), dtype=np.uint64)  # wraps at 2**64
@@ -189,12 +194,7 @@ def _draw_stack(probs: np.ndarray, cfg: ShotConfig) -> tuple:
     m_x = (n11 + n10) / n
     m_y = (n11 + n01) / n
     covariance = (m_xy - m_x * m_y) * n / (n - 1.0)
-
-    h = np.stack([1.0 - m_y - m_x, -m_y, -m_x, np.zeros_like(m_x)], axis=-1)
-    h_mean = np.vecdot(counts, h) / n
-    h_var = np.vecdot(counts, (h - h_mean[:, None]) ** 2) / (n - 1.0)
-    standard_error = np.sqrt(h_var / n)
-
+    standard_error = _standard_error(counts, m_x, m_y, n)
     null_se = np.sqrt(m_x * (1.0 - m_x) * m_y * (1.0 - m_y) / n) * n / (n - 1.0)
     z_score = np.divide(np.abs(covariance), null_se, out=np.zeros_like(n11), where=null_se > 0.0)
     decision = np.where(z_score > cfg.z_threshold, DECISION_NONZERO, DECISION_ZERO)
@@ -216,7 +216,10 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
     """
     probs = joint_outcome_probabilities(rho, pair)
     if probs.ndim == 1:  # one state: row 0, at cfg.seed
-        return ShotRecord(*_draw(probs, cfg, cfg.seed), shots_used=cfg.shots)
+        counts, m_xy, m_x, m_y, covariance, z_score, decision = _draw(probs, cfg, cfg.seed)
+        standard_error = float(_standard_error(counts, m_x, m_y, float(cfg.shots)))
+        fields = m_xy, m_x, m_y, covariance, standard_error, z_score, decision
+        return ShotRecord(*fields, shots_used=cfg.shots)
     columns = _draw_stack(probs.reshape(-1, 4), cfg)
     return ShotRecord(*(c.reshape(probs.shape[:-1]) for c in columns), shots_used=cfg.shots)
 
@@ -240,7 +243,7 @@ def statistical_binary_protocol(
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
         probs = joint_outcome_probabilities(rho, _checked_pair(xs, y, _UnitPair))  # every probe
         for i, row in enumerate(probs):
-            *_, covariance, _, _, decision = _draw(row, cfg, (int(cfg.seed) + i) % 2**64)
+            *_, covariance, _, decision = _draw(row, cfg, (int(cfg.seed) + i) % 2**64)
             yield covariance, decision == DECISION_ZERO
 
     verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)

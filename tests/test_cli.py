@@ -325,6 +325,12 @@ class TestVerify:
             run_all(trials=100, seed=seed, out=lines.append)
         assert lines == []
 
+    def test_a_bool_seed_is_rejected_before_any_check(self):
+        lines = []  # True ran as seed 1
+        with pytest.raises(ValueError, match="^shots, seed and z_threshold take numbers, not "):
+            run_all(trials=100, seed=True, out=lines.append)
+        assert lines == []
+
     def test_largest_seeds_wrap_the_shot_seeds(self, capsys):
         # The shot checks draw at (seed + i) mod 2**64, so no check is cut off near the top.
         assert main(["verify", "--trials", "100", "--seed", str(2**64 - 5)]) == 0

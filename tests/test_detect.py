@@ -431,6 +431,63 @@ def test_huge_component_is_rejected_before_it_overflows(which):
         binary_protocol(rho, y=y, xs=xs)
 
 
+OUT = [0.9, 0.9, 0.0]  # components in range, length 1.27
+DEP = [[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]]
+EYE = np.eye(3).tolist()
+
+
+# Inputs with more than one fault, and the error each raises: y's shape, components, length and
+# zero test, then the probe set's shape, components, Gram determinant and lengths, each over the
+# whole stack before the next.  Taken from the probe check before it shared its lengths.
+@pytest.mark.parametrize(
+    "y, xs, error, message",
+    [
+        ([np.nan, 0, 0], DEP, BlochOutOfBall, "y component nan exceeds 1"),
+        ([0, -np.inf, 0], DEP, BlochOutOfBall, "y component inf exceeds 1"),
+        ([0, 0, 0], [OUT, [0, 1, 0], [0, 0, 1]], ZeroVector, "y must be non-zero"),
+        ([0, 1e300, 0], [[1, 0, 0], [0, 1, 0]], BlochOutOfBall, "y component 1e+300 exceeds 1"),
+        ([0.8, 0.8, 0], np.eye(4), BlochOutOfBall, "y norm 1.1313708498984762 exceeds 1"),
+        ([0.5, 0.5], [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]], ValueError,
+         "y needs 3 components, got 2"),
+        ([0, 0, 1], [OUT, OUT, [0, 0, 1]], DependentProbes,
+         "probe Gram determinant 0.000e+00 is not above 1e-09"),
+        ([0, 0, 1], [[0, 0, 0], OUT, [0, 0, 1]], DependentProbes,
+         "probe Gram determinant 0.000e+00 is not above 1e-09"),
+        ([0, 0, 1], [[0.3, 0.4, 0], [0.3, 0.4, 1e-6], [0.9, 0, 0.9]], DependentProbes,
+         "probe Gram determinant 1.280e-12 is not above 1e-09"),
+        ([0, 0, 1], [[0.3, 0.4, 0], [-0.3, -0.4, 1e-5], [0, 0.9, 0.9]], DependentProbes,
+         "probe Gram determinant 7.200e-11 is not above 1e-09"),
+        ([0, 0, 1], [[np.nan, 0, 0], [1, 0, 0], [1, 0, 0]], BlochOutOfBall,
+         "probe set at stack index 0 component nan exceeds 1"),
+        ([0, 0, 1], [OUT, [0, 2.0, 0], [0, 0, 1]], BlochOutOfBall,
+         "probe set at stack index 1 component 2.0 exceeds 1"),
+        ([[0, 0, 1], OUT, [0, 5.0, 0]], EYE, BlochOutOfBall,
+         "y at stack index 2 component 5.0 exceeds 1"),
+        ([[0, 0, 0], OUT], EYE, BlochOutOfBall,
+         "y at stack index 1 norm 1.2727922061357855 exceeds 1"),
+        ([[0, 0, 1], [0, 0, 0]], [DEP, EYE], ZeroVector, "y at stack index 1 must be non-zero"),
+        ([0, 0, 1], [[OUT, [0, 1, 0], [0, 0, 1]], DEP], DependentProbes,
+         "probe Gram determinant at stack index 1 0.000e+00 is not above 1e-09"),
+        ([0, 0, 1], [EYE, DEP, [[0, 0, 3.0], [0, 1, 0], [1, 0, 0]]], BlochOutOfBall,
+         "probe set at stack index 2, 0 component 3.0 exceeds 1"),
+        ([[0, 0, 1], OUT, [0, 1, 0]], [EYE, EYE, [OUT, [0, 1, 0], [0, 0, 1]]], BlochOutOfBall,
+         "y at stack index 1 norm 1.2727922061357855 exceeds 1"),
+    ],
+)
+def test_the_first_fault_in_check_order_is_raised(y, xs, error, message):
+    y, xs = np.array(y, dtype=float), np.array(xs, dtype=float)
+    with pytest.raises(error) as raised:
+        _check_probes(y, xs)
+    assert (type(raised.value), str(raised.value)) == (error, message)
+    if y.shape == (3,) and xs.ndim == 2:  # one run: each protocol raises the same error
+        rho = np.eye(4) / 4
+        runs = (binary_protocol, exact_protocol, statistical_binary_protocol)
+        for protocol in runs:
+            with pytest.raises(error) as raised:
+                protocol(rho, y, xs)
+            assert (type(raised.value), str(raised.value)) == (error, message)
+
+
 class TestSchmidtRank:
     def test_basis_state(self):
         assert schmidt_rank([1, 0, 0, 0]) == 1

@@ -204,6 +204,69 @@ class TestDirections:
     def test_zero_vector_has_direction_zero(self):
         assert directions(np.zeros((2, 3))).tolist() == [[0.0] * 3] * 2
 
+    def test_direct_division_has_the_bits_of_the_rescale(self, monkeypatch):
+        v = _straddling_rows(100_000, 37)
+        inside = (np.abs(np.frexp(v)[1]) <= 254).all(axis=-1)
+        exponents = set(np.frexp(v[inside])[1].ravel().tolist())
+        assert {-254, 254} <= exponents and not {-255, 255} & exponents
+        assert 30_000 < inside.sum() < 90_000
+        with np.errstate(invalid="ignore"):  # inf / inf, in both routes
+            expected = _rescaled_directions(v)
+            calls = []
+            monkeypatch.setattr(linalg, "norms", lambda u: calls.append(u) or norms(u))
+            assert directions(v[inside]).tobytes() == expected[inside].tobytes()
+            assert len(calls) == 1  # the lengths of v, and no rescaled ones
+            assert directions(v).tobytes() == expected.tobytes()  # some vectors rescale
+            for row in v[:: len(v) // 3000]:
+                assert directions(row).tobytes() == _rescaled_directions(row).tobytes()
+            for row in _SPECIAL_ROWS:
+                assert directions(row).tobytes() == _rescaled_directions(row).tobytes()
+
+
+def _rescaled_directions(v: np.ndarray) -> np.ndarray:
+    """Directions by the power-of-two rescale alone: linalg's route for every vector before it
+    divided the vectors of in-range components by their lengths directly."""
+    _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
+    u = np.ldexp(v, -e)
+    return u / np.maximum(norms(u), 0.5)[..., None]
+
+
+def _straddling_rows(n: int, seed: int) -> np.ndarray:
+    """n vectors whose components straddle the direct route's cutoffs, |frexp exponent| <= 254,
+    and the edges where squares turn subnormal or overflow; then zero, 1.0 and special rows."""
+    rng = np.random.default_rng(seed)
+    edges = np.r_[-257:-251, 251:257, -515:-505, -1075:-1015:6, -60:61:12, 1000:1025:6]
+    unit_scale = rng.integers(-3, 2, (n, 3))  # so that many vectors lie wholly inside
+    exponents = np.where(rng.random((n, 3)) < 0.75, unit_scale, rng.choice(edges, (n, 3)))
+    v = np.ldexp(rng.uniform(0.5, 1.0, (n, 3)), exponents) * rng.choice([-1.0, 1.0], (n, 3))
+    v[rng.random((n, 3)) < 0.15] = 0.0
+    ones = rng.random(n) < 0.1  # a component exactly 1.0, the largest beside unit-scale ones
+    v[ones, rng.integers(0, 3, ones.sum())] = rng.choice([-1.0, 1.0], ones.sum())
+    return np.concatenate([v, _SPECIAL_ROWS])
+
+
+_SPECIAL_ROWS = np.array([
+    [0.0, 0.0, 0.0],
+    [-0.0, 0.0, -0.0],
+    [5e-324, 0.0, 0.0],
+    [5e-324, -5e-324, 5e-324],
+    [1.0, 0.0, 0.0],
+    [1.0, 5e-324, 0.0],
+    [1.0, 1.5e-323, 0.0],  # a normal square, yet the rescale rounds 1.5e-323 to 2e-323
+    [1.0, -0.5, 2.0**-300],
+    [-4.0509656814160974e-157, 1.1604365916621817e-156, 9.789000232298691e-154],
+    [2.0**-255, 0.0, 0.0],
+    [2.0**-256, 0.75, 0.0],
+    [2.0**254, -1.0, 0.0],
+    [2.0**253 * 1.5, 2.0**253, 2.0**-250],
+    [1e308, 1e308, 1e308],
+    [np.inf, 0.5, 0.0],
+    [-np.inf, 1e-300, 0.0],
+    [np.inf, np.inf, 1.0],
+    [np.nan, 0.5, 0.0],
+    [np.nan, np.inf, 0.0],
+])
+
 
 def test_tolerances_are_assigned_only_in_linalg():
     # linalg holds the tolerance table; every other module imports from it.

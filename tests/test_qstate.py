@@ -389,7 +389,7 @@ def test_protocol_takes_each_direction_once(protocol, covariance_calls, monkeypa
     assert counts["covariance_via_c"] == covariance_calls
     counts.clear()
     protocol(PRODUCT_RHO, *DEFAULT_COPIES)
-    assert counts["norms"] <= 2  # the probe set's directions, then y's
+    assert counts["norms"] == 2  # y's lengths, then the probe set's, each taken once
     assert counts["covariance_via_c"] == covariance_calls
 
 

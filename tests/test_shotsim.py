@@ -59,6 +59,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ShotConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    @pytest.mark.parametrize("field", ["shots", "seed", "z_threshold"])
+    def test_rejects_a_bool(self, field, value):
+        # True is the int 1 to isinstance and to <, so it ran as seed 1 or as z = 1.
+        with pytest.raises(ValueError, match="^shots, seed and z_threshold take numbers, not "):
+            ShotConfig(**{field: value})
+
 
 class TestOutcomeProbabilities:
     def test_cell_order_is_documented(self):
