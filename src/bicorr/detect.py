@@ -32,6 +32,7 @@ import numpy as np
 from bicorr.correlation import CorrMatrix, ObservablePair, correlation_matrix, covariance_via_c
 from bicorr.correlation import _checked_pair
 from bicorr.linalg import (
+    BALL_TOL,
     GRAM_TOL,
     PSD_TOL,
     PURE_ENTANGLED_SV_TOL,
@@ -122,8 +123,9 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     """
     y, length = _check_y(y)
     c_y = (correlation_matrix(rho).c @ _directions(y, length)[..., None])[..., 0]
-    vanishes = (norms(c_y) < ZERO_CORRELATION_TOL)[..., None]
-    x = orthogonal_complement_basis(c_y)[0]  # a zero row has direction 0, so no warning
+    c_y_length = norms(c_y)
+    vanishes = (c_y_length < ZERO_CORRELATION_TOL)[..., None]
+    x = orthogonal_complement_basis(c_y, c_y_length)[0]  # a zero row has direction 0: no warning
     return _checked_pair(np.where(vanishes, np.array([1.0, 0.0, 0.0]), x), y)
 
 
@@ -140,11 +142,11 @@ def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
     PURE_ENTANGLED_SV_TOL.  The detail gives sigma_max, that threshold and all
     three singular values.
     """
-    sigma_max = float(cm.singular_values[0])
-    label = ENTANGLED if rank_says_entangled(cm) else SEPARABLE
+    singular_values = cm.singular_values.tolist()
+    label = ENTANGLED if singular_values[0] > PURE_ENTANGLED_SV_TOL else SEPARABLE  # the rank cut
     detail = (
-        f"sigma_max(c) = {sigma_max!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}; "
-        f"singular values {cm.singular_values.tolist()}"
+        f"sigma_max(c) = {singular_values[0]!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}; "
+        f"singular values {singular_values}"
     )
     return Verdict(label, RANK_DICHOTOMY, detail)
 
@@ -177,12 +179,38 @@ _GRAM_MESSAGE = "probe Gram determinant{at} {worst:.3e} is not above " + f"{GRAM
 def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """The checked (y, xs) and their unit directions, before any is measured; stacks broadcast.
 
-    A failure on a stack names the stack index of the first offending y or probe set.  Each
-    vector's length is taken once and serves both its ball check and its direction.  The
-    default set (``DEFAULT_Y``, ``DEFAULT_XS`` themselves) was checked once, at import.
+    Well-formed input of equal stacks is accepted in one pass over the (..., 4, 3) stack of the
+    three x and y: every component is bounded before any length is taken, so none overflows, and
+    each length serves both the ball bound and the direction.  ``_directions`` gives in-range rows
+    the bits of its rescale, so y and the x get the bits of separate calls.  Any other input, or a
+    failed bound, goes to ``_check_probes_in_order``, which alone names the fault.  The default
+    set (``DEFAULT_Y``, ``DEFAULT_XS`` themselves) was checked once, at import.
     """
     if y is DEFAULT_Y and xs is DEFAULT_XS:
         return _DEFAULT_PROBES
+    y = np.asarray(y, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # y's faults come first, then this one
+        return _check_probes_in_order(y, xs)
+    if y.shape[-1:] == (3,) and xs.shape[-2:] == (3, 3) and y.shape[:-1] == xs.shape[:-2]:
+        v = np.concatenate((xs, y[..., None, :]), axis=-2)  # the three x, then y
+        if np.abs(v).max(initial=0.0) <= 1.0 + BALL_TOL:  # nan fails every bound
+            lengths = norms(v)
+            if lengths.max(initial=0.0) <= 1.0 + BALL_TOL and lengths[..., 3].all():
+                units = _directions(v, lengths)
+                gram = det3(units[..., :3, :]) ** 2  # a float for one run
+                if (gram > GRAM_TOL) if y.ndim == 1 else (gram > GRAM_TOL).all():
+                    return y, xs, units[..., 3, :], units[..., :3, :]
+    return _check_probes_in_order(y, xs)
+
+
+def _check_probes_in_order(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_check_probes`` as ordered checks, the first failing one raised, its stack index named.
+
+    The order: y's shape, components, lengths and zero test, then the probe set's shape,
+    components, Gram determinant and lengths, each over the whole stack before the next.
+    """
     y, y_length = _check_y(y)
     xs = np.asarray(xs, dtype=float)
     if xs.shape[-2:] != (3, 3):

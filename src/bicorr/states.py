@@ -256,7 +256,13 @@ def _numbers(raw, pairs_shape: tuple) -> list | None:
 
 
 def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
-    """raw, an array of `shape` of [re, im] pairs of floats, as complex; else ParseError(layout)."""
+    """raw, an array of `shape` of [re, im] pairs of floats, as complex; else ParseError(layout).
+
+    The complex value is built as re + 1j * im, which keeps every bit but the sign of a zero: an
+    im of -0.0 becomes 0.0, and a re of -0.0 stays -0.0 only where im is negative or -0.0, so
+    [-0.0, 0.0] reads, and echoes, as [0.0, 0.0].  The ``analyze --json`` echo of a state depends
+    on this rule; reading the pairs through ``view(complex)`` would keep every zero's sign.
+    """
     values = _numbers(raw, shape)
     try:  # a malformed raw takes the nested cast, which names the cause or the shape
         arr = np.asarray(raw if values is None else values, dtype=float)  # ragged: ValueError
@@ -301,12 +307,16 @@ def state_doc(spec: StateSpec) -> dict:
     if spec.label is not None:
         doc["label"] = spec.label
     if spec.kind == "pure":
-        doc["amplitudes"] = [[float(z.real), float(z.imag)] for z in spec.amplitudes]
+        doc["amplitudes"] = _pairs(spec.amplitudes)
     else:
-        doc["matrix"] = [
-            [[float(z.real), float(z.imag)] for z in row] for row in spec.matrix.matrix
-        ]
+        doc["matrix"] = _pairs(spec.matrix.matrix)
     return doc
+
+
+def _pairs(z: np.ndarray) -> list:
+    """Complex entries as nested lists of [re, im] Python floats, read through one float view."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(z.shape + (2,)).tolist()
 
 
 def dumps_state(spec: StateSpec) -> str:

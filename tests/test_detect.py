@@ -1,6 +1,8 @@
 """Tests for the decision layer: zero-pair construction, rank classifier,
 three-probe protocol, Schmidt and PPT oracles, and the Werner case study."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from bicorr.detect import (
     SEPARABLE,
     ZeroVector,
     _DEFAULT_PROBES,
+    _GRAM_MESSAGE,
     _check_probes,
+    _check_y,
     binary_protocol,
     classify_pure_by_rank,
     exact_corr_oracle,
@@ -30,12 +34,23 @@ from bicorr.detect import (
     schmidt_rank,
 )
 from bicorr.linalg import (
+    BALL_TOL,
+    GRAM_TOL,
     ZERO_CORRELATION_TOL,
+    _directions,
     det3,
     directions,
+    norms,
     orthogonal_complement_basis,
 )
-from bicorr.qstate import BlochOutOfBall, density_from_pure, partial_transpose_b
+from bicorr.qstate import (
+    BlochOutOfBall,
+    _check_norm,
+    _require,
+    check_bloch_components,
+    density_from_pure,
+    partial_transpose_b,
+)
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -486,6 +501,104 @@ def test_the_first_fault_in_check_order_is_raised(y, xs, error, message):
             with pytest.raises(error) as raised:
                 protocol(rho, y, xs)
             assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+def _ordered_probe_check(y, xs):
+    """The probe check before its one pass, as ordered checks, kept here as the test's reference."""
+    y, y_length = _check_y(y)
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[-2:] != (3, 3):
+        raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
+    check_bloch_components(xs, "probe set")
+    lengths = norms(xs)
+    units = _directions(xs, lengths)
+    gram = det3(units) ** 2
+    _require(np.where(gram > GRAM_TOL, -np.inf, gram), -np.inf, DependentProbes, _GRAM_MESSAGE)
+    _check_norm(lengths, "x")
+    return y, xs, _directions(y, y_length), units
+
+
+def _edge_factor(rng) -> float:
+    """An excess over 1 in units of BALL_TOL: at, just around, below or past the bound of 1."""
+    return float(rng.choice([0.0, 0.5, 1.0 - 1e-4, 1.0, 1.0 + 1e-4, 1.5, 2.0, -1.0]))
+
+
+def _faulty_row(rng, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """One run's (y, xs) of the given kind: valid, or with one fault of that kind."""
+    vectors = directions(rng.standard_normal((4, 3)))
+    if rng.random() < 0.5:  # inside the ball, not only on its surface
+        vectors *= rng.random((4, 1)) ** (1 / 3)
+    row, col = rng.integers(4), rng.integers(3)
+    if kind == "non-finite":
+        vectors[row, col] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "edge component":
+        vectors[row, col] = rng.choice([-1.0, 1.0]) * (1.0 + BALL_TOL * _edge_factor(rng))
+    elif kind == "edge length":
+        vectors[row] = directions(vectors[row]) * (1.0 + BALL_TOL * _edge_factor(rng))
+    elif kind == "huge":
+        vectors[row, col] = rng.choice([1e200, -1e300, 1.7e308])
+    elif kind == "zero y":
+        vectors[3] = rng.choice([0.0, -0.0, 5e-324, 1e-170, 2.0**-600], 3) * (rng.random(3) < 0.7)
+    elif kind == "tiny vector":  # exponents straddling the cutoffs of ``_directions``
+        vectors[row] = vectors[row] * 2.0 ** -rng.integers(200, 1080)
+    elif kind == "dependent":
+        i, j, k = rng.permutation(3)
+        tilt = rng.choice([0.0, 1e-7, 1e-6, 1e-5, 3e-5, 3.2e-5, 1e-4, 1e-3]) * rng.random()
+        vectors[k] = 0.4 * vectors[i] - 0.3 * vectors[j] + tilt * rng.standard_normal(3)
+    elif kind == "zero x":
+        vectors[rng.integers(3)] = 0.0
+    return vectors[3], vectors[:3]
+
+
+ROW_KINDS = (
+    "valid", "valid", "valid", "non-finite", "edge component", "edge length", "huge", "zero y",
+    "tiny vector", "dependent", "zero x",
+)
+
+
+def _probe_case(rng) -> tuple:
+    """A seeded (y, xs): one run or a stack of runs of mixed kinds, some of odd shape or layout."""
+    stack = [(), (0,), (1,), (2,), (3,), (5,), (2, 2)][rng.integers(7)]
+    rows = [_faulty_row(rng, ROW_KINDS[rng.integers(len(ROW_KINDS))]) for _ in range(
+        int(np.prod(stack, dtype=int)))]
+    y = np.array([r[0] for r in rows]).reshape(stack + (3,))
+    xs = np.array([r[1] for r in rows]).reshape(stack + (3, 3))
+    shape = rng.integers(12)
+    if shape == 0:  # a y or probe set of the wrong shape
+        y = y[..., :2] if rng.random() < 0.5 else np.concatenate([y, y[..., :1]], axis=-1)
+    elif shape == 1:
+        xs = [xs[..., :2, :], xs[..., :2], xs[..., 0, :], np.concatenate([xs, xs], axis=-1)][
+            rng.integers(4)]
+    elif shape == 2 and y.size:  # stacks that do not match: one broadcasts, or neither
+        y = y.reshape(-1, 3)[0] if rng.random() < 0.5 else np.concatenate([y, y], axis=0)
+    elif shape == 3:  # non-contiguous arrays of the same values
+        y = np.repeat(y, 2, axis=-1)[..., ::2]
+        xs = np.asfortranarray(xs)
+    elif shape == 4:
+        y, xs = y.tolist(), xs.tolist()
+    elif shape == 5 and rng.random() < 0.1:  # a probe set that is no array at all
+        xs = [[1.0, 0.0, 0.0], [0.0, 1.0]]
+    return y, xs
+
+
+def _check_outcome(check, y, xs):
+    """The returned arrays as (shape, bytes), or the raised error as (type, message)."""
+    try:
+        return [(a.shape, a.dtype.str, a.tobytes()) for a in check(y, xs)]
+    except Exception as exc:  # any error: its type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_one_pass_probe_check_matches_the_ordered_checks():
+    rng = np.random.default_rng(20260)
+    outcomes = collections.Counter()
+    for _ in range(20_000):
+        y, xs = _probe_case(rng)
+        expected = _check_outcome(_ordered_probe_check, y, xs)
+        assert _check_outcome(_check_probes, y, xs) == expected, (y, xs)
+        outcomes[expected[0] if isinstance(expected, tuple) else "accepted"] += 1
+    kinds = {"accepted", ValueError, BlochOutOfBall, ZeroVector, DependentProbes}
+    assert set(outcomes) == kinds and min(outcomes.values()) > 200, outcomes
 
 
 class TestSchmidtRank:

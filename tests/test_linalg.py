@@ -146,6 +146,16 @@ class TestDet3:
             m = rng.standard_normal((3, 3))
             assert abs(det3(m) - np.linalg.det(m)) < 1e-10
 
+    def test_one_matrix_gets_the_bits_of_its_row_in_a_stack(self):
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((20_000, 3, 3)) * 2.0 ** rng.integers(-600, 600, (20_000, 3, 3))
+        m[:500].flat[rng.integers(0, 4500, 200)] = rng.choice([np.nan, np.inf, -np.inf, 0.0], 200)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            stack = det3(m)
+            each = np.array([det3(one) for one in m])
+        assert all(type(det3(one)) is float for one in m[:10])
+        assert stack.tobytes() == each.tobytes()
+
 
 class TestOrthogonalComplement:
     @pytest.mark.parametrize(

@@ -373,7 +373,11 @@ def test_protocol_checks_rho_and_each_probe_vector_once(protocol, check_counts):
     assert check_counts["check_bloch_components"] == 0  # the default set was checked at import
     check_counts.clear()
     protocol(PRODUCT_RHO, *DEFAULT_COPIES)
-    assert check_counts["check_bloch_components"] == 2  # y, then the probe set once
+    assert check_counts["check_bloch_components"] == 0  # one pass bounds y and the set together
+    y, xs = DEFAULT_COPIES[0].copy(), DEFAULT_COPIES[1] * 2.0
+    with pytest.raises(BlochOutOfBall, match="^probe set at stack index 0 component 2.0"):
+        protocol(PRODUCT_RHO, y, xs)
+    assert check_counts["check_bloch_components"] == 2  # the ordered checks: y, then the set
 
 
 @pytest.mark.parametrize(
@@ -389,7 +393,7 @@ def test_protocol_takes_each_direction_once(protocol, covariance_calls, monkeypa
     assert counts["covariance_via_c"] == covariance_calls
     counts.clear()
     protocol(PRODUCT_RHO, *DEFAULT_COPIES)
-    assert counts["norms"] == 2  # y's lengths, then the probe set's, each taken once
+    assert counts["norms"] == 1  # the lengths of y and the probe set, taken together once
     assert counts["covariance_via_c"] == covariance_calls
 
 

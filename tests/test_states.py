@@ -238,6 +238,20 @@ class TestStateFiles:
         loaded = load_state_file(path)
         np.testing.assert_array_equal(loaded.matrix.matrix, spec.matrix.matrix)
 
+    def test_a_zero_keeps_its_sign_only_by_the_parse_rule(self):
+        # re + 1j * im: an im of -0.0 reads as 0.0; a re of -0.0 stays only beside a negative im.
+        written = [[0.6, -0.0], [-0.0, -0.8], [-0.0, 0.0], [-0.0, -0.0]]
+        echoed = [[0.6, 0.0], [-0.0, -0.8], [0.0, 0.0], [-0.0, 0.0]]
+        spec = loads_state(json.dumps({"kind": "pure", "amplitudes": written}))
+        assert json.dumps(states.state_doc(spec)["amplitudes"]) == json.dumps(echoed)
+        matrix = np.full((4, 4, 2), -0.0)
+        matrix[[0, 1, 2, 3], [0, 1, 2, 3], 0] = 0.25
+        matrix[0, 1] = [-0.0, 0.0]
+        spec = loads_state(json.dumps({"kind": "mixed", "matrix": matrix.tolist()}))
+        echo = np.array(states.state_doc(spec)["matrix"])
+        assert not np.signbit(echo[..., 1]).any()  # every imaginary zero reads as 0.0
+        assert np.signbit(echo[..., 0]).sum() == 16 - 4 - 1  # every -0.0 re but [0, 1]'s
+
     def test_density_of_pure_spec(self):
         spec = pure_spec(bell_state("psi-"))
         np.testing.assert_allclose(
