@@ -15,8 +15,8 @@ The zero/non-zero call is Pearson's chi-squared test of independence on the
 hypothesis of zero covariance, sqrt(m_x(1-m_x) m_y(1-m_y)/n) with the same
 n/(n-1) factor, which gives z = sqrt(n)|phi| (z^2 is Pearson's statistic).
 The null standard error depends only on the marginals, so it cannot
-collapse when a cell count comes out 0; a marginal of 0 or 1 makes the
-covariance exactly 0 and the call Zero.
+collapse when a cell count comes out 0; z is 0 wherever it is 0 (a marginal
+of 0 or 1), and the call Zero.
 
 All randomness flows through ``np.random.default_rng(seed)`` (numpy's PCG64);
 the counts are drawn by ``Generator.multinomial`` over the four cell
@@ -26,19 +26,19 @@ inputs give bit-identical records.
 ``joint_outcome_probabilities`` and ``sample_joint`` take stacks of states
 and probes, which broadcast.  The probabilities of a whole stack are one
 contraction; row i of the stack, in C order, then draws its counts from the
-stream of ``default_rng((seed + i) mod 2**64)``, and the statistics are
-computed on the whole count array.  The stack's seeds are seeded at once
-(``streams.seed_words``), and each row draws from a fresh generator on its
-seed's ``default_rng(seed)`` stream, bit for bit; the pinned one-state records
-in tests/test_shotsim.py would fail if numpy ever changed its seeding.  So a
-one-state call is row 0 at ``seed``, and each row of a stack equals a
-one-state call at its own seed.  The statistical protocol takes its three
-probes' cell probabilities in one call and draws probe i, at (seed + i) mod
-2**64, only when it reads it: the bits of ``sample_joint`` on that probe.  It
-reads only the covariance and the call, so only ``sample_joint`` computes the
-standard error.  It passes the unit directions that its probe check has made,
-which are not checked again; any other pair is checked for unit length
-(``NonUnitBloch``).
+stream of ``default_rng((seed + i) mod 2**64)``, and one call of
+``_statistics``, the one copy of the statistics, computes them on the whole
+count array.  The stack's seeds are seeded at once (``streams.seed_words``),
+and each row draws from a fresh generator on its seed's ``default_rng(seed)``
+stream, bit for bit; the pinned one-state records in tests/test_shotsim.py
+would fail if numpy ever changed its seeding.  One state is the stack of one
+row, at ``seed``.  The statistical protocol takes its three probes' cell
+probabilities in one call and draws probe i, at (seed + i) mod 2**64, only
+when it reads it (``_draw``, ``_statistics`` on one row): the bits of row i
+of ``sample_joint``.  It reads only the covariance and z, so only
+``sample_joint`` computes the standard error and the decision strings.  It
+passes the unit directions that its probe check has made, which are not
+checked again; any other pair is checked for unit length (``NonUnitBloch``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from bicorr.detect import (
     Verdict,
     binary_protocol,
 )
-from bicorr.linalg import IMAG_TOL, NORM_TOL
+from bicorr.linalg import IMAG_TOL, NORM_TOL, item_or_array
 from bicorr.qstate import CheckedState, InvalidState, _require, outcome_table
 from bicorr.streams import generators, seed_words
 
@@ -153,52 +153,28 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _draw(probs: np.ndarray, cfg: ShotConfig, seed: int) -> tuple:
-    """The counts of one row of cell probabilities, drawn at seed, and the ShotRecord fields up
-    to decision but standard_error, which only ``sample_joint`` reads."""
-    counts = np.random.default_rng(seed).multinomial(cfg.shots, probs).astype(float)
-    n = float(cfg.shots)
-    n11, n10, n01, _ = counts
-    m_xy = n11 / n
-    m_x = (n11 + n10) / n
-    m_y = (n11 + n01) / n
-    covariance = (m_xy - m_x * m_y) * n / (n - 1.0)
-    null_se = math.sqrt(m_x * (1.0 - m_x) * m_y * (1.0 - m_y) / n) * n / (n - 1.0)
-    z_score = abs(covariance) / null_se if null_se > 0.0 else 0.0
-    decision = DECISION_NONZERO if z_score > cfg.z_threshold else DECISION_ZERO
-    return counts, m_xy, m_x, m_y, covariance, z_score, decision
+def _statistics(counts: np.ndarray, n: float) -> tuple:
+    """estimate_xy, estimate_x, estimate_y, covariance_estimate and z_score of counts in
+    CELL_ORDER at n shots a row: numpy floats for one row (4,), arrays for rows (k, 4).
 
-
-def _standard_error(counts: np.ndarray, m_x, m_y, n: float):
-    """The delta-method spread of each row's covariance (``sample_joint``), counts (..., 4)."""
-    h = np.stack([1.0 - m_y - m_x, -m_y, -m_x, np.zeros_like(m_x)], axis=-1)
-    h_mean = np.vecdot(counts, h) / n  # the bits of the 4-term counts @ h
-    return np.sqrt(np.vecdot(counts, (h - h_mean[..., None]) ** 2) / (n - 1.0) / n)
-
-
-def _draw_stack(probs: np.ndarray, cfg: ShotConfig) -> tuple:
-    """The ShotRecord fields up to decision for each row i of probs (n, 4), as arrays.
-
-    Row i draws its counts from the stream of seed (cfg.seed + i) mod 2**64.  The statistics are
-    those of ``_draw`` and ``sample_joint``, in their order of operations, on the whole (n, 4)
-    count array.
+    Every step is elementwise, so a row has the same bits alone or in a stack.  z is 0 wherever
+    the null SE is 0, by a mask: above 2**53 shots a marginal can round to 1 while the covariance
+    does not round to 0 (counts (0, 2**60 - 40, 40, 0) give -3.47e-17).
     """
-    counts = np.empty(probs.shape)
-    seeds = np.uint64(cfg.seed) + np.arange(len(probs), dtype=np.uint64)  # wraps at 2**64
-    for row, p, rng in zip(counts, probs, generators(seed_words(seeds))):
-        row[:] = rng.multinomial(cfg.shots, p)
-
-    n = float(cfg.shots)
     n11, n10, n01, _ = counts.T
     m_xy = n11 / n
     m_x = (n11 + n10) / n
     m_y = (n11 + n01) / n
     covariance = (m_xy - m_x * m_y) * n / (n - 1.0)
-    standard_error = _standard_error(counts, m_x, m_y, n)
     null_se = np.sqrt(m_x * (1.0 - m_x) * m_y * (1.0 - m_y) / n) * n / (n - 1.0)
-    z_score = np.divide(np.abs(covariance), null_se, out=np.zeros_like(n11), where=null_se > 0.0)
-    decision = np.where(z_score > cfg.z_threshold, DECISION_NONZERO, DECISION_ZERO)
-    return m_xy, m_x, m_y, covariance, standard_error, z_score, decision
+    z_score = np.abs(covariance) * (null_se > 0.0) / (null_se + (null_se == 0.0))
+    return m_xy, m_x, m_y, covariance, z_score
+
+
+def _draw(probs: np.ndarray, cfg: ShotConfig, seed: int) -> tuple:
+    """The ``_statistics`` of one row of cell probabilities, its counts drawn at seed."""
+    counts = np.random.default_rng(seed).multinomial(cfg.shots, probs).astype(float)
+    return _statistics(counts, float(cfg.shots))
 
 
 def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> ShotRecord:
@@ -208,20 +184,28 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
     linearizes cov = <st> - <s><t> around the sample means: with
     h = st - m_y s - m_x t per shot, SE^2 = Var(h) / n.  The call instead
     uses the null-hypothesis standard error, so z_score = sqrt(n)|phi| is
-    Pearson's test of independence and is 0 when a marginal is 0 or 1.
+    Pearson's test of independence, and it is 0 wherever that SE is 0.
 
     States and probes broadcast as in ``joint_outcome_probabilities``; row i of the stack, in C
-    order, draws at seed (cfg.seed + i) mod 2**64.  One state gives a record of floats, a stack a
-    record of arrays shaped like it (decision a str array), with shots_used the shots per row.
+    order, draws at seed (cfg.seed + i) mod 2**64, and one state is the stack of one row, at
+    cfg.seed.  One state gives a record of Python floats (decision a str), a stack a record of
+    arrays shaped like it (decision a str array), with shots_used the shots per row.
     """
     probs = joint_outcome_probabilities(rho, pair)
-    if probs.ndim == 1:  # one state: row 0, at cfg.seed
-        counts, m_xy, m_x, m_y, covariance, z_score, decision = _draw(probs, cfg, cfg.seed)
-        standard_error = float(_standard_error(counts, m_x, m_y, float(cfg.shots)))
-        fields = m_xy, m_x, m_y, covariance, standard_error, z_score, decision
-        return ShotRecord(*fields, shots_used=cfg.shots)
-    columns = _draw_stack(probs.reshape(-1, 4), cfg)
-    return ShotRecord(*(c.reshape(probs.shape[:-1]) for c in columns), shots_used=cfg.shots)
+    rows = probs.reshape(-1, 4)
+    counts = np.empty(rows.shape)
+    seeds = np.uint64(cfg.seed) + np.arange(len(rows), dtype=np.uint64)  # wraps at 2**64
+    for row, p, rng in zip(counts, rows, generators(seed_words(seeds))):
+        row[:] = rng.multinomial(cfg.shots, p)
+    n = float(cfg.shots)
+    m_xy, m_x, m_y, covariance, z_score = _statistics(counts, n)
+    h = np.stack([1.0 - m_y - m_x, -m_y, -m_x, np.zeros_like(m_x)], axis=-1)
+    h_mean = np.vecdot(counts, h) / n  # the bits of the 4-term counts @ h
+    standard_error = np.sqrt(np.vecdot(counts, (h - h_mean[:, None]) ** 2) / (n - 1.0) / n)
+    decision = np.where(z_score > cfg.z_threshold, DECISION_NONZERO, DECISION_ZERO)
+    columns = m_xy, m_x, m_y, covariance, standard_error, z_score, decision
+    shape = probs.shape[:-1]
+    return ShotRecord(*(item_or_array(c.reshape(shape)) for c in columns), shots_used=cfg.shots)
 
 
 def statistical_binary_protocol(
@@ -243,8 +227,8 @@ def statistical_binary_protocol(
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
         probs = joint_outcome_probabilities(rho, _checked_pair(xs, y, _UnitPair))  # every probe
         for i, row in enumerate(probs):
-            *_, covariance, _, decision = _draw(row, cfg, (int(cfg.seed) + i) % 2**64)
-            yield covariance, decision == DECISION_ZERO
+            *_, covariance, z_score = _draw(row, cfg, (int(cfg.seed) + i) % 2**64)
+            yield covariance, not z_score > cfg.z_threshold
 
     verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)
     detail = (

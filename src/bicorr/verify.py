@@ -51,6 +51,7 @@ from bicorr.linalg import (
     symmetric3_singular_values,
 )
 from bicorr.qstate import (
+    BlochForm,
     CheckedState,
     as_density_matrix,
     bloch_assemble,
@@ -99,14 +100,19 @@ def _per_run(draw):
 
 
 class _Stack(CheckedState):
-    """A drawn stack of checked states; its correlation matrix is computed when first read.
+    """A drawn stack of checked states; its Bloch form and correlation matrix are computed when
+    first read.
 
-    The checks that share the stack thus share its C, and so C's singular values.
+    The checks that share the stack thus share its Bloch form, its C, and so C's singular values.
     """
 
     @cached_property
+    def bloch(self) -> BlochForm:
+        return bloch_decompose(self)
+
+    @cached_property
     def cm(self) -> CorrMatrix:
-        return correlation_matrix(self)
+        return correlation_matrix(self.bloch)
 
 
 @_per_run
@@ -172,14 +178,14 @@ def check_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
         rho = _density(seeds)
-        worst = _worst(worst, np.abs(bloch_assemble(bloch_decompose(rho)) - rho.matrix))
+        worst = _worst(worst, np.abs(bloch_assemble(rho.bloch) - rho.matrix))
     return worst < 1e-10, f"{trials} states, worst round-trip error {worst:.2e}"
 
 
 def check_pure_state_properties(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        bf = bloch_decompose(_pure(states.haar_random_pure, seeds)[1])
+        bf = _pure(states.haar_random_pure, seeds)[1].bloch
         na, nb = norms(bf.a), norms(bf.b)
         residuals = (
             norms((bf.f @ bf.b[..., None])[..., 0] - bf.a),
@@ -194,7 +200,7 @@ def check_pure_state_properties(trials: int, seed: int) -> tuple[bool, str]:
 def check_product_local_vectors(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        bf = bloch_decompose(_pure(states.random_product_pure, seeds)[1])
+        bf = _pure(states.random_product_pure, seeds)[1].bloch
         worst = _worst(worst, np.abs(norms(np.stack([bf.a, bf.b])) - 1))
     return worst < 1e-9, f"{trials} product states, worst |a|,|b| deviation {worst:.2e}"
 
@@ -254,7 +260,7 @@ def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)[1]
-        nb = norms(bloch_decompose(rho).b)
+        nb = norms(rho.bloch.b)
         worst = _worst(worst, np.abs(det3(rho.cm.c) + (nb**2 - 1) ** 2))
     return worst < 1e-9, f"{trials} pure states, worst determinant residual {worst:.2e}"
 

@@ -235,15 +235,17 @@ def _pairs(n, seed):
     )
 
 
-def assert_row_is_record(stacked, i, record):
-    """Row i of a stacked record has the one-state record's values, bit for bit, and types."""
-    for field in fields(record)[:-1]:
-        row, one = getattr(stacked, field.name)[i], getattr(record, field.name)
-        if field.name == "decision":
-            assert isinstance(one, str) and str(row) == one
-        else:
-            assert isinstance(row, np.float64) and isinstance(one, float), field.name
-            assert row.tobytes() == np.float64(one).tobytes(), (i, field.name)
+def assert_row_is_draw(stacked, i, rho, pair, cfg):
+    """Row i of a stacked record has the statistics of the protocol's draw of its cells at
+    cfg.seed, bit for bit: the other route from counts to a record."""
+    drawn = shotsim._draw(joint_outcome_probabilities(rho, pair), cfg, cfg.seed)
+    names = ("estimate_xy", "estimate_x", "estimate_y", "covariance_estimate", "z_score")
+    for name, value in zip(names, drawn, strict=True):
+        row = getattr(stacked, name)[i]
+        assert isinstance(row, np.float64) and isinstance(value, np.float64), name
+        assert row.tobytes() == value.tobytes(), (i, name)
+    nonzero = drawn[-1] > cfg.z_threshold
+    assert stacked.decision[i] == (DECISION_NONZERO if nonzero else DECISION_ZERO)
 
 
 class TestStackedSampler:
@@ -254,14 +256,11 @@ class TestStackedSampler:
         stacked = sample_joint(rho, pair, ShotConfig(shots=10_000, seed=top))
         for i in range(500):
             row_pair = ObservablePair(x=pair.x[i], y=pair.y[i])
-            cfg = ShotConfig(shots=10_000, seed=(top + i) % 2**64)
-            record = sample_joint(rho[i], row_pair, cfg)
-            for field in fields(record)[:-1]:
-                assert getattr(stacked, field.name)[i] == getattr(record, field.name), field
+            assert_row_is_draw(stacked, i, rho[i], row_pair, ShotConfig(10_000, (top + i) % 2**64))
         assert stacked.shots_used == 10_000
         assert set(stacked.decision) == {DECISION_ZERO, DECISION_NONZERO}
 
-    def test_rows_equal_one_state_calls_bit_for_bit_across_the_wrap(self):
+    def test_rows_equal_the_protocols_draws_bit_for_bit_across_the_wrap(self):
         n = 5_000
         rho = states.random_density(range(n))
         pair = _pairs(n, 33)
@@ -272,14 +271,14 @@ class TestStackedSampler:
         for i in range(n):
             cfg = ShotConfig(shots=5_000, seed=(top + i) % 2**64)
             row_pair = ObservablePair(x=pair.x[i], y=pair.y[i])
-            assert_row_is_record(stacked, i, sample_joint(rho[i], row_pair, cfg))
+            assert_row_is_draw(stacked, i, rho[i], row_pair, cfg)
 
     def test_rows_with_a_marginal_of_zero_or_one_read_zero(self):
         basis = [density_from_pure(amplitudes) for amplitudes in np.eye(4)]
         rho = np.stack((basis + [MAX_MIXED, singlet_rho()]) * 4)
         stacked = sample_joint(rho, ZZ, ShotConfig(shots=1_000, seed=11))
         for i in range(len(rho)):
-            assert_row_is_record(stacked, i, sample_joint(rho[i], ZZ, ShotConfig(1_000, 11 + i)))
+            assert_row_is_draw(stacked, i, rho[i], ZZ, ShotConfig(1_000, 11 + i))
         basis_rows = np.arange(len(rho)) % 6 < 4
         assert (stacked.covariance_estimate[basis_rows] == 0.0).all()
         assert (stacked.z_score[basis_rows] == 0.0).all()
@@ -291,9 +290,7 @@ class TestStackedSampler:
         stacked = sample_joint(rho, ZZ, ShotConfig(shots=1_000, seed=50))
         assert stacked.covariance_estimate.shape == stacked.decision.shape == (2, 3)
         for i, j in np.ndindex(2, 3):
-            record = sample_joint(rho[i, j], ZZ, ShotConfig(shots=1_000, seed=50 + 3 * i + j))
-            assert stacked.covariance_estimate[i, j] == record.covariance_estimate
-            assert stacked.z_score[i, j] == record.z_score
+            assert_row_is_draw(stacked, (i, j), rho[i, j], ZZ, ShotConfig(1_000, 50 + 3 * i + j))
 
     @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(2**63 - 1)])
     def test_numpy_integer_seed_draws_as_its_int(self, seed):
@@ -318,23 +315,60 @@ class TestStackedSampler:
         assert type(record.shots_used) is int and record.shots_used == 1_000
 
     def test_one_state_record_is_pinned(self):
-        # One digest over every field's type and bits at seeds 0-299, taken before
-        # sample_joint took stacks; a one-state call must give the same records.
-        digest = hashlib.sha256()
+        # Two digests at seeds 0-299.  The bits of every field were taken before sample_joint
+        # took stacks, and a one-state call must still give them.  The digest of every field's
+        # type and bits was re-taken when a one-state call became the stack of one row, which
+        # made every numeric field a Python float.
+        typed, bits = hashlib.sha256(), hashlib.sha256()
         for seed in range(300):
             pair = _pairs(1, seed)
             pair = ObservablePair(x=pair.x[0], y=pair.y[0])
             rho = states.random_density(seed)
             for shots in (100, 10_000, 1_000_000):
                 record = sample_joint(rho, pair, ShotConfig(shots=shots, seed=seed))
-                for value in vars(record).values():
-                    digest.update(type(value).__name__.encode())
-                    digest.update(
-                        value.encode() if isinstance(value, str) else np.float64(value).tobytes()
-                    )
-        assert digest.hexdigest() == (
-            "ae74bdb1c740fc3f74919dffe38a89d3597bee94ed8986319eb22fd400ca1c38"
+                for field in fields(record):
+                    value = getattr(record, field.name)
+                    kind = {"decision": str, "shots_used": int}.get(field.name, float)
+                    assert type(value) is kind, (seed, shots, field.name)
+                    value_bits = value.encode() if kind is str else np.float64(value).tobytes()
+                    typed.update(type(value).__name__.encode())
+                    typed.update(value_bits)
+                    bits.update(value_bits)
+        assert bits.hexdigest() == (
+            "fe94df7affcc8fadbdbf25ca9c4d9583f9c9a4345ebeccd30152017e046f5b56"
         )
+        assert typed.hexdigest() == (
+            "e448df27bf93a6d81d1114cef490c6926af16935617080e308e76848a56a6a16"
+        )
+
+    def test_z_is_zero_wherever_the_null_standard_error_is_zero(self, monkeypatch):
+        # Above 2**53 shots a marginal can round to exactly 1 while the covariance does not
+        # round to 0: these counts give m_x = 1.0 and a covariance of -3.47e-17.
+        n = 2**60
+        degenerate = np.array([0.0, n - 40, 40, 0])
+        _, m_x, _, covariance, z_score = one = shotsim._statistics(degenerate, float(n))
+        assert (m_x, z_score) == (1.0, 0.0) and isinstance(z_score, np.float64)
+        assert covariance == pytest.approx(-3.47e-17, rel=1e-3)
+        rows = np.array([degenerate, [n / 4] * 4, degenerate, [n / 2, 0, 0, n / 2]])
+        stack = shotsim._statistics(rows, float(n))
+        for column, value in zip(stack, one, strict=True):
+            assert column[0].tobytes() == column[2].tobytes() == value.tobytes()
+        assert stack[-1][1] == 0.0 and stack[-1][3] == pytest.approx(2**30)
+
+        class Counts:  # a generator whose every draw is the next row of counts
+            def __init__(self, counts):
+                self.counts = counts
+
+            def multinomial(self, shots, probs):
+                return self.counts
+
+        monkeypatch.setattr(shotsim, "generators", lambda words: map(Counts, rows))
+        cfg = ShotConfig(shots=n, seed=1)
+        record = sample_joint(MAX_MIXED, ZZ, cfg)
+        assert (record.z_score, record.decision) == (0.0, DECISION_ZERO)
+        stack = sample_joint(MAX_MIXED, ObservablePair(x=np.broadcast_to(Z, (4, 3)), y=Z), cfg)
+        assert stack.z_score[::2].tolist() == [0.0, 0.0]
+        assert stack.decision.tolist() == [DECISION_ZERO] * 3 + [DECISION_NONZERO]
 
 
 class TestStatisticalProtocol:
