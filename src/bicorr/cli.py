@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from bicorr import states as statesmod
-from bicorr.correlation import ObservablePair, correlation_matrix, covariance_direct
+from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import (
     DEFAULT_XS,
     DEFAULT_Y,
@@ -29,12 +29,11 @@ from bicorr.detect import (
     PPT_ORACLE,
     SEPARABLE,
     binary_protocol,
-    exact_corr_oracle,
     ppt_is_separable,
     pure_rank_verdict,
 )
 from bicorr.linalg import det3
-from bicorr.qstate import CheckedState, bloch_decompose
+from bicorr.qstate import CheckedState
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 from bicorr.states import ParseError, StateSpec
 from bicorr.verify import run_all
@@ -109,13 +108,12 @@ def _verdict_doc(verdict) -> dict:
 def build_analysis_report(spec: StateSpec) -> dict:
     """Full analysis of a state: Bloch form, correlation matrix, verdicts.
 
-    The Bloch form and c are computed once; the protocol's exact oracle and
-    the rank verdict both read that c.
+    The checked state computes its Bloch form and c once; the protocol and the
+    rank verdict both read that c.
     """
     rho = spec.matrix
-    bf = bloch_decompose(rho)
-    cm = correlation_matrix(bf)
-    protocol_verdict, trace = binary_protocol(rho, corr_oracle=exact_corr_oracle(cm))
+    bf, cm = rho.bloch, rho.cm
+    protocol_verdict, trace = binary_protocol(rho)
     report = {
         "label": spec.label,
         "kind": spec.kind,

@@ -17,14 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from bicorr.linalg import IMAG_TOL, item_or_array, symmetric3_singular_values
-from bicorr.qstate import (
-    BlochForm,
-    InvalidState,
-    _require,
-    bloch_decompose,
-    check_bloch_vector,
-    outcome_table,
-)
+from bicorr.qstate import CheckedState, InvalidState, _require, check_bloch_vector, outcome_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +66,15 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
     return item_or_array(value.real)
 
 
-def correlation_matrix(state: np.ndarray | BlochForm) -> CorrMatrix:
-    """Correlation matrix, with its singular values (descending) computed when first read.
+def correlation_matrix(state: np.ndarray | CheckedState) -> CorrMatrix:
+    """Correlation matrix of a state, from its ``CheckedState.bloch``; singular values when read.
 
-    state is a density matrix or, when the caller already has it, its Bloch
-    form.  A pure state of concurrence k has singular values (k, k, k^2); the
+    A raw array is checked first, so no unchecked form enters; a caller that shares one C reads
+    ``CheckedState.cm``.  A pure state of concurrence k has singular values (k, k, k^2); the
     separability verdict is taken on the largest (``detect.pure_rank_verdict``).
     """
-    bf = state if isinstance(state, BlochForm) else bloch_decompose(state)
-    c = bf.f - bf.a[..., :, None] * bf.b[..., None, :]
-    return CorrMatrix(c=c)
+    bf = CheckedState.of(state).bloch
+    return CorrMatrix(c=bf.f - bf.a[..., :, None] * bf.b[..., None, :])
 
 
 def covariance_via_c(cm: CorrMatrix, pair: ObservablePair) -> float:

@@ -11,7 +11,7 @@ Three decision routes live here:
   at most two independent directions, so an entangled pure state must reveal
   itself within three probes, while a separable pure state shows three zeros.
   ``binary_protocol`` makes one run; ``exact_protocol`` makes a stack of runs
-  with exact zero calls, with the same checks, bits and label rule;
+  with exact zero calls, with the same checks, zero rule, bits and label rule;
 * independent oracles: the Schmidt rank of the amplitude matrix (pure states)
   and positivity of the partial transpose (any state), which never touch the
   correlation-matrix code path.
@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from bicorr.correlation import CorrMatrix, ObservablePair, correlation_matrix, covariance_via_c
+from bicorr.correlation import CorrMatrix, ObservablePair, covariance_via_c
 from bicorr.correlation import _checked_pair
 from bicorr.linalg import (
     BALL_TOL,
@@ -122,7 +122,7 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     vector ZeroVector.
     """
     y, length = _check_y(y)
-    c_y = (correlation_matrix(rho).c @ _directions(y, length)[..., None])[..., 0]
+    c_y = (CheckedState.of(rho).cm.c @ _directions(y, length)[..., None])[..., 0]
     c_y_length = norms(c_y)
     vanishes = (c_y_length < ZERO_CORRELATION_TOL)[..., None]
     x = orthogonal_complement_basis(c_y, c_y_length)[0]  # a zero row has direction 0: no warning
@@ -156,21 +156,19 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 
     See ``pure_rank_verdict``; every validated pure state gets a verdict.
     """
-    return pure_rank_verdict(correlation_matrix(density_from_pure(psi)))
+    return pure_rank_verdict(CheckedState(density_from_pure(psi)).cm)
 
 
-def exact_corr_oracle(cm: CorrMatrix) -> CorrOracle:
-    """Zero/non-zero oracle from a correlation matrix: one ``covariance_via_c`` on the probe stack.
+def _exact_calls(cm: CorrMatrix, x_units: np.ndarray, y_unit: np.ndarray) -> tuple:
+    """The exact zero rule: c(x^, y^) per probe on the last axis, and whether each is zero.
 
-    The protocol passes unit directions, so |c| at most ZERO_CORRELATION_TOL is zero: far above
-    4x4 round-off and far below every fixture's smallest non-zero covariance.
+    One ``covariance_via_c`` call covers every probe.  The directions are unit, so |c| at most
+    ZERO_CORRELATION_TOL is zero: far above 4x4 round-off and far below every fixture's smallest
+    non-zero covariance.
     """
-
-    def oracle(xs: np.ndarray, y: np.ndarray) -> Iterable[tuple[float, bool]]:
-        values = covariance_via_c(cm, _checked_pair(xs, y))
-        return zip(values.tolist(), (np.abs(values) <= ZERO_CORRELATION_TOL).tolist())
-
-    return oracle
+    per_probe = CorrMatrix(cm.c[..., None, :, :])  # c per x
+    values = covariance_via_c(per_probe, _checked_pair(x_units, y_unit[..., None, :]))
+    return values, np.abs(values) <= ZERO_CORRELATION_TOL
 
 
 _GRAM_MESSAGE = "probe Gram determinant{at} {worst:.3e} is not above " + f"{GRAM_TOL:g}"
@@ -257,11 +255,12 @@ def binary_protocol(
     three zeros mean Separable.  Mixed input yields Indeterminate either way,
     with the measured facts recorded in the verdict detail.
 
-    corr_oracle(xs, y) may replace the exact rule (e.g. with a finite-shot one): called once per
-    run on the checked probes' unit directions, it yields (covariance, is_zero) per x, read up to
-    the first non-zero call; running short raises ValueError.  It defaults to ``exact_corr_oracle``
-    on rho's correlation matrix, which a caller holding cm passes as ``exact_corr_oracle(cm)``.
-    On the default probes, the directions it receives and the trace's arrays are read-only.
+    Without corr_oracle the calls are exact, on ``CheckedState.cm``: a checked state whose C was
+    read already is not decomposed again.  corr_oracle(xs, y) replaces the exact rule with a
+    finite-shot one: called once per run on the checked probes' unit directions, it yields
+    (covariance, is_zero) per x, read up to the first non-zero call; running short raises
+    ValueError.  On the default probes, the directions it receives and the trace's arrays are
+    read-only.
     """
     rho = CheckedState.of(rho)
     y, xs, y_unit, x_units = _check_probes(y, xs)
@@ -273,10 +272,13 @@ def binary_protocol(
         raise ValueError(f"the protocol takes one probe set, got shape {xs.shape}")
     pure = assume_pure | (purity(rho) >= 1.0 - PURITY_TOL)
     if corr_oracle is None:
-        corr_oracle = exact_corr_oracle(correlation_matrix(rho))
+        values, zero = _exact_calls(rho.cm, x_units, y_unit)
+        calls = zip(values.tolist(), zero.tolist())
+    else:
+        calls = corr_oracle(x_units, y_unit)
 
     probes = []
-    for x, (value, is_zero) in zip(xs, corr_oracle(x_units, y_unit), strict=True):
+    for x, (value, is_zero) in zip(xs, calls, strict=True):
         probes.append(Probe(x=x, covariance=value, is_zero=is_zero))
         if not is_zero:
             break
@@ -310,18 +312,17 @@ def exact_protocol(
 
     rho (..., 4, 4), y (..., 3) and xs (..., 3, 3) broadcast, one run per entry of the stack.
     They are checked as in ``binary_protocol``, a failure naming the stack index, and every probe
-    of every run is measured in one ``covariance_via_c`` call.  Returned, shaped like the stack:
-    the verdict labels, the measurements used (the first non-zero probe, else 3), and on the last
-    axis the three c(x^, y^).  A run's results are the bits of its one-state ``binary_protocol``:
-    the label, ``measurements_used``, and the covariances of the probes it reads.
+    of every run is measured in one ``covariance_via_c`` call on ``CheckedState.cm``.  Returned,
+    shaped like the stack: the verdict labels, the measurements used (the first non-zero probe,
+    else 3), and on the last axis the three c(x^, y^).  A run's results are the bits of its
+    one-state ``binary_protocol``: the label, ``measurements_used``, and the covariances of the
+    probes it reads.
     """
     rho = CheckedState.of(rho)
     _, _, y_unit, x_units = _check_probes(y, xs)
     pure = assume_pure | (purity(rho) >= 1.0 - PURITY_TOL)
-    cm = correlation_matrix(rho)
-    per_probe = CorrMatrix(cm.c[..., None, :, :])  # c per x
-    values = covariance_via_c(per_probe, _checked_pair(x_units, y_unit[..., None, :]))
-    nonzero = np.abs(values) > ZERO_CORRELATION_TOL
+    values, zero = _exact_calls(rho.cm, x_units, y_unit)
+    nonzero = ~zero
     found = nonzero.any(axis=-1)
     used = np.where(found, nonzero.argmax(axis=-1) + 1, 3)
     return _protocol_label(found, pure), used, values

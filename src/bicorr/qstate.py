@@ -12,8 +12,10 @@ with real local vectors a, b and a real 3x3 tensor f; `bloch_decompose` and
 
 Validation happens at construction points (`validate_pure_state`,
 `as_density_matrix`, `bloch_assemble`, `CheckedState`).  The state operations
-take a `CheckedState` as it is and structure-check only a raw array.  All of
-them take stacks, shape (..., 4, 4) or (..., 4), empty ones included.  Every
+take a `CheckedState` as it is and structure-check only a raw array; a
+`CheckedState` keeps its Bloch form and correlation matrix once read (`.bloch`,
+`.cm`), so no reader derives them again.  All of them take stacks, shape
+(..., 4, 4) or (..., 4), empty ones included.  Every
 array threshold check of the package goes through `_require`, so a failed check on a
 stack names the index of the first offending state.
 """
@@ -22,11 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, IMAG_TOL, NORM_TOL, PSD_TOL
 from bicorr.linalg import hermitian_eigenvalues, item_or_array, norms
+
+if TYPE_CHECKING:
+    from bicorr.correlation import CorrMatrix
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -108,7 +115,11 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CheckedState:
-    """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``."""
+    """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``.
+
+    Its Bloch form and correlation matrix are computed when first read and kept with it, so every
+    reader of one state shares them.
+    """
 
     matrix: np.ndarray
     __iter__ = None  # rows are taken by index: one 4x4 state must not iterate as an empty stack
@@ -129,6 +140,18 @@ class CheckedState:
         object.__setattr__(state, "matrix", self.matrix[np.index_exp[index] + np.s_[:, :]])
         state.matrix.flags.writeable = False
         return state
+
+    @cached_property
+    def bloch(self) -> BlochForm:
+        """``bloch_decompose`` of the state."""
+        return bloch_decompose(self)
+
+    @cached_property
+    def cm(self) -> CorrMatrix:
+        """``correlation.correlation_matrix`` of the state, built from ``bloch``."""
+        from bicorr import correlation  # which imports this module; looked up when first read
+
+        return correlation.correlation_matrix(self)
 
 
 def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:

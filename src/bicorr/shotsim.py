@@ -75,7 +75,11 @@ class NonUnitBloch(ValueError):
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """Sampling parameters: shots per correlation, RNG seed, decision threshold."""
+    """Sampling parameters: shots per correlation, RNG seed, decision threshold.
+
+    shots is at most 2**53, so every count and every marginal below 1 is exact enough in a float:
+    above it, counts (0, n - 1, 1, 0) read a marginal of exactly 1, and z 0 for phi = -1.
+    """
 
     shots: int = 100_000
     seed: int = 0
@@ -86,8 +90,8 @@ class ShotConfig:
             raise ValueError(f"shots, seed and z_threshold take numbers, not bools: {self}")
         if not isinstance(self.shots, (int, np.integer)):
             raise ValueError(f"shots must be an integer, got {self.shots!r}")
-        if not 100 <= self.shots < 2**63:
-            raise ValueError("shots must be at least 100 and below 2**63")
+        if not 100 <= self.shots <= 2**53:
+            raise ValueError("shots must be at least 100 and at most 2**53")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0 < self.z_threshold < math.inf:
@@ -158,8 +162,9 @@ def _statistics(counts: np.ndarray, n: float) -> tuple:
     CELL_ORDER at n shots a row: numpy floats for one row (4,), arrays for rows (k, 4).
 
     Every step is elementwise, so a row has the same bits alone or in a stack.  z is 0 wherever
-    the null SE is 0, by a mask: above 2**53 shots a marginal can round to 1 while the covariance
-    does not round to 0 (counts (0, 2**60 - 40, 40, 0) give -3.47e-17).
+    the null SE is 0, by a mask: a marginal of 0 or 1 gives 0/0, and above 2**53 shots, which
+    ``ShotConfig`` refuses, a marginal can round to 1 while the covariance does not round to 0
+    (counts (0, 2**60 - 40, 40, 0) give -3.47e-17).
     """
     n11, n10, n01, _ = counts.T
     m_xy = n11 / n

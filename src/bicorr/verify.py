@@ -10,8 +10,9 @@ Each check returns (passed, detail).  Trial counts scale the randomized
 checks: per block of ``BLOCK`` seeds, each makes one generator call and one
 draw of its random directions, and calls each kernel once, ``exact_protocol``
 included.  In a one-block ``run_all``, checks that draw the same states from
-the same seeds share one read-only stack, and with it the stack's correlation
-matrix C, so each shared stack's singular values are computed once per run.
+the same seeds share one read-only ``CheckedState``, and with it the stack's Bloch
+form and correlation matrix C (``.bloch``, ``.cm``), so each shared stack is
+decomposed, and C's singular values computed, once per run.
 The statistical suites keep their fixed, calibrated sizes.
 """
 
@@ -19,19 +20,12 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from bicorr import states
-from bicorr.correlation import (
-    CorrMatrix,
-    ObservablePair,
-    correlation_matrix,
-    covariance_direct,
-    covariance_via_c,
-)
+from bicorr.correlation import CorrMatrix, ObservablePair, covariance_direct, covariance_via_c
 from bicorr.detect import (
     ENTANGLED,
     SEPARABLE,
@@ -51,7 +45,6 @@ from bicorr.linalg import (
     symmetric3_singular_values,
 )
 from bicorr.qstate import (
-    BlochForm,
     CheckedState,
     as_density_matrix,
     bloch_assemble,
@@ -99,32 +92,16 @@ def _per_run(draw):
     return shared
 
 
-class _Stack(CheckedState):
-    """A drawn stack of checked states; its Bloch form and correlation matrix are computed when
-    first read.
-
-    The checks that share the stack thus share its Bloch form, its C, and so C's singular values.
-    """
-
-    @cached_property
-    def bloch(self) -> BlochForm:
-        return bloch_decompose(self)
-
-    @cached_property
-    def cm(self) -> CorrMatrix:
-        return correlation_matrix(self.bloch)
-
-
 @_per_run
-def _pure(draw: Callable[[range], np.ndarray], seeds: range) -> tuple[np.ndarray, _Stack]:
+def _pure(draw: Callable[[range], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
     psi = draw(seeds)
     psi.flags.writeable = False
-    return psi, _Stack(density_from_pure(psi))
+    return psi, CheckedState(density_from_pure(psi))
 
 
 @_per_run
-def _density(seeds: range) -> _Stack:
-    return _Stack(states.random_density(seeds))
+def _density(seeds: range) -> CheckedState:
+    return CheckedState(states.random_density(seeds))
 
 
 def _rank_labels(cm: CorrMatrix) -> np.ndarray:

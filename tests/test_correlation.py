@@ -17,7 +17,13 @@ from bicorr.correlation import (
     covariance_via_c,
 )
 from bicorr.detect import exact_protocol
-from bicorr.qstate import BlochOutOfBall, density_from_pure
+from bicorr.qstate import (
+    BlochForm,
+    BlochOutOfBall,
+    CheckedState,
+    bloch_decompose,
+    density_from_pure,
+)
 
 CHEN_C = (2.0 / 9.0) * np.array([[1, 0, -2], [0, -3, 0], [2, 0, 2]], dtype=float)
 Z = np.array([0.0, 0.0, 1.0])
@@ -94,6 +100,22 @@ class TestCorrelationMatrix:
         assert calls == []
         assert cm.singular_values is cm.singular_values
         assert calls == [(20, 3, 3)]
+
+    def test_refuses_a_bloch_form(self):
+        # A form enters only through bloch_assemble, which checks it; this one is not a state.
+        with pytest.raises(TypeError):
+            correlation_matrix(BlochForm(a=np.full(3, np.nan), b=np.zeros(3), f=7 * np.eye(3)))
+        with pytest.raises(TypeError):
+            correlation_matrix(bloch_decompose(states.werner(0.5)))
+
+    def test_a_checked_state_keeps_its_form_and_c(self):
+        rho = CheckedState(states.random_density(range(20)))
+        assert rho.bloch is rho.bloch and rho.cm is rho.cm
+        fresh = correlation_matrix(rho.matrix)
+        assert rho.cm.c.tobytes() == fresh.c.tobytes()
+        assert rho.bloch.f.tobytes() == bloch_decompose(rho.matrix).f.tobytes()
+        assert "cm" not in vars(rho[3])  # a row of the stack derives its own when read
+        assert rho[3].cm.c.tobytes() == fresh.c[3].tobytes()
 
     def test_werner_family(self):
         for xi in (0.0, 0.25, 0.5, 1.0):

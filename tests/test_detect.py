@@ -27,7 +27,6 @@ from bicorr.detect import (
     _check_y,
     binary_protocol,
     classify_pure_by_rank,
-    exact_corr_oracle,
     exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
@@ -335,7 +334,8 @@ def _per_probe(cm, xs, y):
     ids=["random_density", "product"],
 )
 def test_exact_oracle_equals_the_per_probe_rule(draw, n):
-    # One oracle call on the probe stack gives each probe's covariance and zero call bit for bit.
+    # The exact rule gives each probe's covariance and zero call bit for bit: every probe in
+    # exact_protocol's c, and in binary_protocol's trace up to its first non-zero call.
     rng = np.random.default_rng(37)
     y = rng.standard_normal(3)
     y *= 1e-11 / np.linalg.norm(y)
@@ -346,11 +346,14 @@ def test_exact_oracle_equals_the_per_probe_rule(draw, n):
         xs = rng.standard_normal((3, 3))
         xs *= (rng.random(3) / np.linalg.norm(xs, axis=1))[:, None]
         expected = _per_probe(cm, xs, y)
-        calls = list(exact_corr_oracle(cm)(directions(xs), directions(y)))
-        assert calls == expected, seed
-        assert all(type(v) is float and type(z) is bool for v, z in calls)
+        _, used, values = exact_protocol(rho, y=y, xs=xs)
+        assert values.tolist() == [v for v, _ in expected], seed
+        assert used == next((i + 1 for i, (_, z) in enumerate(expected) if not z), 3)
         _, trace = binary_protocol(rho, y=y, xs=xs)
-        assert [(p.covariance, p.is_zero) for p in trace.probes] == expected[: len(trace.probes)]
+        calls = [(p.covariance, p.is_zero) for p in trace.probes]
+        assert calls == expected[: len(calls)], seed
+        assert all(type(v) is float and type(z) is bool for v, z in calls)
+        assert all(z for _, z in calls[:-1])  # the trace stops at the first non-zero call
 
 
 def _protocol_runs(n: int, seed: int):

@@ -8,7 +8,14 @@ import pytest
 
 from bicorr import cli, correlation, linalg, qstate, states
 from bicorr.correlation import ObservablePair, covariance_direct
-from bicorr.detect import DEFAULT_XS, DEFAULT_Y, binary_protocol, ppt_is_separable
+from bicorr.detect import (
+    DEFAULT_XS,
+    DEFAULT_Y,
+    binary_protocol,
+    exact_protocol,
+    find_zero_correlation_pair,
+    ppt_is_separable,
+)
 from bicorr.qstate import (
     BlochForm,
     BlochOutOfBall,
@@ -354,6 +361,32 @@ def test_analysis_report_checks_each_input_once(spec, check_counts):
         assert check_counts["validate_pure_state"] == 1
         assert check_counts["_check_structure"] <= 1
     assert check_counts["check_bloch_vector"] <= 4
+
+
+@pytest.mark.parametrize(
+    "spec", [states.mixed_spec(states.werner(0.4)), states.pure_spec(states.chen_state())],
+    ids=["mixed", "pure"],
+)
+def test_analysis_report_decomposes_its_state_once(spec, monkeypatch):
+    # The report's form and C, the rank verdict and the protocol all read the checked state's.
+    counts = _count_calls(monkeypatch, qstate.bloch_decompose, correlation.correlation_matrix)
+    cli.build_analysis_report(states.loads_state(states.dumps_state(spec)))
+    assert counts == {"bloch_decompose": 1, "correlation_matrix": 1}
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [binary_protocol, exact_protocol, lambda rho: find_zero_correlation_pair(rho, Z)],
+    ids=["binary_protocol", "exact_protocol", "find_zero_correlation_pair"],
+)
+def test_a_reader_of_c_takes_the_one_its_checked_state_holds(reader, monkeypatch):
+    rho = CheckedState(PRODUCT_RHO)
+    cm = rho.cm
+    counts = _count_calls(monkeypatch, qstate.bloch_decompose, correlation.correlation_matrix)
+    reader(rho)
+    assert counts == {} and rho.cm is cm
+    reader(PRODUCT_RHO)  # a raw array is checked, decomposed and correlated once
+    assert counts == {"bloch_decompose": 1, "correlation_matrix": 1}
 
 
 def _shot_protocol(rho, *probes):

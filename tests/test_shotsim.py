@@ -49,6 +49,7 @@ class TestConfig:
             {"z_threshold": 0.0},
             {"seed": -1},
             {"seed": 2**64},
+            {"shots": 2**53 + 1},
             {"shots": 2**63},
             {"z_threshold": math.inf},
             {"shots": 100.9},
@@ -58,6 +59,12 @@ class TestConfig:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ShotConfig(**kwargs)
+
+    def test_takes_up_to_2_53_shots(self):
+        # Above 2**53 a marginal can round to 1 (see the null-SE test in TestStackedSampler).
+        assert ShotConfig(shots=2**53).shots == 2**53
+        with pytest.raises(ValueError, match=r"^shots must be at least 100 and at most 2\*\*53$"):
+            ShotConfig(shots=2**54)
 
     @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
     @pytest.mark.parametrize("field", ["shots", "seed", "z_threshold"])
@@ -355,6 +362,14 @@ class TestStackedSampler:
             assert column[0].tobytes() == column[2].tobytes() == value.tobytes()
         assert stack[-1][1] == 0.0 and stack[-1][3] == pytest.approx(2**30)
 
+        # ShotConfig takes at most 2**53 shots, where no marginal rounds: there (0, n - 1, 1, 0)
+        # reads z = sqrt(n), while at 2**54 it reads 0, and a marginal of exactly 1 gives z = 0.
+        for n, z in ((2**54, 0.0), (2**53, math.sqrt(2**53))):
+            z_score = shotsim._statistics(np.array([0.0, n - 1, 1, 0]), float(n))[-1]
+            assert z_score == pytest.approx(z, rel=1e-12, abs=0.0)
+        n = 2**53
+        rows = np.array([[0.0, n, 0, 0], [n / 4] * 4, [0, n, 0, 0], [0, n - 1, 1, 0]])
+
         class Counts:  # a generator whose every draw is the next row of counts
             def __init__(self, counts):
                 self.counts = counts
@@ -368,6 +383,7 @@ class TestStackedSampler:
         assert (record.z_score, record.decision) == (0.0, DECISION_ZERO)
         stack = sample_joint(MAX_MIXED, ObservablePair(x=np.broadcast_to(Z, (4, 3)), y=Z), cfg)
         assert stack.z_score[::2].tolist() == [0.0, 0.0]
+        assert stack.z_score[3] == pytest.approx(math.sqrt(n), rel=1e-12)
         assert stack.decision.tolist() == [DECISION_ZERO] * 3 + [DECISION_NONZERO]
 
 

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bicorr import correlation, linalg, states, verify
+from bicorr import correlation, linalg, qstate, states, verify
 from bicorr.linalg import det3, norms
 from bicorr.qstate import BlochForm
 from bicorr.verify import ALL_CHECKS, BLOCK, run_all
@@ -95,16 +95,36 @@ def _counted_svds(monkeypatch) -> list:
     return calls
 
 
+def _counted_decompositions(monkeypatch) -> list:
+    """The stack shapes of every bloch_decompose call: CheckedState.bloch's and verify's own."""
+    calls, decompose = [], qstate.bloch_decompose
+
+    def counted(rho):
+        calls.append(np.shape(rho.matrix if isinstance(rho, qstate.CheckedState) else rho))
+        return decompose(rho)
+
+    for module in (qstate, verify):
+        monkeypatch.setattr(module, "bloch_decompose", counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_a_pass_decomposes_each_stack_once_and_successive_runs_the_same(seed, monkeypatch):
     # Transpose check 2, determinant check 1, rank monotone 1 (five tolerances), and one each for
     # the Haar and product stacks that five checks read.  A run keeps nothing for the next.
     calls = _counted_svds(monkeypatch)
+    # One Bloch form each for the Haar, product and density stacks, whatever reads them (protocol
+    # soundness's exact_protocol included), two for zero-pair universality's block and Werner
+    # grid, and one for the Werner round trip's grid.
+    forms = _counted_decompositions(monkeypatch)
     first = _lines(200, seed)
     first_calls, calls[:] = calls[:], []
+    first_forms, forms[:] = forms[:], []
     assert _lines(200, seed) == first
     assert calls == first_calls and len(calls) == 6
     assert calls.count((200, 3, 3)) == 6
+    assert forms == first_forms
+    assert forms == [(200, 4, 4)] * 4 + [(5, 4, 4), (21, 4, 4)]
 
 
 def test_only_a_one_block_run_shares_the_stacks_correlation_matrices(monkeypatch):
@@ -164,12 +184,12 @@ def _nan_result(kernel):
     "check, module, kernel",
     [
         (verify.check_bloch_round_trip, verify, "bloch_assemble"),
-        (verify.check_pure_state_properties, verify, "bloch_decompose"),
-        (verify.check_product_local_vectors, verify, "bloch_decompose"),
+        (verify.check_pure_state_properties, qstate, "bloch_decompose"),
+        (verify.check_product_local_vectors, qstate, "bloch_decompose"),
         (verify.check_partial_trace_consistency, verify, "partial_trace_B"),
         (verify.check_covariance_path_equivalence, verify, "covariance_direct"),
         (verify.check_pure_rank_dichotomy, correlation, "symmetric3_singular_values"),
-        (verify.check_pure_determinant_identity, verify, "bloch_decompose"),
+        (verify.check_pure_determinant_identity, qstate, "bloch_decompose"),
         (verify.check_zero_pair_universality, verify, "covariance_direct"),
         (verify.check_werner_bloch_round_trip, verify, "bloch_decompose"),
     ],
