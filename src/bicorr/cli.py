@@ -86,8 +86,8 @@ def _fmt_vec(vec) -> str:
     return "[" + ", ".join(_fmt(v) for v in np.asarray(vec, dtype=float)) + "]"
 
 
-def _fmt_mat(mat, indent: str = "  ") -> str:
-    return "\n".join(indent + _fmt_vec(row) for row in np.asarray(mat, dtype=float))
+def _fmt_mat(mat) -> str:
+    return "\n".join("  " + _fmt_vec(row) for row in np.asarray(mat, dtype=float))
 
 
 def _trace_doc(trace) -> dict:

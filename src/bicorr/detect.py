@@ -306,7 +306,6 @@ def exact_protocol(
     rho: np.ndarray,
     y: np.ndarray = DEFAULT_Y,
     xs: np.ndarray = DEFAULT_XS,
-    assume_pure: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three-probe protocol with exact zero calls on a stack of runs: (labels, used, c).
 
@@ -320,7 +319,7 @@ def exact_protocol(
     """
     rho = CheckedState.of(rho)
     _, _, y_unit, x_units = _check_probes(y, xs)
-    pure = assume_pure | (purity(rho) >= 1.0 - PURITY_TOL)
+    pure = purity(rho) >= 1.0 - PURITY_TOL
     values, zero = _exact_calls(rho.cm, x_units, y_unit)
     nonzero = ~zero
     found = nonzero.any(axis=-1)

@@ -92,7 +92,10 @@ def det3(m: np.ndarray) -> float:
     """Determinant of a real 3x3 matrix, or of each in a stack, by cofactor expansion.
 
     One matrix is expanded in Python floats: the same IEEE operations in the same order, so the
-    bits of its row in a stack, at a fraction of the cost of numpy scalars.
+    bits of its row in a stack, at a fraction of the cost of numpy scalars.  A nan result is
+    returned as the one nan ``np.nan``: which operand's nan a sum of two keeps (and so its sign)
+    depends on the machine code: numpy's vector loop and its scalar tail differ, so for a stack it
+    followed a row's position and the stack's length.
     """
     e = np.asarray(m, dtype=float).T  # e[j, i] is entry (i, j)
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = e.tolist() if e.ndim == 2 else e
@@ -101,7 +104,10 @@ def det3(m: np.ndarray) -> float:
         - e10 * (e01 * e22 - e21 * e02)
         + e20 * (e01 * e12 - e11 * e02)
     )
-    return det if e.ndim == 2 else det.T
+    if e.ndim == 2:
+        return det if det == det else np.nan
+    np.copyto(det, np.nan, where=np.isnan(det))
+    return det.T
 
 
 def orthogonal_complement_basis(

@@ -94,7 +94,11 @@ class ShotConfig:
             raise ValueError("shots must be at least 100 and at most 2**53")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not 0 < self.z_threshold < math.inf:
+        try:
+            positive = 0 < self.z_threshold < math.inf
+        except TypeError:  # "5", None: not a number
+            positive = False
+        if not positive:
             raise ValueError("z_threshold must be finite and positive")
 
 

@@ -143,7 +143,14 @@ def _per_k(words: np.ndarray, ks: np.ndarray, mixture) -> np.ndarray:
 def _mixture_of_k(seed, k, mixture) -> np.ndarray:
     """_per_k on the seeds, k one count or one per seed."""
     seeds, words = _seeded(seed)
-    ks = np.broadcast_to(np.asarray(k), seeds.shape).reshape(-1)
+    ks = np.asarray(k)
+    # A float would be truncated and a bool taken as 0 or 1; [True, 2] casts to int, so look inside.
+    if ks.size and (ks.dtype.kind not in "iu" or (
+        not isinstance(k, np.ndarray)
+        and any(isinstance(v, (bool, np.bool_)) for v in np.array(k, dtype=object).flat)
+    )):
+        raise ValueError(f"k must be an integer count, got {k!r}")
+    ks = np.broadcast_to(ks, seeds.shape).reshape(-1)
     if (ks < 1).any():
         raise ValueError("k must be at least 1")
     return _shaped(seeds, _per_k(words, ks, mixture))

@@ -19,6 +19,7 @@ The statistical suites keep their fixed, calibrated sizes.
 from __future__ import annotations
 
 import math
+import operator
 from contextvars import ContextVar
 from typing import Callable
 
@@ -284,13 +285,12 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
     while count < n:  # the first n entangled states from seed on
         seeds = range(seeds.stop, seeds.stop + n - count)
         rho = _pure(states.haar_random_pure, seeds)[1]
-        cm = rho.cm
-        full = np.flatnonzero(rank_says_entangled(cm))
-        count, rho = count + len(full), rho[full]
-        leak = np.any([
+        full = np.flatnonzero(rank_says_entangled(rho.cm))
+        leak = np.any([  # taken on every row, read on the entangled ones
             ~(np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) < 1e-10)
-            for x in orthogonal_complement_basis(cm.c[full] @ Z)
-        ], axis=0)
+            for x in orthogonal_complement_basis(rho.cm.c @ Z)
+        ], axis=0)[full]
+        count += len(full)
         if leak.any():
             return False, f"seed {seeds[full[np.argmax(leak)]]}: silent probe pair leaked signal"
     return True, f"{n} entangled states admit two independent all-zero probes"
@@ -430,14 +430,15 @@ ALL_CHECKS: list[tuple[str, Check]] = [
 def run_all(trials: int = 2000, seed: int = 0, out=print) -> bool:
     """Run every suite; emits one pass/fail line per check via ``out``.
 
-    trials must be an integer of at least 100 and seed one in [0, 2**64); both are checked
-    before the first check runs.
+    trials must be an integer of at least 100 and seed one in [0, 2**64); both are checked, and
+    taken as Python ints, before the first check runs.
     """
     if not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trial count must be an integer, got {trials!r}")
     if trials < 100:
         raise ValueError("trial budget below 100 is rejected")
     ShotConfig(seed=seed)  # the shot checks' seeds, (seed + i) mod 2**64, need seed in [0, 2**64)
+    trials, seed = operator.index(trials), operator.index(seed)  # numpy integers would wrap
     token = _memo.set({} if trials <= BLOCK else None)  # past one block, no stack is kept
     all_ok = True
     try:

@@ -331,6 +331,22 @@ class TestVerify:
             run_all(trials=100, seed=True, out=lines.append)
         assert lines == []
 
+    @pytest.mark.parametrize(
+        "trials, seed",
+        [
+            (100, np.int64(2**63 - 1)),
+            (100, np.uint64(2**64 - 1)),
+            (100, np.uint64(2**64 - 200)),
+            (np.int8(100), 0),
+        ],
+        ids=["int64-max", "uint64-max", "uint64-top-200", "int8-trials"],
+    )
+    def test_numpy_integers_print_the_lines_of_python_ints(self, trials, seed):
+        # seed + 808 wrapped in uint64 and 3 * trials in int8; both are taken as Python ints.
+        lines, expected = [], []
+        assert run_all(trials, seed, lines.append) == run_all(int(trials), int(seed), expected.append)
+        assert lines == expected
+
     def test_largest_seeds_wrap_the_shot_seeds(self, capsys):
         # The shot checks draw at (seed + i) mod 2**64, so no check is cut off near the top.
         assert main(["verify", "--trials", "100", "--seed", str(2**64 - 5)]) == 0

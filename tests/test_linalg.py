@@ -156,6 +156,19 @@ class TestDet3:
         assert all(type(det3(one)) is float for one in m[:10])
         assert stack.tobytes() == each.tobytes()
 
+    def test_a_nan_determinant_is_np_nan_wherever_its_row_sits(self):
+        # (+nan) + (-nan): numpy's vector loop and its scalar tail keep different operands' nan,
+        # so the sign of a row's nan followed its position and its stack's length.
+        one = np.array([[1.0, 0.0, 1.0], [np.nan, np.inf, 0.0], [0.0, 0.0, 1.0]]).T
+        nan = np.array(np.nan).tobytes()
+        with np.errstate(invalid="ignore"):
+            assert np.array(det3(one)).tobytes() == nan
+            for n in range(1, 20):
+                for at in range(n):
+                    stack = np.zeros((n, 3, 3))
+                    stack[at] = one
+                    assert det3(stack)[at].tobytes() == nan
+
 
 class TestOrthogonalComplement:
     @pytest.mark.parametrize(

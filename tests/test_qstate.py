@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bicorr import cli, correlation, linalg, qstate, states
+from bicorr import cli, correlation, linalg, qstate, states, verify
 from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import (
     DEFAULT_XS,
@@ -40,7 +40,7 @@ from bicorr.qstate import (
     validate_pure_state,
 )
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
-from bicorr.verify import check_protocol_soundness
+from bicorr.verify import check_protocol_soundness, check_two_probe_insufficiency
 
 SINGLET_RHO = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -466,28 +466,39 @@ def test_checked_state_is_a_read_only_copy():
     assert state.matrix[1, 1] == 0.5 and not state.matrix.flags.writeable
 
 
-def test_a_checked_stack_indexes_to_checked_states(check_counts):
-    stack = CheckedState(np.stack([states.werner(0.2), SINGLET_RHO, PRODUCT_RHO]))
-    row, rows = stack[1], stack[[0, 2]]
-    verdict, _ = binary_protocol(row)
-    assert check_counts["_check_structure"] == 1  # the stack's own check, once
-    assert verdict.label == "Entangled"
-    assert np.array_equal(row.matrix, SINGLET_RHO) and rows.matrix.shape == (2, 4, 4)
-    assert not row.matrix.flags.writeable and not rows.matrix.flags.writeable
-    assert stack[1:, None].matrix.shape == (2, 1, 4, 4)
-    with pytest.raises(TypeError):
-        list(row)
-
-
-@pytest.mark.parametrize("index", [(1, 0), (slice(None), 0), (Ellipsis, 0, 0)])
-def test_an_index_into_a_matrix_raises(index):
-    stack = CheckedState(np.stack([states.werner(0.2), SINGLET_RHO]))
-    with pytest.raises(IndexError):
-        stack[index]
-    with pytest.raises(IndexError):
-        stack[0][0]
+def test_a_checked_state_is_neither_indexed_nor_iterated():
+    # A checked state is one value: one 4x4 state must not iterate as an empty stack of rows.
+    for matrix in (SINGLET_RHO, np.stack([states.werner(0.2), SINGLET_RHO])):
+        state = CheckedState(matrix)
+        with pytest.raises(TypeError):
+            state[0]
+        with pytest.raises(TypeError):
+            iter(state)
 
 
 def test_protocol_soundness_checks_each_block_once(check_counts):
     passed, _ = check_protocol_soundness(100, 0)
     assert passed and check_counts["_check_structure"] == 1
+
+
+def test_two_probe_insufficiency_checks_each_block_once(check_counts, monkeypatch):
+    # Row 3 of the first block reads separable, so a second block of one seed is drawn; the
+    # covariance is taken on the whole block, and row 3's nan is not read as a leak.
+    entangled, covariance = verify.rank_says_entangled, verify.covariance_direct
+
+    def all_but_row_3(cm):
+        says = np.array(entangled(cm))
+        says[3:4] = False
+        return says
+
+    def nan_on_row_3(rho, pair):
+        c = covariance(rho, pair)
+        c[3:4] = np.nan
+        return c
+
+    monkeypatch.setattr(verify, "rank_says_entangled", all_but_row_3)
+    monkeypatch.setattr(verify, "covariance_direct", nan_on_row_3)
+    assert check_two_probe_insufficiency(200, 0) == (
+        True, "200 entangled states admit two independent all-zero probes"
+    )
+    assert check_counts["_check_structure"] == 2

@@ -54,6 +54,8 @@ class TestConfig:
             {"z_threshold": math.inf},
             {"shots": 100.9},
             {"seed": 1.5},
+            {"z_threshold": "5"},  # the comparison raised TypeError for these two
+            {"z_threshold": None},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -211,6 +211,24 @@ class TestSeedStackInputs:
             random_mixed(range(5), [1, 2, 3, 4, 5]).tobytes()
         )
 
+    @pytest.mark.parametrize(
+        "draw, seed, k",
+        [
+            (random_mixed, 3, 2.5),
+            (random_mixed, 3, 2.0),
+            (random_separable_mixed, 3, True),
+            (random_separable_mixed, 3, np.True_),
+            (random_separable_mixed, range(3), [1.5, 2, 3]),
+            (random_mixed, range(3), [True, 2, 3]),
+            (random_mixed, range(3), np.array([True, True, False])),
+            (random_mixed, range(3), np.array([2.0, 2.0, 2.0])),
+        ],
+    )
+    def test_a_count_that_is_not_an_integer_is_rejected(self, draw, seed, k):
+        # Each was truncated or taken as 0/1 and drew without an error.
+        with pytest.raises(ValueError, match="^k must be an integer count, got "):
+            draw(seed, k)
+
     def test_a_stack_with_a_bad_count_or_xi_is_rejected(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
             random_mixed([1, 2, 3], [2, 0, 2])

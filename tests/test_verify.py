@@ -208,6 +208,20 @@ def test_a_nan_covariance_is_a_leak_of_the_silent_probes(monkeypatch):
     assert ok is False and detail.endswith(": silent probe pair leaked signal")
 
 
+@pytest.mark.parametrize("seed, row", [(0, 0), (5, 137)])
+def test_a_leak_names_the_seed_of_its_row(seed, row, monkeypatch):
+    covariance = verify.covariance_direct
+
+    def nan_on_row(rho, pair):
+        c = covariance(rho, pair)
+        c[row] = np.nan
+        return c
+
+    monkeypatch.setattr(verify, "covariance_direct", nan_on_row)
+    ok, detail = verify.check_two_probe_insufficiency(200, seed)
+    assert (ok, detail) == (False, f"seed {seed + row}: silent probe pair leaked signal")
+
+
 def test_a_nan_tr_m2_residual_fails_the_spectral_check(monkeypatch):
     # Tr m stays finite and Tr m^2 reads nan: the second of the two residuals is the nan one.
     traces = iter([np.trace, lambda *args, **kwargs: np.nan])
