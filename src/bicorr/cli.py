@@ -33,7 +33,7 @@ from bicorr.detect import (
     pure_rank_verdict,
 )
 from bicorr.linalg import det3
-from bicorr.qstate import CheckedState
+from bicorr.qstate import CheckedState, _integers
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 from bicorr.states import ParseError, StateSpec
 from bicorr.verify import run_all
@@ -208,11 +208,13 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep_werner(args) -> int:
-    if args.steps < 1:
-        raise ParseError("--steps must be at least 1")
+    steps = _integers(args.steps, "--steps", 1)
+    for flag, bound in (("--from", args.xi_from), ("--to", args.xi_to)):
+        if not np.isfinite(bound):  # linspace would spread an infinite bound into nans
+            raise ParseError(f"{flag} must be a finite number, got {bound}")
     pair = _parse_pair(args.pair) if args.pair else ObservablePair(x=DEFAULT_Y, y=DEFAULT_Y)
     xy = float(pair.x @ pair.y)
-    grid = np.linspace(args.xi_from, args.xi_to, args.steps).tolist()
+    grid = np.linspace(args.xi_from, args.xi_to, steps).tolist()
     rho = CheckedState(statesmod.werner(grid))
     rows = [
         {"xi": xi, "covariance": covariance, "reference": -xi / 4 * xy, "ppt_separable": separable}

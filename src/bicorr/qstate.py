@@ -14,15 +14,16 @@ Validation happens at construction points (`validate_pure_state`,
 `as_density_matrix`, `bloch_assemble`, `CheckedState`).  The state operations
 take a `CheckedState` as it is and structure-check only a raw array; a
 `CheckedState` keeps its Bloch form and correlation matrix once read (`.bloch`,
-`.cm`), so no reader derives them again.  All of them take stacks, shape
-(..., 4, 4) or (..., 4), empty ones included.  Every
-array threshold check of the package goes through `_require`, so a failed check on a
-stack names the index of the first offending state.
+`.cm`), so no reader derives them again.  All of them take stacks, shape (..., 4, 4) or (..., 4),
+empty ones included.  Every array threshold check of the package goes through `_require`, so a
+failed check on a stack names the index of the first offending state, and every integer input
+(seeds, counts, trial budgets) goes through `_integers`.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -82,6 +83,25 @@ def _require(deviation: np.ndarray, tol: float, error: type, message: str, core:
         index = np.argwhere(~(deviation <= tol))[0][: deviation.ndim - core]
         at = f" at stack index {', '.join(map(str, index))}" if index.size else ""
         raise error(message.format(at=at, worst=float(worst)))
+
+
+def _integers(value, name: str, low: int, high: float = math.inf, stack: bool = False):
+    """value as a Python int in [low, high), or with stack a stack of them as an object array; a
+    bool, float, str, None or nested entry fails.  A stack passes by types, min and max alone."""
+    if type(value) is int and low <= value < high:
+        return value
+    entries = np.array(value, dtype=object) if stack else None
+    flat, shape = (entries.reshape(-1).tolist(), entries.shape) if stack else ([value], ())
+    types = set(map(type, flat))
+    integral = {t for t in types if issubclass(t, (int, np.integer)) and t is not bool}
+    if types == integral:
+        numbers = flat if types <= {int} else list(map(int, flat))
+        if not numbers or low <= min(numbers) and max(numbers) < high:
+            return np.array(numbers, dtype=object).reshape(shape) if stack else numbers[0]
+    i = next(i for i, e in enumerate(flat) if type(e) not in integral or not low <= e < high)
+    at = f" at stack index {', '.join(map(str, np.unravel_index(i, shape)))}" if shape else ""
+    bounds = f"of at least {low}" if high == math.inf else f"from {low} to {high - 1}"
+    raise ValueError(f"{name}{at} must be an integer {bounds}, got {reprlib.repr(flat[i])}")
 
 
 def validate_pure_state(psi: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ from bicorr.detect import (
     binary_protocol,
 )
 from bicorr.linalg import IMAG_TOL, NORM_TOL, item_or_array
-from bicorr.qstate import CheckedState, InvalidState, _require, outcome_table
+from bicorr.qstate import CheckedState, InvalidState, _integers, _require, outcome_table
 from bicorr.streams import generators, seed_words
 
 DECISION_ZERO = "Zero"
@@ -86,20 +86,18 @@ class ShotConfig:
     z_threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        if {type(self.shots), type(self.seed), type(self.z_threshold)} & {bool, np.bool_}:
-            raise ValueError(f"shots, seed and z_threshold take numbers, not bools: {self}")
-        if not isinstance(self.shots, (int, np.integer)):
-            raise ValueError(f"shots must be an integer, got {self.shots!r}")
-        if not 100 <= self.shots <= 2**53:
-            raise ValueError("shots must be at least 100 and at most 2**53")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        try:
-            positive = 0 < self.z_threshold < math.inf
+        shots = _integers(self.shots, "shots", 100, 2**53 + 1)
+        seed = _integers(self.seed, "seed", 0, 2**64)
+        if shots is not self.shots or seed is not self.seed:  # a numpy integer became its int
+            object.__setattr__(self, "shots", shots)
+            object.__setattr__(self, "seed", seed)
+        z = self.z_threshold
+        try:  # True is 1 to <, so a bool is refused by its type
+            positive = not isinstance(z, (bool, np.bool_)) and 0 < z < math.inf
         except TypeError:  # "5", None: not a number
             positive = False
         if not positive:
-            raise ValueError("z_threshold must be finite and positive")
+            raise ValueError(f"z_threshold must be a finite positive number, got {z!r}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def statistical_binary_protocol(
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
         probs = joint_outcome_probabilities(rho, _checked_pair(xs, y, _UnitPair))  # every probe
         for i, row in enumerate(probs):
-            *_, covariance, z_score = _draw(row, cfg, (int(cfg.seed) + i) % 2**64)
+            *_, covariance, z_score = _draw(row, cfg, (cfg.seed + i) % 2**64)
             yield covariance, not z_score > cfg.z_threshold
 
     verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)

@@ -13,6 +13,7 @@ its seeding.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from bicorr.linalg import directions
 from bicorr.qstate import (
     CheckedState,
+    _integers,
     _observable,
     _require,
     as_density_matrix,
@@ -68,7 +70,10 @@ def werner(xi) -> np.ndarray:
     whether the state is separable or entangled: zero correlations coexist
     with both answers, so the protocol cannot decide mixed states.
     """
-    xi = np.asarray(xi, dtype=float)
+    values = np.asarray(xi)
+    if values.dtype.kind not in "iuf":  # a bool, str, None or complex xi is no mixing parameter
+        raise ValueError(f"xi must be a real number or a stack of them, got {reprlib.repr(xi)}")
+    xi = values.astype(float, copy=False)
     message = "xi{at} lies {worst!r} outside [0, 1]"
     _require(np.maximum(-xi, xi - 1.0), 0.0, XiOutOfRange, message)
     rho = np.zeros(xi.shape + (4, 4), dtype=complex)
@@ -84,9 +89,8 @@ def _shaped(seeds: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _seeded(seed) -> tuple[np.ndarray, np.ndarray]:
-    """seed as an object array of each seed as given (a Python int of any size), and the
-    ``seed_words`` of its flat stack, so that a generator call seeds once."""
-    seeds = np.array(seed, dtype=object)
+    """seed as an object array of non-negative Python ints, and its flat stack's ``seed_words``."""
+    seeds = np.asarray(_integers(seed, "seed", 0, stack=True), dtype=object)
     return seeds, seed_words(seeds.reshape(-1))
 
 
@@ -141,19 +145,10 @@ def _per_k(words: np.ndarray, ks: np.ndarray, mixture) -> np.ndarray:
 
 
 def _mixture_of_k(seed, k, mixture) -> np.ndarray:
-    """_per_k on the seeds, k one count or one per seed."""
+    """_per_k on the seeds, k one count in [1, 2**63) or one per seed."""
     seeds, words = _seeded(seed)
-    ks = np.asarray(k)
-    # A float would be truncated and a bool taken as 0 or 1; [True, 2] casts to int, so look inside.
-    if ks.size and (ks.dtype.kind not in "iu" or (
-        not isinstance(k, np.ndarray)
-        and any(isinstance(v, (bool, np.bool_)) for v in np.array(k, dtype=object).flat)
-    )):
-        raise ValueError(f"k must be an integer count, got {k!r}")
-    ks = np.broadcast_to(ks, seeds.shape).reshape(-1)
-    if (ks < 1).any():
-        raise ValueError("k must be at least 1")
-    return _shaped(seeds, _per_k(words, ks, mixture))
+    ks = np.asarray(_integers(k, "k", 1, 2**63, stack=True), dtype=np.int64)
+    return _shaped(seeds, _per_k(words, np.broadcast_to(ks, seeds.shape).reshape(-1), mixture))
 
 
 def _mixture(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:

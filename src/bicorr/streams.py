@@ -70,15 +70,12 @@ def _generate_state(words: np.ndarray) -> np.ndarray:
 def seed_words(seeds) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed s, as the rows of (n, 4).
 
-    From CROSSOVER seeds on, all of them non-negative integers of any size, ``_generate_state``
-    computes the words of the whole stack, one call per count of 32-bit words a seed has.
-    Otherwise each seed gets numpy's own SeedSequence, which raises for a seed it rejects as
-    ``default_rng(seed)`` would: TypeError for a float, ValueError for a negative integer.
+    The seeds are non-negative integers of any size, as the callers check.  From CROSSOVER seeds
+    on ``_generate_state`` hashes the whole stack; below it each seed gets numpy's SeedSequence.
     """
     seeds = np.asarray(seeds, dtype=object).tolist()  # an integer array's values as Python ints
     seeded = np.empty((len(seeds), 4), np.uint64)
-    integers = all(issubclass(t, (int, np.integer)) for t in set(map(type, seeds)))
-    if len(seeds) < CROSSOVER or not integers or min(seeds) < 0:
+    if len(seeds) < CROSSOVER:
         for row, seed in zip(seeded, seeds):
             row[:] = np.random.SeedSequence(seed).generate_state(4, np.uint64)
         return seeded

@@ -19,7 +19,6 @@ The statistical suites keep their fixed, calibrated sizes.
 from __future__ import annotations
 
 import math
-import operator
 from contextvars import ContextVar
 from typing import Callable
 
@@ -47,6 +46,7 @@ from bicorr.linalg import (
 )
 from bicorr.qstate import (
     CheckedState,
+    _integers,
     as_density_matrix,
     bloch_assemble,
     bloch_decompose,
@@ -430,15 +430,10 @@ ALL_CHECKS: list[tuple[str, Check]] = [
 def run_all(trials: int = 2000, seed: int = 0, out=print) -> bool:
     """Run every suite; emits one pass/fail line per check via ``out``.
 
-    trials must be an integer of at least 100 and seed one in [0, 2**64); both are checked, and
-    taken as Python ints, before the first check runs.
+    trials must be an integer of at least 100 and seed one in [0, 2**64), for the shot checks'
+    seeds (seed + i) mod 2**64; both are checked, as Python ints, before the first check runs.
     """
-    if not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trial count must be an integer, got {trials!r}")
-    if trials < 100:
-        raise ValueError("trial budget below 100 is rejected")
-    ShotConfig(seed=seed)  # the shot checks' seeds, (seed + i) mod 2**64, need seed in [0, 2**64)
-    trials, seed = operator.index(trials), operator.index(seed)  # numpy integers would wrap
+    trials, seed = _integers(trials, "trials", 100), _integers(seed, "seed", 0, 2**64)
     token = _memo.set({} if trials <= BLOCK else None)  # past one block, no stack is kept
     all_ok = True
     try:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -248,13 +249,27 @@ class TestSweepWerner:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--steps", "0"], "--steps must be at least 1"),
+            (["--steps", "0"], "--steps must be an integer of at least 1, got 0"),
             (["--steps", "3", "--pair", "1,0,0"], "--pair needs 'x1,x2,x3|y1,y2,y3', got '1,0,0'"),
         ],
         ids=["no-steps", "pair-without-bar"],
     )
     def test_bad_grid_or_pair_is_an_input_error(self, extra, message, capsys):
         assert main(["sweep-werner", "--from", "0", "--to", "1", *extra]) == 3
+        assert capsys.readouterr() == ("", f"bicorr: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--from", "0", "--to", "inf"], "--to must be a finite number, got inf"),
+            (["--from", "nan", "--to", "1"], "--from must be a finite number, got nan"),
+            (["--from=-inf", "--to", "1"], "--from must be a finite number, got -inf"),
+        ],
+        ids=["to-inf", "from-nan", "from-minus-inf"],
+    )
+    def test_a_bound_that_is_not_finite_is_an_input_error(self, bounds, message, capsys):
+        # linspace spread an infinite bound into nans, with numpy's RuntimeWarning on stderr.
+        assert main(["sweep-werner", *bounds, "--steps", "2"]) == 3
         assert capsys.readouterr() == ("", f"bicorr: error: {message}\n")
 
     def test_endpoint_matches_singlet(self, capsys):
@@ -301,6 +316,14 @@ class TestGen:
             assert main(["gen", "--kind", kind, "--out", str(path)] + extra) == 0
             load_state_file(path)
 
+    @pytest.mark.parametrize("kind", ["haar", "product", "sep-mixed"])
+    def test_a_negative_seed_is_named(self, kind, tmp_path, capsys):
+        # It read "expected non-negative integer", which names no input.
+        assert main(["gen", "--kind", kind, "--seed", "-1", "--out", str(tmp_path / "s.json")]) == 3
+        message = "bicorr: error: seed must be an integer of at least 0, got -1\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "s.json").exists()
+
     def test_gen_is_seed_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["gen", "--kind", "haar", "--seed", "11", "--out", str(a)])
@@ -314,20 +337,23 @@ class TestVerify:
 
     def test_fractional_trial_count_is_rejected_before_any_check(self):
         lines = []
-        with pytest.raises(ValueError, match="trial count must be an integer, got 150.5"):
+        message = r"^trials must be an integer of at least 100, got 150\.5$"
+        with pytest.raises(ValueError, match=message):
             run_all(trials=150.5, out=lines.append)
         assert lines == []
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_seed_outside_the_64_bit_range_is_rejected_before_any_check(self, seed):
         lines = []
-        with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer$"):
+        message = f"seed must be an integer from 0 to {2**64 - 1}, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_all(trials=100, seed=seed, out=lines.append)
         assert lines == []
 
     def test_a_bool_seed_is_rejected_before_any_check(self):
         lines = []  # True ran as seed 1
-        with pytest.raises(ValueError, match="^shots, seed and z_threshold take numbers, not "):
+        message = f"^seed must be an integer from 0 to {2**64 - 1}, got True$"
+        with pytest.raises(ValueError, match=message):
             run_all(trials=100, seed=True, out=lines.append)
         assert lines == []
 

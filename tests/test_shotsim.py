@@ -8,8 +8,10 @@ gives Var(h) = 0.046875 (sd 0.2165/sqrt(n)); the singlet with y tilted to
 """
 
 import hashlib
+import json
 import math
-from dataclasses import fields
+import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -65,15 +67,30 @@ class TestConfig:
     def test_takes_up_to_2_53_shots(self):
         # Above 2**53 a marginal can round to 1 (see the null-SE test in TestStackedSampler).
         assert ShotConfig(shots=2**53).shots == 2**53
-        with pytest.raises(ValueError, match=r"^shots must be at least 100 and at most 2\*\*53$"):
+        message = f"^shots must be an integer from 100 to {2**53}, got {2**54}$"
+        with pytest.raises(ValueError, match=message):
             ShotConfig(shots=2**54)
 
     @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
     @pytest.mark.parametrize("field", ["shots", "seed", "z_threshold"])
     def test_rejects_a_bool(self, field, value):
         # True is the int 1 to isinstance and to <, so it ran as seed 1 or as z = 1.
-        with pytest.raises(ValueError, match="^shots, seed and z_threshold take numbers, not "):
+        rule = {
+            "shots": f"an integer from 100 to {2**53}",
+            "seed": f"an integer from 0 to {2**64 - 1}",
+            "z_threshold": "a finite positive number",
+        }[field]
+        message = f"{field} must be {rule}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ShotConfig(**{field: value})
+
+    def test_numpy_integers_are_held_as_python_ints(self):
+        # The fields were the numpy scalars as given, which json cannot write.
+        cfg = ShotConfig(shots=np.int64(1000), seed=np.uint64(7))
+        assert json.dumps(asdict(cfg)) == (
+            '{"shots": 1000, "seed": 7, "z_threshold": 5.0}'
+        )
+        assert type(cfg.shots) is int and type(cfg.seed) is int
 
 
 class TestOutcomeProbabilities:

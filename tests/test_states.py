@@ -89,6 +89,29 @@ class TestWerner:
         with pytest.raises(XiOutOfRange):
             werner(xi)
 
+    @pytest.mark.parametrize(
+        "xi, got",
+        [
+            ("0.5", "'0.5'"),  # drew werner(0.5), while a state file refuses a string entry
+            ([0.5, "0.2"], "[0.5, '0.2']"),
+            (True, "True"),  # drew werner(1.0)
+            (np.True_, "np.True_"),
+            (None, "None"),  # failed as "xi lies nan outside [0, 1]"
+            ([0.5, None], "[0.5, None]"),
+            (1j, "1j"),  # raised TypeError
+        ],
+        ids=["str", "str-in-a-list", "True", "np.True_", "None", "None-in-a-list", "complex"],
+    )
+    def test_rejects_an_xi_that_is_not_a_real_number(self, xi, got):
+        message = f"xi must be a real number or a stack of them, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            werner(xi)
+        assert not isinstance(caught.value, XiOutOfRange)
+
+    def test_takes_integers_as_their_floats(self):
+        assert werner(np.int64(1)).tobytes() == werner(1.0).tobytes()
+        assert werner([0, 1]).tobytes() == werner([0.0, 1.0]).tobytes()
+
 
 # Each generator as draw(seed, k) for one seed or a sequence: seeds at both ends of the
 # 64-bit range, a count per seed where the generator takes one.
@@ -225,15 +248,82 @@ class TestSeedStackInputs:
         ],
     )
     def test_a_count_that_is_not_an_integer_is_rejected(self, draw, seed, k):
-        # Each was truncated or taken as 0/1 and drew without an error.
-        with pytest.raises(ValueError, match="^k must be an integer count, got "):
+        # Each was truncated or taken as 0/1 and drew without an error.  Every stack here fails
+        # at its first entry, which an integer array holds as its Python value.
+        at, got = ("", k) if np.ndim(k) == 0 else (" at stack index 0", np.asarray(k, object)[0])
+        message = f"k{at} must be an integer from 1 to {2**63 - 1}, got {got!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             draw(seed, k)
 
     def test_a_stack_with_a_bad_count_or_xi_is_rejected(self):
-        with pytest.raises(ValueError, match="k must be at least 1"):
+        message = f"^k at stack index 1 must be an integer from 1 to {2**63 - 1}, got 0$"
+        with pytest.raises(ValueError, match=message):
             random_mixed([1, 2, 3], [2, 0, 2])
         with pytest.raises(XiOutOfRange, match="^xi at stack index 1 lies 0.5 outside"):
             werner([0.2, 1.5, 0.3])
+
+    def test_a_count_past_int64_is_named_as_out_of_range(self):
+        # It was called "not an integer count".
+        message = f"^k must be an integer from 1 to {2**63 - 1}, got {2**70}$"
+        with pytest.raises(ValueError, match=message):
+            random_mixed(3, 2**70)
+
+
+GENERATORS = [
+    haar_random_pure,
+    random_product_pure,
+    random_separable_mixed,
+    random_mixed,
+    states.random_density,
+]
+
+
+@pytest.mark.parametrize("draw", GENERATORS, ids=lambda draw: draw.__name__)
+class TestSeedInputs:
+    """Every generator takes seeds through one integer rule, and names the seed that breaks it."""
+
+    @pytest.mark.parametrize(
+        "seed, at, got",
+        [
+            (True, "", "True"),  # ran as seed 1
+            (np.True_, "", "np.True_"),
+            ([0, True], " at stack index 1", "True"),
+            ([[0, 1], [2, False]], " at stack index 1, 1", "False"),
+        ],
+        ids=["True", "np.True_", "in-a-list", "in-a-nested-list"],
+    )
+    def test_a_bool_seed_is_rejected(self, draw, seed, at, got):
+        message = f"^seed{at} must be an integer of at least 0, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            draw(seed)
+
+    @pytest.mark.parametrize(
+        "seed, got",
+        [(0.5, "0.5"), (np.float64(3.0), "np.float64(3.0)"), ("3", "'3'"), (None, "None")],
+        ids=["float", "numpy-float", "str", "None"],
+    )
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, draw, seed, got):
+        # numpy's SeedSequence raised TypeError for each.
+        message = f"seed must be an integer of at least 0, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draw(seed)
+
+    @pytest.mark.parametrize(
+        "seeds, at, got",
+        [
+            ([1.5] + list(range(40)), 0, "1.5"),
+            (list(range(40)) + [2.5], 40, "2.5"),
+            (list(range(20)) + [np.float64(3.0)], 20, "np.float64(3.0)"),
+            (list(range(40)) + [-1], 40, "-1"),
+            (list(range(1)) + [-1], 1, "-1"),
+        ],
+        ids=["first", "last", "numpy float", "negative", "negative-below-crossover"],
+    )
+    def test_a_bad_seed_in_a_stack_is_named_by_its_index(self, draw, seeds, at, got):
+        # seed_words raised numpy's TypeError or ValueError for these, naming no seed.
+        message = f"seed at stack index {at} must be an integer of at least 0, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draw(seeds)
 
 
 MATRIX_LAYOUT = "matrix must be 4 x 4 [re, im] pairs of floats"
