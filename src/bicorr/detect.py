@@ -143,7 +143,7 @@ def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
     three singular values.
     """
     singular_values = cm.singular_values.tolist()
-    label = ENTANGLED if singular_values[0] > PURE_ENTANGLED_SV_TOL else SEPARABLE  # the rank cut
+    label = ENTANGLED if rank_says_entangled(cm) else SEPARABLE
     detail = (
         f"sigma_max(c) = {singular_values[0]!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}; "
         f"singular values {singular_values}"
@@ -179,10 +179,12 @@ def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Well-formed input of equal stacks is accepted in one pass over the (..., 4, 3) stack of the
     three x and y: every component is bounded before any length is taken, so none overflows, and
-    each length serves both the ball bound and the direction.  ``_directions`` gives in-range rows
-    the bits of its rescale, so y and the x get the bits of separate calls.  Any other input, or a
-    failed bound, goes to ``_check_probes_in_order``, which alone names the fault.  The default
-    set (``DEFAULT_Y``, ``DEFAULT_XS`` themselves) was checked once, at import.
+    each length serves both the ball bound and the direction.  Every component is then at most
+    1 + BALL_TOL, so only one below 2**-255 sends the set through ``_directions``' route test; the
+    rest are divided by their lengths directly.  Either way y and the x get the bits of separate
+    ``_directions`` calls.  Any other input, or a failed bound, goes to ``_check_probes_in_order``,
+    which alone names the fault.  The default set (``DEFAULT_Y``, ``DEFAULT_XS`` themselves) was
+    checked once, at import.
     """
     if y is DEFAULT_Y and xs is DEFAULT_XS:
         return _DEFAULT_PROBES
@@ -193,10 +195,13 @@ def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
         return _check_probes_in_order(y, xs)
     if y.shape[-1:] == (3,) and xs.shape[-2:] == (3, 3) and y.shape[:-1] == xs.shape[:-2]:
         v = np.concatenate((xs, y[..., None, :]), axis=-2)  # the three x, then y
-        if np.abs(v).max(initial=0.0) <= 1.0 + BALL_TOL:  # nan fails every bound
+        magnitudes = np.abs(v)
+        if magnitudes.max(initial=0.0) <= 1.0 + BALL_TOL:  # nan fails every bound
             lengths = norms(v)
             if lengths.max(initial=0.0) <= 1.0 + BALL_TOL and lengths[..., 3].all():
-                units = _directions(v, lengths)
+                # No component, so no length, below 2**-255: _directions' division, bit for bit.
+                in_range = magnitudes.min(initial=1.0) >= 2.0**-255
+                units = v / lengths[..., None] if in_range else _directions(v, lengths)
                 gram = det3(units[..., :3, :]) ** 2  # a float for one run
                 if (gram > GRAM_TOL) if y.ndim == 1 else (gram > GRAM_TOL).all():
                     return y, xs, units[..., 3, :], units[..., :3, :]

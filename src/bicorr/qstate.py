@@ -54,6 +54,11 @@ _PAULI_TABLE = np.ascontiguousarray(
 )
 
 
+def _pauli_traces(matrix: np.ndarray) -> np.ndarray:
+    """The 16 complex traces t_mn = Tr(rho sigma_m (x) sigma_n) of each matrix, at index 4m + n."""
+    return matrix.reshape(matrix.shape[:-2] + (16,)) @ _PAULI_TABLE
+
+
 class InvalidState(ValueError):
     """State violates a density-matrix or Bloch-form invariant."""
 
@@ -90,7 +95,12 @@ def _integers(value, name: str, low: int, high: float = math.inf, stack: bool = 
     bool, float, str, None or nested entry fails.  A stack passes by types, min and max alone."""
     if type(value) is int and low <= value < high:
         return value
-    entries = np.array(value, dtype=object) if stack else None
+    bounds = f"of at least {low}" if high == math.inf else f"from {low} to {high - 1}"
+    try:
+        entries = np.array(value, dtype=object) if stack else None
+    except ValueError:  # arrays of unequal shapes: no object array holds them
+        message = f"{name} must be an integer {bounds}, got {reprlib.repr(value)}"
+        raise ValueError(message) from None
     flat, shape = (entries.reshape(-1).tolist(), entries.shape) if stack else ([value], ())
     types = set(map(type, flat))
     integral = {t for t in types if issubclass(t, (int, np.integer)) and t is not bool}
@@ -100,7 +110,6 @@ def _integers(value, name: str, low: int, high: float = math.inf, stack: bool = 
             return np.array(numbers, dtype=object).reshape(shape) if stack else numbers[0]
     i = next(i for i, e in enumerate(flat) if type(e) not in integral or not low <= e < high)
     at = f" at stack index {', '.join(map(str, np.unravel_index(i, shape)))}" if shape else ""
-    bounds = f"of at least {low}" if high == math.inf else f"from {low} to {high - 1}"
     raise ValueError(f"{name}{at} must be an integer {bounds}, got {reprlib.repr(flat[i])}")
 
 
@@ -208,7 +217,7 @@ def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:
     input; imaginary residue above IMAG_TOL raises InvalidState.
     """
     rho = CheckedState.of(rho).matrix
-    traces = rho.reshape(rho.shape[:-2] + (16,)) @ _PAULI_TABLE
+    traces = _pauli_traces(rho)
     message = "Pauli traces{at} have imaginary residue {worst:.3e}"
     _require(np.abs(traces.imag[..., 1:]), IMAG_TOL, InvalidState, message, 1)  # t_00 is checked
     t = traces.real.reshape(rho.shape)
@@ -314,7 +323,8 @@ def outcome_table(rho: np.ndarray | CheckedState, x: np.ndarray, y: np.ndarray) 
     holds the joint outcome probabilities; for any x and y, with X = Q (x) I
     and Y = I (x) R, T[1, 1] = <XY>, row 1 sums to <X> and column 1 to <Y>.
     It is one contraction of rho[a, b, a', b'] = <a b|rho|a' b'> with the 2x2
-    operators; no 4x4 operator is formed.
+    operators; no 4x4 operator is formed.  The shot simulator takes its cells from the Pauli
+    traces instead, so this route serves ``covariance_direct`` as the independent cross-check.
     """
     rho = CheckedState.of(rho).matrix
     q, r = _observable(x), _observable(y)

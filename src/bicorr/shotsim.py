@@ -24,8 +24,9 @@ probabilities in the fixed order (1,1), (1,0), (0,1), (0,0).  Identical
 inputs give bit-identical records.
 
 ``joint_outcome_probabilities`` and ``sample_joint`` take stacks of states
-and probes, which broadcast.  The probabilities of a whole stack are one
-contraction; row i of the stack, in C order, then draws its counts from the
+and probes, which broadcast.  The probabilities of a whole stack are two
+small products of each state's 16 Pauli traces with the probes' Pauli
+coefficients; row i of the stack, in C order, then draws its counts from the
 stream of ``default_rng((seed + i) mod 2**64)``, and one call of
 ``_statistics``, the one copy of the statistics, computes them on the whole
 count array.  The stack's seeds are seeded at once (``streams.seed_words``),
@@ -58,7 +59,7 @@ from bicorr.detect import (
     binary_protocol,
 )
 from bicorr.linalg import IMAG_TOL, NORM_TOL, item_or_array
-from bicorr.qstate import CheckedState, InvalidState, _integers, _require, outcome_table
+from bicorr.qstate import CheckedState, InvalidState, _integers, _pauli_traces, _require
 from bicorr.streams import generators, seed_words
 
 DECISION_ZERO = "Zero"
@@ -143,11 +144,44 @@ def _unit(pair: ObservablePair) -> ObservablePair:
     return pair
 
 
+def _coefficients(v: np.ndarray) -> np.ndarray:
+    """Rows 1/2 (1, v) and 1/2 (1, -v) on the last two axes, (..., 2, 4): the Pauli coefficients
+    of P_1 = 1/2 (I + v.sigma) and P_0 = I - P_1.  Each entry is one exact product or sum with 0."""
+    return (v @ _SIGNED_HALVES + _HALF_IDENTITY).reshape(v.shape[:-1] + (2, 4))
+
+
+_SIGNED_HALVES = np.kron([0.5, -0.5], np.eye(3, 4, 1))  # v to (0, v/2, 0, -v/2)
+_HALF_IDENTITY = np.kron([0.5, 0.5], [1.0, 0.0, 0.0, 0.0])
+
+
 def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.ndarray:
-    """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER, on the last axis; stacks broadcast."""
+    """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER, on the last axis; stacks broadcast.
+
+    With T the 4x4 Pauli traces of rho, cell (s, t) is 1/4 (1, +-x) T (1, +-y)^T, the sign + for
+    s = 1 and t = 1: two products, whose (..., 2, 2) rows s = 1, 0 and columns t = 1, 0 lie in
+    CELL_ORDER as they are.  Cells within every bound are accepted in one pass; any other, or a
+    cell in [-IMAG_TOL, 0), goes to ``_checked_cells``, which alone names the fault and clips.
+    """
     pair = _unit(pair)
-    table = outcome_table(rho, pair.x, pair.y)
-    cells = table[..., ::-1, ::-1].reshape(table.shape[:-2] + (4,))  # T11, T10, T01, T00
+    matrix = CheckedState.of(rho).matrix
+    traces = _pauli_traces(matrix).reshape(matrix.shape)
+    cells = _coefficients(pair.x) @ traces @ _coefficients(pair.y).swapaxes(-1, -2)
+    cells = cells.reshape(cells.shape[:-2] + (4,))
+    probs = cells.real
+    total = probs.sum(axis=-1, keepdims=True)
+    if not (  # nan fails every bound
+        np.abs(cells.imag).max(initial=0.0) <= IMAG_TOL
+        and probs.min(initial=0.0) >= 0.0
+        and np.abs(total - 1.0).max(initial=0.0) <= NORM_TOL
+    ):
+        probs = _checked_cells(cells)
+        total = probs.sum(axis=-1, keepdims=True)
+    return probs / total
+
+
+def _checked_cells(cells: np.ndarray) -> np.ndarray:
+    """The real parts of complex cells, clipped at 0, after the ordered checks: imaginary residue,
+    negative cell, sum; the first failing one is raised with its stack index."""
     message = "cell probability{at} has imaginary residue {worst:.3e}"
     _require(np.abs(cells.imag), IMAG_TOL, InvalidState, message, 1)
     probs = cells.real
@@ -155,8 +189,7 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
     _require(-probs, IMAG_TOL, InvalidState, message, 1)
     message = "cell probabilities{at} are not a distribution: their sum is off 1 by {worst:.3e}"
     _require(np.abs(probs.sum(axis=-1) - 1.0), NORM_TOL, InvalidState, message)
-    probs = np.maximum(probs, 0.0)
-    return probs / probs.sum(axis=-1, keepdims=True)
+    return np.maximum(probs, 0.0)
 
 
 def _statistics(counts: np.ndarray, n: float) -> tuple:

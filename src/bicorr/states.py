@@ -71,7 +71,11 @@ def werner(xi) -> np.ndarray:
     with both answers, so the protocol cannot decide mixed states.
     """
     values = np.asarray(xi)
-    if values.dtype.kind not in "iuf":  # a bool, str, None or complex xi is no mixing parameter
+    # A bool, str, None or complex xi is no mixing parameter.  numpy casts a bool in a list to the
+    # list's number type, so a list's entries are scanned too.
+    listed = not isinstance(xi, np.ndarray) and values.ndim
+    entries = np.array(xi, dtype=object).flat if listed else ()
+    if values.dtype.kind not in "iuf" or any(isinstance(e, (bool, np.bool_)) for e in entries):
         raise ValueError(f"xi must be a real number or a stack of them, got {reprlib.repr(xi)}")
     xi = values.astype(float, copy=False)
     message = "xi{at} lies {worst!r} outside [0, 1]"

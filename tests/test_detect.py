@@ -24,12 +24,15 @@ from bicorr.detect import (
     _DEFAULT_PROBES,
     _GRAM_MESSAGE,
     _check_probes,
+    _check_probes_in_order,
     _check_y,
     binary_protocol,
     classify_pure_by_rank,
     exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
+    pure_rank_verdict,
+    rank_says_entangled,
     schmidt_rank,
 )
 from bicorr.linalg import (
@@ -44,6 +47,7 @@ from bicorr.linalg import (
 )
 from bicorr.qstate import (
     BlochOutOfBall,
+    CheckedState,
     _check_norm,
     _require,
     check_bloch_components,
@@ -158,6 +162,21 @@ class TestRankClassifier:
             ppt_separable = ppt_is_separable(density_from_pure(psi))
             assert (verdict.label == SEPARABLE) == ppt_separable, t
             assert (verdict.label == SEPARABLE) == (schmidt_rank(psi) == 1), t
+
+
+    @pytest.mark.parametrize(
+        "concurrence, label", [(1e-9, SEPARABLE), (4e-9, ENTANGLED)], ids=["1e-9", "4e-9"]
+    )
+    def test_every_read_of_the_rank_cut_sits_between_1e_9_and_4e_9(self, concurrence, label):
+        # cos t|00> + sin t|11> has concurrence sin 2t; the cut is at 2e-9, so a tenfold move of
+        # it either way flips one of these two states.
+        t = 0.5 * np.arcsin(concurrence)
+        psi = np.array([np.cos(t), 0.0, 0.0, np.sin(t)])
+        cm = CheckedState(density_from_pure(psi)).cm
+        assert rank_says_entangled(cm) is (label == ENTANGLED)
+        assert pure_rank_verdict(cm).label == label
+        assert classify_pure_by_rank(psi).label == label
+        assert schmidt_rank(psi) == (2 if label == ENTANGLED else 1)
 
 
 class TestBinaryProtocol:
@@ -685,6 +704,25 @@ FIXTURE_RHOS += [density_from_pure(states.chen_state())]
 FIXTURE_RHOS += [density_from_pure(states.random_product_pure(3))]
 FIXTURE_RHOS += [states.werner(xi) for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0)]
 SHOTS = ShotConfig(shots=10_000, seed=3)
+
+
+@pytest.mark.parametrize(
+    "row, col, value",
+    [(1, 2, 0.0), (3, 0, 0.0), (0, 1, 1e-300), (3, 2, 1e-300), (2, 1, 1.5e-323)],
+    ids=["zero-x-component", "zero-y-component", "1e-300-in-x", "1e-300-in-y", "subnormal-in-x"],
+)
+def test_a_tiny_component_gets_the_bits_of_the_ordered_checks(row, col, value):
+    # Below 2**-255 the one pass leaves the division to ``_directions``' route test.  Row 2 is
+    # (1, 1.5e-323, 0): divided by its length directly its second component stays 1.5e-323, but
+    # the rescale that other input takes rounds it to 2e-323.
+    vectors = directions(np.random.default_rng(row + 4 * col).standard_normal((4, 3)))
+    if value == 1.5e-323:
+        vectors[row] = [1.0, 0.0, 0.0]
+    vectors[row, col] = value
+    y, xs = vectors[3], vectors[:3]
+    expected = _check_outcome(_check_probes_in_order, y, xs)
+    assert isinstance(expected, list)  # accepted
+    assert _check_outcome(_check_probes, y, xs) == expected
 
 
 def _run_bits(verdict, trace) -> tuple:

@@ -18,7 +18,14 @@ import pytest
 
 from bicorr import shotsim, states
 from bicorr.correlation import ObservablePair, _checked_pair
-from bicorr.qstate import InvalidState, density_from_pure, observable_from_bloch
+from bicorr.linalg import directions
+from bicorr.qstate import (
+    CheckedState,
+    InvalidState,
+    density_from_pure,
+    observable_from_bloch,
+    outcome_table,
+)
 from bicorr.shotsim import (
     CELL_ORDER,
     DECISION_NONZERO,
@@ -173,6 +180,76 @@ class TestOutcomeProbabilities:
         message = r"^cell probabilities at stack index 1 are not a distribution: one is -2\.0"
         with pytest.raises(InvalidState, match=message):
             joint_outcome_probabilities(rho, ZZ)
+
+    def test_a_cell_just_below_zero_is_clipped_by_the_ordered_checks(self):
+        # Within the Hermitian and trace slack; cell (0, 0) is -5e-11, within IMAG_TOL of 0, and
+        # cell (1, 1) has an imaginary residue of 5e-11, which the ordered checks take as well.
+        rho = np.diag([0.5 + 5e-11j, 0.25, 0.25 + 5e-11, -5e-11])
+        probs = joint_outcome_probabilities(rho, ZZ)
+        assert probs[3] == 0.0 and math.copysign(1.0, probs[3]) == 1.0
+        cells = np.array([0.5, 0.25, 0.25 + 5e-11, 0.0])
+        np.testing.assert_allclose(probs, cells / cells.sum(), rtol=0, atol=1e-16)
+
+
+def _imaginary_state(residue: float = 4e-10) -> np.ndarray:
+    """I/4 with residue * i added to rho_00: within the Hermitian and trace slack, so a
+    CheckedState, and its Z-probe cell (1, 1) has imaginary part residue (IMAG_TOL is 1e-10)."""
+    rho = MAX_MIXED.copy()
+    rho[0, 0] += residue * 1j
+    return rho
+
+
+class TestCellRoute:
+    """The cells from the Pauli traces against ``outcome_table``'s contraction."""
+
+    def test_an_imaginary_cell_is_refused(self):
+        rho = CheckedState(_imaginary_state())
+        message = r"^cell probability has imaginary residue 4\.000e-10$"
+        with pytest.raises(InvalidState, match=message):
+            joint_outcome_probabilities(rho, ZZ)
+
+    def test_an_imaginary_residue_below_the_cut_is_dropped(self):
+        probs = joint_outcome_probabilities(_imaginary_state(5e-11), ZZ)
+        np.testing.assert_allclose(probs, 0.25, rtol=0, atol=1e-15)
+
+    def test_an_imaginary_cell_is_named_by_its_stack_index(self):
+        rho = np.stack([MAX_MIXED, singlet_rho(), _imaginary_state(), MAX_MIXED])
+        message = r"^cell probability at stack index 2 has imaginary residue 4\.000e-10$"
+        with pytest.raises(InvalidState, match=message):
+            joint_outcome_probabilities(rho, ZZ)
+
+    @staticmethod
+    def _table_cells(rho, x, y) -> np.ndarray:
+        table = outcome_table(rho, x, y)
+        return table[..., ::-1, ::-1].reshape(table.shape[:-2] + (4,)).real
+
+    def test_a_stack_of_states_agrees_with_the_outcome_table(self):
+        rho = states.random_density(range(300))
+        x, y = directions(np.random.default_rng(32).standard_normal((2, 300, 3)))
+        probs = joint_outcome_probabilities(rho, ObservablePair(x=x, y=y))
+        assert probs.shape == (300, 4)
+        np.testing.assert_allclose(probs, self._table_cells(rho, x, y), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "rho_shape, x_shape, y_shape",
+        [
+            ((5,), (), ()), ((), (5,), ()), ((), (), (5,)), ((5, 1), (1, 4), ()),
+            ((4,), (3, 1), (4,)),
+        ],
+    )
+    def test_broadcast_stacks_agree_with_the_outcome_table(self, rho_shape, x_shape, y_shape):
+        n = int(np.prod(rho_shape, dtype=int))
+        rho = states.random_density(range(n)).reshape(rho_shape + (4, 4))
+        rng = np.random.default_rng(sum(rho_shape + x_shape + y_shape))
+        x = directions(rng.standard_normal(x_shape + (3,)))
+        y = directions(rng.standard_normal(y_shape + (3,)))
+        probs = joint_outcome_probabilities(rho, ObservablePair(x=x, y=y))
+        assert probs.shape == np.broadcast_shapes(rho_shape, x_shape, y_shape) + (4,)
+        np.testing.assert_allclose(probs, self._table_cells(rho, x, y), rtol=0, atol=1e-15)
+
+    def test_a_basis_state_gives_exact_cells(self):
+        probs = joint_outcome_probabilities(density_from_pure([1, 0, 0, 0]), ZZ)
+        assert np.array_equal(probs, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestSampleJoint:

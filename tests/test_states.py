@@ -99,8 +99,14 @@ class TestWerner:
             (None, "None"),  # failed as "xi lies nan outside [0, 1]"
             ([0.5, None], "[0.5, None]"),
             (1j, "1j"),  # raised TypeError
+            ([0.5, True], "[0.5, True]"),  # numpy cast it to werner([0.5, 1.0])
+            ([[0.5], [np.False_]], "[[0.5], [np.False_]]"),
+            ((1, True), "(1, True)"),  # cast to int64
         ],
-        ids=["str", "str-in-a-list", "True", "np.True_", "None", "None-in-a-list", "complex"],
+        ids=[
+            "str", "str-in-a-list", "True", "np.True_", "None", "None-in-a-list", "complex",
+            "True-in-a-list", "np.False_-in-a-nested-list", "True-among-ints",
+        ],
     )
     def test_rejects_an_xi_that_is_not_a_real_number(self, xi, got):
         message = f"xi must be a real number or a stack of them, got {got}"
@@ -262,6 +268,12 @@ class TestSeedStackInputs:
         with pytest.raises(XiOutOfRange, match="^xi at stack index 1 lies 0.5 outside"):
             werner([0.2, 1.5, 0.3])
 
+    def test_a_ragged_stack_of_counts_is_named(self):
+        # numpy raised "could not broadcast input array from shape (2,2) into shape (2,)".
+        message = f"^k must be an integer from 1 to {2**63 - 1}, got \\[array\\("
+        with pytest.raises(ValueError, match=message):
+            random_mixed(range(2), [np.zeros((2, 2)), np.zeros((2, 3))])
+
     def test_a_count_past_int64_is_named_as_out_of_range(self):
         # It was called "not an integer count".
         message = f"^k must be an integer from 1 to {2**63 - 1}, got {2**70}$"
@@ -307,6 +319,12 @@ class TestSeedInputs:
         message = f"seed must be an integer of at least 0, got {got}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             draw(seed)
+
+    def test_a_ragged_stack_of_seeds_is_named(self, draw):
+        # numpy raised "could not broadcast input array from shape (2,2) into shape (2,)".
+        message = r"^seed must be an integer of at least 0, got \[array\("
+        with pytest.raises(ValueError, match=message):
+            draw([np.zeros((2, 2)), np.zeros((2, 3))])
 
     @pytest.mark.parametrize(
         "seeds, at, got",
