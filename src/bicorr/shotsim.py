@@ -87,11 +87,8 @@ class ShotConfig:
     z_threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        shots = _integers(self.shots, "shots", 100, 2**53 + 1)
-        seed = _integers(self.seed, "seed", 0, 2**64)
-        if shots is not self.shots or seed is not self.seed:  # a numpy integer became its int
-            object.__setattr__(self, "shots", shots)
-            object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "shots", _integers(self.shots, "shots", 100, 2**53 + 1))
+        object.__setattr__(self, "seed", _integers(self.seed, "seed", 0, 2**64))
         z = self.z_threshold
         try:  # True is 1 to <, so a bool is refused by its type
             positive = not isinstance(z, (bool, np.bool_)) and 0 < z < math.inf

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -70,7 +71,10 @@ def werner(xi) -> np.ndarray:
     whether the state is separable or entangled: zero correlations coexist
     with both answers, so the protocol cannot decide mixed states.
     """
-    values = np.asarray(xi)
+    try:
+        values = np.asarray(xi)
+    except ValueError:  # a ragged stack, which numpy names without xi: refused below as an object
+        values = np.asarray(None)
     # A bool, str, None or complex xi is no mixing parameter.  numpy casts a bool in a list to the
     # list's number type, so a list's entries are scanned too.
     listed = not isinstance(xi, np.ndarray) and values.ndim
@@ -238,29 +242,6 @@ def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
     return StateSpec(kind="mixed", label=label, matrix=as_density_matrix(rho))
 
 
-def _numbers(raw, pairs_shape: tuple) -> list | None:
-    """The numbers of raw in order if it nests lists of `pairs_shape` of int/float pairs, else None.
-
-    Only lists pass: a str or dict entry fails a length or yields str entries, and a number where
-    a list belongs raises TypeError in len.
-    """
-    pairs = [raw]
-    try:
-        for size in pairs_shape:
-            for entry in pairs:
-                if len(entry) != size:
-                    return None
-            pairs = [pair for entry in pairs for pair in entry]
-        numbers = []
-        for pair in pairs:
-            if len(pair) != 2:
-                return None
-            numbers += pair
-    except TypeError:
-        return None
-    return numbers if {int, float}.issuperset(map(type, numbers)) else None
-
-
 def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
     """raw, an array of `shape` of [re, im] pairs of floats, as complex; else ParseError(layout).
 
@@ -269,16 +250,17 @@ def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
     [-0.0, 0.0] reads, and echoes, as [0.0, 0.0].  The ``analyze --json`` echo of a state depends
     on this rule; reading the pairs through ``view(complex)`` would keep every zero's sign.
     """
-    values = _numbers(raw, shape)
-    try:  # a malformed raw takes the nested cast, which names the cause or the shape
-        arr = np.asarray(raw if values is None else values, dtype=float)  # ragged: ValueError
+    try:
+        arr = np.asarray(raw, dtype=float)  # a ragged list raises ValueError
     except (TypeError, ValueError, OverflowError) as exc:  # an integer can overflow a float
         raise ParseError(layout) from exc
-    if values is None:
-        if arr.shape != shape + (2,):
-            raise ParseError(f"{layout}, got shape {arr.shape}")
-        raise ParseError(layout)  # the float cast also took "1", true and null
-    arr = arr.reshape(shape + (2,))
+    if arr.shape != shape + (2,):
+        raise ParseError(f"{layout}, got shape {arr.shape}")
+    values = raw
+    for _ in shape:  # down to the numbers: the float cast also took "1", true and null
+        values = chain.from_iterable(values)
+    if not {int, float}.issuperset(map(type, values)):
+        raise ParseError(layout)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

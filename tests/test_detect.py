@@ -53,6 +53,7 @@ from bicorr.qstate import (
     check_bloch_components,
     density_from_pure,
     partial_transpose_b,
+    purity,
 )
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
@@ -431,6 +432,40 @@ def test_exact_protocol_names_the_run_that_fails_its_check(row):
     y[row], xs[row, 2] = 0.3, -0.5 * xs[row, 0]
     with pytest.raises(DependentProbes, match=rf"^probe Gram determinant at stack index {row} "):
         exact_protocol(rho, y=y, xs=xs)
+
+
+@pytest.mark.parametrize(
+    "q, label", [(2.5e-10, ENTANGLED), (1e-9, INDETERMINATE)], ids=["5e-10", "2e-9"]
+)
+def test_both_reads_of_the_purity_cut_sit_between_5e_10_and_2e_9(q, label):
+    # (1 - q) singlet + q |00><00| has 1 - Tr rho^2 = 2q - 2q^2 and the singlet's c = -1/4 at
+    # probe 3; the cut is at 1e-9, so a tenfold move of either protocol's read flips one state.
+    rho = (1 - q) * density_from_pure(states.bell_state("psi-"))
+    rho[0, 0] += q
+    assert 1.0 - purity(rho) == pytest.approx(2 * q, rel=1e-6)
+    verdict, trace = binary_protocol(rho)
+    assert (verdict.label, trace.measurements_used) == (label, 3)
+    labels, used, _ = exact_protocol(rho)
+    assert (labels, used) == (label, 3)
+
+
+@pytest.mark.parametrize(
+    "c, label", [(5e-11, SEPARABLE), (2e-10, ENTANGLED)], ids=["5e-11", "2e-10"]
+)
+def test_the_zero_cut_sits_between_5e_11_and_2e_10(c, label):
+    # cos t|00> + sin t|11> reads 0 at probes 1-2 and c = sin^2(2t) / 4 at probe 3 (z against z);
+    # the cut is at 1e-10, so a tenfold move of it either way flips one of these two states.
+    # The first state is entangled (concurrence sin 2t = 1.4e-5), yet both protocols call it
+    # Separable: this pins today's cut and its resolution gap (ROADMAP.md, certified verdicts).
+    # Moving the cut is a contract change, made on purpose together with this test.
+    t = 0.5 * np.arcsin(np.sqrt(4 * c))
+    rho = density_from_pure(np.array([np.cos(t), 0.0, 0.0, np.sin(t)]))
+    verdict, trace = binary_protocol(rho)
+    covariances = [p.covariance for p in trace.probes]
+    assert covariances[:2] == [0.0, 0.0] and covariances[2] == pytest.approx(c, rel=1e-6)
+    assert (verdict.label, trace.measurements_used) == (label, 3)
+    labels, used, values = exact_protocol(rho)
+    assert (labels, used, values.tolist()) == (label, 3, covariances)
 
 
 def test_exact_protocol_of_an_empty_stack_is_empty():

@@ -102,10 +102,13 @@ class TestWerner:
             ([0.5, True], "[0.5, True]"),  # numpy cast it to werner([0.5, 1.0])
             ([[0.5], [np.False_]], "[[0.5], [np.False_]]"),
             ((1, True), "(1, True)"),  # cast to int64
+            ([0.5, [0.2, 0.3]], "[0.5, [0.2, 0.3]]"),  # numpy's "inhomogeneous shape" ValueError
+            ([np.zeros(2), np.zeros(3)], "[array([0., 0.]), array([0., 0., 0.])]"),
         ],
         ids=[
             "str", "str-in-a-list", "True", "np.True_", "None", "None-in-a-list", "complex",
-            "True-in-a-list", "np.False_-in-a-nested-list", "True-among-ints",
+            "True-in-a-list", "np.False_-in-a-nested-list", "True-among-ints", "ragged-list",
+            "ragged-arrays",
         ],
     )
     def test_rejects_an_xi_that_is_not_a_real_number(self, xi, got):
