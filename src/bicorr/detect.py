@@ -49,6 +49,7 @@ from bicorr.qstate import (
     CheckedState,
     _check_norm,
     _checked_bloch,
+    _reals,
     _require,
     check_bloch_components,
     density_from_pure,
@@ -188,10 +189,10 @@ def _check_probes(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     if y is DEFAULT_Y and xs is DEFAULT_XS:
         return _DEFAULT_PROBES
-    y = np.asarray(y, dtype=float)
+    y = _reals(y, "y")
     try:
-        xs = np.asarray(xs, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # y's faults come first, then this one
+        xs = _reals(xs, "probe set")
+    except ValueError:  # y's faults come first, then this one
         return _check_probes_in_order(y, xs)
     if y.shape[-1:] == (3,) and xs.shape[-2:] == (3, 3) and y.shape[:-1] == xs.shape[:-2]:
         v = np.concatenate((xs, y[..., None, :]), axis=-2)  # the three x, then y
@@ -215,7 +216,7 @@ def _check_probes_in_order(y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, .
     components, Gram determinant and lengths, each over the whole stack before the next.
     """
     y, y_length = _check_y(y)
-    xs = np.asarray(xs, dtype=float)
+    xs = _reals(xs, "probe set")
     if xs.shape[-2:] != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
     check_bloch_components(xs, "probe set")

@@ -16,8 +16,8 @@ take a `CheckedState` as it is and structure-check only a raw array; a
 `CheckedState` keeps its Bloch form and correlation matrix once read (`.bloch`,
 `.cm`), so no reader derives them again.  All of them take stacks, shape (..., 4, 4) or (..., 4),
 empty ones included.  Every array threshold check of the package goes through `_require`, so a
-failed check on a stack names the index of the first offending state, and every integer input
-(seeds, counts, trial budgets) goes through `_integers`.
+failed check on a stack names the index of the first offending state.  Every integer input
+(seeds, counts, trial budgets) goes through `_integers`, every real one through `_reals`.
 """
 
 from __future__ import annotations
@@ -111,6 +111,22 @@ def _integers(value, name: str, low: int, high: float = math.inf, stack: bool = 
     i = next(i for i, e in enumerate(flat) if type(e) not in integral or not low <= e < high)
     at = f" at stack index {', '.join(map(str, np.unravel_index(i, shape)))}" if shape else ""
     raise ValueError(f"{name}{at} must be an integer {bounds}, got {reprlib.repr(flat[i])}")
+
+
+def _reals(value, name: str) -> np.ndarray:
+    """value, a real number or a stack of them, as a float array; a bool, str, None, complex or
+    ragged entry fails.  A list's entries are scanned: numpy casts a bool among numbers."""
+    try:
+        values = np.asarray(value)
+    except ValueError:  # a ragged stack, whose numpy message names no input: refused as an object
+        values = np.asarray(None)
+    listed = not isinstance(value, np.ndarray) and values.ndim
+    if values.dtype.kind not in "iuf" or listed and any(
+        isinstance(e, (bool, np.bool_)) for e in np.array(value, dtype=object).flat
+    ):
+        got = reprlib.repr(value)
+        raise ValueError(f"{name} must be a real number or a stack of them, got {got}")
+    return values.astype(float, copy=False)
 
 
 def validate_pure_state(psi: np.ndarray) -> np.ndarray:
@@ -232,7 +248,7 @@ def bloch_assemble(bf: BlochForm) -> np.ndarray:
     the assembled matrix is eigenvalue-checked; NotPositive is raised on failure.
     Stacks of a, b and f broadcast against each other.
     """
-    a, b, f = (np.asarray(v, dtype=float) for v in (bf.a, bf.b, bf.f))
+    a, b, f = (_reals(v, "Bloch form") for v in (bf.a, bf.b, bf.f))
     if a.shape[-1:] != (3,) or b.shape[-1:] != (3,) or f.shape[-2:] != (3, 3):
         raise InvalidState("Bloch form needs two 3-vectors and a 3x3 tensor")
     try:
@@ -287,7 +303,7 @@ def check_bloch_vector(x: np.ndarray, name: str) -> np.ndarray:
 
 def _checked_bloch(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """x checked as by ``check_bloch_vector``, and its lengths norms(x), taken once."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(_reals(x, name))
     if x.shape[-1] != 3:
         raise ValueError(f"{name} needs 3 components, got {x.shape[-1]}")
     check_bloch_components(x, name)

@@ -156,37 +156,30 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
 
     With T the 4x4 Pauli traces of rho, cell (s, t) is 1/4 (1, +-x) T (1, +-y)^T, the sign + for
     s = 1 and t = 1: two products, whose (..., 2, 2) rows s = 1, 0 and columns t = 1, 0 lie in
-    CELL_ORDER as they are.  Cells within every bound are accepted in one pass; any other, or a
-    cell in [-IMAG_TOL, 0), goes to ``_checked_cells``, which alone names the fault and clips.
+    CELL_ORDER as they are.  The checks, in order: imaginary residue, negative cell, sum (before
+    clipping); the first failing one is raised with its stack index, each ``_require`` run only
+    when its bound fails.  A cell in [-IMAG_TOL, 0) is clipped at 0; the cells are then normalized.
     """
     pair = _unit(pair)
     matrix = CheckedState.of(rho).matrix
     traces = _pauli_traces(matrix).reshape(matrix.shape)
     cells = _coefficients(pair.x) @ traces @ _coefficients(pair.y).swapaxes(-1, -2)
     cells = cells.reshape(cells.shape[:-2] + (4,))
+    residue = np.abs(cells.imag)
+    if not residue.max(initial=0.0) <= IMAG_TOL:  # nan fails every bound
+        message = "cell probability{at} has imaginary residue {worst:.3e}"
+        _require(residue, IMAG_TOL, InvalidState, message, 1)
     probs = cells.real
     total = probs.sum(axis=-1, keepdims=True)
-    if not (  # nan fails every bound
-        np.abs(cells.imag).max(initial=0.0) <= IMAG_TOL
-        and probs.min(initial=0.0) >= 0.0
-        and np.abs(total - 1.0).max(initial=0.0) <= NORM_TOL
-    ):
-        probs = _checked_cells(cells)
+    off = np.abs(total - 1.0)
+    if not (probs.min(initial=0.0) >= 0.0 and off.max(initial=0.0) <= NORM_TOL):
+        message = "cell probabilities{at} are not a distribution: one is -{worst:.3e}"
+        _require(-probs, IMAG_TOL, InvalidState, message, 1)
+        message = "cell probabilities{at} are not a distribution: their sum is off 1 by {worst:.3e}"
+        _require(off[..., 0], NORM_TOL, InvalidState, message)
+        probs = np.maximum(probs, 0.0)
         total = probs.sum(axis=-1, keepdims=True)
     return probs / total
-
-
-def _checked_cells(cells: np.ndarray) -> np.ndarray:
-    """The real parts of complex cells, clipped at 0, after the ordered checks: imaginary residue,
-    negative cell, sum; the first failing one is raised with its stack index."""
-    message = "cell probability{at} has imaginary residue {worst:.3e}"
-    _require(np.abs(cells.imag), IMAG_TOL, InvalidState, message, 1)
-    probs = cells.real
-    message = "cell probabilities{at} are not a distribution: one is -{worst:.3e}"
-    _require(-probs, IMAG_TOL, InvalidState, message, 1)
-    message = "cell probabilities{at} are not a distribution: their sum is off 1 by {worst:.3e}"
-    _require(np.abs(probs.sum(axis=-1) - 1.0), NORM_TOL, InvalidState, message)
-    return np.maximum(probs, 0.0)
 
 
 def _statistics(counts: np.ndarray, n: float) -> tuple:

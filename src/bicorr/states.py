@@ -13,7 +13,6 @@ its seeding.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass
 from itertools import chain
 
@@ -24,6 +23,7 @@ from bicorr.qstate import (
     CheckedState,
     _integers,
     _observable,
+    _reals,
     _require,
     as_density_matrix,
     density_from_pure,
@@ -71,17 +71,7 @@ def werner(xi) -> np.ndarray:
     whether the state is separable or entangled: zero correlations coexist
     with both answers, so the protocol cannot decide mixed states.
     """
-    try:
-        values = np.asarray(xi)
-    except ValueError:  # a ragged stack, which numpy names without xi: refused below as an object
-        values = np.asarray(None)
-    # A bool, str, None or complex xi is no mixing parameter.  numpy casts a bool in a list to the
-    # list's number type, so a list's entries are scanned too.
-    listed = not isinstance(xi, np.ndarray) and values.ndim
-    entries = np.array(xi, dtype=object).flat if listed else ()
-    if values.dtype.kind not in "iuf" or any(isinstance(e, (bool, np.bool_)) for e in entries):
-        raise ValueError(f"xi must be a real number or a stack of them, got {reprlib.repr(xi)}")
-    xi = values.astype(float, copy=False)
+    xi = _reals(xi, "xi")
     message = "xi{at} lies {worst!r} outside [0, 1]"
     _require(np.maximum(-xi, xi - 1.0), 0.0, XiOutOfRange, message)
     rho = np.zeros(xi.shape + (4, 4), dtype=complex)

@@ -1,15 +1,21 @@
-"""Property tests of the integer rule at the input boundary (``qstate._integers``).
+"""Property tests of the integer and real-number rules at the input boundary (``qstate._integers``
+and ``qstate._reals``).
 
 Every seed, count, shot budget and trial budget goes through one rule: an int or a numpy integer
 in range passes, and anything else (a bool, float, str, None, nested entry or an out-of-range
-integer) raises ``ValueError``.  Each strategy mixes values that pass with every kind that does
-not.  The property: a call returns, or raises a ``ValueError`` subclass, and never warns.
+integer) raises ``ValueError``.  Every probe vector, Bloch vector, Bloch form and Werner xi goes
+through the other: ints, floats and their numpy kinds, one or a stack of equal rows, pass to the
+checks of the value, and a bool, str, None, complex, dict or ragged entry raises ``ValueError``.
+Each strategy mixes values that pass with every kind that does not.  The property: a call
+returns, or raises a ``ValueError`` subclass, and never warns.
 
 No valid large size is ever run: the mixtures' valid counts are at most 6, and ``run_all`` gets
 invalid draws only, with an ``out`` that fails the test if any check runs.
 """
 
 import math
+import re
+import reprlib
 import warnings
 
 import numpy as np
@@ -18,6 +24,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bicorr import states
+from bicorr.correlation import ObservablePair
+from bicorr.detect import binary_protocol, exact_protocol, find_zero_correlation_pair
+from bicorr.qstate import BlochForm, bloch_assemble, density_from_pure, observable_from_bloch
 from bicorr.shotsim import ShotConfig
 from bicorr.verify import run_all
 
@@ -157,3 +166,177 @@ def test_run_all_refuses_an_invalid_budget_or_seed_before_any_check(trials, seed
 @given(xi=XIS)
 def test_werner_draws_or_refuses_any_mixing_parameter(xi):
     outcome(states.werner, xi)
+
+
+# Every kind of entry a real-valued input can hold: numbers of every size (nan, inf and integers
+# past a float's range included) in Python and numpy kinds, and every kind that is no real number.
+REAL_ENTRIES = st.one_of(
+    st.floats(-1, 1),
+    st.floats(),
+    st.integers(-1, 1),
+    st.integers(),
+    st.integers(2**63 - 3, 2**1100),
+    st.floats(-1, 1).map(np.float64),
+    st.floats(-1, 1, width=32).map(np.float32),
+    st.integers(-1, 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_]),
+    st.complex_numbers(max_magnitude=2),
+    st.floats(-1, 1).map(np.complex128),
+    st.text(max_size=3),
+    st.none(),
+    st.dictionaries(st.text(max_size=1), st.integers(-1, 1), max_size=1),
+)
+
+
+def rows(entry: st.SearchStrategy, size: int) -> st.SearchStrategy:
+    """size entries, as a list or a numpy array of what numpy makes of them."""
+    row = st.lists(entry, min_size=size, max_size=size)
+    return st.one_of(row, row.map(np.array))
+
+
+def either(*branches: st.SearchStrategy) -> st.SearchStrategy:
+    """One of the branches, each drawn about as often.  ``st.one_of`` flattens nested ones, so
+    REAL_ENTRIES' alternatives would outnumber the rest."""
+    return st.sampled_from(branches).flatmap(lambda branch: branch)
+
+
+def reals(number: st.SearchStrategy, size: int) -> st.SearchStrategy:
+    """A row of size numbers in range, so that many pass; a row with any entries; one of any
+    entry; a list of up to four, some of them lists (ragged or two-dimensional); or a stack of
+    two rows in range."""
+    return either(
+        rows(number, size),
+        rows(either(number, REAL_ENTRIES), size),
+        REAL_ENTRIES,
+        st.lists(st.one_of(REAL_ENTRIES, st.lists(REAL_ENTRIES, max_size=3)), max_size=4),
+        st.lists(rows(number, size), min_size=2, max_size=2),
+    )
+
+
+IN_BALL = st.floats(-0.5, 0.5)  # a 3-vector of these lies in the unit ball
+VECTORS = reals(IN_BALL, 3)
+# Near 0.8 I: three independent probes inside the ball, as an array or as lists.
+INDEPENDENT = st.lists(st.floats(-0.1, 0.1), min_size=9, max_size=9).map(
+    lambda v: 0.8 * np.eye(3) + np.reshape(v, (3, 3))
+)
+PROBE_SETS = either(
+    INDEPENDENT,
+    INDEPENDENT.map(np.ndarray.tolist),
+    st.lists(VECTORS, min_size=3, max_size=3),
+    VECTORS,
+)
+# Local vectors and a tensor of entries this small assemble to a state.
+SMALL = st.floats(-0.1, 0.1)
+FORM_VECTORS = reals(SMALL, 3)
+TENSORS = either(st.lists(rows(SMALL, 3), min_size=3, max_size=3), PROBE_SETS)
+REAL_XIS = reals(st.floats(0, 1), 2)
+SINGLET = density_from_pure(states.bell_state("psi-"))
+
+
+def non_real(value) -> bool:
+    """Whether value holds an entry that is no real number, written out plainly as the reference:
+    a numpy array by its dtype, a list by its entries, and one entry by its type."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "iuf"
+    if isinstance(value, (list, tuple)):
+        return any(non_real(entry) for entry in value)
+    kinds = (int, float, np.integer, np.floating)
+    return isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds)
+
+
+def returns_or_refuses(call, *args):
+    """call(*args) returns or raises ValueError, and raises it if an input holds a non-real."""
+    result = outcome(call, *args)
+    if any(non_real(arg) for arg in args):
+        assert isinstance(result, ValueError), args
+    return result
+
+
+@pytest.mark.parametrize("protocol", [binary_protocol, exact_protocol])
+@BOUNDARY
+@given(y=VECTORS, xs=PROBE_SETS)
+def test_a_protocol_runs_or_refuses_any_probes(protocol, y, xs):
+    returns_or_refuses(lambda y, xs: protocol(SINGLET, y, xs), y, xs)
+
+
+@BOUNDARY
+@given(y=VECTORS)
+def test_find_zero_correlation_pair_solves_or_refuses_any_y(y):
+    returns_or_refuses(lambda y: find_zero_correlation_pair(SINGLET, y), y)
+
+
+@BOUNDARY
+@given(x=VECTORS, y=VECTORS)
+def test_an_observable_pair_holds_or_refuses_any_vectors(x, y):
+    pair = returns_or_refuses(ObservablePair, x, y)
+    if not isinstance(pair, ValueError):
+        assert pair.x.dtype == pair.y.dtype == float
+
+
+@BOUNDARY
+@given(x=VECTORS)
+def test_observable_from_bloch_builds_or_refuses_any_vector(x):
+    returns_or_refuses(observable_from_bloch, x)
+
+
+@BOUNDARY
+@given(a=FORM_VECTORS, b=FORM_VECTORS, f=TENSORS)
+def test_bloch_assemble_builds_or_refuses_any_form(a, b, f):
+    returns_or_refuses(lambda a, b, f: bloch_assemble(BlochForm(a, b, f)), a, b, f)
+
+
+@BOUNDARY
+@given(xi=REAL_XIS)
+def test_werner_draws_or_refuses_any_real_entry(xi):
+    returns_or_refuses(states.werner, xi)
+
+
+def _protocol_y(y):
+    return binary_protocol(SINGLET, y=y)
+
+
+def _bloch_form_a(a):
+    return bloch_assemble(BlochForm(a=a, b=np.zeros(3), f=np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize(
+    "call, value, name",
+    [
+        (_protocol_y, [False, False, True], "y"),
+        (_protocol_y, ["0", "0", "1"], "y"),
+        (lambda xs: binary_protocol(SINGLET, xs=xs), np.eye(3, dtype=bool), "probe set"),
+        (lambda x: ObservablePair(x=x, y=[0, 0, 1]), [True, 0, 0], "x"),
+        (observable_from_bloch, [True, 0, 0], "Bloch vector"),
+        (_bloch_form_a, ["0.5", 0, 0], "Bloch form"),
+        (lambda y: find_zero_correlation_pair(SINGLET, y), [False, False, True], "y"),
+        (_protocol_y, [0, 0, 1j], "y"),
+        (_protocol_y, {"a": 1}, "y"),
+        (lambda y: exact_protocol(SINGLET, y=y), [0, 0, 1j], "y"),
+        (_bloch_form_a, [0.5j, 0, 0], "Bloch form"),
+        (_protocol_y, [10**400, 0, 0], "y"),
+        (_protocol_y, [None, 0, 1], "y"),
+        (_protocol_y, [[0, 0], [1]], "y"),
+    ],
+    ids=[
+        "bool y",
+        "numeric-string y",
+        "bool probe set",
+        "bool pair x",
+        "bool Bloch vector",
+        "numeric-string Bloch form",
+        "bool zero-pair y",
+        "complex y",
+        "dict y",
+        "complex exact-protocol y",
+        "complex Bloch form",
+        "y past a float's range",
+        "None in y",
+        "ragged y",
+    ],
+)
+def test_a_non_real_input_is_refused_by_the_rule(call, value, name):
+    message = f"{name} must be a real number or a stack of them, got {reprlib.repr(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)

@@ -31,6 +31,16 @@ def chen_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def scaled_singlet_file(tmp_path):
+    """The singlet times sqrt(1 - 0.9e-9): its norm^2 is within NORM_TOL of 1, so the document is
+    accepted as pure, but Tr rho^2 = 1 - 1.8e-9 is below the protocol's purity cut 1 - 1e-9."""
+    path = tmp_path / "scaled.json"
+    psi = states.bell_state("psi-") * np.sqrt(1 - 0.9e-9)
+    save_state_file(path, states.pure_spec(psi, label="scaled singlet"))
+    return str(path)
+
+
 class TestAnalyze:
     def test_singlet_report(self, singlet_file, capsys):
         assert main(["analyze", singlet_file, "--json"]) == 0
@@ -78,6 +88,16 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "rank:" not in out
         assert "det(c):" in out
+
+    def test_a_pure_document_is_pure_to_the_protocol(self, scaled_singlet_file, capsys):
+        assert main(["analyze", scaled_singlet_file, "--json"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdicts["rank_dichotomy"]["label"] == "Entangled"
+        assert verdicts["protocol"] == {
+            "label": "Entangled",
+            "basis": "BinaryProtocol",
+            "detail": "non-zero correlation at probe 3",
+        }
 
     def test_missing_file_is_an_error(self, capsys):
         assert main(["analyze", "/nonexistent/state.json"]) == 3
@@ -130,6 +150,14 @@ class TestDetect:
         main(["gen", "--kind", "werner", "--xi", "0.2", "--out", str(path)])
         assert main(["detect", str(path)]) == 2
         assert main(["detect", str(path), "--assume-pure"]) == 1
+
+    def test_a_pure_document_is_pure_to_the_protocol(self, scaled_singlet_file, capsys):
+        assert main(["detect", scaled_singlet_file, "--json"]) == 1
+        exact = json.loads(capsys.readouterr().out)
+        assert exact["verdict"]["detail"] == "non-zero correlation at probe 3"
+        assert main(["detect", scaled_singlet_file, "--shots", "10000", "--json"]) == 1
+        shots = json.loads(capsys.readouterr().out)
+        assert shots["verdict"]["detail"].startswith("non-zero correlation at probe 3; ")
 
     def test_shot_mode_reports_statistics(self, singlet_file, capsys):
         code = main(

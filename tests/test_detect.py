@@ -49,6 +49,7 @@ from bicorr.qstate import (
     BlochOutOfBall,
     CheckedState,
     _check_norm,
+    _reals,
     _require,
     check_bloch_components,
     density_from_pure,
@@ -563,7 +564,7 @@ def test_the_first_fault_in_check_order_is_raised(y, xs, error, message):
 def _ordered_probe_check(y, xs):
     """The probe check before its one pass, as ordered checks, kept here as the test's reference."""
     y, y_length = _check_y(y)
-    xs = np.asarray(xs, dtype=float)
+    xs = _reals(xs, "probe set")
     if xs.shape[-2:] != (3, 3):
         raise DependentProbes(f"need exactly 3 probe vectors, got shape {xs.shape}")
     check_bloch_components(xs, "probe set")

@@ -1,5 +1,6 @@
 """Tests for state validation, Pauli expansion, and local observables."""
 
+import re
 import sys
 from collections import Counter
 
@@ -82,6 +83,51 @@ class TestValidation:
     def test_rejects_a_bloch_vector_of_two_components(self):
         with pytest.raises(ValueError, match=r"^x needs 3 components, got 2$"):
             check_bloch_vector([0.6, 0.8], "x")
+
+
+def _off_hermitian(d):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = d
+    return rho
+
+
+# Each structural cut of a state's input sits at 1e-9: a deviation d = 5e-10 is accepted and
+# d = 2e-9 refused, so a tolerance read ten times larger or smaller fails one of the two.
+STRUCTURAL_CUTS = [
+    (
+        validate_pure_state,
+        lambda d: states.bell_state("psi-") * np.sqrt(1 - d),
+        NotNormalized,
+        "amplitude norm^2 differs from 1 by 2.000e-09",
+    ),
+    (
+        CheckedState,
+        lambda d: np.eye(4, dtype=complex) / 4 * (1 + d),
+        InvalidState,
+        "density matrix trace differs from 1 by 2.000e-09",
+    ),
+    (
+        CheckedState,
+        _off_hermitian,
+        InvalidState,
+        "density matrix is not Hermitian (deviation 2.000e-09)",
+    ),
+    (
+        as_density_matrix,
+        lambda d: np.diag([0.5 + d, 0.5, 0.0, -d]).astype(complex),
+        InvalidState,
+        "density matrix is not positive semidefinite (min eigenvalue -2.000e-09)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check, build, error, message", STRUCTURAL_CUTS, ids=["norm", "trace", "Hermitian", "PSD"]
+)
+def test_a_structural_cut_accepts_5e_10_and_refuses_2e_9(check, build, error, message):
+    check(build(5e-10))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        check(build(2e-9))
 
 
 def _huge_off_diagonal():
