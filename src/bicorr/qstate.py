@@ -17,7 +17,7 @@ take a `CheckedState` as it is and structure-check only a raw array; a
 `.cm`), so no reader derives them again.  All of them take stacks, shape (..., 4, 4) or (..., 4),
 empty ones included.  Every array threshold check of the package goes through `_require`, so a
 failed check on a stack names the index of the first offending state.  Every integer input
-(seeds, counts, trial budgets) goes through `_integers`, every real one through `_reals`.
+(seeds, counts, trial budgets) goes through `_integers`, every other numeric one through `_reals`.
 """
 
 from __future__ import annotations
@@ -113,25 +113,32 @@ def _integers(value, name: str, low: int, high: float = math.inf, stack: bool = 
     raise ValueError(f"{name}{at} must be an integer {bounds}, got {reprlib.repr(flat[i])}")
 
 
-def _reals(value, name: str) -> np.ndarray:
-    """value, a real number or a stack of them, as a float array; a bool, str, None, complex or
-    ragged entry fails.  A list's entries are scanned: numpy casts a bool among numbers."""
-    try:
-        values = np.asarray(value)
-    except ValueError:  # a ragged stack, whose numpy message names no input: refused as an object
-        values = np.asarray(None)
-    listed = not isinstance(value, np.ndarray) and values.ndim
-    if values.dtype.kind not in "iuf" or listed and any(
-        isinstance(e, (bool, np.bool_)) for e in np.array(value, dtype=object).flat
-    ):
-        got = reprlib.repr(value)
-        raise ValueError(f"{name} must be a real number or a stack of them, got {got}")
-    return values.astype(float, copy=False)
+def _reals(value, name: str, dtype: type = float) -> np.ndarray:
+    """value, a number or a stack of them, as a float array, or a complex one for dtype complex.
+    A numpy array is judged by its dtype, anything else by the entry types of one object array (a
+    bool, str, None, dict or list fails), which is then cast: an int past a float's range fails."""
+    real = dtype is float
+    try:  # ValueError: arrays of unequal shapes, which no object array holds
+        if isinstance(value, np.ndarray):
+            values, admitted = value, value.dtype.kind in ("iuf" if real else "iufc")
+        else:
+            values = np.array(value, dtype=object)
+            types = set(map(type, values.ravel().tolist()))
+            numbers = (int, float, np.integer, np.floating if real else (complex, np.number))
+            admitted = types <= {int, float} or all(  # what json reads passes at once
+                issubclass(t, numbers) and t is not bool for t in types
+            )
+        if admitted:
+            return values.astype(dtype, copy=False)
+    except (ValueError, OverflowError):  # OverflowError: an int past a float's range
+        pass
+    number = "a real number" if real else "a number"
+    raise ValueError(f"{name} must be {number} or a stack of them, got {reprlib.repr(value)}")
 
 
 def validate_pure_state(psi: np.ndarray) -> np.ndarray:
     """Return psi as complex 4-vectors: no amplitude above 1 (so finite), unit norm."""
-    psi = np.atleast_1d(np.asarray(psi, dtype=complex))
+    psi = np.atleast_1d(_reals(psi, "amplitudes", complex))
     if psi.shape[-1] != 4:
         raise InvalidState(f"pure state needs 4 amplitudes, got {psi.shape[-1]}")
     # Bounding every amplitude first keeps the norm from overflowing.
@@ -145,7 +152,7 @@ def validate_pure_state(psi: np.ndarray) -> np.ndarray:
 
 def _check_structure(rho: np.ndarray) -> np.ndarray:
     """Cheap checks shared by all operations: shape, |rho_ij| <= 1, Hermiticity, trace."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _reals(rho, "density matrix", complex)
     if rho.shape[-2:] != (4, 4):
         raise InvalidState(f"density matrix must be 4x4, got shape {rho.shape}")
     # Bounding every entry first keeps the differences and the trace from overflowing.

@@ -59,7 +59,7 @@ from bicorr.detect import (
     binary_protocol,
 )
 from bicorr.linalg import IMAG_TOL, NORM_TOL, item_or_array
-from bicorr.qstate import CheckedState, InvalidState, _integers, _pauli_traces, _require
+from bicorr.qstate import CheckedState, InvalidState, _integers, _pauli_traces, _reals, _require
 from bicorr.streams import generators, seed_words
 
 DECISION_ZERO = "Zero"
@@ -89,13 +89,16 @@ class ShotConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "shots", _integers(self.shots, "shots", 100, 2**53 + 1))
         object.__setattr__(self, "seed", _integers(self.seed, "seed", 0, 2**64))
-        z = self.z_threshold
-        try:  # True is 1 to <, so a bool is refused by its type
-            positive = not isinstance(z, (bool, np.bool_)) and 0 < z < math.inf
-        except TypeError:  # "5", None: not a number
-            positive = False
-        if not positive:
+        z = real = self.z_threshold
+        if type(z) is not float:  # a plain float needs no walk
+            try:
+                real = _reals(z, "z_threshold")
+                real = float(real) if real.ndim == 0 else math.nan  # a stack is no threshold
+            except ValueError:  # a bool, "5", None: no real number
+                real = math.nan
+        if not 0 < real < math.inf:
             raise ValueError(f"z_threshold must be a finite positive number, got {z!r}")
+        object.__setattr__(self, "z_threshold", real)
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from bicorr.linalg import directions
 from bicorr.qstate import (
     CheckedState,
+    InvalidState,
     _integers,
     _observable,
     _reals,
     _require,
     as_density_matrix,
     density_from_pure,
+    validate_pure_state,
 )
 from bicorr.streams import generators, seed_words
 
@@ -214,7 +215,7 @@ def random_density(seed) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateSpec:
-    """Parsed state file: its kind, pure amplitudes, and the checked density matrix of either."""
+    """Parsed state file, one state: its kind, pure amplitudes, and its checked density matrix."""
 
     kind: str
     label: str | None = None
@@ -223,13 +224,18 @@ class StateSpec:
 
 
 def pure_spec(psi: np.ndarray, label: str | None = None) -> StateSpec:
-    rho = CheckedState(density_from_pure(psi))  # validates psi
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = validate_pure_state(psi)
+    if psi.ndim > 1:
+        raise InvalidState(f"a state spec holds one state, got a stack of shape {psi.shape}")
+    rho = CheckedState(psi[:, None] * psi.conj())  # density_from_pure's, psi checked once
     return StateSpec(kind="pure", label=label, amplitudes=psi, matrix=rho)
 
 
 def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
-    return StateSpec(kind="mixed", label=label, matrix=as_density_matrix(rho))
+    rho = as_density_matrix(rho)
+    if rho.matrix.ndim > 2:
+        raise InvalidState(f"a state spec holds one state, got a stack of shape {rho.matrix.shape}")
+    return StateSpec(kind="mixed", label=label, matrix=rho)
 
 
 def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
@@ -241,16 +247,11 @@ def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
     on this rule; reading the pairs through ``view(complex)`` would keep every zero's sign.
     """
     try:
-        arr = np.asarray(raw, dtype=float)  # a ragged list raises ValueError
-    except (TypeError, ValueError, OverflowError) as exc:  # an integer can overflow a float
+        arr = _reals(raw, "state file entries")
+    except ValueError as exc:
         raise ParseError(layout) from exc
     if arr.shape != shape + (2,):
         raise ParseError(f"{layout}, got shape {arr.shape}")
-    values = raw
-    for _ in shape:  # down to the numbers: the float cast also took "1", true and null
-        values = chain.from_iterable(values)
-    if not {int, float}.issuperset(map(type, values)):
-        raise ParseError(layout)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

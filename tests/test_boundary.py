@@ -1,18 +1,20 @@
-"""Property tests of the integer and real-number rules at the input boundary (``qstate._integers``
+"""Property tests of the integer and number rules at the input boundary (``qstate._integers``
 and ``qstate._reals``).
 
 Every seed, count, shot budget and trial budget goes through one rule: an int or a numpy integer
 in range passes, and anything else (a bool, float, str, None, nested entry or an out-of-range
-integer) raises ``ValueError``.  Every probe vector, Bloch vector, Bloch form and Werner xi goes
-through the other: ints, floats and their numpy kinds, one or a stack of equal rows, pass to the
-checks of the value, and a bool, str, None, complex, dict or ragged entry raises ``ValueError``.
-Each strategy mixes values that pass with every kind that does not.  The property: a call
-returns, or raises a ``ValueError`` subclass, and never warns.
+integer) raises ``ValueError``.  Every probe vector, Bloch vector, Bloch form, Werner xi, state
+and state file goes through the other: ints, floats and their numpy kinds (complex ones too for
+amplitudes and density matrices), one or a stack of equal rows, pass to the checks of the value,
+and a bool, str, None, dict or ragged entry (or a complex one where a real is due) raises
+``ValueError``.  Each strategy mixes values that pass with every kind that does not.  The
+property: a call returns, or raises a ``ValueError`` subclass, and never warns.
 
 No valid large size is ever run: the mixtures' valid counts are at most 6, and ``run_all`` gets
 invalid draws only, with an ``out`` that fails the test if any check runs.
 """
 
+import json
 import math
 import re
 import reprlib
@@ -25,8 +27,22 @@ from hypothesis import strategies as st
 
 from bicorr import states
 from bicorr.correlation import ObservablePair
-from bicorr.detect import binary_protocol, exact_protocol, find_zero_correlation_pair
-from bicorr.qstate import BlochForm, bloch_assemble, density_from_pure, observable_from_bloch
+from bicorr.detect import (
+    binary_protocol,
+    exact_protocol,
+    find_zero_correlation_pair,
+    ppt_is_separable,
+    schmidt_rank,
+)
+from bicorr.qstate import (
+    BlochForm,
+    CheckedState,
+    bloch_assemble,
+    density_from_pure,
+    observable_from_bloch,
+    purity,
+    validate_pure_state,
+)
 from bicorr.shotsim import ShotConfig
 from bicorr.verify import run_all
 
@@ -246,10 +262,23 @@ def non_real(value) -> bool:
     return isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds)
 
 
-def returns_or_refuses(call, *args):
-    """call(*args) returns or raises ValueError, and raises it if an input holds a non-real."""
+def non_number(value) -> bool:
+    """Whether value holds an entry that is no number, complex ones admitted, written out plainly
+    as the reference: a numpy array by its dtype, a list by its entries, and one entry by its type.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "iufc"
+    if isinstance(value, (list, tuple)):
+        return any(non_number(entry) for entry in value)
+    kinds = (int, float, complex, np.number)
+    return isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds)
+
+
+def returns_or_refuses(call, *args, refused=non_real):
+    """call(*args) returns or raises ValueError, and raises it if refused(arg) holds for an input.
+    """
     result = outcome(call, *args)
-    if any(non_real(arg) for arg in args):
+    if any(refused(arg) for arg in args):
         assert isinstance(result, ValueError), args
     return result
 
@@ -340,3 +369,154 @@ def test_a_non_real_input_is_refused_by_the_rule(call, value, name):
     message = f"{name} must be a real number or a stack of them, got {reprlib.repr(value)}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+def _spoiled(state: list, where: int, entry) -> list:
+    """state's flat entry number where (modulo their count) replaced by entry."""
+    flat = np.array(state, dtype=object)
+    flat.reshape(-1)[where % flat.size] = entry
+    return flat.tolist()
+
+
+def states_of(draw, shaped) -> st.SearchStrategy:
+    """A generator's state, as an array or as lists of Python complex numbers; that state with one
+    entry replaced by any entry; rows of 4 numbers or of any entries, shaped(row) as a state is;
+    one entry; a list of up to four, some of them lists; or a stack of two states."""
+    state = st.integers(0, 2**32 - 1).map(draw)
+    listed = state.map(np.ndarray.tolist)
+    unit = either(st.complex_numbers(max_magnitude=1), st.floats(-1, 1), st.integers(-1, 1))
+    return either(
+        state,
+        listed,
+        st.builds(_spoiled, listed, st.integers(0, 15), REAL_ENTRIES),
+        st.builds(_spoiled, listed, st.integers(0, 15), st.complex_numbers()),
+        shaped(rows(unit, 4)),
+        shaped(rows(either(unit, REAL_ENTRIES), 4)),
+        REAL_ENTRIES,
+        st.lists(st.one_of(REAL_ENTRIES, st.lists(REAL_ENTRIES, max_size=3)), max_size=4),
+        st.lists(listed, min_size=2, max_size=2),
+    )
+
+
+AMPLITUDES = states_of(states.haar_random_pure, lambda row: row)
+MATRICES = states_of(states.random_density, lambda row: st.lists(row, min_size=4, max_size=4))
+
+
+@BOUNDARY
+@given(psi=AMPLITUDES)
+def test_amplitudes_are_taken_or_refused(psi):
+    for call in (validate_pure_state, density_from_pure, schmidt_rank):
+        returns_or_refuses(call, psi, refused=non_number)
+
+
+@BOUNDARY
+@given(rho=MATRICES)
+def test_a_matrix_is_taken_or_refused(rho):
+    for call in (CheckedState, purity, ppt_is_separable):
+        returns_or_refuses(call, rho, refused=non_number)
+
+
+# What a JSON document can hold where a number belongs.
+JSON_ENTRIES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.floats(),
+    st.integers(),
+    st.integers(2**63 - 3, 2**1100),
+    st.integers(-(2**1100), -(2**63)),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(-1, 1), max_size=1),
+)
+
+
+def _lists(value: list) -> list:
+    """value and every list nested in it."""
+    nested = (inner for entry in value if isinstance(entry, list) for inner in _lists(entry))
+    return [value, *nested]
+
+
+@st.composite
+def documents(draw) -> tuple[str, list]:
+    """A generated state's document, in which up to three entries of the field or of a list in it
+    are replaced by any JSON entry or removed, which leaves ragged rows or short pairs; as its
+    text, and the field it holds."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        field, spec = "amplitudes", states.pure_spec(states.haar_random_pure(seed))
+    else:
+        field, spec = "matrix", states.mixed_spec(states.random_mixed(seed))
+    doc = states.state_doc(spec)
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(_lists(doc[field])))
+        if not target:
+            continue
+        where = draw(st.integers(0, len(target) - 1))
+        if draw(st.booleans()):
+            del target[where]
+        else:
+            target[where] = draw(JSON_ENTRIES)
+    return json.dumps(doc), doc[field]
+
+
+@BOUNDARY
+@given(document=documents())
+def test_a_state_document_is_read_or_refused(document):
+    text, pairs = document
+    spec = outcome(states.loads_state, text)
+    if non_real(pairs):
+        assert isinstance(spec, states.ParseError), text
+
+
+def _matrix_with(entry):
+    rho = (np.eye(4) / 4).tolist()
+    rho[3][3] = entry
+    return rho
+
+
+@pytest.mark.parametrize(
+    "call, value, name",
+    [
+        (validate_pure_state, ["1", 0, 0, 0], "amplitudes"),
+        (validate_pure_state, [True, 0, 0, 0], "amplitudes"),
+        (CheckedState, _matrix_with(True), "density matrix"),
+        (CheckedState, {"a": 1}, "density matrix"),
+        (validate_pure_state, [10**400, 0, 0, 0], "amplitudes"),
+        (validate_pure_state, [None, 0, 0, 1], "amplitudes"),
+        (density_from_pure, np.array([1, 0, 0, 0], dtype=object), "amplitudes"),
+        (purity, _matrix_with("0.25"), "density matrix"),
+    ],
+    ids=[
+        "numeric-string amplitude",
+        "bool amplitude",
+        "bool matrix entry",
+        "dict matrix",
+        "amplitude past a float's range",
+        "None amplitude",
+        "object array of amplitudes",
+        "numeric-string matrix entry",
+    ],
+)
+def test_a_state_that_is_not_numbers_is_refused_by_the_rule(call, value, name):
+    message = f"{name} must be a number or a stack of them, got {reprlib.repr(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message, worst",
+    [
+        (lambda v: binary_protocol(SINGLET, y=[v, 0, 0]), "y component {!r} exceeds 1", 2.0**64),
+        (states.werner, "xi lies {!r} outside [0, 1]", 2.0**64 - 1),
+        (
+            lambda v: validate_pure_state([v, 0, 0, 0]),
+            "amplitude magnitude {!r} exceeds 1",
+            2.0**64,
+        ),
+    ],
+    ids=["y", "xi", "amplitude"],
+)
+def test_an_int_past_numpys_integers_meets_the_bound_of_its_value(call, message, worst):
+    # y and xi refused an int from 2**64 up, held as an object, as no real number.
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(worst))}$"):
+        call(2**64)

@@ -5,6 +5,9 @@ Bilinearity and the pure-state determinant identity are ``bicorr.verify``
 registry checks, run by tests/test_acceptance.py.
 """
 
+import re
+import reprlib
+
 import numpy as np
 import pytest
 
@@ -103,10 +106,12 @@ class TestCorrelationMatrix:
 
     def test_refuses_a_bloch_form(self):
         # A form enters only through bloch_assemble, which checks it; this one is not a state.
-        with pytest.raises(TypeError):
-            correlation_matrix(BlochForm(a=np.full(3, np.nan), b=np.zeros(3), f=7 * np.eye(3)))
-        with pytest.raises(TypeError):
-            correlation_matrix(bloch_decompose(states.werner(0.5)))
+        bad = BlochForm(a=np.full(3, np.nan), b=np.zeros(3), f=7 * np.eye(3))
+        for form in (bad, bloch_decompose(states.werner(0.5))):
+            got = reprlib.repr(form)
+            message = f"density matrix must be a number or a stack of them, got {got}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                correlation_matrix(form)
 
     def test_a_checked_state_keeps_its_form_and_c(self):
         rho = CheckedState(states.random_density(range(20)))

@@ -130,6 +130,95 @@ def test_a_structural_cut_accepts_5e_10_and_refuses_2e_9(check, build, error, me
         check(build(2e-9))
 
 
+def _long(d):
+    """A vector whose first component is 1 + d."""
+    return np.array([1 + d, 0.0, 0.0])
+
+
+def _tilted(d):
+    """A vector with both non-zero components below 1 and a length of 1 + d, up to round-off."""
+    c = (1 + d) / np.sqrt(2)
+    return np.array([c, c, 0.0])
+
+
+def _probe_set(v):
+    return binary_protocol(SINGLET_RHO, xs=np.stack([np.eye(3)[2], v, np.eye(3)[1]]))
+
+
+# BALL_TOL = 1e-12 bounds an observable's Bloch vector, a component first, then its length: an
+# excess d = 5e-13 is accepted and 2e-12 refused, in a pair and among the protocol's probes.
+BALL_CUTS = [
+    (lambda v: ObservablePair(x=v, y=[0, 0, 1]), _long, "x component {!r} exceeds 1"),
+    (lambda v: ObservablePair(x=[0, 0, 1], y=v), _tilted, "y norm {!r} exceeds 1"),
+    (lambda v: binary_protocol(SINGLET_RHO, y=v), _long, "y component {!r} exceeds 1"),
+    (lambda v: binary_protocol(SINGLET_RHO, y=v), _tilted, "y norm {!r} exceeds 1"),
+    (_probe_set, _long, "probe set at stack index 1 component {!r} exceeds 1"),
+    (_probe_set, _tilted, "x at stack index 1 norm {!r} exceeds 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, build, message",
+    BALL_CUTS,
+    ids=[
+        "pair component", "pair length", "probe y component", "probe y length",
+        "probe x component", "probe x length",
+    ],
+)
+def test_a_ball_cut_accepts_5e_13_and_refuses_2e_12(call, build, message):
+    call(build(5e-13))
+    bad = build(2e-12)
+    worst = float(linalg.norms(bad)) if build is _tilted else 1 + 2e-12
+    with pytest.raises(BlochOutOfBall, match=f"^{re.escape(message.format(worst))}$"):
+        call(bad)
+
+
+def _isotropic_form(d):
+    """A Bloch form with a = b = 0 and f = (1 + 4d)/3 I: its least eigenvalue is -d."""
+    return BlochForm(a=np.zeros(3), b=np.zeros(3), f=(1 + 4 * d) / 3 * np.eye(3))
+
+
+# IMAG_TOL = 1e-10 bounds the imaginary residue of a state's Pauli traces and of a direct
+# covariance.  Within HERMITIAN_TOL, rho_01 = d leaves a residue of d in the traces, and of d/4 in
+# the covariance of z and y; the residue 5e-11 is accepted and 2e-10 refused.  PSD_TOL = 1e-9
+# bounds an assembled form's least eigenvalue, -5e-10 accepted and -2e-9 refused.
+RESIDUE_CUTS = [
+    (
+        bloch_decompose,
+        _off_hermitian,
+        (5e-11, 2e-10),
+        InvalidState,
+        "Pauli traces have imaginary residue 2.000e-10",
+    ),
+    (
+        lambda rho: covariance_direct(rho, ObservablePair(x=[0, 0, 1], y=[0, 1, 0])),
+        lambda r: _off_hermitian(4 * r),
+        (5e-11, 2e-10),
+        InvalidState,
+        "covariance has imaginary residue 2.000e-10",
+    ),
+    (
+        bloch_assemble,
+        _isotropic_form,
+        (5e-10, 2e-9),
+        NotPositive,
+        "assembled matrix has eigenvalue -2.000e-09; not a state",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check, build, deviations, error, message",
+    RESIDUE_CUTS,
+    ids=["Pauli traces", "direct covariance", "assembled form"],
+)
+def test_a_residue_cut_is_straddled_within_a_factor_of_4(check, build, deviations, error, message):
+    accepted, refused = deviations
+    check(build(accepted))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        check(build(refused))
+
+
 def _huge_off_diagonal():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 1], rho[1, 0] = 1e308, -1e308

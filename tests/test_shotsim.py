@@ -91,6 +91,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ShotConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "z",
+        [np.array([5.0]), np.array([5.0, 6.0]), [5.0], np.array([[5.0]]), 10**400],
+        ids=["one-entry array", "two-entry array", "list", "matrix", "int past a float"],
+    )
+    def test_refuses_a_z_that_is_not_one_real_number(self, z):
+        # An array of one entry was held, and the detail's format then raised TypeError; two
+        # entries raised numpy's ambiguous-truth text.
+        message = f"z_threshold must be a finite positive number, got {z!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ShotConfig(z_threshold=z)
+
+    @pytest.mark.parametrize("z", [4, np.float32(4.0), np.array(4.0), np.int64(4)])
+    def test_a_real_z_is_held_as_a_python_float(self, z):
+        cfg = ShotConfig(z_threshold=z)
+        assert type(cfg.z_threshold) is float and cfg.z_threshold == 4.0
+        verdict, _ = statistical_binary_protocol(singlet_rho(), cfg=cfg)
+        assert verdict.detail.endswith("z threshold 4 (confidence, not certainty)")
+
     def test_numpy_integers_are_held_as_python_ints(self):
         # The fields were the numpy scalars as given, which json cannot write.
         cfg = ShotConfig(shots=np.int64(1000), seed=np.uint64(7))

@@ -387,6 +387,21 @@ class TestStateFiles:
             spec.matrix.matrix, density_from_pure(bell_state("psi-")), atol=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "build, state, shape",
+        [
+            (pure_spec, np.stack([bell_state("psi-")] * 2), "(2, 4)"),
+            (pure_spec, bell_state("psi-")[None], "(1, 4)"),
+            (mixed_spec, werner([0.2, 0.5]), "(2, 4, 4)"),
+        ],
+        ids=["two pure states", "a stack of one", "two Werner states"],
+    )
+    def test_a_spec_holds_one_state(self, build, state, shape):
+        # A stack was kept, and written by dumps_state to a document loads_state refused.
+        message = f"a state spec holds one state, got a stack of shape {shape}"
+        with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+            build(state)
+
     def test_rejects_malformed_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             loads_state("{not json")
@@ -422,7 +437,7 @@ class TestStateFiles:
             ([[0.25, 0], [0, 0], [0, 0], [0]], ValueError),
             ([[0.25, 0], [0, 0], [0, 0]], ValueError),  # ragged against the other rows
             ([[0.25, 0], [0, 0], [0, 0], ["a", 0]], ValueError),
-            ([[0.25, 0], [0, 0], [0, 0], [10**400, 0]], OverflowError),
+            ([[0.25, 0], [0, 0], [0, 0], [10**400, 0]], ValueError),  # the number rule's
         ],
         ids=["ragged-row", "row-of-3-pairs", "non-numeric", "integer-overflows-a-float"],
     )
