@@ -212,6 +212,8 @@ def cmd_sweep_werner(args) -> int:
     for flag, bound in (("--from", args.xi_from), ("--to", args.xi_to)):
         if not np.isfinite(bound):  # linspace would spread an infinite bound into nans
             raise ParseError(f"{flag} must be a finite number, got {bound}")
+        if not 0.0 <= bound <= 1.0:  # no Werner state; linspace can overflow on a huge bound
+            raise ParseError(f"{flag} must lie in [0, 1], got {bound}")
     pair = _parse_pair(args.pair) if args.pair else ObservablePair(x=DEFAULT_Y, y=DEFAULT_Y)
     xy = float(pair.x @ pair.y)
     grid = np.linspace(args.xi_from, args.xi_to, steps).tolist()
@@ -289,9 +291,7 @@ def make_parser() -> _Parser:
 
     p_detect = sub.add_parser("detect", help="three-probe entanglement detection")
     p_detect.add_argument("file", help="state file (JSON)")
-    mode = p_detect.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact correlations (default)")
-    mode.add_argument("--shots", type=int, help="finite-shot decisions with this budget")
+    p_detect.add_argument("--shots", type=int, help="shot budget (exact calls without it)")
     p_detect.add_argument("--seed", type=int, default=ShotConfig.seed, help="RNG seed for --shots")
     p_detect.add_argument(
         "--z", type=float, default=ShotConfig.z_threshold, help="non-zero decision threshold"

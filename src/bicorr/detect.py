@@ -124,9 +124,8 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     """
     y, length = _check_y(y)
     c_y = (CheckedState.of(rho).cm.c @ _directions(y, length)[..., None])[..., 0]
-    c_y_length = norms(c_y)
-    vanishes = (c_y_length < ZERO_CORRELATION_TOL)[..., None]
-    x = orthogonal_complement_basis(c_y, c_y_length)[0]  # a zero row has direction 0: no warning
+    vanishes = (norms(c_y) < ZERO_CORRELATION_TOL)[..., None]
+    x = orthogonal_complement_basis(c_y)[0]  # a zero row has direction 0: no warning
     return _checked_pair(np.where(vanishes, np.array([1.0, 0.0, 0.0]), x), y)
 
 

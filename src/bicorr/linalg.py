@@ -110,16 +110,13 @@ def det3(m: np.ndarray) -> float:
     return det.T
 
 
-def orthogonal_complement_basis(
-    v: np.ndarray, lengths: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def orthogonal_complement_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two orthonormal vectors spanning the plane orthogonal to a non-zero 3-vector v (or stacks).
 
     The first basis vector is built by crossing v with the standard basis
     vector along v's smallest component (lowest index on ties), which keeps
-    the construction deterministic and far from degeneracy.  A caller that
-    has taken norms(v) passes them as lengths, so they are not taken again.
+    the construction deterministic and far from degeneracy.
     """
     v = np.asarray(v, dtype=float)
     u1 = directions(np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=-1)]))
-    return u1, directions(np.cross(_directions(v, lengths), u1))
+    return u1, directions(np.cross(directions(v), u1))

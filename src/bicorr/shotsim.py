@@ -2,7 +2,10 @@
 
 Unit Bloch vectors make Q and R projectors, and since X = Q (x) I and
 Y = I (x) R act on different factors they commute: a simultaneous measurement
-samples the four-cell product eigenbasis.  The four cell counts of n shots
+samples the four-cell product eigenbasis, so ``sample_joint`` takes unit
+vectors only.  ``joint_outcome_probabilities`` takes every ``ObservablePair``:
+in the Bloch ball P_1 = 1/2 (I + x.sigma) and P_0 = I - P_1 are both positive,
+so the cells are a distribution.  The four cell counts of n shots
 are one multinomial draw, so a run costs the same at any shot count.  The
 counts yield the three sample means <st>, <s>, <t>, from which the
 covariance is estimated with the standard n/(n-1) sample-covariance
@@ -37,9 +40,7 @@ row, at ``seed``.  The statistical protocol takes its three probes' cell
 probabilities in one call and draws probe i, at (seed + i) mod 2**64, only
 when it reads it (``_draw``, ``_statistics`` on one row): the bits of row i
 of ``sample_joint``.  It reads only the covariance and z, so only
-``sample_joint`` computes the standard error and the decision strings.  It
-passes the unit directions that its probe check has made, which are not
-checked again; any other pair is checked for unit length (``NonUnitBloch``).
+``sample_joint`` computes the standard error and the decision strings.
 """
 
 from __future__ import annotations
@@ -130,17 +131,12 @@ class ShotRecord:
         )
 
 
-class _UnitPair(ObservablePair):
-    """Probe directions that ``_check_probes`` has made unit, so ``_unit`` lets them through."""
-
-
 def _unit(pair: ObservablePair) -> ObservablePair:
     """pair, each x and y of unit length; NonUnitBloch names the first that is not."""
-    if not isinstance(pair, _UnitPair):
-        for name in ("x", "y"):
-            deviation = np.abs(np.hypot.reduce(getattr(pair, name), axis=-1) - 1.0)
-            message = name + "{at} must be a unit vector, its norm is off 1 by {worst!r}"
-            _require(deviation, NORM_TOL, NonUnitBloch, message)
+    for name in ("x", "y"):
+        deviation = np.abs(np.hypot.reduce(getattr(pair, name), axis=-1) - 1.0)
+        message = name + "{at} must be a unit vector, its norm is off 1 by {worst!r}"
+        _require(deviation, NORM_TOL, NonUnitBloch, message)
     return pair
 
 
@@ -156,6 +152,7 @@ _HALF_IDENTITY = np.kron([0.5, 0.5], [1.0, 0.0, 0.0, 0.0])
 
 def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.ndarray:
     """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER, on the last axis; stacks broadcast.
+    x and y may lie anywhere in the Bloch ball, as in ``outcome_table``.
 
     With T the 4x4 Pauli traces of rho, cell (s, t) is 1/4 (1, +-x) T (1, +-y)^T, the sign + for
     s = 1 and t = 1: two products, whose (..., 2, 2) rows s = 1, 0 and columns t = 1, 0 lie in
@@ -163,7 +160,6 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
     clipping); the first failing one is raised with its stack index, each ``_require`` run only
     when its bound fails.  A cell in [-IMAG_TOL, 0) is clipped at 0; the cells are then normalized.
     """
-    pair = _unit(pair)
     matrix = CheckedState.of(rho).matrix
     traces = _pauli_traces(matrix).reshape(matrix.shape)
     cells = _coefficients(pair.x) @ traces @ _coefficients(pair.y).swapaxes(-1, -2)
@@ -219,12 +215,13 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
     uses the null-hypothesis standard error, so z_score = sqrt(n)|phi| is
     Pearson's test of independence, and it is 0 wherever that SE is 0.
 
-    States and probes broadcast as in ``joint_outcome_probabilities``; row i of the stack, in C
-    order, draws at seed (cfg.seed + i) mod 2**64, and one state is the stack of one row, at
-    cfg.seed.  One state gives a record of Python floats (decision a str), a stack a record of
-    arrays shaped like it (decision a str array), with shots_used the shots per row.
+    x and y must be unit vectors: NonUnitBloch names the first that is not, before any state
+    error.  States and probes broadcast as in ``joint_outcome_probabilities``; row i of the
+    stack, in C order, draws at seed (cfg.seed + i) mod 2**64, and one state is the stack of one
+    row, at cfg.seed.  One state gives a record of Python floats (decision a str), a stack a
+    record of arrays shaped like it (decision a str array), with shots_used the shots per row.
     """
-    probs = joint_outcome_probabilities(rho, pair)
+    probs = joint_outcome_probabilities(rho, _unit(pair))
     rows = probs.reshape(-1, 4)
     counts = np.empty(rows.shape)
     seeds = np.uint64(cfg.seed) + np.arange(len(rows), dtype=np.uint64)  # wraps at 2**64
@@ -258,7 +255,7 @@ def statistical_binary_protocol(
     rho = CheckedState.of(rho)
 
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
-        probs = joint_outcome_probabilities(rho, _checked_pair(xs, y, _UnitPair))  # every probe
+        probs = joint_outcome_probabilities(rho, _checked_pair(xs, y))  # every probe
         for i, row in enumerate(probs):
             *_, covariance, z_score = _draw(row, cfg, (cfg.seed + i) % 2**64)
             yield covariance, not z_score > cfg.z_threshold

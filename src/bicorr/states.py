@@ -241,10 +241,10 @@ def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
 def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
     """raw, an array of `shape` of [re, im] pairs of floats, as complex; else ParseError(layout).
 
-    The complex value is built as re + 1j * im, which keeps every bit but the sign of a zero: an
-    im of -0.0 becomes 0.0, and a re of -0.0 stays -0.0 only where im is negative or -0.0, so
-    [-0.0, 0.0] reads, and echoes, as [0.0, 0.0].  The ``analyze --json`` echo of a state depends
-    on this rule; reading the pairs through ``view(complex)`` would keep every zero's sign.
+    The bits of re + 1j * im, with no product (1j * inf is 0 * inf, which warns): an im of -0.0
+    becomes 0.0, and a re of -0.0 stays -0.0 only where im is negative or -0.0, so [-0.0, 0.0]
+    reads, and echoes, as [0.0, 0.0].  The ``analyze --json`` echo of a state depends on this
+    rule; the pairs viewed as complex, without the added signed zero, would keep every sign.
     """
     try:
         arr = _reals(raw, "state file entries")
@@ -252,7 +252,8 @@ def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
         raise ParseError(layout) from exc
     if arr.shape != shape + (2,):
         raise ParseError(f"{layout}, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    z = arr.view(complex)[..., 0]
+    return z + np.copysign(0.0, z.imag)
 
 
 def loads_state(text: str) -> StateSpec:

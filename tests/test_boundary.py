@@ -14,8 +14,11 @@ No valid large size is ever run: the mixtures' valid counts are at most 6, and `
 invalid draws only, with an ``out`` that fails the test if any check runs.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 import re
 import reprlib
 import warnings
@@ -26,6 +29,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bicorr import states
+from bicorr.cli import _GEN_KINDS, main
 from bicorr.correlation import ObservablePair
 from bicorr.detect import (
     binary_protocol,
@@ -43,7 +47,7 @@ from bicorr.qstate import (
     purity,
     validate_pure_state,
 )
-from bicorr.shotsim import ShotConfig
+from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 from bicorr.verify import run_all
 
 # Derandomized, so that tier-1 runs the same examples every time, and kept small enough that the
@@ -520,3 +524,160 @@ def test_an_int_past_numpys_integers_meets_the_bound_of_its_value(call, message,
     # y and xi refused an int from 2**64 up, held as an object, as no real number.
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(worst))}$"):
         call(2**64)
+
+
+# Shot budgets of any size: a draw costs the same at any count, so only the config bounds them.
+SHOT_BUDGETS = either(st.integers(100, 2**53), st.sampled_from([99, 2**53 + 1]), VALUES)
+SHOT_SEEDS = either(st.integers(0, 2**64 - 1), VALUES)
+Z_THRESHOLDS = either(st.floats(0.5, 10), REAL_ENTRIES)
+
+
+@BOUNDARY
+@given(y=VECTORS, xs=PROBE_SETS, shots=SHOT_BUDGETS, seed=SHOT_SEEDS, z=Z_THRESHOLDS)
+def test_the_shot_protocol_runs_or_refuses_any_probes_and_config(y, xs, shots, seed, z):
+    def run(y, xs, shots, seed, z):
+        return statistical_binary_protocol(SINGLET, y, xs, ShotConfig(shots, seed, z))
+
+    returns_or_refuses(run, y, xs, shots, seed, z)
+
+
+# Command-line tokens.  No generated token starts with "-" but the listed ones, so none can
+# abbreviate a flag: gen writes only to the paths it is given.
+TEXT = st.text(max_size=6).filter(lambda text: not text.startswith("-"))
+STRAY = either(TEXT, st.sampled_from(["-h", "--exact", "--", "-1", "-x"]))
+NUMBER_TEXT = either(
+    st.sampled_from(["0", "-1", "1e5", "nan", "inf", "-inf", "1e999", "2**64", ""]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    TEXT,
+)
+
+
+def text_of(valid: st.SearchStrategy) -> st.SearchStrategy:
+    """A flag's value: the text of a valid value, any number's text, or any text."""
+    return either(valid.map(str), NUMBER_TEXT)
+
+
+def at_most(bound: int):
+    """A filter that drops the text that int(), as argparse calls it, reads as above bound."""
+
+    def keep(text: str) -> bool:
+        try:
+            return int(text) <= bound
+        except ValueError:
+            return True
+
+    return keep
+
+
+COMPONENTS = st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)
+VECTOR_TEXT = either(
+    COMPONENTS.map(lambda v: ",".join(map(repr, v))),
+    st.lists(NUMBER_TEXT, min_size=1, max_size=4).map(",".join),
+    TEXT,
+)
+PROBES_TEXT = either(
+    INDEPENDENT.map(lambda xs: ";".join(",".join(map(repr, row)) for row in xs.tolist())),
+    st.lists(VECTOR_TEXT, min_size=1, max_size=4).map(";".join),
+    TEXT,
+)
+DOCUMENTS = {
+    "singlet.json": states.dumps_state(states.pure_spec(states.bell_state("psi-"))),
+    "werner.json": states.dumps_state(states.mixed_spec(states.werner(0.5))),
+    "product.json": states.dumps_state(states.pure_spec(states.random_product_pure(7))),
+    "inf.json": '{"kind": "pure", "amplitudes": [[1, Infinity], [0, 0], [0, 0], [0, 0]]}',
+    "true.json": '{"kind": "pure", "amplitudes": [[true, 0], [0, 0], [0, 0], [0, 0]]}',
+    "malformed.json": '{"kind": "pure", "amplitudes": [[1, 0]',
+}
+STATE_FILES = 3  # the first three DOCUMENTS hold a state
+
+
+def _argv(command: str, required: dict, options: dict) -> st.SearchStrategy:
+    """argv for command: each required flag with a generated value (the key "" stands for a
+    positional, which takes the value alone); up to four options, each a flag with a value, or
+    alone where its value is None (a switch); and, in one argv of four, a stray token."""
+
+    def token(flag: str, value) -> st.SearchStrategy:
+        if value is None:
+            return st.just([flag])
+        return value.map(lambda text: [flag, text] if flag else [text])
+
+    tokens = st.tuples(
+        st.tuples(*(token(flag, value) for flag, value in required.items())),
+        st.lists(either(*(token(flag, value) for flag, value in options.items())), max_size=4),
+        either(st.just([]), st.just([]), st.just([]), STRAY.map(lambda text: [text])),
+    )
+    return tokens.map(
+        lambda drawn: [command, *(t for group in (*drawn[0], *drawn[1]) for t in group), *drawn[2]]
+    )
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """Document paths (a missing file and a directory among them) and gen's output paths, of
+    which only the null device takes a document."""
+    root = tmp_path_factory.mktemp("cli")
+    for name, text in DOCUMENTS.items():
+        (root / name).write_text(text)
+    files = [str(root / name) for name in (*DOCUMENTS, "missing.json")] + [str(root)]
+    outs = [os.devnull, str(root / "no-such-dir" / "out.json"), str(root)]
+    return files, outs
+
+
+def cli_argv(command: str, files: list, outs: list) -> st.SearchStrategy:
+    """Generated argv for one subcommand: verify's --trials, which it always has, is at most
+    100, the least it runs at; sweep-werner's --steps is at most 1,000, gen's --k at most 6, and
+    its --out one of outs."""
+    file = either(st.sampled_from(files[:STATE_FILES]), st.sampled_from(files))
+    seed = text_of(st.integers(0, 2**64))
+    xi = text_of(st.floats(0, 1))
+    if command == "analyze":
+        return _argv(command, {"": file}, {"--json": None})
+    if command == "detect":
+        options = {
+            "--shots": text_of(st.integers(100, 2**53 + 1)),
+            "--seed": seed,
+            "--z": text_of(st.floats(0, 10)),
+            "--y": VECTOR_TEXT,
+            "--xs": PROBES_TEXT,
+            "--assume-pure": None,
+            "--json": None,
+        }
+        return _argv(command, {"": file}, options)
+    if command == "sweep-werner":
+        steps = text_of(st.integers(1, 1000)).filter(at_most(1000))
+        pair = st.tuples(VECTOR_TEXT, VECTOR_TEXT).map("|".join)
+        required = {"--from": xi, "--to": xi, "--steps": steps}
+        return _argv(command, required, {"--pair": pair, "--json": None})
+    if command == "gen":
+        kinds = either(st.sampled_from(list(_GEN_KINDS)), TEXT)
+        out = either(st.just(outs[0]), st.sampled_from(outs))
+        count = text_of(st.integers(1, 6)).filter(at_most(6))
+        options = {"--xi": xi, "--seed": seed, "--k": count}
+        return _argv(command, {"--kind": kinds, "--out": out}, options)
+    trials = text_of(st.integers(95, 100)).filter(at_most(100))
+    return _argv(command, {"--trials": trials}, {"--trials": trials, "--seed": seed})
+
+
+def cli_outcome(argv: list) -> int:
+    """main(argv)'s exit code, after checking that it is 0 to 3, that stderr holds no traceback
+    and that nothing warned."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    return code
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect", "sweep-werner", "gen", "verify"])
+def test_the_command_line_exits_0_to_3_on_any_argv(command, cli_paths):
+    @BOUNDARY
+    @given(argv=cli_argv(command, *cli_paths))
+    def check(argv):
+        cli_outcome(argv)
+
+    check()

@@ -137,7 +137,12 @@ class TestAnalyze:
 
 class TestDetect:
     def test_singlet_exact_exit_code(self, singlet_file):
-        assert main(["detect", singlet_file, "--exact"]) == 1
+        assert main(["detect", singlet_file]) == 1
+
+    def test_exact_is_no_flag(self, singlet_file, capsys):
+        # Exact calls are what detect makes without --shots; the flag that said so is gone.
+        assert main(["detect", singlet_file, "--exact"]) == 3
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
 
     def test_product_state_exit_code(self, tmp_path):
         path = tmp_path / "p.json"
@@ -216,6 +221,13 @@ class TestDetect:
         path.write_text(f'{{"kind": "pure", "amplitudes": {amplitudes}}}')
         assert main(["detect", str(path)]) == 3
         assert capsys.readouterr().err.startswith("bicorr: error: ")
+
+    def test_an_infinite_imaginary_part_is_an_input_error(self, tmp_path, capsys):
+        # Under the suite's warning filter this raised the RuntimeWarning of 0 * inf.
+        path = tmp_path / "inf.json"
+        path.write_text('{"kind": "pure", "amplitudes": [[1, Infinity], [0, 0], [0, 0], [0, 0]]}')
+        assert main(["detect", str(path)]) == 3
+        assert capsys.readouterr().err == "bicorr: error: amplitude magnitude inf exceeds 1\n"
 
     def test_repeat_runs_are_identical(self, singlet_file, capsys):
         args = ["detect", singlet_file, "--shots", "5000", "--seed", "9", "--json"]
@@ -298,6 +310,14 @@ class TestSweepWerner:
     def test_a_bound_that_is_not_finite_is_an_input_error(self, bounds, message, capsys):
         # linspace spread an infinite bound into nans, with numpy's RuntimeWarning on stderr.
         assert main(["sweep-werner", *bounds, "--steps", "2"]) == 3
+        assert capsys.readouterr() == ("", f"bicorr: error: {message}\n")
+
+    @pytest.mark.parametrize("bound", ["-0.5", "1.5", "1.7976931348623157e+308"])
+    def test_a_bound_outside_0_1_is_an_input_error(self, bound, capsys):
+        # A huge --to made linspace overflow, with numpy's RuntimeWarning, before werner refused
+        # the grid.
+        assert main(["sweep-werner", "--from", "0", "--to", bound, "--steps", "470"]) == 3
+        message = f"--to must lie in [0, 1], got {float(bound)}"
         assert capsys.readouterr() == ("", f"bicorr: error: {message}\n")
 
     def test_endpoint_matches_singlet(self, capsys):

@@ -817,3 +817,12 @@ def test_an_oracle_that_writes_into_its_inputs_raises(target):
     with pytest.raises(ValueError, match="read-only"):
         binary_protocol(rho, corr_oracle=oracle)
     assert _run_bits(*binary_protocol(rho)) == before
+
+
+@pytest.mark.parametrize("t, x", [(5e-11, [1.0, 0.0, 0.0]), (2e-10, [0.0, 1.0, 0.0])])
+def test_the_zero_pair_falls_back_to_the_first_axis_below_1e_10(t, x):
+    # (I + t Z (x) Z)/4 has C z = (0, 0, t): below ZERO_CORRELATION_TOL x is the first axis,
+    # above it the first vector of the plane orthogonal to C z.
+    rho = np.diag([1 + t, 1 - t, 1 - t, 1 + t]).astype(complex) / 4
+    pair = find_zero_correlation_pair(rho, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(pair.x, x)

@@ -219,6 +219,60 @@ def test_a_residue_cut_is_straddled_within_a_factor_of_4(check, build, deviation
         check(build(refused))
 
 
+def _form(a=np.zeros(3), f=np.zeros((3, 3))):
+    return BlochForm(a=a, b=np.zeros(3), f=f)
+
+
+# NORM_TOL = 1e-9 bounds every amplitude, density-matrix entry and Bloch-form entry, and a Bloch
+# form's local vectors, at 1 + 1e-9.  An amplitude can only be straddled from 2.5e-10 up (its
+# norm^2 is 1 + 2d, which the norm^2 cut refuses from 5e-10 on); at 1 + 2e-9 the magnitude bound
+# speaks first.  The matrix diag(1 + d, -d, 0, 0) has unit trace, f_zz = 1 + d leaves a least
+# eigenvalue of -d/4 and a local vector of length 1 + d one of -d/4, within PSD_TOL.
+ENTRY_CUTS = [
+    (
+        validate_pure_state,
+        lambda d: np.array([1 + d, 0, 0, 0]),
+        (2.5e-10, 2e-9),
+        NotNormalized,
+        "amplitude magnitude 1.000000002 exceeds 1",
+    ),
+    (
+        CheckedState,
+        lambda d: np.diag([1 + d, -d, 0.0, 0.0]).astype(complex),
+        (5e-10, 2e-9),
+        InvalidState,
+        "density matrix entry magnitude 1.000000002 exceeds 1",
+    ),
+    (
+        bloch_assemble,
+        lambda d: _form(f=np.diag([0.0, 0.0, 1 + d])),
+        (5e-10, 2e-9),
+        InvalidState,
+        "Bloch form entry magnitude 1.000000002 exceeds 1",
+    ),
+    (
+        bloch_assemble,
+        lambda d: _form(a=_tilted(d)),
+        (5e-10, 2e-9),
+        InvalidState,
+        f"local Bloch vector of length {float(linalg.norms(_tilted(2e-9)))!r} is outside the "
+        "unit ball",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check, build, deviations, error, message",
+    ENTRY_CUTS,
+    ids=["amplitude", "matrix entry", "Bloch form entry", "local Bloch vector"],
+)
+def test_an_entry_bound_is_straddled_within_a_factor_of_4(check, build, deviations, error, message):
+    accepted, refused = deviations
+    check(build(accepted))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        check(build(refused))
+
+
 def _huge_off_diagonal():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 1], rho[1, 0] = 1e308, -1e308

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 from bicorr import shotsim, states
-from bicorr.correlation import ObservablePair, _checked_pair
+from bicorr.correlation import (
+    ObservablePair,
+    _checked_pair,
+    correlation_matrix,
+    covariance_via_c,
+)
 from bicorr.linalg import directions
 from bicorr.qstate import (
     CheckedState,
@@ -136,7 +141,10 @@ class TestOutcomeProbabilities:
         probs = joint_outcome_probabilities(MAX_MIXED, ZZ)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
-    def test_matches_explicit_trace_oracle(self):
+    @pytest.mark.parametrize("ball", [False, True], ids=["unit", "ball"])
+    def test_matches_explicit_trace_oracle(self, ball):
+        # Every pair in the Bloch ball gives positive P_1 and P_0, so the cells are a
+        # distribution whose covariance is (1/4) x.C.y.
         rng = np.random.default_rng(27)
         rhos = (
             [states.random_mixed(seed, 2 + seed % 4) for seed in range(10)]
@@ -144,30 +152,36 @@ class TestOutcomeProbabilities:
             + [density_from_pure(states.haar_random_pure(seed)) for seed in range(10)]
         )
         for rho in rhos:
-            x, y = rng.standard_normal((2, 3))
-            pair = ObservablePair(x=x / np.linalg.norm(x), y=y / np.linalg.norm(y))
+            x, y = directions(rng.standard_normal((2, 3)))
+            radii = rng.uniform(0, 1, 2) if ball else (1.0, 1.0)
+            pair = ObservablePair(x=radii[0] * x, y=radii[1] * y)
             q, r = observable_from_bloch(pair.x), observable_from_bloch(pair.y)
             p_a, p_b = {1: q, 0: np.eye(2) - q}, {1: r, 0: np.eye(2) - r}
             expected = [np.trace(rho @ np.kron(p_a[s], p_b[t])).real for s, t in CELL_ORDER]
-            np.testing.assert_allclose(
-                joint_outcome_probabilities(rho, pair), expected, rtol=0, atol=1e-12
-            )
+            probs = joint_outcome_probabilities(rho, pair)
+            np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+            covariance = probs[0] - (probs[0] + probs[1]) * (probs[0] + probs[2])
+            exact = covariance_via_c(correlation_matrix(rho), pair)
+            assert abs(covariance - exact) <= 1e-12
 
     def test_rejects_non_unit_vectors(self):
-        with pytest.raises(NonUnitBloch):
-            joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=[0.5, 0, 0], y=Z))
+        # The kernel takes the pair; sample_joint refuses it, before the state's trace of 0.
+        pair = ObservablePair(x=[0.5, 0, 0], y=Z)
+        np.testing.assert_allclose(joint_outcome_probabilities(MAX_MIXED, pair), 0.25, atol=1e-15)
+        for rho in (MAX_MIXED, np.zeros((4, 4))):
+            with pytest.raises(NonUnitBloch):
+                sample_joint(rho, pair, ShotConfig())
 
     def test_non_unit_norm_is_reported_as_a_float(self):
         message = r"^x must be a unit vector, its norm is off 1 by 0\.5$"
         with pytest.raises(NonUnitBloch, match=message):
             sample_joint(singlet_rho(), ObservablePair(x=0.5 * Z, y=Z), ShotConfig())
 
-    def test_only_the_protocols_own_directions_skip_the_unit_check(self, monkeypatch):
-        long_x = np.array([0.0, 0.0, 2.0])  # not a unit vector, so a check would raise
-        pair = _checked_pair(long_x, Z, shotsim._UnitPair)
-        assert shotsim._unit(pair) is pair
+    def test_the_protocols_pair_reaches_the_kernel_once(self, monkeypatch):
+        # The protocol's checked unit directions go to the kernel, which checks no length;
+        # sample_joint refuses a pair that is not unit.
         with pytest.raises(NonUnitBloch):
-            shotsim._unit(_checked_pair(long_x, Z))
+            sample_joint(singlet_rho(), _checked_pair(np.array([0.0, 0.0, 2.0]), Z), ShotConfig())
         seen, original = [], shotsim.joint_outcome_probabilities
 
         def spy(rho, pair):
@@ -176,7 +190,9 @@ class TestOutcomeProbabilities:
 
         monkeypatch.setattr(shotsim, "joint_outcome_probabilities", spy)
         shotsim.statistical_binary_protocol(singlet_rho(), cfg=ShotConfig(shots=1000))
-        assert [type(p) for p in seen] == [shotsim._UnitPair]
+        assert len(seen) == 1 and type(seen[0]) is ObservablePair
+        np.testing.assert_array_equal(seen[0].x, np.eye(3))
+        np.testing.assert_array_equal(seen[0].y, Z)
 
     def test_a_stack_of_unit_probes_is_accepted(self):
         probs = joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=np.eye(3), y=Z))
@@ -191,7 +207,7 @@ class TestOutcomeProbabilities:
     def test_first_non_unit_row_is_named(self, x, index):
         message = rf"^x at stack index {index} must be a unit vector, its norm is off 1 by"
         with pytest.raises(NonUnitBloch, match=message):
-            joint_outcome_probabilities(MAX_MIXED, ObservablePair(x=x, y=Z))
+            sample_joint(MAX_MIXED, ObservablePair(x=x, y=Z), ShotConfig())
 
     def test_a_state_that_is_not_a_distribution_is_named_by_index(self):
         # Hermitian with unit trace, so structurally a state, but cell (0, 1) is -0.2.
@@ -208,6 +224,37 @@ class TestOutcomeProbabilities:
         assert probs[3] == 0.0 and math.copysign(1.0, probs[3]) == 1.0
         cells = np.array([0.5, 0.25, 0.25 + 5e-11, 0.0])
         np.testing.assert_allclose(probs, cells / cells.sum(), rtol=0, atol=1e-16)
+
+
+def _cells_diag(*cells) -> np.ndarray:
+    """The state whose z-probe cells are cells, in CELL_ORDER."""
+    return np.diag(cells).astype(complex)
+
+
+class TestNormCuts:
+    """The unit and cell bounds, straddled within a factor of 4 of their cut."""
+
+    def test_a_unit_length_is_straddled_from_below(self):
+        # Above 1, the ball check refuses a length from 1 + 1e-12 on, before the unit check.
+        sample_joint(MAX_MIXED, ObservablePair(x=(1 - 5e-10) * Z, y=Z), ShotConfig())
+        message = f"x must be a unit vector, its norm is off 1 by {abs((1 - 2e-9) - 1)!r}"
+        with pytest.raises(NonUnitBloch, match=f"^{re.escape(message)}$"):
+            sample_joint(MAX_MIXED, ObservablePair(x=(1 - 2e-9) * Z, y=Z), ShotConfig())
+
+    def test_a_negative_cell_is_clipped_at_5e_11_and_refused_at_2e_10(self):
+        probs = joint_outcome_probabilities(_cells_diag(0.5, 0.25, 0.25 + 5e-11, -5e-11), ZZ)
+        assert probs[3] == 0.0
+        message = "cell probabilities are not a distribution: one is -2.000e-10"
+        with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+            joint_outcome_probabilities(_cells_diag(0.5, 0.25, 0.25 + 2e-10, -2e-10), ZZ)
+
+    def test_a_clipped_distribution_may_sum_5e_10_off_1(self):
+        # A negative cell sends the cells to the sum bound.  The trace bound, the same NORM_TOL,
+        # refuses a state whose cells sum further off 1, so the cut is straddled from below.
+        cells = np.array([0.5, 0.25, 0.25 + 5e-10, -5e-11])
+        probs = joint_outcome_probabilities(_cells_diag(*cells), ZZ)
+        clipped = np.maximum(cells, 0.0)
+        np.testing.assert_allclose(probs, clipped / clipped.sum(), rtol=0, atol=1e-16)
 
 
 def _imaginary_state(residue: float = 4e-10) -> np.ndarray:

@@ -474,6 +474,22 @@ class TestStateFiles:
         with pytest.raises(ParseError, match=f"^{re.escape(layout)}$"):
             loads_state(json.dumps(doc))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("inf", ["Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_an_infinite_imaginary_part_is_refused_without_a_warning(self, kind, inf):
+        # re + 1j * im computed 0 * inf, whose RuntimeWarning came before the refusal.
+        if kind == "pure":
+            text = f'{{"kind": "pure", "amplitudes": [[1, {inf}], [0, 0], [0, 0], [0, 0]]}}'
+            message = "amplitude magnitude inf exceeds 1"
+        else:
+            doc = {"kind": "mixed", "matrix": (np.eye(4)[..., None] * [0.25, 0]).tolist()}
+            doc["matrix"][0][1][1] = "im"
+            text = json.dumps(doc).replace('"im"', inf)
+            message = "density matrix entry magnitude inf exceeds 1"
+        with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+            loads_state(text)
+
     def test_invalid_state_is_reported_by_validation(self):
         doc = dumps_state(StateSpec(kind="pure", amplitudes=np.array([1, 0, 0, 0])))
         bad = doc.replace("1.0", "0.9", 1)
