@@ -6,7 +6,9 @@ motivates the correlation matrix c = f - a b^T.  `covariance_direct`
 deliberately evaluates the trace formula instead of this shortcut: it
 contracts rho with Q and R directly (``qstate.outcome_table``) and never
 forms the Bloch parameters, so the two routes stay independent and can
-cross-check each other.  Stacks of states and vectors give arrays of results.
+cross-check each other.  Both are about the state's Hermitian part: the Bloch form and the
+real part of the outcome table are its values.  Stacks of states and vectors give arrays of
+results.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from bicorr.linalg import IMAG_TOL, item_or_array, symmetric3_singular_values
-from bicorr.qstate import CheckedState, InvalidState, _require, check_bloch_vector, outcome_table
+from bicorr.linalg import item_or_array, symmetric3_singular_values
+from bicorr.qstate import CheckedState, check_bloch_vector, outcome_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,16 +56,12 @@ class CorrMatrix:
 def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
     """c(X, Y) from the trace formula, contracting rho with Q and R directly.
 
-    With T[s, t] = Tr(rho (Q_s (x) R_t)) from ``outcome_table``,
-    <XY> = T11, <X> = T10 + T11 and <Y> = T01 + T11.  The imaginary residue
-    of the covariance must stay below IMAG_TOL and is discarded.
+    With T[s, t] = Re Tr(rho (Q_s (x) R_t)) from ``outcome_table``, the table of the Hermitian
+    part, <XY> = T11, <X> = T10 + T11 and <Y> = T01 + T11.
     """
-    table = outcome_table(rho, pair.x, pair.y)
+    table = outcome_table(rho, pair.x, pair.y).real
     joint = table[..., 1, 1]
-    value = joint - (table[..., 1, 0] + joint) * (table[..., 0, 1] + joint)
-    message = "covariance{at} has imaginary residue {worst:.3e}"
-    _require(np.abs(value.imag), IMAG_TOL, InvalidState, message)
-    return item_or_array(value.real)
+    return item_or_array(joint - (table[..., 1, 0] + joint) * (table[..., 0, 1] + joint))
 
 
 def correlation_matrix(state: np.ndarray | CheckedState) -> CorrMatrix:

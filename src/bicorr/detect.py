@@ -91,7 +91,7 @@ class Verdict:
 @dataclass(frozen=True, eq=False)
 class Probe:
     x: np.ndarray
-    covariance: float  # of the unit directions of x and y, the number the zero call is made on
+    covariance: float  # of the unit directions; the exact call is made on it, the shot call on z
     is_zero: bool
 
 

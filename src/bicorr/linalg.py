@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-9  # largest |rho - rho^dagger| entry of a state taken as Hermitian
-NORM_TOL = 1e-9  # |q - 1| for q = norm^2, trace, probe length, probability sum; Bloch bounds
+NORM_TOL = 1e-9  # |q - 1| for q = norm^2, trace, probe length; Bloch bounds
 PSD_TOL = 1e-9  # most negative eigenvalue counted as >= 0: state positivity, PPT verdict
-IMAG_TOL = 1e-10  # round-off of one 4x4 contraction: imaginary residue, negative probability
 BALL_TOL = 1e-12  # largest excess over 1 of an observable's Bloch-vector norm
 ZERO_CORRELATION_TOL = 1e-10  # largest |c(x^, y^)| the exact oracle calls zero, and |c y^| alike
 GRAM_TOL = 1e-9  # smallest accepted Gram determinant of the three probe directions

@@ -11,13 +11,18 @@ with real local vectors a, b and a real 3x3 tensor f; `bloch_decompose` and
 `bloch_assemble` convert between the two representations.
 
 Validation happens at construction points (`validate_pure_state`,
-`as_density_matrix`, `bloch_assemble`, `CheckedState`).  The state operations
-take a `CheckedState` as it is and structure-check only a raw array; a
-`CheckedState` keeps its Bloch form and correlation matrix once read (`.bloch`,
-`.cm`), so no reader derives them again.  All of them take stacks, shape (..., 4, 4) or (..., 4),
-empty ones included.  Every array threshold check of the package goes through `_require`, so a
-failed check on a stack names the index of the first offending state.  Every integer input
-(seeds, counts, trial budgets) goes through `_integers`, every other numeric one through `_reals`.
+`as_density_matrix`, `bloch_assemble`, `CheckedState`), and each state invariant has one owner
+and one cut: `_check_structure` owns Hermiticity and the trace, `as_density_matrix` positivity;
+no operation checks them again.  A state may be off Hermitian by HERMITIAN_TOL, and its verdicts
+are about its Hermitian part H = (rho + rho^dagger)/2: the Bloch form, the shot cells and
+`covariance_direct` read real parts, since Re Tr(rho P) = Tr(H P) for a Hermitian P, and the
+eigenvalues are those of H.  The state operations take a `CheckedState` as it is and
+structure-check only a raw array; a `CheckedState` keeps its Bloch form and correlation matrix
+once read (`.bloch`, `.cm`), so no reader derives them again.  All of them take stacks, shape
+(..., 4, 4) or (..., 4), empty ones included.  Every array threshold check of the package goes
+through `_require`, so a failed check on a stack names the index of the first offending state.
+Every integer input (seeds, counts, trial budgets) goes through `_integers`, every other numeric
+one through `_reals`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, IMAG_TOL, NORM_TOL, PSD_TOL
+from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, NORM_TOL, PSD_TOL
 from bicorr.linalg import hermitian_eigenvalues, item_or_array, norms
 
 if TYPE_CHECKING:
@@ -55,8 +60,9 @@ _PAULI_TABLE = np.ascontiguousarray(
 
 
 def _pauli_traces(matrix: np.ndarray) -> np.ndarray:
-    """The 16 complex traces t_mn = Tr(rho sigma_m (x) sigma_n) of each matrix, at index 4m + n."""
-    return matrix.reshape(matrix.shape[:-2] + (16,)) @ _PAULI_TABLE
+    """The 16 real traces Re t_mn of each matrix, at index 4m + n: the traces of its Hermitian
+    part, since Re Tr(rho P) = Tr(H P) for a Hermitian P."""
+    return (matrix.reshape(matrix.shape[:-2] + (16,)) @ _PAULI_TABLE).real
 
 
 class InvalidState(ValueError):
@@ -236,14 +242,10 @@ def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:
     """Extract (a, b, f) from rho via Pauli traces.
 
     a_i = Tr(rho sigma_i (x) I), b_j = Tr(rho I (x) sigma_j),
-    f_ij = Tr(rho sigma_i (x) sigma_j).  The traces are real for Hermitian
-    input; imaginary residue above IMAG_TOL raises InvalidState.
+    f_ij = Tr(rho sigma_i (x) sigma_j), each the real part: the form of the Hermitian part.
     """
     rho = CheckedState.of(rho).matrix
-    traces = _pauli_traces(rho)
-    message = "Pauli traces{at} have imaginary residue {worst:.3e}"
-    _require(np.abs(traces.imag[..., 1:]), IMAG_TOL, InvalidState, message, 1)  # t_00 is checked
-    t = traces.real.reshape(rho.shape)
+    t = _pauli_traces(rho).reshape(rho.shape)
     return BlochForm(a=t[..., 1:, 0], b=t[..., 0, 1:], f=t[..., 1:, 1:])
 
 

@@ -5,7 +5,10 @@ Y = I (x) R act on different factors they commute: a simultaneous measurement
 samples the four-cell product eigenbasis, so ``sample_joint`` takes unit
 vectors only.  ``joint_outcome_probabilities`` takes every ``ObservablePair``:
 in the Bloch ball P_1 = 1/2 (I + x.sigma) and P_0 = I - P_1 are both positive,
-so the cells are a distribution.  The four cell counts of n shots
+so the cells of a state are a distribution.  They are the cells of its Hermitian
+part and check no state invariant of their own: a cell below 0 sends the state to
+``as_density_matrix``, the one positivity cut, and the sum is the trace, which
+``CheckedState`` bounds.  The four cell counts of n shots
 are one multinomial draw, so a run costs the same at any shot count.  The
 counts yield the three sample means <st>, <s>, <t>, from which the
 covariance is estimated with the standard n/(n-1) sample-covariance
@@ -59,8 +62,9 @@ from bicorr.detect import (
     Verdict,
     binary_protocol,
 )
-from bicorr.linalg import IMAG_TOL, NORM_TOL, item_or_array
-from bicorr.qstate import CheckedState, InvalidState, _integers, _pauli_traces, _reals, _require
+from bicorr.linalg import NORM_TOL, item_or_array
+from bicorr.qstate import CheckedState, as_density_matrix
+from bicorr.qstate import _integers, _pauli_traces, _reals, _require
 from bicorr.streams import generators, seed_words
 
 DECISION_ZERO = "Zero"
@@ -154,31 +158,21 @@ def joint_outcome_probabilities(rho: np.ndarray, pair: ObservablePair) -> np.nda
     """Cell probabilities Tr(rho P_s (x) P_t) in CELL_ORDER, on the last axis; stacks broadcast.
     x and y may lie anywhere in the Bloch ball, as in ``outcome_table``.
 
-    With T the 4x4 Pauli traces of rho, cell (s, t) is 1/4 (1, +-x) T (1, +-y)^T, the sign + for
-    s = 1 and t = 1: two products, whose (..., 2, 2) rows s = 1, 0 and columns t = 1, 0 lie in
-    CELL_ORDER as they are.  The checks, in order: imaginary residue, negative cell, sum (before
-    clipping); the first failing one is raised with its stack index, each ``_require`` run only
-    when its bound fails.  A cell in [-IMAG_TOL, 0) is clipped at 0; the cells are then normalized.
+    With T the 4x4 real Pauli traces of rho, cell (s, t) is 1/4 (1, +-x) T (1, +-y)^T, the sign +
+    for s = 1 and t = 1: two real products, whose (..., 2, 2) rows s = 1, 0 and columns t = 1, 0
+    lie in CELL_ORDER as they are.  They are the cells of the Hermitian part, and sum to its
+    trace, which ``CheckedState`` has bounded.  A cell below 0 runs ``as_density_matrix`` on the
+    state, the one positivity cut; past it, the cells are clipped at 0.  They are then divided by
+    their sum.
     """
-    matrix = CheckedState.of(rho).matrix
-    traces = _pauli_traces(matrix).reshape(matrix.shape)
+    state = CheckedState.of(rho)
+    traces = _pauli_traces(state.matrix).reshape(state.matrix.shape)
     cells = _coefficients(pair.x) @ traces @ _coefficients(pair.y).swapaxes(-1, -2)
-    cells = cells.reshape(cells.shape[:-2] + (4,))
-    residue = np.abs(cells.imag)
-    if not residue.max(initial=0.0) <= IMAG_TOL:  # nan fails every bound
-        message = "cell probability{at} has imaginary residue {worst:.3e}"
-        _require(residue, IMAG_TOL, InvalidState, message, 1)
-    probs = cells.real
-    total = probs.sum(axis=-1, keepdims=True)
-    off = np.abs(total - 1.0)
-    if not (probs.min(initial=0.0) >= 0.0 and off.max(initial=0.0) <= NORM_TOL):
-        message = "cell probabilities{at} are not a distribution: one is -{worst:.3e}"
-        _require(-probs, IMAG_TOL, InvalidState, message, 1)
-        message = "cell probabilities{at} are not a distribution: their sum is off 1 by {worst:.3e}"
-        _require(off[..., 0], NORM_TOL, InvalidState, message)
+    probs = cells.reshape(cells.shape[:-2] + (4,))
+    if probs.min(initial=0.0) < 0.0:
+        as_density_matrix(state)
         probs = np.maximum(probs, 0.0)
-        total = probs.sum(axis=-1, keepdims=True)
-    return probs / total
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _statistics(counts: np.ndarray, n: float) -> tuple:

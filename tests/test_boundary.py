@@ -8,7 +8,9 @@ and state file goes through the other: ints, floats and their numpy kinds (compl
 amplitudes and density matrices), one or a stack of equal rows, pass to the checks of the value,
 and a bool, str, None, dict or ragged entry (or a complex one where a real is due) raises
 ``ValueError``.  Each strategy mixes values that pass with every kind that does not.  The
-property: a call returns, or raises a ``ValueError`` subclass, and never warns.
+property: a call returns, or raises a ``ValueError`` subclass, and never warns.  A state that
+the input checks accept near their Hermitian, trace and PSD cuts together gets an answer from
+every route.
 
 No valid large size is ever run: the mixtures' valid counts are at most 6, and ``run_all`` gets
 invalid draws only, with an ``out`` that fails the test if any check runs.
@@ -29,8 +31,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bicorr import states
-from bicorr.cli import _GEN_KINDS, main
-from bicorr.correlation import ObservablePair
+from bicorr.cli import _GEN_KINDS, build_analysis_report, main
+from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import (
     binary_protocol,
     exact_protocol,
@@ -41,6 +43,7 @@ from bicorr.detect import (
 from bicorr.qstate import (
     BlochForm,
     CheckedState,
+    as_density_matrix,
     bloch_assemble,
     density_from_pure,
     observable_from_bloch,
@@ -418,6 +421,54 @@ def test_amplitudes_are_taken_or_refused(psi):
 def test_a_matrix_is_taken_or_refused(rho):
     for call in (CheckedState, purity, ppt_is_separable):
         returns_or_refuses(call, rho, refused=non_number)
+
+
+def _near_cuts(rho, least, trace, skew, where, phase) -> np.ndarray:
+    """rho with its least eigenvalue set to least and the others scaled to a trace of 1 + trace,
+    then entry where (row * 4 + column) off Hermitian by skew, at phase * pi."""
+    w, v = np.linalg.eigh(rho)
+    w[1:] *= (1.0 + trace - least) / w[1:].sum()
+    w[0] = least
+    rho = (v * w) @ v.conj().T
+    rho.reshape(16)[where] += skew * np.exp(1j * np.pi * phase)
+    return rho
+
+
+CUT = 1e-9  # HERMITIAN_TOL, NORM_TOL and PSD_TOL alike
+NEAR_CUTS = st.builds(
+    _near_cuts,
+    st.builds(
+        lambda draw, seed: draw(seed),
+        st.sampled_from(
+            [
+                lambda seed: density_from_pure(states.haar_random_pure(seed)),
+                lambda seed: density_from_pure(states.random_product_pure(seed)),
+                lambda seed: states.random_mixed(seed, k=2),
+                states.random_density,
+            ]
+        ),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.floats(-1.2 * CUT, 0.2 * CUT),
+    st.floats(-1.2 * CUT, 1.2 * CUT),
+    st.floats(0.0, 1.2 * CUT),
+    st.integers(0, 15),
+    st.floats(0.0, 2.0),
+)
+BALL_PAIRS = st.builds(ObservablePair, rows(IN_BALL, 3), rows(IN_BALL, 3))
+
+
+@settings(BOUNDARY, max_examples=200)
+@given(rho=NEAR_CUTS, pair=BALL_PAIRS, seed=st.integers(0, 2**64 - 1))
+def test_a_state_near_its_cuts_gets_an_answer_from_every_route(rho, pair, seed):
+    if isinstance(outcome(as_density_matrix, rho), ValueError):
+        return  # refused at one of its cuts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_analysis_report(states.mixed_spec(rho))
+        exact_protocol(rho)
+        covariance_direct(rho, pair)
+        statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=seed))
 
 
 # What a JSON document can hold where a number belongs.

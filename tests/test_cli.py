@@ -237,6 +237,29 @@ class TestDetect:
         assert capsys.readouterr().out == first
 
 
+def _off_hermitian_state() -> np.ndarray:
+    """I/4 with rho_01 = 5e-10 i and rho_10 = 0: half the Hermitian cut HERMITIAN_TOL."""
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 5e-10j
+    return rho
+
+
+# Each document sits within one input cut of its own, and every route answers it: analyze, and
+# detect exact and by shots, Indeterminate on mixed input.
+@pytest.mark.parametrize(
+    "rho",
+    [_off_hermitian_state(), np.diag([0.5, 0.25, 0.25 + 5e-10, -5e-10]).astype(complex)],
+    ids=["off Hermitian by 5e-10", "least eigenvalue -5e-10"],
+)
+def test_a_state_within_its_cuts_gets_an_answer_from_every_route(rho, tmp_path, capsys):
+    path = str(tmp_path / "state.json")
+    save_state_file(path, mixed_spec(rho))
+    assert main(["analyze", path]) == 0
+    assert main(["detect", path]) == 2
+    assert main(["detect", path, "--shots", "10000"]) == 2
+    assert capsys.readouterr().err == ""
+
+
 class TestSweepWerner:
     def test_ppt_flip_and_reference_column(self, capsys):
         code = main(

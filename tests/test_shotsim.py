@@ -210,15 +210,19 @@ class TestOutcomeProbabilities:
             sample_joint(MAX_MIXED, ObservablePair(x=x, y=Z), ShotConfig())
 
     def test_a_state_that_is_not_a_distribution_is_named_by_index(self):
-        # Hermitian with unit trace, so structurally a state, but cell (0, 1) is -0.2.
+        # Hermitian with unit trace, so structurally a state, but cell (0, 1) is -0.2: the state
+        # meets the positivity cut of ``as_density_matrix``, with its message.
         rho = np.stack([MAX_MIXED, np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex)])
-        message = r"^cell probabilities at stack index 1 are not a distribution: one is -2\.0"
+        message = (
+            r"^density matrix at stack index 1 is not positive semidefinite "
+            r"\(min eigenvalue -2\.000e-01\)$"
+        )
         with pytest.raises(InvalidState, match=message):
             joint_outcome_probabilities(rho, ZZ)
 
-    def test_a_cell_just_below_zero_is_clipped_by_the_ordered_checks(self):
-        # Within the Hermitian and trace slack; cell (0, 0) is -5e-11, within IMAG_TOL of 0, and
-        # cell (1, 1) has an imaginary residue of 5e-11, which the ordered checks take as well.
+    def test_a_cell_just_below_zero_is_clipped(self):
+        # Within the Hermitian, trace and PSD slack; cell (0, 0) is -5e-11, and cell (1, 1) has an
+        # imaginary part of 5e-11, which the Hermitian part drops.
         rho = np.diag([0.5 + 5e-11j, 0.25, 0.25 + 5e-11, -5e-11])
         probs = joint_outcome_probabilities(rho, ZZ)
         assert probs[3] == 0.0 and math.copysign(1.0, probs[3]) == 1.0
@@ -241,25 +245,43 @@ class TestNormCuts:
         with pytest.raises(NonUnitBloch, match=f"^{re.escape(message)}$"):
             sample_joint(MAX_MIXED, ObservablePair(x=(1 - 2e-9) * Z, y=Z), ShotConfig())
 
-    def test_a_negative_cell_is_clipped_at_5e_11_and_refused_at_2e_10(self):
-        probs = joint_outcome_probabilities(_cells_diag(0.5, 0.25, 0.25 + 5e-11, -5e-11), ZZ)
+    def test_a_negative_cell_is_clipped_at_5e_10_and_refused_at_2e_9(self):
+        # A negative cell meets the state's one positivity cut, PSD_TOL = 1e-9.
+        probs = joint_outcome_probabilities(_cells_diag(0.5, 0.25, 0.25 + 5e-10, -5e-10), ZZ)
         assert probs[3] == 0.0
-        message = "cell probabilities are not a distribution: one is -2.000e-10"
+        message = "density matrix is not positive semidefinite (min eigenvalue -2.000e-09)"
         with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
-            joint_outcome_probabilities(_cells_diag(0.5, 0.25, 0.25 + 2e-10, -2e-10), ZZ)
+            joint_outcome_probabilities(_cells_diag(0.5, 0.25, 0.25 + 2e-9, -2e-9), ZZ)
 
     def test_a_clipped_distribution_may_sum_5e_10_off_1(self):
-        # A negative cell sends the cells to the sum bound.  The trace bound, the same NORM_TOL,
-        # refuses a state whose cells sum further off 1, so the cut is straddled from below.
+        # The cells sum to the trace, which only the state's trace bound holds, at NORM_TOL; they
+        # are divided by their sum.
         cells = np.array([0.5, 0.25, 0.25 + 5e-10, -5e-11])
         probs = joint_outcome_probabilities(_cells_diag(*cells), ZZ)
         clipped = np.maximum(cells, 0.0)
         np.testing.assert_allclose(probs, clipped / clipped.sum(), rtol=0, atol=1e-16)
 
 
+    def test_cells_at_the_trace_cut_are_a_distribution(self):
+        # Tr rho - 1 = 9.99999861e-10, within NORM_TOL.  The cells sum 1.000e-09 off 1 along
+        # another rounding path; only the state's trace bound judges that sum.
+        rho = np.diag(
+            [0.29631504693711336, 0.19813396987260734, 0.1772439322719446, 0.32830705191833465]
+        ).astype(complex)
+        rho[0, 1] = rho[1, 0] = 0.00416837513827732
+        pair = ObservablePair(
+            x=[0.5964048466060263, 0.632002758847558, -0.494847220618564],
+            y=[0.0654569196478172, -0.3331115519148712, 0.9406126118924227],
+        )
+        probs = joint_outcome_probabilities(CheckedState(rho), pair)
+        assert (probs >= 0.0).all()
+        assert abs(probs.sum() - 1.0) <= 4 * np.finfo(float).eps
+
+
 def _imaginary_state(residue: float = 4e-10) -> np.ndarray:
-    """I/4 with residue * i added to rho_00: within the Hermitian and trace slack, so a
-    CheckedState, and its Z-probe cell (1, 1) has imaginary part residue (IMAG_TOL is 1e-10)."""
+    """I/4 with residue * i added to rho_00: within the Hermitian and trace slack up to 5e-10, so
+    a CheckedState whose Hermitian part is I/4, and its Z-probe cell (1, 1) has imaginary part
+    residue."""
     rho = MAX_MIXED.copy()
     rho[0, 0] += residue * 1j
     return rho
@@ -268,21 +290,23 @@ def _imaginary_state(residue: float = 4e-10) -> np.ndarray:
 class TestCellRoute:
     """The cells from the Pauli traces against ``outcome_table``'s contraction."""
 
-    def test_an_imaginary_cell_is_refused(self):
-        rho = CheckedState(_imaginary_state())
-        message = r"^cell probability has imaginary residue 4\.000e-10$"
-        with pytest.raises(InvalidState, match=message):
-            joint_outcome_probabilities(rho, ZZ)
+    @staticmethod
+    def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+        return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
-    def test_an_imaginary_residue_below_the_cut_is_dropped(self):
-        probs = joint_outcome_probabilities(_imaginary_state(5e-11), ZZ)
-        np.testing.assert_allclose(probs, 0.25, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("residue", [5e-11, 4e-10, 5e-10])
+    def test_an_imaginary_cell_reads_as_the_hermitian_part(self, residue):
+        rho = _imaginary_state(residue)
+        probs = joint_outcome_probabilities(CheckedState(rho), ZZ)
+        hermitian = joint_outcome_probabilities(self._hermitian_part(rho), ZZ)
+        assert probs.tobytes() == hermitian.tobytes()
+        assert np.array_equal(probs, np.full(4, 0.25))
 
-    def test_an_imaginary_cell_is_named_by_its_stack_index(self):
+    def test_an_imaginary_cell_in_a_stack_reads_as_the_hermitian_part(self):
         rho = np.stack([MAX_MIXED, singlet_rho(), _imaginary_state(), MAX_MIXED])
-        message = r"^cell probability at stack index 2 has imaginary residue 4\.000e-10$"
-        with pytest.raises(InvalidState, match=message):
-            joint_outcome_probabilities(rho, ZZ)
+        probs = joint_outcome_probabilities(rho, ZZ)
+        hermitian = joint_outcome_probabilities(self._hermitian_part(rho), ZZ)
+        assert probs.tobytes() == hermitian.tobytes()
 
     @staticmethod
     def _table_cells(rho, x, y) -> np.ndarray:
@@ -549,6 +573,23 @@ class TestStackedSampler:
         assert stack.decision.tolist() == [DECISION_ZERO] * 3 + [DECISION_NONZERO]
 
 
+class TestZCut:
+    """A call is NonZero exactly when z exceeds the threshold, at both shot sites."""
+
+    @pytest.mark.parametrize("below, decision", [(False, DECISION_ZERO), (True, DECISION_NONZERO)])
+    def test_a_z_at_the_threshold_is_zero_and_one_ulp_below_it_non_zero(self, below, decision):
+        # Probe 1 of the protocol is sample_joint's draw at the same seed, so one z serves both.
+        rho, pair = singlet_rho(), ObservablePair(x=np.eye(3)[0], y=Z)
+        z = sample_joint(rho, pair, ShotConfig(shots=10_000, seed=7)).z_score
+        assert 0.0 < z < math.inf
+        threshold = float(np.nextafter(z, 0.0) if below else z)
+        cfg = ShotConfig(shots=10_000, seed=7, z_threshold=threshold)
+        record = sample_joint(rho, pair, cfg)
+        assert record.z_score == z and record.decision == decision
+        _, trace = statistical_binary_protocol(rho, y=Z, xs=np.eye(3), cfg=cfg)
+        assert trace.probes[0].is_zero is (decision == DECISION_ZERO)
+
+
 class TestStatisticalProtocol:
     def test_singlet_is_detected(self):
         verdict, trace = statistical_binary_protocol(
@@ -675,8 +716,9 @@ class TestStatisticalProtocol:
         )
 
     def test_every_probes_cells_are_checked_before_the_first_draw(self, monkeypatch):
-        # Hermitian with unit trace, but not PSD: probe 3's cells hold a negative probability.
-        # Probe 1 is non-zero, so the run would stop before reading probe 3.
+        # Hermitian with unit trace, but not PSD: probe 3's cells hold a negative probability,
+        # which sends the state to the positivity cut.  Probe 1 is non-zero, so the run would stop
+        # before reading probe 3.
         draws, draw = [], shotsim._draw
         monkeypatch.setattr(shotsim, "_draw", lambda *args: draws.append(args) or draw(*args))
         corner = np.zeros((4, 4))
@@ -684,6 +726,7 @@ class TestStatisticalProtocol:
         rho = 1.2 * singlet_rho() - 0.2 * corner
         y = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
         cfg = ShotConfig(shots=10_000, seed=3)
-        with pytest.raises(InvalidState, match="at stack index 2 are not a distribution"):
+        message = r"^density matrix is not positive semidefinite \(min eigenvalue -2\.000e-01\)$"
+        with pytest.raises(InvalidState, match=message):
             statistical_binary_protocol(rho, y=y, xs=np.eye(3), cfg=cfg)
         assert draws == []
