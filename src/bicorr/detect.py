@@ -275,7 +275,7 @@ def binary_protocol(
         )
     if xs.shape != (3, 3):
         raise ValueError(f"the protocol takes one probe set, got shape {xs.shape}")
-    pure = assume_pure | (purity(rho) >= 1.0 - PURITY_TOL)
+    pure = assume_pure or purity(rho) >= 1.0 - PURITY_TOL
     if corr_oracle is None:
         values, zero = _exact_calls(rho.cm, x_units, y_unit)
         calls = zip(values.tolist(), zero.tolist())

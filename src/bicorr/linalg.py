@@ -2,9 +2,16 @@
 
 Everything here operates on plain numpy arrays, one or a stack on leading axes:
 real 3-vectors, real 3x3 matrices, and complex 4x4 Hermitian matrices.
-Eigenvalues and singular values come from LAPACK through numpy.linalg.  The
+Eigenvalues and singular values come from LAPACK through the gufuncs of
+``numpy.linalg._umath_linalg`` that numpy.linalg calls for these dtypes, with
+the same signatures, so the bits are numpy.linalg's (tests/test_linalg.py pins
+them).  numpy.linalg's Python wrapper, which at one matrix costs about as much
+as LAPACK, is skipped: its input conversion, shape check and type promotion,
+moot for the callers' complex (..., 4, 4) and real (..., 3, 3) arrays, and its
+``errstate`` that turns LAPACK non-convergence into ``LinAlgError``.  The
 kernels check nothing: their callers pass matrices built from input that
-``qstate``, ``correlation`` or ``detect`` has already checked.
+``qstate``, ``correlation`` or ``detect`` has already checked: finite, with
+entries of order 1 or below, on which LAPACK converges.
 
 The table below holds every tolerance of the package.  Each bounds a quantity
 of order 1 (unit trace, unit ball, |c_ij| <= 1), so the values are absolute.
@@ -13,6 +20,7 @@ of order 1 (unit trace, unit ball, |c_ij| <= 1), so the values are absolute.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERMITIAN_TOL = 1e-9  # largest |rho - rho^dagger| entry of a state taken as Hermitian
 NORM_TOL = 1e-9  # |q - 1| for q = norm^2, trace, probe length; Bloch bounds
@@ -63,10 +71,12 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each in a stack, ascending.
 
     The spectrum is that of the Hermitian part (m + m^dagger) / 2, so the
-    result does not depend on which triangle of m LAPACK reads.
+    result does not depend on which triangle of m LAPACK reads.  For complex
+    input ``np.linalg.eigvalsh(UPLO="L")`` calls ``_umath_linalg.eigvalsh_lo``
+    with signature "D->d" (numpy 2.4, ``numpy/linalg/_linalg.py``); so does this.
     """
     m = np.asarray(m, dtype=complex)
-    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    return _umath_linalg.eigvalsh_lo((m + m.conj().swapaxes(-1, -2)) / 2.0, signature="D->d")
 
 
 def symmetric3_singular_values(m: np.ndarray) -> np.ndarray:
@@ -74,8 +84,10 @@ def symmetric3_singular_values(m: np.ndarray) -> np.ndarray:
 
     Computed by LAPACK from m itself rather than from m^T m, so the error
     stays near machine epsilon times the largest value at every scale of m.
+    For real input ``np.linalg.svd(compute_uv=False)`` calls ``_umath_linalg.svd``
+    with signature "d->d" (numpy 2.4, ``numpy/linalg/_linalg.py``); so does this.
     """
-    return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
+    return _umath_linalg.svd(np.asarray(m, dtype=float), signature="d->d")
 
 
 def numeric_rank(m: np.ndarray, abs_tol: float | np.ndarray) -> int:

@@ -309,6 +309,16 @@ class TestBinaryProtocol:
         verdict, _ = binary_protocol(states.werner(0.2), assume_pure=True)
         assert verdict.label == ENTANGLED
 
+    @pytest.mark.parametrize("assume_pure, reads", [(True, 0), (False, 1)])
+    def test_purity_is_read_only_when_not_assumed(self, monkeypatch, assume_pure, reads):
+        from bicorr import detect
+
+        seen = []
+        monkeypatch.setattr(detect, "purity", lambda rho: seen.append(rho) or purity(rho))
+        rho = density_from_pure(states.bell_state("psi-"))
+        verdict, _ = binary_protocol(rho, assume_pure=assume_pure)
+        assert (len(seen), verdict.label) == (reads, ENTANGLED)
+
     def test_rejects_dependent_probes(self):
         xs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DependentProbes):

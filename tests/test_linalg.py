@@ -1,9 +1,11 @@
 """Unit and property tests for the small fixed-size linear-algebra kernels.
 
 The eigen- and singular-value kernels are checked against spectra known in
-closed form.  Their randomized properties (spectral invariants, transpose
-invariance, |det| as the product of singular values, rank monotonicity) are
-``bicorr.verify`` registry checks, run by tests/test_acceptance.py.
+closed form, and pinned to the bits of numpy.linalg, whose LAPACK gufuncs they
+call without its wrapper.  Their randomized properties (spectral invariants,
+transpose invariance, |det| as the product of singular values, rank
+monotonicity) are ``bicorr.verify`` registry checks, run by
+tests/test_acceptance.py.
 """
 
 import ast
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 
 from bicorr import linalg, states
+from bicorr.correlation import correlation_matrix
 from bicorr.linalg import (
+    NORM_TOL,
     det3,
     directions,
     hermitian_eigenvalues,
@@ -23,7 +27,7 @@ from bicorr.linalg import (
     orthogonal_complement_basis,
     symmetric3_singular_values,
 )
-from bicorr.qstate import partial_transpose_b
+from bicorr.qstate import density_from_pure, partial_transpose_b
 
 SINGLET_RHO = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -103,6 +107,91 @@ class TestSingularValues:
         np.testing.assert_allclose(
             symmetric3_singular_values(m), scale * np.array([3.0, 2.0, 1.0]), rtol=1e-12
         )
+
+
+def _numpy_eigenvalues(m):
+    """np.linalg.eigvalsh of the Hermitian part, symmetrized as ``hermitian_eigenvalues`` does."""
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def _weak_pure_c(n: int, seed: int) -> np.ndarray:
+    """C of n pure states a little off product ones (weights down to 1e-12), with exact zero and
+    rank-1 matrices among them."""
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(0, 2**32, (2, n))
+    eps = 10.0 ** rng.uniform(-12, -1, (n, 1))
+    psi = states.random_product_pure(seeds[0]) + eps * states.haar_random_pure(seeds[1])
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    c = correlation_matrix(density_from_pure(psi)).c
+    c[: n // 8] = 0.0
+    c[n // 8 : n // 4] = rng.standard_normal((n // 4 - n // 8, 3, 1)) * rng.standard_normal(
+        (n // 4 - n // 8, 1, 3)
+    )
+    return c
+
+
+def _kernel_inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n states of every ``random_density`` kind and their partial transposes; n C matrices."""
+    rho = states.random_density(np.arange(n))
+    return np.concatenate([rho, partial_transpose_b(rho)]), _weak_pure_c(n, n)
+
+
+class TestNumpyLinalgBits:
+    """Each kernel returns the dtype, shape and bits of the numpy.linalg call it replaces."""
+
+    @staticmethod
+    def _assert_bits(hermitian, real):
+        for got, expected in [
+            (hermitian_eigenvalues(hermitian), _numpy_eigenvalues(hermitian)),
+            (symmetric3_singular_values(real), np.linalg.svd(real, compute_uv=False)),
+        ]:
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert np.array_equal(got, expected)
+
+    def test_one_matrix(self):
+        rng = np.random.default_rng(41)
+        self._assert_bits(random_hermitian(rng), rng.standard_normal((3, 3)))
+        self._assert_bits(SINGLET_PT, CHEN_C)
+
+    def test_a_float_identity(self):
+        self._assert_bits(np.eye(4), np.eye(3))
+
+    @pytest.mark.parametrize("n", [1, 8192])
+    def test_stacks(self, n):
+        self._assert_bits(*_kernel_inputs(n))
+
+    def test_empty_stacks(self):
+        self._assert_bits(np.zeros((0, 4, 4), dtype=complex), np.zeros((0, 3, 3)))
+
+    def test_a_nested_stack(self):
+        hermitian, real = _kernel_inputs(6)
+        self._assert_bits(hermitian[3:9].reshape(2, 3, 4, 4), real.reshape(2, 3, 3, 3))
+
+    def test_non_contiguous_views(self):
+        hermitian, real = _kernel_inputs(64)
+        views = hermitian[::3].swapaxes(-1, -2), real[::3].swapaxes(-1, -2)
+        assert not any(v.flags.c_contiguous for v in views)
+        self._assert_bits(*views)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-300])
+def test_the_kernels_raise_no_floating_point_error(scale):
+    # Without numpy.linalg's errstate the gufuncs run in the caller's; on checked input
+    # (finite, entries of order 1 and below) LAPACK converges and leaves no flag set.
+    hermitian, real = _kernel_inputs(512)
+    rng = np.random.default_rng(43)
+    edge = 1.0 + NORM_TOL
+    phases, signs = np.exp(2j * np.pi * rng.random((64, 4, 4))), rng.choice([-1, 1], (64, 3, 3))
+    for kernel, inputs in [
+        (hermitian_eigenvalues, [hermitian, edge * phases, np.zeros((4, 4))]),
+        (symmetric3_singular_values, [real, edge * signs, np.zeros((3, 3))]),
+    ]:
+        for m in inputs:
+            with np.errstate(under="ignore"):  # scaling the small entries by 1e-300 underflows
+                m = scale * m
+            with np.errstate(all="raise"):
+                assert np.isfinite(kernel(m)).all()
 
 
 class TestNumericRank:
