@@ -52,7 +52,6 @@ from bicorr.qstate import (
     _reals,
     _require,
     check_bloch_components,
-    density_from_pure,
     partial_transpose_b,
     purity,
     validate_pure_state,
@@ -156,7 +155,7 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 
     See ``pure_rank_verdict``; every validated pure state gets a verdict.
     """
-    return pure_rank_verdict(CheckedState(density_from_pure(psi)).cm)
+    return pure_rank_verdict(CheckedState._pure(psi)[1].cm)
 
 
 def _exact_calls(cm: CorrMatrix, x_units: np.ndarray, y_unit: np.ndarray) -> tuple:

@@ -13,10 +13,12 @@ with real local vectors a, b and a real 3x3 tensor f; `bloch_decompose` and
 Validation happens at construction points (`validate_pure_state`,
 `as_density_matrix`, `bloch_assemble`, `CheckedState`), and each state invariant has one owner
 and one cut: `_check_structure` owns Hermiticity and the trace, `as_density_matrix` positivity;
-no operation checks them again.  A state may be off Hermitian by HERMITIAN_TOL, and its verdicts
-are about its Hermitian part H = (rho + rho^dagger)/2: the Bloch form, the shot cells and
-`covariance_direct` read real parts, since Re Tr(rho P) = Tr(H P) for a Hermitian P, and the
-eigenvalues are those of H.  The state operations take a `CheckedState` as it is and
+no operation checks them again.  A pure state's owner is `validate_pure_state`: |psi><psi| is
+Hermitian to round-off and its trace is psi's norm^2, so `CheckedState._pure` builds it from the
+checked amplitudes with no `_check_structure`.  A state may be off Hermitian by HERMITIAN_TOL,
+and its verdicts are about its Hermitian part H = (rho + rho^dagger)/2: the Bloch form, the shot
+cells and `covariance_direct` read real parts, since Re Tr(rho P) = Tr(H P) for a Hermitian P,
+and the eigenvalues are those of H.  The state operations take a `CheckedState` as it is and
 structure-check only a raw array; a `CheckedState` keeps its Bloch form and correlation matrix
 once read (`.bloch`, `.cm`), so no reader derives them again.  All of them take stacks, shape
 (..., 4, 4) or (..., 4), empty ones included.  Every array threshold check of the package goes
@@ -84,12 +86,13 @@ class BlochOutOfBall(ValueError):
 def _require(deviation: np.ndarray, tol: float, error: type, message: str, core: int = 0) -> None:
     """Raise error(message) unless every entry of deviation is at most tol.
 
-    One reduction decides, so nan fails and an empty stack passes.  message is formatted with
+    One reduction decides, so nan fails and an empty stack passes; one state's scalar deviation is
+    compared as it is, with no reduction, to the same effect.  message is formatted with
     ``worst``, the largest deviation as a float, and ``at``: " at stack index i, j" for the first
     failing entry, "" for one state.  The last ``core`` axes of deviation lie within a state.  A
     bool deviation must be cast to float: a bool maximum ignores the initial -inf.
     """
-    worst = deviation.max(initial=-math.inf)
+    worst = deviation if deviation.ndim == 0 else deviation.max(initial=-math.inf)
     if not worst <= tol:
         index = np.argwhere(~(deviation <= tol))[0][: deviation.ndim - core]
         at = f" at stack index {', '.join(map(str, index))}" if index.size else ""
@@ -173,7 +176,9 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CheckedState:
-    """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``.
+    """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``, or
+    the |psi><psi| of amplitudes that passed ``validate_pure_state`` (``_pure``), which owns a pure
+    state's invariants.
 
     Its Bloch form and correlation matrix are computed when first read and kept with it, so every
     reader of one state shares them.
@@ -190,6 +195,20 @@ class CheckedState:
     def of(cls, rho: np.ndarray | CheckedState) -> CheckedState:
         """rho as a CheckedState; only a raw array runs ``_check_structure``."""
         return rho if isinstance(rho, cls) else cls(rho)
+
+    @classmethod
+    def _pure(cls, psi: np.ndarray) -> tuple[np.ndarray, CheckedState]:
+        """psi as ``validate_pure_state`` returns it, and the CheckedState of |psi><psi|.
+
+        The amplitude check is the state's only check: |psi><psi| is Hermitian to round-off and
+        its trace is psi's norm^2, which that check bounds, so ``_check_structure`` would repeat
+        it, and a few ulps from the norm cut refuse amplitudes it accepts.
+        """
+        psi = validate_pure_state(psi)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", _projector(psi))
+        state.matrix.flags.writeable = False
+        return psi, state
 
     @cached_property
     def bloch(self) -> BlochForm:
@@ -219,7 +238,11 @@ def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Rank-1 density matrix |psi><psi| of a normalized pure state (or of each in a stack)."""
-    psi = validate_pure_state(psi)
+    return _projector(validate_pure_state(psi))
+
+
+def _projector(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of checked amplitudes, or of each in a stack."""
     return psi[..., :, None] * psi[..., None, :].conj()
 
 

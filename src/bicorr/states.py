@@ -27,7 +27,6 @@ from bicorr.qstate import (
     _require,
     as_density_matrix,
     density_from_pure,
-    validate_pure_state,
 )
 from bicorr.streams import generators, seed_words
 
@@ -224,10 +223,9 @@ class StateSpec:
 
 
 def pure_spec(psi: np.ndarray, label: str | None = None) -> StateSpec:
-    psi = validate_pure_state(psi)
+    psi, rho = CheckedState._pure(psi)
     if psi.ndim > 1:
         raise InvalidState(f"a state spec holds one state, got a stack of shape {psi.shape}")
-    rho = CheckedState(psi[:, None] * psi.conj())  # density_from_pure's, psi checked once
     return StateSpec(kind="pure", label=label, amplitudes=psi, matrix=rho)
 
 

@@ -95,9 +95,9 @@ def _per_run(draw):
 
 @_per_run
 def _pure(draw: Callable[[range], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
-    psi = draw(seeds)
+    psi, rho = CheckedState._pure(draw(seeds))
     psi.flags.writeable = False
-    return psi, CheckedState(density_from_pure(psi))
+    return psi, rho
 
 
 @_per_run
@@ -362,7 +362,7 @@ def check_generator_determinism(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
-    rho = CheckedState(density_from_pure(states.bell_state("psi-")))
+    rho = CheckedState._pure(states.bell_state("psi-"))[1]
     pair = ObservablePair(x=np.broadcast_to(Z, (200, 3)), y=Z)
     record = sample_joint(rho, pair, ShotConfig(shots=10_000, seed=seed))
     mean = float(np.mean(record.covariance_estimate))
@@ -374,7 +374,7 @@ def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
 
 def check_shot_se_scaling(trials: int, seed: int) -> tuple[bool, str]:
     pair = ObservablePair(x=Z, y=np.array([1.0, 0.0, 1.0]) / math.sqrt(2))
-    rho = CheckedState(density_from_pure(states.bell_state("psi-")))
+    rho = CheckedState._pure(states.bell_state("psi-"))[1]
     ses = {
         n: sample_joint(rho, pair, ShotConfig(shots=n, seed=seed)).standard_error
         for n in (1_000, 10_000, 100_000)

@@ -34,7 +34,9 @@ from bicorr import states
 from bicorr.cli import _GEN_KINDS, build_analysis_report, main
 from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import (
+    ENTANGLED,
     binary_protocol,
+    classify_pure_by_rank,
     exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
@@ -469,6 +471,57 @@ def test_a_state_near_its_cuts_gets_an_answer_from_every_route(rho, pair, seed):
         exact_protocol(rho)
         covariance_direct(rho, pair)
         statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=seed))
+
+
+# Amplitudes that the norm cut accepts, a little off a product state, whose |psi><psi| sums to a
+# trace that differs from 1 by more than NORM_TOL: a second, trace cut on |psi><psi| refused them.
+NORM_CUT_DOCUMENT = json.dumps({"kind": "pure", "amplitudes": [
+    [0.548201034326995, -0.8363465938004544],
+    [-6.890970982492907e-07, -3.315868027867398e-07],
+    [-7.401289139139656e-07, 1.8105841537984219e-07],
+    [1.4864033891232677e-07, -5.527447801650059e-08],
+]})
+
+
+def test_a_document_the_norm_cut_accepts_is_answered_by_every_route(tmp_path):
+    spec = states.loads_state(NORM_CUT_DOCUMENT)
+    psi = spec.amplitudes
+    assert spec.matrix.matrix.tobytes() == (psi[:, None] * psi.conj()).tobytes()
+    path = tmp_path / "psi.json"
+    path.write_text(NORM_CUT_DOCUMENT)
+    assert cli_outcome(["analyze", str(path)]) == 0
+    assert cli_outcome(["detect", str(path)]) == 1  # Entangled at probe 3
+    assert cli_outcome(["detect", str(path), "--shots", "10000"]) == 0
+    assert classify_pure_by_rank(psi).label == ENTANGLED and schmidt_rank(psi) == 2
+
+
+ULP = float(np.spacing(1.0))
+
+
+@BOUNDARY
+@given(
+    psi=either(
+        st.integers(0, 2**32 - 1).map(states.haar_random_pure),
+        st.builds(
+            lambda seed, weight: states.random_product_pure(seed)
+            + weight * states.haar_random_pure(seed + 1),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([0.0, 1e-7, 1e-6]),
+        ),
+    )
+)
+def test_a_pure_state_straddling_the_norm_cut_is_refused_only_by_its_amplitudes(psi):
+    # psi scaled to a norm^2 of 1 +- (NORM_TOL + k ulp), |k| <= 40: the spec takes it exactly when
+    # the amplitude check does, and refuses it with the same message.
+    unit = psi / math.sqrt(np.sum(np.abs(psi) ** 2))
+    for k in range(-40, 41):
+        for sign in (-1.0, 1.0):
+            scaled = unit * math.sqrt(1.0 + sign * (CUT + k * ULP))
+            checked, spec = outcome(validate_pure_state, scaled), outcome(states.pure_spec, scaled)
+            if isinstance(checked, ValueError):
+                assert isinstance(spec, ValueError) and str(spec) == str(checked)
+            else:
+                assert not isinstance(spec, ValueError), (k, sign, spec)
 
 
 # What a JSON document can hold where a number belongs.

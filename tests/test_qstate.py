@@ -346,6 +346,25 @@ class TestRequire:
     def test_tolerance_is_inclusive(self):
         assert _require(np.array([0.0, 1.0]), 1.0, ValueError, "{at}") is None
 
+    @pytest.mark.parametrize("scalar", [np.float64, np.array], ids=["float64", "0-d array"])
+    @pytest.mark.parametrize(
+        "value, passes",
+        [
+            (0.0, True), (1e-9, True), (np.nextafter(1e-9, np.inf), False),
+            (np.nan, False), (np.inf, False), (-np.inf, True),
+        ],
+        ids=["zero", "tol", "next after tol", "nan", "inf", "-inf"],
+    )
+    def test_one_state_decides_as_a_one_row_stack(self, scalar, value, passes):
+        # One state's deviation is compared as it is, with no reduction: it passes or fails as the
+        # one-row stack does, and its message is the stack's without the index.
+        for deviation, at in ((np.array([value]), " at stack index 0"), (scalar(value), "")):
+            if passes:
+                assert _require(deviation, 1e-9, ValueError, "worst {worst!r}{at}") is None
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(f'worst {float(value)!r}{at}')}$"):
+                _require(deviation, 1e-9, ValueError, "worst {worst!r}{at}")
+
 
 class TestDensityFromPure:
     def test_basis_state(self):
@@ -575,7 +594,7 @@ def test_analysis_report_checks_each_input_once(spec, check_counts):
         assert check_counts["_check_structure"] == 1
     else:
         assert check_counts["validate_pure_state"] == 1
-        assert check_counts["_check_structure"] <= 1
+        assert check_counts["_check_structure"] == 0  # the amplitudes own a pure state's check
     assert check_counts["check_bloch_vector"] <= 4
 
 
@@ -694,7 +713,9 @@ def test_a_checked_state_is_neither_indexed_nor_iterated():
 
 def test_protocol_soundness_checks_each_block_once(check_counts):
     passed, _ = check_protocol_soundness(100, 0)
-    assert passed and check_counts["_check_structure"] == 1
+    # A pure block is checked once, by its amplitudes; |psi><psi| is not structure-checked again.
+    assert passed and check_counts["validate_pure_state"] == 1
+    assert check_counts["_check_structure"] == 0
 
 
 def test_two_probe_insufficiency_checks_each_block_once(check_counts, monkeypatch):
@@ -717,4 +738,4 @@ def test_two_probe_insufficiency_checks_each_block_once(check_counts, monkeypatc
     assert check_two_probe_insufficiency(200, 0) == (
         True, "200 entangled states admit two independent all-zero probes"
     )
-    assert check_counts["_check_structure"] == 2
+    assert check_counts["validate_pure_state"] == 2 and check_counts["_check_structure"] == 0

@@ -5,9 +5,10 @@ divided by 10, each run by ``pytest -x`` on its own copy of the repository.
 
 A site is one read of a tolerance, named ``module.function:NAME#k`` for the k-th read of NAME
 in that function, counted from 1 in source order (``module.<module>:NAME#k`` outside any
-function), so a name does not move when lines are added elsewhere.  Each mutant runs the tests
-in a fresh copy of the repository with bytecode caching off, two at a time; a mutant that
-passes every test survives.  A
+function), so a name does not move when lines are added elsewhere.  The repository is copied
+once, at the start, and every site and every mutant is taken from that snapshot, so an edit made
+during a run changes nothing in it.  Each mutant runs the tests in a fresh copy of the snapshot
+with bytecode caching off, two at a time; a mutant that passes every test survives.  A
 survivor listed in tools/mutants_allowed.txt, one line ``SITE OP REASON`` each, is allowed:
 no input can tell it from the code as written.  The exit status is 1 if any other mutant
 survives.  Not part of the test suite: a full run takes minutes.
@@ -99,20 +100,27 @@ def allowlist(path: Path = ALLOWLIST) -> dict[tuple[str, str], str]:
 
 
 def mutated(site: Site, op: str, root: Path = ROOT) -> str:
-    """The text of site's file with its read replaced by (NAME * 10) or (NAME / 10)."""
+    """The text of site's file with its read replaced by (NAME * 10) or (NAME / 10).
+
+    Raises RuntimeError if the site's span no longer reads NAME: the file has changed since
+    ``sites`` read it.
+    """
     lines = (root / site.path).read_text().splitlines(keepends=True)
-    text = lines[site.line - 1]
-    name = text[site.start : site.end]
+    text = lines[site.line - 1] if site.line <= len(lines) else ""
+    name = site.name.split(":")[1].split("#")[0]
+    if text[site.start : site.end] != name:
+        span = site.start, site.end
+        raise RuntimeError(f"{site.path}:{site.line}: no {name} at columns {span}")
     lines[site.line - 1] = f"{text[: site.start]}({name} {op[0]} {op[1:]}){text[site.end :]}"
     return "".join(lines)
 
 
-def run(site: Site, op: str) -> str:
-    """'killed' or 'survived': pytest -x on a copy of the repository holding the mutant."""
+def run(site: Site, op: str, snapshot: Path) -> str:
+    """'killed' or 'survived': pytest -x on a copy of snapshot holding the mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         copy = Path(scratch) / "repo"
-        shutil.copytree(ROOT, copy, ignore=SKIP)
-        (copy / site.path).write_text(mutated(site, op))
+        shutil.copytree(snapshot, copy)
+        (copy / site.path).write_text(mutated(site, op, snapshot))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
         done = subprocess.run(command, cwd=copy, env=env, capture_output=True)
@@ -120,11 +128,20 @@ def run(site: Site, op: str) -> str:
 
 
 def main() -> int:
-    allowed = allowlist()
-    mutants = [(site, op) for site in sites() for op in OPS]
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        snapshot = Path(scratch) / "repo"
+        shutil.copytree(ROOT, snapshot, ignore=SKIP)
+        return report(snapshot)
+
+
+def report(snapshot: Path) -> int:
+    """Run and print every mutant of snapshot; 1 if a mutant outside the allowlist survives."""
+    allowed = allowlist(snapshot / ALLOWLIST.relative_to(ROOT))
+    mutants = [(site, op) for site in sites(snapshot) for op in OPS]
     survivors = allowed_survivors = 0
     with ThreadPoolExecutor(WORKERS) as pool:
-        for (site, op), outcome in zip(mutants, pool.map(lambda m: run(*m), mutants)):
+        runs = pool.map(lambda mutant: run(*mutant, snapshot), mutants)
+        for (site, op), outcome in zip(mutants, runs):
             if outcome == "survived" and (site.name, op) in allowed:
                 outcome, allowed_survivors = "allowed", allowed_survivors + 1
             survivors += outcome == "survived"
