@@ -139,8 +139,12 @@ def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
     c vanishes for separable pure states and has full rank for entangled ones;
     the verdict is Entangled iff sigma_max(c), the concurrence, exceeds
     PURE_ENTANGLED_SV_TOL.  The detail gives sigma_max, that threshold and all
-    three singular values.
+    three singular values.  It takes one state; a stack raises ValueError.
     """
+    if cm.c.shape != (3, 3):
+        raise ValueError(
+            f"the rank verdict takes one state, got a correlation matrix of shape {cm.c.shape}"
+        )
     singular_values = cm.singular_values.tolist()
     label = ENTANGLED if rank_says_entangled(cm) else SEPARABLE
     detail = (

@@ -23,6 +23,7 @@ from bicorr.qstate import (
     InvalidState,
     _integers,
     _observable,
+    _projector,
     _reals,
     _require,
     as_density_matrix,
@@ -188,7 +189,7 @@ def _mixed(words: np.ndarray, k: int) -> np.ndarray:
         row[:k] = rng.exponential(1.0, size=k)
         rng.standard_normal(out=row[k:])
     psi = _unit_complex(draws[:, k:].reshape(n, k, 2, 4))
-    return _mixture(draws[:, :k], psi[..., :, None] * psi[..., None, :].conj())
+    return _mixture(draws[:, :k], _projector(psi))
 
 
 def random_mixed(seed, k=4) -> np.ndarray:

@@ -180,6 +180,17 @@ class TestRankClassifier:
         assert classify_pure_by_rank(psi).label == label
         assert schmidt_rank(psi) == (2 if label == ENTANGLED else 1)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_refuses_a_stack(self, rows):
+        # Unchecked, a one-row stack gets a verdict whose detail holds every row's singular values,
+        # and two rows raise numpy's ambiguous-truth text.
+        psi = states.haar_random_pure(list(range(rows)))
+        message = rf"takes one state, got a correlation matrix of shape \({rows}, 3, 3\)"
+        with pytest.raises(ValueError, match=message):
+            classify_pure_by_rank(psi)
+        with pytest.raises(ValueError, match=message):
+            pure_rank_verdict(CheckedState(density_from_pure(psi)).cm)
+
 
 class TestBinaryProtocol:
     def test_singlet_detected_at_third_probe(self):
