@@ -27,7 +27,6 @@ from bicorr.qstate import (
     _reals,
     _require,
     as_density_matrix,
-    density_from_pure,
 )
 from bicorr.streams import generators, seed_words
 
@@ -206,7 +205,7 @@ def random_density(seed) -> np.ndarray:
     for which, draw in enumerate((
         lambda w, s: _per_k(w, 2 + s % 4, _mixed),
         lambda w, s: _per_k(w, 1 + s % 5, _separable_mixed),
-        lambda w, s: density_from_pure(_haar(w)),
+        lambda w, s: _projector(_haar(w)),
     )):
         rows = kind == which
         rho[rows] = draw(words[rows], flat[rows])

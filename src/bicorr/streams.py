@@ -3,7 +3,9 @@
 ``np.random.default_rng(seed)`` is ``Generator(PCG64(SeedSequence(seed)))``.  ``SeedSequence``
 hashes the seed's 32-bit words into a pool of four words, and PCG64 asks it for the pool expanded
 into four 64-bit words, two for its 128-bit state and two for its increment.  Every step of the
-hash is fixed integer arithmetic, so ``seed_words`` runs it on a whole stack of seeds at once.
+hash is fixed integer arithmetic, and it hashes 0 in place of a missing word, so ``seed_words``
+runs it in one call on a stack of at least CROSSOVER seeds, all below 2**64, as each seed's two
+32-bit words; every other stack goes to ``SeedSequence`` seed by seed.
 ``generators`` then starts a fresh PCG64 from each seed's words through numpy's seed-sequence
 interface (``ISeedSequence``), which numpy's bit generators accept in place of a
 ``SeedSequence``.  The streams are the seeds' own ``default_rng`` streams, bit for bit; the seed
@@ -48,21 +50,20 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _generate_state(words: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed).generate_state(4, np.uint64) per row of words (n, w), w words a seed.
+    """SeedSequence(seed).generate_state(4, np.uint64) per row of words (n, 2), a seed's two
+    32-bit words, low first.
 
-    The pool is (4, n), one row per pool word.  Each step of SeedSequence that hashes one
+    SeedSequence hashes a missing word as 0, so the two words padded with zeros fill its pool of
+    four.  The pool is (4, n), one row per pool word.  Each step of SeedSequence that hashes one
     value with consecutive constants is one call of ``_hash`` on the constants' column.
     """
-    n, w = words.shape
-    entropy = np.zeros((max(w, 4), n), np.uint32)
-    entropy[:w] = words.T
-    chain = _chain(INIT_A, MULT_A, 16 + 4 * (len(entropy) - 4))
-    pool = _hash(entropy[:4], chain[:5])  # the first four words, zeros past the last
+    entropy = np.zeros((4, len(words)), np.uint32)
+    entropy[:2] = words.T
+    chain = _chain(INIT_A, MULT_A, 16)
+    pool = _hash(entropy, chain[:5])
     for src in range(4):  # every pool word mixed into every other
         others = [dst for dst in range(4) if dst != src]
         pool[others] = _mix(pool[others], _hash(pool[src], chain[4 + 3 * src : 8 + 3 * src]))
-    for src in range(4, w):  # any further words mixed into each pool word
-        pool = _mix(pool, _hash(entropy[src], chain[4 * src : 4 * src + 5]))
     out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _chain(INIT_B, MULT_B, 8))
     return out.T.astype("<u4", order="C").view("<u8")
 
@@ -70,23 +71,16 @@ def _generate_state(words: np.ndarray) -> np.ndarray:
 def seed_words(seeds) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed s, as the rows of (n, 4).
 
-    The seeds are non-negative integers of any size, as the callers check.  From CROSSOVER seeds
-    on ``_generate_state`` hashes the whole stack; below it each seed gets numpy's SeedSequence.
+    The seeds are non-negative integers of any size, as the callers check.  A stack of at least
+    CROSSOVER seeds, all below 2**64, is hashed by ``_generate_state`` in one call; every other
+    stack gets numpy's SeedSequence seed by seed.
     """
     seeds = np.asarray(seeds, dtype=object).tolist()  # an integer array's values as Python ints
+    if len(seeds) >= CROSSOVER and max(seeds) < 2**64:
+        return _generate_state(np.array(seeds, "<u8").view("<u4").reshape(-1, 2))
     seeded = np.empty((len(seeds), 4), np.uint64)
-    if len(seeds) < CROSSOVER:
-        for row, seed in zip(seeded, seeds):
-            row[:] = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-        return seeded
-    width = max(1, -(-int(max(seeds)).bit_length() // 32))
-    values = np.array(seeds, dtype=np.uint64 if width <= 2 else object)
-    words = np.stack([(values >> 32 * j & MASK32).astype(np.uint32) for j in range(width)], -1)
-    nonzero = words != 0  # a seed has words up to its last non-zero one, and at least one
-    counts = np.where(nonzero.any(axis=-1), width - nonzero[:, ::-1].argmax(axis=-1), 1)
-    for count in set(counts.tolist()):
-        rows = counts == count
-        seeded[rows] = _generate_state(words[rows, :count])
+    for row, seed in zip(seeded, seeds):
+        row[:] = np.random.SeedSequence(seed).generate_state(4, np.uint64)
     return seeded
 
 

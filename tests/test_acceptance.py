@@ -4,14 +4,15 @@ Each test covers one criterion, runs it at its frozen tolerance, enforces the
 runtime budget, and prints a single summary line on success.  Failures show up
 as ordinary pytest failures.
 
-The randomized properties live once, in ``bicorr.verify.ALL_CHECKS``, and
-every entry runs here once at seed 0.  Criteria 3, 5 and 7 run their registry
-entries by name; ``test_registry_check`` runs the rest.  The entries that carry
-a criterion run at the criterion's 10,000 states and seed 0, and their draws
-define the criterion's inputs; every other entry runs at 1,000 trials.  Two
-criterion entries run in ``test_registry_check`` at a fixed size: criterion 6's
-Werner zero sets (100 pairs at four xi) and criterion 8's false-positive
-control (1,000 seeds).
+``bicorr.verify.ALL_CHECKS`` is the one list of checks that ``bicorr verify``
+runs, and every entry runs here once at seed 0; criteria 4 and 8 and some unit
+tests also draw seeded states or shot seeds of their own.  Criteria 3, 5 and 7
+run their registry entries by name; ``test_registry_check`` runs the rest.  The
+entries that carry a criterion run at the criterion's 10,000 states and seed 0,
+and their draws define the criterion's inputs; every other entry runs at 1,000
+trials.  Two criterion entries run in ``test_registry_check`` at a fixed size:
+criterion 6's Werner zero sets (100 pairs at four xi) and criterion 8's
+false-positive control (1,000 seeds).
 """
 
 import hashlib

@@ -102,6 +102,13 @@ class TestAnalyze:
     def test_missing_file_is_an_error(self, capsys):
         assert main(["analyze", "/nonexistent/state.json"]) == 3
 
+    def test_a_true_amplitude_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text('{"kind": "pure", "amplitudes": [[true, 0], [0, 0], [0, 0], [0, 0]]}')
+        assert main(["analyze", str(path)]) == 3
+        layout = "amplitudes must be 4 [re, im] pairs of floats"
+        assert capsys.readouterr() == ("", f"bicorr: error: {layout}\n")
+
     def test_json_report_round_trips(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         save_state_file(path, mixed_spec(random_mixed(17), label="m"))

@@ -10,11 +10,15 @@ gives Var(h) = 0.046875 (sd 0.2165/sqrt(n)); the singlet with y tilted to
 import hashlib
 import json
 import math
+import random
 import re
 from dataclasses import asdict, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicorr import shotsim, states
 from bicorr.correlation import (
@@ -228,6 +232,67 @@ class TestOutcomeProbabilities:
         assert probs[3] == 0.0 and math.copysign(1.0, probs[3]) == 1.0
         cells = np.array([0.5, 0.25, 0.25 + 5e-11, 0.0])
         np.testing.assert_allclose(probs, cells / cells.sum(), rtol=0, atol=1e-16)
+
+
+def _flip(p, q):
+    """A side's readout channel: a true 0 reads 1 with probability p, a true 1 reads 0 with q.
+    Rows and columns are outcomes 1, 0, as CELL_ORDER lays out the table."""
+    return [[1 - q, p], [q, 1 - p]]
+
+
+def _read_out(table, side_a, side_b):
+    """The observed table F_A P F_B^T of the true 2x2 table P, in exact or float arithmetic."""
+    fa, fb = _flip(*side_a), _flip(*side_b)
+    two = range(2)
+    return [
+        [sum(fa[s][i] * table[i][j] * fb[t][j] for i in two for j in two) for t in two]
+        for s in two
+    ]
+
+
+def _covariance(table):
+    """P(1, 1) - P(s = 1) P(t = 1) of a 2x2 table whose rows are s = 1, 0 and columns t = 1, 0."""
+    return table[0][0] - (table[0][0] + table[0][1]) * (table[0][0] + table[1][0])
+
+
+def _shrink(rates):
+    """The factor (1 - p - q) by which one side's readout flips scale every covariance."""
+    p, q = rates
+    return 1 - p - q
+
+
+class TestReadoutFlips:
+    """Independent readout flips on each side scale the covariance of the cells by one factor,
+    (1 - p_A - q_A)(1 - p_B - q_B), whatever the state and the probes."""
+
+    def test_exact_on_rational_tables_and_rates(self):
+        draw = random.Random(22)
+        for _ in range(300):
+            weights = [draw.randint(0, 50) for _ in CELL_ORDER]
+            weights[draw.randrange(4)] += 1  # never all zero
+            cells = [Fraction(w, sum(weights)) for w in weights]
+            table = [cells[:2], cells[2:]]
+            side_a, side_b = ([Fraction(draw.randint(0, 60), 60) for _ in range(2)] for _ in "ab")
+            observed = _read_out(table, side_a, side_b)
+            assert sum(map(sum, observed)) == 1
+            factor = _shrink(side_a) * _shrink(side_b)
+            assert _covariance(observed) == factor * _covariance(table)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        vectors=st.lists(st.floats(-1, 1), min_size=6, max_size=6),
+        rates=st.lists(st.floats(0, 0.3), min_size=4, max_size=4),
+    )
+    def test_on_random_states_and_pairs_in_the_bloch_ball(self, seed, vectors, rates):
+        x, y = np.array(vectors).reshape(2, 3)
+        x, y = (v / max(1.0, np.linalg.norm(v)) for v in (x, y))
+        probs = joint_outcome_probabilities(states.random_density(seed), ObservablePair(x=x, y=y))
+        table = probs.reshape(2, 2).tolist()
+        side_a, side_b = rates[:2], rates[2:]
+        factor = _shrink(side_a) * _shrink(side_b)
+        residual = _covariance(_read_out(table, side_a, side_b)) - factor * _covariance(table)
+        assert abs(residual) <= 4 * np.finfo(float).eps
 
 
 def _cells_diag(*cells) -> np.ndarray:

@@ -34,6 +34,21 @@ def test_states_equal_default_rng_on_seeds_of_one_to_seven_words():
         assert rng.bit_generator.state == fresh_state(seed), seed
 
 
+@pytest.mark.parametrize(
+    "seeds, kernel_calls",
+    [([s for s in SEEDS if s < 2**64], 1), (list(range(2**64 - 20, 2**64 + 2)), 0)],
+    ids=["all below 2**64", "one from 2**64 up"],
+)
+def test_only_a_stack_below_2_64_is_hashed_in_one_kernel_call(seeds, kernel_calls, monkeypatch):
+    calls, kernel = [], streams._generate_state
+    monkeypatch.setattr(streams, "_generate_state", lambda w: calls.append(w.shape) or kernel(w))
+    words = seed_words(seeds)
+    assert calls == [(len(seeds), 2)] * kernel_calls
+    for seed, row in zip(seeds, words, strict=True):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes(), seed
+
+
 @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
 def test_numpy_integer_seeds_give_their_ints_states(dtype):
     top = np.iinfo(dtype).max
