@@ -5,6 +5,10 @@ extracts the 3x3 correlation matrix of a state, classifies pure states as
 separable or entangled through the rank of that matrix, runs the three-probe
 zero/non-zero correlation protocol (one run, or a stack of runs), and
 simulates the same decisions from finite projective-measurement statistics.
+
+The four shot names (``ShotConfig``, ``ShotRecord``, ``sample_joint``,
+``statistical_binary_protocol``) import ``bicorr.shotsim`` on first access, so
+a program that never samples never loads the simulator.
 """
 
 from bicorr.correlation import (
@@ -31,7 +35,6 @@ from bicorr.qstate import (
     density_from_pure,
     observable_from_bloch,
 )
-from bicorr.shotsim import ShotConfig, ShotRecord, sample_joint, statistical_binary_protocol
 from bicorr.states import bell_state, chen_state, haar_random_pure, werner
 
 __version__ = "0.1.0"
@@ -64,3 +67,17 @@ __all__ = [
     "statistical_binary_protocol",
     "werner",
 ]
+
+_SHOT_NAMES = frozenset({"ShotConfig", "ShotRecord", "sample_joint", "statistical_binary_protocol"})
+
+
+def __getattr__(name: str):
+    if name in _SHOT_NAMES:
+        from bicorr import shotsim
+
+        return getattr(shotsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

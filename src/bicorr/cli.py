@@ -6,6 +6,9 @@ carries the verdict), ``sweep-werner`` (covariance and PPT verdict across the
 mixing parameter), ``gen`` (write fixture/random state files), and ``verify``
 (run the library's property suites).
 
+``detect --shots`` imports the shot simulator and ``verify`` the property
+suites when they run; no other command loads either, so start-up stays short.
+
 Exit codes for ``detect``: 0 separable, 1 entangled, 2 indeterminate.  Every
 command exits 3 on usage or input errors, keeping 0..2 unambiguous.
 """
@@ -34,9 +37,7 @@ from bicorr.detect import (
 )
 from bicorr.linalg import det3
 from bicorr.qstate import CheckedState, _integers
-from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 from bicorr.states import ParseError, StateSpec
-from bicorr.verify import run_all
 
 USAGE_ERROR = 3
 
@@ -181,7 +182,10 @@ def cmd_detect(args) -> int:
     xs = _parse_probe_set(args.xs) if args.xs else DEFAULT_XS
     pure = args.assume_pure or spec.kind == "pure"  # as in build_analysis_report
     if args.shots is not None:
-        cfg = ShotConfig(shots=args.shots, seed=args.seed, z_threshold=args.z)
+        from bicorr.shotsim import ShotConfig, statistical_binary_protocol
+
+        given = {"seed": args.seed, "z_threshold": args.z}  # ShotConfig owns the defaults
+        cfg = ShotConfig(shots=args.shots, **{k: v for k, v in given.items() if v is not None})
         verdict, trace = statistical_binary_protocol(rho, y=y, xs=xs, cfg=cfg, assume_pure=pure)
         shots_doc = dataclasses.asdict(cfg)
     else:
@@ -275,6 +279,8 @@ def cmd_gen(args, parser: _Parser) -> int:
 
 
 def cmd_verify(args) -> int:
+    from bicorr.verify import run_all
+
     ok = run_all(trials=args.trials, seed=args.seed)
     print("verification: " + ("all suites passed" if ok else "FAILURES detected"))
     return 0 if ok else 1
@@ -292,10 +298,8 @@ def make_parser() -> _Parser:
     p_detect = sub.add_parser("detect", help="three-probe entanglement detection")
     p_detect.add_argument("file", help="state file (JSON)")
     p_detect.add_argument("--shots", type=int, help="shot budget (exact calls without it)")
-    p_detect.add_argument("--seed", type=int, default=ShotConfig.seed, help="RNG seed for --shots")
-    p_detect.add_argument(
-        "--z", type=float, default=ShotConfig.z_threshold, help="non-zero decision threshold"
-    )
+    p_detect.add_argument("--seed", type=int, help="RNG seed for --shots")
+    p_detect.add_argument("--z", type=float, help="non-zero decision threshold")
     p_detect.add_argument("--y", help="fixed probe direction, 'y1,y2,y3'")
     p_detect.add_argument("--xs", help="three probe vectors, 'v;v;v'")
     p_detect.add_argument(

@@ -5,6 +5,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicorr import states
 from bicorr.correlation import (
@@ -38,6 +40,8 @@ from bicorr.detect import (
 from bicorr.linalg import (
     BALL_TOL,
     GRAM_TOL,
+    PSD_TOL,
+    PURE_ENTANGLED_SV_TOL,
     ZERO_CORRELATION_TOL,
     _directions,
     det3,
@@ -46,6 +50,7 @@ from bicorr.linalg import (
     orthogonal_complement_basis,
 )
 from bicorr.qstate import (
+    PAULIS,
     BlochOutOfBall,
     CheckedState,
     _check_norm,
@@ -847,3 +852,47 @@ def test_the_zero_pair_falls_back_to_the_first_axis_below_1e_10(t, x):
     rho = np.diag([1 + t, 1 - t, 1 - t, 1 + t]).astype(complex) / 4
     pair = find_zero_correlation_pair(rho, [0.0, 0.0, 1.0])
     np.testing.assert_array_equal(pair.x, x)
+
+
+CUT_MARGIN = 100 * np.finfo(float).eps  # a call closer than this to its cut may flip on round-off
+
+
+def _haar_unitary(rng) -> np.ndarray:
+    """A Haar 2x2 unitary: the QR of a complex Gaussian, with R's diagonal phases moved into Q."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _rotation(u) -> np.ndarray:
+    """O_ij = 1/2 Re Tr(sigma_i u sigma_j u^dagger), so u sigma_j u^dagger = sum_i O_ij sigma_i."""
+    return 0.5 * np.einsum("iab,bc,jcd,ad->ij", PAULIS, u, PAULIS, u.conj()).real
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 3), u_seed=st.integers(0, 2**32 - 1))
+def test_local_unitaries_rotate_c_and_keep_the_ppt_and_rank_verdicts(seed, u_seed):
+    # rho' = (U_A (x) U_B) rho (U_A (x) U_B)^dagger has C' = O_A C O_B^T, and O_A, O_B are
+    # rotations: the singular values and every separability verdict stay.  Rows 0-2 are
+    # random_density's three kinds (mixed, separable mixed, pure), row 3 a pure product state,
+    # so the rank verdict meets both labels.  Calls within CUT_MARGIN of their cut are skipped.
+    seeds = np.arange(seed, seed + 3, dtype=np.uint64)
+    product = density_from_pure(states.random_product_pure(seed))
+    rho = np.concatenate([states.random_density(seeds), product[None]])
+    pure = np.append(seeds % 3 == 2, True)
+    rng = np.random.default_rng(u_seed)
+    u_a, u_b = _haar_unitary(rng), _haar_unitary(rng)
+    k = np.kron(u_a, u_b)
+    moved = k @ rho @ k.conj().T
+    cm, cm_moved = correlation_matrix(rho), correlation_matrix(moved)
+    o_a, o_b = _rotation(u_a), _rotation(u_b)
+    assert np.max(np.abs(cm_moved.c - o_a @ cm.c @ o_b.T)) < 1e-12
+    assert np.max(np.abs(cm_moved.singular_values - cm.singular_values)) < 1e-12
+
+    lowest = np.linalg.eigvalsh(partial_transpose_b(np.stack([rho, moved])))[..., 0]
+    clear = np.all(np.abs(lowest + PSD_TOL) > CUT_MARGIN, axis=0)
+    np.testing.assert_array_equal(ppt_is_separable(moved)[clear], ppt_is_separable(rho)[clear])
+    sigma_max = np.stack([cm.singular_values, cm_moved.singular_values])[..., 0]
+    clear = pure & np.all(np.abs(sigma_max - PURE_ENTANGLED_SV_TOL) > CUT_MARGIN, axis=0)
+    rank = rank_says_entangled(cm)
+    np.testing.assert_array_equal(rank_says_entangled(cm_moved)[clear], rank[clear])

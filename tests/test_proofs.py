@@ -1,0 +1,86 @@
+"""Exact proofs, in sympy, of identities the deciders rest on.
+
+Random float checks cannot tell an identity from a near-identity; these expand both sides
+symbolically and require their difference to vanish.  The state is qstate's Bloch expansion,
+
+    rho = 1/4 (I (x) I + a.sigma (x) I + I (x) b.sigma + sum_ij F_ij sigma_i (x) sigma_j),
+
+with real symbols, and C = F - a b^T is the correlation matrix.  sympy is a test dependency
+only; no module of the package imports it.
+"""
+
+import numpy as np
+import sympy as sp
+from sympy import kronecker_product as kron
+
+from bicorr import states
+
+SIGMA = (
+    sp.eye(2),
+    sp.Matrix([[0, 1], [1, 0]]),
+    sp.Matrix([[0, -sp.I], [sp.I, 0]]),
+    sp.Matrix([[1, 0], [0, -1]]),
+)
+
+
+def real_symbols(name, n):
+    return sp.Matrix(sp.symbols(f"{name}1:{n + 1}", real=True))
+
+
+def bloch_state():
+    """(rho, a, b, F) for the general Bloch form: 15 real symbols."""
+    a, b = real_symbols("a", 3), real_symbols("b", 3)
+    f = real_symbols("f", 9).reshape(3, 3)
+    rho = kron(SIGMA[0], SIGMA[0])
+    for i in range(3):
+        rho += a[i] * kron(SIGMA[i + 1], SIGMA[0]) + b[i] * kron(SIGMA[0], SIGMA[i + 1])
+        for j in range(3):
+            rho += f[i, j] * kron(SIGMA[i + 1], SIGMA[j + 1])
+    return rho / 4, a, b, f
+
+
+def local(v):
+    """1/2 (I + v.sigma), the observable of Bloch vector v (qstate.observable_from_bloch)."""
+    return (SIGMA[0] + sum((v[i] * SIGMA[i + 1] for i in range(3)), sp.zeros(2))) / 2
+
+
+def vanishes(expr) -> bool:
+    return sp.expand(expr) == 0
+
+
+def test_purity_is_a_quarter_of_one_plus_the_squared_bloch_norms():
+    rho, a, b, f = bloch_state()
+    norms = (a.T * a)[0] + (b.T * b)[0] + sum(x**2 for x in f)
+    assert vanishes(4 * (rho * rho).trace() - (1 + norms))
+
+
+def test_the_trace_formula_covariance_is_a_quarter_of_x_c_y():
+    # covariance_direct: with T[s, t] = Tr(rho (Q_s (x) R_t)), Q_1 = Q and Q_0 = I - Q,
+    # c(X, Y) = T11 - (T10 + T11)(T01 + T11); covariance_via_c reads 1/4 x^T C y.
+    rho, a, b, f = bloch_state()
+    x, y = real_symbols("x", 3), real_symbols("y", 3)
+    q, r = local(x), local(y)
+    q_pair, r_pair = (sp.eye(2) - q, q), (sp.eye(2) - r, r)
+    table = [[(rho * kron(q_pair[s], r_pair[t])).trace() for t in (0, 1)] for s in (0, 1)]
+    joint = table[1][1]
+    covariance = joint - (table[1][0] + joint) * (table[0][1] + joint)
+    assert vanishes(covariance - (x.T * (f - a * b.T) * y)[0] / 4)
+
+
+def test_werner_correlation_matrix_is_minus_xi_times_the_identity():
+    xi = sp.Symbol("xi", real=True)
+    singlet = sp.Matrix([0, 1, -1, 0]) / sp.sqrt(2)
+    rho = (1 - xi) / 4 * sp.eye(4) + xi * singlet * singlet.T
+    # The symbolic matrix is states.werner's, at a few mixing parameters.
+    for value in (0, sp.Rational(1, 3), sp.Rational(7, 10), 1):
+        exact = np.array(rho.subs(xi, value).evalf(), dtype=complex)
+        assert np.max(np.abs(exact - states.werner(float(value)))) < 1e-15
+
+    def pauli_trace(i, j):
+        return (rho * kron(SIGMA[i], SIGMA[j])).trace()
+
+    a = sp.Matrix([pauli_trace(i, 0) for i in (1, 2, 3)])
+    b = sp.Matrix([pauli_trace(0, j) for j in (1, 2, 3)])
+    f = sp.Matrix(3, 3, lambda i, j: pauli_trace(i + 1, j + 1))
+    c = f - a * b.T
+    assert all(vanishes(entry) for entry in c + xi * sp.eye(3))

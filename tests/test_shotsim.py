@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bicorr
 from bicorr import shotsim, states
 from bicorr.correlation import (
     ObservablePair,
@@ -53,6 +54,22 @@ MAX_MIXED = np.eye(4, dtype=complex) / 4
 
 def singlet_rho():
     return density_from_pure(states.bell_state("psi-"))
+
+
+SHOT_NAMES = ("ShotConfig", "ShotRecord", "sample_joint", "statistical_binary_protocol")
+
+
+def test_the_package_surface_resolves_the_shot_names_on_access():
+    # The shot names are not bound at import (bicorr.__getattr__ loads shotsim on first access).
+    namespace = {}
+    exec("from bicorr import *", namespace)
+    for name in bicorr.__all__:
+        assert namespace[name] is getattr(bicorr, name), name
+    for name in SHOT_NAMES:
+        assert name in bicorr.__all__ and getattr(bicorr, name) is getattr(shotsim, name)
+    assert set(bicorr.__all__) <= set(dir(bicorr))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bicorr.no_such_name
 
 
 class TestConfig:

@@ -1,5 +1,6 @@
 """Tests for the stacked seeding of generators: every seed keeps its default_rng stream."""
 
+import json
 import os
 import subprocess
 import sys
@@ -117,11 +118,43 @@ def test_the_words_serve_only_a_request_for_four_uint64(n_words, dtype):
         words.generate_state(n_words, dtype)
 
 
-def test_importing_bicorr_does_not_import_numpy_random():
-    # numpy.random is imported on the first draw; an import at start-up costs every command.
-    code = "import sys, bicorr, bicorr.cli; print('numpy.random' in sys.modules)"
+# Runs in a fresh process: imports bicorr and its CLI, runs the exact commands, and reports
+# which of the lazily loaded modules are in sys.modules before and after a shot run.
+START_UP = """
+import contextlib, io, json, sys
+import bicorr, bicorr.cli
+
+def loaded():
+    return [name for name in ("numpy.random", "bicorr.shotsim", "bicorr.verify") if name in sys.modules]
+
+bell, werner = sys.argv[1] + "/bell.json", sys.argv[1] + "/werner.json"
+exact = [
+    ["gen", "--kind", "bell-psim", "--out", bell],
+    ["gen", "--kind", "werner", "--xi", "0.5", "--out", werner],
+    ["analyze", "--json", bell],
+    ["analyze", "--json", werner],
+    ["detect", bell],
+    ["detect", "--json", werner],
+    ["sweep-werner", "--from", "0", "--to", "1", "--steps", "3", "--json"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [bicorr.cli.main(argv) for argv in exact]
+    after_exact = loaded()
+    codes.append(bicorr.cli.main(["detect", "--shots", "1000", bell]))
+print(json.dumps({"codes": codes, "after_exact": after_exact, "after_shots": loaded()}))
+"""
+
+
+def test_exact_commands_load_neither_numpy_random_nor_shotsim_nor_verify(tmp_path):
+    # Every module imported at start-up is compiled and run by every command: numpy.random is
+    # imported on the first draw, bicorr.shotsim by a shot run and bicorr.verify by `verify`.
     env = {**os.environ, "PYTHONPATH": str(Path(bicorr.__file__).parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", START_UP, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
     )
-    assert out.stdout == "False\n"
+    assert json.loads(out.stdout) == {
+        "codes": [0, 0, 0, 0, 1, 2, 0, 1],
+        "after_exact": [],
+        "after_shots": ["numpy.random", "bicorr.shotsim"],
+    }
