@@ -110,12 +110,11 @@ def build_analysis_report(spec: StateSpec) -> dict:
     """Full analysis of a state: Bloch form, correlation matrix, verdicts.
 
     The checked state computes its Bloch form and c once; the protocol and the
-    rank verdict both read that c.  A pure document is pure to the protocol too: its
-    amplitudes' norm^2 may be NORM_TOL off 1, so Tr rho^2 may miss the protocol's purity cut.
+    rank verdict both read that c, and the protocol reads the state's purity.
     """
     rho = spec.matrix
     bf, cm = rho.bloch, rho.cm
-    protocol_verdict, trace = binary_protocol(rho, assume_pure=spec.kind == "pure")
+    protocol_verdict, trace = binary_protocol(rho)
     report = {
         "label": spec.label,
         "kind": spec.kind,
@@ -180,16 +179,15 @@ def cmd_detect(args) -> int:
     rho = spec.matrix
     y = _parse_vector(args.y, "--y") if args.y else DEFAULT_Y
     xs = _parse_probe_set(args.xs) if args.xs else DEFAULT_XS
-    pure = args.assume_pure or spec.kind == "pure"  # as in build_analysis_report
     if args.shots is not None:
         from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
         given = {"seed": args.seed, "z_threshold": args.z}  # ShotConfig owns the defaults
         cfg = ShotConfig(shots=args.shots, **{k: v for k, v in given.items() if v is not None})
-        verdict, trace = statistical_binary_protocol(rho, y=y, xs=xs, cfg=cfg, assume_pure=pure)
+        verdict, trace = statistical_binary_protocol(rho, y, xs, cfg, args.assume_pure)
         shots_doc = dataclasses.asdict(cfg)
     else:
-        verdict, trace = binary_protocol(rho, y=y, xs=xs, assume_pure=pure)
+        verdict, trace = binary_protocol(rho, y, xs, assume_pure=args.assume_pure)
         shots_doc = None
     if args.json:
         print(

@@ -16,10 +16,10 @@ Three decision routes live here:
   and positivity of the partial transpose (any state), which never touch the
   correlation-matrix code path.
 
-The protocol is sound only for pure states.  On mixed input it reports
-Indeterminate unless the caller passes ``assume_pure=True``: the Werner family
-shows that zero correlations do not certify separability there, nor non-zero
-correlations entanglement.
+The protocol is sound only for pure states, and a state's purity is its
+``CheckedState.pure``.  On mixed input it reports Indeterminate unless the caller
+passes ``assume_pure=True``: the Werner family shows that zero correlations do not
+certify separability there, nor non-zero correlations entanglement.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from bicorr.linalg import (
     GRAM_TOL,
     PSD_TOL,
     PURE_ENTANGLED_SV_TOL,
-    PURITY_TOL,
     ZERO_CORRELATION_TOL,
     _directions,
     det3,
@@ -52,8 +51,8 @@ from bicorr.qstate import (
     _reals,
     _require,
     check_bloch_components,
+    density_from_pure,
     partial_transpose_b,
-    purity,
     validate_pure_state,
 )
 
@@ -159,7 +158,7 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 
     See ``pure_rank_verdict``; every validated pure state gets a verdict.
     """
-    return pure_rank_verdict(CheckedState._pure(psi)[1].cm)
+    return pure_rank_verdict(density_from_pure(psi).cm)
 
 
 def _exact_calls(cm: CorrMatrix, x_units: np.ndarray, y_unit: np.ndarray) -> tuple:
@@ -259,8 +258,8 @@ def binary_protocol(
     non-zero Bloch vector, xs of shape (3, 3), finite, with no component above
     1, linearly independent, and every Bloch vector in the unit ball.  The xs
     are then probed in order, stopping at the first non-zero covariance.  For
-    pure input (or with assume_pure) a non-zero probe means Entangled and
-    three zeros mean Separable.  Mixed input yields Indeterminate either way,
+    pure input (``CheckedState.pure``, or with assume_pure) a non-zero probe means
+    Entangled and three zeros mean Separable.  Mixed input yields Indeterminate either way,
     with the measured facts recorded in the verdict detail.
 
     Without corr_oracle the calls are exact, on ``CheckedState.cm``: a checked state whose C was
@@ -278,7 +277,7 @@ def binary_protocol(
         )
     if xs.shape != (3, 3):
         raise ValueError(f"the protocol takes one probe set, got shape {xs.shape}")
-    pure = assume_pure or purity(rho) >= 1.0 - PURITY_TOL
+    pure = assume_pure or rho.pure
     if corr_oracle is None:
         values, zero = _exact_calls(rho.cm, x_units, y_unit)
         calls = zip(values.tolist(), zero.tolist())
@@ -327,12 +326,11 @@ def exact_protocol(
     """
     rho = CheckedState.of(rho)
     _, _, y_unit, x_units = _check_probes(y, xs)
-    pure = purity(rho) >= 1.0 - PURITY_TOL
     values, zero = _exact_calls(rho.cm, x_units, y_unit)
     nonzero = ~zero
     found = nonzero.any(axis=-1)
     used = np.where(found, nonzero.argmax(axis=-1) + 1, 3)
-    return _protocol_label(found, pure), used, values
+    return _protocol_label(found, rho.pure), used, values
 
 
 def schmidt_rank(psi: np.ndarray) -> int:

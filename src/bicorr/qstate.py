@@ -14,8 +14,9 @@ Validation happens at construction points (`validate_pure_state`,
 `as_density_matrix`, `bloch_assemble`, `CheckedState`), and each state invariant has one owner
 and one cut: `_check_structure` owns Hermiticity and the trace, `as_density_matrix` positivity;
 no operation checks them again.  A pure state's owner is `validate_pure_state`: |psi><psi| is
-Hermitian to round-off and its trace is psi's norm^2, so `CheckedState._pure` builds it from the
-checked amplitudes with no `_check_structure`.  A state may be off Hermitian by HERMITIAN_TOL,
+Hermitian to round-off and its trace is psi's norm^2, so `density_from_pure` builds its
+`CheckedState` with no `_check_structure`, and that state is pure (`.pure`); any other state reads
+Tr rho^2 once, at the one `PURITY_TOL` cut.  A state may be off Hermitian by HERMITIAN_TOL,
 and its verdicts are about its Hermitian part H = (rho + rho^dagger)/2: the Bloch form, the shot
 cells and `covariance_direct` read real parts, since Re Tr(rho P) = Tr(H P) for a Hermitian P,
 and the eigenvalues are those of H.  The state operations take a `CheckedState` as it is and
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, NORM_TOL, PSD_TOL
+from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, NORM_TOL, PSD_TOL, PURITY_TOL
 from bicorr.linalg import hermitian_eigenvalues, item_or_array, norms
 
 if TYPE_CHECKING:
@@ -177,14 +178,15 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CheckedState:
     """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``, or
-    the |psi><psi| of amplitudes that passed ``validate_pure_state`` (``_pure``), which owns a pure
-    state's invariants.
+    the |psi><psi| of amplitudes that passed ``validate_pure_state`` (``density_from_pure``), which
+    owns a pure state's invariants and keeps the checked psi, read-only, as ``amplitudes``.
 
-    Its Bloch form and correlation matrix are computed when first read and kept with it, so every
-    reader of one state shares them.
+    Its purity (known from the start for amplitudes), Bloch form and correlation matrix are
+    computed when first read and kept with it, so every reader of one state shares them.
     """
 
     matrix: np.ndarray
+    amplitudes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         matrix = np.array(_check_structure(self.matrix))
@@ -196,19 +198,12 @@ class CheckedState:
         """rho as a CheckedState; only a raw array runs ``_check_structure``."""
         return rho if isinstance(rho, cls) else cls(rho)
 
-    @classmethod
-    def _pure(cls, psi: np.ndarray) -> tuple[np.ndarray, CheckedState]:
-        """psi as ``validate_pure_state`` returns it, and the CheckedState of |psi><psi|.
-
-        The amplitude check is the state's only check: |psi><psi| is Hermitian to round-off and
-        its trace is psi's norm^2, which that check bounds, so ``_check_structure`` would repeat
-        it, and a few ulps from the norm cut refuse amplitudes it accepts.
-        """
-        psi = validate_pure_state(psi)
-        state = object.__new__(cls)
-        object.__setattr__(state, "matrix", _projector(psi))
-        state.matrix.flags.writeable = False
-        return psi, state
+    @cached_property
+    def pure(self) -> bool | np.ndarray:
+        """Whether the state is pure: True for a state or stack built by ``density_from_pure``,
+        else whether Tr rho^2 >= 1 - PURITY_TOL, per state of a stack.  The protocol is sound only
+        where it holds."""
+        return purity(self) >= 1.0 - PURITY_TOL
 
     @cached_property
     def bloch(self) -> BlochForm:
@@ -236,9 +231,17 @@ def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:
     return state
 
 
-def density_from_pure(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 density matrix |psi><psi| of a normalized pure state (or of each in a stack)."""
-    return _projector(validate_pure_state(psi))
+def density_from_pure(psi: np.ndarray) -> CheckedState:
+    """The CheckedState of |psi><psi| for normalized amplitudes psi (or each in a stack), keeping
+    a read-only copy of the checked psi as ``amplitudes``.  The amplitude check is its only check:
+    ``_check_structure`` would repeat it, and a few ulps from the norm cut refuse amplitudes it
+    accepts."""
+    psi = np.array(validate_pure_state(psi))
+    matrix = _projector(psi)
+    psi.flags.writeable = matrix.flags.writeable = False
+    state = object.__new__(CheckedState)
+    vars(state).update(matrix=matrix, amplitudes=psi, pure=True)  # pure by construction
+    return state
 
 
 def _projector(psi: np.ndarray) -> np.ndarray:

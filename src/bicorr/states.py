@@ -27,6 +27,7 @@ from bicorr.qstate import (
     _reals,
     _require,
     as_density_matrix,
+    density_from_pure,
 )
 from bicorr.streams import generators, seed_words
 
@@ -223,7 +224,8 @@ class StateSpec:
 
 
 def pure_spec(psi: np.ndarray, label: str | None = None) -> StateSpec:
-    psi, rho = CheckedState._pure(psi)
+    rho = density_from_pure(psi)
+    psi = rho.amplitudes
     if psi.ndim > 1:
         raise InvalidState(f"a state spec holds one state, got a stack of shape {psi.shape}")
     return StateSpec(kind="pure", label=label, amplitudes=psi, matrix=rho)

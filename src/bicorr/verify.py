@@ -93,11 +93,7 @@ def _per_run(draw):
     return shared
 
 
-@_per_run
-def _pure(draw: Callable[[range], np.ndarray], seeds: range) -> tuple[np.ndarray, CheckedState]:
-    psi, rho = CheckedState._pure(draw(seeds))
-    psi.flags.writeable = False
-    return psi, rho
+_pure = _per_run(lambda draw, seeds: density_from_pure(draw(seeds)))
 
 
 @_per_run
@@ -163,7 +159,7 @@ def check_bloch_round_trip(trials: int, seed: int) -> tuple[bool, str]:
 def check_pure_state_properties(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        bf = _pure(states.haar_random_pure, seeds)[1].bloch
+        bf = _pure(states.haar_random_pure, seeds).bloch
         na, nb = norms(bf.a), norms(bf.b)
         residuals = (
             norms((bf.f @ bf.b[..., None])[..., 0] - bf.a),
@@ -178,7 +174,7 @@ def check_pure_state_properties(trials: int, seed: int) -> tuple[bool, str]:
 def check_product_local_vectors(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        bf = _pure(states.random_product_pure, seeds)[1].bloch
+        bf = _pure(states.random_product_pure, seeds).bloch
         worst = _worst(worst, np.abs(norms(np.stack([bf.a, bf.b])) - 1))
     return worst < 1e-9, f"{trials} product states, worst |a|,|b| deviation {worst:.2e}"
 
@@ -225,7 +221,8 @@ def check_pure_rank_dichotomy(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for draw in (states.haar_random_pure, states.random_product_pure):
         for seeds in _blocks(seed, trials):
-            psi, rho = _pure(draw, seeds)
+            rho = _pure(draw, seeds)
+            psi = rho.amplitudes
             k = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])  # concurrence
             expected = np.stack([k, k, k**2], axis=-1)
             error = np.abs(rho.cm.singular_values - expected)
@@ -237,7 +234,7 @@ def check_pure_rank_dichotomy(trials: int, seed: int) -> tuple[bool, str]:
 def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
     worst = 0.0
     for seeds in _blocks(seed, trials):
-        rho = _pure(states.haar_random_pure, seeds)[1]
+        rho = _pure(states.haar_random_pure, seeds)
         nb = norms(rho.bloch.b)
         worst = _worst(worst, np.abs(det3(rho.cm.c) + (nb**2 - 1) ** 2))
     return worst < 1e-9, f"{trials} pure states, worst determinant residual {worst:.2e}"
@@ -245,15 +242,15 @@ def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
 
 def check_classifier_oracle_agreement(trials: int, seed: int) -> tuple[bool, str]:
     for seeds in _blocks(seed, trials):
-        psi, rho = _pure(states.haar_random_pure, seeds)
+        rho = _pure(states.haar_random_pure, seeds)
         by_rank = _rank_labels(rho.cm)
-        by_schmidt = np.where(schmidt_rank(psi) == 1, SEPARABLE, ENTANGLED)
+        by_schmidt = np.where(schmidt_rank(rho.amplitudes) == 1, SEPARABLE, ENTANGLED)
         if (by_rank != by_schmidt).any():
             i = np.argmax(by_rank != by_schmidt)
             return False, f"seed {seeds[i]}: {by_rank[i]} vs {by_schmidt[i]}"
     for seeds in _blocks(seed, trials):
-        psi, rho = _pure(states.random_product_pure, seeds)
-        bad = (_rank_labels(rho.cm) != SEPARABLE) | (schmidt_rank(psi) != 1)
+        rho = _pure(states.random_product_pure, seeds)
+        bad = (_rank_labels(rho.cm) != SEPARABLE) | (schmidt_rank(rho.amplitudes) != 1)
         if bad.any():
             return False, f"product seed {seeds[np.argmax(bad)]} misclassified"
     return True, f"{2 * trials} states, zero disagreements"
@@ -271,7 +268,7 @@ def _probe_sets(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarra
 def check_protocol_soundness(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     for seeds in _blocks(seed, trials):
-        rho = _pure(states.haar_random_pure, seeds)[1]
+        rho = _pure(states.haar_random_pure, seeds)
         y, xs = _probe_sets(rng, len(seeds))
         disagree = exact_protocol(rho, y=y, xs=xs)[0] != _rank_labels(rho.cm)
         if disagree.any():
@@ -284,7 +281,7 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
     count, seeds = 0, range(seed, seed)
     while count < n:  # the first n entangled states from seed on
         seeds = range(seeds.stop, seeds.stop + n - count)
-        rho = _pure(states.haar_random_pure, seeds)[1]
+        rho = _pure(states.haar_random_pure, seeds)
         full = np.flatnonzero(rank_says_entangled(rho.cm))
         leak = np.any([  # taken on every row, read on the entangled ones
             ~(np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) < 1e-10)
@@ -362,7 +359,7 @@ def check_generator_determinism(trials: int, seed: int) -> tuple[bool, str]:
 
 
 def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
-    rho = CheckedState._pure(states.bell_state("psi-"))[1]
+    rho = density_from_pure(states.bell_state("psi-"))
     pair = ObservablePair(x=np.broadcast_to(Z, (200, 3)), y=Z)
     record = sample_joint(rho, pair, ShotConfig(shots=10_000, seed=seed))
     mean = float(np.mean(record.covariance_estimate))
@@ -374,7 +371,7 @@ def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
 
 def check_shot_se_scaling(trials: int, seed: int) -> tuple[bool, str]:
     pair = ObservablePair(x=Z, y=np.array([1.0, 0.0, 1.0]) / math.sqrt(2))
-    rho = CheckedState._pure(states.bell_state("psi-"))[1]
+    rho = density_from_pure(states.bell_state("psi-"))
     ses = {
         n: sample_joint(rho, pair, ShotConfig(shots=n, seed=seed)).standard_error
         for n in (1_000, 10_000, 100_000)

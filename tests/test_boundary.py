@@ -32,9 +32,11 @@ from hypothesis import strategies as st
 
 from bicorr import states
 from bicorr.cli import _GEN_KINDS, build_analysis_report, main
-from bicorr.correlation import ObservablePair, covariance_direct
+from bicorr.correlation import ObservablePair, covariance_direct, covariance_via_c
 from bicorr.detect import (
+    DEFAULT_Y,
     ENTANGLED,
+    SEPARABLE,
     binary_protocol,
     classify_pure_by_rank,
     exact_protocol,
@@ -42,6 +44,7 @@ from bicorr.detect import (
     ppt_is_separable,
     schmidt_rank,
 )
+from bicorr.linalg import ZERO_CORRELATION_TOL
 from bicorr.qstate import (
     BlochForm,
     CheckedState,
@@ -443,8 +446,8 @@ NEAR_CUTS = st.builds(
         lambda draw, seed: draw(seed),
         st.sampled_from(
             [
-                lambda seed: density_from_pure(states.haar_random_pure(seed)),
-                lambda seed: density_from_pure(states.random_product_pure(seed)),
+                lambda seed: density_from_pure(states.haar_random_pure(seed)).matrix,
+                lambda seed: density_from_pure(states.random_product_pure(seed)).matrix,
                 lambda seed: states.random_mixed(seed, k=2),
                 states.random_density,
             ]
@@ -493,6 +496,18 @@ def test_a_document_the_norm_cut_accepts_is_answered_by_every_route(tmp_path):
     assert cli_outcome(["detect", str(path)]) == 1  # Entangled at probe 3
     assert cli_outcome(["detect", str(path), "--shots", "10000"]) == 0
     assert classify_pure_by_rank(psi).label == ENTANGLED and schmidt_rank(psi) == 2
+
+
+def test_the_state_of_amplitudes_the_norm_cut_accepts_is_answered_by_every_decider():
+    # Its trace differs from 1 by more than NORM_TOL: the amplitudes own its check, not the trace.
+    rho = density_from_pure(states.loads_state(NORM_CUT_DOCUMENT).amplitudes)
+    assert binary_protocol(rho)[0].label == ENTANGLED
+    assert exact_protocol(rho)[:2] == (ENTANGLED, 3)
+    shots = statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000))
+    assert shots[0].label == SEPARABLE  # c = 2.5e-10 at probe 3 is far below shot noise
+    assert ppt_is_separable(rho) is False
+    pair = find_zero_correlation_pair(rho, DEFAULT_Y)
+    assert abs(covariance_via_c(rho.cm, pair)) <= ZERO_CORRELATION_TOL
 
 
 ULP = float(np.spacing(1.0))

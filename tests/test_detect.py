@@ -179,7 +179,7 @@ class TestRankClassifier:
         # it either way flips one of these two states.
         t = 0.5 * np.arcsin(concurrence)
         psi = np.array([np.cos(t), 0.0, 0.0, np.sin(t)])
-        cm = CheckedState(density_from_pure(psi)).cm
+        cm = density_from_pure(psi).cm
         assert rank_says_entangled(cm) is (label == ENTANGLED)
         assert pure_rank_verdict(cm).label == label
         assert classify_pure_by_rank(psi).label == label
@@ -194,7 +194,7 @@ class TestRankClassifier:
         with pytest.raises(ValueError, match=message):
             classify_pure_by_rank(psi)
         with pytest.raises(ValueError, match=message):
-            pure_rank_verdict(CheckedState(density_from_pure(psi)).cm)
+            pure_rank_verdict(density_from_pure(psi).cm)
 
 
 class TestBinaryProtocol:
@@ -327,13 +327,27 @@ class TestBinaryProtocol:
 
     @pytest.mark.parametrize("assume_pure, reads", [(True, 0), (False, 1)])
     def test_purity_is_read_only_when_not_assumed(self, monkeypatch, assume_pure, reads):
-        from bicorr import detect
+        # The one read is CheckedState.pure's, kept with the state; a state built from amplitudes
+        # is pure by construction and never reads it.
+        from bicorr import qstate
 
         seen = []
-        monkeypatch.setattr(detect, "purity", lambda rho: seen.append(rho) or purity(rho))
-        rho = density_from_pure(states.bell_state("psi-"))
-        verdict, _ = binary_protocol(rho, assume_pure=assume_pure)
+        monkeypatch.setattr(qstate, "purity", lambda rho: seen.append(rho) or purity(rho))
+        singlet = density_from_pure(states.bell_state("psi-"))
+        rho = CheckedState(singlet.matrix)
+        for _ in range(2):
+            verdict, _ = binary_protocol(rho, assume_pure=assume_pure)
         assert (len(seen), verdict.label) == (reads, ENTANGLED)
+        assert binary_protocol(singlet)[0].label == ENTANGLED and len(seen) == reads
+
+    def test_a_state_from_amplitudes_near_the_norm_cut_is_pure(self):
+        # norm^2 = 1 - 9e-10 passes the amplitude check, and Tr rho^2 = 1 - 1.8e-9 misses the
+        # purity cut: only the amplitudes know the state is pure.
+        rho = density_from_pure(states.bell_state("psi-") * np.sqrt(1 - 9e-10))
+        assert rho.pure is True and 1.0 - purity(rho) > 1e-9
+        verdict, _ = binary_protocol(rho)
+        assert (verdict.label, verdict.detail) == (ENTANGLED, "non-zero correlation at probe 3")
+        assert exact_protocol(rho)[:2] == (ENTANGLED, 3)
 
     def test_rejects_dependent_probes(self):
         xs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
@@ -412,8 +426,8 @@ def _protocol_runs(n: int, seed: int):
     rng = np.random.default_rng(seed)
     seeds = range(seed, seed + n)
     rho = np.concatenate([
-        density_from_pure(states.haar_random_pure(seeds)),
-        density_from_pure(states.random_product_pure(seeds)),
+        density_from_pure(states.haar_random_pure(seeds)).matrix,
+        density_from_pure(states.random_product_pure(seeds)).matrix,
         states.random_mixed(seeds, 1 + np.arange(n) % 4),
     ])
     y = directions(rng.standard_normal((3 * n, 3))) * rng.random((3 * n, 1))
@@ -464,12 +478,14 @@ def test_exact_protocol_names_the_run_that_fails_its_check(row):
 @pytest.mark.parametrize(
     "q, label", [(2.5e-10, ENTANGLED), (1e-9, INDETERMINATE)], ids=["5e-10", "2e-9"]
 )
-def test_both_reads_of_the_purity_cut_sit_between_5e_10_and_2e_9(q, label):
+def test_the_purity_cut_sits_between_5e_10_and_2e_9(q, label):
     # (1 - q) singlet + q |00><00| has 1 - Tr rho^2 = 2q - 2q^2 and the singlet's c = -1/4 at
-    # probe 3; the cut is at 1e-9, so a tenfold move of either protocol's read flips one state.
-    rho = (1 - q) * density_from_pure(states.bell_state("psi-"))
+    # probe 3; the cut is at 1e-9, so a tenfold move of its one read, CheckedState.pure, flips
+    # one state for both protocols.
+    rho = (1 - q) * density_from_pure(states.bell_state("psi-")).matrix
     rho[0, 0] += q
     assert 1.0 - purity(rho) == pytest.approx(2 * q, rel=1e-6)
+    assert CheckedState(rho).pure is (label == ENTANGLED)
     verdict, trace = binary_protocol(rho)
     assert (verdict.label, trace.measurements_used) == (label, 3)
     labels, used, _ = exact_protocol(rho)
@@ -761,9 +777,9 @@ def test_default_probes_are_deterministic():
 
 
 BELLS = ("phi+", "phi-", "psi+", "psi-")
-FIXTURE_RHOS = [density_from_pure(states.bell_state(which)) for which in BELLS]
-FIXTURE_RHOS += [density_from_pure(states.chen_state())]
-FIXTURE_RHOS += [density_from_pure(states.random_product_pure(3))]
+FIXTURE_RHOS = [density_from_pure(states.bell_state(which)).matrix for which in BELLS]
+FIXTURE_RHOS += [density_from_pure(states.chen_state()).matrix]
+FIXTURE_RHOS += [density_from_pure(states.random_product_pure(3)).matrix]
 FIXTURE_RHOS += [states.werner(xi) for xi in (0.0, 0.2, 1 / 3, 0.5, 1.0)]
 SHOTS = ShotConfig(shots=10_000, seed=3)
 
@@ -877,7 +893,7 @@ def test_local_unitaries_rotate_c_and_keep_the_ppt_and_rank_verdicts(seed, u_see
     # random_density's three kinds (mixed, separable mixed, pure), row 3 a pure product state,
     # so the rank verdict meets both labels.  Calls within CUT_MARGIN of their cut are skipped.
     seeds = np.arange(seed, seed + 3, dtype=np.uint64)
-    product = density_from_pure(states.random_product_pure(seed))
+    product = density_from_pure(states.random_product_pure(seed)).matrix
     rho = np.concatenate([states.random_density(seeds), product[None]])
     pure = np.append(seeds % 3 == 2, True)
     rng = np.random.default_rng(u_seed)

@@ -5,8 +5,9 @@ symbolically and require their difference to vanish.  The state is qstate's Bloc
 
     rho = 1/4 (I (x) I + a.sigma (x) I + I (x) b.sigma + sum_ij F_ij sigma_i (x) sigma_j),
 
-with real symbols, and C = F - a b^T is the correlation matrix.  sympy is a test dependency
-only; no module of the package imports it.
+with real symbols, and C = F - a b^T is the correlation matrix.  The pure-state identities are
+proved on the Schmidt form cos t|00> + sin t|11>.  sympy is a test dependency only; no module of
+the package imports it.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import sympy as sp
 from sympy import kronecker_product as kron
 
 from bicorr import states
+from bicorr.qstate import density_from_pure, partial_transpose_b
 
 SIGMA = (
     sp.eye(2),
@@ -84,3 +86,62 @@ def test_werner_correlation_matrix_is_minus_xi_times_the_identity():
     f = sp.Matrix(3, 3, lambda i, j: pauli_trace(i + 1, j + 1))
     c = f - a * b.T
     assert all(vanishes(entry) for entry in c + xi * sp.eye(3))
+
+
+THETA = sp.Symbol("theta", real=True)
+# The Schmidt form's angles tied to the package, theta = 0 (product) to pi/4 (Bell).
+ANGLES = (0, sp.pi / 12, sp.pi / 8, sp.pi / 4)
+
+
+def at_angles(matrix):
+    """matrix, a function of THETA, as a complex array at each angle of ANGLES."""
+    return [np.array(matrix.subs(THETA, value).evalf(), dtype=complex) for value in ANGLES]
+
+
+def schmidt_state():
+    """(psi, rho, k) for cos t|00> + sin t|11>, every pure state's form up to local unitaries,
+    with k = sin 2t its concurrence.  rho is density_from_pure's matrix at four angles."""
+    psi = sp.Matrix([sp.cos(THETA), 0, 0, sp.sin(THETA)])
+    rho = psi * psi.T
+    for amplitudes, exact in zip(at_angles(psi), at_angles(rho)):
+        assert np.max(np.abs(exact - density_from_pure(amplitudes[:, 0]).matrix)) < 1e-15
+    return psi, rho, sp.sin(2 * THETA)
+
+
+def trig_vanishes(expr) -> bool:
+    """expr = 0 as a polynomial in cos t and sin t, reduced by cos^2 t + sin^2 t = 1."""
+    c, s = sp.symbols("c s", real=True)
+    poly = sp.expand_trig(expr).subs({sp.cos(THETA): c, sp.sin(THETA): s})
+    return sp.expand(sp.rem(sp.expand(poly), s**2 + c**2 - 1, s)) == 0
+
+
+def test_the_schmidt_form_has_c_diag_k_minus_k_k_squared():
+    # With C -> O_A C O_B^T under local unitaries (tests/test_detect.py), every pure state's
+    # singular values are (k, k, k^2): the rank dichotomy's spectrum.
+    _, rho, k = schmidt_state()
+
+    def pauli_trace(i, j):
+        return (rho * kron(SIGMA[i], SIGMA[j])).trace()
+
+    a = sp.Matrix([pauli_trace(i, 0) for i in (1, 2, 3)])
+    b = sp.Matrix([pauli_trace(0, j) for j in (1, 2, 3)])
+    f = sp.Matrix(3, 3, lambda i, j: pauli_trace(i + 1, j + 1))
+    c = f - a * b.T
+    assert all(trig_vanishes(entry) for entry in c - sp.diag(k, -k, k**2))
+
+
+def test_the_schmidt_forms_partial_transpose_has_least_eigenvalue_minus_k_over_2():
+    # The identity behind PURE_ENTANGLED_SV_TOL = 2 PSD_TOL: on a pure state the PPT verdict's
+    # cut lambda_min >= -PSD_TOL is the rank verdict's cut k <= 2 PSD_TOL.
+    psi, rho, k = schmidt_state()
+    # <a b|rho^T_B|a' b'> = <a b'|rho|a' b>, at index 2a + b.
+    pt = sp.Matrix(4, 4, lambda i, j: rho[2 * (i // 2) + j % 2, 2 * (j // 2) + i % 2])
+    for amplitudes, exact in zip(at_angles(psi), at_angles(pt)):
+        moved = partial_transpose_b(density_from_pure(amplitudes[:, 0]))
+        assert np.max(np.abs(exact - moved)) < 1e-15
+    # Its characteristic polynomial has the roots cos^2 t, sin^2 t and +-k/2; on 0 <= t <= pi/2
+    # the first three are at least 0, so -k/2 is the least.
+    lam = sp.Symbol("lambda")
+    roots = (sp.cos(THETA) ** 2, sp.sin(THETA) ** 2, k / 2, -k / 2)
+    charpoly = (pt - lam * sp.eye(4)).det(method="berkowitz")  # 4x4: det(lam I - pt)
+    assert trig_vanishes(charpoly - sp.Mul(*(lam - root for root in roots)))

@@ -368,17 +368,17 @@ class TestRequire:
 
 class TestDensityFromPure:
     def test_basis_state(self):
-        rho = density_from_pure([1, 0, 0, 0])
+        rho = density_from_pure([1, 0, 0, 0]).matrix
         np.testing.assert_allclose(rho, np.diag([1, 0, 0, 0]).astype(complex))
 
     def test_singlet(self):
-        rho = density_from_pure(states.bell_state("psi-"))
+        rho = density_from_pure(states.bell_state("psi-")).matrix
         np.testing.assert_allclose(rho, SINGLET_RHO, atol=1e-15)
 
     def test_chen(self):
         # Outer product of (1, 1, 0, 1)/sqrt(3): value 1/3 wherever both
         # indices hit {0, 1, 3}, zero in row/column 2.
-        rho = density_from_pure(states.chen_state())
+        rho = density_from_pure(states.chen_state()).matrix
         expected = np.zeros((4, 4))
         hot = [0, 1, 3]
         for i in hot:
@@ -389,6 +389,25 @@ class TestDensityFromPure:
     def test_output_is_valid_density_matrix(self):
         for seed in range(50):
             as_density_matrix(density_from_pure(states.haar_random_pure(seed)))
+
+    def test_returns_the_checked_state_that_keeps_its_amplitudes(self):
+        psi = states.chen_state().astype(complex)
+        rho = density_from_pure(psi)
+        assert isinstance(rho, CheckedState) and rho.pure is True
+        assert rho.amplitudes.tobytes() == psi.tobytes() and psi.flags.writeable  # a copy
+        for array in (rho.amplitudes, rho.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert CheckedState(rho.matrix).amplitudes is None
+        with pytest.raises(TypeError):
+            CheckedState(rho.matrix, amplitudes=psi)  # no caller can claim purity
+        assert not hasattr(CheckedState, "_pure")
+
+    def test_a_stack_is_pure_as_built_or_read_state_by_state(self):
+        rho = density_from_pure(states.haar_random_pure(range(3)))
+        assert rho.pure is True
+        mixed = np.eye(4, dtype=complex) / 4
+        assert CheckedState(np.stack([rho.matrix[0], mixed])).pure.tolist() == [True, False]
 
 
 class TestBlochDecompose:
@@ -556,7 +575,7 @@ def test_purity_separates_pure_from_mixed():
 
 
 Z = np.array([0.0, 0.0, 1.0])
-PRODUCT_RHO = density_from_pure(states.random_product_pure(3))
+PRODUCT_RHO = density_from_pure(states.random_product_pure(3)).matrix
 
 
 def _count_calls(monkeypatch, *functions):

@@ -53,7 +53,7 @@ MAX_MIXED = np.eye(4, dtype=complex) / 4
 
 
 def singlet_rho():
-    return density_from_pure(states.bell_state("psi-"))
+    return density_from_pure(states.bell_state("psi-")).matrix
 
 
 SHOT_NAMES = ("ShotConfig", "ShotRecord", "sample_joint", "statistical_binary_protocol")
@@ -170,7 +170,7 @@ class TestOutcomeProbabilities:
         rhos = (
             [states.random_mixed(seed, 2 + seed % 4) for seed in range(10)]
             + [states.random_separable_mixed(seed, 1 + seed % 5) for seed in range(10)]
-            + [density_from_pure(states.haar_random_pure(seed)) for seed in range(10)]
+            + [density_from_pure(states.haar_random_pure(seed)).matrix for seed in range(10)]
         )
         for rho in rhos:
             x, y = directions(rng.standard_normal((2, 3)))
@@ -549,7 +549,7 @@ class TestStackedSampler:
             assert_row_is_draw(stacked, i, rho[i], row_pair, cfg)
 
     def test_rows_with_a_marginal_of_zero_or_one_read_zero(self):
-        basis = [density_from_pure(amplitudes) for amplitudes in np.eye(4)]
+        basis = [density_from_pure(amplitudes).matrix for amplitudes in np.eye(4)]
         rho = np.stack((basis + [MAX_MIXED, singlet_rho()]) * 4)
         stacked = sample_joint(rho, ZZ, ShotConfig(shots=1_000, seed=11))
         for i in range(len(rho)):

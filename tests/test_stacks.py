@@ -73,7 +73,7 @@ KERNELS = {
     "CheckedState": (lambda rho, psi, x, y: CheckedState(rho).matrix, True),
     "as_density_matrix": (lambda rho, psi, x, y: as_density_matrix(rho).matrix, True),
     "validate_pure_state": (lambda rho, psi, x, y: validate_pure_state(psi), True),
-    "density_from_pure": (lambda rho, psi, x, y: density_from_pure(psi), True),
+    "density_from_pure": (lambda rho, psi, x, y: density_from_pure(psi).matrix, True),
     "partial_transpose_b": (lambda rho, psi, x, y: partial_transpose_b(rho), True),
     "schmidt_rank": (lambda rho, psi, x, y: schmidt_rank(psi), True),
     "ppt_is_separable": (lambda rho, psi, x, y: ppt_is_separable(rho), True),
@@ -159,8 +159,8 @@ def test_zero_pair_of_a_stack_takes_e1_exactly_where_c_y_vanishes():
     # werner(0) and a product state have c = 0; the singlet has c = -I.
     rho = np.stack([
         states.werner(0.0),
-        density_from_pure(states.random_product_pure(5)),
-        density_from_pure(states.bell_state("psi-")),
+        density_from_pure(states.random_product_pure(5)).matrix,
+        density_from_pure(states.bell_state("psi-")).matrix,
     ])
     z = np.array([0.0, 0.0, 1.0])
     pair = find_zero_correlation_pair(rho, z)

@@ -68,7 +68,7 @@ class TestWerner:
     def test_endpoints(self):
         np.testing.assert_allclose(werner(0.0), np.eye(4) / 4, atol=1e-15)
         np.testing.assert_allclose(
-            werner(1.0), density_from_pure(bell_state("psi-")), atol=1e-15
+            werner(1.0), density_from_pure(bell_state("psi-")).matrix, atol=1e-15
         )
 
     def test_midpoint_entries(self):
@@ -384,7 +384,7 @@ class TestStateFiles:
     def test_density_of_pure_spec(self):
         spec = pure_spec(bell_state("psi-"))
         np.testing.assert_allclose(
-            spec.matrix.matrix, density_from_pure(bell_state("psi-")), atol=1e-15
+            spec.matrix.matrix, density_from_pure(bell_state("psi-")).matrix, atol=1e-15
         )
 
     @pytest.mark.parametrize(
