@@ -16,7 +16,6 @@ command exits 3 on usage or input errors, keeping 0..2 unambiguous.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -180,12 +179,14 @@ def cmd_detect(args) -> int:
     y = _parse_vector(args.y, "--y") if args.y else DEFAULT_Y
     xs = _parse_probe_set(args.xs) if args.xs else DEFAULT_XS
     if args.shots is not None:
+        from dataclasses import asdict
+
         from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
         given = {"seed": args.seed, "z_threshold": args.z}  # ShotConfig owns the defaults
         cfg = ShotConfig(shots=args.shots, **{k: v for k, v in given.items() if v is not None})
         verdict, trace = statistical_binary_protocol(rho, y, xs, cfg, args.assume_pure)
-        shots_doc = dataclasses.asdict(cfg)
+        shots_doc = asdict(cfg)
     else:
         verdict, trace = binary_protocol(rho, y, xs, assume_pure=args.assume_pure)
         shots_doc = None

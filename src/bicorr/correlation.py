@@ -13,25 +13,22 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from bicorr.linalg import item_or_array, symmetric3_singular_values
-from bicorr.qstate import CheckedState, check_bloch_vector, outcome_table
+from bicorr.qstate import CheckedState, _Frozen, _set, check_bloch_vector, outcome_table
 
 
-@dataclass(frozen=True, eq=False)
-class ObservablePair:
+class ObservablePair(_Frozen):
     """Bloch vectors (x, y) defining the local observables Q_A and R_B."""
 
-    x: np.ndarray
-    y: np.ndarray
+    _fields = ("x", "y")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", check_bloch_vector(self.x, "x"))
-        object.__setattr__(self, "y", check_bloch_vector(self.y, "y"))
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        _set(self, "x", check_bloch_vector(x, "x"))
+        _set(self, "y", check_bloch_vector(y, "y"))
 
 
 def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
@@ -41,11 +38,13 @@ def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
     return pair
 
 
-@dataclass(frozen=True, eq=False)
-class CorrMatrix:
+class CorrMatrix(_Frozen):
     """Correlation matrix c = f - a b^T; its singular values are computed when first read."""
 
-    c: np.ndarray
+    _fields = ("c",)
+
+    def __init__(self, c: np.ndarray) -> None:
+        _set(self, "c", c)
 
     @cached_property
     def singular_values(self) -> np.ndarray:

@@ -24,7 +24,6 @@ certify separability there, nor non-zero correlations entanglement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -46,10 +45,12 @@ from bicorr.linalg import (
 )
 from bicorr.qstate import (
     CheckedState,
+    _Frozen,
     _check_norm,
     _checked_bloch,
     _reals,
     _require,
+    _set,
     check_bloch_components,
     density_from_pure,
     partial_transpose_b,
@@ -79,24 +80,46 @@ class ZeroVector(ValueError):
     """The fixed direction y is the zero vector."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    label: str
-    basis: str
-    detail: str = ""
+class Verdict(_Frozen):
+    """A decider's label, the basis it was decided on, and the deciding detail; compared and
+    hashed by value."""
+
+    __slots__ = _fields = ("label", "basis", "detail")
+
+    def __init__(self, label: str, basis: str, detail: str = "") -> None:
+        _set(self, "label", label)
+        _set(self, "basis", basis)
+        _set(self, "detail", detail)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.basis, self.detail) == (other.label, other.basis, other.detail)
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.basis, self.detail))
 
 
-@dataclass(frozen=True, eq=False)
-class Probe:
-    x: np.ndarray
-    covariance: float  # of the unit directions; the exact call is made on it, the shot call on z
-    is_zero: bool
+class Probe(_Frozen):
+    """One probe read: the direction x, the covariance of the unit directions (the exact call is
+    made on it, the shot call on z) and the zero call."""
+
+    __slots__ = _fields = ("x", "covariance", "is_zero")
+
+    def __init__(self, x: np.ndarray, covariance: float, is_zero: bool) -> None:
+        _set(self, "x", x)
+        _set(self, "covariance", covariance)
+        _set(self, "is_zero", is_zero)
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolTrace:
-    y: np.ndarray
-    probes: tuple[Probe, ...]
+class ProtocolTrace(_Frozen):
+    """The fixed direction y and the probes read against it, in order."""
+
+    __slots__ = _fields = ("y", "probes")
+
+    def __init__(self, y: np.ndarray, probes: tuple[Probe, ...]) -> None:
+        _set(self, "y", y)
+        _set(self, "probes", probes)
 
     @property
     def measurements_used(self) -> int:

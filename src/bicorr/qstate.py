@@ -26,13 +26,17 @@ once read (`.bloch`, `.cm`), so no reader derives them again.  All of them take 
 through `_require`, so a failed check on a stack names the index of the first offending state.
 Every integer input (seeds, counts, trial budgets) goes through `_integers`, every other numeric
 one through `_reals`.
+
+The package's read-only records (`CheckedState` and `BlochForm` here, and those of `correlation`,
+`detect` and `states`) are plain classes on one frozen base, `_Frozen`, rather than dataclasses:
+generating a dataclass's methods, and importing `dataclasses`, would cost every process's start-up
+more than the analysis of a state.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -53,9 +57,12 @@ I2 = np.eye(2, dtype=complex)
 # t_mn = Tr(rho sigma_m (x) sigma_n), sigma_0 = I, at index 4m + n, is the expansion
 # above as [[1, b], [a, f]].  Tr(rho P) = sum_ij rho_ij P_ji, so t is
 # rho.reshape(16) @ _PAULI_TABLE, and rho is _PAULI_TABLE.conj() @ t / 4.
+# The 16 products sigma_m (x) sigma_n come from one broadcast product, with np.kron's bits
+# (np.einsum's differ in signed zeros).
 _SIGMAS = np.concatenate([I2[None], PAULIS])
 _PAULI_TABLE = np.ascontiguousarray(
-    np.stack([np.kron(sm, sn) for sm in _SIGMAS for sn in _SIGMAS])
+    (_SIGMAS[:, None, :, None, :, None] * _SIGMAS[None, :, None, :, None, :])
+    .reshape(16, 4, 4)
     .transpose(0, 2, 1)
     .reshape(16, 16)
     .T
@@ -175,23 +182,58 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True, eq=False)
-class CheckedState:
+_set = object.__setattr__  # sets a field past a record's frozen __setattr__
+
+
+class _Frozen:
+    """Base of the package's read-only records: each subclass's __init__ sets its fields with
+    ``_set``, and its repr names the fields of ``_fields``.  Assigning or deleting an attribute
+    raises ``dataclasses.FrozenInstanceError``; a record compares and hashes by identity unless it
+    says otherwise.  A record holds its fields in ``__slots__`` unless a ``cached_property`` or a
+    ``__dict__`` write needs a dict.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setstate__(self, state) -> None:
+        """Restore a copy or an unpickled record from its __dict__, or its (None, slots) pair."""
+        for name, value in (state[1] if type(state) is tuple else state).items():
+            _set(self, name, value)
+
+
+class CheckedState(_Frozen):
     """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``, or
     the |psi><psi| of amplitudes that passed ``validate_pure_state`` (``density_from_pure``), which
     owns a pure state's invariants and keeps the checked psi, read-only, as ``amplitudes``.
 
     Its purity (known from the start for amplitudes), Bloch form and correlation matrix are
-    computed when first read and kept with it, so every reader of one state shares them.
+    computed when first read and kept with it, so every reader of one state shares them.  It is a
+    frozen record (``_Frozen``) with a ``__dict__``, where the ``cached_property``s keep their
+    values; the constructor takes the matrix alone, so no caller can claim amplitudes or purity.
     """
 
-    matrix: np.ndarray
-    amplitudes: np.ndarray | None = field(default=None, init=False, repr=False)
+    _fields = ("matrix",)
+    amplitudes: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        matrix = np.array(_check_structure(self.matrix))
+    def __init__(self, matrix: np.ndarray) -> None:
+        matrix = np.array(_check_structure(matrix))
         matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        _set(self, "matrix", matrix)
 
     @classmethod
     def of(cls, rho: np.ndarray | CheckedState) -> CheckedState:
@@ -255,13 +297,15 @@ def purity(rho: np.ndarray | CheckedState) -> float:
     return item_or_array(np.einsum("...ij,...ji->...", rho, rho).real)
 
 
-@dataclass(frozen=True, eq=False)
-class BlochForm:
+class BlochForm(_Frozen):
     """Pauli-expansion parameters (a, b, f) of a two-qubit state or stack; checks nothing."""
 
-    a: np.ndarray
-    b: np.ndarray
-    f: np.ndarray
+    __slots__ = _fields = ("a", "b", "f")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, f: np.ndarray) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "f", f)
 
 
 def bloch_decompose(rho: np.ndarray | CheckedState) -> BlochForm:

@@ -7,13 +7,13 @@ a seed's state is the same alone or in any stack, and every draw is bit-reproduc
 seeds its flat stack of seeds once (``streams.seed_words``) and hands every kind and k group its
 rows of the words, from which each seed gets a fresh generator on its ``default_rng(seed)``
 stream, bit for bit; the pinned seed map in tests/test_states.py would fail if numpy ever changed
-its seeding.
+its seeding.  ``streams``, and with it ``numpy.random``, is imported on the first draw, so the
+fixtures and the state files never load it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +21,16 @@ from bicorr.linalg import directions
 from bicorr.qstate import (
     CheckedState,
     InvalidState,
+    _Frozen,
     _integers,
     _observable,
     _projector,
     _reals,
     _require,
+    _set,
     as_density_matrix,
     density_from_pure,
 )
-from bicorr.streams import generators, seed_words
 
 _BELL_AMPLITUDES = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
@@ -89,12 +90,16 @@ def _shaped(seeds: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def _seeded(seed) -> tuple[np.ndarray, np.ndarray]:
     """seed as an object array of non-negative Python ints, and its flat stack's ``seed_words``."""
+    from bicorr.streams import seed_words  # loaded on the first draw, with numpy.random
+
     seeds = np.asarray(_integers(seed, "seed", 0, stack=True), dtype=object)
     return seeds, seed_words(seeds.reshape(-1))
 
 
 def _normal_rows(words: np.ndarray, shape: tuple) -> np.ndarray:
     """Per row of words, an array of `shape` standard normals from that seed's own generator."""
+    from bicorr.streams import generators
+
     rows = np.empty((len(words),) + shape)
     for row, rng in zip(rows, generators(words)):
         rng.standard_normal(out=row)
@@ -157,6 +162,8 @@ def _mixture(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def _separable_mixed(words: np.ndarray, k: int) -> np.ndarray:
+    from bicorr.streams import generators
+
     n = len(words)
     # Per seed: k exponential weights, then 2k qubits, each a normal direction and a radius.
     weights, normals, radii = np.empty((n, k)), np.empty((n, 2 * k, 3)), np.empty((n, 2 * k))
@@ -183,6 +190,8 @@ def random_separable_mixed(seed, k=4) -> np.ndarray:
 
 
 def _mixed(words: np.ndarray, k: int) -> np.ndarray:
+    from bicorr.streams import generators
+
     n = len(words)
     draws = np.empty((n, 9 * k))  # per seed: k exponential weights, then k states' normals
     for row, rng in zip(draws, generators(words)):
@@ -213,14 +222,22 @@ def random_density(seed) -> np.ndarray:
     return _shaped(seeds, rho)
 
 
-@dataclass(frozen=True, eq=False)
-class StateSpec:
+class StateSpec(_Frozen):
     """Parsed state file, one state: its kind, pure amplitudes, and its checked density matrix."""
 
-    kind: str
-    label: str | None = None
-    amplitudes: np.ndarray | None = None
-    matrix: CheckedState | None = None
+    __slots__ = _fields = ("kind", "label", "amplitudes", "matrix")
+
+    def __init__(
+        self,
+        kind: str,
+        label: str | None = None,
+        amplitudes: np.ndarray | None = None,
+        matrix: CheckedState | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "label", label)
+        _set(self, "amplitudes", amplitudes)
+        _set(self, "matrix", matrix)
 
 
 def pure_spec(psi: np.ndarray, label: str | None = None) -> StateSpec:

@@ -10,6 +10,8 @@ proved on the Schmidt form cos t|00> + sin t|11>.  sympy is a test dependency on
 the package imports it.
 """
 
+from functools import cache
+
 import numpy as np
 import sympy as sp
 from sympy import kronecker_product as kron
@@ -56,17 +58,36 @@ def test_purity_is_a_quarter_of_one_plus_the_squared_bloch_norms():
     assert vanishes(4 * (rho * rho).trace() - (1 + norms))
 
 
-def test_the_trace_formula_covariance_is_a_quarter_of_x_c_y():
-    # covariance_direct: with T[s, t] = Tr(rho (Q_s (x) R_t)), Q_1 = Q and Q_0 = I - Q,
-    # c(X, Y) = T11 - (T10 + T11)(T01 + T11); covariance_via_c reads 1/4 x^T C y.
-    rho, a, b, f = bloch_state()
-    x, y = real_symbols("x", 3), real_symbols("y", 3)
+def bloch_of(rho):
+    """(a, b, F) of rho from its Pauli traces, as qstate.bloch_decompose reads them."""
+
+    def pauli_trace(i, j):
+        return (rho * kron(SIGMA[i], SIGMA[j])).trace()
+
+    a = sp.Matrix([pauli_trace(i, 0) for i in (1, 2, 3)])
+    b = sp.Matrix([pauli_trace(0, j) for j in (1, 2, 3)])
+    f = sp.Matrix(3, 3, lambda i, j: pauli_trace(i + 1, j + 1))
+    return a, b, f
+
+
+def outcome_table(rho, x, y):
+    """T[s][t] = Tr(rho (Q_s (x) R_t)) with Q_1 = Q and Q_0 = I - Q, likewise R (qstate's)."""
     q, r = local(x), local(y)
     q_pair, r_pair = (sp.eye(2) - q, q), (sp.eye(2) - r, r)
-    table = [[(rho * kron(q_pair[s], r_pair[t])).trace() for t in (0, 1)] for s in (0, 1)]
+    return [[(rho * kron(q_pair[s], r_pair[t])).trace() for t in (0, 1)] for s in (0, 1)]
+
+
+def direct(table):
+    """covariance_direct's formula: <XY> - <X><Y> = T11 - (T10 + T11)(T01 + T11)."""
     joint = table[1][1]
-    covariance = joint - (table[1][0] + joint) * (table[0][1] + joint)
-    assert vanishes(covariance - (x.T * (f - a * b.T) * y)[0] / 4)
+    return joint - (table[1][0] + joint) * (table[0][1] + joint)
+
+
+def test_the_trace_formula_covariance_is_a_quarter_of_x_c_y():
+    # covariance_direct's formula on the table; covariance_via_c reads 1/4 x^T C y.
+    rho, a, b, f = bloch_state()
+    x, y = real_symbols("x", 3), real_symbols("y", 3)
+    assert vanishes(direct(outcome_table(rho, x, y)) - (x.T * (f - a * b.T) * y)[0] / 4)
 
 
 def test_werner_correlation_matrix_is_minus_xi_times_the_identity():
@@ -78,14 +99,41 @@ def test_werner_correlation_matrix_is_minus_xi_times_the_identity():
         exact = np.array(rho.subs(xi, value).evalf(), dtype=complex)
         assert np.max(np.abs(exact - states.werner(float(value)))) < 1e-15
 
-    def pauli_trace(i, j):
-        return (rho * kron(SIGMA[i], SIGMA[j])).trace()
-
-    a = sp.Matrix([pauli_trace(i, 0) for i in (1, 2, 3)])
-    b = sp.Matrix([pauli_trace(0, j) for j in (1, 2, 3)])
-    f = sp.Matrix(3, 3, lambda i, j: pauli_trace(i + 1, j + 1))
+    a, b, f = bloch_of(rho)
     c = f - a * b.T
     assert all(vanishes(entry) for entry in c + xi * sp.eye(3))
+
+
+@cache  # sympy expressions are immutable; the three proofs below share one build
+def scaled_state():
+    """(tau, table, c, x, y, sigma, F) for rho = tau sigma with sigma the general Bloch form: a
+    matrix whose trace tau is off 1, as a state within NORM_TOL of it is.  table is rho's outcome
+    table and c = 1/4 x^T C y sigma's covariance."""
+    sigma, a, b, f = bloch_state()
+    tau = sp.Symbol("tau", real=True)
+    x, y = real_symbols("x", 3), real_symbols("y", 3)
+    c = (x.T * (f - a * b.T) * y)[0] / 4
+    return tau, outcome_table(tau * sigma, x, y), c, x, y, sigma, f
+
+
+def test_off_trace_one_the_trace_formula_adds_tau_1_minus_tau_t11():
+    tau, table, c, x, y, sigma, _ = scaled_state()
+    t11 = outcome_table(sigma, x, y)[1][1]
+    assert vanishes(direct(table) - tau**2 * c - tau * (1 - tau) * t11)
+
+
+def test_off_trace_one_the_tables_determinant_is_tau_squared_c():
+    tau, table, c, *_ = scaled_state()
+    assert vanishes(table[1][1] * table[0][0] - table[1][0] * table[0][1] - tau**2 * c)
+
+
+def test_off_trace_one_the_route_through_c_adds_a_quarter_tau_1_minus_tau_x_f_y():
+    # With the determinant in place of today's formula the routes would still part by
+    # 1/4 tau (1 - tau) |x^T F y|: up to 2.5e-10 at |1 - tau| = NORM_TOL for unit x and y.
+    tau, _, c, x, y, sigma, f = scaled_state()
+    a_rho, b_rho, f_rho = bloch_of(tau * sigma)
+    via_c = (x.T * (f_rho - a_rho * b_rho.T) * y)[0] / 4
+    assert vanishes(via_c - tau**2 * c - tau * (1 - tau) * (x.T * f * y)[0] / 4)
 
 
 THETA = sp.Symbol("theta", real=True)
@@ -119,13 +167,7 @@ def test_the_schmidt_form_has_c_diag_k_minus_k_k_squared():
     # With C -> O_A C O_B^T under local unitaries (tests/test_detect.py), every pure state's
     # singular values are (k, k, k^2): the rank dichotomy's spectrum.
     _, rho, k = schmidt_state()
-
-    def pauli_trace(i, j):
-        return (rho * kron(SIGMA[i], SIGMA[j])).trace()
-
-    a = sp.Matrix([pauli_trace(i, 0) for i in (1, 2, 3)])
-    b = sp.Matrix([pauli_trace(0, j) for j in (1, 2, 3)])
-    f = sp.Matrix(3, 3, lambda i, j: pauli_trace(i + 1, j + 1))
+    a, b, f = bloch_of(rho)
     c = f - a * b.T
     assert all(trig_vanishes(entry) for entry in c - sp.diag(k, -k, k**2))
 

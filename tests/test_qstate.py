@@ -1,5 +1,8 @@
 """Tests for state validation, Pauli expansion, and local observables."""
 
+import copy
+import dataclasses
+import pickle
 import re
 import sys
 from collections import Counter
@@ -8,10 +11,13 @@ import numpy as np
 import pytest
 
 from bicorr import cli, correlation, linalg, qstate, states, verify
-from bicorr.correlation import ObservablePair, covariance_direct
+from bicorr.correlation import CorrMatrix, ObservablePair, covariance_direct
 from bicorr.detect import (
     DEFAULT_XS,
     DEFAULT_Y,
+    Probe,
+    ProtocolTrace,
+    Verdict,
     binary_protocol,
     exact_protocol,
     find_zero_correlation_pair,
@@ -41,6 +47,7 @@ from bicorr.qstate import (
     validate_pure_state,
 )
 from bicorr.shotsim import ShotConfig, statistical_binary_protocol
+from bicorr.states import StateSpec
 from bicorr.verify import check_protocol_soundness, check_two_probe_insufficiency
 
 SINGLET_RHO = 0.5 * np.array(
@@ -443,6 +450,15 @@ class TestBlochDecompose:
                 for j, sj in enumerate(paulis):
                     assert abs(bf.f[i, j] - np.trace(rho @ np.kron(si, sj)).real) < 1e-12
 
+    def test_the_pauli_table_has_the_bits_of_sixteen_krons(self):
+        # The reference: one np.kron per product.  An np.einsum table differs from it in signed
+        # zeros, which no comparison of values sees, and the pinned outputs do not show either.
+        sigmas = np.concatenate([np.eye(2, dtype=complex)[None], qstate.PAULIS])
+        krons = np.stack([np.kron(sm, sn) for sm in sigmas for sn in sigmas])
+        reference = krons.transpose(0, 2, 1).reshape(16, 16).T
+        assert qstate._PAULI_TABLE.shape == (16, 16) and qstate._PAULI_TABLE.flags.c_contiguous
+        assert qstate._PAULI_TABLE.tobytes() == reference.tobytes()
+
 
 class TestBlochAssemble:
     def test_singlet_from_parameters(self):
@@ -728,6 +744,48 @@ def test_a_checked_state_is_neither_indexed_nor_iterated():
             state[0]
         with pytest.raises(TypeError):
             iter(state)
+
+
+RECORDS = [
+    (lambda: CheckedState(SINGLET_RHO), "CheckedState(matrix={0.matrix!r})"),
+    (lambda: density_from_pure([0, 1, 0, 0]), "CheckedState(matrix={0.matrix!r})"),
+    (lambda: BlochForm(1, 2.0, None), "BlochForm(a=1, b=2.0, f=None)"),
+    (lambda: ObservablePair(x=[1.0, 0, 0], y=[0, 0, 1]), "ObservablePair(x={0.x!r}, y={0.y!r})"),
+    (lambda: CorrMatrix(c=0.5), "CorrMatrix(c=0.5)"),
+    (lambda: Verdict("Separable", "PPTOracle"), "Verdict(label='Separable', basis='PPTOracle', detail='')"),
+    (lambda: Probe(x=None, covariance=0.0, is_zero=True), "Probe(x=None, covariance=0.0, is_zero=True)"),
+    (lambda: ProtocolTrace(y=1, probes=()), "ProtocolTrace(y=1, probes=())"),
+    (lambda: StateSpec("pure"), "StateSpec(kind='pure', label=None, amplitudes=None, matrix=None)"),
+]
+
+
+@pytest.mark.parametrize("build, text", RECORDS, ids=[
+    "CheckedState", "pure CheckedState", "BlochForm", "ObservablePair", "CorrMatrix", "Verdict",
+    "Probe", "ProtocolTrace", "StateSpec",
+])
+def test_a_record_is_frozen_and_keeps_its_repr_through_copies(build, text):
+    record = build()
+    assert repr(record) == text.format(record)
+    field = type(record)._fields[0]
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+        setattr(record, field, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+        delattr(record, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = 0
+    for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(again) is type(record) and repr(again) == repr(record)
+        assert (again == record) is isinstance(record, Verdict)  # only a Verdict is a value
+    if isinstance(record, CheckedState):
+        assert pickle.loads(pickle.dumps(record)).pure is record.pure
+
+
+def test_a_verdict_compares_and_hashes_by_its_fields():
+    verdict = Verdict("Entangled", "BinaryProtocol", "probe 1")
+    assert verdict == Verdict(label="Entangled", basis="BinaryProtocol", detail="probe 1")
+    assert hash(verdict) == hash(("Entangled", "BinaryProtocol", "probe 1"))
+    assert verdict != Verdict("Entangled", "BinaryProtocol")
+    assert verdict != ("Entangled", "BinaryProtocol", "probe 1")
 
 
 def test_protocol_soundness_checks_each_block_once(check_counts):
