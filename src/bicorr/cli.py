@@ -35,7 +35,7 @@ from bicorr.detect import (
     pure_rank_verdict,
 )
 from bicorr.linalg import det3
-from bicorr.qstate import CheckedState, _integers
+from bicorr.qstate import CheckedState, _integers, as_density_matrix, density_from_pure
 from bicorr.states import ParseError, StateSpec
 
 USAGE_ERROR = 3
@@ -111,7 +111,7 @@ def build_analysis_report(spec: StateSpec) -> dict:
     The checked state computes its Bloch form and c once; the protocol and the
     rank verdict both read that c, and the protocol reads the state's purity.
     """
-    rho = spec.matrix
+    rho = spec.state
     bf, cm = rho.bloch, rho.cm
     protocol_verdict, trace = binary_protocol(rho)
     report = {
@@ -125,11 +125,7 @@ def build_analysis_report(spec: StateSpec) -> dict:
             "det": det3(cm.c),
         },
         "verdicts": {
-            "rank_dichotomy": (
-                _verdict_doc(pure_rank_verdict(cm))
-                if spec.kind == "pure"
-                else None
-            ),
+            "rank_dichotomy": _verdict_doc(pure_rank_verdict(cm)) if spec.kind == "pure" else None,
             "ppt": {
                 "separable": ppt_is_separable(rho),
                 "basis": PPT_ORACLE,
@@ -175,7 +171,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_detect(args) -> int:
     spec = statesmod.load_state_file(args.file)
-    rho = spec.matrix
+    rho = spec.state
     y = _parse_vector(args.y, "--y") if args.y else DEFAULT_Y
     xs = _parse_probe_set(args.xs) if args.xs else DEFAULT_XS
     if args.shots is not None:
@@ -242,28 +238,25 @@ def cmd_sweep_werner(args) -> int:
 
 
 def _bell(which: str):
-    return lambda args: statesmod.pure_spec(statesmod.bell_state(which), label=args.kind)
+    return lambda args: (statesmod.bell_state(which), args.kind)
 
 
-# Each gen kind's builder; each looks its generator up on statesmod when it runs.
+# Each gen kind's state, amplitudes or a matrix, and its label; each looks its generator up on
+# statesmod when it runs.
 _GEN_KINDS = {
     "bell-phim": _bell("phi-"),
     "bell-phip": _bell("phi+"),
     "bell-psim": _bell("psi-"),
     "bell-psip": _bell("psi+"),
-    "chen": lambda args: statesmod.pure_spec(statesmod.chen_state(), label="chen"),
-    "werner": lambda args: statesmod.mixed_spec(
-        statesmod.werner(args.xi), label=f"werner(xi={args.xi:g})"
+    "chen": lambda args: (statesmod.chen_state(), "chen"),
+    "werner": lambda args: (statesmod.werner(args.xi), f"werner(xi={args.xi:g})"),
+    "haar": lambda args: (statesmod.haar_random_pure(args.seed), f"haar(seed={args.seed})"),
+    "product": lambda args: (
+        statesmod.random_product_pure(args.seed), f"product(seed={args.seed})"
     ),
-    "haar": lambda args: statesmod.pure_spec(
-        statesmod.haar_random_pure(args.seed), label=f"haar(seed={args.seed})"
-    ),
-    "product": lambda args: statesmod.pure_spec(
-        statesmod.random_product_pure(args.seed), label=f"product(seed={args.seed})"
-    ),
-    "sep-mixed": lambda args: statesmod.mixed_spec(
+    "sep-mixed": lambda args: (
         statesmod.random_separable_mixed(args.seed, args.k),
-        label=f"sep-mixed(seed={args.seed},k={args.k})",
+        f"sep-mixed(seed={args.seed},k={args.k})",
     ),
 }
 
@@ -271,7 +264,9 @@ _GEN_KINDS = {
 def cmd_gen(args, parser: _Parser) -> int:
     if args.kind == "werner" and args.xi is None:
         parser.error("gen --kind werner requires --xi")
-    spec = _GEN_KINDS[args.kind](args)
+    state, label = _GEN_KINDS[args.kind](args)
+    check = density_from_pure if state.ndim == 1 else as_density_matrix
+    spec = StateSpec(check(state), label)
     statesmod.save_state_file(args.out, spec)
     print(f"wrote {spec.kind} state {spec.label!r} to {args.out}")
     return 0

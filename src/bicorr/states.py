@@ -223,36 +223,21 @@ def random_density(seed) -> np.ndarray:
 
 
 class StateSpec(_Frozen):
-    """Parsed state file, one state: its kind, pure amplitudes, and its checked density matrix."""
+    """Parsed state file: one checked state and its label.  Its kind is read from the state:
+    "pure" for a state built by ``density_from_pure``, which keeps its amplitudes, else "mixed"."""
 
-    __slots__ = _fields = ("kind", "label", "amplitudes", "matrix")
+    __slots__ = _fields = ("state", "label")
 
-    def __init__(
-        self,
-        kind: str,
-        label: str | None = None,
-        amplitudes: np.ndarray | None = None,
-        matrix: CheckedState | None = None,
-    ) -> None:
-        _set(self, "kind", kind)
+    def __init__(self, state: CheckedState, label: str | None = None) -> None:
+        shape = state.matrix.shape
+        if len(shape) > 2:
+            raise InvalidState(f"a state spec holds one state, got a stack of shape {shape}")
+        _set(self, "state", state)
         _set(self, "label", label)
-        _set(self, "amplitudes", amplitudes)
-        _set(self, "matrix", matrix)
 
-
-def pure_spec(psi: np.ndarray, label: str | None = None) -> StateSpec:
-    rho = density_from_pure(psi)
-    psi = rho.amplitudes
-    if psi.ndim > 1:
-        raise InvalidState(f"a state spec holds one state, got a stack of shape {psi.shape}")
-    return StateSpec(kind="pure", label=label, amplitudes=psi, matrix=rho)
-
-
-def mixed_spec(rho: np.ndarray, label: str | None = None) -> StateSpec:
-    rho = as_density_matrix(rho)
-    if rho.matrix.ndim > 2:
-        raise InvalidState(f"a state spec holds one state, got a stack of shape {rho.matrix.shape}")
-    return StateSpec(kind="mixed", label=label, matrix=rho)
+    @property
+    def kind(self) -> str:
+        return "mixed" if self.state.amplitudes is None else "pure"
 
 
 def _split_pairs(raw, shape: tuple, layout: str) -> np.ndarray:
@@ -289,12 +274,12 @@ def loads_state(text: str) -> StateSpec:
         if "amplitudes" not in doc:
             raise ParseError("pure state document needs an 'amplitudes' field")
         psi = _split_pairs(doc["amplitudes"], (4,), "amplitudes must be 4 [re, im] pairs of floats")
-        return pure_spec(psi, label)
+        return StateSpec(density_from_pure(psi), label)
     if kind == "mixed":
         if "matrix" not in doc:
             raise ParseError("mixed state document needs a 'matrix' field")
         rho = _split_pairs(doc["matrix"], (4, 4), "matrix must be 4 x 4 [re, im] pairs of floats")
-        return mixed_spec(rho, label)
+        return StateSpec(as_density_matrix(rho), label)
     raise ParseError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 
@@ -303,10 +288,11 @@ def state_doc(spec: StateSpec) -> dict:
     doc: dict = {"kind": spec.kind}
     if spec.label is not None:
         doc["label"] = spec.label
-    if spec.kind == "pure":
-        doc["amplitudes"] = _pairs(spec.amplitudes)
+    psi = spec.state.amplitudes
+    if psi is not None:
+        doc["amplitudes"] = _pairs(psi)
     else:
-        doc["matrix"] = _pairs(spec.matrix.matrix)
+        doc["matrix"] = _pairs(spec.state.matrix)
     return doc
 
 

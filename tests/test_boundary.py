@@ -470,7 +470,7 @@ def test_a_state_near_its_cuts_gets_an_answer_from_every_route(rho, pair, seed):
         return  # refused at one of its cuts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        build_analysis_report(states.mixed_spec(rho))
+        build_analysis_report(states.StateSpec(as_density_matrix(rho)))
         exact_protocol(rho)
         covariance_direct(rho, pair)
         statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=seed))
@@ -488,8 +488,8 @@ NORM_CUT_DOCUMENT = json.dumps({"kind": "pure", "amplitudes": [
 
 def test_a_document_the_norm_cut_accepts_is_answered_by_every_route(tmp_path):
     spec = states.loads_state(NORM_CUT_DOCUMENT)
-    psi = spec.amplitudes
-    assert spec.matrix.matrix.tobytes() == (psi[:, None] * psi.conj()).tobytes()
+    psi = spec.state.amplitudes
+    assert spec.state.matrix.tobytes() == (psi[:, None] * psi.conj()).tobytes()
     path = tmp_path / "psi.json"
     path.write_text(NORM_CUT_DOCUMENT)
     assert cli_outcome(["analyze", str(path)]) == 0
@@ -500,7 +500,7 @@ def test_a_document_the_norm_cut_accepts_is_answered_by_every_route(tmp_path):
 
 def test_the_state_of_amplitudes_the_norm_cut_accepts_is_answered_by_every_decider():
     # Its trace differs from 1 by more than NORM_TOL: the amplitudes own its check, not the trace.
-    rho = density_from_pure(states.loads_state(NORM_CUT_DOCUMENT).amplitudes)
+    rho = density_from_pure(states.loads_state(NORM_CUT_DOCUMENT).state.amplitudes)
     assert binary_protocol(rho)[0].label == ENTANGLED
     assert exact_protocol(rho)[:2] == (ENTANGLED, 3)
     shots = statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000))
@@ -532,7 +532,8 @@ def test_a_pure_state_straddling_the_norm_cut_is_refused_only_by_its_amplitudes(
     for k in range(-40, 41):
         for sign in (-1.0, 1.0):
             scaled = unit * math.sqrt(1.0 + sign * (CUT + k * ULP))
-            checked, spec = outcome(validate_pure_state, scaled), outcome(states.pure_spec, scaled)
+            checked = outcome(validate_pure_state, scaled)
+            spec = outcome(lambda psi: states.StateSpec(density_from_pure(psi)), scaled)
             if isinstance(checked, ValueError):
                 assert isinstance(spec, ValueError) and str(spec) == str(checked)
             else:
@@ -566,9 +567,10 @@ def documents(draw) -> tuple[str, list]:
     text, and the field it holds."""
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        field, spec = "amplitudes", states.pure_spec(states.haar_random_pure(seed))
+        field, state = "amplitudes", density_from_pure(states.haar_random_pure(seed))
     else:
-        field, spec = "matrix", states.mixed_spec(states.random_mixed(seed))
+        field, state = "matrix", as_density_matrix(states.random_mixed(seed))
+    spec = states.StateSpec(state)
     doc = states.state_doc(spec)
     for _ in range(draw(st.integers(0, 3))):
         target = draw(st.sampled_from(_lists(doc[field])))
@@ -701,9 +703,13 @@ PROBES_TEXT = either(
     TEXT,
 )
 DOCUMENTS = {
-    "singlet.json": states.dumps_state(states.pure_spec(states.bell_state("psi-"))),
-    "werner.json": states.dumps_state(states.mixed_spec(states.werner(0.5))),
-    "product.json": states.dumps_state(states.pure_spec(states.random_product_pure(7))),
+    "singlet.json": states.dumps_state(
+        states.StateSpec(density_from_pure(states.bell_state("psi-")))
+    ),
+    "werner.json": states.dumps_state(states.StateSpec(as_density_matrix(states.werner(0.5)))),
+    "product.json": states.dumps_state(
+        states.StateSpec(density_from_pure(states.random_product_pure(7)))
+    ),
     "inf.json": '{"kind": "pure", "amplitudes": [[1, Infinity], [0, 0], [0, 0], [0, 0]]}',
     "true.json": '{"kind": "pure", "amplitudes": [[true, 0], [0, 0], [0, 0], [0, 0]]}',
     "malformed.json": '{"kind": "pure", "amplitudes": [[1, 0]',

@@ -13,7 +13,8 @@ from bicorr.cli import build_analysis_report, main
 from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import ppt_is_separable
 from bicorr.shotsim import ShotConfig
-from bicorr.states import load_state_file, mixed_spec, random_mixed, save_state_file
+from bicorr.qstate import as_density_matrix, density_from_pure
+from bicorr.states import StateSpec, load_state_file, random_mixed, save_state_file
 from bicorr.verify import ALL_CHECKS, run_all
 
 
@@ -37,7 +38,7 @@ def scaled_singlet_file(tmp_path):
     accepted as pure, but Tr rho^2 = 1 - 1.8e-9 is below the protocol's purity cut 1 - 1e-9."""
     path = tmp_path / "scaled.json"
     psi = states.bell_state("psi-") * np.sqrt(1 - 0.9e-9)
-    save_state_file(path, states.pure_spec(psi, label="scaled singlet"))
+    save_state_file(path, StateSpec(density_from_pure(psi), label="scaled singlet"))
     return str(path)
 
 
@@ -79,7 +80,7 @@ class TestAnalyze:
         # so a rank at a fixed cut would contradict the Entangled verdict.
         t = 3e-9
         path = tmp_path / "weak.json"
-        save_state_file(path, states.pure_spec(np.array([np.cos(t), 0, 0, np.sin(t)])))
+        save_state_file(path, StateSpec(density_from_pure(np.array([np.cos(t), 0, 0, np.sin(t)]))))
         assert main(["analyze", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "rank" not in report["correlation"]
@@ -110,29 +111,29 @@ class TestAnalyze:
         assert capsys.readouterr() == ("", f"bicorr: error: {layout}\n")
 
     def test_json_report_round_trips(self, tmp_path, capsys):
-        path = tmp_path / "m.json"
-        save_state_file(path, mixed_spec(random_mixed(17), label="m"))
-        assert main(["analyze", str(path), "--json"]) == 0
-        first = json.loads(capsys.readouterr().out)
-        back = tmp_path / "back.json"
-        back.write_text(json.dumps(first["state"]))
-        assert main(["analyze", str(back), "--json"]) == 0
-        second = json.loads(capsys.readouterr().out)
-        np.testing.assert_allclose(
-            second["correlation"]["c"], first["correlation"]["c"], atol=1e-12
-        )
-        np.testing.assert_allclose(second["bloch"]["a"], first["bloch"]["a"], atol=1e-12)
+        # The echo is a fixed point: the document in a report's state field reports the same bytes.
+        pure, mixed = density_from_pure(states.haar_random_pure(17)), as_density_matrix(random_mixed(17))
+        for state in (pure, mixed):
+            path = tmp_path / "m.json"
+            save_state_file(path, StateSpec(state, label="m"))
+            assert main(["analyze", str(path), "--json"]) == 0
+            first = capsys.readouterr().out
+            back = tmp_path / "back.json"
+            back.write_text(json.dumps(json.loads(first)["state"]))
+            assert main(["analyze", str(back), "--json"]) == 0
+            assert capsys.readouterr().out == first
 
     def test_json_report_is_pinned(self):
         # sha256 of the analyze --json reports of the Bell, Chen and Werner fixtures and of 100
         # Haar and 100 mixed seeded documents, each parsed from its file text; taken with numpy
         # 2.4's bundled OpenBLAS, which a different BLAS or LAPACK build can move in the last bit.
         bells = ("phi+", "phi-", "psi+", "psi-")
-        specs = [states.pure_spec(states.bell_state(which), which) for which in bells]
-        specs.append(states.pure_spec(states.chen_state(), "chen"))
-        specs += [mixed_spec(states.werner(xi), "werner") for xi in (0.0, 1 / 3, 0.5, 1.0)]
-        specs += [states.pure_spec(psi) for psi in states.haar_random_pure(range(100))]
-        specs += [mixed_spec(rho) for rho in random_mixed(range(100))]
+        specs = [StateSpec(density_from_pure(states.bell_state(which)), which) for which in bells]
+        specs.append(StateSpec(density_from_pure(states.chen_state()), "chen"))
+        werners = states.werner([0.0, 1 / 3, 0.5, 1.0])
+        specs += [StateSpec(as_density_matrix(rho), "werner") for rho in werners]
+        specs += [StateSpec(density_from_pure(psi)) for psi in states.haar_random_pure(range(100))]
+        specs += [StateSpec(as_density_matrix(rho)) for rho in random_mixed(range(100))]
         digest = hashlib.sha256()
         for spec in specs:
             report = build_analysis_report(states.loads_state(states.dumps_state(spec)))
@@ -260,7 +261,7 @@ def _off_hermitian_state() -> np.ndarray:
 )
 def test_a_state_within_its_cuts_gets_an_answer_from_every_route(rho, tmp_path, capsys):
     path = str(tmp_path / "state.json")
-    save_state_file(path, mixed_spec(rho))
+    save_state_file(path, StateSpec(as_density_matrix(rho)))
     assert main(["analyze", path]) == 0
     assert main(["detect", path]) == 2
     assert main(["detect", path, "--shots", "10000"]) == 2
@@ -382,17 +383,26 @@ class TestGen:
         code = main(["gen", "--kind", "werner", "--out", str(tmp_path / "w.json")])
         assert code == 3
 
-    def test_every_kind_produces_a_loadable_state(self, tmp_path):
+    def test_every_kind_produces_a_loadable_state(self, tmp_path, capsys):
+        # Amplitudes are written as a pure document and a matrix as a mixed one.
         kinds = [
-            ("bell-phip", []), ("bell-phim", []), ("bell-psip", []), ("bell-psim", []),
-            ("chen", []), ("werner", ["--xi", "0.4"]),
-            ("haar", ["--seed", "5"]), ("product", ["--seed", "5"]),
-            ("sep-mixed", ["--seed", "5", "--k", "3"]),
+            ("bell-phip", [], "pure", "bell-phip"),
+            ("bell-phim", [], "pure", "bell-phim"),
+            ("bell-psip", [], "pure", "bell-psip"),
+            ("bell-psim", [], "pure", "bell-psim"),
+            ("chen", [], "pure", "chen"),
+            ("werner", ["--xi", "0.4"], "mixed", "werner(xi=0.4)"),
+            ("haar", ["--seed", "5"], "pure", "haar(seed=5)"),
+            ("product", ["--seed", "5"], "pure", "product(seed=5)"),
+            ("sep-mixed", ["--seed", "5", "--k", "3"], "mixed", "sep-mixed(seed=5,k=3)"),
         ]
-        for kind, extra in kinds:
+        for kind, extra, written, label in kinds:
             path = tmp_path / f"{kind}.json"
             assert main(["gen", "--kind", kind, "--out", str(path)] + extra) == 0
-            load_state_file(path)
+            assert capsys.readouterr().out == f"wrote {written} state {label!r} to {path}\n"
+            spec = load_state_file(path)
+            assert json.loads(path.read_text())["kind"] == spec.kind == written
+            assert spec.label == label
 
     @pytest.mark.parametrize("kind", ["haar", "product", "sep-mixed"])
     def test_a_negative_seed_is_named(self, kind, tmp_path, capsys):

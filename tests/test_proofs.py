@@ -172,12 +172,16 @@ def test_the_schmidt_form_has_c_diag_k_minus_k_k_squared():
     assert all(trig_vanishes(entry) for entry in c - sp.diag(k, -k, k**2))
 
 
+def partial_transpose(rho):
+    """rho^T_B: <a b|rho^T_B|a' b'> = <a b'|rho|a' b>, at index 2a + b."""
+    return sp.Matrix(4, 4, lambda i, j: rho[2 * (i // 2) + j % 2, 2 * (j // 2) + i % 2])
+
+
 def test_the_schmidt_forms_partial_transpose_has_least_eigenvalue_minus_k_over_2():
     # The identity behind PURE_ENTANGLED_SV_TOL = 2 PSD_TOL: on a pure state the PPT verdict's
     # cut lambda_min >= -PSD_TOL is the rank verdict's cut k <= 2 PSD_TOL.
     psi, rho, k = schmidt_state()
-    # <a b|rho^T_B|a' b'> = <a b'|rho|a' b>, at index 2a + b.
-    pt = sp.Matrix(4, 4, lambda i, j: rho[2 * (i // 2) + j % 2, 2 * (j // 2) + i % 2])
+    pt = partial_transpose(rho)
     for amplitudes, exact in zip(at_angles(psi), at_angles(pt)):
         moved = partial_transpose_b(density_from_pure(amplitudes[:, 0]))
         assert np.max(np.abs(exact - moved)) < 1e-15
@@ -187,3 +191,49 @@ def test_the_schmidt_forms_partial_transpose_has_least_eigenvalue_minus_k_over_2
     roots = (sp.cos(THETA) ** 2, sp.sin(THETA) ** 2, k / 2, -k / 2)
     charpoly = (pt - lam * sp.eye(4)).det(method="berkowitz")  # 4x4: det(lam I - pt)
     assert trig_vanishes(charpoly - sp.Mul(*(lam - root for root in roots)))
+
+
+BELL = {
+    "phi+": sp.Matrix([1, 0, 0, 1]) / sp.sqrt(2),
+    "phi-": sp.Matrix([1, 0, 0, -1]) / sp.sqrt(2),
+    "psi+": sp.Matrix([0, 1, 1, 0]) / sp.sqrt(2),
+    "psi-": sp.Matrix([0, 1, -1, 0]) / sp.sqrt(2),
+}
+
+
+@cache
+def bell_diagonal():
+    """(rho, p) for rho = sum_i p_i |B_i><B_i| over BELL's states, with p = (p1, p2, p3, 1 - p1 -
+    p2 - p3).  The Bell vectors are states.bell_state's, and with p_i = (1 - xi)/4 on the first
+    three, so (1 + 3 xi)/4 on psi-, rho is states.werner(xi) at four mixing parameters."""
+    for which, vector in BELL.items():
+        exact = np.array(vector.evalf(), dtype=complex)[:, 0]
+        assert np.max(np.abs(exact - states.bell_state(which))) < 1e-15
+    p1, p2, p3 = sp.symbols("p1:4", real=True)
+    p = (p1, p2, p3, 1 - p1 - p2 - p3)
+    rho = sum((w * v * v.T for w, v in zip(p, BELL.values())), sp.zeros(4))
+    xi = sp.Symbol("xi", real=True)
+    werner = rho.subs({p1: (1 - xi) / 4, p2: (1 - xi) / 4, p3: (1 - xi) / 4})
+    for value in (0, sp.Rational(1, 3), sp.Rational(7, 10), 1):
+        exact = np.array(werner.subs(xi, value).evalf(), dtype=complex)
+        assert np.max(np.abs(exact - states.werner(float(value)))) < 1e-15
+    return rho, p
+
+
+def test_a_bell_diagonal_state_has_no_local_vectors_and_a_diagonal_c():
+    # C = diag(t), t the weights' sum of the Bell states' sign vectors: item 21's tetrahedron.
+    rho, p = bell_diagonal()
+    a, b, f = bloch_of(rho)
+    signs = ((1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1))  # phi+, phi-, psi+, psi-
+    t = sum((w * sp.Matrix(sign) for w, sign in zip(p, signs)), sp.zeros(3, 1))
+    assert all(vanishes(entry) for entry in (*a, *b))
+    assert all(vanishes(entry) for entry in f - a * b.T - sp.diag(*t))
+
+
+def test_a_bell_diagonal_states_partial_transpose_has_eigenvalues_half_minus_each_weight():
+    # So lambda_min(rho^T_B) = 1/2 - p_max: the state is entangled exactly when one weight
+    # exceeds 1/2, Werner's xi > 1/3.
+    rho, p = bell_diagonal()
+    lam = sp.Symbol("lambda")
+    charpoly = (partial_transpose(rho) - lam * sp.eye(4)).det(method="berkowitz")
+    assert vanishes(charpoly - sp.Mul(*(lam - (sp.Rational(1, 2) - w) for w in p)))

@@ -618,10 +618,14 @@ def check_counts(monkeypatch):
     return _count_calls(monkeypatch, *(getattr(qstate, name) for name in checks))
 
 
-@pytest.mark.parametrize(
-    "spec", [states.mixed_spec(states.werner(0.4)), states.pure_spec(states.chen_state())],
-    ids=["mixed", "pure"],
-)
+# A mixed and a pure state, each analyzed from its document.
+REPORT_SPECS = [
+    StateSpec(as_density_matrix(states.werner(0.4))),
+    StateSpec(density_from_pure(states.chen_state())),
+]
+
+
+@pytest.mark.parametrize("spec", REPORT_SPECS, ids=["mixed", "pure"])
 def test_analysis_report_checks_each_input_once(spec, check_counts):
     document = states.dumps_state(spec)
     cli.build_analysis_report(states.loads_state(document))
@@ -633,10 +637,7 @@ def test_analysis_report_checks_each_input_once(spec, check_counts):
     assert check_counts["check_bloch_vector"] <= 4
 
 
-@pytest.mark.parametrize(
-    "spec", [states.mixed_spec(states.werner(0.4)), states.pure_spec(states.chen_state())],
-    ids=["mixed", "pure"],
-)
+@pytest.mark.parametrize("spec", REPORT_SPECS, ids=["mixed", "pure"])
 def test_analysis_report_decomposes_its_state_once(spec, monkeypatch):
     # The report's form and C, the rank verdict and the protocol all read the checked state's.
     counts = _count_calls(monkeypatch, qstate.bloch_decompose, correlation.correlation_matrix)
@@ -755,7 +756,10 @@ RECORDS = [
     (lambda: Verdict("Separable", "PPTOracle"), "Verdict(label='Separable', basis='PPTOracle', detail='')"),
     (lambda: Probe(x=None, covariance=0.0, is_zero=True), "Probe(x=None, covariance=0.0, is_zero=True)"),
     (lambda: ProtocolTrace(y=1, probes=()), "ProtocolTrace(y=1, probes=())"),
-    (lambda: StateSpec("pure"), "StateSpec(kind='pure', label=None, amplitudes=None, matrix=None)"),
+    (
+        lambda: StateSpec(density_from_pure([0, 1, 0, 0]), "l"),
+        "StateSpec(state=CheckedState(matrix={0.state.matrix!r}), label='l')",
+    ),
 ]
 
 

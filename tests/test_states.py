@@ -26,8 +26,6 @@ from bicorr.states import (
     haar_random_pure,
     load_state_file,
     loads_state,
-    mixed_spec,
-    pure_spec,
     random_mixed,
     random_product_pure,
     random_separable_mixed,
@@ -352,20 +350,20 @@ MATRIX_LAYOUT = "matrix must be 4 x 4 [re, im] pairs of floats"
 
 class TestStateFiles:
     def test_pure_round_trip(self, tmp_path):
-        spec = pure_spec(chen_state(), label="chen")
+        spec = StateSpec(density_from_pure(chen_state()), label="chen")
         path = tmp_path / "chen.json"
         save_state_file(path, spec)
         loaded = load_state_file(path)
         assert loaded.kind == "pure"
         assert loaded.label == "chen"
-        np.testing.assert_array_equal(loaded.amplitudes, spec.amplitudes)
+        np.testing.assert_array_equal(loaded.state.amplitudes, spec.state.amplitudes)
 
     def test_mixed_round_trip_is_exact(self, tmp_path):
-        spec = mixed_spec(random_mixed(9), label="mixture")
+        spec = StateSpec(as_density_matrix(random_mixed(9)), label="mixture")
         path = tmp_path / "mixed.json"
         save_state_file(path, spec)
         loaded = load_state_file(path)
-        np.testing.assert_array_equal(loaded.matrix.matrix, spec.matrix.matrix)
+        np.testing.assert_array_equal(loaded.state.matrix, spec.state.matrix)
 
     def test_a_zero_keeps_its_sign_only_by_the_parse_rule(self):
         # re + 1j * im: an im of -0.0 reads as 0.0; a re of -0.0 stays only beside a negative im.
@@ -381,18 +379,20 @@ class TestStateFiles:
         assert not np.signbit(echo[..., 1]).any()  # every imaginary zero reads as 0.0
         assert np.signbit(echo[..., 0]).sum() == 16 - 4 - 1  # every -0.0 re but [0, 1]'s
 
-    def test_density_of_pure_spec(self):
-        spec = pure_spec(bell_state("psi-"))
-        np.testing.assert_allclose(
-            spec.matrix.matrix, density_from_pure(bell_state("psi-")).matrix, atol=1e-15
-        )
+    def test_a_spec_of_amplitudes_is_pure_and_a_spec_of_a_matrix_mixed(self):
+        pure = density_from_pure(bell_state("psi-"))
+        spec = StateSpec(pure, "singlet")
+        assert StateSpec._fields == ("state", "label") and StateSpec.kind.fset is None
+        assert spec.state is pure and spec.label == "singlet" and spec.kind == "pure"
+        np.testing.assert_allclose(spec.state.matrix, werner(1.0), atol=1e-15)
+        assert StateSpec(as_density_matrix(pure.matrix)).kind == "mixed"  # no amplitudes kept
 
     @pytest.mark.parametrize(
         "build, state, shape",
         [
-            (pure_spec, np.stack([bell_state("psi-")] * 2), "(2, 4)"),
-            (pure_spec, bell_state("psi-")[None], "(1, 4)"),
-            (mixed_spec, werner([0.2, 0.5]), "(2, 4, 4)"),
+            (density_from_pure, np.stack([bell_state("psi-")] * 2), "(2, 4, 4)"),
+            (density_from_pure, bell_state("psi-")[None], "(1, 4, 4)"),
+            (as_density_matrix, werner([0.2, 0.5]), "(2, 4, 4)"),
         ],
         ids=["two pure states", "a stack of one", "two Werner states"],
     )
@@ -400,7 +400,7 @@ class TestStateFiles:
         # A stack was kept, and written by dumps_state to a document loads_state refused.
         message = f"a state spec holds one state, got a stack of shape {shape}"
         with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
-            build(state)
+            StateSpec(build(state))
 
     def test_rejects_malformed_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
@@ -491,7 +491,7 @@ class TestStateFiles:
             loads_state(text)
 
     def test_invalid_state_is_reported_by_validation(self):
-        doc = dumps_state(StateSpec(kind="pure", amplitudes=np.array([1, 0, 0, 0])))
+        doc = dumps_state(StateSpec(density_from_pure(np.array([1, 0, 0, 0]))))
         bad = doc.replace("1.0", "0.9", 1)
         with pytest.raises(InvalidState):
             loads_state(bad)
