@@ -32,17 +32,17 @@ inputs give bit-identical records.
 ``joint_outcome_probabilities`` and ``sample_joint`` take stacks of states
 and probes, which broadcast.  The probabilities of a whole stack are two
 small products of each state's 16 Pauli traces with the probes' Pauli
-coefficients; row i of the stack, in C order, then draws its counts from the
-stream of ``default_rng((seed + i) mod 2**64)``, and one call of
+coefficients.  One seed is one stream: row i of the stack, in C order, is the
+(i + 1)-th draw of ``default_rng(seed)``, all rows in one ``multinomial``
+call, which gives the bits of drawing them one after another; one call of
 ``_statistics``, the one copy of the statistics, computes them on the whole
-count array.  The stack's seeds are seeded at once (``streams.seed_words``),
-and each row draws from a fresh generator on its seed's ``default_rng(seed)``
-stream, bit for bit; the pinned one-state records in tests/test_shotsim.py
-would fail if numpy ever changed its seeding.  One state is the stack of one
-row, at ``seed``.  The statistical protocol takes its three probes' cell
-probabilities in one call and draws probe i, at (seed + i) mod 2**64, only
-when it reads it (``_draw``, ``_statistics`` on one row): the bits of row i
-of ``sample_joint``.  It reads only the covariance and z, so only
+count array.  One state is the stack of one row, the first draw at ``seed``;
+the pinned one-state records in tests/test_shotsim.py would fail if numpy
+ever changed its seeding.  The statistical protocol takes its three probes'
+cell probabilities in one call, makes one ``default_rng(seed)`` per run and
+draws probe i as its (i + 1)-th draw, only when it reads it (``_draw``,
+``_statistics`` on one row): the bits of row i of ``sample_joint`` on the
+run's probe stack.  It reads only the covariance and z, so only
 ``sample_joint`` computes the standard error and the decision strings.
 """
 
@@ -65,7 +65,6 @@ from bicorr.detect import (
 from bicorr.linalg import NORM_TOL, item_or_array
 from bicorr.qstate import CheckedState, as_density_matrix
 from bicorr.qstate import _integers, _pauli_traces, _reals, _require
-from bicorr.streams import generators, seed_words
 
 DECISION_ZERO = "Zero"
 DECISION_NONZERO = "NonZero"
@@ -194,9 +193,9 @@ def _statistics(counts: np.ndarray, n: float) -> tuple:
     return m_xy, m_x, m_y, covariance, z_score
 
 
-def _draw(probs: np.ndarray, cfg: ShotConfig, seed: int) -> tuple:
-    """The ``_statistics`` of one row of cell probabilities, its counts drawn at seed."""
-    counts = np.random.default_rng(seed).multinomial(cfg.shots, probs).astype(float)
+def _draw(probs: np.ndarray, cfg: ShotConfig, rng: np.random.Generator) -> tuple:
+    """The ``_statistics`` of one row of cell probabilities, its counts the next draw of rng."""
+    counts = rng.multinomial(cfg.shots, probs).astype(float)
     return _statistics(counts, float(cfg.shots))
 
 
@@ -211,16 +210,14 @@ def sample_joint(rho: np.ndarray, pair: ObservablePair, cfg: ShotConfig) -> Shot
 
     x and y must be unit vectors: NonUnitBloch names the first that is not, before any state
     error.  States and probes broadcast as in ``joint_outcome_probabilities``; row i of the
-    stack, in C order, draws at seed (cfg.seed + i) mod 2**64, and one state is the stack of one
-    row, at cfg.seed.  One state gives a record of Python floats (decision a str), a stack a
-    record of arrays shaped like it (decision a str array), with shots_used the shots per row.
+    stack, in C order, is the (i + 1)-th draw of ``default_rng(cfg.seed)``, and one state is the
+    stack of one row, the first draw.  One state gives a record of Python floats (decision a
+    str), a stack a record of arrays shaped like it (decision a str array), with shots_used the
+    shots per row.
     """
     probs = joint_outcome_probabilities(rho, _unit(pair))
     rows = probs.reshape(-1, 4)
-    counts = np.empty(rows.shape)
-    seeds = np.uint64(cfg.seed) + np.arange(len(rows), dtype=np.uint64)  # wraps at 2**64
-    for row, p, rng in zip(counts, rows, generators(seed_words(seeds))):
-        row[:] = rng.multinomial(cfg.shots, p)
+    counts = np.random.default_rng(cfg.seed).multinomial(cfg.shots, rows).astype(float)
     n = float(cfg.shots)
     m_xy, m_x, m_y, covariance, z_score = _statistics(counts, n)
     h = np.stack([1.0 - m_y - m_x, -m_y, -m_x, np.zeros_like(m_x)], axis=-1)
@@ -244,14 +241,16 @@ def statistical_binary_protocol(
     Semantics follow ``binary_protocol``, but every zero/non-zero call is a statistical one, so
     verdicts carry confidence, not certainty; the shot budget and threshold are recorded in the
     verdict detail.  Every probe's cells are computed, and checked, before the first draw; probe i
-    is drawn only when read, on its direction, at seed (seed + i) mod 2**64.
+    is drawn only when read, on its direction, as the (i + 1)-th draw of the run's one
+    ``default_rng(cfg.seed)``.
     """
     rho = CheckedState.of(rho)
 
     def shot_oracle(xs: np.ndarray, y: np.ndarray):
         probs = joint_outcome_probabilities(rho, _checked_pair(xs, y))  # every probe
-        for i, row in enumerate(probs):
-            *_, covariance, z_score = _draw(row, cfg, (cfg.seed + i) % 2**64)
+        rng = np.random.default_rng(cfg.seed)
+        for row in probs:
+            *_, covariance, z_score = _draw(row, cfg, rng)
             yield covariance, not z_score > cfg.z_threshold
 
     verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)

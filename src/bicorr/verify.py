@@ -366,7 +366,7 @@ def check_shot_unbiasedness(trials: int, seed: int) -> tuple[bool, str]:
     combined = math.sqrt(sum(se**2 for se in record.standard_error.tolist())) / 200
     deviation = abs(mean + 0.25)
     detail = f"mean {mean:.9f}, |dev| {deviation:.2e} vs 3 SE {3 * combined:.2e}"
-    return deviation < 3 * combined, f"200 seeds, {detail}"
+    return deviation < 3 * combined, f"200 draws, {detail}"
 
 
 def check_shot_se_scaling(trials: int, seed: int) -> tuple[bool, str]:
@@ -427,8 +427,8 @@ ALL_CHECKS: list[tuple[str, Check]] = [
 def run_all(trials: int = 2000, seed: int = 0, out=print) -> bool:
     """Run every suite; emits one pass/fail line per check via ``out``.
 
-    trials must be an integer of at least 100 and seed one in [0, 2**64), for the shot checks'
-    seeds (seed + i) mod 2**64; both are checked, as Python ints, before the first check runs.
+    trials must be an integer of at least 100 and seed one in [0, 2**64), the seeds that
+    ``ShotConfig`` takes; both are checked, as Python ints, before the first check runs.
     """
     trials, seed = _integers(trials, "trials", 100), _integers(seed, "seed", 0, 2**64)
     token = _memo.set({} if trials <= BLOCK else None)  # past one block, no stack is kept

@@ -461,8 +461,8 @@ class TestVerify:
         assert run_all(trials, seed, lines.append) == run_all(int(trials), int(seed), expected.append)
         assert lines == expected
 
-    def test_largest_seeds_wrap_the_shot_seeds(self, capsys):
-        # The shot checks draw at (seed + i) mod 2**64, so no check is cut off near the top.
+    def test_the_largest_seeds_pass_every_check(self, capsys):
+        # The shot checks take every seed below 2**64, so no check is cut off near the top.
         assert main(["verify", "--trials", "100", "--seed", str(2**64 - 5)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(ALL_CHECKS) + 1

@@ -18,6 +18,7 @@ from sympy import kronecker_product as kron
 
 from bicorr import states
 from bicorr.qstate import density_from_pure, partial_transpose_b
+from test_shotsim import _covariance, _read_out, _shrink
 
 SIGMA = (
     sp.eye(2),
@@ -237,3 +238,18 @@ def test_a_bell_diagonal_states_partial_transpose_has_eigenvalues_half_minus_eac
     lam = sp.Symbol("lambda")
     charpoly = (partial_transpose(rho) - lam * sp.eye(4)).det(method="berkowitz")
     assert vanishes(charpoly - sp.Mul(*(lam - (sp.Rational(1, 2) - w) for w in p)))
+
+
+def test_local_readout_flips_scale_the_covariance_by_one_factor_per_side():
+    # Item 22's flip model, the very helpers that TestReadoutFlips in test_shotsim.py runs on
+    # rational tables and rates: side A reads a true 0 as 1 with probability p_A and a true 1
+    # as 0 with q_A, side B likewise.  On a symbolic table that sums to 1, at symbolic rates,
+    # the observed table sums to 1 and its covariance is (1 - p_A - q_A)(1 - p_B - q_B) times
+    # the ideal one.
+    t11, t10, t01 = sp.symbols("t11 t10 t01", real=True)
+    table = [[t11, t10], [t01, 1 - t11 - t10 - t01]]
+    side_a, side_b = sp.symbols("p_A q_A", real=True), sp.symbols("p_B q_B", real=True)
+    observed = _read_out(table, side_a, side_b)
+    assert vanishes(sum(map(sum, observed)) - 1)
+    factor = _shrink(side_a) * _shrink(side_b)
+    assert vanishes(_covariance(observed) - factor * _covariance(table))

@@ -510,50 +510,55 @@ def _pairs(n, seed):
     )
 
 
-def assert_row_is_draw(stacked, i, rho, pair, cfg):
-    """Row i of a stacked record has the statistics of the protocol's draw of its cells at
-    cfg.seed, bit for bit: the other route from counts to a record."""
-    drawn = shotsim._draw(joint_outcome_probabilities(rho, pair), cfg, cfg.seed)
+def assert_rows_are_draws(stacked, rows, cfg):
+    """Row i of a stacked record, in C order, has the statistics of the protocol's draw of its
+    cells as the (i + 1)-th draw of one default_rng(cfg.seed), bit for bit: the other route from
+    counts to a record.  rows holds each row's (rho, pair), in C order."""
+    indices = list(np.ndindex(stacked.decision.shape))
+    assert len(indices) == len(rows)
+    rng = np.random.default_rng(cfg.seed)
     names = ("estimate_xy", "estimate_x", "estimate_y", "covariance_estimate", "z_score")
-    for name, value in zip(names, drawn, strict=True):
-        row = getattr(stacked, name)[i]
-        assert isinstance(row, np.float64) and isinstance(value, np.float64), name
-        assert row.tobytes() == value.tobytes(), (i, name)
-    nonzero = drawn[-1] > cfg.z_threshold
-    assert stacked.decision[i] == (DECISION_NONZERO if nonzero else DECISION_ZERO)
+    for i, (rho, pair) in zip(indices, rows):
+        drawn = shotsim._draw(joint_outcome_probabilities(rho, pair), cfg, rng)
+        for name, value in zip(names, drawn, strict=True):
+            row = getattr(stacked, name)[i]
+            assert isinstance(row, np.float64) and isinstance(value, np.float64), name
+            assert row.tobytes() == value.tobytes(), (i, name)
+        nonzero = drawn[-1] > cfg.z_threshold
+        assert stacked.decision[i] == (DECISION_NONZERO if nonzero else DECISION_ZERO)
+
+
+def _rows(rho, pair):
+    """Each row's (rho, pair) of a flat stack of states and probes."""
+    return [(rho[i], ObservablePair(x=pair.x[i], y=pair.y[i])) for i in range(len(rho))]
 
 
 class TestStackedSampler:
-    def test_stack_equals_one_call_per_row_at_consecutive_seeds(self):
+    def test_stack_equals_one_call_per_row_as_consecutive_draws(self):
         rho = np.stack([states.random_density(s) for s in range(500)])
         pair = _pairs(500, 31)
-        top = 2**64 - 250  # rows 250 on draw at seeds 0, 1, ...
-        stacked = sample_joint(rho, pair, ShotConfig(shots=10_000, seed=top))
-        for i in range(500):
-            row_pair = ObservablePair(x=pair.x[i], y=pair.y[i])
-            assert_row_is_draw(stacked, i, rho[i], row_pair, ShotConfig(10_000, (top + i) % 2**64))
+        cfg = ShotConfig(shots=10_000, seed=2**64 - 250)
+        stacked = sample_joint(rho, pair, cfg)
+        assert_rows_are_draws(stacked, _rows(rho, pair), cfg)
         assert stacked.shots_used == 10_000
         assert set(stacked.decision) == {DECISION_ZERO, DECISION_NONZERO}
 
-    def test_rows_equal_the_protocols_draws_bit_for_bit_across_the_wrap(self):
+    def test_rows_equal_the_protocols_draws_bit_for_bit_at_the_top_seed(self):
         n = 5_000
         rho = states.random_density(range(n))
         pair = _pairs(n, 33)
-        top = 2**64 - 1_000
-        stacked = sample_joint(rho, pair, ShotConfig(shots=5_000, seed=top))
+        cfg = ShotConfig(shots=5_000, seed=2**64 - 1)
+        stacked = sample_joint(rho, pair, cfg)
         kinds = [getattr(stacked, field.name).dtype.str for field in fields(stacked)[:-1]]
         assert kinds[:-1] == ["<f8"] * 6 and kinds[-1].startswith("<U")
-        for i in range(n):
-            cfg = ShotConfig(shots=5_000, seed=(top + i) % 2**64)
-            row_pair = ObservablePair(x=pair.x[i], y=pair.y[i])
-            assert_row_is_draw(stacked, i, rho[i], row_pair, cfg)
+        assert_rows_are_draws(stacked, _rows(rho, pair), cfg)
 
     def test_rows_with_a_marginal_of_zero_or_one_read_zero(self):
         basis = [density_from_pure(amplitudes).matrix for amplitudes in np.eye(4)]
         rho = np.stack((basis + [MAX_MIXED, singlet_rho()]) * 4)
-        stacked = sample_joint(rho, ZZ, ShotConfig(shots=1_000, seed=11))
-        for i in range(len(rho)):
-            assert_row_is_draw(stacked, i, rho[i], ZZ, ShotConfig(1_000, 11 + i))
+        cfg = ShotConfig(shots=1_000, seed=11)
+        stacked = sample_joint(rho, ZZ, cfg)
+        assert_rows_are_draws(stacked, [(row, ZZ) for row in rho], cfg)
         basis_rows = np.arange(len(rho)) % 6 < 4
         assert (stacked.covariance_estimate[basis_rows] == 0.0).all()
         assert (stacked.z_score[basis_rows] == 0.0).all()
@@ -562,10 +567,21 @@ class TestStackedSampler:
 
     def test_nested_stack_draws_in_c_order(self):
         rho = np.stack([states.random_density(s) for s in range(6)]).reshape(2, 3, 4, 4)
-        stacked = sample_joint(rho, ZZ, ShotConfig(shots=1_000, seed=50))
+        cfg = ShotConfig(shots=1_000, seed=50)
+        stacked = sample_joint(rho, ZZ, cfg)
         assert stacked.covariance_estimate.shape == stacked.decision.shape == (2, 3)
-        for i, j in np.ndindex(2, 3):
-            assert_row_is_draw(stacked, (i, j), rho[i, j], ZZ, ShotConfig(1_000, 50 + 3 * i + j))
+        assert_rows_are_draws(stacked, [(rho[i], ZZ) for i in np.ndindex(2, 3)], cfg)
+
+    @pytest.mark.parametrize("seed", [0, 40, 2**64 - 2])
+    def test_a_stacks_second_row_is_not_the_next_seeds_first(self, seed):
+        # Row i + 1 at seed s once drew the stream of row i at seed s + 1: on equal cells the
+        # two rows were the same counts.  One seed is one stream, so they are not.
+        pair = ObservablePair(x=np.broadcast_to(Z, (2, 3)), y=Z)
+        stacked = sample_joint(states.werner(0.3), pair, ShotConfig(shots=10_000, seed=seed))
+        one = sample_joint(states.werner(0.3), ZZ, ShotConfig(shots=10_000, seed=seed + 1))
+        names = ("estimate_xy", "estimate_x", "estimate_y")  # the counts, to within n
+        second = [getattr(stacked, name)[1] for name in names]
+        assert second != [getattr(one, name) for name in names]
 
     @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(2**63 - 1)])
     def test_numpy_integer_seed_draws_as_its_int(self, seed):
@@ -638,14 +654,15 @@ class TestStackedSampler:
         n = 2**53
         rows = np.array([[0.0, n, 0, 0], [n / 4] * 4, [0, n, 0, 0], [0, n - 1, 1, 0]])
 
-        class Counts:  # a generator whose every draw is the next row of counts
+        class Counts:  # a generator whose draws are the next rows of counts, one per row of cells
             def __init__(self, counts):
-                self.counts = counts
+                self.counts = iter(counts)
 
             def multinomial(self, shots, probs):
-                return self.counts
+                drawn = [next(self.counts) for _ in probs.reshape(-1, 4)]
+                return np.array(drawn).reshape(probs.shape)
 
-        monkeypatch.setattr(shotsim, "generators", lambda words: map(Counts, rows))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Counts(rows))
         cfg = ShotConfig(shots=n, seed=1)
         record = sample_joint(MAX_MIXED, ZZ, cfg)
         assert (record.z_score, record.decision) == (0.0, DECISION_ZERO)
@@ -670,6 +687,18 @@ class TestZCut:
         assert record.z_score == z and record.decision == decision
         _, trace = statistical_binary_protocol(rho, y=Z, xs=np.eye(3), cfg=cfg)
         assert trace.probes[0].is_zero is (decision == DECISION_ZERO)
+
+
+def assert_probes_are_rows(trace, rho, pair, cfg):
+    """Probe i of a run's trace is row i of ``sample_joint`` on the run's probe stack at the
+    run's seed: its covariance's bits and its call."""
+    stacked = sample_joint(rho, pair, cfg)
+    assert 0 < len(trace.probes) <= len(stacked.decision)
+    for probe, covariance, decision in zip(
+        trace.probes, stacked.covariance_estimate, stacked.decision
+    ):
+        assert np.float64(probe.covariance).tobytes() == covariance.tobytes()
+        assert probe.is_zero is (decision == DECISION_ZERO)
 
 
 class TestStatisticalProtocol:
@@ -703,45 +732,48 @@ class TestStatisticalProtocol:
         )
         assert verdict.label in ("Separable", "Indeterminate")
 
-    def test_probe_runs_use_partitioned_seeds(self):
+    def test_probe_runs_are_rows_of_one_stack_at_the_runs_seed(self):
         cfg = ShotConfig(shots=10_000, seed=40)
         _, trace = statistical_binary_protocol(MAX_MIXED, cfg=cfg, assume_pure=True)
-        direct = [
-            sample_joint(
-                MAX_MIXED,
-                ObservablePair(x=np.eye(3)[i], y=Z),
-                ShotConfig(shots=10_000, seed=40 + i),
-            ).covariance_estimate
-            for i in range(3)
-        ]
-        assert [p.covariance for p in trace.probes] == direct
+        assert trace.measurements_used == 3
+        assert_probes_are_rows(trace, MAX_MIXED, ObservablePair(x=np.eye(3), y=Z), cfg)
+
+    def test_runs_at_neighbouring_seeds_share_no_probe(self):
+        # Run 40's probes 2 and 3 were once run 41's probes 1 and 2, bit for bit.
+        covariances = []
+        for seed in (40, 41):
+            cfg = ShotConfig(shots=10_000, seed=seed)
+            _, trace = statistical_binary_protocol(MAX_MIXED, cfg=cfg, assume_pure=True)
+            assert trace.measurements_used == 3
+            covariances.append({np.float64(p.covariance).tobytes() for p in trace.probes})
+        first, second = covariances
+        assert len(first) == len(second) == 3 and first.isdisjoint(second)
 
     @pytest.mark.parametrize(
         "y, used", [(0.5 * Z, 3), (np.array([0.3, 0.4, 0.0]), 1)], ids=["three", "one"]
     )
     def test_samples_each_probe_it_reads_once(self, monkeypatch, y, used):
-        # Probe i is drawn at seed + i on the unit copies of x and y, only when it is read.
+        # Probe i is the (i + 1)-th draw of the run's one generator on the unit copies of x and
+        # y, drawn only when it is read.
         calls, draw = [], shotsim._draw
 
-        def counted(probs, cfg, seed):
-            calls.append(seed)
-            return draw(probs, cfg, seed)
+        def counted(probs, cfg, rng):
+            calls.append(rng)
+            return draw(probs, cfg, rng)
 
         monkeypatch.setattr(shotsim, "_draw", counted)
         xs = np.array([[0.3, -0.4, 0.0], [-0.2, -0.15, 0.0], [0.2, 0.1, 0.6]])
         cfg = ShotConfig(shots=10_000, seed=70)
         verdict, trace = statistical_binary_protocol(singlet_rho(), y=y, xs=xs, cfg=cfg)
         assert (verdict.label, trace.measurements_used) == ("Entangled", used)
-        assert calls == [70 + i for i in range(used)]
-        unit_y = y / np.linalg.norm(y)
-        for i, probe in enumerate(trace.probes):
-            pair = ObservablePair(x=xs[i] / np.linalg.norm(xs[i]), y=unit_y)
-            record = sample_joint(singlet_rho(), pair, ShotConfig(shots=10_000, seed=70 + i))
-            assert probe.covariance == record.covariance_estimate
+        assert len(calls) == used and all(rng is calls[0] for rng in calls)
+        unit_xs = np.stack([x / np.linalg.norm(x) for x in xs])
+        pair = ObservablePair(x=unit_xs, y=y / np.linalg.norm(y))
+        assert_probes_are_rows(trace, singlet_rho(), pair, cfg)
 
     @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(2**63 - 1)])
     def test_numpy_integer_seed_gives_its_ints_trace(self, seed):
-        # seed + i overflowed a numpy integer: 2**64 has no uint64 or int64 value.
+        # A numpy integer seed runs as the Python int that ShotConfig holds.
         for rho in (MAX_MIXED, singlet_rho()):
             runs = [
                 statistical_binary_protocol(rho, cfg=ShotConfig(shots=1_000, seed=s))
@@ -753,24 +785,18 @@ class TestStatisticalProtocol:
                 (p.covariance, p.is_zero) for p in int_trace.probes
             ]
 
-    def test_probe_seeds_wrap_at_two_to_the_64(self):
+    def test_probes_at_the_top_seed_are_rows_of_its_stack(self):
         rho = density_from_pure(states.random_product_pure(12))
-        top = 2**64 - 1
-        verdict, trace = statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000, seed=top))
+        cfg = ShotConfig(shots=10_000, seed=2**64 - 1)
+        verdict, trace = statistical_binary_protocol(rho, cfg=cfg)
         assert verdict.label == "Separable"
-        direct = [
-            sample_joint(
-                rho, ObservablePair(x=np.eye(3)[i], y=Z), ShotConfig(shots=10_000, seed=seed)
-            ).covariance_estimate
-            for i, seed in enumerate((top, 0, 1))
-        ]
-        assert [p.covariance for p in trace.probes] == direct
+        assert_probes_are_rows(trace, rho, ObservablePair(x=np.eye(3), y=Z), cfg)
 
     def test_traces_are_pinned(self):
         # One digest over each run's label, measurements used, and each probe's covariance type
         # and bits and is_zero, at seeds 0-299 on mixed, Haar and product states with random y
-        # and probe sets.  Every fourth base seed sits just below 2**64, where probe seeds wrap.
-        # Taken while each probe read was its own sample_joint call.
+        # and probe sets.  Every fourth base seed sits just below 2**64, the top of the range.
+        # Taken when a run's probes became consecutive draws of one generator.
         digest = hashlib.sha256()
         for seed in range(300):
             rng = np.random.default_rng([seed, 21])
@@ -794,7 +820,7 @@ class TestStatisticalProtocol:
                         digest.update(np.float64(probe.covariance).tobytes())
                         digest.update(repr(probe.is_zero).encode())
         assert digest.hexdigest() == (
-            "b69446aa597d99e0bdff1cfceda4fd46b513faf15e0862fd800fe09ff702aa6c"
+            "d21a28f88a5e73222e84a39bf06a7b43dc79e6dda8b6d90bc01257b084640701"
         )
 
     def test_every_probes_cells_are_checked_before_the_first_draw(self, monkeypatch):
