@@ -4,16 +4,18 @@ Every random generator takes one seed or a sequence of seeds, which gives a stac
 Each seed draws from its own ``np.random.default_rng(seed)`` stream (numpy PCG64) in a fixed
 order, and the rest is computed on the whole stack with the bits of the one-seed computation, so
 a seed's state is the same alone or in any stack, and every draw is bit-reproducible.  Each call
-seeds its flat stack of seeds once (``streams.seed_words``) and hands every kind and k group its
-rows of the words, from which each seed gets a fresh generator on its ``default_rng(seed)``
-stream, bit for bit; the pinned seed map in tests/test_states.py would fail if numpy ever changed
-its seeding.  ``streams``, and with it ``numpy.random``, is imported on the first draw, so the
-fixtures and the state files never load it.
+seeds its flat stack of seeds once (``streams.seed_words``) and hands each kind its rows of the
+words, from which each seed gets a fresh generator on its ``default_rng(seed)`` stream, bit for
+bit; the pinned seed maps in tests/test_states.py would fail if numpy ever changed its seeding.
+A mixture call draws all of its seeds, whatever their k, into one flat stack of terms and builds
+the terms in one pass; only the weighted sums run once per k.  ``streams``, and with it
+``numpy.random``, is imported on the first draw, so the fixtures and the state files never load it.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 import numpy as np
 
@@ -139,43 +141,57 @@ def random_product_pure(seed) -> np.ndarray:
     return _shaped(seeds, (u[:, :, None] * v[:, None, :]).reshape(-1, 4))
 
 
-def _per_k(words: np.ndarray, ks: np.ndarray, mixture) -> np.ndarray:
-    """mixture(words, k) on the rows of each k, gathered into one (n, 4, 4) stack."""
-    rho = np.empty((len(words), 4, 4), dtype=complex)
-    for value in set(ks.tolist()):  # np.unique would page in about 0.5 MB on its first call
-        rows = ks == value
-        rho[rows] = mixture(words[rows], int(value))
+def _mixture_of_k(seed, k, mixture) -> np.ndarray:
+    """mixture(words, ks) on the seeds, k one count in [1, 2**63) or one per seed."""
+    seeds, words = _seeded(seed)
+    ks = np.asarray(_integers(k, "k", 1, 2**63, stack=True), dtype=np.int64)
+    return _shaped(seeds, mixture(words, np.broadcast_to(ks, seeds.shape).reshape(-1)))
+
+
+def _by_k(words: np.ndarray, ks: np.ndarray):
+    """The seeds sorted by k (stable): their order, the length Σk of one flat stack of their
+    terms, and per seed in that order its generator and the start and stop of its k terms."""
+    from bicorr.streams import generators
+
+    order = np.argsort(ks, kind="stable")
+    stops = list(accumulate(ks[order].tolist()))  # Python ints: np.empty refuses a sum past int64
+    return order, stops[-1] if stops else 0, zip(generators(words[order]), [0] + stops, stops)
+
+
+def _mixtures(order: np.ndarray, ks: np.ndarray, weights: np.ndarray, terms: np.ndarray):
+    """Per seed, in the caller's order, its k (4, 4) terms summed with its k weights normalized
+    to 1; weights and terms hold the seeds' terms in the order ``_by_k`` sorts them.
+
+    Each k is summed on one contiguous (m, k) and (m, k, 4, 4) view, the shapes of a one-seed
+    call, which gives every seed that call's bits: numpy sums a last axis in order below 8 entries
+    and pairwise from 8 up, and neither a stack padded to the largest k nor ``reduceat`` would.
+    """
+    ks = ks[order]
+    rho = np.empty((len(ks), 4, 4), dtype=complex)
+    firsts = np.flatnonzero(np.diff(ks, prepend=0)).tolist()  # each k's first row; every k > 0
+    start = 0
+    for first, end in zip(firsts, firsts[1:] + [len(ks)]):
+        k = int(ks[first])
+        stop = start + (end - first) * k
+        w = weights[start:stop].reshape(-1, k)
+        w = w / w.sum(axis=-1, keepdims=True)
+        rho[order[first:end]] = (w[..., None, None] * terms[start:stop].reshape(-1, k, 4, 4)).sum(1)
+        start = stop
     return rho
 
 
-def _mixture_of_k(seed, k, mixture) -> np.ndarray:
-    """_per_k on the seeds, k one count in [1, 2**63) or one per seed."""
-    seeds, words = _seeded(seed)
-    ks = np.asarray(_integers(k, "k", 1, 2**63, stack=True), dtype=np.int64)
-    return _shaped(seeds, _per_k(words, np.broadcast_to(ks, seeds.shape).reshape(-1), mixture))
-
-
-def _mixture(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Per row, the sum of the k terms (n, k, 4, 4) with the weights (n, k) normalized to 1."""
-    weights = weights / weights.sum(axis=-1, keepdims=True)
-    return (weights[..., None, None] * terms).sum(axis=1)
-
-
-def _separable_mixed(words: np.ndarray, k: int) -> np.ndarray:
-    from bicorr.streams import generators
-
-    n = len(words)
-    # Per seed: k exponential weights, then 2k qubits, each a normal direction and a radius.
-    weights, normals, radii = np.empty((n, k)), np.empty((n, 2 * k, 3)), np.empty((n, 2 * k))
-    for i, rng in enumerate(generators(words)):
-        weights[i] = rng.exponential(1.0, size=k)
-        for j in range(2 * k):
-            rng.standard_normal(out=normals[i, j])
-            radii[i, j] = rng.random() ** (1.0 / 3.0)  # Python's pow: numpy's can differ in bits
-    blochs = directions(normals) * radii[..., None]
-    qubits = _observable(blochs)  # the A and B factor of each term, in turn
-    a, b = qubits[:, 0::2, :, None, :, None], qubits[:, 1::2, None, :, None, :]
-    return _mixture(weights, (a * b).reshape(n, k, 4, 4))
+def _separable_mixed(words: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    order, total, seeds = _by_k(words, ks)
+    # Per seed: k exponential weights, then 2k qubits' normal directions, then their 2k radii.
+    weights, normals, radii = np.empty(total), np.empty((2 * total, 3)), np.empty(2 * total)
+    for rng, start, stop in seeds:
+        rng.standard_exponential(out=weights[start:stop])  # the bits of exponential(1.0, k)
+        rng.standard_normal(out=normals[2 * start : 2 * stop])
+        rng.random(out=radii[2 * start : 2 * stop])
+    radii = np.array([r ** (1.0 / 3.0) for r in radii.tolist()])  # numpy's pow can differ in bits
+    qubits = _observable(directions(normals) * radii[:, None])  # each term's A and B, in turn
+    a, b = qubits[0::2, :, None, :, None], qubits[1::2, None, :, None, :]
+    return _mixtures(order, ks, weights, (a * b).reshape(-1, 4, 4))
 
 
 def random_separable_mixed(seed, k=4) -> np.ndarray:
@@ -189,16 +205,13 @@ def random_separable_mixed(seed, k=4) -> np.ndarray:
     return _mixture_of_k(seed, k, _separable_mixed)
 
 
-def _mixed(words: np.ndarray, k: int) -> np.ndarray:
-    from bicorr.streams import generators
-
-    n = len(words)
-    draws = np.empty((n, 9 * k))  # per seed: k exponential weights, then k states' normals
-    for row, rng in zip(draws, generators(words)):
-        row[:k] = rng.exponential(1.0, size=k)
-        rng.standard_normal(out=row[k:])
-    psi = _unit_complex(draws[:, k:].reshape(n, k, 2, 4))
-    return _mixture(draws[:, :k], _projector(psi))
+def _mixed(words: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    order, total, seeds = _by_k(words, ks)
+    weights, normals = np.empty(total), np.empty((total, 2, 4))  # per seed: k weights, k states
+    for rng, start, stop in seeds:
+        rng.standard_exponential(out=weights[start:stop])
+        rng.standard_normal(out=normals[start:stop])
+    return _mixtures(order, ks, weights, _projector(_unit_complex(normals)))
 
 
 def random_mixed(seed, k=4) -> np.ndarray:
@@ -213,8 +226,8 @@ def random_density(seed) -> np.ndarray:
     kind = (flat % 3).astype(int)
     rho = np.empty((flat.size, 4, 4), dtype=complex)
     for which, draw in enumerate((
-        lambda w, s: _per_k(w, 2 + s % 4, _mixed),
-        lambda w, s: _per_k(w, 1 + s % 5, _separable_mixed),
+        lambda w, s: _mixed(w, (2 + s % 4).astype(np.int64)),
+        lambda w, s: _separable_mixed(w, (1 + s % 5).astype(np.int64)),
         lambda w, s: _projector(_haar(w)),
     )):
         rows = kind == which

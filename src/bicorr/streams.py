@@ -38,6 +38,10 @@ def _chain(const: int, mult: int, count: int) -> np.ndarray:
     return np.array(chain, np.uint32)[:, None]
 
 
+# The constants of SeedSequence's two hashes: the pool's (16 steps) and the output's (8).
+CHAIN_A, CHAIN_B = _chain(INIT_A, MULT_A, 16), _chain(INIT_B, MULT_B, 8)
+
+
 def _hash(value: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix of value with each constant of chain but the last, in turn."""
     value = (value ^ chain[:-1]) * chain[1:]  # uint32 arrays wrap, as SeedSequence's C does
@@ -59,12 +63,11 @@ def _generate_state(words: np.ndarray) -> np.ndarray:
     """
     entropy = np.zeros((4, len(words)), np.uint32)
     entropy[:2] = words.T
-    chain = _chain(INIT_A, MULT_A, 16)
-    pool = _hash(entropy, chain[:5])
+    pool = _hash(entropy, CHAIN_A[:5])
     for src in range(4):  # every pool word mixed into every other
         others = [dst for dst in range(4) if dst != src]
-        pool[others] = _mix(pool[others], _hash(pool[src], chain[4 + 3 * src : 8 + 3 * src]))
-    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _chain(INIT_B, MULT_B, 8))
+        pool[others] = _mix(pool[others], _hash(pool[src], CHAIN_A[4 + 3 * src : 8 + 3 * src]))
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], CHAIN_B)
     return out.T.astype("<u4", order="C").view("<u8")
 
 

@@ -17,7 +17,7 @@ import sympy as sp
 from sympy import kronecker_product as kron
 
 from bicorr import states
-from bicorr.qstate import density_from_pure, partial_transpose_b
+from bicorr.qstate import bloch_decompose, density_from_pure, partial_transpose_b
 from test_shotsim import _covariance, _read_out, _shrink
 
 SIGMA = (
@@ -253,3 +253,42 @@ def test_local_readout_flips_scale_the_covariance_by_one_factor_per_side():
     assert vanishes(sum(map(sum, observed)) - 1)
     factor = _shrink(side_a) * _shrink(side_b)
     assert vanishes(_covariance(observed) - factor * _covariance(table))
+
+
+def test_the_partial_transpose_moves_across_a_trace():
+    # Tr(X^T_B Y) = Tr(X Y^T_B) for any 4x4 X and Y.  At X = |v><v| and Y = rho it reads
+    # Tr(W rho) = <v|rho^T_B|v> for W = (|v><v|)^T_B, so at the eigenvector v of
+    # lambda_min(rho^T_B) the witness W reads lambda_min: below 0 exactly where PPT fails.
+    x = sp.Matrix(4, 4, sp.symbols("x1:17"))
+    y = sp.Matrix(4, 4, sp.symbols("y1:17"))
+    assert vanishes((partial_transpose(x) * y).trace() - (x * partial_transpose(y)).trace())
+    # partial_transpose is qstate.partial_transpose_b, and W reads lambda_min, at numbers.
+    rhos = states.random_density(range(12))
+    entangled = 0
+    for rho in rhos:
+        moved = partial_transpose_b(rho)
+        assert np.array_equal(np.array(partial_transpose(rho), dtype=complex), moved)
+        lam, vectors = np.linalg.eigh(moved)
+        w = partial_transpose_b(density_from_pure(vectors[:, 0]))
+        assert abs(np.trace(w @ rho) - lam[0]) < 1e-15
+        entangled += lam[0] < 0
+    assert entangled > 0
+
+
+def test_a_product_states_f_is_a_b_transposed_and_its_diagonal_sums_to_at_most_one():
+    # rho_A (x) rho_B, with rho_A = 1/2 (I + a.sigma) and rho_B likewise, has F = a b^T, so
+    # f_ii = a_i b_i.  Lagrange's identity on (|a_i|) and (|b_i|) then gives
+    # sum |f_ii| = sum |a_i||b_i| <= |a||b| <= 1 in the Bloch ball, and convexity carries the
+    # bound to every separable mixture: the XX, YY, ZZ rung read as values.
+    a, b = real_symbols("a", 3), real_symbols("b", 3)
+    a_rho, b_rho, f = bloch_of(kron(local(a), local(b)))
+    assert all(vanishes(entry) for entry in (*(a_rho - a), *(b_rho - b), *(f - a * b.T)))
+    s, t = sp.symbols("s1:4", nonnegative=True), sp.symbols("t1:4", nonnegative=True)
+    gap = sum(u**2 for u in s) * sum(v**2 for v in t) - sum(u * v for u, v in zip(s, t)) ** 2
+    squares = sum((s[i] * t[j] - s[j] * t[i]) ** 2 for i in range(3) for j in range(i + 1, 3))
+    assert vanishes(gap - squares)
+    # At numbers: F = a b^T on random product states, and the bound on separable mixtures.
+    product = bloch_decompose(density_from_pure(states.random_product_pure(range(50))))
+    assert np.max(np.abs(product.f - product.a[:, :, None] * product.b[:, None, :])) < 1e-15
+    mixtures = bloch_decompose(states.random_separable_mixed(range(200), 4))
+    assert np.abs(np.diagonal(mixtures.f, axis1=-2, axis2=-1)).sum(axis=-1).max() <= 1

@@ -10,11 +10,13 @@ import pytest
 
 from bicorr import states, streams
 from bicorr.detect import classify_pure_by_rank, ppt_is_separable
+from bicorr.linalg import directions
 from bicorr.qstate import (
     InvalidState,
     as_density_matrix,
     bloch_decompose,
     density_from_pure,
+    observable_from_bloch,
 )
 from bicorr.states import (
     ParseError,
@@ -121,9 +123,10 @@ class TestWerner:
 
 
 # Each generator as draw(seed, k) for one seed or a sequence: seeds at both ends of the
-# 64-bit range, a count per seed where the generator takes one.
+# 64-bit range, a count per seed where the generator takes one.  The counts 1-12 in one stack
+# straddle numpy's switch from in-order to pairwise sums at 8 entries.
 STACK_SEEDS = list(range(300)) + list(range(2**64 - 100, 2**64 + 20))
-STACK_KS = [1 + seed % 6 for seed in STACK_SEEDS]
+STACK_KS = [1 + seed % 12 for seed in STACK_SEEDS]
 STACKABLE = {
     "haar_random_pure": lambda seed, k: haar_random_pure(seed),
     "random_product_pure": lambda seed, k: random_product_pure(seed),
@@ -153,19 +156,52 @@ class TestGenerators:
             np.testing.assert_array_equal(random_mixed(seed, 3), random_mixed(seed, 3))
 
     def test_seed_to_output_map_is_pinned(self):
-        # One digest over every generator's bytes at seeds 0-999, taken before the
-        # mixtures were rewritten without np.kron/np.outer; every check's inputs hang on it.
+        # One digest over the bytes at seeds 0-999 of every draw but the separable mixtures:
+        # Haar, product, random_mixed at k = 1-5, and random_density at the seeds whose kind
+        # is not separable.  These bits have stood since the mixtures were rewritten without
+        # np.kron/np.outer; every check's inputs hang on them.
         digest = hashlib.sha256()
         for seed in range(1000):
             draws = [haar_random_pure(seed), random_product_pure(seed)]
-            for k in range(1, 6):
-                draws += [random_separable_mixed(seed, k), random_mixed(seed, k)]
-            draws.append(states.random_density(seed))
+            draws += [random_mixed(seed, k) for k in range(1, 6)]
+            if seed % 3 != 1:
+                draws.append(states.random_density(seed))
             for draw in draws:
                 digest.update(draw.tobytes())
         assert digest.hexdigest() == (
-            "74a6dec7dc3f9a50346c8f99c044647cf8ecdf7f10dc459073c793794381a415"
+            "caa6ef0fcb0eaa005add62f433af2066a13704225a353770a754a3049de156c9"
         )
+
+    def test_separable_seed_to_output_map_is_pinned(self):
+        # random_separable_mixed at k = 1-5 and random_density at the seeds whose kind is
+        # separable, at seeds 0-999.  Taken when a seed's draws became its k weights, its 2k
+        # directions and its 2k radii, in three calls.
+        digest = hashlib.sha256()
+        for seed in range(1000):
+            draws = [random_separable_mixed(seed, k) for k in range(1, 6)]
+            if seed % 3 == 1:
+                draws.append(states.random_density(seed))
+            for draw in draws:
+                digest.update(draw.tobytes())
+        assert digest.hexdigest() == (
+            "695fd857aa7fc947a65c689a332e77186d3f470f77ee518ec85ce93a4807c677"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**63, 2**64 - 1, 2**70])
+    def test_a_separable_mixture_is_rebuilt_from_its_documented_draws(self, seed):
+        # From default_rng(seed): k exponential weights, then the 2k qubits' directions as one
+        # (2k, 3) normal draw, then their 2k uniform radii, cube-rooted by Python's **.  Qubit
+        # 2j is term j's A factor and qubit 2j + 1 its B.  k = 7, 8 and 9 straddle numpy's
+        # switch to pairwise sums at 8 entries.
+        for k in (1, 2, 3, 7, 8, 9, 12):
+            rng = np.random.default_rng(seed)
+            weights = rng.exponential(1.0, size=k)
+            normals = rng.standard_normal((2 * k, 3))
+            radii = [r ** (1.0 / 3.0) for r in rng.random(2 * k).tolist()]
+            qubits = [observable_from_bloch(directions(n) * r) for n, r in zip(normals, radii)]
+            terms = np.stack([np.kron(a, b) for a, b in zip(qubits[0::2], qubits[1::2])])
+            rho = ((weights / weights.sum())[:, None, None] * terms).sum(axis=0)
+            assert random_separable_mixed(seed, k).tobytes() == rho.tobytes(), k
 
     def test_different_seeds_differ(self):
         assert not np.allclose(haar_random_pure(1), haar_random_pure(2))
@@ -280,6 +316,12 @@ class TestSeedStackInputs:
         message = f"^k must be an integer from 1 to {2**63 - 1}, got {2**70}$"
         with pytest.raises(ValueError, match=message):
             random_mixed(3, 2**70)
+
+    @pytest.mark.parametrize("draw", [random_mixed, random_separable_mixed])
+    def test_counts_whose_sum_passes_int64_are_refused(self, draw):
+        # The three counts sum to 2**64, which wraps to 0 in int64: no terms would be drawn.
+        with pytest.raises(ValueError):
+            draw(range(3), [2**63 - 1, 2**63 - 1, 2])
 
 
 GENERATORS = [
