@@ -34,7 +34,7 @@ from bicorr.detect import (
     ppt_is_separable,
     pure_rank_verdict,
 )
-from bicorr.linalg import det3
+from bicorr.linalg import PURE_ENTANGLED_SV_TOL, det3
 from bicorr.qstate import CheckedState, _integers, as_density_matrix, density_from_pure
 from bicorr.states import ParseError, StateSpec
 
@@ -101,40 +101,69 @@ def _trace_doc(trace) -> dict:
     }
 
 
-def _verdict_doc(verdict) -> dict:
-    return {"label": verdict.label, "basis": verdict.basis, "detail": verdict.detail}
+def _verdict_doc(verdict, detail: str) -> dict:
+    return {"label": verdict.label, "basis": verdict.basis, "detail": detail}
+
+
+# The protocol's detail by (pure run, last probe non-zero): a pure run is one not labeled
+# Indeterminate, and {} is the probes read.
+_PROTOCOL_DETAILS = {
+    (True, True): "non-zero correlation at probe {}",
+    (True, False): "all 3 probed correlations are zero",
+    (False, True): "non-zero correlation on mixed input",
+    (False, False): "zero correlations on mixed input do not certify separability",
+}
+
+
+def _protocol_detail(label: str, trace, cfg=None) -> str:
+    """The protocol verdict's detail, from its label and trace, and a shot run's ShotConfig."""
+    key = (label != INDETERMINATE, not trace.probes[-1].is_zero)  # only the last can be non-zero
+    detail = _PROTOCOL_DETAILS[key].format(trace.measurements_used)
+    if cfg is None:
+        return detail
+    return (
+        f"{detail}; statistical decision at {cfg.shots} shots per probe, "
+        f"z threshold {cfg.z_threshold:g} (confidence, not certainty)"
+    )
 
 
 def build_analysis_report(spec: StateSpec) -> dict:
-    """Full analysis of a state: Bloch form, correlation matrix, verdicts.
+    """Full analysis of a state: Bloch form, correlation matrix, verdicts and their details.
 
-    The checked state computes its Bloch form and c once; the protocol and the
-    rank verdict both read that c, and the protocol reads the state's purity.
+    The checked state computes its Bloch form and c once; the protocol and the rank verdict read
+    that c, the protocol the state's purity, and each detail is written from the trace or sigma(c).
     """
     rho = spec.state
     bf, cm = rho.bloch, rho.cm
     protocol_verdict, trace = binary_protocol(rho)
-    report = {
+    singular_values = cm.singular_values.tolist()
+    rank_doc = None
+    if spec.kind == "pure":
+        detail = f"sigma_max(c) = {singular_values[0]!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}"
+        detail += f"; singular values {singular_values}"
+        rank_doc = _verdict_doc(pure_rank_verdict(cm), detail)
+    return {
         "label": spec.label,
         "kind": spec.kind,
         "state": statesmod.state_doc(spec),
         "bloch": {"a": bf.a.tolist(), "b": bf.b.tolist(), "f": bf.f.tolist()},
         "correlation": {
             "c": cm.c.tolist(),
-            "singular_values": cm.singular_values.tolist(),
+            "singular_values": singular_values,
             "det": det3(cm.c),
         },
         "verdicts": {
-            "rank_dichotomy": _verdict_doc(pure_rank_verdict(cm)) if spec.kind == "pure" else None,
+            "rank_dichotomy": rank_doc,
             "ppt": {
                 "separable": ppt_is_separable(rho),
                 "basis": PPT_ORACLE,
             },
-            "protocol": _verdict_doc(protocol_verdict),
+            "protocol": _verdict_doc(
+                protocol_verdict, _protocol_detail(protocol_verdict.label, trace)
+            ),
         },
         "protocol_trace": _trace_doc(trace),
     }
-    return report
 
 
 def _print_analysis(report: dict) -> None:
@@ -185,20 +214,21 @@ def cmd_detect(args) -> int:
         shots_doc = asdict(cfg)
     else:
         verdict, trace = binary_protocol(rho, y, xs, assume_pure=args.assume_pure)
-        shots_doc = None
+        cfg = shots_doc = None
+    detail = _protocol_detail(verdict.label, trace, cfg)
     if args.json:
         print(
             json.dumps(
                 {
                     "label": spec.label,
-                    "verdict": _verdict_doc(verdict),
+                    "verdict": _verdict_doc(verdict, detail),
                     "protocol_trace": _trace_doc(trace),
                     "shots": shots_doc,
                 }
             )
         )
     else:
-        print(f"verdict: {verdict.label} ({verdict.detail})")
+        print(f"verdict: {verdict.label} ({detail})")
         for i, probe in enumerate(trace.probes, start=1):
             flag = "zero" if probe.is_zero else "non-zero"
             print(f"  probe {i}: x={_fmt_vec(probe.x)}  c={_fmt(probe.covariance)}  [{flag}]")

@@ -22,13 +22,19 @@ from bicorr.qstate import CheckedState, _Frozen, _set, check_bloch_vector, outco
 
 
 class ObservablePair(_Frozen):
-    """Bloch vectors (x, y) defining the local observables Q_A and R_B."""
+    """Bloch vectors (x, y) defining the local observables Q_A and R_B; stacks of them broadcast."""
 
     _fields = ("x", "y")
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        _set(self, "x", check_bloch_vector(x, "x"))
-        _set(self, "y", check_bloch_vector(y, "y"))
+        x, y = check_bloch_vector(x, "x"), check_bloch_vector(y, "y")
+        try:
+            np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        except ValueError:  # every use of the pair would fail inside numpy
+            message = f"x of shape {x.shape} and y of shape {y.shape} do not broadcast"
+            raise ValueError(message) from None
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
 def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:

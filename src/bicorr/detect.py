@@ -81,23 +81,22 @@ class ZeroVector(ValueError):
 
 
 class Verdict(_Frozen):
-    """A decider's label, the basis it was decided on, and the deciding detail; compared and
-    hashed by value."""
+    """A decider's label and the basis it was decided on; compared and hashed by value.  The
+    numbers it was decided on are the caller's to read: the trace, or C's singular values."""
 
-    __slots__ = _fields = ("label", "basis", "detail")
+    __slots__ = _fields = ("label", "basis")
 
-    def __init__(self, label: str, basis: str, detail: str = "") -> None:
+    def __init__(self, label: str, basis: str) -> None:
         _set(self, "label", label)
         _set(self, "basis", basis)
-        _set(self, "detail", detail)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.label, self.basis, self.detail) == (other.label, other.basis, other.detail)
+        return (self.label, self.basis) == (other.label, other.basis)
 
     def __hash__(self) -> int:
-        return hash((self.label, self.basis, self.detail))
+        return hash((self.label, self.basis))
 
 
 class Probe(_Frozen):
@@ -160,20 +159,13 @@ def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
 
     c vanishes for separable pure states and has full rank for entangled ones;
     the verdict is Entangled iff sigma_max(c), the concurrence, exceeds
-    PURE_ENTANGLED_SV_TOL.  The detail gives sigma_max, that threshold and all
-    three singular values.  It takes one state; a stack raises ValueError.
+    PURE_ENTANGLED_SV_TOL.  It takes one state; a stack raises ValueError.
     """
     if cm.c.shape != (3, 3):
         raise ValueError(
             f"the rank verdict takes one state, got a correlation matrix of shape {cm.c.shape}"
         )
-    singular_values = cm.singular_values.tolist()
-    label = ENTANGLED if rank_says_entangled(cm) else SEPARABLE
-    detail = (
-        f"sigma_max(c) = {singular_values[0]!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}; "
-        f"singular values {singular_values}"
-    )
-    return Verdict(label, RANK_DICHOTOMY, detail)
+    return Verdict(ENTANGLED if rank_says_entangled(cm) else SEPARABLE, RANK_DICHOTOMY)
 
 
 def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
@@ -282,8 +274,8 @@ def binary_protocol(
     1, linearly independent, and every Bloch vector in the unit ball.  The xs
     are then probed in order, stopping at the first non-zero covariance.  For
     pure input (``CheckedState.pure``, or with assume_pure) a non-zero probe means
-    Entangled and three zeros mean Separable.  Mixed input yields Indeterminate either way,
-    with the measured facts recorded in the verdict detail.
+    Entangled and three zeros mean Separable.  Mixed input yields Indeterminate either way; the
+    trace records what was measured.
 
     Without corr_oracle the calls are exact, on ``CheckedState.cm``: a checked state whose C was
     read already is not decomposed again.  corr_oracle(xs, y) replaces the exact rule with a
@@ -312,24 +304,9 @@ def binary_protocol(
         probes.append(Probe(x=x, covariance=value, is_zero=is_zero))
         if not is_zero:
             break
-    trace = ProtocolTrace(y=y, probes=tuple(probes))
-
     # Only the last probe can be non-zero: the loop stops there.
-    nonzero = not probes[-1].is_zero
-    if pure:
-        detail = (
-            f"non-zero correlation at probe {len(probes)}"
-            if nonzero
-            else "all 3 probed correlations are zero"
-        )
-    else:
-        detail = (
-            "non-zero correlation on mixed input"
-            if nonzero
-            else "zero correlations on mixed input do not certify separability"
-        )
-    label = str(_protocol_label(nonzero, pure))
-    return Verdict(label, BINARY_PROTOCOL, detail), trace
+    verdict = Verdict(str(_protocol_label(not probes[-1].is_zero, pure)), BINARY_PROTOCOL)
+    return verdict, ProtocolTrace(y=y, probes=tuple(probes))
 
 
 def exact_protocol(

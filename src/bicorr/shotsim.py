@@ -54,14 +54,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from bicorr.correlation import ObservablePair, _checked_pair
-from bicorr.detect import (
-    BINARY_PROTOCOL,
-    DEFAULT_XS,
-    DEFAULT_Y,
-    ProtocolTrace,
-    Verdict,
-    binary_protocol,
-)
+from bicorr.detect import DEFAULT_XS, DEFAULT_Y, ProtocolTrace, Verdict, binary_protocol
 from bicorr.linalg import NORM_TOL, item_or_array
 from bicorr.qstate import CheckedState, as_density_matrix
 from bicorr.qstate import _integers, _pauli_traces, _reals, _require
@@ -107,7 +100,7 @@ class ShotConfig:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Sample means, covariance estimate with uncertainty, and the binary call.
+    """Sample means, covariance estimate with its standard error, and the binary call.
 
     standard_error is the delta-method spread of covariance_estimate;
     z_score is |covariance_estimate| over the null-hypothesis standard error,
@@ -238,11 +231,11 @@ def statistical_binary_protocol(
 ) -> tuple[Verdict, ProtocolTrace]:
     """Three-probe protocol with finite-shot decisions instead of exact zeros.
 
-    Semantics follow ``binary_protocol``, but every zero/non-zero call is a statistical one, so
-    verdicts carry confidence, not certainty; the shot budget and threshold are recorded in the
-    verdict detail.  Every probe's cells are computed, and checked, before the first draw; probe i
-    is drawn only when read, on its direction, as the (i + 1)-th draw of the run's one
-    ``default_rng(cfg.seed)``.
+    Semantics follow ``binary_protocol``, whose verdict and trace it returns, but every
+    zero/non-zero call is a statistical one at cfg's shot budget and z threshold, so a verdict is
+    held with confidence, not proved.  Every probe's cells are computed, and checked, before the
+    first draw; probe i is drawn only when read, on its direction, as the (i + 1)-th draw of the
+    run's one ``default_rng(cfg.seed)``.
     """
     rho = CheckedState.of(rho)
 
@@ -253,9 +246,4 @@ def statistical_binary_protocol(
             *_, covariance, z_score = _draw(row, cfg, rng)
             yield covariance, not z_score > cfg.z_threshold
 
-    verdict, trace = binary_protocol(rho, y, xs, shot_oracle, assume_pure)
-    detail = (
-        f"{verdict.detail}; statistical decision at {cfg.shots} shots per probe, "
-        f"z threshold {cfg.z_threshold:g} (confidence, not certainty)"
-    )
-    return Verdict(verdict.label, BINARY_PROTOCOL, detail), trace
+    return binary_protocol(rho, y, xs, shot_oracle, assume_pure)

@@ -145,7 +145,12 @@ def _mixture_of_k(seed, k, mixture) -> np.ndarray:
     """mixture(words, ks) on the seeds, k one count in [1, 2**63) or one per seed."""
     seeds, words = _seeded(seed)
     ks = np.asarray(_integers(k, "k", 1, 2**63, stack=True), dtype=np.int64)
-    return _shaped(seeds, mixture(words, np.broadcast_to(ks, seeds.shape).reshape(-1)))
+    try:
+        per_seed = np.broadcast_to(ks, seeds.shape)
+    except ValueError:  # numpy's text names neither k nor the seeds
+        message = f"k of shape {ks.shape} does not broadcast to the seeds' shape {seeds.shape}"
+        raise ValueError(message) from None
+    return _shaped(seeds, mixture(words, per_seed.reshape(-1)))
 
 
 def _by_k(words: np.ndarray, ks: np.ndarray):

@@ -15,9 +15,8 @@ that asked for other words would raise.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Below this many seeds numpy's own SeedSequence per seed is faster than the stacked kernel,
 # whose fixed cost is about 35 us.  Words, a fresh Generator and 8 normals per seed, best of 7,
@@ -87,24 +86,17 @@ def seed_words(seeds) -> np.ndarray:
     return seeded
 
 
-@cache
-def _words_type() -> type:
-    """``_Words``, defined on first use so that importing bicorr does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
+class _Words(ISeedSequence):
+    """A seed sequence that hands a bit generator the four uint64 words it was made with."""
 
-    class _Words(ISeedSequence):
-        """A seed sequence that hands a bit generator the four uint64 words it was made with."""
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            dtype = np.dtype(dtype)
-            if n_words != 4 or dtype != np.uint64:
-                raise ValueError(f"seeded for 4 uint64 words, asked for {n_words} {dtype}")
-            return self.words
-
-    return _Words
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        if n_words != 4 or dtype != np.uint64:
+            raise ValueError(f"seeded for 4 uint64 words, asked for {n_words} {dtype}")
+        return self.words
 
 
 def generators(words: np.ndarray):
@@ -114,6 +106,6 @@ def generators(words: np.ndarray):
     ``default_rng(seeds[i])``, and no two share any state.
     """
     words = np.ascontiguousarray(words, dtype=np.uint64)  # PCG64 reads each row's native bytes
-    words_type, generator, pcg64 = _words_type(), np.random.Generator, np.random.PCG64
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     for row in words:
-        yield generator(pcg64(words_type(row)))
+        yield generator(pcg64(_Words(row)))

@@ -245,6 +245,93 @@ class TestDetect:
         assert capsys.readouterr().out == first
 
 
+def _pinned_documents() -> list:
+    """The Bell, Chen and Werner documents, 10 Haar, 10 product and 5 random_density ones."""
+    pure = [states.bell_state(which) for which in ("phi+", "phi-", "psi+", "psi-")]
+    pure += [states.chen_state(), *states.haar_random_pure(range(10))]
+    pure += list(states.random_product_pure(range(10)))
+    mixed = [*states.werner([0.0, 0.2, 0.5, 1.0]), *states.random_density(range(5))]
+    return [StateSpec(density_from_pure(psi), "pure") for psi in pure] + [
+        StateSpec(as_density_matrix(rho), "mixed") for rho in mixed
+    ]
+
+
+def test_verdict_text_is_pinned(tmp_path, capsys):
+    # sha256 of the stdout and exit code of analyze and detect, exact and by shots, in text and
+    # JSON, on every document; taken with numpy 2.4's bundled OpenBLAS.  Together they print every
+    # verdict detail, which the substrings below confirm.
+    digest, seen = hashlib.sha256(), []
+    path = str(tmp_path / "state.json")
+    for seed, spec in enumerate(_pinned_documents()):
+        save_state_file(path, spec)
+        shots = ["--shots", "10000", "--seed", str(seed)]
+        for argv in (
+            ["analyze"],
+            ["analyze", "--json"],
+            ["detect"],
+            ["detect", "--json"],
+            ["detect", "--assume-pure"],
+            ["detect", *shots],
+            ["detect", *shots, "--z", "4"],
+            ["detect", *shots, "--json"],
+            ["detect", *shots, "--z", "4", "--json"],
+            ["detect", "--y", "0,0.6,0.8", "--xs", "0.6,0.8,0;0,0,1;0.8,0,-0.6"],
+        ):
+            code = main([argv[0], path, *argv[1:]])
+            out = capsys.readouterr().out
+            seen.append(out)
+            digest.update(f"{code}\n{out}".encode())
+    for text in (
+        "non-zero correlation at probe 1",
+        "non-zero correlation at probe 2",
+        "non-zero correlation at probe 3",
+        "(all 3 probed correlations are zero)",
+        "(non-zero correlation on mixed input)",
+        "(zero correlations on mixed input do not certify separability)",
+        '"sigma_max(c) = ',
+        "; statistical decision at 10000 shots per probe, z threshold 4 (confidence, not",
+    ):
+        assert any(text in out for out in seen), text
+    assert digest.hexdigest() == (
+        "48e2717c61b4457295b7103c0c981d4f7898c0a2f97083cc73934d9e9077ef56"
+    )
+
+
+class TestVerdictDetails:
+    """The detail text is the cli's: it is written from the label, the trace, the singular values
+    and the run's ShotConfig, which is all the library returns."""
+
+    def test_rank_detail_reads_sigma_max_against_the_cut(self, tmp_path, capsys):
+        path = tmp_path / "weak.json"
+        t = 3e-9
+        save_state_file(path, StateSpec(density_from_pure(np.array([np.cos(t), 0, 0, np.sin(t)]))))
+        assert main(["analyze", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        sv = report["correlation"]["singular_values"]
+        assert report["verdicts"]["rank_dichotomy"] == {
+            "label": "Entangled",
+            "basis": "RankDichotomy",
+            "detail": f"sigma_max(c) = {sv[0]!r} vs threshold 2e-09; singular values {sv}",
+        }
+
+    def test_mixed_input_detail(self, tmp_path, capsys):
+        path = str(tmp_path / "w.json")
+        save_state_file(path, StateSpec(as_density_matrix(states.werner(0.2))))
+        assert main(["detect", path]) == 2
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "verdict: Indeterminate (non-zero correlation on mixed input)"
+
+    def test_shot_detail_names_the_budget_and_threshold(self, singlet_file, capsys):
+        argv = ["detect", singlet_file, "--shots", "10000", "--seed", "1", "--z", "4", "--json"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == {
+            "label": "Entangled",
+            "basis": "BinaryProtocol",
+            "detail": "non-zero correlation at probe 3; statistical decision at 10000 shots per"
+            " probe, z threshold 4 (confidence, not certainty)",
+        }
+
+
 def _off_hermitian_state() -> np.ndarray:
     """I/4 with rho_01 = 5e-10 i and rho_10 = 0: half the Hermitian cut HERMITIAN_TOL."""
     rho = np.eye(4, dtype=complex) / 4

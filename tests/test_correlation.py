@@ -52,6 +52,16 @@ class TestObservablePair:
         with pytest.raises(BlochOutOfBall):
             ObservablePair(x=[2.0, 0, 0], y=[0, 0, 1.0])
 
+    def test_rejects_stacks_that_do_not_broadcast(self):
+        # It was accepted, and every covariance and shot route then failed inside numpy.
+        message = "x of shape (2, 3) and y of shape (3, 3) do not broadcast"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ObservablePair(np.zeros((2, 3)), np.zeros((3, 3)))
+
+    def test_stacks_that_broadcast_are_kept_as_given(self):
+        pair = ObservablePair(np.zeros((2, 1, 3)), np.zeros((4, 3)))
+        assert (pair.x.shape, pair.y.shape) == ((2, 1, 3), (4, 3))
+
 
 class TestCovarianceDirect:
     def test_constant_observable_has_zero_covariance(self):

@@ -163,7 +163,6 @@ class TestRankClassifier:
         for t in np.geomspace(1e-12, np.pi / 4, 400):
             psi = np.kron(u_a, u_b) @ np.array([np.cos(t), 0, 0, np.sin(t)])
             verdict = classify_pure_by_rank(psi)
-            assert "sigma_max(c)" in verdict.detail
             if abs(np.sin(2 * t) / 2e-9 - 1) <= 0.01:
                 continue
             ppt_separable = ppt_is_separable(density_from_pure(psi))
@@ -187,8 +186,8 @@ class TestRankClassifier:
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_refuses_a_stack(self, rows):
-        # Unchecked, a one-row stack gets a verdict whose detail holds every row's singular values,
-        # and two rows raise numpy's ambiguous-truth text.
+        # Unchecked, a one-row stack passes as one state, and two rows raise numpy's
+        # ambiguous-truth text.
         psi = states.haar_random_pure(list(range(rows)))
         message = rf"takes one state, got a correlation matrix of shape \({rows}, 3, 3\)"
         with pytest.raises(ValueError, match=message):
@@ -216,7 +215,6 @@ class TestBinaryProtocol:
     def test_mixed_input_is_indeterminate(self):
         verdict, trace = binary_protocol(states.werner(0.2))
         assert verdict.label == INDETERMINATE
-        assert verdict.detail == "non-zero correlation on mixed input"
         assert trace.probes[-1].is_zero is False
 
     def test_short_y_singlet_is_entangled_at_the_first_probe(self):
@@ -345,8 +343,8 @@ class TestBinaryProtocol:
         # purity cut: only the amplitudes know the state is pure.
         rho = density_from_pure(states.bell_state("psi-") * np.sqrt(1 - 9e-10))
         assert rho.pure is True and 1.0 - purity(rho) > 1e-9
-        verdict, _ = binary_protocol(rho)
-        assert (verdict.label, verdict.detail) == (ENTANGLED, "non-zero correlation at probe 3")
+        verdict, trace = binary_protocol(rho)
+        assert (verdict.label, trace.measurements_used) == (ENTANGLED, 3)
         assert exact_protocol(rho)[:2] == (ENTANGLED, 3)
 
     def test_rejects_dependent_probes(self):

@@ -753,7 +753,7 @@ RECORDS = [
     (lambda: BlochForm(1, 2.0, None), "BlochForm(a=1, b=2.0, f=None)"),
     (lambda: ObservablePair(x=[1.0, 0, 0], y=[0, 0, 1]), "ObservablePair(x={0.x!r}, y={0.y!r})"),
     (lambda: CorrMatrix(c=0.5), "CorrMatrix(c=0.5)"),
-    (lambda: Verdict("Separable", "PPTOracle"), "Verdict(label='Separable', basis='PPTOracle', detail='')"),
+    (lambda: Verdict("Separable", "PPTOracle"), "Verdict(label='Separable', basis='PPTOracle')"),
     (lambda: Probe(x=None, covariance=0.0, is_zero=True), "Probe(x=None, covariance=0.0, is_zero=True)"),
     (lambda: ProtocolTrace(y=1, probes=()), "ProtocolTrace(y=1, probes=())"),
     (
@@ -785,11 +785,11 @@ def test_a_record_is_frozen_and_keeps_its_repr_through_copies(build, text):
 
 
 def test_a_verdict_compares_and_hashes_by_its_fields():
-    verdict = Verdict("Entangled", "BinaryProtocol", "probe 1")
-    assert verdict == Verdict(label="Entangled", basis="BinaryProtocol", detail="probe 1")
-    assert hash(verdict) == hash(("Entangled", "BinaryProtocol", "probe 1"))
-    assert verdict != Verdict("Entangled", "BinaryProtocol")
-    assert verdict != ("Entangled", "BinaryProtocol", "probe 1")
+    verdict = Verdict("Entangled", "BinaryProtocol")
+    assert verdict == Verdict(label="Entangled", basis="BinaryProtocol")
+    assert hash(verdict) == hash(("Entangled", "BinaryProtocol"))
+    assert verdict != Verdict("Entangled", "RankDichotomy")
+    assert verdict != ("Entangled", "BinaryProtocol")
 
 
 def test_protocol_soundness_checks_each_block_once(check_counts):

@@ -133,8 +133,8 @@ class TestConfig:
     def test_a_real_z_is_held_as_a_python_float(self, z):
         cfg = ShotConfig(z_threshold=z)
         assert type(cfg.z_threshold) is float and cfg.z_threshold == 4.0
-        verdict, _ = statistical_binary_protocol(singlet_rho(), cfg=cfg)
-        assert verdict.detail.endswith("z threshold 4 (confidence, not certainty)")
+        assert f"{cfg.z_threshold:g}" == "4"  # as the detect command prints it
+        assert statistical_binary_protocol(singlet_rho(), cfg=cfg)[0].label == "Entangled"
 
     def test_numpy_integers_are_held_as_python_ints(self):
         # The fields were the numpy scalars as given, which json cannot write.
@@ -707,9 +707,8 @@ class TestStatisticalProtocol:
         verdict, trace = statistical_binary_protocol(
             singlet_rho(), cfg=ShotConfig(shots=100_000, seed=3)
         )
-        assert verdict.label == "Entangled"
+        assert verdict == bicorr.Verdict("Entangled", "BinaryProtocol")
         assert trace.measurements_used == 3
-        assert "shots per probe" in verdict.detail
 
     def test_product_state_is_separable(self):
         rho = density_from_pure(states.random_product_pure(12))

@@ -311,6 +311,27 @@ class TestSeedStackInputs:
         with pytest.raises(ValueError, match=message):
             random_mixed(range(2), [np.zeros((2, 2)), np.zeros((2, 3))])
 
+    @pytest.mark.parametrize("draw", [random_mixed, random_separable_mixed])
+    @pytest.mark.parametrize(
+        "seeds, k", [([1, 2, 3], [1, 2]), ([1, 2, 3], [[1], [2], [3]]), (5, [1, 2])],
+        ids=["two counts, three seeds", "a column of counts", "two counts, one seed"],
+    )
+    def test_counts_that_do_not_fit_the_seeds_are_named(self, draw, seeds, k):
+        # numpy's broadcast_to raised its own text, which names neither argument.
+        shapes = f"{np.shape(k)} does not broadcast to the seeds' shape {np.shape(seeds)}"
+        with pytest.raises(ValueError, match=f"^k of shape {re.escape(shapes)}$"):
+            draw(seeds, k)
+
+    def test_counts_that_broadcast_draw_per_seed(self):
+        # One count, or a row of counts against a (2, 2) stack of seeds, is each seed's own.
+        seeds = [[1, 2], [3, 4]]
+        for k in (3, [2, 5]):
+            ks = np.broadcast_to(k, (2, 2))
+            expected = [random_separable_mixed(s, ks[at]) for at, s in np.ndenumerate(seeds)]
+            got = random_separable_mixed(seeds, k)
+            assert got.shape == (2, 2, 4, 4)
+            assert got.reshape(4, 4, 4).tobytes() == np.stack(expected).tobytes()
+
     def test_a_count_past_int64_is_named_as_out_of_range(self):
         # It was called "not an integer count".
         message = f"^k must be an integer from 1 to {2**63 - 1}, got {2**70}$"

@@ -112,7 +112,7 @@ def test_a_negative_seed_raises_value_error(n):
 @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
 def test_the_words_serve_only_a_request_for_four_uint64(n_words, dtype):
     # A bit generator that seeded itself from other words would silently change every stream.
-    words = streams._words_type()(seed_words([7])[0])
+    words = streams._Words(seed_words([7])[0])
     assert words.generate_state(4, np.uint64).tobytes() == words.words.tobytes()
     with pytest.raises(ValueError, match="^seeded for 4 uint64 words"):
         words.generate_state(n_words, dtype)
