@@ -123,7 +123,7 @@ def _protocol_detail(label: str, trace, cfg=None) -> str:
         return detail
     return (
         f"{detail}; statistical decision at {cfg.shots} shots per probe, "
-        f"z threshold {cfg.z_threshold:g} (confidence, not certainty)"
+        f"z threshold {repr(cfg.z_threshold).removesuffix('.0')} (confidence, not certainty)"
     )
 
 
@@ -198,20 +198,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args, parser: _Parser) -> int:
+    if args.shots is None and (args.seed, args.z) != (None, None):
+        parser.error("--seed and --z require --shots")
     spec = statesmod.load_state_file(args.file)
     rho = spec.state
     y = _parse_vector(args.y, "--y") if args.y else DEFAULT_Y
     xs = _parse_probe_set(args.xs) if args.xs else DEFAULT_XS
     if args.shots is not None:
-        from dataclasses import asdict
-
         from bicorr.shotsim import ShotConfig, statistical_binary_protocol
 
         given = {"seed": args.seed, "z_threshold": args.z}  # ShotConfig owns the defaults
         cfg = ShotConfig(shots=args.shots, **{k: v for k, v in given.items() if v is not None})
         verdict, trace = statistical_binary_protocol(rho, y, xs, cfg, args.assume_pure)
-        shots_doc = asdict(cfg)
+        shots_doc = {name: getattr(cfg, name) for name in cfg._fields}
     else:
         verdict, trace = binary_protocol(rho, y, xs, assume_pure=args.assume_pure)
         cfg = shots_doc = None
@@ -332,7 +332,7 @@ def make_parser() -> _Parser:
         help="apply pure-state semantics to mixed input",
     )
     p_detect.add_argument("--json", action="store_true")
-    p_detect.set_defaults(run=cmd_detect)
+    p_detect.set_defaults(run=lambda args: cmd_detect(args, p_detect))
 
     p_sweep = sub.add_parser("sweep-werner", help="Werner-family covariance/PPT table")
     p_sweep.add_argument("--from", dest="xi_from", type=float, required=True)

@@ -46,6 +46,7 @@ from bicorr.linalg import (
 from bicorr.qstate import (
     CheckedState,
     _Frozen,
+    _Value,
     _check_norm,
     _checked_bloch,
     _reals,
@@ -80,7 +81,7 @@ class ZeroVector(ValueError):
     """The fixed direction y is the zero vector."""
 
 
-class Verdict(_Frozen):
+class Verdict(_Value):
     """A decider's label and the basis it was decided on; compared and hashed by value.  The
     numbers it was decided on are the caller's to read: the trace, or C's singular values."""
 
@@ -89,14 +90,6 @@ class Verdict(_Frozen):
     def __init__(self, label: str, basis: str) -> None:
         _set(self, "label", label)
         _set(self, "basis", basis)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.basis) == (other.label, other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.basis))
 
 
 class Probe(_Frozen):

@@ -28,9 +28,10 @@ Every integer input (seeds, counts, trial budgets) goes through `_integers`, eve
 one through `_reals`.
 
 The package's read-only records (`CheckedState` and `BlochForm` here, and those of `correlation`,
-`detect` and `states`) are plain classes on one frozen base, `_Frozen`, rather than dataclasses:
-generating a dataclass's methods, and importing `dataclasses`, would cost every process's start-up
-more than the analysis of a state.
+`detect`, `shotsim` and `states`) are plain classes on one frozen base, `_Frozen`, rather than
+dataclasses: generating a dataclass's methods, and importing `dataclasses`, would cost every
+process's start-up more than the analysis of a state.  The values `detect.Verdict`,
+`shotsim.ShotConfig` and `shotsim.ShotRecord` compare and hash by their fields (`_Value`).
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ class _Frozen:
     """Base of the package's read-only records: each subclass's __init__ sets its fields with
     ``_set``, and its repr names the fields of ``_fields``.  Assigning or deleting an attribute
     raises ``dataclasses.FrozenInstanceError``; a record compares and hashes by identity unless it
-    says otherwise.  A record holds its fields in ``__slots__`` unless a ``cached_property`` or a
+    is a ``_Value``.  A record holds its fields in ``__slots__`` unless a ``cached_property`` or a
     ``__dict__`` write needs a dict.
     """
 
@@ -214,6 +215,21 @@ class _Frozen:
         """Restore a copy or an unpickled record from its __dict__, or its (None, slots) pair."""
         for name, value in (state[1] if type(state) is tuple else state).items():
             _set(self, name, value)
+
+
+class _Value(_Frozen):
+    """A record compared by value, by ``np.array_equal`` on each field (one bool for a stack too),
+    and hashed as its fields' tuple, so a record that holds an array has no hash."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self._fields)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, n) for n in self._fields))
 
 
 class CheckedState(_Frozen):

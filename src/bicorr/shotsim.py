@@ -49,15 +49,14 @@ run's probe stack.  It reads only the covariance and z, so only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from bicorr.correlation import ObservablePair, _checked_pair
 from bicorr.detect import DEFAULT_XS, DEFAULT_Y, ProtocolTrace, Verdict, binary_protocol
 from bicorr.linalg import NORM_TOL, item_or_array
-from bicorr.qstate import CheckedState, as_density_matrix
-from bicorr.qstate import _integers, _pauli_traces, _reals, _require
+from bicorr.qstate import CheckedState, _Value, as_density_matrix
+from bicorr.qstate import _integers, _pauli_traces, _reals, _require, _set
 
 DECISION_ZERO = "Zero"
 DECISION_NONZERO = "NonZero"
@@ -71,60 +70,51 @@ class NonUnitBloch(ValueError):
     """Shot sampling needs unit Bloch vectors (projector observables)."""
 
 
-@dataclass(frozen=True)
-class ShotConfig:
+class ShotConfig(_Value):
     """Sampling parameters: shots per correlation, RNG seed, decision threshold.
 
     shots is at most 2**53, so every count and every marginal below 1 is exact enough in a float:
     above it, counts (0, n - 1, 1, 0) read a marginal of exactly 1, and z 0 for phi = -1.
     """
 
-    shots: int = 100_000
-    seed: int = 0
-    z_threshold: float = 5.0
+    __slots__ = _fields = ("shots", "seed", "z_threshold")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shots", _integers(self.shots, "shots", 100, 2**53 + 1))
-        object.__setattr__(self, "seed", _integers(self.seed, "seed", 0, 2**64))
-        z = real = self.z_threshold
-        if type(z) is not float:  # a plain float needs no walk
+    def __init__(self, shots: int = 100_000, seed: int = 0, z_threshold: float = 5.0) -> None:
+        _set(self, "shots", _integers(shots, "shots", 100, 2**53 + 1))
+        _set(self, "seed", _integers(seed, "seed", 0, 2**64))
+        real = z_threshold
+        if type(real) is not float:  # a plain float needs no walk
             try:
-                real = _reals(z, "z_threshold")
+                real = _reals(z_threshold, "z_threshold")
                 real = float(real) if real.ndim == 0 else math.nan  # a stack is no threshold
             except ValueError:  # a bool, "5", None: no real number
                 real = math.nan
         if not 0 < real < math.inf:
-            raise ValueError(f"z_threshold must be a finite positive number, got {z!r}")
-        object.__setattr__(self, "z_threshold", real)
+            raise ValueError(f"z_threshold must be a finite positive number, got {z_threshold!r}")
+        _set(self, "z_threshold", real)
 
 
-@dataclass(frozen=True)
-class ShotRecord:
+class ShotRecord(_Value):
     """Sample means, covariance estimate with its standard error, and the binary call.
 
     standard_error is the delta-method spread of covariance_estimate;
     z_score is |covariance_estimate| over the null-hypothesis standard error,
     and decision is NonZero exactly when z_score exceeds the z threshold.
-    For a stack, every field but shots_used is an array shaped like the stack.  Two records are
-    equal when every field holds the same values, so the comparison is one bool for a stack too.
+    For a stack, every field but shots_used is an array shaped like the stack.
     """
 
-    estimate_xy: float
-    estimate_x: float
-    estimate_y: float
-    covariance_estimate: float
-    standard_error: float
-    z_score: float
-    decision: str
-    shots_used: int
+    __slots__ = _fields = (
+        "estimate_xy", "estimate_x", "estimate_y", "covariance_estimate", "standard_error",
+        "z_score", "decision", "shots_used",
+    )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShotRecord):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, field.name), getattr(other, field.name))
-            for field in fields(self)
-        )
+    def __init__(
+        self, estimate_xy: float, estimate_x: float, estimate_y: float, covariance_estimate: float,
+        standard_error: float, z_score: float, decision: str, shots_used: int,
+    ) -> None:
+        values = estimate_xy, estimate_x, estimate_y, covariance_estimate, standard_error, z_score
+        for name, value in zip(self._fields, (*values, decision, shots_used)):
+            _set(self, name, value)
 
 
 def _unit(pair: ObservablePair) -> ObservablePair:

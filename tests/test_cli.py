@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line surface via ``cli.main``."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -152,6 +151,14 @@ class TestDetect:
         assert main(["detect", singlet_file, "--exact"]) == 3
         assert "unrecognized arguments: --exact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--seed", "9"], ["--z", "4"], ["--z", "4", "--seed", "9"]])
+    def test_seed_and_z_need_shots(self, singlet_file, capsys, flags):
+        # Both flags were ignored without a word, and the exact protocol ran (exit 1).
+        assert main(["detect", singlet_file, *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bicorr detect")
+        assert err.endswith("\nbicorr detect: error: --seed and --z require --shots\n")
+
     def test_product_state_exit_code(self, tmp_path):
         path = tmp_path / "p.json"
         main(["gen", "--kind", "product", "--seed", "7", "--out", str(path)])
@@ -184,7 +191,8 @@ class TestDetect:
     def test_shot_defaults_are_the_shot_configs(self, singlet_file, capsys):
         assert main(["detect", singlet_file, "--shots", "1000", "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["shots"] == dataclasses.asdict(ShotConfig(shots=1000))
+        cfg = ShotConfig(shots=1000)
+        assert doc["shots"] == {name: getattr(cfg, name) for name in cfg._fields}
 
     def test_custom_probes(self, singlet_file):
         code = main(
@@ -330,6 +338,17 @@ class TestVerdictDetails:
             "detail": "non-zero correlation at probe 3; statistical decision at 10000 shots per"
             " probe, z threshold 4 (confidence, not certainty)",
         }
+
+    @pytest.mark.parametrize(
+        "z, text", [("4.0000001", "4.0000001"), ("1e-320", "1e-320"), ("5", "5"), ("4.0", "4")]
+    )
+    def test_shot_detail_prints_the_z_threshold_exactly(self, singlet_file, capsys, z, text):
+        # Printed with :g, 4.0000001 read "4" while the shots document held 4.0000001, and
+        # 1e-320 read "9.99989e-321".
+        assert main(["detect", singlet_file, "--shots", "1000", "--z", z, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"]["detail"].endswith(f", z threshold {text} (confidence, not certainty)")
+        assert doc["shots"] == {"shots": 1000, "seed": 0, "z_threshold": float(z)}
 
 
 def _off_hermitian_state() -> np.ndarray:

@@ -10,6 +10,7 @@ proved on the Schmidt form cos t|00> + sin t|11>.  sympy is a test dependency on
 the package imports it.
 """
 
+import itertools
 from functools import cache
 
 import numpy as np
@@ -17,8 +18,10 @@ import sympy as sp
 from sympy import kronecker_product as kron
 
 from bicorr import states
+from bicorr.correlation import correlation_matrix, covariance_via_c
 from bicorr.qstate import bloch_decompose, density_from_pure, partial_transpose_b
-from test_shotsim import _covariance, _read_out, _shrink
+from bicorr.shotsim import joint_outcome_probabilities
+from test_shotsim import _covariance, _pairs, _read_out, _shrink
 
 SIGMA = (
     sp.eye(2),
@@ -292,3 +295,32 @@ def test_a_product_states_f_is_a_b_transposed_and_its_diagonal_sums_to_at_most_o
     assert np.max(np.abs(product.f - product.a[:, :, None] * product.b[:, None, :])) < 1e-15
     mixtures = bloch_decompose(states.random_separable_mixed(range(200), 4))
     assert np.abs(np.diagonal(mixtures.f, axis1=-2, axis2=-1)).sum(axis=-1).max() <= 1
+
+
+def test_a_pair_of_shots_reads_the_covariance_as_a_mean_of_plus_or_minus_one_half():
+    # ROADMAP item 28's e-test rests on this: two independent shots (X1, Y1), (X2, Y2) of binary
+    # X, Y with cells p11, p10, p01, p00 give h = (X1 - X2)(Y1 - Y2)/2, which is +-1/2 with
+    # probabilities 2 p11 p00 and 2 p10 p01, and 0 otherwise.  So E h = p11 p00 - p10 p01, the
+    # covariance, and E[1 + lambda h] = 1 wherever the covariance is 0.
+    p11, p10, p01 = sp.symbols("p11 p10 p01", real=True)
+    p00 = 1 - p11 - p10 - p01
+    cells = {(1, 1): p11, (1, 0): p10, (0, 1): p01, (0, 0): p00}
+    law = {}
+    for (x1, y1), (x2, y2) in itertools.product(cells, repeat=2):
+        h = sp.Rational((x1 - x2) * (y1 - y2), 2)
+        law[h] = law.get(h, 0) + cells[x1, y1] * cells[x2, y2]
+    half = sp.Rational(1, 2)
+    assert set(law) == {-half, 0, half} and vanishes(sum(law.values()) - 1)
+    assert vanishes(law[half] - 2 * p11 * p00) and vanishes(law[-half] - 2 * p10 * p01)
+    covariance = _covariance([[p11, p10], [p01, p00]])
+    assert vanishes(p11 * p00 - p10 * p01 - covariance)
+    lam = sp.Symbol("lambda", real=True)
+    assert vanishes(sum((1 + lam * h) * p for h, p in law.items()) - 1 - lam * covariance)
+    # At numbers: the cells' determinant is covariance_via_c, on mixed and pure random states.
+    n = 200
+    pure = density_from_pure(states.haar_random_pure(range(n))).matrix
+    rho = np.concatenate([states.random_density(range(n)), pure])
+    pair = _pairs(2 * n, 28)
+    p = joint_outcome_probabilities(rho, pair)
+    via_c = covariance_via_c(correlation_matrix(rho), pair)
+    assert np.max(np.abs(p[:, 0] * p[:, 3] - p[:, 1] * p[:, 2] - via_c)) <= 1e-15

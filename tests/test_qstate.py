@@ -46,7 +46,7 @@ from bicorr.qstate import (
     purity,
     validate_pure_state,
 )
-from bicorr.shotsim import ShotConfig, statistical_binary_protocol
+from bicorr.shotsim import ShotConfig, ShotRecord, statistical_binary_protocol
 from bicorr.states import StateSpec
 from bicorr.verify import check_protocol_soundness, check_two_probe_insufficiency
 
@@ -756,6 +756,12 @@ RECORDS = [
     (lambda: Verdict("Separable", "PPTOracle"), "Verdict(label='Separable', basis='PPTOracle')"),
     (lambda: Probe(x=None, covariance=0.0, is_zero=True), "Probe(x=None, covariance=0.0, is_zero=True)"),
     (lambda: ProtocolTrace(y=1, probes=()), "ProtocolTrace(y=1, probes=())"),
+    (lambda: ShotConfig(1000, 1, 4.0), "ShotConfig(shots=1000, seed=1, z_threshold=4.0)"),
+    (
+        lambda: ShotRecord(0.25, 0.5, 0.5, 0.0, 0.01, 0.0, "Zero", shots_used=1000),
+        "ShotRecord(estimate_xy=0.25, estimate_x=0.5, estimate_y=0.5, covariance_estimate=0.0, "
+        "standard_error=0.01, z_score=0.0, decision='Zero', shots_used=1000)",
+    ),
     (
         lambda: StateSpec(density_from_pure([0, 1, 0, 0]), "l"),
         "StateSpec(state=CheckedState(matrix={0.state.matrix!r}), label='l')",
@@ -765,7 +771,7 @@ RECORDS = [
 
 @pytest.mark.parametrize("build, text", RECORDS, ids=[
     "CheckedState", "pure CheckedState", "BlochForm", "ObservablePair", "CorrMatrix", "Verdict",
-    "Probe", "ProtocolTrace", "StateSpec",
+    "Probe", "ProtocolTrace", "ShotConfig", "ShotRecord", "StateSpec",
 ])
 def test_a_record_is_frozen_and_keeps_its_repr_through_copies(build, text):
     record = build()
@@ -779,7 +785,8 @@ def test_a_record_is_frozen_and_keeps_its_repr_through_copies(build, text):
         record.extra = 0
     for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(again) is type(record) and repr(again) == repr(record)
-        assert (again == record) is isinstance(record, Verdict)  # only a Verdict is a value
+        # Only the three value records compare equal to their copies.
+        assert (again == record) is isinstance(record, (Verdict, ShotConfig, ShotRecord))
     if isinstance(record, CheckedState):
         assert pickle.loads(pickle.dumps(record)).pure is record.pure
 

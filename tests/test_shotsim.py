@@ -7,12 +7,12 @@ gives Var(h) = 0.046875 (sd 0.2165/sqrt(n)); the singlet with y tilted to
 (1,0,1)/sqrt(2) gives Var(h) = 1/32 (sd 0.1768/sqrt(n)).
 """
 
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import re
-from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +42,7 @@ from bicorr.shotsim import (
     DECISION_ZERO,
     NonUnitBloch,
     ShotConfig,
+    ShotRecord,
     joint_outcome_probabilities,
     sample_joint,
     statistical_binary_protocol,
@@ -133,13 +134,21 @@ class TestConfig:
     def test_a_real_z_is_held_as_a_python_float(self, z):
         cfg = ShotConfig(z_threshold=z)
         assert type(cfg.z_threshold) is float and cfg.z_threshold == 4.0
-        assert f"{cfg.z_threshold:g}" == "4"  # as the detect command prints it
+        assert repr(cfg.z_threshold).removesuffix(".0") == "4"  # as the detect command prints it
         assert statistical_binary_protocol(singlet_rho(), cfg=cfg)[0].label == "Entangled"
+
+    def test_is_a_value_and_no_dataclass(self):
+        cfg = ShotConfig(1000, 1, 4.0)
+        assert cfg == ShotConfig(shots=1000, seed=1, z_threshold=4) != ShotConfig(1000, 2, 4.0)
+        assert hash(cfg) == hash((1000, 1, 4.0))
+        assert not dataclasses.is_dataclass(ShotConfig) and not dataclasses.is_dataclass(ShotRecord)
+        with pytest.raises(TypeError):
+            ShotConfig(1000, 1, 4.0, 0)
 
     def test_numpy_integers_are_held_as_python_ints(self):
         # The fields were the numpy scalars as given, which json cannot write.
         cfg = ShotConfig(shots=np.int64(1000), seed=np.uint64(7))
-        assert json.dumps(asdict(cfg)) == (
+        assert json.dumps({name: getattr(cfg, name) for name in cfg._fields}) == (
             '{"shots": 1000, "seed": 7, "z_threshold": 5.0}'
         )
         assert type(cfg.shots) is int and type(cfg.seed) is int
@@ -549,7 +558,7 @@ class TestStackedSampler:
         pair = _pairs(n, 33)
         cfg = ShotConfig(shots=5_000, seed=2**64 - 1)
         stacked = sample_joint(rho, pair, cfg)
-        kinds = [getattr(stacked, field.name).dtype.str for field in fields(stacked)[:-1]]
+        kinds = [getattr(stacked, name).dtype.str for name in stacked._fields[:-1]]
         assert kinds[:-1] == ["<f8"] * 6 and kinds[-1].startswith("<U")
         assert_rows_are_draws(stacked, _rows(rho, pair), cfg)
 
@@ -600,8 +609,8 @@ class TestStackedSampler:
     def test_empty_stack_gives_empty_arrays(self):
         pair = ObservablePair(x=np.empty((0, 3)), y=Z)
         record = sample_joint(MAX_MIXED, pair, ShotConfig(shots=1_000))
-        for field in fields(record)[:-1]:
-            assert getattr(record, field.name).shape == (0,)
+        for name in record._fields[:-1]:
+            assert getattr(record, name).shape == (0,)
         assert record.decision.dtype.kind == "U"
         assert type(record.shots_used) is int and record.shots_used == 1_000
 
@@ -618,10 +627,10 @@ class TestStackedSampler:
             rho = states.random_density(seed)
             for shots in (100, 10_000, 1_000_000):
                 record = sample_joint(rho, pair, ShotConfig(shots=shots, seed=seed))
-                for field in fields(record):
-                    value = getattr(record, field.name)
-                    kind = {"decision": str, "shots_used": int}.get(field.name, float)
-                    assert type(value) is kind, (seed, shots, field.name)
+                for name in record._fields:
+                    value = getattr(record, name)
+                    kind = {"decision": str, "shots_used": int}.get(name, float)
+                    assert type(value) is kind, (seed, shots, name)
                     value_bits = value.encode() if kind is str else np.float64(value).tobytes()
                     typed.update(type(value).__name__.encode())
                     typed.update(value_bits)
