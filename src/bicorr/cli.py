@@ -293,7 +293,7 @@ _GEN_KINDS = {
 
 def cmd_gen(args, parser: _Parser) -> int:
     if args.kind == "werner" and args.xi is None:
-        parser.error("gen --kind werner requires --xi")
+        parser.error("--kind werner requires --xi")
     state, label = _GEN_KINDS[args.kind](args)
     check = density_from_pure if state.ndim == 1 else as_density_matrix
     spec = StateSpec(check(state), label)
@@ -348,7 +348,7 @@ def make_parser() -> _Parser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--k", type=int, default=4, help="mixture components for sep-mixed")
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(run=lambda args: cmd_gen(args, parser))
+    p_gen.set_defaults(run=lambda args: cmd_gen(args, p_gen))
 
     p_verify = sub.add_parser("verify", help="run the library property suites")
     p_verify.add_argument("--trials", type=int, default=2000)

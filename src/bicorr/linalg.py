@@ -23,7 +23,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 HERMITIAN_TOL = 1e-9  # largest |rho - rho^dagger| entry of a state taken as Hermitian
-NORM_TOL = 1e-9  # |q - 1| for q = norm^2, trace, probe length; Bloch bounds
+NORM_TOL = 1e-9  # input slack only: |q - 1| for q = norm^2, trace, probe length; Bloch bounds
 PSD_TOL = 1e-9  # most negative eigenvalue counted as >= 0: state positivity, PPT verdict
 BALL_TOL = 1e-12  # largest excess over 1 of an observable's Bloch-vector norm
 ZERO_CORRELATION_TOL = 1e-10  # largest |c(x^, y^)| the exact oracle calls zero, and |c y^| alike

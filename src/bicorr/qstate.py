@@ -16,16 +16,17 @@ and one cut: `_check_structure` owns Hermiticity and the trace, `as_density_matr
 no operation checks them again.  A pure state's owner is `validate_pure_state`: |psi><psi| is
 Hermitian to round-off and its trace is psi's norm^2, so `density_from_pure` builds its
 `CheckedState` with no `_check_structure`, and that state is pure (`.pure`); any other state reads
-Tr rho^2 once, at the one `PURITY_TOL` cut.  A state may be off Hermitian by HERMITIAN_TOL,
-and its verdicts are about its Hermitian part H = (rho + rho^dagger)/2: the Bloch form, the shot
-cells and `covariance_direct` read real parts, since Re Tr(rho P) = Tr(H P) for a Hermitian P,
-and the eigenvalues are those of H.  The state operations take a `CheckedState` as it is and
-structure-check only a raw array; a `CheckedState` keeps its Bloch form and correlation matrix
-once read (`.bloch`, `.cm`), so no reader derives them again.  All of them take stacks, shape
-(..., 4, 4) or (..., 4), empty ones included.  Every array threshold check of the package goes
-through `_require`, so a failed check on a stack names the index of the first offending state.
-Every integer input (seeds, counts, trial budgets) goes through `_integers`, every other numeric
-one through `_reals`.
+Tr rho^2 once, at the one `PURITY_TOL` cut.  Construction alone owns the scale: `.matrix` is the
+state divided by its trace, so no reader carries Tr rho.  A state may be off Hermitian by
+HERMITIAN_TOL, and its verdicts are about its Hermitian part H = (rho + rho^dagger)/2: the Bloch
+form, the shot cells and `covariance_direct` read real parts, since Re Tr(rho P) = Tr(H P) for a
+Hermitian P, and the eigenvalues are those of H.  The state operations take a `CheckedState` as
+it is and structure-check only a raw array; a `CheckedState` keeps its Bloch form and correlation
+matrix once read (`.bloch`, `.cm`), so no reader derives them again.  All of them take stacks,
+shape (..., 4, 4) or (..., 4), empty ones included.  Every array threshold check of the package
+goes through `_require`, so a failed check on a stack names the index of the first offending
+state.  Every integer input (seeds, counts, trial budgets) goes through `_integers`, every other
+numeric one through `_reals`.
 
 The package's read-only records (`CheckedState` and `BlochForm` here, and those of `correlation`,
 `detect`, `shotsim` and `states`) are plain classes on one frozen base, `_Frozen`, rather than
@@ -168,8 +169,8 @@ def validate_pure_state(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _check_structure(rho: np.ndarray) -> np.ndarray:
-    """Cheap checks shared by all operations: shape, |rho_ij| <= 1, Hermiticity, trace."""
+def _check_structure(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cheap checks shared by all operations (shape, |rho_ij| <= 1, Hermiticity, trace): rho, Tr."""
     rho = _reals(rho, "density matrix", complex)
     if rho.shape[-2:] != (4, 4):
         raise InvalidState(f"density matrix must be 4x4, got shape {rho.shape}")
@@ -178,9 +179,18 @@ def _check_structure(rho: np.ndarray) -> np.ndarray:
     _require(np.abs(rho), 1.0 + NORM_TOL, InvalidState, message, 2)
     message = "density matrix{at} is not Hermitian (deviation {worst:.3e})"
     _require(np.abs(rho - rho.conj().swapaxes(-1, -2)), HERMITIAN_TOL, InvalidState, message, 2)
+    trace = rho.trace(axis1=-2, axis2=-1)
     message = "density matrix{at} trace differs from 1 by {worst:.3e}"
-    _require(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0), NORM_TOL, InvalidState, message)
-    return rho
+    _require(np.abs(trace - 1.0), NORM_TOL, InvalidState, message)
+    return rho, trace.real
+
+
+def _unit_trace(matrix: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """C-contiguous matrix / trace, read-only, real and imaginary parts divided apart: a trace of
+    exactly 1.0 keeps every bit, signed zeros too (a complex division by trace + 0j need not)."""
+    unit = (matrix.view(float) / trace[..., None, None]).view(complex)
+    unit.flags.writeable = False
+    return unit
 
 
 _set = object.__setattr__  # sets a field past a record's frozen __setattr__
@@ -233,9 +243,10 @@ class _Value(_Frozen):
 
 
 class CheckedState(_Frozen):
-    """Read-only copy of a 4x4 matrix, or of a stack of them, that passed ``_check_structure``, or
-    the |psi><psi| of amplitudes that passed ``validate_pure_state`` (``density_from_pure``), which
-    owns a pure state's invariants and keeps the checked psi, read-only, as ``amplitudes``.
+    """A 4x4 matrix, or a stack of them, that passed ``_check_structure``, or the |psi><psi| of
+    amplitudes that passed ``validate_pure_state`` (``density_from_pure``), read-only and divided
+    by its trace Re Tr rho as ``matrix``.  The input as given is kept, read-only, for the document
+    echo alone: a checked matrix as ``given``, a pure state's checked psi as ``amplitudes``.
 
     Its purity (known from the start for amplitudes), Bloch form and correlation matrix are
     computed when first read and kept with it, so every reader of one state shares them.  It is a
@@ -245,11 +256,13 @@ class CheckedState(_Frozen):
 
     _fields = ("matrix",)
     amplitudes: np.ndarray | None = None
+    given: np.ndarray | None = None
 
     def __init__(self, matrix: np.ndarray) -> None:
-        matrix = np.array(_check_structure(matrix))
-        matrix.flags.writeable = False
-        _set(self, "matrix", matrix)
+        given, trace = _check_structure(matrix)
+        given = np.array(given, order="C")
+        given.flags.writeable = False
+        vars(self).update(given=given, matrix=_unit_trace(given, trace))
 
     @classmethod
     def of(cls, rho: np.ndarray | CheckedState) -> CheckedState:
@@ -290,13 +303,14 @@ def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:
 
 
 def density_from_pure(psi: np.ndarray) -> CheckedState:
-    """The CheckedState of |psi><psi| for normalized amplitudes psi (or each in a stack), keeping
-    a read-only copy of the checked psi as ``amplitudes``.  The amplitude check is its only check:
-    ``_check_structure`` would repeat it, and a few ulps from the norm cut refuse amplitudes it
-    accepts."""
+    """The CheckedState of |psi><psi|, divided by its own trace, for normalized amplitudes psi (or
+    each in a stack), keeping a read-only copy of the checked psi as ``amplitudes``.  The amplitude
+    check is its only check: ``_check_structure`` would repeat it, and a few ulps from the norm cut
+    refuse amplitudes it accepts."""
     psi = np.array(validate_pure_state(psi))
+    psi.flags.writeable = False
     matrix = _projector(psi)
-    psi.flags.writeable = matrix.flags.writeable = False
+    matrix = _unit_trace(matrix, matrix.trace(axis1=-2, axis2=-1).real)
     state = object.__new__(CheckedState)
     vars(state).update(matrix=matrix, amplitudes=psi, pure=True)  # pure by construction
     return state

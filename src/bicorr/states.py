@@ -310,7 +310,7 @@ def state_doc(spec: StateSpec) -> dict:
     if psi is not None:
         doc["amplitudes"] = _pairs(psi)
     else:
-        doc["matrix"] = _pairs(spec.state.matrix)
+        doc["matrix"] = _pairs(spec.state.given)
     return doc
 
 

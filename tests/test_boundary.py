@@ -34,6 +34,7 @@ from bicorr import states
 from bicorr.cli import _GEN_KINDS, build_analysis_report, main
 from bicorr.correlation import ObservablePair, covariance_direct, covariance_via_c
 from bicorr.detect import (
+    DEFAULT_XS,
     DEFAULT_Y,
     ENTANGLED,
     SEPARABLE,
@@ -42,6 +43,7 @@ from bicorr.detect import (
     exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
+    rank_says_entangled,
     schmidt_rank,
 )
 from bicorr.linalg import ZERO_CORRELATION_TOL
@@ -478,6 +480,7 @@ def test_a_state_near_its_cuts_gets_an_answer_from_every_route(rho, pair, seed):
 
 # Amplitudes that the norm cut accepts, a little off a product state, whose |psi><psi| sums to a
 # trace that differs from 1 by more than NORM_TOL: a second, trace cut on |psi><psi| refused them.
+# Its concurrence is about 3.2e-7: the rank verdict and PPT resolve it, the protocol does not.
 NORM_CUT_DOCUMENT = json.dumps({"kind": "pure", "amplitudes": [
     [0.548201034326995, -0.8363465938004544],
     [-6.890970982492907e-07, -3.315868027867398e-07],
@@ -489,25 +492,62 @@ NORM_CUT_DOCUMENT = json.dumps({"kind": "pure", "amplitudes": [
 def test_a_document_the_norm_cut_accepts_is_answered_by_every_route(tmp_path):
     spec = states.loads_state(NORM_CUT_DOCUMENT)
     psi = spec.state.amplitudes
-    assert spec.state.matrix.tobytes() == (psi[:, None] * psi.conj()).tobytes()
+    projector = psi[:, None] * psi.conj()
+    trace = projector.trace().real
+    assert abs(trace - 1.0) > 1e-9  # the matrix is |psi><psi| divided by this trace
+    assert spec.state.matrix.tobytes() == (projector.view(float) / trace).view(complex).tobytes()
     path = tmp_path / "psi.json"
     path.write_text(NORM_CUT_DOCUMENT)
     assert cli_outcome(["analyze", str(path)]) == 0
-    assert cli_outcome(["detect", str(path)]) == 1  # Entangled at probe 3
+    assert cli_outcome(["detect", str(path)]) == 0  # probe 3 reads C^2/4, about 2.5e-14
     assert cli_outcome(["detect", str(path), "--shots", "10000"]) == 0
     assert classify_pure_by_rank(psi).label == ENTANGLED and schmidt_rank(psi) == 2
 
 
 def test_the_state_of_amplitudes_the_norm_cut_accepts_is_answered_by_every_decider():
     # Its trace differs from 1 by more than NORM_TOL: the amplitudes own its check, not the trace.
+    # Read on rho / Tr rho, probe 3 is C^2/4, far below ZERO_CORRELATION_TOL; the 2.5e-10 it read
+    # on the unnormalized |psi><psi| was the trace's stray term.  Rank and PPT resolve C itself.
     rho = density_from_pure(states.loads_state(NORM_CUT_DOCUMENT).state.amplitudes)
-    assert binary_protocol(rho)[0].label == ENTANGLED
-    assert exact_protocol(rho)[:2] == (ENTANGLED, 3)
+    assert binary_protocol(rho)[0].label == SEPARABLE
+    labels, used, values = exact_protocol(rho)
+    assert (labels, used) == (SEPARABLE, 3) and 1e-14 < abs(values[2]) < 1e-13
     shots = statistical_binary_protocol(rho, cfg=ShotConfig(shots=10_000))
-    assert shots[0].label == SEPARABLE  # c = 2.5e-10 at probe 3 is far below shot noise
+    assert shots[0].label == SEPARABLE
     assert ppt_is_separable(rho) is False
     pair = find_zero_correlation_pair(rho, DEFAULT_Y)
     assert abs(covariance_via_c(rho.cm, pair)) <= ZERO_CORRELATION_TOL
+
+
+# Scales of a state just inside NORM_TOL: Tr rho, or ||psi||^2 for amplitudes.
+OFF_TRACE = (1.0 + 0.999e-9, 1.0 - 0.999e-9)
+
+
+def off_trace_products(seeds):
+    """(tau, build, given): random_product_pure(seeds) at each scale tau of OFF_TRACE, once as
+    amplitudes times sqrt(tau) for density_from_pure and once as tau |psi><psi| for CheckedState."""
+    psi = states.random_product_pure(seeds)
+    for tau in OFF_TRACE:
+        yield tau, density_from_pure, np.sqrt(tau) * psi
+        yield tau, CheckedState, tau * (psi[..., :, None] * psi[..., None, :].conj())
+
+
+def test_product_states_off_trace_1_are_separable_on_every_route():
+    # Read on the input as given, covariance_via_c adds 1/4 tau(1 - tau) x.F.y and
+    # covariance_direct tau(1 - tau) T11 (tests/test_proofs.py), up to 2.5e-10 and 1e-9 here:
+    # above ZERO_CORRELATION_TOL, so about half of these states were called Entangled, and at
+    # tau < 1 the mixed ones missed the purity cut.  A checked state has unit trace.
+    for tau, build, given in off_trace_products(range(2000)):
+        rho = build(given)
+        labels, used, _ = exact_protocol(rho)
+        assert (labels == SEPARABLE).all() and (used == 3).all()
+        assert np.all(rho.pure)
+        assert not rank_says_entangled(rho.cm).any()
+        assert ppt_is_separable(rho).all()
+        for x in DEFAULT_XS:
+            pair = ObservablePair(x=x, y=DEFAULT_Y)
+            assert abs(covariance_via_c(rho.cm, pair)).max() <= 1e-15
+            assert abs(covariance_direct(rho, pair)).max() <= 1e-15
 
 
 ULP = float(np.spacing(1.0))

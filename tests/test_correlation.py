@@ -126,9 +126,10 @@ class TestCorrelationMatrix:
     def test_a_checked_state_keeps_its_form_and_c(self):
         rho = CheckedState(states.random_density(range(20)))
         assert rho.bloch is rho.bloch and rho.cm is rho.cm
-        fresh = correlation_matrix(rho.matrix)
+        # A raw array is a fresh state: the input as given, divided by its trace again.
+        fresh = correlation_matrix(rho.given)
         assert rho.cm.c.tobytes() == fresh.c.tobytes()
-        assert rho.bloch.f.tobytes() == bloch_decompose(rho.matrix).f.tobytes()
+        assert rho.bloch.f.tobytes() == bloch_decompose(rho.given).f.tobytes()
 
     def test_werner_family(self):
         for xi in (0.0, 0.25, 0.5, 1.0):

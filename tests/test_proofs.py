@@ -19,7 +19,7 @@ from sympy import kronecker_product as kron
 
 from bicorr import states
 from bicorr.correlation import correlation_matrix, covariance_via_c
-from bicorr.qstate import bloch_decompose, density_from_pure, partial_transpose_b
+from bicorr.qstate import CheckedState, bloch_decompose, density_from_pure, partial_transpose_b
 from bicorr.shotsim import joint_outcome_probabilities
 from test_shotsim import _covariance, _pairs, _read_out, _shrink
 
@@ -266,14 +266,13 @@ def test_the_partial_transpose_moves_across_a_trace():
     y = sp.Matrix(4, 4, sp.symbols("y1:17"))
     assert vanishes((partial_transpose(x) * y).trace() - (x * partial_transpose(y)).trace())
     # partial_transpose is qstate.partial_transpose_b, and W reads lambda_min, at numbers.
-    rhos = states.random_density(range(12))
     entangled = 0
-    for rho in rhos:
+    for rho in map(CheckedState, states.random_density(range(12))):
         moved = partial_transpose_b(rho)
-        assert np.array_equal(np.array(partial_transpose(rho), dtype=complex), moved)
+        assert np.array_equal(np.array(partial_transpose(rho.matrix), dtype=complex), moved)
         lam, vectors = np.linalg.eigh(moved)
         w = partial_transpose_b(density_from_pure(vectors[:, 0]))
-        assert abs(np.trace(w @ rho) - lam[0]) < 1e-15
+        assert abs(np.trace(w @ rho.matrix) - lam[0]) < 1e-15
         entangled += lam[0] < 0
     assert entangled > 0
 

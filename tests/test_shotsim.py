@@ -699,6 +699,25 @@ class TestZCut:
         assert trace.probes[0].is_zero is (decision == DECISION_ZERO)
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 28: the z rule's false NonZero rate near the poles is far above its "
+        "nominal rate; a certified zero test is to flip this",
+    )
+    def test_a_product_state_near_a_pole_is_called_non_zero_at_most_at_the_nominal_rate(self):
+        # |a>|a> with P(s = 1) = q on x = y = z^ has covariance 0, and n q^2 = 0.03 at 10^4
+        # shots.  z > 5 is nominally a false NonZero rate of 5.7e-7 a call, so 20,000 calls
+        # expect 0.011 of them and at least 3 with probability 2.5e-7.  The normal approximation
+        # fails where a marginal is this small: seeds 0-2 give 428, 399 and 385.
+        shots = 10_000
+        q = math.sqrt(0.03 / shots)
+        a = np.array([math.sqrt(q), math.sqrt(1.0 - q)])
+        rho = density_from_pure(np.kron(a, a))
+        pair = ObservablePair(x=np.tile(Z, (20_000, 1)), y=Z)
+        record = sample_joint(rho, pair, ShotConfig(shots=shots, seed=0))
+        assert np.count_nonzero(record.decision == DECISION_NONZERO) <= 2
+
+
 def assert_probes_are_rows(trace, rho, pair, cfg):
     """Probe i of a run's trace is row i of ``sample_joint`` on the run's probe stack at the
     run's seed: its covariance's bits and its call."""

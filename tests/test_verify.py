@@ -8,7 +8,7 @@ import pytest
 
 from bicorr import correlation, linalg, qstate, states, verify
 from bicorr.linalg import det3, norms
-from bicorr.qstate import BlochForm
+from bicorr.qstate import BlochForm, CheckedState
 from bicorr.verify import ALL_CHECKS, BLOCK, run_all
 
 
@@ -60,8 +60,10 @@ def test_shared_stacks_are_read_only_and_equal_a_fresh_draw(monkeypatch):
     psi = rho.amplitudes
     assert again is rho and density_again is density
     assert psi.tobytes() == states.haar_random_pure(range(4, 204)).tobytes()
-    assert density.matrix.tobytes() == states.random_density(range(4, 204)).tobytes()
-    for array in (psi, rho.matrix, density.matrix):
+    fresh = CheckedState(states.random_density(range(4, 204)))
+    assert density.given.tobytes() == fresh.given.tobytes()
+    assert density.matrix.tobytes() == fresh.matrix.tobytes()
+    for array in (psi, rho.matrix, density.given, density.matrix):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
