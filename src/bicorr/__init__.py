@@ -12,7 +12,6 @@ a program that never samples never loads the simulator.
 """
 
 from bicorr.correlation import (
-    CorrMatrix,
     ObservablePair,
     correlation_matrix,
     covariance_direct,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochForm",
-    "CorrMatrix",
     "ObservablePair",
     "ProtocolTrace",
     "ShotConfig",

@@ -130,27 +130,28 @@ def _protocol_detail(label: str, trace, cfg=None) -> str:
 def build_analysis_report(spec: StateSpec) -> dict:
     """Full analysis of a state: Bloch form, correlation matrix, verdicts and their details.
 
-    The checked state computes its Bloch form and c once; the protocol and the rank verdict read
-    that c, the protocol the state's purity, and each detail is written from the trace or sigma(c).
+    The checked state computes its Bloch form, c and sigma(c) once; the protocol reads that c and
+    the state's purity, the rank verdict that sigma(c), and each detail is written from the trace
+    or sigma(c).
     """
     rho = spec.state
-    bf, cm = rho.bloch, rho.cm
+    bf, c = rho.bloch, rho.c
     protocol_verdict, trace = binary_protocol(rho)
-    singular_values = cm.singular_values.tolist()
+    singular_values = rho.singular_values.tolist()
     rank_doc = None
     if spec.kind == "pure":
         detail = f"sigma_max(c) = {singular_values[0]!r} vs threshold {PURE_ENTANGLED_SV_TOL!r}"
         detail += f"; singular values {singular_values}"
-        rank_doc = _verdict_doc(pure_rank_verdict(cm), detail)
+        rank_doc = _verdict_doc(pure_rank_verdict(rho), detail)
     return {
         "label": spec.label,
         "kind": spec.kind,
         "state": statesmod.state_doc(spec),
         "bloch": {"a": bf.a.tolist(), "b": bf.b.tolist(), "f": bf.f.tolist()},
         "correlation": {
-            "c": cm.c.tolist(),
+            "c": c.tolist(),
             "singular_values": singular_values,
-            "det": det3(cm.c),
+            "det": det3(c),
         },
         "verdicts": {
             "rank_dichotomy": rank_doc,

@@ -13,11 +13,9 @@ results.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from bicorr.linalg import item_or_array, symmetric3_singular_values
+from bicorr.linalg import item_or_array
 from bicorr.qstate import CheckedState, _Frozen, _set, check_bloch_vector, outcome_table
 
 
@@ -44,20 +42,6 @@ def _checked_pair(x: np.ndarray, y: np.ndarray) -> ObservablePair:
     return pair
 
 
-class CorrMatrix(_Frozen):
-    """Correlation matrix c = f - a b^T; its singular values are computed when first read."""
-
-    _fields = ("c",)
-
-    def __init__(self, c: np.ndarray) -> None:
-        _set(self, "c", c)
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """The singular values of c, descending."""
-        return symmetric3_singular_values(self.c)
-
-
 def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
     """c(X, Y) from the trace formula, contracting rho with Q and R directly.
 
@@ -69,17 +53,18 @@ def covariance_direct(rho: np.ndarray, pair: ObservablePair) -> float:
     return item_or_array(joint - (table[..., 1, 0] + joint) * (table[..., 0, 1] + joint))
 
 
-def correlation_matrix(state: np.ndarray | CheckedState) -> CorrMatrix:
-    """Correlation matrix of a state, from its ``CheckedState.bloch``; singular values when read.
+def correlation_matrix(state: np.ndarray | CheckedState) -> np.ndarray:
+    """Correlation matrix c = f - a b^T of a state, shape (..., 3, 3), from its ``.bloch``.
 
     A raw array is checked first, so no unchecked form enters; a caller that shares one C reads
-    ``CheckedState.cm``.  A pure state of concurrence k has singular values (k, k, k^2); the
-    separability verdict is taken on the largest (``detect.pure_rank_verdict``).
+    ``CheckedState.c``, and its singular values ``CheckedState.singular_values``.  A pure state of
+    concurrence k has singular values (k, k, k^2); the separability verdict is taken on the
+    largest (``detect.pure_rank_verdict``).
     """
     bf = CheckedState.of(state).bloch
-    return CorrMatrix(c=bf.f - bf.a[..., :, None] * bf.b[..., None, :])
+    return bf.f - bf.a[..., :, None] * bf.b[..., None, :]
 
 
-def covariance_via_c(cm: CorrMatrix, pair: ObservablePair) -> float:
-    """c(X, Y) = (1/4) x . c . y from a precomputed correlation matrix."""
-    return item_or_array((0.25 * pair.x[..., None, :] @ cm.c @ pair.y[..., :, None])[..., 0, 0])
+def covariance_via_c(c: np.ndarray, pair: ObservablePair) -> float:
+    """c(X, Y) = (1/4) x . c . y from a precomputed correlation matrix c, shape (..., 3, 3)."""
+    return item_or_array((0.25 * pair.x[..., None, :] @ c @ pair.y[..., :, None])[..., 0, 0])

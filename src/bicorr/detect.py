@@ -28,8 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from bicorr.correlation import CorrMatrix, ObservablePair, covariance_via_c
-from bicorr.correlation import _checked_pair
+from bicorr.correlation import ObservablePair, _checked_pair, covariance_via_c
 from bicorr.linalg import (
     BALL_TOL,
     GRAM_TOL,
@@ -93,8 +92,8 @@ class Verdict(_Value):
 
 
 class Probe(_Frozen):
-    """One probe read: the direction x, the covariance of the unit directions (the exact call is
-    made on it, the shot call on z) and the zero call."""
+    """One probe read: the direction x, the covariance of the unit directions, a Python float on
+    both routes (the exact call is made on it, the shot call on z), and the zero call."""
 
     __slots__ = _fields = ("x", "covariance", "is_zero")
 
@@ -136,29 +135,30 @@ def find_zero_correlation_pair(rho: np.ndarray, y: np.ndarray) -> ObservablePair
     vector ZeroVector.
     """
     y, length = _check_y(y)
-    c_y = (CheckedState.of(rho).cm.c @ _directions(y, length)[..., None])[..., 0]
+    c_y = (CheckedState.of(rho).c @ _directions(y, length)[..., None])[..., 0]
     vanishes = (norms(c_y) < ZERO_CORRELATION_TOL)[..., None]
     x = orthogonal_complement_basis(c_y)[0]  # a zero row has direction 0: no warning
     return _checked_pair(np.where(vanishes, np.array([1.0, 0.0, 0.0]), x), y)
 
 
-def rank_says_entangled(cm: CorrMatrix) -> bool:
-    """The rank verdict, per state of a stack: sigma_max(c) > PURE_ENTANGLED_SV_TOL."""
-    return item_or_array(cm.singular_values[..., 0] > PURE_ENTANGLED_SV_TOL)
+def rank_says_entangled(rho: np.ndarray | CheckedState) -> bool:
+    """The rank verdict, per state of a stack: sigma_max(c) > PURE_ENTANGLED_SV_TOL, on the
+    state's ``CheckedState.singular_values``; only a raw array is checked."""
+    return item_or_array(CheckedState.of(rho).singular_values[..., 0] > PURE_ENTANGLED_SV_TOL)
 
 
-def pure_rank_verdict(cm: CorrMatrix) -> Verdict:
+def pure_rank_verdict(rho: np.ndarray | CheckedState) -> Verdict:
     """Separable/Entangled verdict from the correlation matrix of a pure state.
 
     c vanishes for separable pure states and has full rank for entangled ones;
     the verdict is Entangled iff sigma_max(c), the concurrence, exceeds
-    PURE_ENTANGLED_SV_TOL.  It takes one state; a stack raises ValueError.
+    PURE_ENTANGLED_SV_TOL.  It takes one state, a ``CheckedState`` or a raw matrix, which is
+    checked; a stack raises ValueError.
     """
-    if cm.c.shape != (3, 3):
-        raise ValueError(
-            f"the rank verdict takes one state, got a correlation matrix of shape {cm.c.shape}"
-        )
-    return Verdict(ENTANGLED if rank_says_entangled(cm) else SEPARABLE, RANK_DICHOTOMY)
+    rho = CheckedState.of(rho)
+    if rho.matrix.shape != (4, 4):
+        raise ValueError(f"the rank verdict takes one state, got shape {rho.matrix.shape}")
+    return Verdict(ENTANGLED if rank_says_entangled(rho) else SEPARABLE, RANK_DICHOTOMY)
 
 
 def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
@@ -166,18 +166,17 @@ def classify_pure_by_rank(psi: np.ndarray) -> Verdict:
 
     See ``pure_rank_verdict``; every validated pure state gets a verdict.
     """
-    return pure_rank_verdict(density_from_pure(psi).cm)
+    return pure_rank_verdict(density_from_pure(psi))
 
 
-def _exact_calls(cm: CorrMatrix, x_units: np.ndarray, y_unit: np.ndarray) -> tuple:
+def _exact_calls(c: np.ndarray, x_units: np.ndarray, y_unit: np.ndarray) -> tuple:
     """The exact zero rule: c(x^, y^) per probe on the last axis, and whether each is zero.
 
     One ``covariance_via_c`` call covers every probe.  The directions are unit, so |c| at most
     ZERO_CORRELATION_TOL is zero: far above 4x4 round-off and far below every fixture's smallest
     non-zero covariance.
     """
-    per_probe = CorrMatrix(cm.c[..., None, :, :])  # c per x
-    values = covariance_via_c(per_probe, _checked_pair(x_units, y_unit[..., None, :]))
+    values = covariance_via_c(c[..., None, :, :], _checked_pair(x_units, y_unit[..., None, :]))
     return values, np.abs(values) <= ZERO_CORRELATION_TOL
 
 
@@ -270,7 +269,7 @@ def binary_protocol(
     Entangled and three zeros mean Separable.  Mixed input yields Indeterminate either way; the
     trace records what was measured.
 
-    Without corr_oracle the calls are exact, on ``CheckedState.cm``: a checked state whose C was
+    Without corr_oracle the calls are exact, on ``CheckedState.c``: a checked state whose C was
     read already is not decomposed again.  corr_oracle(xs, y) replaces the exact rule with a
     finite-shot one: called once per run on the checked probes' unit directions, it yields
     (covariance, is_zero) per x, read up to the first non-zero call; running short raises
@@ -287,7 +286,7 @@ def binary_protocol(
         raise ValueError(f"the protocol takes one probe set, got shape {xs.shape}")
     pure = assume_pure or rho.pure
     if corr_oracle is None:
-        values, zero = _exact_calls(rho.cm, x_units, y_unit)
+        values, zero = _exact_calls(rho.c, x_units, y_unit)
         calls = zip(values.tolist(), zero.tolist())
     else:
         calls = corr_oracle(x_units, y_unit)
@@ -311,7 +310,7 @@ def exact_protocol(
 
     rho (..., 4, 4), y (..., 3) and xs (..., 3, 3) broadcast, one run per entry of the stack.
     They are checked as in ``binary_protocol``, a failure naming the stack index, and every probe
-    of every run is measured in one ``covariance_via_c`` call on ``CheckedState.cm``.  Returned,
+    of every run is measured in one ``covariance_via_c`` call on ``CheckedState.c``.  Returned,
     shaped like the stack: the verdict labels, the measurements used (the first non-zero probe,
     else 3), and on the last axis the three c(x^, y^).  A run's results are the bits of its
     one-state ``binary_protocol``: the label, ``measurements_used``, and the covariances of the
@@ -319,7 +318,7 @@ def exact_protocol(
     """
     rho = CheckedState.of(rho)
     _, _, y_unit, x_units = _check_probes(y, xs)
-    values, zero = _exact_calls(rho.cm, x_units, y_unit)
+    values, zero = _exact_calls(rho.c, x_units, y_unit)
     nonzero = ~zero
     found = nonzero.any(axis=-1)
     used = np.where(found, nonzero.argmax(axis=-1) + 1, 3)

@@ -21,12 +21,12 @@ state divided by its trace, so no reader carries Tr rho.  A state may be off Her
 HERMITIAN_TOL, and its verdicts are about its Hermitian part H = (rho + rho^dagger)/2: the Bloch
 form, the shot cells and `covariance_direct` read real parts, since Re Tr(rho P) = Tr(H P) for a
 Hermitian P, and the eigenvalues are those of H.  The state operations take a `CheckedState` as
-it is and structure-check only a raw array; a `CheckedState` keeps its Bloch form and correlation
-matrix once read (`.bloch`, `.cm`), so no reader derives them again.  All of them take stacks,
-shape (..., 4, 4) or (..., 4), empty ones included.  Every array threshold check of the package
-goes through `_require`, so a failed check on a stack names the index of the first offending
-state.  Every integer input (seeds, counts, trial budgets) goes through `_integers`, every other
-numeric one through `_reals`.
+it is and structure-check only a raw array; a `CheckedState` keeps its Bloch form, correlation
+matrix C and C's singular values once read (`.bloch`, `.c`, `.singular_values`), so no reader
+derives them again.  All of them take stacks, shape (..., 4, 4) or (..., 4), empty ones included.
+Every array threshold check of the package goes through `_require`, so a failed check on a stack
+names the index of the first offending state.  Every integer input (seeds, counts, trial budgets)
+goes through `_integers`, every other numeric one through `_reals`.
 
 The package's read-only records (`CheckedState` and `BlochForm` here, and those of `correlation`,
 `detect`, `shotsim` and `states`) are plain classes on one frozen base, `_Frozen`, rather than
@@ -40,15 +40,11 @@ from __future__ import annotations
 import math
 import reprlib
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from bicorr.linalg import BALL_TOL, HERMITIAN_TOL, NORM_TOL, PSD_TOL, PURITY_TOL
-from bicorr.linalg import hermitian_eigenvalues, item_or_array, norms
-
-if TYPE_CHECKING:
-    from bicorr.correlation import CorrMatrix
+from bicorr.linalg import hermitian_eigenvalues, item_or_array, norms, symmetric3_singular_values
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -248,10 +244,11 @@ class CheckedState(_Frozen):
     by its trace Re Tr rho as ``matrix``.  The input as given is kept, read-only, for the document
     echo alone: a checked matrix as ``given``, a pure state's checked psi as ``amplitudes``.
 
-    Its purity (known from the start for amplitudes), Bloch form and correlation matrix are
-    computed when first read and kept with it, so every reader of one state shares them.  It is a
-    frozen record (``_Frozen``) with a ``__dict__``, where the ``cached_property``s keep their
-    values; the constructor takes the matrix alone, so no caller can claim amplitudes or purity.
+    Its purity (known from the start for amplitudes), Bloch form, correlation matrix C and C's
+    singular values are computed when first read and kept with it, so every reader of one state
+    shares them.  It is a frozen record (``_Frozen``) with a ``__dict__``, where the
+    ``cached_property``s keep their values; the constructor takes the matrix alone, so no caller
+    can claim amplitudes or purity.
     """
 
     _fields = ("matrix",)
@@ -282,11 +279,16 @@ class CheckedState(_Frozen):
         return bloch_decompose(self)
 
     @cached_property
-    def cm(self) -> CorrMatrix:
-        """``correlation.correlation_matrix`` of the state, built from ``bloch``."""
+    def c(self) -> np.ndarray:
+        """``correlation.correlation_matrix`` of the state, (..., 3, 3), built from ``bloch``."""
         from bicorr import correlation  # which imports this module; looked up when first read
 
         return correlation.correlation_matrix(self)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """``symmetric3_singular_values`` of ``c``, descending: the rank deciders read them."""
+        return symmetric3_singular_values(self.c)
 
 
 def as_density_matrix(rho: np.ndarray | CheckedState) -> CheckedState:

@@ -234,6 +234,6 @@ def statistical_binary_protocol(
         rng = np.random.default_rng(cfg.seed)
         for row in probs:
             *_, covariance, z_score = _draw(row, cfg, rng)
-            yield covariance, not z_score > cfg.z_threshold
+            yield float(covariance), not z_score > cfg.z_threshold
 
     return binary_protocol(rho, y, xs, shot_oracle, assume_pure)

@@ -11,8 +11,8 @@ checks: per block of ``BLOCK`` seeds, each makes one generator call and one
 draw of its random directions, and calls each kernel once, ``exact_protocol``
 included.  In a one-block ``run_all``, checks that draw the same states from
 the same seeds share one read-only ``CheckedState``, and with it the stack's Bloch
-form and correlation matrix C (``.bloch``, ``.cm``), so each shared stack is
-decomposed, and C's singular values computed, once per run.
+form, correlation matrix C and C's singular values (``.bloch``, ``.c``,
+``.singular_values``), each computed once per run.
 The statistical suites keep their fixed, calibrated sizes.
 """
 
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from bicorr import states
-from bicorr.correlation import CorrMatrix, ObservablePair, covariance_direct, covariance_via_c
+from bicorr.correlation import ObservablePair, covariance_direct, covariance_via_c
 from bicorr.detect import (
     ENTANGLED,
     SEPARABLE,
@@ -101,8 +101,8 @@ def _density(seeds: range) -> CheckedState:
     return CheckedState(states.random_density(seeds))
 
 
-def _rank_labels(cm: CorrMatrix) -> np.ndarray:
-    return np.where(rank_says_entangled(cm), ENTANGLED, SEPARABLE)
+def _rank_labels(rho: CheckedState) -> np.ndarray:
+    return np.where(rank_says_entangled(rho), ENTANGLED, SEPARABLE)
 
 
 def check_spectral_invariants(trials: int, seed: int) -> tuple[bool, str]:
@@ -198,7 +198,7 @@ def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str
         rho = _density(seeds)
         pair = ObservablePair(x=_balls(rng, len(seeds)), y=_balls(rng, len(seeds)))
         direct = covariance_direct(rho, pair)
-        shortcut = covariance_via_c(rho.cm, pair)
+        shortcut = covariance_via_c(rho.c, pair)
         worst = _worst(worst, np.abs(direct - shortcut))
     return worst < 1e-10, f"{trials} draws, worst path disagreement {worst:.2e}"
 
@@ -206,11 +206,11 @@ def check_covariance_path_equivalence(trials: int, seed: int) -> tuple[bool, str
 def check_covariance_bilinearity(trials: int, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     n = min(trials, 2000)
-    cm = _density(range(seed, seed + n)).cm
+    c = _density(range(seed, seed + n)).c
     x1, x2, y = _units(rng, 3 * n).reshape(3, n, 3)
     alpha, beta = rng.random((2, n)) / 4  # so that |alpha x1 + beta x2| <= 1/2
     combined, c1, c2 = (
-        covariance_via_c(cm, ObservablePair(x=x, y=y))
+        covariance_via_c(c, ObservablePair(x=x, y=y))
         for x in (alpha[:, None] * x1 + beta[:, None] * x2, x1, x2)
     )
     worst = float(np.abs(combined - (alpha * c1 + beta * c2)).max())
@@ -225,7 +225,7 @@ def check_pure_rank_dichotomy(trials: int, seed: int) -> tuple[bool, str]:
             psi = rho.amplitudes
             k = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])  # concurrence
             expected = np.stack([k, k, k**2], axis=-1)
-            error = np.abs(rho.cm.singular_values - expected)
+            error = np.abs(rho.singular_values - expected)
             worst = _worst(worst, error)
     detail = f"{trials} random + {trials} product states, worst |sigma(c) - (k, k, k^2)|"
     return worst < 1e-12, f"{detail} {worst:.2e}"
@@ -236,21 +236,21 @@ def check_pure_determinant_identity(trials: int, seed: int) -> tuple[bool, str]:
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)
         nb = norms(rho.bloch.b)
-        worst = _worst(worst, np.abs(det3(rho.cm.c) + (nb**2 - 1) ** 2))
+        worst = _worst(worst, np.abs(det3(rho.c) + (nb**2 - 1) ** 2))
     return worst < 1e-9, f"{trials} pure states, worst determinant residual {worst:.2e}"
 
 
 def check_classifier_oracle_agreement(trials: int, seed: int) -> tuple[bool, str]:
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)
-        by_rank = _rank_labels(rho.cm)
+        by_rank = _rank_labels(rho)
         by_schmidt = np.where(schmidt_rank(rho.amplitudes) == 1, SEPARABLE, ENTANGLED)
         if (by_rank != by_schmidt).any():
             i = np.argmax(by_rank != by_schmidt)
             return False, f"seed {seeds[i]}: {by_rank[i]} vs {by_schmidt[i]}"
     for seeds in _blocks(seed, trials):
         rho = _pure(states.random_product_pure, seeds)
-        bad = (_rank_labels(rho.cm) != SEPARABLE) | (schmidt_rank(rho.amplitudes) != 1)
+        bad = (_rank_labels(rho) != SEPARABLE) | (schmidt_rank(rho.amplitudes) != 1)
         if bad.any():
             return False, f"product seed {seeds[np.argmax(bad)]} misclassified"
     return True, f"{2 * trials} states, zero disagreements"
@@ -270,7 +270,7 @@ def check_protocol_soundness(trials: int, seed: int) -> tuple[bool, str]:
     for seeds in _blocks(seed, trials):
         rho = _pure(states.haar_random_pure, seeds)
         y, xs = _probe_sets(rng, len(seeds))
-        disagree = exact_protocol(rho, y=y, xs=xs)[0] != _rank_labels(rho.cm)
+        disagree = exact_protocol(rho, y=y, xs=xs)[0] != _rank_labels(rho)
         if disagree.any():
             return False, f"seed {seeds[np.argmax(disagree)]}: protocol/classifier disagreement"
     return True, f"{trials} pure states, protocol matches the rank classifier"
@@ -282,10 +282,10 @@ def check_two_probe_insufficiency(trials: int, seed: int) -> tuple[bool, str]:
     while count < n:  # the first n entangled states from seed on
         seeds = range(seeds.stop, seeds.stop + n - count)
         rho = _pure(states.haar_random_pure, seeds)
-        full = np.flatnonzero(rank_says_entangled(rho.cm))
+        full = np.flatnonzero(rank_says_entangled(rho))
         leak = np.any([  # taken on every row, read on the entangled ones
             ~(np.abs(covariance_direct(rho, ObservablePair(x=x, y=Z))) < 1e-10)
-            for x in orthogonal_complement_basis(rho.cm.c @ Z)
+            for x in orthogonal_complement_basis(rho.c @ Z)
         ], axis=0)[full]
         count += len(full)
         if leak.any():

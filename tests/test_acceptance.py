@@ -111,8 +111,8 @@ def test_criterion_1_singlet_fixture():
     assert np.abs(bf.a).max() < 1e-12
     assert np.abs(bf.b).max() < 1e-12
     assert np.abs(bf.f + np.eye(3)).max() < 1e-12
-    cm = correlation_matrix(rho)
-    assert np.abs(cm.c + np.eye(3)).max() < 1e-12
+    c = correlation_matrix(rho)
+    assert np.abs(c + np.eye(3)).max() < 1e-12
 
     xs = _unit_grid(20, seed=101)
     ys = _unit_grid(20, seed=202)
@@ -121,7 +121,7 @@ def test_criterion_1_singlet_fixture():
         pair = ObservablePair(x=x, y=y)
         expected = -0.25 * float(x @ y)
         worst = max(worst, abs(covariance_direct(rho, pair) - expected))
-        worst = max(worst, abs(covariance_via_c(cm, pair) - expected))
+        worst = max(worst, abs(covariance_via_c(c, pair) - expected))
     assert worst < 1e-12
     _passed("criterion 1 (singlet fixture)", budget.check(), f"worst |dc| {worst:.1e}")
 
@@ -132,11 +132,11 @@ def test_criterion_2_chen_fixture():
     bf = bloch_decompose(rho)
     assert np.abs(bf.a - np.array([2, 0, 1]) / 3).max() < 1e-12
     assert np.abs(bf.b - np.array([2, 0, -1]) / 3).max() < 1e-12
-    cm = correlation_matrix(rho)
+    c = correlation_matrix(rho)
     expected_c = (2 / 9) * np.array([[1, 0, -2], [0, -3, 0], [2, 0, 2]])
-    assert np.abs(cm.c - expected_c).max() < 1e-12
+    assert np.abs(c - expected_c).max() < 1e-12
 
-    det_c = det3(cm.c)
+    det_c = det3(c)
     assert abs(det_c + 16 / 81) < 1e-12
     b_norm_sq = float(np.linalg.norm(bf.b) ** 2)
     assert abs(det_c + (b_norm_sq - 1) ** 2) < 1e-12
@@ -196,7 +196,7 @@ def test_criterion_6_werner_case_study():
             assert ppt_is_separable(rho)
         elif xi >= 1 / 3 + 1e-3:
             assert not ppt_is_separable(rho)
-        np.testing.assert_allclose(correlation_matrix(rho).c, -float(xi) * np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(correlation_matrix(rho), -float(xi) * np.eye(3), atol=1e-12)
 
     # The zero-correlation pair sets across xi are the registry case
     # test_registry_check[detect: Werner zero sets identical across xi].

@@ -516,7 +516,7 @@ def test_the_state_of_amplitudes_the_norm_cut_accepts_is_answered_by_every_decid
     assert shots[0].label == SEPARABLE
     assert ppt_is_separable(rho) is False
     pair = find_zero_correlation_pair(rho, DEFAULT_Y)
-    assert abs(covariance_via_c(rho.cm, pair)) <= ZERO_CORRELATION_TOL
+    assert abs(covariance_via_c(rho.c, pair)) <= ZERO_CORRELATION_TOL
 
 
 # Scales of a state just inside NORM_TOL: Tr rho, or ||psi||^2 for amplitudes.
@@ -542,11 +542,11 @@ def test_product_states_off_trace_1_are_separable_on_every_route():
         labels, used, _ = exact_protocol(rho)
         assert (labels == SEPARABLE).all() and (used == 3).all()
         assert np.all(rho.pure)
-        assert not rank_says_entangled(rho.cm).any()
+        assert not rank_says_entangled(rho).any()
         assert ppt_is_separable(rho).all()
         for x in DEFAULT_XS:
             pair = ObservablePair(x=x, y=DEFAULT_Y)
-            assert abs(covariance_via_c(rho.cm, pair)).max() <= 1e-15
+            assert abs(covariance_via_c(rho.c, pair)).max() <= 1e-15
             assert abs(covariance_direct(rho, pair)).max() <= 1e-15
 
 

@@ -11,9 +11,8 @@ import reprlib
 import numpy as np
 import pytest
 
-from bicorr import correlation, states
+from bicorr import qstate, states
 from bicorr.correlation import (
-    CorrMatrix,
     ObservablePair,
     correlation_matrix,
     covariance_direct,
@@ -84,34 +83,34 @@ class TestCovarianceDirect:
 
 class TestCorrelationMatrix:
     def test_singlet(self):
-        cm = correlation_matrix(density_from_pure(states.bell_state("psi-")))
-        np.testing.assert_allclose(cm.c, -np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(cm.singular_values, np.ones(3), atol=1e-12)
+        rho = density_from_pure(states.bell_state("psi-"))
+        np.testing.assert_allclose(correlation_matrix(rho), -np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(rho.singular_values, np.ones(3), atol=1e-12)
 
     def test_chen(self):
-        cm = correlation_matrix(density_from_pure(states.chen_state()))
-        np.testing.assert_allclose(cm.c, CHEN_C, atol=1e-12)
+        rho = density_from_pure(states.chen_state())
+        np.testing.assert_allclose(correlation_matrix(rho), CHEN_C, atol=1e-12)
         # Concurrence 2/3: singular values (k, k, k^2).
-        np.testing.assert_allclose(cm.singular_values, [2 / 3, 2 / 3, 4 / 9], atol=1e-12)
+        np.testing.assert_allclose(rho.singular_values, [2 / 3, 2 / 3, 4 / 9], atol=1e-12)
 
     def test_product_states_have_zero_matrix(self):
         for seed in range(100):
-            cm = correlation_matrix(density_from_pure(states.random_product_pure(seed)))
-            assert np.abs(cm.c).max() < 1e-10
-            assert cm.singular_values.max() < 1e-10
+            rho = density_from_pure(states.random_product_pure(seed))
+            assert np.abs(correlation_matrix(rho)).max() < 1e-10
+            assert rho.singular_values.max() < 1e-10
 
     def test_singular_values_are_computed_once_and_only_when_read(self, monkeypatch):
-        calls, solver = [], correlation.symmetric3_singular_values
+        calls, solver = [], qstate.symmetric3_singular_values
 
         def counted(c):
             calls.append(c.shape)
             return solver(c)
 
-        monkeypatch.setattr(correlation, "symmetric3_singular_values", counted)
-        cm = correlation_matrix(states.random_density(range(20)))
-        exact_protocol(states.random_density(range(20)))
+        monkeypatch.setattr(qstate, "symmetric3_singular_values", counted)
+        rho = CheckedState(states.random_density(range(20)))
+        exact_protocol(rho)
         assert calls == []
-        assert cm.singular_values is cm.singular_values
+        assert rho.singular_values is rho.singular_values
         assert calls == [(20, 3, 3)]
 
     def test_refuses_a_bloch_form(self):
@@ -125,36 +124,36 @@ class TestCorrelationMatrix:
 
     def test_a_checked_state_keeps_its_form_and_c(self):
         rho = CheckedState(states.random_density(range(20)))
-        assert rho.bloch is rho.bloch and rho.cm is rho.cm
+        assert rho.bloch is rho.bloch and rho.c is rho.c
         # A raw array is a fresh state: the input as given, divided by its trace again.
         fresh = correlation_matrix(rho.given)
-        assert rho.cm.c.tobytes() == fresh.c.tobytes()
+        assert rho.c.tobytes() == fresh.tobytes()
         assert rho.bloch.f.tobytes() == bloch_decompose(rho.given).f.tobytes()
 
     def test_werner_family(self):
         for xi in (0.0, 0.25, 0.5, 1.0):
-            cm = correlation_matrix(states.werner(xi))
-            np.testing.assert_allclose(cm.c, -xi * np.eye(3), atol=1e-12)
+            c = correlation_matrix(states.werner(xi))
+            np.testing.assert_allclose(c, -xi * np.eye(3), atol=1e-12)
 
 
 class TestCovarianceViaC:
     def test_minus_identity(self):
-        cm = correlation_matrix(density_from_pure(states.bell_state("psi-")))
-        assert abs(covariance_via_c(cm, ObservablePair(x=Z, y=Z)) + 0.25) < 1e-12
+        c = correlation_matrix(density_from_pure(states.bell_state("psi-")))
+        assert abs(covariance_via_c(c, ObservablePair(x=Z, y=Z)) + 0.25) < 1e-12
 
     def test_zero_matrix(self):
-        cm = CorrMatrix(c=np.zeros((3, 3)))
+        c = np.zeros((3, 3))
         rng = np.random.default_rng(31)
         for _ in range(20):
-            assert covariance_via_c(cm, random_pair(rng)) == 0.0
+            assert covariance_via_c(c, random_pair(rng)) == 0.0
 
     def test_chen_zero_plane(self):
         # With y on the first axis, c y is proportional to (1, 0, 2); any x in
         # the orthogonal plane spanned by (2, 0, -1) and (0, 1, 0) gives zero.
-        cm = correlation_matrix(density_from_pure(states.chen_state()))
+        c = correlation_matrix(density_from_pure(states.chen_state()))
         x = np.array([2.0, 0.0, -1.0]) / np.sqrt(5.0)
         pair = ObservablePair(x=x, y=[1.0, 0, 0])
-        assert abs(covariance_via_c(cm, pair)) < 1e-12
+        assert abs(covariance_via_c(c, pair)) < 1e-12
 
 
 class TestPathEquivalence:

@@ -21,7 +21,9 @@ from bicorr.detect import (
     DependentProbes,
     ENTANGLED,
     INDETERMINATE,
+    RANK_DICHOTOMY,
     SEPARABLE,
+    Verdict,
     ZeroVector,
     _DEFAULT_PROBES,
     _GRAM_MESSAGE,
@@ -50,10 +52,12 @@ from bicorr.linalg import (
     norms,
     orthogonal_complement_basis,
 )
+from bicorr import qstate
 from bicorr.qstate import (
     PAULIS,
     BlochOutOfBall,
     CheckedState,
+    InvalidState,
     _check_norm,
     _reals,
     _require,
@@ -144,6 +148,25 @@ class TestFindZeroCorrelationPair:
 
 
 class TestRankClassifier:
+    @pytest.mark.parametrize("decider", [rank_says_entangled, pure_rank_verdict])
+    def test_an_all_nan_matrix_is_refused(self, decider):
+        # The deciders read C's singular values from a checked state, so nan is refused instead
+        # of reading as Separable (test_qstate.py refuses a non-Hermitian matrix for them).
+        with pytest.raises(InvalidState, match="^density matrix entry magnitude nan exceeds 1$"):
+            decider(np.full((4, 4), np.nan))
+
+    def test_a_raw_matrix_is_checked_once_and_read_as_its_state(self, monkeypatch):
+        calls, check = [], qstate._check_structure
+        monkeypatch.setattr(qstate, "_check_structure", lambda m: calls.append(1) or check(m))
+        singlet = density_from_pure(states.bell_state("psi-")).matrix
+        product = density_from_pure([1, 0, 0, 0]).matrix
+        for matrix, label in ((singlet, ENTANGLED), (product.tolist(), SEPARABLE)):
+            calls.clear()
+            assert pure_rank_verdict(matrix) == Verdict(label, RANK_DICHOTOMY)
+            assert calls == [1]
+            assert rank_says_entangled(matrix) is (label == ENTANGLED)
+            assert calls == [1, 1]
+
     def test_basis_state_is_separable(self):
         assert classify_pure_by_rank([1, 0, 0, 0]).label == SEPARABLE
 
@@ -179,9 +202,9 @@ class TestRankClassifier:
         # it either way flips one of these two states.
         t = 0.5 * np.arcsin(concurrence)
         psi = np.array([np.cos(t), 0.0, 0.0, np.sin(t)])
-        cm = density_from_pure(psi).cm
-        assert rank_says_entangled(cm) is (label == ENTANGLED)
-        assert pure_rank_verdict(cm).label == label
+        rho = density_from_pure(psi)
+        assert rank_says_entangled(rho) is (label == ENTANGLED)
+        assert pure_rank_verdict(rho).label == label
         assert classify_pure_by_rank(psi).label == label
         assert schmidt_rank(psi) == (2 if label == ENTANGLED else 1)
 
@@ -190,11 +213,11 @@ class TestRankClassifier:
         # Unchecked, a one-row stack passes as one state, and two rows raise numpy's
         # ambiguous-truth text.
         psi = states.haar_random_pure(list(range(rows)))
-        message = rf"takes one state, got a correlation matrix of shape \({rows}, 3, 3\)"
+        message = rf"^the rank verdict takes one state, got shape \({rows}, 4, 4\)$"
         with pytest.raises(ValueError, match=message):
             classify_pure_by_rank(psi)
         with pytest.raises(ValueError, match=message):
-            pure_rank_verdict(density_from_pure(psi).cm)
+            pure_rank_verdict(density_from_pure(psi))
 
 
 class TestBinaryProtocol:
@@ -383,11 +406,11 @@ class TestBinaryProtocol:
             protocol(rho)
 
 
-def _per_probe(cm, xs, y):
+def _per_probe(c, xs, y):
     """Each probe's covariance and zero call on its direction, one ``ObservablePair`` at a time."""
     calls = []
     for x in xs:
-        value = covariance_via_c(cm, ObservablePair(x / np.linalg.norm(x), y / np.linalg.norm(y)))
+        value = covariance_via_c(c, ObservablePair(x / np.linalg.norm(x), y / np.linalg.norm(y)))
         calls.append((value, bool(abs(value) <= ZERO_CORRELATION_TOL)))
     return calls
 
@@ -405,10 +428,10 @@ def test_exact_oracle_equals_the_per_probe_rule(draw, n):
     for seed in range(n):
         rho = draw(seed)
         rho = density_from_pure(rho) if rho.shape == (4,) else rho
-        cm = correlation_matrix(rho)
+        c = correlation_matrix(rho)
         xs = rng.standard_normal((3, 3))
         xs *= (rng.random(3) / np.linalg.norm(xs, axis=1))[:, None]
-        expected = _per_probe(cm, xs, y)
+        expected = _per_probe(c, xs, y)
         _, used, values = exact_protocol(rho, y=y, xs=xs)
         assert values.tolist() == [v for v, _ in expected], seed
         assert used == next((i + 1 for i, (_, z) in enumerate(expected) if not z), 3)
@@ -434,7 +457,7 @@ def _protocol_runs(n: int, seed: int):
     ])
     y = directions(rng.standard_normal((3 * n, 3))) * rng.random((3 * n, 1))
     xs = directions(rng.standard_normal((3 * n, 3, 3))) * rng.random((3 * n, 3, 1))
-    c_y = (correlation_matrix(rho[:n]).c @ directions(y[:n])[..., None])[..., 0]
+    c_y = (correlation_matrix(rho[:n]) @ directions(y[:n])[..., None])[..., 0]
     plane = orthogonal_complement_basis(c_y)
     for zeros in (1, 2):
         rows = np.arange(zeros, n, 3)
@@ -741,6 +764,35 @@ class TestPPT:
             assert ppt_is_separable(states.random_separable_mixed(seed, 1 + seed % 6))
 
 
+def _transpose_b(m: np.ndarray) -> np.ndarray:
+    """The partial transpose over B of a stack of 4x4 matrices, in numpy alone."""
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(m.shape)
+
+
+class TestWitness:
+    """Three settings read as values: the facts a witness for every Entangled verdict rests on."""
+
+    def test_the_partial_transpose_eigenvector_is_a_witness(self):
+        # For v the eigenvector of lambda_min(rho^T_B), W = (|v><v|)^T_B has
+        # Tr(W rho) = <v|rho^T_B|v> = lambda_min < 0 on every PPT-entangled state.
+        rho = states.random_density(range(2000))
+        entangled = rho[~ppt_is_separable(rho)]
+        assert len(entangled) > 1000
+        lowest, vectors = np.linalg.eigh(_transpose_b(entangled))
+        v = vectors[..., 0]
+        w = _transpose_b(v[..., :, None] * v[..., None, :].conj())
+        expectation = np.einsum("nij,nji->n", w, entangled)
+        assert np.abs(expectation.imag).max() <= 1e-13
+        assert np.abs(expectation.real - lowest[..., 0]).max() <= 1e-13
+        assert expectation.real.max() < 0
+
+    def test_the_fixed_settings_bound_separable_states(self):
+        # XX, YY and ZZ read as values: sum |f_ii| <= 1 on every separable state.
+        rho = states.random_separable_mixed(range(2000))
+        f_ii = np.stack([np.einsum("nij,ji->n", rho, np.kron(p, p)).real for p in PAULIS])
+        assert np.abs(f_ii).sum(axis=0).max() <= 1.0 + 1e-12
+
+
 class TestWernerCaseStudy:
     def test_maximally_mixed_endpoint(self):
         rho = states.werner(0.0)
@@ -770,7 +822,7 @@ class TestWernerCaseStudy:
             y /= np.linalg.norm(y)
             rho = states.werner(xi)
             assert abs(covariance_direct(rho, ObservablePair(x=x, y=y)) + xi / 4 * (x @ y)) < 1e-12
-            np.testing.assert_allclose(correlation_matrix(rho).c, -xi * np.eye(3), atol=1e-12)
+            np.testing.assert_allclose(correlation_matrix(rho), -xi * np.eye(3), atol=1e-12)
 
 
 def test_default_probes_are_deterministic():
@@ -902,15 +954,15 @@ def test_local_unitaries_rotate_c_and_keep_the_ppt_and_rank_verdicts(seed, u_see
     u_a, u_b = _haar_unitary(rng), _haar_unitary(rng)
     k = np.kron(u_a, u_b)
     moved = k @ rho @ k.conj().T
-    cm, cm_moved = correlation_matrix(rho), correlation_matrix(moved)
+    state, state_moved = CheckedState(rho), CheckedState(moved)
     o_a, o_b = _rotation(u_a), _rotation(u_b)
-    assert np.max(np.abs(cm_moved.c - o_a @ cm.c @ o_b.T)) < 1e-12
-    assert np.max(np.abs(cm_moved.singular_values - cm.singular_values)) < 1e-12
+    assert np.max(np.abs(state_moved.c - o_a @ state.c @ o_b.T)) < 1e-12
+    assert np.max(np.abs(state_moved.singular_values - state.singular_values)) < 1e-12
 
     lowest = np.linalg.eigvalsh(partial_transpose_b(np.stack([rho, moved])))[..., 0]
     clear = np.all(np.abs(lowest + PSD_TOL) > CUT_MARGIN, axis=0)
     np.testing.assert_array_equal(ppt_is_separable(moved)[clear], ppt_is_separable(rho)[clear])
-    sigma_max = np.stack([cm.singular_values, cm_moved.singular_values])[..., 0]
+    sigma_max = np.stack([state.singular_values, state_moved.singular_values])[..., 0]
     clear = pure & np.all(np.abs(sigma_max - PURE_ENTANGLED_SV_TOL) > CUT_MARGIN, axis=0)
-    rank = rank_says_entangled(cm)
-    np.testing.assert_array_equal(rank_says_entangled(cm_moved)[clear], rank[clear])
+    rank = rank_says_entangled(state)
+    np.testing.assert_array_equal(rank_says_entangled(state_moved)[clear], rank[clear])

@@ -123,7 +123,7 @@ def _weak_pure_c(n: int, seed: int) -> np.ndarray:
     eps = 10.0 ** rng.uniform(-12, -1, (n, 1))
     psi = states.random_product_pure(seeds[0]) + eps * states.haar_random_pure(seeds[1])
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    c = correlation_matrix(density_from_pure(psi)).c
+    c = correlation_matrix(density_from_pure(psi))
     c[: n // 8] = 0.0
     c[n // 8 : n // 4] = rng.standard_normal((n // 4 - n // 8, 3, 1)) * rng.standard_normal(
         (n // 4 - n // 8, 1, 3)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bicorr import cli, correlation, linalg, qstate, states, verify
-from bicorr.correlation import CorrMatrix, ObservablePair, covariance_direct
+from bicorr.correlation import ObservablePair, covariance_direct
 from bicorr.detect import (
     DEFAULT_XS,
     DEFAULT_Y,
@@ -22,6 +22,8 @@ from bicorr.detect import (
     exact_protocol,
     find_zero_correlation_pair,
     ppt_is_separable,
+    pure_rank_verdict,
+    rank_says_entangled,
 )
 from bicorr.qstate import (
     BlochForm,
@@ -652,10 +654,10 @@ def test_analysis_report_decomposes_its_state_once(spec, monkeypatch):
 )
 def test_a_reader_of_c_takes_the_one_its_checked_state_holds(reader, monkeypatch):
     rho = CheckedState(PRODUCT_RHO)
-    cm = rho.cm
+    c = rho.c
     counts = _count_calls(monkeypatch, qstate.bloch_decompose, correlation.correlation_matrix)
     reader(rho)
-    assert counts == {} and rho.cm is cm
+    assert counts == {} and rho.c is c
     reader(PRODUCT_RHO)  # a raw array is checked, decomposed and correlated once
     assert counts == {"bloch_decompose": 1, "correlation_matrix": 1}
 
@@ -719,10 +721,13 @@ def _non_hermitian():
         lambda rho: covariance_direct(rho, ObservablePair(x=Z, y=Z)),
         binary_protocol,
         statistical_binary_protocol,
+        rank_says_entangled,
+        pure_rank_verdict,
     ],
     ids=[
         "purity", "bloch_decompose", "partial_trace_B", "partial_transpose_b", "outcome_table",
         "ppt_is_separable", "covariance_direct", "binary_protocol", "statistical_binary_protocol",
+        "rank_says_entangled", "pure_rank_verdict",
     ],
 )
 def test_state_operations_check_a_raw_array(operation):
@@ -752,7 +757,6 @@ RECORDS = [
     (lambda: density_from_pure([0, 1, 0, 0]), "CheckedState(matrix={0.matrix!r})"),
     (lambda: BlochForm(1, 2.0, None), "BlochForm(a=1, b=2.0, f=None)"),
     (lambda: ObservablePair(x=[1.0, 0, 0], y=[0, 0, 1]), "ObservablePair(x={0.x!r}, y={0.y!r})"),
-    (lambda: CorrMatrix(c=0.5), "CorrMatrix(c=0.5)"),
     (lambda: Verdict("Separable", "PPTOracle"), "Verdict(label='Separable', basis='PPTOracle')"),
     (lambda: Probe(x=None, covariance=0.0, is_zero=True), "Probe(x=None, covariance=0.0, is_zero=True)"),
     (lambda: ProtocolTrace(y=1, probes=()), "ProtocolTrace(y=1, probes=())"),
@@ -770,7 +774,7 @@ RECORDS = [
 
 
 @pytest.mark.parametrize("build, text", RECORDS, ids=[
-    "CheckedState", "pure CheckedState", "BlochForm", "ObservablePair", "CorrMatrix", "Verdict",
+    "CheckedState", "pure CheckedState", "BlochForm", "ObservablePair", "Verdict",
     "Probe", "ProtocolTrace", "ShotConfig", "ShotRecord", "StateSpec",
 ])
 def test_a_record_is_frozen_and_keeps_its_repr_through_copies(build, text):
@@ -811,8 +815,8 @@ def test_two_probe_insufficiency_checks_each_block_once(check_counts, monkeypatc
     # covariance is taken on the whole block, and row 3's nan is not read as a leak.
     entangled, covariance = verify.rank_says_entangled, verify.covariance_direct
 
-    def all_but_row_3(cm):
-        says = np.array(entangled(cm))
+    def all_but_row_3(rho):
+        says = np.array(entangled(rho))
         says[3:4] = False
         return says
 

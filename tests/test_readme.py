@@ -54,3 +54,44 @@ def test_every_owner_in_the_input_table_is_a_bicorr_name():
         module, _, attr = name.rpartition(".")
         holders = [modules[module]] if module else modules.values()
         assert any(hasattr(holder, attr) for holder in holders), name
+
+
+def _module(stem: str):
+    return bicorr if stem == "bicorr" else importlib.import_module(f"bicorr.{stem}")
+
+
+def _identifiers(text: str) -> list[str]:
+    """The backticked Python identifiers of text, one-letter names such as `C` or `y` skipped."""
+    return [n for n in re.findall(r"`([^`]+)`", text) if n.isidentifier() and len(n) > 1]
+
+
+def test_every_name_in_a_layout_row_is_in_its_module():
+    # A deleted class or function takes its mention in its module's row with it.
+    rows = re.findall(r"^\| `bicorr\.(\w+)` +\| (.*) \|$", README, re.MULTILINE)
+    assert len(rows) > 5
+    for stem, contents in rows:
+        for name in _identifiers(contents):
+            assert hasattr(_module(stem), name), f"bicorr.{stem}.{name}"
+
+
+def test_every_name_in_the_stack_lists_is_a_bicorr_name():
+    # The module list of stacked calls, the one-state calls, and every `module.name` written.
+    section = README.split("\n## Stacks and seeds\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* `(\w+)`: (.*?)(?=^\* |\n\n)", section, re.MULTILINE | re.DOTALL)
+    assert len(bullets) > 5
+    for stem, names in bullets:
+        for name in _identifiers(names):
+            assert hasattr(_module(stem), name), f"bicorr.{stem}.{name}"
+    stems = [path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    modules = [_module(stem) for stem in stems]
+    one_state = re.search(r"The one-state calls are (.*?)\.", section, re.DOTALL)[1]
+    names = _identifiers(one_state)
+    assert len(names) > 3
+    for name in names:
+        assert any(hasattr(module, name) for module in modules), name
+    for stem, name in re.findall(r"`(\w+)\.(\w+)", section):
+        if stem in stems:
+            assert hasattr(_module(stem), name), f"bicorr.{stem}.{name}"
+        else:  # an attribute of a bicorr class, such as CheckedState.pure
+            holder = next(getattr(m, stem) for m in modules if hasattr(m, stem))
+            assert hasattr(holder, name), f"{stem}.{name}"

@@ -738,6 +738,14 @@ class TestStatisticalProtocol:
         assert verdict == bicorr.Verdict("Entangled", "BinaryProtocol")
         assert trace.measurements_used == 3
 
+    def test_a_probe_holds_a_python_float_on_both_routes(self):
+        # The exact and the shot oracle yield one covariance type, so a trace prints alike.
+        runs = (bicorr.binary_protocol(singlet_rho()), statistical_binary_protocol(singlet_rho()))
+        for _, trace in runs:
+            for probe in trace.probes:
+                assert type(probe.covariance) is float
+                assert f"covariance={probe.covariance!r}, is_zero=" in repr(probe)
+
     def test_product_state_is_separable(self):
         rho = density_from_pure(states.random_product_pure(12))
         verdict, _ = statistical_binary_protocol(rho, cfg=ShotConfig(shots=100_000, seed=4))
@@ -825,7 +833,8 @@ class TestStatisticalProtocol:
         # and bits and is_zero, at seeds 0-299 on mixed, Haar and product states with random y
         # and probe sets.  Every fourth base seed sits just below 2**64, the top of the range.
         # Taken when a run's probes became consecutive draws of one generator; re-taken when the
-        # separable mixtures changed their draw order, which moved only the runs at seeds 1 (mod 3).
+        # separable mixtures changed their draw order, which moved only the runs at seeds 1 (mod 3),
+        # and when the shot oracle's covariance became a Python float, which moved only the type.
         digest = hashlib.sha256()
         for seed in range(300):
             rng = np.random.default_rng([seed, 21])
@@ -849,7 +858,7 @@ class TestStatisticalProtocol:
                         digest.update(np.float64(probe.covariance).tobytes())
                         digest.update(repr(probe.is_zero).encode())
         assert digest.hexdigest() == (
-            "0ef52dfe4aff44dcf803c2c72f926832d481a9dd46f214bc4a7f3141483b57dd"
+            "f173202ec2f3fd3f0ce285450105f2b87863a48a4a41b8730353911ddd9e2107"
         )
 
     def test_every_probes_cells_are_checked_before_the_first_draw(self, monkeypatch):

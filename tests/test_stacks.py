@@ -77,22 +77,19 @@ KERNELS = {
     "partial_transpose_b": (lambda rho, psi, x, y: partial_transpose_b(rho), True),
     "schmidt_rank": (lambda rho, psi, x, y: schmidt_rank(psi), True),
     "ppt_is_separable": (lambda rho, psi, x, y: ppt_is_separable(rho), True),
-    "numeric_rank": (lambda rho, psi, x, y: numeric_rank(correlation_matrix(rho).c, 1e-8), True),
+    "numeric_rank": (lambda rho, psi, x, y: numeric_rank(correlation_matrix(rho), 1e-8), True),
     "rank_says_entangled": (
-        lambda rho, psi, x, y: rank_says_entangled(correlation_matrix(density_from_pure(psi))),
-        True,
+        lambda rho, psi, x, y: rank_says_entangled(density_from_pure(psi)), True
     ),
-    "det3": (lambda rho, psi, x, y: det3(correlation_matrix(rho).c), True),
+    "det3": (lambda rho, psi, x, y: det3(correlation_matrix(rho)), True),
     "hermitian_eigenvalues": (lambda rho, psi, x, y: hermitian_eigenvalues(rho), False),
     "purity": (lambda rho, psi, x, y: purity(rho), False),
     "bloch_decompose": (lambda rho, psi, x, y: _bloch(rho), False),
     "bloch_assemble": (lambda rho, psi, x, y: bloch_assemble(bloch_decompose(rho)), False),
     "partial_trace_B": (lambda rho, psi, x, y: partial_trace_B(rho), False),
     "outcome_table": (lambda rho, psi, x, y: outcome_table(rho, x, y), False),
-    "correlation_matrix.c": (lambda rho, psi, x, y: correlation_matrix(rho).c, False),
-    "singular_values": (
-        lambda rho, psi, x, y: correlation_matrix(rho).singular_values, False
-    ),
+    "correlation_matrix": (lambda rho, psi, x, y: correlation_matrix(rho), False),
+    "singular_values": (lambda rho, psi, x, y: CheckedState(rho).singular_values, False),
     "covariance_direct": (lambda rho, psi, x, y: covariance_direct(rho, _pair(x, y)), False),
     "covariance_via_c": (
         lambda rho, psi, x, y: covariance_via_c(correlation_matrix(rho), _pair(x, y)), False
@@ -141,9 +138,9 @@ def test_a_state_broadcasts_against_a_stack_of_probes():
         (lambda: schmidt_rank(PSI[0]), int),
         (lambda: covariance_direct(RHO[0], _pair(X[0], Y[0])), float),
         (lambda: covariance_via_c(correlation_matrix(RHO[0]), _pair(X[0], Y[0])), float),
-        (lambda: rank_says_entangled(correlation_matrix(RHO[0])), bool),
-        (lambda: numeric_rank(correlation_matrix(RHO[0]).c, 1e-8), int),
-        (lambda: det3(correlation_matrix(RHO[0]).c), float),
+        (lambda: rank_says_entangled(RHO[0]), bool),
+        (lambda: numeric_rank(correlation_matrix(RHO[0]), 1e-8), int),
+        (lambda: det3(correlation_matrix(RHO[0])), float),
         (lambda: purity(RHO[0]), float),
     ],
     ids=[
@@ -164,7 +161,7 @@ def test_zero_pair_of_a_stack_takes_e1_exactly_where_c_y_vanishes():
     ])
     z = np.array([0.0, 0.0, 1.0])
     pair = find_zero_correlation_pair(rho, z)
-    vanishes = np.linalg.norm(correlation_matrix(rho).c @ z, axis=-1) < 1e-10
+    vanishes = np.linalg.norm(correlation_matrix(rho) @ z, axis=-1) < 1e-10
     assert vanishes.tolist() == [True, True, False]
     assert (pair.x == [1.0, 0.0, 0.0]).all(axis=-1).tolist() == vanishes.tolist()
     assert np.abs(covariance_direct(rho, pair)).max() < 1e-10

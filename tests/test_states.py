@@ -210,8 +210,8 @@ class TestGenerators:
         from bicorr.correlation import correlation_matrix
 
         for seed in range(200):
-            cm = correlation_matrix(density_from_pure(random_product_pure(seed)))
-            assert np.abs(cm.c).max() < 1e-10
+            c = correlation_matrix(density_from_pure(random_product_pure(seed)))
+            assert np.abs(c).max() < 1e-10
 
     def test_separable_mixtures_pass_validation_and_ppt(self):
         for seed in range(200):

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bicorr import correlation, linalg, qstate, states, verify
+from bicorr import linalg, qstate, states, verify
 from bicorr.linalg import det3, norms
 from bicorr.qstate import BlochForm, CheckedState
 from bicorr.verify import ALL_CHECKS, BLOCK, run_all
@@ -93,7 +93,7 @@ def _counted_svds(monkeypatch) -> list:
         calls.append(np.shape(m))
         return solver(m)
 
-    for module in (linalg, correlation, verify):
+    for module in (linalg, qstate, verify):
         monkeypatch.setattr(module, "symmetric3_singular_values", counted)
     return calls
 
@@ -136,8 +136,8 @@ def test_only_a_one_block_run_shares_the_stacks_correlation_matrices(monkeypatch
     def spy(trials, seed):
         seeds = range(seed, seed + 3)
         pure = [verify._pure(states.haar_random_pure, seeds) for _ in range(2)]
-        shared.append(pure[0].cm is pure[1].cm)
-        shared.append(verify._density(seeds).cm is verify._density(seeds).cm)
+        shared.append(pure[0].c is pure[1].c)
+        shared.append(verify._density(seeds).c is verify._density(seeds).c)
         return True, "spy"
 
     monkeypatch.setattr(verify, "ALL_CHECKS", [("spy", spy)])
@@ -191,7 +191,7 @@ def _nan_result(kernel):
         (verify.check_product_local_vectors, qstate, "bloch_decompose"),
         (verify.check_partial_trace_consistency, verify, "partial_trace_B"),
         (verify.check_covariance_path_equivalence, verify, "covariance_direct"),
-        (verify.check_pure_rank_dichotomy, correlation, "symmetric3_singular_values"),
+        (verify.check_pure_rank_dichotomy, qstate, "symmetric3_singular_values"),
         (verify.check_pure_determinant_identity, qstate, "bloch_decompose"),
         (verify.check_zero_pair_universality, verify, "covariance_direct"),
         (verify.check_werner_bloch_round_trip, verify, "bloch_decompose"),
